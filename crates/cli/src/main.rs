@@ -671,8 +671,8 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
 
     // Single-stream mode: one input, unlabelled event stream. Runs on
     // the multi-stream server pinned to a single shard, which keeps the
-    // event and stats output byte-identical to the legacy single-stream
-    // gateway while sharing one code path with `--listen`.
+    // single-stream event and stats shape while sharing one code path
+    // with `--listen`.
     let input = match Input::parse(args.require("input")?) {
         Ok(input) => input,
         Err(e) => return Ok(gateway_exit("parsing --input", &e)),
@@ -935,7 +935,7 @@ fn class_scores(
 
 /// Renders one ROC summary as a JSON object body.
 fn roc_json(roc: &Roc) -> String {
-    ctc_gateway::json::JsonObject::new()
+    ctc_obs::json::JsonObject::new()
         .float("auc", roc.auc)
         .float("eer", roc.eer())
         .float("tpr_at_fpr_1pct", roc.tpr_at_fpr(0.01))
@@ -943,7 +943,7 @@ fn roc_json(roc: &Roc) -> String {
 }
 
 fn cmd_detector(argv: &[String]) -> Result<ExitCode, String> {
-    use ctc_gateway::json::JsonObject;
+    use ctc_obs::json::JsonObject;
 
     let Some((action, rest)) = argv.split_first() else {
         return Err("detector needs an action: train or eval".into());
@@ -1100,7 +1100,7 @@ fn cmd_obs_dump(args: &Args) -> Result<ExitCode, String> {
             let registry = Registry::new();
             ctc_gateway::obs::register_run(
                 &registry,
-                &ctc_gateway::Metrics::new(),
+                &ctc_gateway::SessionTable::new(),
                 &ctc_dsp::BufferPool::new(),
             );
             registry.render()
@@ -1130,15 +1130,15 @@ fn cmd_obs_report(argv: &[String]) -> Result<ExitCode, String> {
     Args::parse(rest)?; // reject trailing junk with the usual message
     let text =
         std::fs::read_to_string(&path).map_err(|e| format!("reading snapshot {path}: {e}"))?;
-    let doc = ctc_gateway::json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+    let doc = ctc_obs::json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
     print!("{}", render_incident(&doc)?);
     Ok(ExitCode::SUCCESS)
 }
 
 /// One human-readable line per journal event (the JSON field set varies
 /// by kind; everything beyond the common header prints as `key=value`).
-fn render_event(ev: &ctc_gateway::JsonValue) -> String {
-    let num = |key: &str| ev.get(key).and_then(ctc_gateway::JsonValue::as_f64);
+fn render_event(ev: &ctc_obs::json::JsonValue) -> String {
+    let num = |key: &str| ev.get(key).and_then(ctc_obs::json::JsonValue::as_f64);
     let mut line = format!(
         "  [{:>10} µs] {:<13} session={} seq={}",
         num("t_us").unwrap_or(0.0) as u64,
@@ -1175,12 +1175,13 @@ fn render_event(ev: &ctc_gateway::JsonValue) -> String {
 }
 
 /// The human-readable rendering behind `ctc obs report`.
-fn render_incident(doc: &ctc_gateway::JsonValue) -> Result<String, String> {
+fn render_incident(doc: &ctc_obs::json::JsonValue) -> Result<String, String> {
     if doc.get("type").and_then(|t| t.as_str()) != Some("ctc_incident") {
         return Err("not an incident snapshot (missing type: ctc_incident)".into());
     }
-    let num =
-        |v: &ctc_gateway::JsonValue, key: &str| v.get(key).and_then(ctc_gateway::JsonValue::as_f64);
+    let num = |v: &ctc_obs::json::JsonValue, key: &str| {
+        v.get(key).and_then(ctc_obs::json::JsonValue::as_f64)
+    };
     let mut out = String::new();
     out.push_str(&format!(
         "incident: trigger={} at t={} µs (dump #{})\n",
@@ -1652,7 +1653,7 @@ mod tests {
 
     #[test]
     fn incident_report_renders_every_section() {
-        let doc = ctc_gateway::json::parse(
+        let doc = ctc_obs::json::parse(
             r#"{"type":"ctc_incident","version":1,"trigger":"forgery","t_us":5120,
                 "ring":{"capacity":1024,"recorded":7},
                 "events":[
@@ -1684,7 +1685,7 @@ mod tests {
             text.contains("ctc_gateway_frames_total{verdict=\"attack\"} 0 -> 1 (+1)"),
             "{text}"
         );
-        assert!(render_incident(&ctc_gateway::json::parse("{}").unwrap()).is_err());
+        assert!(render_incident(&ctc_obs::json::parse("{}").unwrap()).is_err());
     }
 
     #[test]

@@ -90,40 +90,23 @@ impl Features {
     ///
     /// Returns [`EmptySamplesError`] for an empty point set.
     pub fn estimate(points: &[Complex]) -> Result<Self, EmptySamplesError> {
-        Self::estimate_with_scratch(points, &mut Vec::new())
-    }
-
-    /// Estimates features for a whole batch of constellations (one slice
-    /// per burst), sharing the fourth-power scratch buffer across bursts so
-    /// steady-state classification performs one allocation per batch
-    /// instead of one per frame.
-    pub fn estimate_batch(bursts: &[&[Complex]]) -> Vec<Result<Self, EmptySamplesError>> {
-        let mut z = Vec::new();
-        bursts
-            .iter()
-            .map(|pts| Self::estimate_with_scratch(pts, &mut z))
-            .collect()
-    }
-
-    fn estimate_with_scratch(
-        points: &[Complex],
-        z: &mut Vec<Complex>,
-    ) -> Result<Self, EmptySamplesError> {
         let c = Cumulants::estimate(points)?;
         let c21 = c.c21();
         // Fourth-power sequence for the spectral-line search.
-        z.clear();
-        z.extend(points.iter().map(|&p| {
-            let p2 = p * p;
-            p2 * p2
-        }));
+        let z: Vec<Complex> = points
+            .iter()
+            .map(|&p| {
+                let p2 = p * p;
+                p2 * p2
+            })
+            .collect();
         let d = z.len() as f64;
         // Evaluate the whole grid lane-parallel across frequencies; the
         // per-frequency arithmetic is bit-equal to `dtft_magnitude`, so the
         // argmax below selects exactly the same line as the scalar loop.
         let nus = nu_grid();
         let mut mags = [0.0f64; LINE_SEARCH_STEPS];
-        simd::dtft_norms(z, nus, &mut mags);
+        simd::dtft_norms(&z, nus, &mut mags);
         let mut best_mag = 0.0f64;
         let mut best_nu = 0.0f64;
         for (s, &m) in mags.iter().enumerate() {
@@ -301,16 +284,5 @@ mod tests {
         let mut empty = [1.0];
         simd::dtft_norms(&[], &[0.1], &mut empty);
         assert_eq!(empty[0], 0.0);
-    }
-
-    #[test]
-    fn estimate_batch_matches_per_burst_estimate() {
-        let a = constellation_from_reception(&reception(20.0, 75));
-        let b = constellation_from_reception(&reception(5.0, 76));
-        let batch = Features::estimate_batch(&[&a, &[], &b]);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch[0].unwrap(), Features::estimate(&a).unwrap());
-        assert!(batch[1].is_err());
-        assert_eq!(batch[2].unwrap(), Features::estimate(&b).unwrap());
     }
 }

@@ -91,14 +91,6 @@ impl Cumulants {
         })
     }
 
-    /// Estimates cumulants for a whole batch of bursts in one call — the
-    /// form the batch classifier uses so per-call dispatch and setup
-    /// amortize across frames. Each burst is estimated independently;
-    /// empty bursts yield [`EmptySamplesError`] in their slot.
-    pub fn estimate_batch(bursts: &[&[Complex]]) -> Vec<Result<Self, EmptySamplesError>> {
-        bursts.iter().map(|b| Self::estimate(b)).collect()
-    }
-
     /// Second-order moment `C20 = E[x^2]`.
     pub fn c20(&self) -> Complex {
         self.c20
@@ -300,17 +292,6 @@ mod tests {
     #[test]
     fn empty_rejected() {
         assert!(Cumulants::estimate(&[]).is_err());
-    }
-
-    #[test]
-    fn estimate_batch_matches_single() {
-        let a = Modulation::Qpsk.constellation();
-        let b = Modulation::Qam16.constellation();
-        let batch = Cumulants::estimate_batch(&[&a, &[], &b]);
-        assert_eq!(batch.len(), 3);
-        assert_eq!(batch[0].unwrap(), Cumulants::estimate(&a).unwrap());
-        assert!(batch[1].is_err());
-        assert_eq!(batch[2].unwrap(), Cumulants::estimate(&b).unwrap());
     }
 
     #[test]

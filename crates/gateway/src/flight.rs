@@ -11,10 +11,10 @@
 //! while a recorder is attached, so a `SIGUSR1` can interrogate a run
 //! that was started without any incident expected.
 
-use crate::json::JsonObject;
 use crate::server::ServerConfig;
-use crate::session::Session;
+use crate::session::{Session, SessionTable};
 use ctc_obs::flight::take_sigusr1;
+use ctc_obs::json::{array, JsonObject};
 use ctc_obs::{FlightRecorder, Registry, SnapshotBuilder};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -60,8 +60,8 @@ pub(crate) struct FlightCtl {
     baseline: Mutex<Option<String>>,
     /// Effective config, pre-rendered once at run start.
     config_json: Mutex<String>,
-    /// Every session opened this run (snapshots embed the table).
-    sessions: Mutex<Vec<Arc<Session>>>,
+    /// The run's session table (snapshots embed it).
+    sessions: Mutex<SessionTable>,
     /// Auto triggers (forgery, drop budget) dump at most once per run;
     /// SIGUSR1 dumps are not gated.
     auto_dumped: AtomicBool,
@@ -78,7 +78,7 @@ impl FlightCtl {
             registry: Mutex::new(None),
             baseline: Mutex::new(None),
             config_json: Mutex::new(String::from("{}")),
-            sessions: Mutex::new(Vec::new()),
+            sessions: Mutex::new(SessionTable::new()),
             auto_dumped: AtomicBool::new(false),
             dumps: AtomicU64::new(0),
         }
@@ -88,13 +88,19 @@ impl FlightCtl {
         &self.recorder
     }
 
-    /// Captures the run's baseline (registry exposition at start) and
-    /// renders the effective config. Called once per `run_feed`.
-    pub(crate) fn begin_run(&self, registry: Option<Arc<Registry>>, config: &ServerConfig) {
+    /// Captures the run's baseline (registry exposition at start),
+    /// renders the effective config and takes the run's session table.
+    /// Called once per `run_feed`.
+    pub(crate) fn begin_run(
+        &self,
+        registry: Option<Arc<Registry>>,
+        config: &ServerConfig,
+        sessions: SessionTable,
+    ) {
         *self.baseline.lock().unwrap() = registry.as_ref().map(|r| r.render());
         *self.registry.lock().unwrap() = registry;
         *self.config_json.lock().unwrap() = self.config_json_for(config);
-        self.sessions.lock().unwrap().clear();
+        *self.sessions.lock().unwrap() = sessions;
     }
 
     fn config_json_for(&self, config: &ServerConfig) -> String {
@@ -125,33 +131,21 @@ impl FlightCtl {
             .finish()
     }
 
-    pub(crate) fn track_session(&self, session: Arc<Session>) {
-        self.sessions.lock().unwrap().push(session);
-    }
-
     fn sessions_json(&self) -> String {
-        let sessions = self.sessions.lock().unwrap();
-        let mut out = String::from("[");
-        for (i, session) in sessions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        let sessions = self.sessions.lock().unwrap().sessions();
+        array(sessions.iter().map(|session| {
             let s = session.snapshot();
-            out.push_str(
-                &JsonObject::new()
-                    .uint("id", session.id())
-                    .string_if("stream", session.label())
-                    .uint("shard", session.shard() as u64)
-                    .uint("samples_in", s.samples_in)
-                    .uint("bursts", s.bursts)
-                    .uint("frames_decoded", s.frames_decoded)
-                    .uint("forgeries", s.forgeries)
-                    .uint("bursts_dropped", s.bursts_dropped)
-                    .finish(),
-            );
-        }
-        out.push(']');
-        out
+            JsonObject::new()
+                .uint("id", session.id())
+                .string_if("stream", session.label())
+                .uint("shard", session.shard() as u64)
+                .uint("samples_in", s.samples_in)
+                .uint("bursts", s.bursts)
+                .uint("frames_decoded", s.frames_decoded)
+                .uint("forgeries", s.forgeries)
+                .uint("bursts_dropped", s.bursts_dropped)
+                .finish()
+        }))
     }
 
     /// One-shot auto trigger (forgery, drop budget): the first wins,
@@ -247,7 +241,7 @@ mod tests {
             out: Some(path.clone()),
             ..FlightOptions::default()
         });
-        ctl.begin_run(None, &ServerConfig::default());
+        ctl.begin_run(None, &ServerConfig::default(), SessionTable::new());
         ctl.auto_trigger("forgery", None);
         let first = std::fs::read_to_string(&path).unwrap();
         assert!(first.contains("\"trigger\":\"forgery\""));
@@ -268,8 +262,9 @@ mod tests {
             drop_budget: Some(4),
             ..FlightOptions::default()
         });
-        ctl.begin_run(None, &ServerConfig::default());
-        ctl.track_session(Arc::new(Session::new(1, Some("s1".into()), 0)));
+        let sessions = SessionTable::new();
+        sessions.open(Some("s1".into()), 1);
+        ctl.begin_run(None, &ServerConfig::default(), sessions);
         ctl.auto_trigger("forgery", None);
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"config\":{"), "{json}");
@@ -281,7 +276,7 @@ mod tests {
     #[test]
     fn no_out_path_means_no_dump() {
         let ctl = FlightCtl::new(FlightOptions::default());
-        ctl.begin_run(None, &ServerConfig::default());
+        ctl.begin_run(None, &ServerConfig::default(), SessionTable::new());
         // Must be a no-op rather than a panic or a stray file.
         ctl.auto_trigger("forgery", None);
         ctl.poll_sigusr1();

@@ -11,28 +11,30 @@
 //! decoding gets — and multiplexes many independent streams through one
 //! shared worker pool:
 //!
-//! - [`server::GatewayServer`] — the service: each stream becomes a
-//!   [`session::Session`] pinned to a worker shard (workers steal across
-//!   shards, so one stalled stream never head-of-line-blocks another),
-//!   with per-session drop budgets under overload, per-session
-//!   sequence-ordered JSONL tagged with a `stream` field, and both
-//!   aggregate and `{stream="..."}`-labelled metrics.
+//! - [`server::GatewayServer`] — the service, and the only way in: each
+//!   stream becomes a [`session::Session`] pinned to a worker shard
+//!   (workers steal across shards, so one stalled stream never
+//!   head-of-line-blocks another), with per-session drop budgets under
+//!   overload, per-session sequence-ordered JSONL tagged with a `stream`
+//!   field, and both run-wide and `{stream="..."}`-labelled metrics.
+//! - [`pipeline::GatewayConfig`] — the per-stream pipeline knobs and
+//!   detection stages, with a validating builder.
 //! - [`source::Input`] — where the bytes come from: cf32 file, stdin
 //!   (`-`), a TCP listener (`tcp://host:port`), or a Unix-domain
 //!   listener (`unix:///path.sock`); [`source::Listener`] accepts many
 //!   connections for [`GatewayServer::serve`].
-//! - [`pipeline::Gateway`] — the deprecated single-stream front door,
-//!   now a thin one-session wrapper over the server with byte-identical
-//!   output.
-//! - [`metrics::Metrics`] — lock-free counters and a log-scale latency
-//!   histogram behind the periodic stats lines.
+//! - [`metrics::Metrics`] — one session's lock-free counters and
+//!   log-scale latency histogram; run-wide totals are folded from the
+//!   run's [`session::SessionTable`] when read.
 //! - [`error::GatewayError`] — typed failures with distinct process
 //!   exit codes for the CLI.
 //! - [`obs`] (feature `telemetry`, default-on) — publishes a run's
 //!   counters into a [`ctc_obs::Registry`] under canonical `ctc_*` names
-//!   (aggregate and per-stream) and records per-stage trace spans into a
+//!   (run-wide and per-stream) and records per-stage trace spans into a
 //!   [`ctc_obs::TraceSink`]; see [`GatewayServer::with_registry`] and
 //!   [`GatewayServer::with_trace_sink`].
+//! - [`json`] — the workspace's JSON encoder and parser, re-exported
+//!   from [`ctc_obs::json`].
 //! - [`flight`] (feature `telemetry`, default-on) — an always-on,
 //!   bounded-memory flight recorder ([`ctc_obs::flight`]) journaling
 //!   bursts, stage boundaries, verdicts with per-feature scores, drops
@@ -76,14 +78,13 @@
 
 #![warn(missing_docs)]
 
+pub use ctc_obs::json;
 pub mod error;
 #[cfg(feature = "telemetry")]
 pub mod flight;
-pub mod json;
 pub mod metrics;
 pub mod obs;
 pub mod pipeline;
-pub mod queue;
 pub mod server;
 pub mod session;
 pub mod source;
@@ -91,16 +92,14 @@ pub mod source;
 pub use error::GatewayError;
 #[cfg(feature = "telemetry")]
 pub use flight::FlightOptions;
-pub use json::{JsonParseError, JsonValue};
 pub use metrics::{
     LatencyHistogram, Metrics, MetricsCore, MetricsSnapshot, ScoreBoard, ServerMetrics,
     ServerMetricsCore, ServerMetricsSnapshot,
 };
-pub use pipeline::{default_workers, Gateway, GatewayConfig, GatewayConfigBuilder, GatewayReport};
-pub use queue::BoundedQueue;
+pub use pipeline::{default_workers, GatewayConfig, GatewayConfigBuilder};
 pub use server::{
     GatewayServer, NamedStream, PoolStats, ServerConfig, ServerReport, SessionSummary,
     ShutdownHandle,
 };
-pub use session::{Evicted, Session, SessionId, ShardQueue};
+pub use session::{Evicted, Session, SessionId, SessionTable, ShardQueue};
 pub use source::{Input, Listener, SessionStream};

@@ -3,19 +3,19 @@
 //!
 //! The histogram itself now lives in [`ctc_obs`] (the workspace telemetry
 //! layer); this module keeps the gateway-flavoured names and the snapshot
-//! type the stats lines are built from. [`Metrics`] is a cheap-to-clone
-//! `Arc` handle so a run's counters can also be captured by `'static`
-//! registry collectors (see [`crate::obs`]) and scraped after the
-//! pipeline threads have joined.
+//! type the stats lines are built from. Each [`Session`](
+//! crate::session::Session) owns one [`Metrics`]; run-wide totals are
+//! snapshots merged at read time (see [`MetricsSnapshot::merge`]), so no
+//! counter is bumped twice. [`Metrics`] is a cheap-to-clone `Arc` handle
+//! so a session's counters can also be captured by `'static` registry
+//! collectors (see [`crate::obs`]) and scraped after the pipeline threads
+//! have joined.
 
 use ctc_core::defense::PipelineScores;
+use ctc_obs::HistogramSnapshot;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Number of power-of-two latency buckets (bucket `i` covers
-/// `[2^i, 2^(i+1))` microseconds; the last bucket is open-ended).
-pub const LATENCY_BUCKETS: usize = ctc_obs::HISTOGRAM_BUCKETS;
 
 /// Histogram of pipeline latencies in microseconds, power-of-two buckets.
 ///
@@ -24,7 +24,8 @@ pub const LATENCY_BUCKETS: usize = ctc_obs::HISTOGRAM_BUCKETS;
 /// well-populated bucket resolves finer than a factor of two.
 pub type LatencyHistogram = ctc_obs::Histogram;
 
-/// Counters shared by every pipeline stage.
+/// One session's counters, bumped by its ingest thread and by the
+/// workers that process its bursts.
 #[derive(Debug, Default)]
 pub struct MetricsCore {
     /// IQ samples ingested.
@@ -64,7 +65,7 @@ impl Deref for Metrics {
 }
 
 /// A point-in-time copy of the counters, ready for reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// IQ samples ingested.
     pub samples_in: u64,
@@ -80,10 +81,33 @@ pub struct MetricsSnapshot {
     pub bursts_dropped: u64,
     /// Samples inside evicted bursts.
     pub samples_dropped: u64,
+    /// End-to-end (ingest→classified) per-burst latency.
+    pub latency: HistogramSnapshot,
+}
+
+impl MetricsSnapshot {
     /// Median end-to-end latency (µs), when any was recorded.
-    pub p50_us: Option<u64>,
+    pub fn p50_us(&self) -> Option<u64> {
+        self.latency.quantile(0.50)
+    }
+
     /// 99th-percentile end-to-end latency (µs).
-    pub p99_us: Option<u64>,
+    pub fn p99_us(&self) -> Option<u64> {
+        self.latency.quantile(0.99)
+    }
+
+    /// Adds `other`'s counters and latency observations into `self` —
+    /// how run-wide totals are folded from per-session snapshots.
+    pub fn merge(&mut self, other: &MetricsSnapshot) {
+        self.samples_in += other.samples_in;
+        self.chunks_in += other.chunks_in;
+        self.bursts += other.bursts;
+        self.frames_decoded += other.frames_decoded;
+        self.forgeries += other.forgeries;
+        self.bursts_dropped += other.bursts_dropped;
+        self.samples_dropped += other.samples_dropped;
+        self.latency.merge(&other.latency);
+    }
 }
 
 impl Metrics {
@@ -241,8 +265,7 @@ impl MetricsCore {
             forgeries: load(&self.forgeries),
             bursts_dropped: load(&self.bursts_dropped),
             samples_dropped: load(&self.samples_dropped),
-            p50_us: self.latency.quantile(0.50),
-            p99_us: self.latency.quantile(0.99),
+            latency: self.latency.snapshot(),
         }
     }
 }
@@ -250,89 +273,6 @@ impl MetricsCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn histogram_quantiles_bracket_observations() {
-        let h = LatencyHistogram::new();
-        for us in [10u64, 12, 14, 100, 1000] {
-            h.record(us);
-        }
-        assert_eq!(h.count(), 5);
-        let p50 = h.quantile(0.5).unwrap();
-        assert!((10..=32).contains(&p50), "p50 {p50}");
-        let p99 = h.quantile(0.99).unwrap();
-        assert!((1000..=2048).contains(&p99), "p99 {p99}");
-    }
-
-    #[test]
-    fn empty_histogram_has_no_quantiles() {
-        let h = LatencyHistogram::new();
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.count(), 0);
-    }
-
-    #[test]
-    fn zero_latency_lands_in_first_bucket() {
-        let h = LatencyHistogram::new();
-        h.record(0);
-        assert_eq!(h.quantile(0.5), Some(2));
-    }
-
-    #[test]
-    fn huge_latency_saturates_last_bucket() {
-        let h = LatencyHistogram::new();
-        h.record(u64::MAX);
-        assert!(h.quantile(1.0).is_some());
-    }
-
-    #[test]
-    fn extreme_quantiles_hit_first_and_last_observation() {
-        let h = LatencyHistogram::new();
-        h.record(1); // bucket 0: [1, 2)
-        h.record(1000); // bucket 9: [512, 1024)
-                        // q = 0 clamps to rank 1: the smallest observation's bucket bound.
-        assert_eq!(h.quantile(0.0), Some(2));
-        // q = 1 is the largest observation's bucket bound.
-        assert_eq!(h.quantile(1.0), Some(1024));
-        // Out-of-range q clamps rather than panics or skips buckets.
-        assert_eq!(h.quantile(-3.0), Some(2));
-        assert_eq!(h.quantile(7.5), Some(1024));
-    }
-
-    #[test]
-    fn open_ended_top_bucket_collects_everything_past_2_pow_31_us() {
-        let h = LatencyHistogram::new();
-        // Largest value that still maps onto its exact power-of-two bucket,
-        // and two that can only land in the open-ended last bucket.
-        h.record(1u64 << (LATENCY_BUCKETS - 1));
-        h.record(u64::MAX);
-        assert_eq!(h.count(), 2);
-        // Both saturate to bucket 31, whose reported bound is 2^32.
-        assert_eq!(h.quantile(0.0), h.quantile(1.0));
-        assert_eq!(h.quantile(1.0), Some(1u64 << LATENCY_BUCKETS));
-    }
-
-    #[test]
-    fn single_observation_is_every_quantile() {
-        let h = LatencyHistogram::new();
-        h.record(100); // bucket 6: [64, 128) -> bound 128
-        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), Some(128), "q = {q}");
-        }
-    }
-
-    /// The PR 5 interpolation fix: a quantile falling mid-bucket is a
-    /// linear estimate over the bucket range, not the upper edge.
-    #[test]
-    fn quantiles_interpolate_inside_a_populated_bucket() {
-        let h = LatencyHistogram::new();
-        for us in [9u64, 10, 12, 14] {
-            h.record(us); // all bucket 3 = [8, 16)
-        }
-        assert_eq!(h.quantile(0.25), Some(10));
-        assert_eq!(h.quantile(0.5), Some(12));
-        assert_eq!(h.quantile(1.0), Some(16));
-    }
 
     #[test]
     fn snapshot_copies_counters() {
@@ -343,8 +283,8 @@ mod tests {
         let s = m.snapshot();
         assert_eq!(s.samples_in, 100);
         assert_eq!(s.forgeries, 2);
-        assert!(s.p50_us.is_some());
-        assert_eq!(s.p99_us, s.p50_us);
+        assert!(s.p50_us().is_some());
+        assert_eq!(s.p99_us(), s.p50_us());
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! Three pieces live here:
 //!
-//! * [`register_run`] — publishes a run's aggregate counters under the
-//!   canonical workspace metric names (see the README's Observability
-//!   section) as *pull-based collectors*: the registry samples the
-//!   pipeline's existing atomics at scrape time, so the hot path pays
-//!   nothing and nothing is counted twice. Starting a new run
-//!   re-registers and takes the names over.
+//! * [`register_run`] — publishes a run's totals under the canonical
+//!   workspace metric names (see the README's Observability section) as
+//!   *pull-based collectors*: at scrape time the registry sums the
+//!   sessions' existing atomics, so the hot path pays nothing and each
+//!   value has one owner. Starting a new run re-registers and takes the
+//!   names over.
 //! * [`register_session`] / [`register_server`] — the multi-stream
 //!   layer: the same gateway metric schema stamped with a
 //!   `{stream="..."}` label per session, plus `ctc_sessions_*`
@@ -18,7 +18,9 @@
 //!   the disabled build provably does no telemetry work.
 
 #[cfg(feature = "telemetry")]
-use crate::metrics::{Metrics, ServerMetrics};
+use crate::metrics::{Metrics, MetricsSnapshot, ServerMetrics};
+#[cfg(feature = "telemetry")]
+use crate::session::SessionTable;
 #[cfg(feature = "telemetry")]
 use ctc_dsp::BufferPool;
 #[cfg(feature = "telemetry")]
@@ -148,13 +150,15 @@ impl<'a> RunObs<'a> {
 /// Registers one run's counters in `registry` under the canonical
 /// workspace metric names.
 ///
-/// All metrics are collectors sampling the run's [`Metrics`] and
-/// [`BufferPool`] atomics, so values stay live for the whole run and
+/// All metrics are collectors: the unlabelled gateway names read the sum
+/// over `sessions` (see [`SessionTable::totals`]), the pool names read
+/// the [`BufferPool`] atomics. Values stay live for the whole run and
 /// remain scrapeable after the pipeline joins (the collectors keep the
 /// backing `Arc`s alive).
 #[cfg(feature = "telemetry")]
-pub fn register_run(registry: &Registry, metrics: &Metrics, pool: &BufferPool) {
-    register_gateway_metrics(&registry.scoped(&[]), metrics);
+pub fn register_run(registry: &Registry, sessions: &SessionTable, pool: &BufferPool) {
+    let sessions = sessions.clone();
+    register_gateway_metrics(&registry.scoped(&[]), move || sessions.totals());
     let p = pool.clone();
     registry.counter_fn(
         "ctc_pool_hits_total",
@@ -179,12 +183,15 @@ pub fn register_run(registry: &Registry, metrics: &Metrics, pool: &BufferPool) {
 }
 
 /// Registers one session's counters under the gateway metric names with a
-/// `{stream="<label>"}` label, alongside the unlabelled aggregates from
+/// `{stream="<label>"}` label, alongside the unlabelled totals from
 /// [`register_run`]. Collectors keep the session's [`Metrics`] `Arc`
 /// alive, so a closed session stays scrapeable for the rest of the run.
 #[cfg(feature = "telemetry")]
 pub fn register_session(registry: &Registry, stream: &str, metrics: &Metrics) {
-    register_gateway_metrics(&registry.scoped(&[("stream", stream)]), metrics);
+    let metrics = metrics.clone();
+    register_gateway_metrics(&registry.scoped(&[("stream", stream)]), move || {
+        metrics.snapshot()
+    });
 }
 
 /// Registers one pipeline run's detector scores as
@@ -256,85 +263,85 @@ pub fn register_server(registry: &Registry, server: &ServerMetrics) {
 }
 
 /// The shared gateway metric schema, registered through `scoped` so the
-/// same code serves both the unlabelled aggregate and each
-/// `{stream="..."}` session.
+/// same code serves both the unlabelled totals and each
+/// `{stream="..."}` session; every collector reads one `read()`
+/// snapshot.
 #[cfg(feature = "telemetry")]
-fn register_gateway_metrics(scoped: &ScopedRegistry<'_>, metrics: &Metrics) {
-    use std::sync::atomic::Ordering::Relaxed;
-
-    let m = metrics.clone();
+fn register_gateway_metrics(
+    scoped: &ScopedRegistry<'_>,
+    read: impl Fn() -> MetricsSnapshot + Clone + Send + Sync + 'static,
+) {
+    let r = read.clone();
     scoped.counter_fn(
         "ctc_gateway_samples_total",
         "IQ samples ingested.",
         &[],
-        move || m.samples_in.load(Relaxed),
+        move || r().samples_in,
     );
-    let m = metrics.clone();
+    let r = read.clone();
     scoped.counter_fn(
         "ctc_gateway_chunks_total",
         "Ingest chunks read from the sample stream.",
         &[],
-        move || m.chunks_in.load(Relaxed),
+        move || r().chunks_in,
     );
-    let m = metrics.clone();
+    let r = read.clone();
     scoped.counter_fn(
         "ctc_gateway_bursts_total",
         "Bursts carved out of the stream by energy detection.",
         &[],
-        move || m.bursts.load(Relaxed),
+        move || r().bursts,
     );
     let frames_help = "Bursts processed, by verdict: decoded frames split \
                        authentic/attack, the rest undecoded.";
-    let m = metrics.clone();
+    let r = read.clone();
     scoped.counter_fn(
         "ctc_gateway_frames_total",
         frames_help,
         &[("verdict", "authentic")],
         move || {
-            m.frames_decoded
-                .load(Relaxed)
-                .saturating_sub(m.forgeries.load(Relaxed))
+            let m = r();
+            m.frames_decoded.saturating_sub(m.forgeries)
         },
     );
-    let m = metrics.clone();
+    let r = read.clone();
     scoped.counter_fn(
         "ctc_gateway_frames_total",
         frames_help,
         &[("verdict", "attack")],
-        move || m.forgeries.load(Relaxed),
+        move || r().forgeries,
     );
-    let m = metrics.clone();
+    let r = read.clone();
     scoped.counter_fn(
         "ctc_gateway_frames_total",
         frames_help,
         &[("verdict", "undecoded")],
         move || {
+            let m = r();
             m.bursts
-                .load(Relaxed)
-                .saturating_sub(m.bursts_dropped.load(Relaxed))
-                .saturating_sub(m.frames_decoded.load(Relaxed))
+                .saturating_sub(m.bursts_dropped)
+                .saturating_sub(m.frames_decoded)
         },
     );
-    let m = metrics.clone();
+    let r = read.clone();
     scoped.counter_fn(
         "ctc_queue_dropped_total",
         "Bursts evicted from the bounded queue under overload.",
         &[],
-        move || m.bursts_dropped.load(Relaxed),
+        move || r().bursts_dropped,
     );
-    let m = metrics.clone();
+    let r = read.clone();
     scoped.counter_fn(
         "ctc_queue_dropped_samples_total",
         "IQ samples inside evicted bursts.",
         &[],
-        move || m.samples_dropped.load(Relaxed),
+        move || r().samples_dropped,
     );
-    let m = metrics.clone();
     scoped.histogram_fn(
         "ctc_gateway_latency_us",
         "End-to-end (enqueue to classified) per-burst latency in microseconds.",
         &[],
-        move || m.latency.snapshot(),
+        move || read().latency,
     );
 }
 
@@ -345,9 +352,11 @@ mod tests {
     #[test]
     fn register_run_exposes_canonical_names() {
         let registry = Registry::new();
-        let metrics = Metrics::new();
+        let sessions = SessionTable::new();
         let pool = BufferPool::new();
-        register_run(&registry, &metrics, &pool);
+        register_run(&registry, &sessions, &pool);
+        let session = sessions.open(None, 1);
+        let metrics = session.metrics();
 
         use std::sync::atomic::Ordering::Relaxed;
         metrics.samples_in.fetch_add(4096, Relaxed);
@@ -367,27 +376,32 @@ mod tests {
         assert!(text.contains("ctc_pool_idle_buffers 1"));
         assert!(text.contains("ctc_queue_dropped_total 0"));
 
-        // Collectors sample live values: later increments show up in the
-        // next render without re-registration.
+        // Collectors sample live values: later increments, and sessions
+        // opened after registration, show up in the next render.
         metrics.samples_in.fetch_add(1, Relaxed);
-        assert!(registry.render().contains("ctc_gateway_samples_total 4097"));
+        sessions
+            .open(None, 1)
+            .metrics()
+            .samples_in
+            .fetch_add(3, Relaxed);
+        assert!(registry.render().contains("ctc_gateway_samples_total 4100"));
     }
 
     #[test]
-    fn session_metrics_are_labelled_alongside_the_aggregate() {
+    fn session_metrics_are_labelled_alongside_their_sum() {
         use std::sync::atomic::Ordering::Relaxed;
 
         let registry = Registry::new();
-        let aggregate = Metrics::new();
+        let sessions = SessionTable::new();
         let pool = BufferPool::new();
-        register_run(&registry, &aggregate, &pool);
+        register_run(&registry, &sessions, &pool);
 
-        let s1 = Metrics::new();
-        let s2 = Metrics::new();
-        register_session(&registry, "s1", &s1);
-        register_session(&registry, "s2", &s2);
+        let s1 = sessions.open(Some("s1".into()), 2);
+        let s2 = sessions.open(Some("s2".into()), 2);
+        let (s1, s2) = (s1.metrics(), s2.metrics());
+        register_session(&registry, "s1", s1);
+        register_session(&registry, "s2", s2);
 
-        aggregate.samples_in.fetch_add(30, Relaxed);
         s1.samples_in.fetch_add(10, Relaxed);
         s2.samples_in.fetch_add(20, Relaxed);
         s1.forgeries.fetch_add(1, Relaxed);

@@ -1,20 +1,15 @@
-//! The single-stream gateway API: configuration, the run report, and the
-//! deprecated [`Gateway`] front door.
+//! Per-stream pipeline configuration: the chunking, worker, queue and
+//! detection-stage knobs every [`GatewayServer`](crate::server::GatewayServer)
+//! session runs with, and its validating builder.
 //!
 //! The pipeline itself (ingest → shard queues → worker pool → ordering
-//! sink) lives in [`crate::server`]; since the multi-stream redesign,
-//! [`Gateway::run`] is a thin one-session wrapper over
-//! [`crate::server::GatewayServer`] kept for callers that
-//! monitor exactly one stream.
+//! sink) lives in [`crate::server`].
 
 use crate::error::GatewayError;
-use crate::metrics::MetricsSnapshot;
-use crate::server::{GatewayServer, NamedStream, ServerConfig};
 use ctc_core::attack::EnergyDetector;
 use ctc_core::defense::{DetectionPipeline, Detector};
 use ctc_dsp::io::DEFAULT_CHUNK_SAMPLES;
 use ctc_zigbee::Receiver;
-use std::io::{Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -181,159 +176,6 @@ pub fn default_workers() -> usize {
         .map(|n| n.get().saturating_sub(1))
         .unwrap_or(2)
         .clamp(1, 8)
-}
-
-/// Final tally of one gateway run.
-#[derive(Debug, Clone, Copy)]
-pub struct GatewayReport {
-    /// Counters at end of stream.
-    pub metrics: MetricsSnapshot,
-    /// Wall-clock duration of the run.
-    pub elapsed: Duration,
-}
-
-impl GatewayReport {
-    /// Ingest rate in megasamples per second.
-    pub fn msamples_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        self.metrics.samples_in as f64 / secs / 1e6
-    }
-
-    /// True when at least one decoded frame was attributed to the
-    /// attacker — what a shell pipeline branches on.
-    pub fn forgery_detected(&self) -> bool {
-        self.metrics.forgeries > 0
-    }
-}
-
-/// The single-stream detection gateway (deprecated front door).
-///
-/// # Examples
-///
-/// ```no_run
-/// use ctc_gateway::{GatewayError, NamedStream, ServerConfig, GatewayServer};
-///
-/// let server = GatewayServer::new(ServerConfig::default());
-/// let input = std::fs::File::open("recording.cf32").map_err(|source| {
-///     GatewayError::Open { input: "recording.cf32".into(), source }
-/// })?;
-/// let report = server.run_streams(
-///     vec![NamedStream::unlabelled(input)],
-///     &mut std::io::stdout(),
-///     &mut std::io::stderr(),
-/// )?;
-/// eprintln!("{:.1} Msamples/s", report.msamples_per_sec());
-/// # Ok::<(), GatewayError>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Gateway {
-    config: GatewayConfig,
-    /// Registry the run's counters are published into (collectors are
-    /// registered at `run()` start).
-    #[cfg(feature = "telemetry")]
-    registry: Option<std::sync::Arc<ctc_obs::Registry>>,
-    /// Span log receiving per-stage trace records.
-    #[cfg(feature = "telemetry")]
-    trace: Option<std::sync::Arc<ctc_obs::TraceSink>>,
-}
-
-impl Gateway {
-    /// Gateway with the given configuration.
-    pub fn new(config: GatewayConfig) -> Self {
-        Gateway {
-            config,
-            #[cfg(feature = "telemetry")]
-            registry: None,
-            #[cfg(feature = "telemetry")]
-            trace: None,
-        }
-    }
-
-    /// Publishes this gateway's runs into `registry` under the canonical
-    /// `ctc_*` metric names (see [`crate::obs::register_run`]).
-    #[cfg(feature = "telemetry")]
-    pub fn with_registry(mut self, registry: std::sync::Arc<ctc_obs::Registry>) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Records per-stage span intervals into `trace` (JSONL; see
-    /// [`ctc_obs::trace`]). Without a sink, tracing costs nothing.
-    #[cfg(feature = "telemetry")]
-    pub fn with_trace_sink(mut self, trace: std::sync::Arc<ctc_obs::TraceSink>) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &GatewayConfig {
-        &self.config
-    }
-
-    /// Runs the pipeline until `input` reaches end of stream: frame events
-    /// as JSON lines onto `events`, periodic + final stats lines onto
-    /// `stats`.
-    ///
-    /// Deprecated — this is now a one-session wrapper over the
-    /// multi-stream server. One-line migration:
-    ///
-    /// ```text
-    /// -  Gateway::new(config).run(input, &mut out, &mut err)?
-    /// +  GatewayServer::new(ServerConfig::from(config))
-    /// +      .run_streams(vec![NamedStream::unlabelled(input)], &mut out, &mut err)?
-    /// ```
-    ///
-    /// Events and the final stats line are byte-identical between the two
-    /// forms for an unlabelled single stream.
-    ///
-    /// # Errors
-    ///
-    /// Input read errors ([`GatewayError::Read`]) and event/stats write
-    /// errors ([`GatewayError::SinkWrite`]). Detection state is internal;
-    /// a malformed *stream* (partial trailing sample) is an error after
-    /// all complete samples were processed.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use GatewayServer::run_streams with one NamedStream::unlabelled(input) \
-                (identical output for a single unlabelled stream)"
-    )]
-    pub fn run<R, W, E>(
-        &self,
-        input: R,
-        events: &mut W,
-        stats: &mut E,
-    ) -> Result<GatewayReport, GatewayError>
-    where
-        R: Read + Send,
-        W: Write + Send,
-        E: Write,
-    {
-        // One stream has no cross-session fairness to arbitrate: a single
-        // shard reproduces the original single-queue pipeline exactly.
-        let config = ServerConfig {
-            shards: 1,
-            ..ServerConfig::from(self.config.clone())
-        };
-        #[allow(unused_mut)]
-        let mut server = GatewayServer::new(config);
-        #[cfg(feature = "telemetry")]
-        {
-            if let Some(registry) = &self.registry {
-                server = server.with_registry(registry.clone());
-            }
-            if let Some(trace) = &self.trace {
-                server = server.with_trace_sink(trace.clone());
-            }
-        }
-        let report = server.run_streams(vec![NamedStream::unlabelled(input)], events, stats)?;
-        Ok(GatewayReport {
-            metrics: report.metrics,
-            elapsed: report.elapsed,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -21,15 +21,15 @@
 //! in order *within* a `stream` label.
 
 use crate::error::GatewayError;
-use crate::json::{hex, JsonObject};
-use crate::metrics::{Metrics, MetricsSnapshot, ScoreBoard, ServerMetrics, ServerMetricsSnapshot};
+use crate::metrics::{MetricsSnapshot, ScoreBoard, ServerMetrics, ServerMetricsSnapshot};
 use crate::obs::RunObs;
 use crate::pipeline::GatewayConfig;
-use crate::session::{Evicted, Session, SessionId, ShardQueue};
+use crate::session::{Evicted, Session, SessionId, SessionTable, ShardQueue};
 use crate::source::Listener;
 use ctc_core::defense::{BurstCapture, FrameProcessor, MonitorFactory, StreamEvent};
 use ctc_dsp::io::Cf32Reader;
 use ctc_obs::flight::{EventKind, FlightEvent};
+use ctc_obs::json::{hex, JsonObject};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -98,8 +98,9 @@ impl<'a> NamedStream<'a> {
     }
 
     /// An unlabelled stream: events carry no `stream` field and no
-    /// session open/close markers — byte-identical to the legacy
-    /// single-stream [`Gateway::run`](crate::pipeline::Gateway::run).
+    /// session open/close markers, and the stats lines no `streams`
+    /// field. One unlabelled stream at `shards: 1` is how `ctc monitor
+    /// --input` and the golden corpus monitor a single recording.
     pub fn unlabelled(reader: impl Read + Send + 'a) -> Self {
         NamedStream {
             label: None,
@@ -136,7 +137,7 @@ pub struct PoolStats {
 /// Final tally of one server run.
 #[derive(Debug, Clone)]
 pub struct ServerReport {
-    /// Aggregate counters across every session.
+    /// Run-wide counters: the sum over every session.
     pub metrics: MetricsSnapshot,
     /// Session-lifecycle counters.
     pub server: ServerMetricsSnapshot,
@@ -273,10 +274,10 @@ impl GatewayServer {
         }
     }
 
-    /// Publishes runs into `registry`: aggregate counters under the
-    /// canonical unlabelled `ctc_*` names, per-session counters under
-    /// `ctc_gateway_*{stream="..."}`, session lifecycle under
-    /// `ctc_sessions_*`.
+    /// Publishes runs into `registry`: run-wide totals (summed over the
+    /// sessions at scrape time) under the canonical unlabelled `ctc_*`
+    /// names, per-session counters under `ctc_gateway_*{stream="..."}`,
+    /// session lifecycle under `ctc_sessions_*`.
     #[cfg(feature = "telemetry")]
     pub fn with_registry(mut self, registry: Arc<ctc_obs::Registry>) -> Self {
         self.registry = Some(registry);
@@ -345,8 +346,9 @@ impl GatewayServer {
     }
 
     /// Runs a fixed set of in-process streams through the engine — the
-    /// transport-free form of [`serve`](Self::serve), and what the
-    /// deprecated single-stream `Gateway::run` wraps.
+    /// transport-free form of [`serve`](Self::serve). To monitor one
+    /// recording, pass a single [`NamedStream::unlabelled`] with
+    /// [`ServerConfig::shards`] at 1.
     ///
     /// # Errors
     ///
@@ -385,7 +387,7 @@ impl GatewayServer {
         let shards: Vec<ShardQueue<WorkItem>> = (0..shard_count)
             .map(|_| ShardQueue::new(gw.queue_depth.max(1)))
             .collect();
-        let aggregate = Metrics::new();
+        let sessions = SessionTable::new();
         let server_metrics = ServerMetrics::new();
         let mut factory = MonitorFactory::new(gw.energy, gw.receiver.clone(), gw.detector)
             .with_max_burst(gw.max_burst);
@@ -403,7 +405,7 @@ impl GatewayServer {
 
         #[cfg(feature = "telemetry")]
         if let Some(registry) = &self.registry {
-            crate::obs::register_run(registry, &aggregate, factory.pool());
+            crate::obs::register_run(registry, &sessions, factory.pool());
             crate::obs::register_server(registry, &server_metrics);
             if let Some(board) = &scores {
                 crate::obs::register_scores(registry, board);
@@ -411,7 +413,7 @@ impl GatewayServer {
         }
         #[cfg(feature = "telemetry")]
         if let Some(flight) = &self.flight {
-            flight.begin_run(self.registry.clone(), cfg);
+            flight.begin_run(self.registry.clone(), cfg, sessions.clone());
             if let Some(board) = &scores {
                 flight
                     .recorder()
@@ -433,7 +435,6 @@ impl GatewayServer {
                 .map(|w| {
                     let tx = tx.clone();
                     let shards = &shards;
-                    let aggregate = &aggregate;
                     let processor = processor.clone();
                     let scores = scores.clone();
                     scope.spawn(move || {
@@ -441,7 +442,6 @@ impl GatewayServer {
                             w % shard_count,
                             shards,
                             &processor,
-                            aggregate,
                             scores.as_ref(),
                             &tx,
                             obs,
@@ -453,61 +453,52 @@ impl GatewayServer {
 
             // Everything a session thread needs, captured by reference so
             // the closure can be called for late-arriving connections.
-            let spawn_session =
-                |reader: Box<dyn Read + Send + 'a>, session: Arc<Session>, peer: Option<String>| {
-                    let tx = tx.clone();
-                    let shards = &shards;
-                    let aggregate = &aggregate;
-                    let server_metrics = &server_metrics;
-                    let factory = &factory;
-                    let chunk_samples = gw.chunk_samples;
-                    scope.spawn(move || {
-                        obs.flight_record(|rec| {
-                            FlightEvent::new(EventKind::SessionOpen, session.id(), 0, rec.now_us())
-                                .with_args(session.shard() as u64, 0)
+            let spawn_session = |reader: Box<dyn Read + Send + 'a>,
+                                 session: Arc<Session>,
+                                 peer: Option<String>| {
+                let tx = tx.clone();
+                let shards = &shards;
+                let server_metrics = &server_metrics;
+                let factory = &factory;
+                let chunk_samples = gw.chunk_samples;
+                scope.spawn(move || {
+                    obs.flight_record(|rec| {
+                        FlightEvent::new(EventKind::SessionOpen, session.id(), 0, rec.now_us())
+                            .with_args(session.shard() as u64, 0)
+                    });
+                    if session.label().is_some() {
+                        let seq = session.next_seq();
+                        let _ = tx.send(SinkMsg::Line {
+                            session: session.id(),
+                            seq,
+                            line: session_open_line(&session, seq, peer.as_deref()),
+                            span: 0,
+                            classified: Instant::now(),
                         });
-                        if session.label().is_some() {
-                            let seq = session.next_seq();
-                            let _ = tx.send(SinkMsg::Line {
-                                session: session.id(),
-                                seq,
-                                line: session_open_line(&session, seq, peer.as_deref()),
-                                span: 0,
-                                classified: Instant::now(),
-                            });
-                        }
-                        let shard = &shards[session.shard()];
-                        let result = session_ingest(
-                            reader,
-                            &session,
-                            factory,
-                            shard,
-                            aggregate,
-                            &tx,
-                            chunk_samples,
-                            obs,
-                        );
-                        match &result {
-                            Ok(()) => server_metrics.sessions_closed.fetch_add(1, Relaxed),
-                            Err(_) => server_metrics.sessions_errored.fetch_add(1, Relaxed),
-                        };
-                        obs.flight_record(|rec| {
-                            FlightEvent::new(EventKind::SessionClose, session.id(), 0, rec.now_us())
-                                .with_args(result.is_err() as u64, 0)
+                    }
+                    let shard = &shards[session.shard()];
+                    let result =
+                        session_ingest(reader, &session, factory, shard, &tx, chunk_samples, obs);
+                    match &result {
+                        Ok(()) => server_metrics.sessions_closed.fetch_add(1, Relaxed),
+                        Err(_) => server_metrics.sessions_errored.fetch_add(1, Relaxed),
+                    };
+                    obs.flight_record(|rec| {
+                        FlightEvent::new(EventKind::SessionClose, session.id(), 0, rec.now_us())
+                            .with_args(result.is_err() as u64, 0)
+                    });
+                    if session.label().is_some() {
+                        let seq = session.next_seq();
+                        let _ = tx.send(SinkMsg::Close {
+                            session: session.clone(),
+                            seq,
+                            error: result.as_ref().err().map(|e| e.to_string()),
                         });
-                        if session.label().is_some() {
-                            let seq = session.next_seq();
-                            let _ = tx.send(SinkMsg::Close {
-                                session: session.clone(),
-                                seq,
-                                error: result.as_ref().err().map(|e| e.to_string()),
-                            });
-                        }
-                        result
-                    })
-                };
+                    }
+                    result
+                })
+            };
 
-            let mut sessions: Vec<Arc<Session>> = Vec::new();
             let mut handles = Vec::new();
             let mut fatal: Option<GatewayError> = None;
             let mut last_stats = started;
@@ -516,40 +507,31 @@ impl GatewayServer {
                     if last_stats.elapsed() >= interval {
                         last_stats = Instant::now();
                         let queue_len: usize = shards.iter().map(ShardQueue::len).sum();
-                        let line = stats_line(&aggregate.snapshot(), started, queue_len, streams);
+                        let line = stats_line(&sessions.totals(), started, queue_len, streams);
                         writeln!(stats, "{line}")?;
                         stats.flush()?;
                     }
                 }
                 Ok(())
             };
-            let open_session =
-                |sessions: &mut Vec<Arc<Session>>, label: Option<String>| -> Arc<Session> {
-                    let id = sessions.len() as u64 + 1;
-                    let shard = (id - 1) as usize % shard_count;
-                    let session = Arc::new(Session::new(id, label, shard));
-                    #[cfg(feature = "telemetry")]
-                    if let (Some(registry), Some(label)) = (&self.registry, session.label()) {
-                        crate::obs::register_session(registry, label, session.metrics());
-                    }
-                    #[cfg(feature = "telemetry")]
-                    if let Some(flight) = &self.flight {
-                        flight.track_session(session.clone());
-                    }
-                    server_metrics.sessions_opened.fetch_add(1, Relaxed);
-                    sessions.push(session.clone());
-                    session
-                };
+            let open_session = |label: Option<String>| -> Arc<Session> {
+                let session = sessions.open(label, shard_count);
+                #[cfg(feature = "telemetry")]
+                if let (Some(registry), Some(label)) = (&self.registry, session.label()) {
+                    crate::obs::register_session(registry, label, session.metrics());
+                }
+                server_metrics.sessions_opened.fetch_add(1, Relaxed);
+                session
+            };
 
             match feed {
                 Feed::Streams(streams) => {
                     for stream in streams {
-                        let session = open_session(&mut sessions, stream.label);
+                        let session = open_session(stream.label);
                         handles.push(spawn_session(stream.reader, session, None));
                     }
-                    // No `streams` field here: a `run_streams` feed (the
-                    // legacy wrapper included) keeps the original stats
-                    // shape byte-for-byte.
+                    // No `streams` field here: a `run_streams` feed keeps
+                    // the single-stream stats shape byte-for-byte.
                     if gw.stats_interval.is_some() {
                         while handles.iter().any(|h| !h.is_finished()) {
                             obs.flight_poll();
@@ -584,7 +566,7 @@ impl GatewayServer {
                                     continue;
                                 }
                                 let label = format!("s{}", sessions.len() + 1);
-                                let session = open_session(&mut sessions, Some(label));
+                                let session = open_session(Some(label));
                                 let reader = Box::new(conn.with_shutdown(self.shutdown.clone()));
                                 handles.push(spawn_session(reader, session, Some(peer)));
                             }
@@ -621,6 +603,7 @@ impl GatewayServer {
             }
 
             let outcomes: Vec<SessionOutcome> = sessions
+                .sessions()
                 .into_iter()
                 .zip(handles)
                 .map(|(session, handle)| {
@@ -670,7 +653,7 @@ impl GatewayServer {
         }
 
         let report = ServerReport {
-            metrics: aggregate.snapshot(),
+            metrics: sessions.totals(),
             server: server_metrics.snapshot(),
             sessions: outcomes
                 .iter()
@@ -701,13 +684,11 @@ impl GatewayServer {
 
 /// One session's ingest loop: read chunks, advance its splitter, enqueue
 /// captures on its shard (the shard's drop budget arbitrates overload).
-#[allow(clippy::too_many_arguments)]
 fn session_ingest<R: Read>(
     input: R,
     session: &Arc<Session>,
     factory: &MonitorFactory,
     shard: &ShardQueue<WorkItem>,
-    aggregate: &Metrics,
     tx: &mpsc::Sender<SinkMsg>,
     chunk_samples: usize,
     obs: RunObs<'_>,
@@ -724,7 +705,6 @@ fn session_ingest<R: Read>(
     // chain contiguous.
     let enqueue = |captures: &mut Vec<BurstCapture>, ingest_start: Instant| {
         for capture in captures.drain(..) {
-            aggregate.bursts.fetch_add(1, Relaxed);
             own.bursts.fetch_add(1, Relaxed);
             let seq = session.next_seq();
             let span = obs.next_span();
@@ -742,7 +722,7 @@ fn session_ingest<R: Read>(
                 span,
             };
             if let Evicted::Item { item: evicted, .. } = shard.push(session.id(), item) {
-                shed(evicted, aggregate, tx, obs);
+                shed(evicted, tx, obs);
             }
             obs.flight_record(|rec| {
                 FlightEvent::new(EventKind::QueueDepth, session.id(), seq, rec.now_us())
@@ -757,9 +737,7 @@ fn session_ingest<R: Read>(
         if n == 0 {
             break;
         }
-        aggregate.chunks_in.fetch_add(1, Relaxed);
         own.chunks_in.fetch_add(1, Relaxed);
-        aggregate.samples_in.fetch_add(n as u64, Relaxed);
         own.samples_in.fetch_add(n as u64, Relaxed);
         splitter.push_into(&chunk, &mut captures);
         enqueue(&mut captures, chunk_read);
@@ -772,13 +750,12 @@ fn session_ingest<R: Read>(
 
 /// Accounts one burst shed by a shard's drop budget and fills its
 /// sequence hole so the sink never waits on work that will not arrive.
-fn shed(evicted: WorkItem, aggregate: &Metrics, tx: &mpsc::Sender<SinkMsg>, obs: RunObs<'_>) {
+fn shed(evicted: WorkItem, tx: &mpsc::Sender<SinkMsg>, obs: RunObs<'_>) {
     let now = Instant::now();
     let samples = evicted.capture.samples.len() as u64;
-    for m in [aggregate, evicted.session.metrics()] {
-        m.bursts_dropped.fetch_add(1, Relaxed);
-        m.samples_dropped.fetch_add(samples, Relaxed);
-    }
+    let own = evicted.session.metrics();
+    own.bursts_dropped.fetch_add(1, Relaxed);
+    own.samples_dropped.fetch_add(samples, Relaxed);
     obs.record(
         evicted.session.id(),
         evicted.span,
@@ -812,7 +789,6 @@ fn worker_loop(
     home: usize,
     shards: &[ShardQueue<WorkItem>],
     processor: &FrameProcessor,
-    aggregate: &Metrics,
     scores: Option<&ScoreBoard>,
     tx: &mpsc::Sender<SinkMsg>,
     obs: RunObs<'_>,
@@ -841,16 +817,15 @@ fn worker_loop(
                 None => continue,
             },
         };
-        process_item(item, processor, aggregate, scores, tx, obs);
+        process_item(item, processor, scores, tx, obs);
     }
 }
 
 /// Decode, classify, render, send — with per-stage timing, counted into
-/// both the session's and the aggregate metrics.
+/// the session's metrics.
 fn process_item(
     item: WorkItem,
     processor: &FrameProcessor,
-    aggregate: &Metrics,
     scores: Option<&ScoreBoard>,
     tx: &mpsc::Sender<SinkMsg>,
     obs: RunObs<'_>,
@@ -875,15 +850,13 @@ fn process_item(
     obs.record(session.id(), span, seq, "decode", dequeued, decoded);
     obs.record(session.id(), span, seq, "classify", decoded, done);
     let total_us = micros_between(enqueued, done);
-    aggregate.latency.record(total_us);
-    session.metrics().latency.record(total_us);
+    let own = session.metrics();
+    own.latency.record(total_us);
     if event.payload.is_some() {
-        aggregate.frames_decoded.fetch_add(1, Relaxed);
-        session.metrics().frames_decoded.fetch_add(1, Relaxed);
+        own.frames_decoded.fetch_add(1, Relaxed);
     }
     if event.accepted_forgery() {
-        aggregate.forgeries.fetch_add(1, Relaxed);
-        session.metrics().forgeries.fetch_add(1, Relaxed);
+        own.forgeries.fetch_add(1, Relaxed);
     }
     // The verdict journal entry carries everything the incident report
     // needs to explain the call: flags, the DE² statistic, the fused
@@ -1053,8 +1026,7 @@ fn micros_between(from: Instant, to: Instant) -> u64 {
 }
 
 /// Renders one frame event as a JSON line. Unlabelled sessions omit the
-/// `stream` field entirely, keeping legacy single-stream output
-/// byte-identical.
+/// `stream` field entirely.
 fn frame_line(
     stream: Option<&str>,
     seq: u64,
@@ -1155,8 +1127,8 @@ fn session_refused_line(peer: &str, max_streams: usize) -> String {
         .finish()
 }
 
-/// Renders one stats line. `streams` (active sessions) appears only in
-/// server mode; legacy single-stream stats stay byte-identical.
+/// Renders one stats line. `streams` (active sessions) appears only
+/// under [`GatewayServer::serve`].
 fn stats_line(
     s: &MetricsSnapshot,
     started: Instant,
@@ -1184,8 +1156,8 @@ fn stats_line(
         Some(n) => line.uint("streams", n),
         None => line,
     };
-    line.opt("p50_us", s.p50_us, JsonObject::uint)
-        .opt("p99_us", s.p99_us, JsonObject::uint)
+    line.opt("p50_us", s.p50_us(), JsonObject::uint)
+        .opt("p99_us", s.p99_us(), JsonObject::uint)
         .float("msamples_per_sec", (msps * 1e3).round() / 1e3)
         .finish()
 }

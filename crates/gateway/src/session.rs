@@ -1,4 +1,5 @@
-//! Per-stream session state and the shard queue it is pinned to.
+//! Per-stream session state, the run's session table, and the shard
+//! queue a session is pinned to.
 //!
 //! A [`Session`] is the server-side handle for one connected IQ stream:
 //! its id, tenant label, per-stream [`Metrics`], per-session event
@@ -6,12 +7,12 @@
 //! state — each gets a fresh `BurstSplitter` from the server's
 //! `MonitorFactory` — but they do share the worker pool, the capture
 //! buffer pool, and (with the other sessions of their shard) a
-//! [`ShardQueue`].
+//! [`ShardQueue`]. A run's [`SessionTable`] lists every session it
+//! opened; run-wide totals are folded from it when read.
 //!
-//! The shard queue is the multi-tenant version of
-//! [`BoundedQueue`](crate::queue::BoundedQueue): bounded, non-blocking
-//! push, drop-oldest under overload — but *which* oldest is governed by a
-//! per-session **drop budget**. A session pushing beyond its fair share
+//! The shard queue is bounded, with non-blocking push and drop-oldest
+//! under overload — but *which* oldest is governed by a per-session
+//! **drop budget**. A session pushing beyond its fair share
 //! of the shard (`capacity / active sessions`) sheds its own oldest
 //! burst; a session within budget sheds the most-loaded session's oldest
 //! instead. A chatty stream therefore pays for its own overload and a
@@ -21,7 +22,7 @@
 use crate::metrics::{Metrics, MetricsSnapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Identifier of one gateway session, unique within a server run.
@@ -39,9 +40,9 @@ pub struct Session {
 
 impl Session {
     /// A session pinned to `shard`. `label` is the tenant label stamped
-    /// on the session's JSONL events and metrics; `None` is the legacy
-    /// unlabelled single-stream mode (events stay byte-identical to the
-    /// pre-server gateway).
+    /// on the session's JSONL events and metrics; `None` is the
+    /// unlabelled single-stream mode (no `stream` field, no session
+    /// markers).
     pub fn new(id: SessionId, label: Option<String>, shard: usize) -> Self {
         Session {
             id,
@@ -57,7 +58,7 @@ impl Session {
         self.id
     }
 
-    /// The tenant label (`None` in legacy single-stream mode).
+    /// The tenant label (`None` in unlabelled single-stream mode).
     pub fn label(&self) -> Option<&str> {
         self.label.as_deref()
     }
@@ -67,8 +68,8 @@ impl Session {
         self.shard
     }
 
-    /// This session's own counters (the aggregate ones live on the
-    /// server).
+    /// This session's counters, the only copy: run-wide totals are
+    /// summed from every session's (see [`SessionTable::totals`]).
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
@@ -81,6 +82,55 @@ impl Session {
     /// The next per-session event sequence number (monotonic from 0).
     pub fn next_seq(&self) -> u64 {
         self.seq.fetch_add(1, Ordering::Relaxed)
+    }
+}
+
+/// Every session one server run opened, live and closed, in open order:
+/// the list the run's report, stats lines, unlabelled registry names and
+/// incident snapshots all read. A cheap-to-clone `Arc` handle, so
+/// registry collectors can keep reading it after the run joins.
+#[derive(Debug, Clone, Default)]
+pub struct SessionTable {
+    sessions: Arc<Mutex<Vec<Arc<Session>>>>,
+}
+
+impl SessionTable {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Opens the next session: ids count from 1 in open order, and
+    /// sessions are pinned round-robin over `shards` shards.
+    pub fn open(&self, label: Option<String>, shards: usize) -> Arc<Session> {
+        let mut sessions = self.sessions.lock().expect("session table poisoned");
+        let id = sessions.len() as u64 + 1;
+        let session = Arc::new(Session::new(id, label, (id - 1) as usize % shards.max(1)));
+        sessions.push(session.clone());
+        session
+    }
+
+    /// Sessions opened so far.
+    pub(crate) fn len(&self) -> usize {
+        self.sessions.lock().expect("session table poisoned").len()
+    }
+
+    /// The sessions, in open order.
+    pub fn sessions(&self) -> Vec<Arc<Session>> {
+        self.sessions
+            .lock()
+            .expect("session table poisoned")
+            .clone()
+    }
+
+    /// Run-wide counters: every session's counters summed and their
+    /// latency histograms merged bucket-wise.
+    pub fn totals(&self) -> MetricsSnapshot {
+        let mut totals = MetricsSnapshot::default();
+        for session in self.sessions.lock().expect("session table poisoned").iter() {
+            totals.merge(&session.snapshot());
+        }
+        totals
     }
 }
 

@@ -3,27 +3,43 @@
 //! detection → burst splitting) must make **zero** heap allocations per
 //! chunk once its buffers have warmed up.
 //!
-//! Single-threaded on purpose: the counter is process-global, so these
-//! tests run the pipeline stages inline rather than through the threaded
-//! [`Gateway`](ctc_gateway::Gateway) front door.
+//! The tests run the pipeline stages inline on the test's own thread,
+//! rather than through the threaded `GatewayServer`, and the allocator
+//! counts per thread: sibling tests running in parallel under the
+//! default harness allocate on their own threads and never show up in a
+//! measured delta.
 
 use ctc_core::attack::EnergyDetector;
 use ctc_core::defense::{BurstCapture, BurstSplitter};
 use ctc_dsp::io::Cf32Reader;
 use ctc_dsp::{BufferPool, Complex};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io::Cursor;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts every allocation and reallocation (frees are not interesting:
 /// the criterion is that steady state requests no new memory).
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates or registers anything.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
+/// Counts one allocation on the calling thread. `try_with` fails only
+/// while the thread's locals are being torn down, when nothing is
+/// measured.
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` unchanged, so the layout
+// and pointer contracts `GlobalAlloc` requires are `System`'s own; the
+// counting touches only a thread-local `Cell`.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -32,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -40,8 +56,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A pseudo-noise cf32 byte stream (xorshift — no rand, no allocation).

@@ -9,8 +9,8 @@ use ctc_core::attack::Emulator;
 use ctc_core::defense::{ChannelAssumption, DetectionPipeline, Detector};
 use ctc_dsp::io::write_cf32;
 use ctc_dsp::Complex;
-use ctc_gateway::json::{parse, JsonValue};
 use ctc_gateway::{FlightOptions, GatewayConfig, GatewayServer, NamedStream, ServerConfig};
+use ctc_obs::json::{parse, JsonValue};
 use ctc_obs::Registry;
 use ctc_zigbee::Transmitter;
 use rand::rngs::StdRng;

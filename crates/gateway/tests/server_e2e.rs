@@ -1,14 +1,26 @@
-//! End-to-end tests for the multi-stream gateway server: session
-//! labelling and per-session sequence order over the interleaved JSONL
-//! stream, isolation of a stalled stream, session churn against the
-//! shared buffer pool, and concurrent TCP fan-in.
+//! End-to-end tests for the gateway server: a synthetic over-the-air
+//! capture streamed through the full pipeline, checked at the JSONL
+//! boundary — the same surface the CI smoke test and shell users consume.
+//!
+//! One unlabelled stream on one shard (how `ctc monitor --input` runs a
+//! recording) pins the single-stream event and stats shape, chunking and
+//! worker-count invariance, the trace span chains and the canonical
+//! metric names. Labelled streams pin session labelling and per-session
+//! sequence order over the interleaved JSONL stream, isolation of a
+//! stalled stream, session churn against the shared buffer pool,
+//! concurrent TCP fan-in, and run-wide totals that equal the sum over
+//! sessions.
 
 use ctc_channel::noise::complex_gaussian;
 use ctc_core::attack::Emulator;
 use ctc_core::defense::{ChannelAssumption, Detector};
 use ctc_dsp::io::write_cf32;
 use ctc_dsp::Complex;
-use ctc_gateway::{GatewayConfig, GatewayServer, Input, Listener, NamedStream, ServerConfig};
+use ctc_gateway::{
+    GatewayConfig, GatewayServer, Input, Listener, MetricsSnapshot, NamedStream, ServerConfig,
+    ServerReport,
+};
+use ctc_obs::json::{self, JsonValue};
 use ctc_zigbee::Transmitter;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -46,6 +58,33 @@ fn config() -> GatewayConfig {
         .stats_interval(None)
         .build()
         .unwrap()
+}
+
+/// One unlabelled stream on one shard: the shape of `ctc monitor
+/// --input`.
+fn single_stream(config: GatewayConfig) -> GatewayServer {
+    GatewayServer::new(ServerConfig {
+        shards: 1,
+        ..ServerConfig::from(config)
+    })
+}
+
+/// Runs `bytes` through `server` as its one unlabelled stream; returns
+/// the report plus the events and stats text.
+fn run_single(server: &GatewayServer, bytes: &[u8]) -> (ServerReport, String, String) {
+    let (mut events, mut stats) = (Vec::new(), Vec::new());
+    let report = server
+        .run_streams(
+            vec![NamedStream::unlabelled(bytes)],
+            &mut events,
+            &mut stats,
+        )
+        .unwrap();
+    (
+        report,
+        String::from_utf8(events).unwrap(),
+        String::from_utf8(stats).unwrap(),
+    )
 }
 
 /// Extracts `"key":value` (raw JSON text) from a rendered line.
@@ -111,6 +150,251 @@ impl Write for SharedBuf {
 }
 
 #[test]
+fn gateway_flags_the_forged_frame_over_jsonl() {
+    let (bytes, total) = synthetic_capture(11);
+    let (report, events, stats) = run_single(&single_stream(config()), &bytes);
+
+    assert_eq!(report.metrics.samples_in as usize, total);
+    assert_eq!(report.metrics.bursts, 2);
+    assert_eq!(report.metrics.frames_decoded, 2);
+    assert_eq!(report.metrics.forgeries, 1);
+    assert_eq!(report.metrics.bursts_dropped, 0);
+    assert_eq!(report.metrics.samples_dropped, 0);
+    assert!(report.forgery_detected());
+
+    // Unlabelled: frame lines only, no session markers or stream tags.
+    let frames: Vec<&str> = events.lines().collect();
+    assert_eq!(frames.len(), 2, "events:\n{events}");
+    assert!(!events.contains("\"stream\""), "{events}");
+    // In-order by sequence number despite the racing worker pool.
+    assert_eq!(field(frames[0], "type"), "\"frame\"");
+    assert_eq!(field(frames[0], "seq"), "0");
+    assert_eq!(field(frames[1], "seq"), "1");
+    assert_eq!(field(frames[0], "verdict"), "\"authentic\"");
+    assert_eq!(field(frames[1], "verdict"), "\"attack\"");
+    assert_eq!(field(frames[0], "accepted_forgery"), "false");
+    assert_eq!(field(frames[1], "accepted_forgery"), "true");
+    // Payload "00000" as lowercase hex.
+    assert_eq!(field(frames[0], "payload_hex"), "\"3030303030\"");
+    assert_eq!(field(frames[1], "payload_hex"), "\"3030303030\"");
+    for f in &frames {
+        assert_eq!(field(f, "truncated"), "false");
+        assert!(f.contains("\"latency\":{\"queue_us\":"), "latency in {f}");
+    }
+
+    // The final stats line always lands on the stats writer, with no
+    // `streams` field for an in-process feed.
+    let last = stats.lines().last().unwrap();
+    assert_eq!(field(last, "type"), "\"stats\"");
+    assert_eq!(field(last, "forgeries"), "1");
+    assert_eq!(field(last, "samples_dropped"), "0");
+    assert!(!last.contains("\"streams\""), "{last}");
+}
+
+/// The gateway's event content is invariant to chunk size: only latency
+/// numbers may differ between runs.
+#[test]
+fn gateway_events_are_chunking_invariant() {
+    let (bytes, _) = synthetic_capture(12);
+    let strip_latency = |events: &str| -> Vec<String> {
+        events
+            .lines()
+            .map(|l| l.split(",\"latency\"").next().unwrap().to_string())
+            .collect()
+    };
+    let mut reference = None;
+    for chunk_samples in [64usize, 1000, 65_536] {
+        let cfg = GatewayConfig {
+            chunk_samples,
+            ..config()
+        };
+        let (report, events, _) = run_single(&single_stream(cfg), &bytes);
+        assert_eq!(report.metrics.samples_dropped, 0);
+        let lines = strip_latency(&events);
+        assert_eq!(lines.len(), 2, "chunk {chunk_samples}");
+        match &reference {
+            None => reference = Some(lines),
+            Some(r) => assert_eq!(&lines, r, "chunk {chunk_samples}"),
+        }
+    }
+}
+
+/// The JSONL event stream must be invariant under worker-pool size: the
+/// sink reorders by sequence number, so 1, 2, or 4 racing workers must
+/// emit identical events (only the wall-clock `latency` object may vary).
+#[test]
+fn gateway_events_are_worker_pool_invariant() {
+    let (bytes, _) = synthetic_capture(14);
+    let normalize = |events: &str| -> Vec<JsonValue> {
+        events
+            .lines()
+            .map(
+                |l| match json::parse(l).unwrap_or_else(|e| panic!("{l}: {e}")) {
+                    JsonValue::Object(fields) => JsonValue::Object(
+                        fields.into_iter().filter(|(k, _)| k != "latency").collect(),
+                    ),
+                    other => other,
+                },
+            )
+            .collect()
+    };
+    let mut reference = None;
+    for workers in [1usize, 2, 4] {
+        let cfg = GatewayConfig {
+            workers,
+            ..config()
+        };
+        let (report, events, _) = run_single(&single_stream(cfg), &bytes);
+        assert_eq!(report.metrics.samples_dropped, 0, "workers {workers}");
+        let lines = normalize(&events);
+        assert_eq!(lines.len(), 2, "workers {workers}");
+        match &reference {
+            None => reference = Some(lines),
+            Some(r) => assert_eq!(&lines, r, "workers {workers}"),
+        }
+    }
+}
+
+/// One parsed span record from the JSONL trace log.
+#[cfg(feature = "telemetry")]
+#[derive(Debug, Clone)]
+struct SpanRecord {
+    span: u64,
+    seq: u64,
+    stage: String,
+    start_us: u64,
+    end_us: u64,
+}
+
+#[cfg(feature = "telemetry")]
+fn parse_trace(text: &str) -> Vec<SpanRecord> {
+    text.lines()
+        .map(|l| SpanRecord {
+            span: field(l, "span").parse().unwrap(),
+            seq: field(l, "seq").parse().unwrap(),
+            stage: field(l, "stage").trim_matches('"').to_string(),
+            start_us: field(l, "start_us").parse().unwrap(),
+            end_us: field(l, "end_us").parse().unwrap(),
+        })
+        .collect()
+}
+
+/// The span log must reconstruct, for every emitted frame, a contiguous
+/// stage chain ingest → queue → decode → classify → emit: each stage's
+/// `end_us` is the next stage's `start_us` (the pipeline hands the same
+/// `Instant` across every boundary), timestamps are monotonic, and the
+/// chain is invariant under worker-pool size — only the numbers may vary.
+#[cfg(feature = "telemetry")]
+#[test]
+fn trace_log_reconstructs_contiguous_stage_chains() {
+    const CHAIN: [&str; 5] = ["ingest", "queue", "decode", "classify", "emit"];
+    let (bytes, _) = synthetic_capture(11);
+    for workers in [1usize, 2, 4] {
+        let buf = SharedBuf::default();
+        let sink = Arc::new(ctc_obs::TraceSink::new(Box::new(buf.clone())));
+        let cfg = GatewayConfig {
+            workers,
+            ..config()
+        };
+        let (report, _, _) = run_single(&single_stream(cfg).with_trace_sink(sink), &bytes);
+        assert_eq!(report.metrics.frames_decoded, 2, "workers {workers}");
+        assert_eq!(report.metrics.bursts_dropped, 0, "workers {workers}");
+
+        let text = buf.contents();
+        let records = parse_trace(&text);
+        // Exactly one full chain per burst, nothing else in the log.
+        assert_eq!(records.len(), 2 * CHAIN.len(), "workers {workers}:\n{text}");
+        for seq in [0u64, 1] {
+            let mut chain: Vec<&SpanRecord> = records.iter().filter(|r| r.seq == seq).collect();
+            // Workers race, so records may be out of order in the file;
+            // the timestamps, not file order, define the chain.
+            chain.sort_by_key(|r| (r.start_us, r.end_us));
+            let stages: Vec<&str> = chain.iter().map(|r| r.stage.as_str()).collect();
+            assert_eq!(stages, CHAIN, "workers {workers}, seq {seq}");
+            // One span per burst, never the disabled sentinel.
+            assert_ne!(chain[0].span, 0);
+            assert!(chain.iter().all(|r| r.span == chain[0].span));
+            for r in &chain {
+                assert!(r.start_us <= r.end_us, "workers {workers}: {r:?}");
+            }
+            // Contiguity: stage N ends exactly where stage N+1 starts.
+            for pair in chain.windows(2) {
+                assert_eq!(
+                    pair[0].end_us, pair[1].start_us,
+                    "workers {workers}, seq {seq}: gap between {} and {}",
+                    pair[0].stage, pair[1].stage
+                );
+            }
+        }
+        // The two bursts carry distinct spans.
+        let span_of = |seq| records.iter().find(|r| r.seq == seq).unwrap().span;
+        assert_ne!(span_of(0), span_of(1), "workers {workers}");
+    }
+}
+
+/// A run published into a registry must expose the canonical metric names
+/// with values matching the report — the contract `ctc monitor
+/// --metrics-addr` and the CI metrics smoke step scrape against.
+#[cfg(feature = "telemetry")]
+#[test]
+fn registry_exposes_canonical_names_after_a_run() {
+    let (bytes, total) = synthetic_capture(11);
+    let registry = Arc::new(ctc_obs::Registry::new());
+    let server = single_stream(config()).with_registry(Arc::clone(&registry));
+    let (report, _, _) = run_single(&server, &bytes);
+    assert_eq!(report.metrics.forgeries, 1);
+
+    let text = registry.render();
+    for line in [
+        format!("ctc_gateway_samples_total {total}"),
+        "ctc_gateway_bursts_total 2".to_string(),
+        "ctc_gateway_frames_total{verdict=\"attack\"} 1".to_string(),
+        "ctc_gateway_frames_total{verdict=\"authentic\"} 1".to_string(),
+        "ctc_gateway_frames_total{verdict=\"undecoded\"} 0".to_string(),
+        "ctc_queue_dropped_total 0".to_string(),
+        "ctc_queue_dropped_samples_total 0".to_string(),
+        "ctc_gateway_latency_us_count 2".to_string(),
+        "ctc_pool_misses_total".to_string(),
+    ] {
+        assert!(text.contains(&line), "missing `{line}` in:\n{text}");
+    }
+    // Both decoded frames fell into some finite latency bucket.
+    assert!(
+        text.contains("ctc_gateway_latency_us_bucket{le=\"+Inf\"} 2"),
+        "{text}"
+    );
+}
+
+/// A worker pool must keep up with a realistic sample clock — with the
+/// pooled, allocation-free sample path the bench sits near 40 Msamples/s,
+/// so 10 is a conservative floor with headroom for slow CI machines. Debug
+/// builds are an order of magnitude slower, so the floor only applies in
+/// release.
+#[cfg(not(debug_assertions))]
+#[test]
+fn gateway_sustains_10_msamples_per_sec() {
+    let mut rng = StdRng::seed_from_u64(13);
+    let frame = Transmitter::new().transmit_payload(b"00000").unwrap();
+    // Mostly idle channel with periodic traffic: 2M samples total.
+    let mut stream: Vec<Complex> = Vec::with_capacity(2_000_000);
+    while stream.len() < 2_000_000 {
+        stream.extend((0..40_000).map(|_| complex_gaussian(&mut rng, 1e-3)));
+        stream.extend_from_slice(&frame);
+    }
+    let mut bytes = Vec::new();
+    write_cf32(&mut bytes, &stream).unwrap();
+
+    let (report, _, _) = run_single(&single_stream(config()), &bytes);
+    assert_eq!(report.metrics.samples_dropped, 0);
+    assert!(report.metrics.frames_decoded >= 40);
+    assert!(
+        report.msamples_per_sec() >= 10.0,
+        "throughput {:.2} Msamples/s",
+        report.msamples_per_sec()
+    );
+}
+
+#[test]
 fn labelled_streams_interleave_with_per_session_order() {
     let (bytes, total) = synthetic_capture(21);
     let server = GatewayServer::new(ServerConfig::from(config()));
@@ -127,7 +411,7 @@ fn labelled_streams_interleave_with_per_session_order() {
         )
         .unwrap();
 
-    // Aggregate counters are the sum over sessions.
+    // Run-wide counters are the sum over sessions.
     assert_eq!(report.metrics.samples_in as usize, 3 * total);
     assert_eq!(report.metrics.bursts, 6);
     assert_eq!(report.metrics.frames_decoded, 6);
@@ -361,7 +645,10 @@ fn pipeline_run_carries_per_feature_scores() {
 }
 
 /// Per-stream metrics land in the registry labelled `{stream="..."}`,
-/// next to the unlabelled aggregates and the session lifecycle counters.
+/// next to the unlabelled run-wide totals and the session lifecycle
+/// counters. Each total is folded from the sessions when read, so every
+/// unlabelled gateway sample — each latency bucket included — and every
+/// report counter equals the sum over the sessions.
 #[cfg(feature = "telemetry")]
 #[test]
 fn per_stream_metrics_are_scrapeable() {
@@ -369,7 +656,7 @@ fn per_stream_metrics_are_scrapeable() {
     let registry = Arc::new(ctc_obs::Registry::new());
     let server =
         GatewayServer::new(ServerConfig::from(config())).with_registry(Arc::clone(&registry));
-    server
+    let report = server
         .run_streams(
             vec![
                 NamedStream::new("up", &bytes[..]),
@@ -394,4 +681,61 @@ fn per_stream_metrics_are_scrapeable() {
     assert!(text.contains("ctc_gateway_bursts_total{stream=\"up\"} 2"));
     assert!(text.contains("ctc_sessions_opened_total 2"));
     assert!(text.contains("ctc_sessions_active 0"));
+
+    let scrape = ctc_obs::Scrape::parse(&text).unwrap();
+    let other_labels = |s: &ctc_obs::ScrapeSample| {
+        let mut labels: Vec<_> = s
+            .labels
+            .iter()
+            .filter(|(k, _)| k != "stream")
+            .cloned()
+            .collect();
+        labels.sort();
+        labels
+    };
+    let mut totals = 0;
+    for t in scrape.samples().iter().filter(|s| {
+        (s.name.starts_with("ctc_gateway_") || s.name.starts_with("ctc_queue_"))
+            && s.label("stream").is_none()
+    }) {
+        let parts: Vec<f64> = scrape
+            .family(&t.name)
+            .filter(|s| s.label("stream").is_some() && other_labels(s) == other_labels(t))
+            .map(|s| s.value)
+            .collect();
+        assert_eq!(parts.len(), 2, "{} {:?}", t.name, t.labels);
+        assert_eq!(
+            t.value,
+            parts.iter().sum::<f64>(),
+            "{} {:?}",
+            t.name,
+            t.labels
+        );
+        totals += 1;
+    }
+    // 8 counter samples, 32 latency buckets (`+Inf` included), sum, count.
+    assert_eq!(totals, 8 + 32 + 2, "{text}");
+    assert_eq!(scrape.value("ctc_gateway_latency_us_count", &[]), Some(4.0));
+
+    let counters = |m: &MetricsSnapshot| {
+        [
+            m.samples_in,
+            m.chunks_in,
+            m.bursts,
+            m.frames_decoded,
+            m.forgeries,
+            m.bursts_dropped,
+            m.samples_dropped,
+            m.latency.count(),
+            m.latency.sum,
+        ]
+    };
+    let mut summed = [0u64; 9];
+    for s in &report.sessions {
+        for (t, v) in summed.iter_mut().zip(counters(&s.metrics)) {
+            *t += v;
+        }
+    }
+    assert_eq!(counters(&report.metrics), summed);
+    assert_eq!(report.metrics.bursts, 4);
 }

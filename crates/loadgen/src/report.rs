@@ -5,7 +5,7 @@
 use crate::fleet::{FleetReport, Target};
 use crate::soak::{SloCheck, SoakConfig, SoakOutcome};
 use crate::spec::FleetSpec;
-use ctc_gateway::json::JsonObject;
+use ctc_obs::json::JsonObject;
 
 /// The spec echoed into the report, so a stored artifact is
 /// self-describing.
@@ -115,7 +115,7 @@ pub fn render_soak(config: &SoakConfig, target: &Target, outcome: &SoakOutcome) 
 mod tests {
     use super::*;
     use crate::stream::{EventCounts, StreamStats};
-    use ctc_gateway::json;
+    use ctc_obs::json;
     use std::time::Duration;
 
     fn report() -> FleetReport {

@@ -651,7 +651,7 @@ ctc_sessions_closed_total 5
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
 
-        let doc = ctc_gateway::json::parse(&text).unwrap();
+        let doc = ctc_obs::json::parse(&text).unwrap();
         assert_eq!(
             doc.get("type").and_then(|v| v.as_str()),
             Some("ctc_incident")

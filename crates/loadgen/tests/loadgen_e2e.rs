@@ -131,14 +131,14 @@ fn slo_breach_writes_an_incident_snapshot_into_the_report() {
 
     // The capacity report embeds the path.
     let report_line = render_soak(&config, &target, &outcome);
-    let report = ctc_gateway::json::parse(&report_line).unwrap();
+    let report = ctc_obs::json::parse(&report_line).unwrap();
     assert_eq!(report.get("incident").and_then(|v| v.as_str()), Some(path));
 
     // And the snapshot itself is a valid incident document with the SLO
     // verdict journaled.
     let text = std::fs::read_to_string(&incident_path).unwrap();
     std::fs::remove_file(&incident_path).unwrap();
-    let doc = ctc_gateway::json::parse(&text).unwrap();
+    let doc = ctc_obs::json::parse(&text).unwrap();
     assert_eq!(
         doc.get("trigger").and_then(|v| v.as_str()),
         Some("slo_breach")

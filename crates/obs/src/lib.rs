@@ -35,11 +35,13 @@
 //!   one self-contained JSON document ([`SnapshotBuilder`]), shared by
 //!   the gateway's trigger dumps, loadgen breach reports, and `ctc obs
 //!   dump --json`.
+//! - [`json`] — the workspace's one JSON module: the single-line
+//!   [`JsonObject`](json::JsonObject) encoder behind gateway events,
+//!   snapshots and reports, and the [`parse`](json::parse) decoder that
+//!   reads them back as [`JsonValue`](json::JsonValue) trees.
 //! - [`trace`] — lightweight structured tracing: span IDs allocated per
 //!   burst at ingest, per-stage durations recorded as JSONL records, so a
 //!   single frame's end-to-end path is reconstructable offline.
-//! - [`stage`] — [`Profiled`], a [`Stage`](ctc_dsp::Stage) combinator
-//!   that records per-call durations of any DSP stage into a registry.
 //!
 //! ```
 //! use ctc_obs::Registry;
@@ -61,12 +63,12 @@
 pub mod expo;
 pub mod flight;
 pub mod http;
+pub mod json;
 pub mod metrics;
 pub mod process;
 pub mod registry;
 pub mod scrape;
 pub mod snapshot;
-pub mod stage;
 pub mod trace;
 
 pub use flight::{EventKind, FlightEvent, FlightRecorder};
@@ -76,5 +78,4 @@ pub use process::register_process_metrics;
 pub use registry::{Registry, ScopedRegistry};
 pub use scrape::{Scrape, ScrapeError, ScrapeSample, ScrapedHistogram};
 pub use snapshot::SnapshotBuilder;
-pub use stage::Profiled;
 pub use trace::{next_span_id, TraceSink};

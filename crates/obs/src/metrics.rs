@@ -101,6 +101,49 @@ impl HistogramSnapshot {
     pub fn upper_bound(i: usize) -> u64 {
         1u64 << (i + 1).min(63)
     }
+
+    /// Adds `other`'s observations into `self`, bucket by bucket: the
+    /// result is the snapshot of one histogram that recorded both sets
+    /// (wrapping like the histogram's own atomic adds).
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
+            *c = c.wrapping_add(*o);
+        }
+        self.sum = self.sum.wrapping_add(other.sum);
+    }
+
+    /// The value at quantile `q` in `[0, 1]`, or `None` when nothing was
+    /// recorded.
+    ///
+    /// The rank-`r` observation of the `c` in bucket `[lo, hi)` is
+    /// estimated as `lo + (hi - lo) · r/c` — a linear interpolation over
+    /// the bucket's range, so quantiles inside a well-populated bucket
+    /// resolve finer than a factor of two. The open-ended last bucket has
+    /// no upper edge to interpolate toward and reports its nominal bound.
+    pub fn quantile(&self, q: f64) -> Option<u64> {
+        let total = self.count();
+        if total == 0 {
+            return None;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (i, &c) in self.counts.iter().enumerate() {
+            if c == 0 {
+                continue;
+            }
+            if seen + c >= rank {
+                let upper = HistogramSnapshot::upper_bound(i);
+                if i == HISTOGRAM_BUCKETS - 1 {
+                    return Some(upper);
+                }
+                let lower = 1u64 << i;
+                let frac = (rank - seen) as f64 / c as f64;
+                return Some((lower as f64 + frac * (upper - lower) as f64).round() as u64);
+            }
+            seen += c;
+        }
+        Some(u64::MAX)
+    }
 }
 
 impl Histogram {
@@ -140,37 +183,9 @@ impl Histogram {
     }
 
     /// The value at quantile `q` in `[0, 1]`, or `None` when nothing was
-    /// recorded.
-    ///
-    /// The rank-`r` observation of the `c` in bucket `[lo, hi)` is
-    /// estimated as `lo + (hi - lo) · r/c` — a linear interpolation over
-    /// the bucket's range, so quantiles inside a well-populated bucket
-    /// resolve finer than a factor of two. The open-ended last bucket has
-    /// no upper edge to interpolate toward and reports its nominal bound.
+    /// recorded (see [`HistogramSnapshot::quantile`]).
     pub fn quantile(&self, q: f64) -> Option<u64> {
-        let snap = self.snapshot();
-        let total = snap.count();
-        if total == 0 {
-            return None;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * total as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in snap.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c >= rank {
-                let upper = HistogramSnapshot::upper_bound(i);
-                if i == HISTOGRAM_BUCKETS - 1 {
-                    return Some(upper);
-                }
-                let lower = 1u64 << i;
-                let frac = (rank - seen) as f64 / c as f64;
-                return Some((lower as f64 + frac * (upper - lower) as f64).round() as u64);
-            }
-            seen += c;
-        }
-        Some(u64::MAX)
+        self.snapshot().quantile(q)
     }
 }
 
@@ -247,5 +262,61 @@ mod tests {
     #[test]
     fn empty_histogram_has_no_quantiles() {
         assert_eq!(Histogram::new().quantile(0.5), None);
+    }
+
+    #[test]
+    fn zero_lands_in_first_bucket() {
+        let h = Histogram::new();
+        h.record(0);
+        assert_eq!(h.quantile(0.5), Some(2));
+    }
+
+    #[test]
+    fn single_observation_is_every_quantile() {
+        let h = Histogram::new();
+        h.record(100); // bucket 6: [64, 128) -> bound 128
+        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), Some(128), "q = {q}");
+        }
+    }
+
+    #[test]
+    fn extreme_quantiles_hit_first_and_last_observation() {
+        let h = Histogram::new();
+        // Bucket 0 is [1, 2), bucket 9 is [512, 1024).
+        h.record(1);
+        h.record(1000);
+        // q = 0 clamps to rank 1: the smallest observation's bucket bound.
+        assert_eq!(h.quantile(0.0), Some(2));
+        // q = 1 is the largest observation's bucket bound.
+        assert_eq!(h.quantile(1.0), Some(1024));
+        // Out-of-range q clamps rather than panics or skips buckets.
+        assert_eq!(h.quantile(-3.0), Some(2));
+        assert_eq!(h.quantile(7.5), Some(1024));
+    }
+
+    /// Run-wide latency is the merge of per-session histograms: it must
+    /// read exactly as one histogram that recorded every observation.
+    #[test]
+    fn merged_snapshots_equal_one_histogram_of_both_sets() {
+        let (a, b, both) = (Histogram::new(), Histogram::new(), Histogram::new());
+        for v in [0u64, 3, 9, 10, 120, 4000] {
+            a.record(v);
+            both.record(v);
+        }
+        for v in [1u64, 10, 14, 700, 700, 90_000, u64::MAX / 4] {
+            b.record(v);
+            both.record(v);
+        }
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        assert_eq!(merged, both.snapshot());
+        assert_eq!(merged.count(), 13);
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(merged.quantile(q), both.quantile(q), "q = {q}");
+        }
+        let mut empty = HistogramSnapshot::default();
+        empty.merge(&HistogramSnapshot::default());
+        assert_eq!(empty.quantile(0.5), None);
     }
 }

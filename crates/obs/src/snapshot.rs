@@ -16,78 +16,30 @@
 //!
 //! [`registry_json`] is the single serializer for exposition samples:
 //! incident snapshots, loadgen breach reports, and `ctc obs dump
-//! --json` all emit the same shape. The writer here is deliberately
-//! minimal — `ctc-obs` sits below the gateway, so it cannot borrow the
-//! gateway's JSON builder.
+//! --json` all emit the same shape.
 
 use crate::flight::{stage_name, EventKind, FlightEvent, FlightRecorder, STAGE_NAMES};
+use crate::json::{array, JsonObject};
 use crate::scrape::{Scrape, ScrapeSample};
 use std::collections::BTreeMap;
 
-/// Appends `s` to `out` as a JSON string literal (quotes included).
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Appends `v` as a JSON number; non-finite values (legal in Prometheus
-/// exposition, illegal in JSON) become `null`.
-pub fn push_json_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
-fn push_labels(out: &mut String, labels: &[(String, String)]) {
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_string(out, k);
-        out.push(':');
-        push_json_string(out, v);
-    }
-    out.push('}');
-}
-
-fn push_sample(out: &mut String, s: &ScrapeSample) {
-    out.push_str("{\"name\":");
-    push_json_string(out, &s.name);
-    out.push_str(",\"labels\":");
-    push_labels(out, &s.labels);
-    out.push_str(",\"value\":");
-    push_json_f64(out, s.value);
-    out.push('}');
+fn labels_json(labels: &[(String, String)]) -> String {
+    labels
+        .iter()
+        .fold(JsonObject::new(), |o, (k, v)| o.string(k, v))
+        .finish()
 }
 
 /// Serializes every sample of a scrape as a JSON array — the registry
 /// section of incident snapshots, and the body of `ctc obs dump --json`.
 pub fn registry_json(scrape: &Scrape) -> String {
-    let mut out = String::from("[");
-    for (i, s) in scrape.samples().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_sample(&mut out, s);
-    }
-    out.push(']');
-    out
+    array(scrape.samples().iter().map(|s| {
+        JsonObject::new()
+            .string("name", &s.name)
+            .raw("labels", &labels_json(&s.labels))
+            .float("value", s.value)
+            .finish()
+    }))
 }
 
 /// A stable identity for one sample: name plus sorted label pairs.
@@ -117,122 +69,60 @@ pub fn registry_delta_json(baseline: &Scrape, now: &Scrape) -> String {
         .iter()
         .map(|s| (sample_key(s), s.value))
         .collect();
-    let mut out = String::from("[");
-    let mut first = true;
-    for s in now.samples() {
+    array(now.samples().iter().filter_map(|s| {
         let before = base.get(&sample_key(s)).copied().unwrap_or(0.0);
         let same = s.value == before || (s.value.is_nan() && before.is_nan());
-        if same {
-            continue;
-        }
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str("{\"name\":");
-        push_json_string(&mut out, &s.name);
-        out.push_str(",\"labels\":");
-        push_labels(&mut out, &s.labels);
-        out.push_str(",\"before\":");
-        push_json_f64(&mut out, before);
-        out.push_str(",\"after\":");
-        push_json_f64(&mut out, s.value);
-        out.push_str(",\"delta\":");
-        push_json_f64(&mut out, s.value - before);
-        out.push('}');
-    }
-    out.push(']');
-    out
+        (!same).then(|| {
+            JsonObject::new()
+                .string("name", &s.name)
+                .raw("labels", &labels_json(&s.labels))
+                .float("before", before)
+                .float("after", s.value)
+                .float("delta", s.value - before)
+                .finish()
+        })
+    }))
 }
 
 /// Serializes one journal event with kind-specific field names (stage
 /// ids become names, verdict flag bits become booleans, per-feature
 /// scores are keyed by `feature_names` where available).
 pub fn event_json(ev: &FlightEvent, feature_names: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("{\"t_us\":");
-    out.push_str(&ev.t_us.to_string());
-    out.push_str(",\"kind\":");
-    push_json_string(&mut out, ev.kind.name());
-    out.push_str(",\"session\":");
-    out.push_str(&ev.session.to_string());
-    out.push_str(",\"seq\":");
-    out.push_str(&ev.seq.to_string());
+    let o = JsonObject::new()
+        .uint("t_us", ev.t_us)
+        .string("kind", ev.kind.name())
+        .uint("session", ev.session)
+        .uint("seq", ev.seq);
     match ev.kind {
-        EventKind::SessionOpen => {
-            out.push_str(",\"shard\":");
-            out.push_str(&ev.a.to_string());
-        }
-        EventKind::SessionClose => {
-            out.push_str(",\"error\":");
-            out.push_str(if ev.a == 1 { "true" } else { "false" });
-        }
-        EventKind::Burst => {
-            out.push_str(",\"start\":");
-            out.push_str(&ev.a.to_string());
-            out.push_str(",\"samples\":");
-            out.push_str(&ev.b.to_string());
-        }
-        EventKind::Stage => {
-            out.push_str(",\"stage\":");
-            push_json_string(&mut out, stage_name(ev.a));
-            out.push_str(",\"dur_us\":");
-            out.push_str(&ev.b.to_string());
-        }
+        EventKind::SessionOpen => o.uint("shard", ev.a),
+        EventKind::SessionClose => o.bool("error", ev.a == 1),
+        EventKind::Burst => o.uint("start", ev.a).uint("samples", ev.b),
+        EventKind::Stage => o.string("stage", stage_name(ev.a)).uint("dur_us", ev.b),
         EventKind::Verdict => {
-            out.push_str(",\"decoded\":");
-            out.push_str(bool_str(ev.a & FlightEvent::VERDICT_DECODED != 0));
-            out.push_str(",\"attack\":");
-            out.push_str(bool_str(ev.a & FlightEvent::VERDICT_ATTACK != 0));
-            out.push_str(",\"accepted_forgery\":");
-            out.push_str(bool_str(ev.a & FlightEvent::VERDICT_ACCEPTED != 0));
-            out.push_str(",\"de2\":");
-            push_json_f64(&mut out, f64::from_bits(ev.b));
-            out.push_str(",\"fused\":");
-            push_json_f64(&mut out, ev.fused);
-            out.push_str(",\"scores\":{");
+            let mut scores = JsonObject::new();
             for (i, v) in ev.feature_scores().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                match feature_names.get(i) {
-                    Some(name) => push_json_string(&mut out, name),
-                    None => push_json_string(&mut out, &format!("f{i}")),
-                }
-                out.push(':');
-                push_json_f64(&mut out, *v);
+                scores = match feature_names.get(i) {
+                    Some(name) => scores.float(name, *v),
+                    None => scores.float(&format!("f{i}"), *v),
+                };
             }
-            out.push('}');
+            o.bool("decoded", ev.a & FlightEvent::VERDICT_DECODED != 0)
+                .bool("attack", ev.a & FlightEvent::VERDICT_ATTACK != 0)
+                .bool(
+                    "accepted_forgery",
+                    ev.a & FlightEvent::VERDICT_ACCEPTED != 0,
+                )
+                .float("de2", f64::from_bits(ev.b))
+                .float("fused", ev.fused)
+                .raw("scores", &scores.finish())
         }
-        EventKind::Drop => {
-            out.push_str(",\"samples\":");
-            out.push_str(&ev.a.to_string());
-            out.push_str(",\"queued_us\":");
-            out.push_str(&ev.b.to_string());
-        }
-        EventKind::QueueDepth => {
-            out.push_str(",\"depth\":");
-            out.push_str(&ev.a.to_string());
-            out.push_str(",\"shard\":");
-            out.push_str(&ev.b.to_string());
-        }
-        EventKind::SloCheck => {
-            out.push_str(",\"pass\":");
-            out.push_str(bool_str(ev.a == 1));
-            out.push_str(",\"value\":");
-            push_json_f64(&mut out, f64::from_bits(ev.b));
-        }
+        EventKind::Drop => o.uint("samples", ev.a).uint("queued_us", ev.b),
+        EventKind::QueueDepth => o.uint("depth", ev.a).uint("shard", ev.b),
+        EventKind::SloCheck => o
+            .bool("pass", ev.a == 1)
+            .float("value", f64::from_bits(ev.b)),
     }
-    out.push('}');
-    out
-}
-
-fn bool_str(b: bool) -> &'static str {
-    if b {
-        "true"
-    } else {
-        "false"
-    }
+    .finish()
 }
 
 /// Per-stage latency summary computed from the journaled [`EventKind::
@@ -246,8 +136,7 @@ fn stages_json(events: &[FlightEvent]) -> String {
             }
         }
     }
-    let mut out = String::from("{");
-    let mut first = true;
+    let mut out = JsonObject::new();
     for (id, durs) in per_stage.iter_mut().enumerate() {
         if durs.is_empty() {
             continue;
@@ -259,21 +148,15 @@ fn stages_json(events: &[FlightEvent]) -> String {
             let rank = ((q * durs.len() as f64).ceil() as usize).max(1);
             durs[rank.min(durs.len()) - 1]
         };
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        push_json_string(&mut out, stage_name(id as u64));
-        out.push_str(&format!(
-            ":{{\"count\":{},\"p50_us\":{},\"p99_us\":{},\"max_us\":{}}}",
-            durs.len(),
-            pct(0.50),
-            pct(0.99),
-            durs[durs.len() - 1]
-        ));
+        let summary = JsonObject::new()
+            .uint("count", durs.len() as u64)
+            .uint("p50_us", pct(0.50))
+            .uint("p99_us", pct(0.99))
+            .uint("max_us", durs[durs.len() - 1])
+            .finish();
+        out = out.raw(stage_name(id as u64), &summary);
     }
-    out.push('}');
-    out
+    out.finish()
 }
 
 /// Builds one incident snapshot from a recorder plus whatever context
@@ -354,42 +237,33 @@ impl<'a> SnapshotBuilder<'a> {
         }
         let names = self.recorder.feature_names();
 
-        let mut out = String::from("{\"type\":\"ctc_incident\",\"version\":1,\"trigger\":");
-        push_json_string(&mut out, &self.trigger);
-        out.push_str(&format!(
-            ",\"t_us\":{},\"ring\":{{\"capacity\":{},\"recorded\":{}}}",
-            self.recorder.now_us(),
-            self.recorder.capacity(),
-            self.recorder.recorded()
-        ));
-        out.push_str(",\"events\":[");
-        for (i, ev) in events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&event_json(ev, &names));
-        }
-        out.push(']');
-        out.push_str(",\"stages\":");
-        out.push_str(&stages_json(&events));
+        let ring = JsonObject::new()
+            .uint("capacity", self.recorder.capacity() as u64)
+            .uint("recorded", self.recorder.recorded())
+            .finish();
+        let mut doc = JsonObject::new()
+            .string("type", "ctc_incident")
+            .uint("version", 1)
+            .string("trigger", &self.trigger)
+            .uint("t_us", self.recorder.now_us())
+            .raw("ring", &ring)
+            .raw(
+                "events",
+                &array(events.iter().map(|ev| event_json(ev, &names))),
+            )
+            .raw("stages", &stages_json(&events));
         let parsed_now = self.now_text.as_deref().map(Scrape::parse);
         let parsed_base = self.baseline_text.as_deref().map(Scrape::parse);
         if let Some(Ok(now)) = &parsed_now {
-            out.push_str(",\"registry\":");
-            out.push_str(&registry_json(now));
+            doc = doc.raw("registry", &registry_json(now));
             if let Some(Ok(base)) = &parsed_base {
-                out.push_str(",\"delta\":");
-                out.push_str(&registry_delta_json(base, now));
+                doc = doc.raw("delta", &registry_delta_json(base, now));
             }
         }
         for (key, raw) in &self.sections {
-            out.push(',');
-            push_json_string(&mut out, key);
-            out.push(':');
-            out.push_str(raw);
+            doc = doc.raw(key, raw);
         }
-        out.push('}');
-        out
+        doc.finish()
     }
 }
 

@@ -5,7 +5,7 @@
 
 use crate::format::{Payload, Tolerance, Vector};
 use ctc_dsp::metrics::ulp_distance;
-use ctc_gateway::json::{parse, JsonValue};
+use ctc_obs::json::{parse, JsonValue};
 
 /// Where and how a replay departed from its golden vector.
 #[derive(Debug, Clone, PartialEq)]

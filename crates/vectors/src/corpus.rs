@@ -22,8 +22,8 @@ use ctc_core::defense::{
 use ctc_core::Error;
 use ctc_dsp::io::write_cf32;
 use ctc_dsp::Complex;
-use ctc_gateway::json::JsonValue;
 use ctc_gateway::{GatewayConfig, GatewayServer, NamedStream, ServerConfig};
+use ctc_obs::json::{self, JsonValue};
 use ctc_wifi::WifiTransmitter;
 use ctc_zigbee::frame::build_frame_symbols;
 use ctc_zigbee::{Receiver, Transmitter};
@@ -255,9 +255,8 @@ fn gateway_events(
         ..GatewayConfig::default()
     };
     let mut events = Vec::new();
-    // The corpus pins the legacy single-stream output shape: one shard,
-    // one unlabelled stream, which the server emits byte-identically to
-    // the old single-stream gateway.
+    // The corpus pins the single-stream output shape: one shard, one
+    // unlabelled stream, as `ctc monitor --input` runs a recording.
     let server_config = ServerConfig {
         shards: 1,
         ..ServerConfig::from(config)
@@ -279,74 +278,18 @@ fn gateway_events(
 pub fn normalize_events(events: &str) -> Result<String, Error> {
     let mut out = String::new();
     for (i, line) in events.lines().enumerate() {
-        let parsed = ctc_gateway::json::parse(line)
-            .map_err(|e| Error::Other(format!("gateway event line {i}: {e}")))?;
+        let parsed =
+            json::parse(line).map_err(|e| Error::Other(format!("gateway event line {i}: {e}")))?;
         let stripped = match parsed {
             JsonValue::Object(fields) => {
                 JsonValue::Object(fields.into_iter().filter(|(k, _)| k != "latency").collect())
             }
             other => other,
         };
-        render(&stripped, &mut out);
+        out.push_str(&stripped.render());
         out.push('\n');
     }
     Ok(out)
-}
-
-/// Minimal JSON renderer for normalized events. Numbers print via `f64`
-/// Display — stable across runs, which is all the comparator (which
-/// re-parses) needs.
-fn render(value: &JsonValue, out: &mut String) {
-    match value {
-        JsonValue::Null => out.push_str("null"),
-        JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        JsonValue::Number(n) => {
-            use std::fmt::Write;
-            let _ = write!(out, "{n}");
-        }
-        JsonValue::String(s) => render_string(s, out),
-        JsonValue::Array(items) => {
-            out.push('[');
-            for (i, v) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render(v, out);
-            }
-            out.push(']');
-        }
-        JsonValue::Object(fields) => {
-            out.push('{');
-            for (i, (k, v)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                render_string(k, out);
-                out.push(':');
-                render(v, out);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn render_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

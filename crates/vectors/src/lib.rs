@@ -31,7 +31,7 @@ pub use compare::{compare, deviation, Deviation, Divergence, StageFailure, Stage
 pub use corpus::{generate, normalize_events, CorpusSpec, CORPUS_SEED, STAGE_NAMES};
 pub use format::{Kind, Payload, Tolerance, Vector, FORMAT_VERSION};
 
-use ctc_gateway::json::{hex, parse, unhex, JsonObject, JsonValue};
+use ctc_obs::json::{hex, parse, unhex, JsonObject, JsonValue};
 use std::fs;
 use std::io;
 use std::path::Path;

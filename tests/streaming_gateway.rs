@@ -6,20 +6,16 @@
 //!    `StreamMonitor` in arbitrarily-sized chunks yields exactly the
 //!    events of a one-shot `scan` of the whole buffer.
 //! 2. **Pipeline fidelity**: the multi-threaded gateway over the same
-//!    capture reports the same bursts and verdicts as the inline monitor,
-//!    via its JSONL surface.
-
-// Pipeline fidelity is pinned against the deprecated single-stream
-// `Gateway::run` on purpose: the wrapper must keep producing the exact
-// legacy JSONL that this suite (and the golden corpus) encode.
-#![allow(deprecated)]
+//!    capture, run as one unlabelled stream on one shard (the shape of
+//!    `ctc monitor --input`), reports the same bursts and verdicts as the
+//!    inline monitor, via its JSONL surface.
 
 use hide_and_seek::channel::noise::complex_gaussian;
 use hide_and_seek::core::attack::Emulator;
 use hide_and_seek::core::defense::{ChannelAssumption, Detector, StreamMonitor};
 use hide_and_seek::dsp::io::write_cf32;
 use hide_and_seek::dsp::Complex;
-use hide_and_seek::gateway::{Gateway, GatewayConfig};
+use hide_and_seek::gateway::{GatewayConfig, GatewayServer, NamedStream, ServerConfig};
 use hide_and_seek::zigbee::Transmitter;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -102,9 +98,17 @@ fn gateway_pipeline_matches_inline_monitor() {
         stats_interval: None,
         ..GatewayConfig::default()
     };
+    let server = GatewayServer::new(ServerConfig {
+        shards: 1,
+        ..ServerConfig::from(config)
+    });
     let mut events = Vec::new();
-    let report = Gateway::new(config)
-        .run(&bytes[..], &mut events, &mut Vec::new())
+    let report = server
+        .run_streams(
+            vec![NamedStream::unlabelled(&bytes[..])],
+            &mut events,
+            &mut Vec::new(),
+        )
         .unwrap();
 
     assert_eq!(report.metrics.samples_in as usize, stream.len());
