@@ -89,6 +89,10 @@ COMMANDS
             periodic stats on stderr. Exits 3 when a forgery was accepted;
             other failures get distinct codes (bad address 4, bind/accept
             5, session limit 6, sink 7, input 9, config 10).
+            --chunk N is the largest ingest chunk in samples (default
+            65536): each read of a stream goes to the burst splitter as
+            it arrives, so frames are classified without waiting for a
+            chunk to fill.
             --listen (tcp://host:port or unix:///path.sock) serves many
             concurrent streams, each a session with a `stream`-tagged
             event sequence and per-stream metrics; --max-streams caps

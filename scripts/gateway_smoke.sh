@@ -98,14 +98,13 @@ echo "gateway smoke OK: 3 frames, verdicts ${verdicts[*]}, 0 dropped, exit 3"
 #
 # A fifo keeps the monitor's stdin open after the capture is written, so
 # the process (and its metrics endpoint) stays up until we close fd 3 —
-# that is what lets the scrape observe a *running* gateway. The ingest
-# reader fills fixed-size chunks before processing, so the chunk must be
-# smaller than the capture (~21k samples) or nothing is classified until
-# EOF: 4096 samples means all three frames complete inside the first five
-# chunks while stdin is still open.
+# that is what lets the scrape observe a *running* gateway. Ingest hands
+# each read of the pipe to the splitter as it arrives, so all three
+# frames are classified while stdin is still open, at the default chunk
+# size: the capture (~21k samples) never has to fill a chunk.
 mkfifo "$workdir/stream.fifo"
 mstatus=0
-"$CTC" monitor --input - --threshold 0.25 --chunk 4096 \
+"$CTC" monitor --input - --threshold 0.25 \
     --metrics-addr 127.0.0.1:0 \
     --trace-out "$workdir/trace.jsonl" \
     < "$workdir/stream.fifo" \
@@ -165,7 +164,7 @@ echo "metrics smoke OK: live scrape at $addr, span log complete, exit 3"
 # fd 4 EOFs the last session and `--stop-after 3` lets the server drain
 # and exit — with code 3, since every session carried the forgery.
 sstatus=0
-"$CTC" monitor --listen tcp://127.0.0.1:0 --threshold 0.25 --chunk 4096 \
+"$CTC" monitor --listen tcp://127.0.0.1:0 --threshold 0.25 \
     --max-streams 4 --stop-after 3 \
     --metrics-addr 127.0.0.1:0 \
     > "$workdir/events3.jsonl" \
@@ -290,7 +289,7 @@ cp "$workdir/incident.json" flight_incident.json
 cat "$workdir/gap.cf32" "$workdir/zig.cf32" "$workdir/gap.cf32" \
     > "$workdir/authentic.cf32"
 ustatus=0
-"$CTC" monitor --listen tcp://127.0.0.1:0 --threshold 0.25 --chunk 4096 \
+"$CTC" monitor --listen tcp://127.0.0.1:0 --threshold 0.25 \
     --stop-after 1 \
     --metrics-addr 127.0.0.1:0 \
     --flight-out "$workdir/incident_usr1.json" \

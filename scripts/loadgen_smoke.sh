@@ -39,7 +39,7 @@ fail() {
 # soak's final scrape (and its drain-wait) needs the metrics endpoint
 # alive after the last session closes, exactly like a long-running
 # production monitor — the script kills it once loadgen detaches.
-"$CTC" monitor --listen tcp://127.0.0.1:0 --threshold 0.25 --chunk 4096 \
+"$CTC" monitor --listen tcp://127.0.0.1:0 --threshold 0.25 \
     --max-streams $((STREAMS * 2)) \
     --metrics-addr 127.0.0.1:0 \
     > "$workdir/events.jsonl" \
