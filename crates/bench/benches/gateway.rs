@@ -62,13 +62,10 @@ fn config(workers: usize) -> ServerConfig {
 /// The flight recorder is attached at its default capacity (no output
 /// path, so no snapshots) — the 12% bench gate therefore prices in the
 /// journaling overhead the recorder adds to every burst, stage and
-/// verdict. The `--scalar` bench leg builds without `telemetry`, where
-/// the recorder is compiled out entirely.
+/// verdict.
 fn run_single(config: ServerConfig, bytes: &[u8]) -> ctc_gateway::ServerReport {
-    let server = GatewayServer::new(config);
-    #[cfg(feature = "telemetry")]
-    let server = server.with_flight(ctc_gateway::FlightOptions::default());
-    server
+    GatewayServer::new(config)
+        .with_flight(ctc_gateway::FlightOptions::default())
         .run_streams(
             vec![NamedStream::unlabelled(bytes)],
             &mut std::io::sink(),

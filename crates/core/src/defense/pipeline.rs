@@ -1065,11 +1065,14 @@ fn join_floats(v: &[f64]) -> String {
         .join(" ")
 }
 
+/// Parses one finite float. `str::parse` also accepts `NaN`, `inf` and
+/// overflowing exponents, any of which would switch the classifier off.
 fn parse_float(s: Option<&str>, line: usize) -> Result<f64, ModelParseError> {
     s.and_then(|s| s.parse::<f64>().ok())
+        .filter(|v| v.is_finite())
         .ok_or_else(|| ModelParseError {
             line,
-            message: "expected a float".to_string(),
+            message: "expected a finite float".to_string(),
         })
 }
 

@@ -4,9 +4,9 @@
 //! The ring itself lives in [`ctc_obs::flight`]; this module owns what
 //! the *server* knows and the obs layer cannot: the registry handle for
 //! baseline/current exposition, the session table, the effective
-//! config, and the trigger policy — dump once on the first accepted
-//! forgery or on per-session drop-budget exhaustion, dump on every
-//! `SIGUSR1`. Snapshots are only written when an output path is
+//! config, and the trigger policy — dump once per run on the first
+//! accepted forgery or on per-session drop-budget exhaustion, dump on
+//! every `SIGUSR1`. Snapshots are only written when an output path is
 //! configured ([`FlightOptions::out`]); the journal itself is always on
 //! while a recorder is attached, so a `SIGUSR1` can interrogate a run
 //! that was started without any incident expected.
@@ -18,10 +18,9 @@ use ctc_obs::json::{array, JsonObject};
 use ctc_obs::{FlightRecorder, Registry, SnapshotBuilder};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex};
 
-/// Flight-recorder configuration for one [`GatewayServer`](
-/// crate::server::GatewayServer) run.
+/// Flight-recorder configuration for a [`GatewayServer`](
+/// crate::server::GatewayServer).
 #[derive(Debug, Clone)]
 pub struct FlightOptions {
     /// Ring capacity in events ([`FlightRecorder::DEFAULT_CAPACITY`] by
@@ -48,74 +47,47 @@ impl Default for FlightOptions {
     }
 }
 
-/// Per-run flight-recorder control: the shared ring plus everything a
-/// snapshot needs for self-containment.
-pub(crate) struct FlightCtl {
-    recorder: FlightRecorder,
-    out: Option<PathBuf>,
-    max_events: usize,
-    drop_budget: Option<u64>,
-    registry: Mutex<Option<Arc<Registry>>>,
+/// One run's flight-recorder state: the server's ring plus everything a
+/// snapshot of this run embeds. `run_feed` builds it at run start and
+/// drops it with the run, so every run starts with its auto triggers
+/// armed.
+pub(crate) struct FlightRun<'a> {
+    recorder: &'a FlightRecorder,
+    options: &'a FlightOptions,
+    registry: Option<&'a Registry>,
+    sessions: &'a SessionTable,
     /// Exposition text captured at run start — the delta baseline.
-    baseline: Mutex<Option<String>>,
+    baseline: Option<String>,
     /// Effective config, pre-rendered once at run start.
-    config_json: Mutex<String>,
-    /// The run's session table (snapshots embed it).
-    sessions: Mutex<SessionTable>,
+    config_json: String,
     /// Auto triggers (forgery, drop budget) dump at most once per run;
     /// SIGUSR1 dumps are not gated.
     auto_dumped: AtomicBool,
     dumps: AtomicU64,
 }
 
-impl FlightCtl {
-    pub(crate) fn new(options: FlightOptions) -> FlightCtl {
-        FlightCtl {
-            recorder: FlightRecorder::with_capacity(options.capacity),
-            out: options.out,
-            max_events: options.max_events,
-            drop_budget: options.drop_budget,
-            registry: Mutex::new(None),
-            baseline: Mutex::new(None),
-            config_json: Mutex::new(String::from("{}")),
-            sessions: Mutex::new(SessionTable::new()),
-            auto_dumped: AtomicBool::new(false),
-            dumps: AtomicU64::new(0),
-        }
-    }
-
-    pub(crate) fn recorder(&self) -> &FlightRecorder {
-        &self.recorder
-    }
-
-    /// Captures the run's baseline (registry exposition at start),
-    /// renders the effective config and takes the run's session table.
-    /// Called once per `run_feed`.
-    pub(crate) fn begin_run(
-        &self,
-        registry: Option<Arc<Registry>>,
+impl<'a> FlightRun<'a> {
+    /// Captures the run's baseline (registry exposition at start) and
+    /// renders the effective config.
+    pub(crate) fn new(
+        recorder: &'a FlightRecorder,
+        options: &'a FlightOptions,
+        registry: Option<&'a Registry>,
         config: &ServerConfig,
-        sessions: SessionTable,
-    ) {
-        *self.baseline.lock().unwrap() = registry.as_ref().map(|r| r.render());
-        *self.registry.lock().unwrap() = registry;
-        *self.config_json.lock().unwrap() = self.config_json_for(config);
-        *self.sessions.lock().unwrap() = sessions;
-    }
-
-    fn config_json_for(&self, config: &ServerConfig) -> String {
+        sessions: &'a SessionTable,
+    ) -> FlightRun<'a> {
         let gw = &config.gateway;
         let flight = JsonObject::new()
-            .uint("capacity", self.recorder.capacity() as u64)
-            .uint("max_events", self.max_events as u64)
-            .opt("drop_budget", self.drop_budget, JsonObject::uint)
+            .uint("capacity", recorder.capacity() as u64)
+            .uint("max_events", options.max_events as u64)
+            .opt("drop_budget", options.drop_budget, JsonObject::uint)
             .opt(
                 "out",
-                self.out.as_ref().map(|p| p.display().to_string()),
+                options.out.as_ref().map(|p| p.display().to_string()),
                 |o, k, v| o.string(k, &v),
             )
             .finish();
-        JsonObject::new()
+        let config_json = JsonObject::new()
             .uint("chunk_samples", gw.chunk_samples as u64)
             .uint("workers", gw.workers as u64)
             .uint("queue_depth", gw.queue_depth as u64)
@@ -128,12 +100,25 @@ impl FlightCtl {
                 JsonObject::uint,
             )
             .raw("flight", &flight)
-            .finish()
+            .finish();
+        FlightRun {
+            recorder,
+            options,
+            registry,
+            sessions,
+            baseline: registry.map(Registry::render),
+            config_json,
+            auto_dumped: AtomicBool::new(false),
+            dumps: AtomicU64::new(0),
+        }
+    }
+
+    pub(crate) fn recorder(&self) -> &FlightRecorder {
+        self.recorder
     }
 
     fn sessions_json(&self) -> String {
-        let sessions = self.sessions.lock().unwrap().sessions();
-        array(sessions.iter().map(|session| {
+        array(self.sessions.sessions().iter().map(|session| {
             let s = session.snapshot();
             JsonObject::new()
                 .uint("id", session.id())
@@ -152,7 +137,7 @@ impl FlightCtl {
     /// later ones are no-ops so a noisy incident produces exactly one
     /// snapshot.
     pub(crate) fn auto_trigger(&self, reason: &str, until: Option<u64>) {
-        if self.out.is_none() || self.auto_dumped.swap(true, Relaxed) {
+        if self.options.out.is_none() || self.auto_dumped.swap(true, Relaxed) {
             return;
         }
         self.dump(reason, until);
@@ -161,7 +146,7 @@ impl FlightCtl {
     /// Drop-budget trigger: fires when `session`'s dropped-burst count
     /// reaches the configured budget.
     pub(crate) fn check_drop_budget(&self, session: &Session, until: Option<u64>) {
-        if let Some(budget) = self.drop_budget {
+        if let Some(budget) = self.options.drop_budget {
             if session.metrics().bursts_dropped.load(Relaxed) >= budget {
                 self.auto_trigger("drop_budget", until);
             }
@@ -171,7 +156,7 @@ impl FlightCtl {
     /// Polls the process-wide SIGUSR1 latch; each signal dumps a fresh
     /// snapshot (overwriting the configured path).
     pub(crate) fn poll_sigusr1(&self) {
-        if take_sigusr1() && self.out.is_some() {
+        if take_sigusr1() && self.options.out.is_some() {
             self.dump("sigusr1", None);
         }
     }
@@ -179,27 +164,25 @@ impl FlightCtl {
     /// Writes one incident snapshot to the configured path and notes it
     /// on stderr (scripts watch for the `flight:` marker line).
     fn dump(&self, reason: &str, until: Option<u64>) {
-        let Some(path) = &self.out else { return };
-        let seq = self.dumps.fetch_add(1, Relaxed) + 1;
-        let now_text = {
-            let registry = self.registry.lock().unwrap();
-            registry.as_ref().map(|r| r.render())
+        let Some(path) = &self.options.out else {
+            return;
         };
-        let baseline = self.baseline.lock().unwrap().clone();
-        let config = self.config_json.lock().unwrap().clone();
-        let mut builder = SnapshotBuilder::new(&self.recorder, reason).max_events(self.max_events);
+        let seq = self.dumps.fetch_add(1, Relaxed) + 1;
+        let now_text = self.registry.map(Registry::render);
+        let mut builder =
+            SnapshotBuilder::new(self.recorder, reason).max_events(self.options.max_events);
         if let Some(t) = until {
             builder = builder.until_ticket(t);
         }
         if let Some(text) = &now_text {
             builder = builder.exposition(text);
         }
-        if let Some(text) = &baseline {
+        if let Some(text) = &self.baseline {
             builder = builder.baseline(text);
         }
         let json = builder
             .section("sessions", &self.sessions_json())
-            .section("config", &config)
+            .section("config", &self.config_json)
             .section("dump_seq", &seq.to_string())
             .render();
         match std::fs::write(path, json + "\n") {
@@ -215,16 +198,6 @@ impl FlightCtl {
     }
 }
 
-impl std::fmt::Debug for FlightCtl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlightCtl")
-            .field("recorder", &self.recorder)
-            .field("out", &self.out)
-            .field("drop_budget", &self.drop_budget)
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,19 +210,26 @@ mod tests {
     fn auto_trigger_dumps_exactly_once() {
         let path = tmp_path("auto_once");
         let _ = std::fs::remove_file(&path);
-        let ctl = FlightCtl::new(FlightOptions {
+        let options = FlightOptions {
             out: Some(path.clone()),
             ..FlightOptions::default()
-        });
-        ctl.begin_run(None, &ServerConfig::default(), SessionTable::new());
-        ctl.auto_trigger("forgery", None);
+        };
+        let (recorder, sessions) = (FlightRecorder::new(), SessionTable::new());
+        let run = FlightRun::new(
+            &recorder,
+            &options,
+            None,
+            &ServerConfig::default(),
+            &sessions,
+        );
+        run.auto_trigger("forgery", None);
         let first = std::fs::read_to_string(&path).unwrap();
         assert!(first.contains("\"trigger\":\"forgery\""));
         assert!(first.contains("\"dump_seq\":1"));
 
         // A later auto trigger must not overwrite the first incident.
         std::fs::remove_file(&path).unwrap();
-        ctl.auto_trigger("drop_budget", None);
+        run.auto_trigger("drop_budget", None);
         assert!(!path.exists(), "second auto trigger wrote a snapshot");
     }
 
@@ -257,15 +237,21 @@ mod tests {
     fn dump_embeds_config_and_sessions() {
         let path = tmp_path("sections");
         let _ = std::fs::remove_file(&path);
-        let ctl = FlightCtl::new(FlightOptions {
+        let options = FlightOptions {
             out: Some(path.clone()),
             drop_budget: Some(4),
             ..FlightOptions::default()
-        });
-        let sessions = SessionTable::new();
+        };
+        let (recorder, sessions) = (FlightRecorder::new(), SessionTable::new());
         sessions.open(Some("s1".into()), 1);
-        ctl.begin_run(None, &ServerConfig::default(), sessions);
-        ctl.auto_trigger("forgery", None);
+        let run = FlightRun::new(
+            &recorder,
+            &options,
+            None,
+            &ServerConfig::default(),
+            &sessions,
+        );
+        run.auto_trigger("forgery", None);
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"config\":{"), "{json}");
         assert!(json.contains("\"drop_budget\":4"));
@@ -275,10 +261,17 @@ mod tests {
 
     #[test]
     fn no_out_path_means_no_dump() {
-        let ctl = FlightCtl::new(FlightOptions::default());
-        ctl.begin_run(None, &ServerConfig::default(), SessionTable::new());
+        let options = FlightOptions::default();
+        let (recorder, sessions) = (FlightRecorder::new(), SessionTable::new());
+        let run = FlightRun::new(
+            &recorder,
+            &options,
+            None,
+            &ServerConfig::default(),
+            &sessions,
+        );
         // Must be a no-op rather than a panic or a stray file.
-        ctl.auto_trigger("forgery", None);
-        ctl.poll_sigusr1();
+        run.auto_trigger("forgery", None);
+        run.poll_sigusr1();
     }
 }

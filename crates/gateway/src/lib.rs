@@ -28,20 +28,20 @@
 //!   run's [`session::SessionTable`] when read.
 //! - [`error::GatewayError`] — typed failures with distinct process
 //!   exit codes for the CLI.
-//! - [`obs`] (feature `telemetry`, default-on) — publishes a run's
-//!   counters into a [`ctc_obs::Registry`] under canonical `ctc_*` names
-//!   (run-wide and per-stream) and records per-stage trace spans into a
-//!   [`ctc_obs::TraceSink`]; see [`GatewayServer::with_registry`] and
-//!   [`GatewayServer::with_trace_sink`].
+//! - [`obs`] — publishes a run's counters into a [`ctc_obs::Registry`]
+//!   under canonical `ctc_*` names (run-wide and per-stream) and records
+//!   per-stage trace spans into a [`ctc_obs::TraceSink`]; see
+//!   [`GatewayServer::with_registry`] and
+//!   [`GatewayServer::with_trace_sink`]. Attaching them is the only
+//!   switch: a server with neither records nothing.
 //! - [`json`] — the workspace's JSON encoder and parser, re-exported
 //!   from [`ctc_obs::json`].
-//! - [`flight`] (feature `telemetry`, default-on) — an always-on,
-//!   bounded-memory flight recorder ([`ctc_obs::flight`]) journaling
-//!   bursts, stage boundaries, verdicts with per-feature scores, drops
-//!   and session lifecycle; on a trigger (first accepted forgery,
-//!   per-session drop-budget exhaustion, `SIGUSR1`) it dumps a
-//!   self-contained JSON incident snapshot; see
-//!   [`GatewayServer::with_flight`].
+//! - [`flight`] — a bounded-memory flight recorder
+//!   ([`ctc_obs::flight`]) journaling bursts, stage boundaries, verdicts
+//!   with per-feature scores, drops and session lifecycle; on a trigger
+//!   (a run's first accepted forgery, per-session drop-budget
+//!   exhaustion, `SIGUSR1`) it dumps a self-contained JSON incident
+//!   snapshot; see [`GatewayServer::with_flight`].
 //!
 //! Monitor two labelled streams through one engine:
 //!
@@ -80,7 +80,6 @@
 
 pub use ctc_obs::json;
 pub mod error;
-#[cfg(feature = "telemetry")]
 pub mod flight;
 pub mod metrics;
 pub mod obs;
@@ -90,7 +89,6 @@ pub mod session;
 pub mod source;
 
 pub use error::GatewayError;
-#[cfg(feature = "telemetry")]
 pub use flight::FlightOptions;
 pub use metrics::{
     LatencyHistogram, Metrics, MetricsCore, MetricsSnapshot, ScoreBoard, ServerMetrics,

@@ -12,126 +12,93 @@
 //!   layer: the same gateway metric schema stamped with a
 //!   `{stream="..."}` label per session, plus `ctc_sessions_*`
 //!   lifecycle counters for the server itself.
-//! * `RunObs` — the per-run tracing handle threaded through ingest,
-//!   workers and sink. With the `telemetry` feature off it compiles to a
-//!   zero-sized no-op, so the pipeline code carries no `#[cfg]` noise and
-//!   the disabled build provably does no telemetry work.
+//! * `RunObs` — the per-run observation handle threaded through ingest,
+//!   workers and sink. It records each stage interval once, fanned out
+//!   to the trace sink and the flight journal when they are attached;
+//!   with neither attached it records nothing. Attaching them to the
+//!   server at run time is the only switch.
 
-#[cfg(feature = "telemetry")]
+use crate::flight::FlightRun;
 use crate::metrics::{Metrics, MetricsSnapshot, ServerMetrics};
-#[cfg(feature = "telemetry")]
-use crate::session::SessionTable;
-#[cfg(feature = "telemetry")]
+use crate::session::{Session, SessionId, SessionTable};
 use ctc_dsp::BufferPool;
-#[cfg(feature = "telemetry")]
-use ctc_obs::{Registry, ScopedRegistry, TraceSink};
+use ctc_obs::flight::{EventKind, FlightEvent, FlightRecorder};
+use ctc_obs::{Registry, ScopedRegistry, SpanStage, TraceSink};
 use std::time::Instant;
 
-/// Per-run tracing handle: allocates span IDs, records stage intervals
-/// when a trace sink is attached, and journals flight-recorder events
-/// when a recorder is attached; does nothing otherwise.
-#[derive(Clone, Copy, Debug)]
+/// Per-run observation handle: allocates span IDs, records stage
+/// intervals when a trace sink is attached, and journals flight-recorder
+/// events when a recorder is attached; does nothing otherwise.
+#[derive(Clone, Copy)]
 pub(crate) struct RunObs<'a> {
-    #[cfg(feature = "telemetry")]
     trace: Option<&'a TraceSink>,
-    #[cfg(feature = "telemetry")]
-    flight: Option<&'a crate::flight::FlightCtl>,
-    #[cfg(not(feature = "telemetry"))]
-    _lifetime: std::marker::PhantomData<&'a ()>,
+    flight: Option<&'a FlightRun<'a>>,
 }
 
 impl<'a> RunObs<'a> {
-    /// A handle that records nothing (the only kind this build has).
-    #[cfg(not(feature = "telemetry"))]
-    pub(crate) fn disabled() -> Self {
-        RunObs {
-            _lifetime: std::marker::PhantomData,
-        }
-    }
-
     /// A handle recording into `trace` and/or `flight` (when given).
-    #[cfg(feature = "telemetry")]
-    pub(crate) fn new(
-        trace: Option<&'a TraceSink>,
-        flight: Option<&'a crate::flight::FlightCtl>,
-    ) -> Self {
+    pub(crate) fn new(trace: Option<&'a TraceSink>, flight: Option<&'a FlightRun<'a>>) -> Self {
         RunObs { trace, flight }
     }
 
     /// A fresh span ID for one burst, or `0` (the disabled sentinel) when
     /// no sink is attached — recording a `0` span is a no-op everywhere.
     pub(crate) fn next_span(&self) -> u64 {
-        #[cfg(feature = "telemetry")]
-        if self.trace.is_some() {
-            return ctc_obs::next_span_id();
+        match self.trace {
+            Some(_) => ctc_obs::next_span_id(),
+            None => 0,
         }
-        0
     }
 
     /// Records one stage interval for `span` — into the trace sink as a
     /// span record, and into the flight journal as a compact stage event
-    /// (the `drop` stage is journaled separately with richer fields; see
-    /// the shed path in [`crate::server`]).
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
+    /// (the drop stage is journaled by the shed path instead, as a
+    /// [`EventKind::Drop`] event with richer fields) — and returns its
+    /// length in µs.
     pub(crate) fn record(
         &self,
-        session: crate::session::SessionId,
+        session: SessionId,
         span: u64,
         seq: u64,
-        stage: &str,
+        stage: SpanStage,
         start: Instant,
         end: Instant,
-    ) {
-        #[cfg(feature = "telemetry")]
-        {
-            if let Some(trace) = self.trace {
-                trace.record(span, seq, stage, start, end);
-            }
-            if stage != "drop" {
-                if let Some(flight) = self.flight {
-                    use ctc_obs::flight::{stage_id, EventKind, FlightEvent};
-                    let rec = flight.recorder();
-                    rec.record(
-                        FlightEvent::new(EventKind::Stage, session, seq, rec.now_us()).with_args(
-                            stage_id(stage),
-                            end.saturating_duration_since(start).as_micros() as u64,
-                        ),
-                    );
-                }
-            }
+    ) -> u64 {
+        let us = end.saturating_duration_since(start).as_micros() as u64;
+        if let Some(trace) = self.trace {
+            trace.record(span, seq, stage, start, end);
         }
+        if stage != SpanStage::Drop {
+            self.flight_record(|rec| {
+                FlightEvent::new(EventKind::Stage, session, seq, rec.now_us())
+                    .with_args(stage as u64, us)
+            });
+        }
+        us
     }
 
     /// Journals one flight event built by `make` (only invoked when a
     /// recorder is attached, so the cost of constructing the event is
     /// paid only then). Returns the event's ring ticket.
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
     pub(crate) fn flight_record(
         &self,
-        make: impl FnOnce(&ctc_obs::FlightRecorder) -> ctc_obs::FlightEvent,
+        make: impl FnOnce(&FlightRecorder) -> FlightEvent,
     ) -> Option<u64> {
-        #[cfg(feature = "telemetry")]
-        if let Some(flight) = self.flight {
-            let rec = flight.recorder();
-            return Some(rec.record(make(rec)));
-        }
-        None
+        let rec = self.flight?.recorder();
+        Some(rec.record(make(rec)))
     }
 
     /// Auto trigger for an accepted forgery: dump one incident snapshot
-    /// ending at `ticket` (the verdict event), first trigger wins.
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
+    /// ending at `ticket` (the verdict event), first trigger of the run
+    /// wins.
     pub(crate) fn flight_forgery(&self, ticket: Option<u64>) {
-        #[cfg(feature = "telemetry")]
         if let Some(flight) = self.flight {
             flight.auto_trigger("forgery", ticket);
         }
     }
 
     /// Auto trigger for drop-budget exhaustion on `session`.
-    #[cfg_attr(not(feature = "telemetry"), allow(unused_variables))]
-    pub(crate) fn flight_drop_check(&self, session: &crate::session::Session, ticket: Option<u64>) {
-        #[cfg(feature = "telemetry")]
+    pub(crate) fn flight_drop_check(&self, session: &Session, ticket: Option<u64>) {
         if let Some(flight) = self.flight {
             flight.check_drop_budget(session, ticket);
         }
@@ -140,7 +107,6 @@ impl<'a> RunObs<'a> {
     /// Polls the SIGUSR1 latch (supervisor loops call this every few
     /// milliseconds); each signal dumps a snapshot.
     pub(crate) fn flight_poll(&self) {
-        #[cfg(feature = "telemetry")]
         if let Some(flight) = self.flight {
             flight.poll_sigusr1();
         }
@@ -155,7 +121,6 @@ impl<'a> RunObs<'a> {
 /// the [`BufferPool`] atomics. Values stay live for the whole run and
 /// remain scrapeable after the pipeline joins (the collectors keep the
 /// backing `Arc`s alive).
-#[cfg(feature = "telemetry")]
 pub fn register_run(registry: &Registry, sessions: &SessionTable, pool: &BufferPool) {
     let sessions = sessions.clone();
     register_gateway_metrics(&registry.scoped(&[]), move || sessions.totals());
@@ -186,7 +151,6 @@ pub fn register_run(registry: &Registry, sessions: &SessionTable, pool: &BufferP
 /// `{stream="<label>"}` label, alongside the unlabelled totals from
 /// [`register_run`]. Collectors keep the session's [`Metrics`] `Arc`
 /// alive, so a closed session stays scrapeable for the rest of the run.
-#[cfg(feature = "telemetry")]
 pub fn register_session(registry: &Registry, stream: &str, metrics: &Metrics) {
     let metrics = metrics.clone();
     register_gateway_metrics(&registry.scoped(&[("stream", stream)]), move || {
@@ -199,7 +163,6 @@ pub fn register_session(registry: &Registry, stream: &str, metrics: &Metrics) {
 /// feature plus `{feature="fused"}` for the classifier output. Collectors
 /// sample the run's [`ScoreBoard`](crate::metrics::ScoreBoard), so a
 /// scrape always sees the most recently classified burst.
-#[cfg(feature = "telemetry")]
 pub fn register_scores(registry: &Registry, board: &crate::metrics::ScoreBoard) {
     let help = "Latest detector score, by feature (fused = classifier output).";
     for (i, name) in board.names().iter().enumerate() {
@@ -221,7 +184,6 @@ pub fn register_scores(registry: &Registry, board: &crate::metrics::ScoreBoard) 
 }
 
 /// Registers the session-lifecycle counters of a multi-stream server run.
-#[cfg(feature = "telemetry")]
 pub fn register_server(registry: &Registry, server: &ServerMetrics) {
     use std::sync::atomic::Ordering::Relaxed;
 
@@ -266,7 +228,6 @@ pub fn register_server(registry: &Registry, server: &ServerMetrics) {
 /// same code serves both the unlabelled totals and each
 /// `{stream="..."}` session; every collector reads one `read()`
 /// snapshot.
-#[cfg(feature = "telemetry")]
 fn register_gateway_metrics(
     scoped: &ScopedRegistry<'_>,
     read: impl Fn() -> MetricsSnapshot + Clone + Send + Sync + 'static,
@@ -345,7 +306,7 @@ fn register_gateway_metrics(
     );
 }
 
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -21,6 +21,7 @@
 //! in order *within* a `stream` label.
 
 use crate::error::GatewayError;
+use crate::flight::{FlightOptions, FlightRun};
 use crate::metrics::{MetricsSnapshot, ScoreBoard, ServerMetrics, ServerMetricsSnapshot};
 use crate::obs::RunObs;
 use crate::pipeline::GatewayConfig;
@@ -30,6 +31,7 @@ use ctc_core::defense::{BurstCapture, FrameProcessor, MonitorFactory, StreamEven
 use ctc_dsp::io::Cf32Reader;
 use ctc_obs::flight::{EventKind, FlightEvent};
 use ctc_obs::json::{hex, JsonObject};
+use ctc_obs::{FlightRecorder, Registry, SpanStage, TraceSink};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -201,24 +203,43 @@ struct WorkItem {
     span: u64,
 }
 
-/// What reaches the sink. `Line` and `Close` slot into their session's
+/// What reaches the sink. A `Slot` takes its place in its session's
 /// sequence order; `Note` lines (refusals) are written immediately.
 enum SinkMsg {
-    Line {
+    Slot {
         session: SessionId,
         seq: u64,
+        slot: Slot,
+    },
+    Note {
+        line: String,
+    },
+}
+
+/// One entry of a session's sequence order: a rendered event line (its
+/// span's `emit` stage ends when it is written; span `0`: untraced), or
+/// the session's close marker, rendered with its final counters.
+enum Slot {
+    Line {
         line: String,
         span: u64,
         classified: Instant,
     },
     Close {
         session: Arc<Session>,
-        seq: u64,
         error: Option<String>,
     },
-    Note {
-        line: String,
-    },
+}
+
+impl SinkMsg {
+    fn line(session: SessionId, seq: u64, line: String, span: u64, classified: Instant) -> Self {
+        let slot = Slot::Line {
+            line,
+            span,
+            classified,
+        };
+        SinkMsg::Slot { session, seq, slot }
+    }
 }
 
 /// Where a run's sessions come from.
@@ -251,12 +272,10 @@ enum Feed<'a> {
 pub struct GatewayServer {
     config: ServerConfig,
     shutdown: Arc<AtomicBool>,
-    #[cfg(feature = "telemetry")]
-    registry: Option<Arc<ctc_obs::Registry>>,
-    #[cfg(feature = "telemetry")]
-    trace: Option<Arc<ctc_obs::TraceSink>>,
-    #[cfg(feature = "telemetry")]
-    flight: Option<Arc<crate::flight::FlightCtl>>,
+    registry: Option<Arc<Registry>>,
+    trace: Option<Arc<TraceSink>>,
+    /// The flight options and the ring, allocated once when attached.
+    flight: Option<(FlightOptions, FlightRecorder)>,
 }
 
 impl GatewayServer {
@@ -265,11 +284,8 @@ impl GatewayServer {
         GatewayServer {
             config,
             shutdown: Arc::new(AtomicBool::new(false)),
-            #[cfg(feature = "telemetry")]
             registry: None,
-            #[cfg(feature = "telemetry")]
             trace: None,
-            #[cfg(feature = "telemetry")]
             flight: None,
         }
     }
@@ -278,15 +294,13 @@ impl GatewayServer {
     /// sessions at scrape time) under the canonical unlabelled `ctc_*`
     /// names, per-session counters under `ctc_gateway_*{stream="..."}`,
     /// session lifecycle under `ctc_sessions_*`.
-    #[cfg(feature = "telemetry")]
-    pub fn with_registry(mut self, registry: Arc<ctc_obs::Registry>) -> Self {
+    pub fn with_registry(mut self, registry: Arc<Registry>) -> Self {
         self.registry = Some(registry);
         self
     }
 
     /// Records per-stage span intervals into `trace`.
-    #[cfg(feature = "telemetry")]
-    pub fn with_trace_sink(mut self, trace: Arc<ctc_obs::TraceSink>) -> Self {
+    pub fn with_trace_sink(mut self, trace: Arc<TraceSink>) -> Self {
         self.trace = Some(trace);
         self
     }
@@ -294,14 +308,13 @@ impl GatewayServer {
     /// Attaches a flight recorder: a bounded ring journal of bursts,
     /// stage boundaries, verdicts (with per-feature scores), drops and
     /// session lifecycle, recorded wait-free from the hot path. With
-    /// [`FlightOptions::out`](crate::flight::FlightOptions::out) set, a
-    /// trigger — first accepted forgery, per-session drop-budget
-    /// exhaustion, or `SIGUSR1` (install the handler with
-    /// [`ctc_obs::flight::install_sigusr1_handler`]) — dumps a
-    /// self-contained JSON incident snapshot there.
-    #[cfg(feature = "telemetry")]
-    pub fn with_flight(mut self, options: crate::flight::FlightOptions) -> Self {
-        self.flight = Some(Arc::new(crate::flight::FlightCtl::new(options)));
+    /// [`FlightOptions::out`] set, a trigger — the run's first accepted
+    /// forgery, per-session drop-budget exhaustion, or `SIGUSR1` (install
+    /// the handler with [`ctc_obs::flight::install_sigusr1_handler`]) —
+    /// dumps a self-contained JSON incident snapshot there.
+    pub fn with_flight(mut self, options: FlightOptions) -> Self {
+        let recorder = FlightRecorder::with_capacity(options.capacity);
+        self.flight = Some((options, recorder));
         self
     }
 
@@ -403,7 +416,6 @@ impl GatewayServer {
         let started = Instant::now();
         let fatal_in_streams = matches!(feed, Feed::Streams(_));
 
-        #[cfg(feature = "telemetry")]
         if let Some(registry) = &self.registry {
             crate::obs::register_run(registry, &sessions, factory.pool());
             crate::obs::register_server(registry, &server_metrics);
@@ -411,19 +423,13 @@ impl GatewayServer {
                 crate::obs::register_scores(registry, board);
             }
         }
-        #[cfg(feature = "telemetry")]
-        if let Some(flight) = &self.flight {
-            flight.begin_run(self.registry.clone(), cfg, sessions.clone());
+        let flight = self.flight.as_ref().map(|(options, recorder)| {
             if let Some(board) = &scores {
-                flight
-                    .recorder()
-                    .set_feature_names(board.names().iter().map(|s| s.to_string()).collect());
+                recorder.set_feature_names(board.names().iter().map(|s| s.to_string()).collect());
             }
-        }
-        #[cfg(feature = "telemetry")]
-        let obs = RunObs::new(self.trace.as_deref(), self.flight.as_deref());
-        #[cfg(not(feature = "telemetry"))]
-        let obs = RunObs::disabled();
+            FlightRun::new(recorder, options, self.registry.as_deref(), cfg, &sessions)
+        });
+        let obs = RunObs::new(self.trace.as_deref(), flight.as_ref());
 
         type SessionOutcome = (Arc<Session>, io::Result<()>);
         let (outcomes, sink_result, fatal): (
@@ -468,13 +474,8 @@ impl GatewayServer {
                     });
                     if session.label().is_some() {
                         let seq = session.next_seq();
-                        let _ = tx.send(SinkMsg::Line {
-                            session: session.id(),
-                            seq,
-                            line: session_open_line(&session, seq, peer.as_deref()),
-                            span: 0,
-                            classified: Instant::now(),
-                        });
+                        let line = session_open_line(&session, seq, peer.as_deref());
+                        let _ = tx.send(SinkMsg::line(session.id(), seq, line, 0, Instant::now()));
                     }
                     let shard = &shards[session.shard()];
                     let result =
@@ -489,10 +490,14 @@ impl GatewayServer {
                     });
                     if session.label().is_some() {
                         let seq = session.next_seq();
-                        let _ = tx.send(SinkMsg::Close {
+                        let slot = Slot::Close {
                             session: session.clone(),
-                            seq,
                             error: result.as_ref().err().map(|e| e.to_string()),
+                        };
+                        let _ = tx.send(SinkMsg::Slot {
+                            session: session.id(),
+                            seq,
+                            slot,
                         });
                     }
                     result
@@ -516,7 +521,6 @@ impl GatewayServer {
             };
             let open_session = |label: Option<String>| -> Arc<Session> {
                 let session = sessions.open(label, shard_count);
-                #[cfg(feature = "telemetry")]
                 if let (Some(registry), Some(label)) = (&self.registry, session.label()) {
                     crate::obs::register_session(registry, label, session.metrics());
                 }
@@ -647,7 +651,6 @@ impl GatewayServer {
         // Span records buffer in the sink; push them out while the run's
         // counters are still being finalised so nothing is lost if the
         // caller exits right after reading the report.
-        #[cfg(feature = "telemetry")]
         if let Some(trace) = &self.trace {
             trace.flush();
         }
@@ -698,7 +701,7 @@ fn session_ingest<R: Read>(
     let mut splitter = factory.splitter();
     let mut chunk = Vec::new();
     let mut captures: Vec<BurstCapture> = Vec::new();
-    let own = session.metrics();
+    let (id, own) = (session.id(), session.metrics());
 
     // `ingest_start` is when the chunk that completed the burst arrived
     // (its `read_chunk` returned, so a silent client's wait is not
@@ -711,9 +714,9 @@ fn session_ingest<R: Read>(
             let seq = session.next_seq();
             let span = obs.next_span();
             let enqueued = Instant::now();
-            obs.record(session.id(), span, seq, "ingest", ingest_start, enqueued);
+            obs.record(id, span, seq, SpanStage::Ingest, ingest_start, enqueued);
             obs.flight_record(|rec| {
-                FlightEvent::new(EventKind::Burst, session.id(), seq, rec.now_us())
+                FlightEvent::new(EventKind::Burst, id, seq, rec.now_us())
                     .with_args(capture.burst.start as u64, capture.samples.len() as u64)
             });
             let item = WorkItem {
@@ -723,11 +726,11 @@ fn session_ingest<R: Read>(
                 enqueued,
                 span,
             };
-            if let Evicted::Item { item: evicted, .. } = shard.push(session.id(), item) {
+            if let Evicted::Item { item: evicted, .. } = shard.push(id, item) {
                 shed(evicted, tx, obs);
             }
             obs.flight_record(|rec| {
-                FlightEvent::new(EventKind::QueueDepth, session.id(), seq, rec.now_us())
+                FlightEvent::new(EventKind::QueueDepth, id, seq, rec.now_us())
                     .with_args(shard.len() as u64, session.shard() as u64)
             });
         }
@@ -758,31 +761,14 @@ fn shed(evicted: WorkItem, tx: &mpsc::Sender<SinkMsg>, obs: RunObs<'_>) {
     let own = evicted.session.metrics();
     own.bursts_dropped.fetch_add(1, Relaxed);
     own.samples_dropped.fetch_add(samples, Relaxed);
-    obs.record(
-        evicted.session.id(),
-        evicted.span,
-        evicted.seq,
-        "drop",
-        evicted.enqueued,
-        now,
-    );
+    let (id, seq, span) = (evicted.session.id(), evicted.seq, evicted.span);
+    let queued_us = obs.record(id, span, seq, SpanStage::Drop, evicted.enqueued, now);
     let ticket = obs.flight_record(|rec| {
-        FlightEvent::new(
-            EventKind::Drop,
-            evicted.session.id(),
-            evicted.seq,
-            rec.now_us(),
-        )
-        .with_args(samples, micros_between(evicted.enqueued, now))
+        FlightEvent::new(EventKind::Drop, id, seq, rec.now_us()).with_args(samples, queued_us)
     });
     obs.flight_drop_check(&evicted.session, ticket);
-    let _ = tx.send(SinkMsg::Line {
-        session: evicted.session.id(),
-        seq: evicted.seq,
-        line: dropped_line(evicted.session.label(), &evicted.capture),
-        span: 0,
-        classified: now,
-    });
+    let line = dropped_line(evicted.session.label(), &evicted.capture);
+    let _ = tx.send(SinkMsg::line(id, seq, line, 0, now));
 }
 
 /// Worker: drain the home shard, steal from the others when it is empty,
@@ -840,7 +826,6 @@ fn process_item(
         span,
     } = item;
     let dequeued = Instant::now();
-    let queue_us = micros_between(enqueued, dequeued);
     let reception = processor.decode(&capture);
     let decoded = Instant::now();
     let event = processor.classify(&capture, reception);
@@ -848,10 +833,11 @@ fn process_item(
     if let (Some(board), Some(s)) = (scores, event.scores.as_ref()) {
         board.record(s);
     }
-    obs.record(session.id(), span, seq, "queue", enqueued, dequeued);
-    obs.record(session.id(), span, seq, "decode", dequeued, decoded);
-    obs.record(session.id(), span, seq, "classify", decoded, done);
-    let total_us = micros_between(enqueued, done);
+    let id = session.id();
+    let queue_us = obs.record(id, span, seq, SpanStage::Queue, enqueued, dequeued);
+    let decode_us = obs.record(id, span, seq, SpanStage::Decode, dequeued, decoded);
+    let classify_us = obs.record(id, span, seq, SpanStage::Classify, decoded, done);
+    let total_us = done.saturating_duration_since(enqueued).as_micros() as u64;
     let own = session.metrics();
     own.latency.record(total_us);
     if event.payload.is_some() {
@@ -875,7 +861,7 @@ fn process_item(
             flags |= FlightEvent::VERDICT_ACCEPTED;
         }
         let de2 = event.verdict.map(|v| v.de_squared).unwrap_or(f64::NAN);
-        let ev = FlightEvent::new(EventKind::Verdict, session.id(), seq, rec.now_us())
+        let ev = FlightEvent::new(EventKind::Verdict, id, seq, rec.now_us())
             .with_args(flags, de2.to_bits());
         match &event.scores {
             Some(s) => ev.with_scores(s.fused, s.features.entries().iter().map(|(_, v)| *v)),
@@ -892,19 +878,13 @@ fn process_item(
         seq,
         &event,
         queue_us,
-        micros_between(dequeued, decoded),
-        micros_between(decoded, done),
+        decode_us,
+        classify_us,
         total_us,
     );
     // A send error means the sink hit an output error and hung up; keep
     // draining the queue so ingest accounting stays truthful.
-    let _ = tx.send(SinkMsg::Line {
-        session: session.id(),
-        seq,
-        line,
-        span,
-        classified: done,
-    });
+    let _ = tx.send(SinkMsg::line(id, seq, line, span, done));
 }
 
 /// One session's reorder state inside the sink.
@@ -912,18 +892,6 @@ fn process_item(
 struct SessionSink {
     pending: BTreeMap<u64, Slot>,
     next: u64,
-}
-
-enum Slot {
-    Line {
-        line: String,
-        span: u64,
-        classified: Instant,
-    },
-    Close {
-        session: Arc<Session>,
-        error: Option<String>,
-    },
 }
 
 /// Sink: restore per-session sequence order (workers race) and write
@@ -940,42 +908,14 @@ fn sink_loop<W: Write>(
             SinkMsg::Note { line } => {
                 writeln!(events, "{line}")?;
             }
-            SinkMsg::Line {
-                session,
-                seq,
-                line,
-                span,
-                classified,
-            } => {
+            SinkMsg::Slot { session, seq, slot } => {
                 let sink = sessions.entry(session).or_default();
-                sink.pending.insert(
-                    seq,
-                    Slot::Line {
-                        line,
-                        span,
-                        classified,
-                    },
-                );
+                sink.pending.insert(seq, slot);
                 pending_total += 1;
                 let (emitted, closed) = drain_session(session, sink, events, obs)?;
                 pending_total -= emitted;
                 if closed {
                     sessions.remove(&session);
-                }
-            }
-            SinkMsg::Close {
-                session,
-                seq,
-                error,
-            } => {
-                let id = session.id();
-                let sink = sessions.entry(id).or_default();
-                sink.pending.insert(seq, Slot::Close { session, error });
-                pending_total += 1;
-                let (emitted, closed) = drain_session(id, sink, events, obs)?;
-                pending_total -= emitted;
-                if closed {
-                    sessions.remove(&id);
                 }
             }
         }
@@ -1009,7 +949,8 @@ fn drain_session<W: Write>(
                 classified,
             } => {
                 writeln!(events, "{line}")?;
-                obs.record(session, span, sink.next, "emit", classified, Instant::now());
+                let (seq, written) = (sink.next, Instant::now());
+                obs.record(session, span, seq, SpanStage::Emit, classified, written);
             }
             Slot::Close { session, error } => {
                 let line = session_close_line(&session, sink.next, error.as_deref());
@@ -1021,10 +962,6 @@ fn drain_session<W: Write>(
         emitted += 1;
     }
     Ok((emitted, closed))
-}
-
-fn micros_between(from: Instant, to: Instant) -> u64 {
-    to.saturating_duration_since(from).as_micros() as u64
 }
 
 /// Renders one frame event as a JSON line. Unlabelled sessions omit the

@@ -118,7 +118,6 @@ fn ingest_loop_steady_state_allocates_nothing() {
 /// same bar: journaling a burst, its stage boundaries and a queue-depth
 /// sample for every chunk — against a recorder at the default capacity,
 /// wrapping many times over — requests no heap memory at all.
-#[cfg(feature = "telemetry")]
 #[test]
 fn flight_recorder_steady_state_allocates_nothing() {
     use ctc_obs::flight::{EventKind, FlightEvent, FlightRecorder};

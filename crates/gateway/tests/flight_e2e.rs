@@ -1,8 +1,7 @@
 //! End-to-end flight-recorder trigger tests: a forged stream must
-//! produce exactly one incident snapshot whose journal ends at the
-//! triggering verdict, carrying its per-feature scores, the preceding
-//! events, and registry deltas.
-#![cfg(feature = "telemetry")]
+//! produce exactly one incident snapshot per run whose journal ends at
+//! the triggering verdict, carrying its per-feature scores, the
+//! preceding events, and registry deltas.
 
 use ctc_channel::noise::complex_gaussian;
 use ctc_core::attack::Emulator;
@@ -164,6 +163,25 @@ fn forged_stream_dumps_exactly_one_snapshot_ending_at_the_verdict() {
     assert_eq!(get(&sessions[0], "stream").as_str(), Some("uplink"));
     let cfg = get(&doc, "config");
     assert_eq!(get(cfg, "workers").as_f64(), Some(1.0));
+
+    // The auto trigger fires once per run, not once per server: the same
+    // server over the same stream dumps exactly one new snapshot.
+    std::fs::remove_file(&out).unwrap();
+    server
+        .run_streams(
+            vec![NamedStream::new("uplink", &bytes[..])],
+            &mut std::io::sink(),
+            &mut std::io::sink(),
+        )
+        .unwrap();
+    let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert_eq!(files.len(), 1, "second run: one snapshot in {dir:?}");
+    let doc = parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
+    assert_eq!(get(&doc, "trigger").as_str(), Some("forgery"));
+    let events = get(&doc, "events").as_array().unwrap();
+    let last = events.last().unwrap();
+    assert_eq!(get(last, "kind").as_str(), Some("verdict"));
+    assert_eq!(get(last, "accepted_forgery").as_bool(), Some(true));
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -17,11 +17,9 @@ use ctc_core::attack::Emulator;
 use ctc_core::defense::{ChannelAssumption, Detector};
 use ctc_dsp::io::write_cf32;
 use ctc_dsp::Complex;
-#[cfg(feature = "telemetry")]
-use ctc_gateway::{FlightOptions, MetricsSnapshot};
 use ctc_gateway::{
-    GatewayConfig, GatewayError, GatewayServer, Input, Listener, NamedStream, ServerConfig,
-    ServerReport,
+    FlightOptions, GatewayConfig, GatewayError, GatewayServer, Input, Listener, MetricsSnapshot,
+    NamedStream, ServerConfig, ServerReport,
 };
 use ctc_obs::json::{self, JsonValue};
 use ctc_zigbee::Transmitter;
@@ -309,7 +307,6 @@ fn gateway_events_are_worker_pool_invariant() {
 }
 
 /// One parsed span record from the JSONL trace log.
-#[cfg(feature = "telemetry")]
 #[derive(Debug, Clone)]
 struct SpanRecord {
     span: u64,
@@ -319,7 +316,6 @@ struct SpanRecord {
     end_us: u64,
 }
 
-#[cfg(feature = "telemetry")]
 fn parse_trace(text: &str) -> Vec<SpanRecord> {
     text.lines()
         .map(|l| SpanRecord {
@@ -337,7 +333,6 @@ fn parse_trace(text: &str) -> Vec<SpanRecord> {
 /// `end_us` is the next stage's `start_us` (the pipeline hands the same
 /// `Instant` across every boundary), timestamps are monotonic, and the
 /// chain is invariant under worker-pool size — only the numbers may vary.
-#[cfg(feature = "telemetry")]
 #[test]
 fn trace_log_reconstructs_contiguous_stage_chains() {
     const CHAIN: [&str; 5] = ["ingest", "queue", "decode", "classify", "emit"];
@@ -386,13 +381,11 @@ fn trace_log_reconstructs_contiguous_stage_chains() {
 }
 
 /// A client that is silent for `wait` before it sends its bytes.
-#[cfg(feature = "telemetry")]
 struct LateReader<'a> {
     wait: Option<Duration>,
     bytes: &'a [u8],
 }
 
-#[cfg(feature = "telemetry")]
 impl Read for LateReader<'_> {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         if let Some(wait) = self.wait.take() {
@@ -406,7 +399,6 @@ impl Read for LateReader<'_> {
 /// the gateway starts waiting for it: a client's silence before it sends
 /// is not gateway work, in the span log or in the incident digest the
 /// flight recorder builds from the same stage events.
-#[cfg(feature = "telemetry")]
 #[test]
 fn ingest_span_starts_when_the_data_arrives() {
     const SILENCE: Duration = Duration::from_millis(300);
@@ -460,7 +452,6 @@ fn ingest_span_starts_when_the_data_arrives() {
 /// A run published into a registry must expose the canonical metric names
 /// with values matching the report — the contract `ctc monitor
 /// --metrics-addr` and the CI metrics smoke step scrape against.
-#[cfg(feature = "telemetry")]
 #[test]
 fn registry_exposes_canonical_names_after_a_run() {
     let (bytes, total) = synthetic_capture(11);
@@ -726,7 +717,6 @@ fn serves_32_concurrent_tcp_streams() {
 /// pipeline thresholds the same DE² statistic), and publishes
 /// `ctc_detector_score{feature=...}` gauges — while the legacy
 /// configuration's lines stay byte-identical (no `score`/`features`).
-#[cfg(feature = "telemetry")]
 #[test]
 fn pipeline_run_carries_per_feature_scores() {
     use ctc_core::defense::DetectionPipeline;
@@ -797,7 +787,6 @@ fn pipeline_run_carries_per_feature_scores() {
 /// counters. Each total is folded from the sessions when read, so every
 /// unlabelled gateway sample — each latency bucket included — and every
 /// report counter equals the sum over the sessions.
-#[cfg(feature = "telemetry")]
 #[test]
 fn per_stream_metrics_are_scrapeable() {
     let (bytes, total) = synthetic_capture(25);

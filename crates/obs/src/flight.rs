@@ -70,8 +70,8 @@ pub enum EventKind {
     /// A burst capture closed at ingest (`a` = start sample offset,
     /// `b` = samples in the capture).
     Burst = 3,
-    /// One pipeline stage boundary (`a` = stage id, see [`stage_name`];
-    /// `b` = duration in µs).
+    /// One pipeline stage boundary (`a` = the
+    /// [`SpanStage`](crate::SpanStage) id, `b` = duration in µs).
     Stage = 4,
     /// A detector verdict (`a` = flag bits, see [`FlightEvent::
     /// VERDICT_DECODED`] and friends; `b` = DE² statistic bits; fused
@@ -116,23 +116,6 @@ impl EventKind {
             _ => return None,
         })
     }
-}
-
-/// Pipeline stage ids carried by [`EventKind::Stage`] events. The table
-/// mirrors the span stages the trace sink records.
-pub const STAGE_NAMES: [&str; 6] = ["ingest", "queue", "decode", "classify", "emit", "drop"];
-
-/// The id of a named pipeline stage (unknown names map to the last id).
-pub fn stage_id(name: &str) -> u64 {
-    STAGE_NAMES
-        .iter()
-        .position(|s| *s == name)
-        .unwrap_or(STAGE_NAMES.len() - 1) as u64
-}
-
-/// The name of a stage id (out-of-range ids render as `"stage?"`).
-pub fn stage_name(id: u64) -> &'static str {
-    STAGE_NAMES.get(id as usize).copied().unwrap_or("stage?")
 }
 
 /// One decoded journal entry. Fixed-size and `Copy`: events are built
@@ -549,15 +532,6 @@ mod tests {
         }
         assert_eq!(rec.recorded(), 8000);
         assert_eq!(rec.events().len(), 32);
-    }
-
-    #[test]
-    fn stage_table_round_trips() {
-        for (i, name) in STAGE_NAMES.iter().enumerate() {
-            assert_eq!(stage_id(name), i as u64);
-            assert_eq!(stage_name(i as u64), *name);
-        }
-        assert_eq!(stage_name(99), "stage?");
     }
 
     #[cfg(unix)]

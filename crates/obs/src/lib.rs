@@ -78,4 +78,4 @@ pub use process::register_process_metrics;
 pub use registry::{Registry, ScopedRegistry};
 pub use scrape::{Scrape, ScrapeError, ScrapeSample, ScrapedHistogram};
 pub use snapshot::SnapshotBuilder;
-pub use trace::{next_span_id, TraceSink};
+pub use trace::{next_span_id, SpanStage, TraceSink};

@@ -18,9 +18,10 @@
 //! incident snapshots, loadgen breach reports, and `ctc obs dump
 //! --json` all emit the same shape.
 
-use crate::flight::{stage_name, EventKind, FlightEvent, FlightRecorder, STAGE_NAMES};
+use crate::flight::{EventKind, FlightEvent, FlightRecorder};
 use crate::json::{array, JsonObject};
 use crate::scrape::{Scrape, ScrapeSample};
+use crate::trace::SpanStage;
 use std::collections::BTreeMap;
 
 fn labels_json(labels: &[(String, String)]) -> String {
@@ -97,7 +98,10 @@ pub fn event_json(ev: &FlightEvent, feature_names: &[String]) -> String {
         EventKind::SessionOpen => o.uint("shard", ev.a),
         EventKind::SessionClose => o.bool("error", ev.a == 1),
         EventKind::Burst => o.uint("start", ev.a).uint("samples", ev.b),
-        EventKind::Stage => o.string("stage", stage_name(ev.a)).uint("dur_us", ev.b),
+        EventKind::Stage => {
+            let stage = SpanStage::from_id(ev.a).map_or("stage?", SpanStage::name);
+            o.string("stage", stage).uint("dur_us", ev.b)
+        }
         EventKind::Verdict => {
             let mut scores = JsonObject::new();
             for (i, v) in ev.feature_scores().iter().enumerate() {
@@ -128,7 +132,7 @@ pub fn event_json(ev: &FlightEvent, feature_names: &[String]) -> String {
 /// Per-stage latency summary computed from the journaled [`EventKind::
 /// Stage`] durations in the snapshot window.
 fn stages_json(events: &[FlightEvent]) -> String {
-    let mut per_stage: Vec<Vec<u64>> = vec![Vec::new(); STAGE_NAMES.len()];
+    let mut per_stage: Vec<Vec<u64>> = vec![Vec::new(); SpanStage::ALL.len()];
     for ev in events {
         if ev.kind == EventKind::Stage {
             if let Some(durs) = per_stage.get_mut(ev.a as usize) {
@@ -137,7 +141,7 @@ fn stages_json(events: &[FlightEvent]) -> String {
         }
     }
     let mut out = JsonObject::new();
-    for (id, durs) in per_stage.iter_mut().enumerate() {
+    for (stage, durs) in SpanStage::ALL.iter().zip(&mut per_stage) {
         if durs.is_empty() {
             continue;
         }
@@ -154,7 +158,7 @@ fn stages_json(events: &[FlightEvent]) -> String {
             .uint("p99_us", pct(0.99))
             .uint("max_us", durs[durs.len() - 1])
             .finish();
-        out = out.raw(stage_name(id as u64), &summary);
+        out = out.raw(stage.name(), &summary);
     }
     out.finish()
 }
@@ -330,8 +334,9 @@ mod tests {
     #[test]
     fn snapshot_bounds_at_trigger_and_summarizes_stages() {
         let rec = FlightRecorder::with_capacity(32);
-        rec.record(FlightEvent::new(EventKind::Stage, 1, 0, 5).with_args(2, 40));
-        rec.record(FlightEvent::new(EventKind::Stage, 1, 0, 6).with_args(2, 60));
+        let decode = SpanStage::Decode as u64;
+        rec.record(FlightEvent::new(EventKind::Stage, 1, 0, 5).with_args(decode, 40));
+        rec.record(FlightEvent::new(EventKind::Stage, 1, 0, 6).with_args(decode, 60));
         let trigger = rec.record(
             FlightEvent::new(EventKind::Verdict, 1, 0, 7)
                 .with_args(FlightEvent::VERDICT_ACCEPTED, 0),

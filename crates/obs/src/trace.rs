@@ -16,11 +16,57 @@
 //!
 //! Span ID `0` is reserved as the "tracing disabled" sentinel; sinks ignore
 //! records carrying it, so instrumented code can record unconditionally.
+//!
+//! The stages are a closed set, [`SpanStage`]: trace lines print its
+//! names, and flight-recorder `stage` events carry its ids.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+/// One pipeline stage of a span. The discriminant is the stage's id in
+/// flight-recorder [`EventKind::Stage`](crate::flight::EventKind::Stage)
+/// events; [`name`](SpanStage::name) is what trace lines and incident
+/// snapshots print.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum SpanStage {
+    /// Data arrival to enqueue.
+    Ingest = 0,
+    /// Enqueue to dequeue by a worker.
+    Queue = 1,
+    /// 802.15.4 decode.
+    Decode = 2,
+    /// Detector verdict.
+    Classify = 3,
+    /// Verdict to the event line's write.
+    Emit = 4,
+    /// Enqueue to being shed by the drop budget.
+    Drop = 5,
+}
+
+impl SpanStage {
+    /// Every stage, in id order.
+    pub const ALL: [SpanStage; 6] = [
+        SpanStage::Ingest,
+        SpanStage::Queue,
+        SpanStage::Decode,
+        SpanStage::Classify,
+        SpanStage::Emit,
+        SpanStage::Drop,
+    ];
+
+    /// The stage's lowercase name.
+    pub fn name(self) -> &'static str {
+        ["ingest", "queue", "decode", "classify", "emit", "drop"][self as usize]
+    }
+
+    /// The stage whose id is `id`, if any.
+    pub fn from_id(id: u64) -> Option<SpanStage> {
+        SpanStage::ALL.get(usize::try_from(id).ok()?).copied()
+    }
+}
 
 /// Allocates a fresh process-unique span ID (never `0`).
 pub fn next_span_id() -> u64 {
@@ -76,10 +122,11 @@ impl TraceSink {
     /// Records one stage interval for `span` (sequence number `seq` ties
     /// the span to the emitted frame line). Records with `span == 0` are
     /// dropped — that is the "tracing disabled" sentinel.
-    pub fn record(&self, span: u64, seq: u64, stage: &str, start: Instant, end: Instant) {
+    pub fn record(&self, span: u64, seq: u64, stage: SpanStage, start: Instant, end: Instant) {
         if span == 0 {
             return;
         }
+        let stage = stage.name();
         let start_us = end_us_since(self.epoch, start);
         let end_us = end_us_since(self.epoch, end);
         let mut inner = self.inner.lock().expect("trace sink poisoned");
@@ -132,6 +179,22 @@ mod tests {
         }
     }
 
+    /// Trace lines, flight `stage` events and snapshot digests all key
+    /// on these ids and names; they are a wire format.
+    #[test]
+    fn stage_ids_and_names_are_stable() {
+        let names: Vec<&str> = SpanStage::ALL.iter().map(|s| s.name()).collect();
+        assert_eq!(
+            names,
+            ["ingest", "queue", "decode", "classify", "emit", "drop"]
+        );
+        for (id, stage) in SpanStage::ALL.iter().enumerate() {
+            assert_eq!(*stage as u64, id as u64);
+            assert_eq!(SpanStage::from_id(id as u64), Some(*stage));
+        }
+        assert_eq!(SpanStage::from_id(99), None);
+    }
+
     #[test]
     fn span_ids_are_unique_and_nonzero() {
         let mut seen = std::collections::HashSet::new();
@@ -148,7 +211,7 @@ mod tests {
         let sink = TraceSink::new(Box::new(buf.clone()));
         let t0 = sink.epoch() + Duration::from_micros(10);
         let t1 = sink.epoch() + Duration::from_micros(25);
-        sink.record(7, 3, "decode", t0, t1);
+        sink.record(7, 3, SpanStage::Decode, t0, t1);
         sink.flush();
         let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         assert_eq!(
@@ -162,7 +225,7 @@ mod tests {
         let buf = SharedBuf::default();
         let sink = TraceSink::new(Box::new(buf.clone()));
         let now = Instant::now();
-        sink.record(0, 0, "ingest", now, now);
+        sink.record(0, 0, SpanStage::Ingest, now, now);
         sink.flush();
         assert!(buf.0.lock().unwrap().is_empty());
     }
@@ -177,7 +240,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let now = Instant::now();
                     for i in 0..200 {
-                        sink.record(t + 1, i, "stage", now, now);
+                        sink.record(t + 1, i, SpanStage::Queue, now, now);
                     }
                 })
             })

@@ -193,11 +193,12 @@ impl Payload {
         })
     }
 
-    fn payload_bytes_len(kind: Kind, count: usize) -> usize {
+    /// Payload bytes for `count` elements (`None` on overflow).
+    fn payload_bytes_len(kind: Kind, count: usize) -> Option<usize> {
         match kind {
-            Kind::Samples => count * 16,
-            Kind::Scalars => count * 8,
-            Kind::Bytes | Kind::Text => count,
+            Kind::Samples => count.checked_mul(16),
+            Kind::Scalars => count.checked_mul(8),
+            Kind::Bytes | Kind::Text => Some(count),
         }
     }
 }
@@ -267,8 +268,11 @@ impl Vector {
         let name_len = u32::from_le_bytes(r.take(4)?.try_into().expect("4 bytes")) as usize;
         let name = String::from_utf8(r.take(name_len)?.to_vec())
             .map_err(|_| bad_data("vector name is not UTF-8"))?;
-        let count = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes")) as usize;
-        let payload_bytes = r.take(Payload::payload_bytes_len(kind, count))?;
+        let count = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes"));
+        let too_large = || bad_data(&format!("element count {count} is too large"));
+        let count = usize::try_from(count).map_err(|_| too_large())?;
+        let payload_len = Payload::payload_bytes_len(kind, count).ok_or_else(too_large)?;
+        let payload_bytes = r.take(payload_len)?;
         let stored_sum = u64::from_le_bytes(r.take(8)?.try_into().expect("8 bytes"));
         let actual_sum = fnv1a64(payload_bytes);
         if stored_sum != actual_sum {

@@ -22,9 +22,9 @@
 #
 #   ./scripts/bench_smoke.sh BENCH_baseline.json
 #
-# The default (telemetry-on) flavor runs with the flight recorder
-# attached at its default ring capacity, so the gate below prices in the
-# recorder's hot-path journaling; --scalar compiles it out entirely.
+# Both flavors run with the flight recorder attached at its default ring
+# capacity, so the gate below prices in the recorder's hot-path
+# journaling; --scalar changes only the lane kernels.
 #
 # The vendored criterion stub prints one line per bench:
 #   <name>: <ns> ns/iter  (<rate> M/s)
