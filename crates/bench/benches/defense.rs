@@ -49,14 +49,14 @@ fn bench_feature_extraction(c: &mut Criterion) {
     group.finish();
 }
 
-/// End-to-end: receive one frame and run the detector.
+/// End-to-end: receive one frame and run the detector. The Ideal case
+/// reads only the cumulant half; the Real case also runs the line search.
 fn bench_detect_frame(c: &mut Criterion) {
     let wave = Transmitter::new()
         .transmit_payload(b"00000")
         .expect("short payload");
     let rx = Receiver::usrp();
     let reception = rx.receive(&wave);
-    let detector = Detector::new(ChannelAssumption::Real);
     let mut group = c.benchmark_group("detector");
     group.sample_size(30);
     group.bench_function("receive_frame", |b| {
@@ -65,13 +65,19 @@ fn bench_detect_frame(c: &mut Criterion) {
     group.bench_function("constellation_reconstruction", |b| {
         b.iter(|| constellation_from_reception(std::hint::black_box(&reception)))
     });
-    group.bench_function("detect", |b| {
-        b.iter(|| {
-            detector
-                .detect(std::hint::black_box(&reception))
-                .expect("samples")
-        })
-    });
+    for (name, assumption) in [
+        ("detect_ideal", ChannelAssumption::Ideal),
+        ("detect_real", ChannelAssumption::Real),
+    ] {
+        let detector = Detector::new(assumption);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                detector
+                    .detect(std::hint::black_box(&reception))
+                    .expect("samples")
+            })
+        });
+    }
     group.finish();
 }
 

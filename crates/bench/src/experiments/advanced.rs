@@ -8,7 +8,7 @@ use crate::trials::mean;
 use ctc_channel::interference::Interferer;
 use ctc_channel::Link;
 use ctc_core::attack::{Emulator, FullFrameAttack, LeastSquaresEmulator};
-use ctc_core::defense::{features_from_reception, ChannelAssumption, Detector};
+use ctc_core::defense::{cumulant_features_from_reception, ChannelAssumption, Detector};
 use ctc_dsp::psd::{welch_psd, Window};
 use ctc_dsp::Complex;
 use ctc_wifi::WifiReceiver;
@@ -62,7 +62,7 @@ pub fn arms_race(results: PathBuf, per_class: usize) -> Box<dyn Experiment> {
                 ROLE_BASE_OK | ROLE_LS_OK => {
                     vec![flag(crate::trials::packet_ok(&r, b"00000"))]
                 }
-                _ => match features_from_reception(&r) {
+                _ => match cumulant_features_from_reception(&r) {
                     Ok(f) => vec![f.de_squared_ideal()],
                     Err(_) => vec![],
                 },

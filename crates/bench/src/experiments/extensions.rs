@@ -6,7 +6,7 @@ use crate::report::{f2, f4, markdown_table, pct, write_csv};
 use crate::trials::mean;
 use ctc_channel::Link;
 use ctc_core::attack::{Emulator, SpectralMode, SynthesisMode};
-use ctc_core::defense::{features_from_reception, ChannelAssumption, Detector};
+use ctc_core::defense::{cumulant_features_from_reception, ChannelAssumption, Detector};
 use ctc_dsp::metrics::{correlation, normalize_power};
 use ctc_zigbee::Receiver;
 use rand::rngs::StdRng;
@@ -28,7 +28,7 @@ pub fn roc(results: PathBuf, snr_db: f64, per_class: usize) -> Box<dyn Experimen
                 &pair.emulated
             };
             let r = Receiver::usrp().receive(&Link::awgn(snr_db).transmit(wave, rng));
-            Ok(match features_from_reception(&r) {
+            Ok(match cumulant_features_from_reception(&r) {
                 Ok(f) => vec![f.de_squared_ideal()],
                 Err(_) => vec![],
             })
@@ -342,7 +342,7 @@ pub fn gap_summary(results: PathBuf, per_class: usize) -> Box<dyn Experiment> {
             };
             let link = Link::awgn(GAP_SNRS[cell / 2]);
             let r = Receiver::usrp().receive(&link.transmit(wave, rng));
-            Ok(match features_from_reception(&r) {
+            Ok(match cumulant_features_from_reception(&r) {
                 Ok(f) => vec![f.de_squared_ideal()],
                 Err(_) => vec![],
             })

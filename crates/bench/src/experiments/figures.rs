@@ -8,7 +8,7 @@ use crate::report::{f2, f4, markdown_table, pct, write_csv};
 use crate::trials::{mean, std_dev};
 use ctc_channel::Link;
 use ctc_core::defense::naive::{cp_similarity_4mhz, phase_trend, phase_trend_similarity};
-use ctc_core::defense::{constellation_from_reception, features_from_reception};
+use ctc_core::defense::{constellation_from_reception, cumulant_features_from_reception};
 use ctc_dsp::kmeans::kmeans;
 use ctc_dsp::metrics::normalize_power;
 use ctc_zigbee::Receiver;
@@ -392,7 +392,7 @@ pub fn fig10_11(results: PathBuf, per_point: usize) -> Box<dyn Experiment> {
             };
             let link = Link::awgn(FIG10_SNRS[cell / 2]);
             let r = Receiver::usrp().receive(&link.transmit(wave, rng));
-            Ok(match features_from_reception(&r) {
+            Ok(match cumulant_features_from_reception(&r) {
                 Ok(f) => vec![f.c40.re, f.c42],
                 Err(_) => vec![],
             })
@@ -492,7 +492,7 @@ pub fn fig12(results: PathBuf, train: usize, test: usize) -> Box<dyn Experiment>
             };
             let link = Link::awgn(FIG12_SNRS[cell / 4]);
             let r = Receiver::usrp().receive(&link.transmit(wave, rng));
-            Ok(match features_from_reception(&r) {
+            Ok(match cumulant_features_from_reception(&r) {
                 Ok(f) => vec![f.de_squared_ideal()],
                 Err(_) => vec![f64::NAN],
             })

@@ -423,7 +423,7 @@ pub fn alignment(results: PathBuf) -> Box<dyn Experiment> {
             observed.extend_from_slice(&frame);
             let forged = emulator.received_at_zigbee(&emulator.emulate(&observed));
             let r = rx.receive(&forged);
-            let de = ctc_core::defense::features_from_reception(&r)
+            let de = ctc_core::defense::cumulant_features_from_reception(&r)
                 .map(|f| f.de_squared_ideal())
                 .unwrap_or(f64::NAN);
             let decoded = r.payload() == Some(&b"00000"[..]);

@@ -6,7 +6,7 @@ use crate::trials::mean;
 use ctc_channel::pathloss::{rssi_dbm, PathLoss};
 use ctc_channel::Link;
 use ctc_core::attack::spectrum::{block_spectra, select_subcarriers};
-use ctc_core::defense::features_from_reception;
+use ctc_core::defense::{cumulant_features_from_reception, features_from_reception};
 use ctc_dsp::cumulants::{Cumulants, Modulation};
 use ctc_dsp::resample::interpolate;
 use ctc_dsp::Complex;
@@ -210,7 +210,7 @@ pub fn table4(results: PathBuf, per_class: usize) -> Box<dyn Experiment> {
             };
             let link = Link::awgn(TABLE4_SNRS[cell / 2]);
             let r = Receiver::usrp().receive(&link.transmit(wave, rng));
-            Ok(match features_from_reception(&r) {
+            Ok(match cumulant_features_from_reception(&r) {
                 Ok(f) => vec![f.de_squared_ideal()],
                 Err(_) => vec![],
             })

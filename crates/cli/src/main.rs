@@ -24,8 +24,8 @@
 use ctc_core::attack::{Emulator, EnergyDetector, SpectralMode, SynthesisMode};
 use ctc_core::defense::pipeline::de2_feature;
 use ctc_core::defense::{
-    train_logistic, train_stumps, ChannelAssumption, DetectionPipeline, Detector, FeatureInput,
-    FeatureVector, LabelledSample, Roc,
+    features_from_reception, train_logistic, train_stumps, ChannelAssumption, DetectError,
+    DetectionPipeline, Detector, FeatureInput, FeatureVector, LabelledSample, Roc,
 };
 use ctc_dsp::io::{write_cf32_file, Cf32Reader};
 use ctc_dsp::psd::{welch_psd, Window};
@@ -226,6 +226,25 @@ impl Args {
                 .map_err(|_| format!("--{key} expects a number, got {v:?}")),
         }
     }
+
+    /// [`parse_num`](Self::parse_num) for a value that must also pass
+    /// `valid`; `what` names the accepted range in the error. `f64::from_str`
+    /// accepts `NaN`, `inf` and overflowing exponents, which would
+    /// otherwise reach the program as values.
+    fn parse_f64_where(
+        &self,
+        key: &str,
+        what: &str,
+        valid: impl Fn(f64) -> bool,
+    ) -> Result<Option<f64>, String> {
+        match self.parse_num::<f64>(key)? {
+            Some(v) if !valid(v) => Err(format!(
+                "--{key} expects {what}, got {:?}",
+                self.get(key).unwrap_or_default()
+            )),
+            v => Ok(v),
+        }
+    }
 }
 
 /// Reads a whole waveform from an input spec (file, `-`, `tcp://addr`),
@@ -403,10 +422,18 @@ fn detector_from(args: &Args) -> Result<Detector, String> {
         ChannelAssumption::Ideal
     };
     let mut detector = Detector::new(assumption);
-    if let Some(q) = args.parse_num::<f64>("threshold")? {
+    let finite_positive = |q: f64| q.is_finite() && q > 0.0;
+    if let Some(q) =
+        args.parse_f64_where("threshold", "a finite positive number", finite_positive)?
+    {
         detector = detector.with_threshold(q);
     }
     Ok(detector)
+}
+
+/// A `--stats` interval a [`Duration`] can hold; 0 turns stats lines off.
+fn is_stats_interval(secs: f64) -> bool {
+    Duration::try_from_secs_f64(secs).is_ok()
 }
 
 /// Parses the `--flight-*` flags into the gateway's flight-recorder
@@ -460,14 +487,16 @@ fn cmd_detect(args: &Args) -> Result<ExitCode, String> {
     let rx = receiver_from(args)?;
     let detector = detector_from(args)?;
     let r = rx.receive(&wave);
-    let v = detector
-        .detect(&r)
-        .map_err(|e| format!("detection failed: {e}"))?;
+    // Both halves of the features: the report prints |Ĉ40| whatever the
+    // channel assumption.
+    let f = features_from_reception(&r)
+        .map_err(|_| format!("detection failed: {}", DetectError::NoSamples))?;
+    let v = detector.verdict_for(&f);
     println!(
         "Ĉ40 = {:.4}{:+.4}i  |Ĉ40| = {:.4}  Ĉ42 = {:.4}  ({} chip pairs)",
         v.features.c40.re,
         v.features.c40.im,
-        v.features.c40_magnitude,
+        f.c40_magnitude,
         v.features.c42,
         v.features.sample_count
     );
@@ -572,7 +601,7 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     if let Some(n) = args.parse_num::<usize>("max-burst")? {
         builder = builder.max_burst(n);
     }
-    if let Some(secs) = args.parse_num::<f64>("stats")? {
+    if let Some(secs) = args.parse_f64_where("stats", "seconds, 0 for none", is_stats_interval)? {
         builder = builder.stats_interval(if secs > 0.0 {
             Some(Duration::from_secs_f64(secs))
         } else {
@@ -1585,6 +1614,33 @@ mod tests {
         let a = args(&["--threshold", "abc"]);
         let e = a.parse_num::<f64>("threshold").unwrap_err();
         assert!(e.contains("threshold"));
+    }
+
+    #[test]
+    fn threshold_must_be_finite_and_positive() {
+        for bad in ["0", "-0", "-1", "NaN", "nan", "inf", "-inf", "1e999", "abc"] {
+            let e = detector_from(&args(&["--threshold", bad])).unwrap_err();
+            assert!(
+                e.starts_with("--threshold expects") && !e.contains('\n'),
+                "{bad}: {e}"
+            );
+        }
+        for (good, q) in [("0.25", 0.25), ("1e-9", 1e-9), ("3", 3.0)] {
+            let detector = detector_from(&args(&["--threshold", good])).unwrap();
+            assert_eq!(detector.threshold(), q);
+        }
+        assert_eq!(detector_from(&args(&[])).unwrap().threshold(), 0.5);
+    }
+
+    #[test]
+    fn stats_interval_must_be_a_duration() {
+        let stats = |v: &str| args(&["--stats", v]).parse_f64_where("stats", "", is_stats_interval);
+        for bad in ["inf", "NaN", "-1", "1e999", "1e300"] {
+            let e = stats(bad).unwrap_err();
+            assert!(e.starts_with("--stats expects"), "{bad}: {e}");
+        }
+        assert_eq!(stats("0").unwrap(), Some(0.0));
+        assert_eq!(stats("2.5").unwrap(), Some(2.5));
     }
 
     #[test]

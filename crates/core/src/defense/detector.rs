@@ -7,8 +7,12 @@
 //! when `DE² > Q`. The paper derives `Q = 0.5` from its training data; the
 //! [`Detector::calibrate`] constructor re-derives a threshold from training
 //! receptions the same way (midpoint of the gap between the two classes).
+//!
+//! The ideal-channel statistic reads only the cumulant half of the features
+//! ([`CumulantFeatures`]); the detector runs the `|Ĉ40|` line search only
+//! under [`ChannelAssumption::Real`], the one variant that reads it.
 
-use crate::defense::features::{features_from_reception, Features};
+use crate::defense::features::{constellation_from_reception, CumulantFeatures, Features};
 use ctc_dsp::Complex;
 use ctc_zigbee::Reception;
 
@@ -23,17 +27,23 @@ pub enum ChannelAssumption {
 }
 
 impl ChannelAssumption {
-    /// The DE² statistic this assumption reads from estimated features —
-    /// the single place the `Ideal`/`Real` flavour choice lives, shared by
-    /// [`Detector::detect`], [`Detector::detect_aggregated`],
-    /// [`Detector::statistic_for_points`], calibration and the detection
-    /// pipeline ([`crate::defense::pipeline`]).
+    /// The DE² statistic this assumption reads from features with both
+    /// halves estimated.
     pub fn de_squared(self, features: &Features) -> f64 {
         match self {
             ChannelAssumption::Ideal => features.de_squared_ideal(),
             ChannelAssumption::Real => features.de_squared_real(),
         }
     }
+}
+
+/// The decision rule the [`Detector`] and every pipeline
+/// [`Classifier`](crate::defense::Classifier) share: attack when `score`
+/// exceeds `threshold`, and whenever `score` is not finite. A statistic a
+/// NaN sample or an overflow made meaningless must never pass a frame as
+/// authentic.
+pub(crate) fn decides_attack(score: f64, threshold: f64) -> bool {
+    !score.is_finite() || score > threshold
 }
 
 /// Outcome of one detection.
@@ -43,8 +53,10 @@ pub struct Verdict {
     pub de_squared: f64,
     /// `true` = `H1` (WiFi attacker).
     pub is_attack: bool,
-    /// The features behind the decision.
-    pub features: Features,
+    /// The cumulant half of the features behind the decision. Under
+    /// [`ChannelAssumption::Real`] the statistic also read the line
+    /// search's `|Ĉ40|`, which the verdict does not carry.
+    pub features: CumulantFeatures,
 }
 
 /// Errors from detection.
@@ -103,9 +115,13 @@ impl Detector {
     ///
     /// # Panics
     ///
-    /// Panics if `q <= 0`.
+    /// Panics unless `q` is finite and positive: a NaN or infinite `Q`
+    /// would pass every frame as authentic.
     pub fn with_threshold(mut self, q: f64) -> Self {
-        assert!(q > 0.0, "threshold must be positive");
+        assert!(
+            q.is_finite() && q > 0.0,
+            "threshold must be finite and positive"
+        );
         self.threshold = q;
         self
     }
@@ -120,10 +136,8 @@ impl Detector {
         zigbee_training: &[Reception],
         emulated_training: &[Reception],
     ) -> Self {
-        let stat = |r: &Reception| -> Option<f64> {
-            let f = features_from_reception(r).ok()?;
-            Some(assumption.de_squared(&f))
-        };
+        let detector = Detector::new(assumption);
+        let stat = |r: &Reception| detector.statistic_for_points(&constellation_from_reception(r));
         let zig: Vec<f64> = zigbee_training.iter().filter_map(stat).collect();
         let emu: Vec<f64> = emulated_training.iter().filter_map(stat).collect();
         Self::calibrate_from_stats(assumption, &zig, &emu)
@@ -166,19 +180,32 @@ impl Detector {
 
     /// Computes the statistic for explicit constellation points.
     pub fn statistic_for_points(&self, points: &[Complex]) -> Option<f64> {
-        let f = Features::estimate(points).ok()?;
-        Some(self.assumption.de_squared(&f))
+        self.verdict_for_points(points).ok().map(|v| v.de_squared)
     }
 
-    /// The verdict for already-estimated features: the one place the
-    /// statistic meets the threshold. `detect` and `detect_aggregated`
-    /// used to repeat this match inline; the detection pipeline's legacy
-    /// configuration reuses it for bit-identical decisions.
-    pub fn verdict_for(&self, features: Features) -> Verdict {
-        let de_squared = self.assumption.de_squared(&features);
+    /// The verdict for features with both halves already estimated (what
+    /// `ctc detect` prints).
+    pub fn verdict_for(&self, features: &Features) -> Verdict {
+        self.decide(features.cumulants, self.assumption.de_squared(features))
+    }
+
+    /// The verdict for constellation points, with the DE² bit-equal to
+    /// [`ChannelAssumption::de_squared`] of [`Features::estimate`]. Only
+    /// [`ChannelAssumption::Real`] runs the line search.
+    fn verdict_for_points(&self, points: &[Complex]) -> Result<Verdict, DetectError> {
+        let cumulants = CumulantFeatures::estimate(points).map_err(|_| DetectError::NoSamples)?;
+        let de_squared = match self.assumption {
+            ChannelAssumption::Ideal => cumulants.de_squared_ideal(),
+            ChannelAssumption::Real => Features::with_line(cumulants, points).de_squared_real(),
+        };
+        Ok(self.decide(cumulants, de_squared))
+    }
+
+    /// The one place the statistic meets the threshold.
+    fn decide(&self, features: CumulantFeatures, de_squared: f64) -> Verdict {
         Verdict {
             de_squared,
-            is_attack: de_squared > self.threshold,
+            is_attack: decides_attack(de_squared, self.threshold),
             features,
         }
     }
@@ -189,8 +216,7 @@ impl Detector {
     ///
     /// Returns [`DetectError::NoSamples`] when no chip samples exist.
     pub fn detect(&self, reception: &Reception) -> Result<Verdict, DetectError> {
-        let features = features_from_reception(reception).map_err(|_| DetectError::NoSamples)?;
-        Ok(self.verdict_for(features))
+        self.verdict_for_points(&constellation_from_reception(reception))
     }
 
     /// Aggregated detection: pools the constellation points of several
@@ -212,11 +238,9 @@ impl Detector {
     pub fn detect_aggregated(&self, receptions: &[Reception]) -> Result<Verdict, DetectError> {
         let mut points = Vec::new();
         for r in receptions {
-            points.extend(crate::defense::features::constellation_from_reception(r));
+            points.extend(constellation_from_reception(r));
         }
-        let features = crate::defense::features::Features::estimate(&points)
-            .map_err(|_| DetectError::NoSamples)?;
-        Ok(self.verdict_for(features))
+        self.verdict_for_points(&points)
     }
 }
 
@@ -325,6 +349,52 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_threshold_rejected() {
         let _ = Detector::default().with_threshold(0.0);
+    }
+
+    #[test]
+    fn non_finite_thresholds_rejected() {
+        for q in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let caught = std::panic::catch_unwind(|| Detector::default().with_threshold(q));
+            assert!(caught.is_err(), "Q = {q} accepted");
+        }
+    }
+
+    #[test]
+    fn non_finite_statistic_decides_attack() {
+        for score in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(decides_attack(score, 0.25), "{score} passed as authentic");
+        }
+        assert!(!decides_attack(0.25, 0.25));
+        assert!(decides_attack(0.2500001, 0.25));
+    }
+
+    #[test]
+    fn non_finite_features_give_attack_verdicts() {
+        let clean = zigbee_reception(17.0, 810);
+        // One NaN sample, as a poisoned capture delivers it.
+        let mut poisoned = clean.clone();
+        poisoned.raw_chip_samples.midpoints[7].re = f64::NAN;
+        let points = crate::defense::features::constellation_from_reception(&poisoned);
+        for assumption in [ChannelAssumption::Ideal, ChannelAssumption::Real] {
+            let det = Detector::new(assumption);
+            assert!(det.statistic_for_points(&points).unwrap().is_nan());
+            assert!(det.detect(&poisoned).unwrap().is_attack, "{assumption:?}");
+            let pooled = [clean.clone(), poisoned.clone()];
+            assert!(det.detect_aggregated(&pooled).unwrap().is_attack);
+            // ±inf reaching either statistic through its features.
+            let f = crate::defense::features::features_from_reception(&clean).unwrap();
+            assert!(!det.verdict_for(&f).is_attack);
+            for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                let mut f = f;
+                f.cumulants.c42 = bad;
+                let v = det.verdict_for(&f);
+                assert!(
+                    v.is_attack,
+                    "{assumption:?}: Ĉ42 = {bad} gave DE² {}",
+                    v.de_squared
+                );
+            }
+        }
     }
 
     #[test]

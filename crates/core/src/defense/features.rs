@@ -65,33 +65,79 @@ pub fn constellation_from_reception(reception: &Reception) -> Vec<Complex> {
         .collect()
 }
 
-/// Normalized fourth-order cumulant features of one constellation.
+/// The cumulant half of the features: everything one `cumulant_sums`
+/// pass over the constellation gives. The ideal-channel DE² (Sec. VI-B,
+/// eq. (10)) reads nothing else.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Features {
+pub struct CumulantFeatures {
     /// Normalized `Ĉ40 = C̃40 / C̃21²` (complex; rotates with channel phase
     /// and washes out under CFO — valid in the ideal scenario only).
     pub c40: Complex,
     /// Normalized `Ĉ42 = C̃42 / C̃21²` (real, rotation and CFO invariant).
     pub c42: f64,
-    /// `|Ĉ40|` from the fourth-power spectral-line search — invariant to
-    /// static phase offset and residual CFO (the Sec. VI-C estimator).
-    pub c40_magnitude: f64,
-    /// Rotation rate (radians per chip pair) at which the line peaked;
-    /// `4 x` the per-pair CFO.
-    pub line_frequency: f64,
     /// Number of constellation points used.
     pub sample_count: usize,
+    /// Mean power `C̃21`, which normalizes the line half's `|Ĉ40|`.
+    c21: f64,
 }
 
-impl Features {
-    /// Estimates features from constellation points.
+impl CumulantFeatures {
+    /// Estimates the cumulant half from constellation points.
     ///
     /// # Errors
     ///
     /// Returns [`EmptySamplesError`] for an empty point set.
     pub fn estimate(points: &[Complex]) -> Result<Self, EmptySamplesError> {
         let c = Cumulants::estimate(points)?;
-        let c21 = c.c21();
+        Ok(CumulantFeatures {
+            c40: c.c40_normalized(),
+            c42: c.c42_normalized(),
+            sample_count: c.sample_count(),
+            c21: c.c21(),
+        })
+    }
+
+    /// Squared Euclidean distance to the QPSK Voronoi point in the ideal
+    /// (AWGN, no phase offset) scenario:
+    /// `DE² = (Re Ĉ40 − 1)² + (Ĉ42 + 1)²`.
+    pub fn de_squared_ideal(&self) -> f64 {
+        (self.c40.re - QPSK_C40).powi(2) + (self.c42 - QPSK_C42).powi(2)
+    }
+}
+
+/// Both halves of the features of one constellation: the cumulant half
+/// plus the line half, `|Ĉ40|` and the line frequency from the
+/// fourth-power spectral-line search (Sec. VI-C). Only the readers of
+/// `|Ĉ40|` pay for the search: the real-channel DE², the feature
+/// ensemble's cumulant extractor, the golden corpus and `ctc detect`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Features {
+    /// The cumulant half: `Ĉ40`, `Ĉ42` and the point count.
+    pub cumulants: CumulantFeatures,
+    /// `|Ĉ40|` from the fourth-power spectral-line search — invariant to
+    /// static phase offset and residual CFO (the Sec. VI-C estimator).
+    pub c40_magnitude: f64,
+    /// Rotation rate (radians per chip pair) at which the line peaked;
+    /// `4 x` the per-pair CFO.
+    pub line_frequency: f64,
+}
+
+impl Features {
+    /// Estimates both halves from constellation points.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EmptySamplesError`] for an empty point set.
+    pub fn estimate(points: &[Complex]) -> Result<Self, EmptySamplesError> {
+        Ok(Features::with_line(
+            CumulantFeatures::estimate(points)?,
+            points,
+        ))
+    }
+
+    /// Adds the line half to `cumulants`, the cumulant half already
+    /// estimated from the same `points`.
+    pub(crate) fn with_line(cumulants: CumulantFeatures, points: &[Complex]) -> Self {
         // Fourth-power sequence for the spectral-line search.
         let z: Vec<Complex> = points
             .iter()
@@ -119,31 +165,29 @@ impl Features {
         // Normalize like the other cumulants. The `-3 C20²` correction is
         // omitted in the line estimator: under rotation C20 washes to ~0,
         // and for axis-aligned QPSK it is exactly 0.
+        let c21 = cumulants.c21;
         let c40_magnitude = if c21 > 0.0 {
             best_mag / (c21 * c21)
         } else {
             0.0
         };
-        Ok(Features {
-            c40: c.c40_normalized(),
-            c42: c.c42_normalized(),
+        Features {
+            cumulants,
             c40_magnitude,
             line_frequency: best_nu,
-            sample_count: c.sample_count(),
-        })
+        }
     }
 
-    /// Squared Euclidean distance to the QPSK Voronoi point in the ideal
-    /// (AWGN, no phase offset) scenario:
-    /// `DE² = (Re Ĉ40 − 1)² + (Ĉ42 + 1)²`.
+    /// The ideal-scenario DE² of the cumulant half
+    /// ([`CumulantFeatures::de_squared_ideal`]).
     pub fn de_squared_ideal(&self) -> f64 {
-        (self.c40.re - QPSK_C40).powi(2) + (self.c42 - QPSK_C42).powi(2)
+        self.cumulants.de_squared_ideal()
     }
 
     /// Squared distance using the offset-immune `|Ĉ40|` (Sec. VI-C):
     /// `DE² = (|Ĉ40| − 1)² + (Ĉ42 + 1)²`.
     pub fn de_squared_real(&self) -> f64 {
-        (self.c40_magnitude - QPSK_C40).powi(2) + (self.c42 - QPSK_C42).powi(2)
+        (self.c40_magnitude - QPSK_C40).powi(2) + (self.cumulants.c42 - QPSK_C42).powi(2)
     }
 }
 
@@ -154,6 +198,18 @@ impl Features {
 /// Returns [`EmptySamplesError`] when the reception captured no chip pairs.
 pub fn features_from_reception(reception: &Reception) -> Result<Features, EmptySamplesError> {
     Features::estimate(&constellation_from_reception(reception))
+}
+
+/// One-call cumulant-half extraction from a reception: everything the
+/// ideal-channel DE² reads, without the line search.
+///
+/// # Errors
+///
+/// Returns [`EmptySamplesError`] when the reception captured no chip pairs.
+pub fn cumulant_features_from_reception(
+    reception: &Reception,
+) -> Result<CumulantFeatures, EmptySamplesError> {
+    CumulantFeatures::estimate(&constellation_from_reception(reception))
 }
 
 #[cfg(test)]
@@ -175,8 +231,9 @@ mod tests {
     fn clean_zigbee_features_match_qpsk_theory() {
         let r = reception(60.0, 71);
         let f = features_from_reception(&r).unwrap();
-        assert!((f.c40.re - 1.0).abs() < 0.05, "C40 {:?}", f.c40);
-        assert!((f.c42 + 1.0).abs() < 0.05, "C42 {}", f.c42);
+        let c = f.cumulants;
+        assert!((c.c40.re - 1.0).abs() < 0.05, "C40 {:?}", c.c40);
+        assert!((c.c42 + 1.0).abs() < 0.05, "C42 {}", c.c42);
         assert!(
             (f.c40_magnitude - 1.0).abs() < 0.05,
             "|C40| {}",
@@ -226,9 +283,9 @@ mod tests {
         let r = Receiver::usrp().receive(&shifted);
         let f = features_from_reception(&r).unwrap();
         assert!(
-            f.c40.norm() < 0.6,
+            f.cumulants.c40.norm() < 0.6,
             "plain C40 should wash out under CFO, got {:?}",
-            f.c40
+            f.cumulants.c40
         );
         assert!(
             (f.c40_magnitude - 1.0).abs() < 0.1,
@@ -250,12 +307,13 @@ mod tests {
         let r = reception(20.0, 74);
         let pts = constellation_from_reception(&r);
         let f = Features::estimate(&pts).unwrap();
-        assert_eq!(f.sample_count, pts.len());
+        assert_eq!(f.cumulants.sample_count, pts.len());
     }
 
     #[test]
     fn empty_points_error() {
         assert!(Features::estimate(&[]).is_err());
+        assert!(CumulantFeatures::estimate(&[]).is_err());
     }
 
     #[test]

@@ -9,7 +9,10 @@ pub mod stream;
 
 pub use alternatives::{clustered_evm, EvmDetector, EvmVerdict};
 pub use detector::{ChannelAssumption, DetectError, Detector, Verdict};
-pub use features::{constellation_from_reception, features_from_reception, Features};
+pub use features::{
+    constellation_from_reception, cumulant_features_from_reception, features_from_reception,
+    CumulantFeatures, Features,
+};
 pub use pipeline::{
     standard_extractors, train_logistic, train_stumps, Classifier, DetectionPipeline,
     FeatureExtractor, FeatureInput, FeatureVector, LabelledSample, PipelineScores, PipelineVerdict,

@@ -26,8 +26,8 @@
 //! visible to JSONL events and Prometheus metrics.
 
 use crate::defense::alternatives::clustered_evm;
-use crate::defense::detector::{ChannelAssumption, DetectError, Detector, Verdict};
-use crate::defense::features::Features;
+use crate::defense::detector::{decides_attack, ChannelAssumption, DetectError, Detector, Verdict};
+use crate::defense::features::{CumulantFeatures, Features};
 use crate::defense::naive::{cp_similarity_4mhz, phase_trend_similarity};
 use ctc_dsp::psd::{welch_psd, Window};
 use ctc_dsp::Complex;
@@ -37,16 +37,17 @@ use std::sync::Arc;
 
 /// Lazily shared per-burst inputs handed to every extractor.
 ///
-/// The constellation and its cumulant [`Features`] are computed at most
-/// once per burst no matter how many extractors read them — this is the
-/// single constellation→`Features::estimate` path that
-/// [`Detector::detect`] and [`Detector::detect_aggregated`] used to
-/// duplicate inline.
+/// The constellation, its [`CumulantFeatures`] and its full [`Features`]
+/// are each computed at most once per burst no matter how many extractors
+/// read them, and only when one does: the line search behind the full
+/// features runs on the first [`features`](Self::features) call and reuses
+/// the cumulant half.
 #[derive(Debug)]
 pub struct FeatureInput<'a> {
     reception: &'a Reception,
     samples: Option<&'a [Complex]>,
     constellation: OnceCell<Vec<Complex>>,
+    cumulants: OnceCell<Option<CumulantFeatures>>,
     features: OnceCell<Option<Features>>,
 }
 
@@ -58,6 +59,7 @@ impl<'a> FeatureInput<'a> {
             reception,
             samples: None,
             constellation: OnceCell::new(),
+            cumulants: OnceCell::new(),
             features: OnceCell::new(),
         }
     }
@@ -70,6 +72,7 @@ impl<'a> FeatureInput<'a> {
             reception,
             samples: Some(samples),
             constellation: OnceCell::new(),
+            cumulants: OnceCell::new(),
             features: OnceCell::new(),
         }
     }
@@ -90,12 +93,32 @@ impl<'a> FeatureInput<'a> {
             .get_or_init(|| crate::defense::features::constellation_from_reception(self.reception))
     }
 
-    /// Cumulant features of the constellation (computed once); `None` when
-    /// the reception carried no chip samples.
+    /// The cumulant half of the constellation's features (computed once);
+    /// `None` when the reception carried no chip samples.
+    pub(crate) fn cumulants(&self) -> Option<&CumulantFeatures> {
+        self.cumulants
+            .get_or_init(|| CumulantFeatures::estimate(self.constellation()).ok())
+            .as_ref()
+    }
+
+    /// Both halves of the constellation's features, the line search
+    /// included (computed once); `None` when the reception carried no chip
+    /// samples.
     pub fn features(&self) -> Option<&Features> {
         self.features
-            .get_or_init(|| Features::estimate(self.constellation()).ok())
+            .get_or_init(|| {
+                let cumulants = *self.cumulants()?;
+                Some(Features::with_line(cumulants, self.constellation()))
+            })
             .as_ref()
+    }
+
+    /// The DE² `assumption` decides on; only `Real` runs the line search.
+    fn de_squared(&self, assumption: ChannelAssumption) -> Option<f64> {
+        match assumption {
+            ChannelAssumption::Ideal => self.cumulants().map(CumulantFeatures::de_squared_ideal),
+            ChannelAssumption::Real => self.features().map(Features::de_squared_real),
+        }
     }
 }
 
@@ -192,10 +215,10 @@ impl FeatureExtractor for CumulantExtractor {
             Some(f) => {
                 out.push("de2_ideal", f.de_squared_ideal());
                 out.push("de2_real", f.de_squared_real());
-                out.push("c40_re", f.c40.re);
-                out.push("c40_im", f.c40.im);
+                out.push("c40_re", f.cumulants.c40.re);
+                out.push("c40_im", f.cumulants.c40.im);
                 out.push("c40_mag", f.c40_magnitude);
-                out.push("c42", f.c42);
+                out.push("c42", f.cumulants.c42);
                 out.push("line_freq", f.line_frequency);
             }
             None => {
@@ -397,7 +420,9 @@ pub struct LogisticModel {
 
 impl LogisticModel {
     /// Attack probability for one feature vector (missing features read as
-    /// the training mean, i.e. a zero z-score).
+    /// the training mean, i.e. a zero z-score). NaN when a non-finite
+    /// feature value or an overflow leaves the linear score without a
+    /// value: `sigmoid(±inf)` would pin it to 0 or 1 instead.
     pub fn probability(&self, fv: &FeatureVector) -> f64 {
         let mut z = self.bias;
         for (i, name) in self.names.iter().enumerate() {
@@ -409,7 +434,11 @@ impl LogisticModel {
             };
             z += self.weights[i] * (v - self.means[i]) / s;
         }
-        sigmoid(z)
+        if z.is_finite() {
+            sigmoid(z)
+        } else {
+            f64::NAN
+        }
     }
 }
 
@@ -427,10 +456,11 @@ pub struct Stump {
 }
 
 impl Stump {
-    /// This stump's vote in `{-1, +1}` (+1 = attack).
+    /// This stump's vote in `{-1, +1}` (+1 = attack). A non-finite
+    /// feature value votes attack whichever side the stump splits on.
     fn vote(&self, fv: &FeatureVector) -> f64 {
         let v = fv.get(&self.feature).unwrap_or(0.0);
-        let attack = (v > self.threshold) == self.greater_is_attack;
+        let attack = !v.is_finite() || (v > self.threshold) == self.greater_is_attack;
         if attack {
             1.0
         } else {
@@ -463,7 +493,8 @@ impl StumpEnsemble {
 /// Score conventions: `Threshold` scores are the raw feature value
 /// (decided against the configured threshold, exactly the legacy
 /// detector); `Logistic` and `Stumps` scores live in `[0, 1]` and decide
-/// at `0.5`.
+/// at `0.5`. Every kind decides like [`Detector`]: a score without a
+/// value (NaN) or out of range (±inf) decides attack.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Classifier {
     /// Single feature vs fixed threshold — the legacy detector as one
@@ -486,15 +517,15 @@ impl Classifier {
         match self {
             Classifier::Threshold { feature, threshold } => {
                 let score = fv.get(feature).unwrap_or(0.0);
-                (score, score > *threshold)
+                (score, decides_attack(score, *threshold))
             }
             Classifier::Logistic(m) => {
                 let p = m.probability(fv);
-                (p, p > 0.5)
+                (p, decides_attack(p, 0.5))
             }
             Classifier::Stumps(e) => {
                 let s = e.score(fv);
-                (s, s > 0.5)
+                (s, decides_attack(s, 0.5))
             }
         }
     }
@@ -819,7 +850,7 @@ impl DetectionPipeline {
     /// [`DetectError::NoSamples`] when the reception carries no chip
     /// samples (matching the legacy detector's contract).
     pub fn extract(&self, input: &FeatureInput<'_>) -> Result<FeatureVector, DetectError> {
-        if input.features().is_none() {
+        if input.cumulants().is_none() {
             return Err(DetectError::NoSamples);
         }
         let mut fv = FeatureVector::new();
@@ -836,12 +867,15 @@ impl DetectionPipeline {
     /// [`DetectError::NoSamples`] when the reception carries no chip
     /// samples.
     pub fn score(&self, input: &FeatureInput<'_>) -> Result<PipelineVerdict, DetectError> {
-        let features = *input.features().ok_or(DetectError::NoSamples)?;
         let fv = self.extract(input)?;
         let (fused, is_attack) = self.classifier.decide(&fv);
+        let features = *input.cumulants().ok_or(DetectError::NoSamples)?;
+        let de_squared = input
+            .de_squared(self.assumption)
+            .ok_or(DetectError::NoSamples)?;
         Ok(PipelineVerdict {
             verdict: Verdict {
-                de_squared: self.assumption.de_squared(&features),
+                de_squared,
                 is_attack,
                 features,
             },
@@ -989,11 +1023,21 @@ impl DetectionPipeline {
                         _ => return Err(err(lineno, "assumption must be ideal|real")),
                     }
                 }
-                "feature" => feature = rest.first().map(|s| s.to_string()),
+                "feature" => {
+                    feature = rest
+                        .first()
+                        .map(|name| feature_name(name, lineno))
+                        .transpose()?
+                }
                 "threshold" => {
                     threshold = Some(parse_float(rest.first().copied(), lineno)?);
                 }
-                "features" => names = rest.iter().map(|s| s.to_string()).collect(),
+                "features" => {
+                    names = rest
+                        .iter()
+                        .map(|name| feature_name(name, lineno))
+                        .collect::<Result<_, _>>()?
+                }
                 "means" => means = parse_floats(&rest, lineno)?,
                 "stds" => stds = parse_floats(&rest, lineno)?,
                 "weights" => weights = parse_floats(&rest, lineno)?,
@@ -1008,7 +1052,7 @@ impl DetectionPipeline {
                         _ => return Err(err(lineno, "stump direction must be > or <=")),
                     };
                     stumps.push(Stump {
-                        feature: rest[0].to_string(),
+                        feature: feature_name(rest[0], lineno)?,
                         threshold: parse_float(Some(rest[1]), lineno)?,
                         greater_is_attack,
                         alpha: parse_float(Some(rest[3]), lineno)?,
@@ -1054,6 +1098,23 @@ impl DetectionPipeline {
             extractors: standard_extractors(),
             classifier,
             assumption,
+        })
+    }
+}
+
+/// Checks that a standard extractor produces `name`. A model naming a
+/// feature no extractor pushes would read it as missing on every frame
+/// and decide every frame the same way.
+fn feature_name(name: &str, line: usize) -> Result<String, ModelParseError> {
+    let known = standard_extractors()
+        .iter()
+        .any(|e| e.feature_names().contains(&name));
+    if known {
+        Ok(name.to_string())
+    } else {
+        Err(ModelParseError {
+            line,
+            message: format!("unknown feature {name:?}: no extractor produces it"),
         })
     }
 }
@@ -1353,9 +1414,77 @@ mod tests {
         assert!(DetectionPipeline::from_model_str(&no_end).is_err());
         let bad_kind = format!("{MODEL_MAGIC}\nkind forest\nend\n");
         assert!(DetectionPipeline::from_model_str(&bad_kind).is_err());
-        let misaligned =
-            format!("{MODEL_MAGIC}\nkind logistic\nfeatures a b\nmeans 1\nstds 1 1\nweights 1 1\nbias 0\nend\n");
-        assert!(DetectionPipeline::from_model_str(&misaligned).is_err());
+        let misaligned = format!(
+            "{MODEL_MAGIC}\nkind logistic\nfeatures de2_ideal c42\nmeans 1\nstds 1 1\nweights 1 1\nbias 0\nend\n"
+        );
+        let e = DetectionPipeline::from_model_str(&misaligned).unwrap_err();
+        assert!(e.message.contains("align"), "{e}");
+    }
+
+    #[test]
+    fn model_parse_rejects_unknown_feature_names() {
+        // One case per key that names a feature; the misspelling sits on
+        // line 3 (after the magic and `kind` lines).
+        for body in [
+            "kind threshold\nfeature de2_idael\nthreshold 0.25",
+            "kind logistic\nfeatures c42 de2_idael\nmeans 0 0\nstds 1 1\nweights 1 1\nbias 0",
+            "kind stumps\nstump de2_idael 0.25 > 1.0",
+        ] {
+            let text = format!("{MODEL_MAGIC}\n{body}\nend\n");
+            let e = DetectionPipeline::from_model_str(&text).unwrap_err();
+            assert_eq!(e.line, 3, "{e}");
+            assert!(e.message.contains("\"de2_idael\""), "{e}");
+            let fixed = text.replace("idael", "ideal");
+            assert!(DetectionPipeline::from_model_str(&fixed).is_ok(), "{fixed}");
+        }
+    }
+
+    #[test]
+    fn non_finite_features_decide_attack_for_every_classifier_kind() {
+        let stumps = |greater_is_attack| {
+            Classifier::Stumps(StumpEnsemble {
+                stumps: vec![Stump {
+                    feature: "de2_ideal".into(),
+                    threshold: 0.25,
+                    greater_is_attack,
+                    alpha: 1.0,
+                }],
+            })
+        };
+        let classifiers = [
+            Classifier::Threshold {
+                feature: "de2_ideal".into(),
+                threshold: 0.25,
+            },
+            // A negative weight: +inf would pin the probability to 0.
+            Classifier::Logistic(LogisticModel {
+                names: vec!["de2_ideal".into()],
+                means: vec![0.2],
+                stds: vec![0.1],
+                weights: vec![-3.0],
+                bias: 0.0,
+            }),
+            stumps(true),
+            stumps(false),
+        ];
+        for classifier in &classifiers {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut fv = FeatureVector::new();
+                fv.push("de2_ideal", bad);
+                let (score, is_attack) = classifier.decide(&fv);
+                assert!(
+                    is_attack,
+                    "{:?}: de2_ideal = {bad} scored {score} and passed as authentic",
+                    classifier
+                );
+            }
+        }
+        // Finite values still decide on the threshold.
+        let mut fv = FeatureVector::new();
+        fv.push("de2_ideal", 0.1);
+        assert!(!classifiers[0].decide(&fv).1);
+        assert!(!stumps(true).decide(&fv).1);
+        assert!(stumps(false).decide(&fv).1);
     }
 
     #[test]
@@ -1386,6 +1515,11 @@ mod tests {
         let a = input.constellation().as_ptr();
         let b = input.constellation().as_ptr();
         assert_eq!(a, b, "constellation computed once");
-        assert!(input.features().is_some());
+        let features = input.features().unwrap();
+        assert_eq!(Some(&features.cumulants), input.cumulants());
+        assert_eq!(
+            *features,
+            Features::estimate(input.constellation()).unwrap()
+        );
     }
 }

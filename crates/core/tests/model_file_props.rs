@@ -11,7 +11,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 const THRESHOLD: &str = "kind threshold\nassumption ideal\nfeature de2_ideal\nthreshold 0.25";
-const LOGISTIC: &str = "kind logistic\nassumption real\nfeatures de2_ideal papr\n\
+const LOGISTIC: &str = "kind logistic\nassumption real\nfeatures de2_ideal papr_db\n\
                         means 0.5 1\nstds 1 2\nweights 3 -1\nbias 0.1";
 const STUMPS: &str = "kind stumps\nassumption ideal\nstump de2_ideal 0.25 > 1.5";
 

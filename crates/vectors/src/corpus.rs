@@ -175,12 +175,12 @@ pub fn generate(spec: &CorpusSpec) -> Result<Vec<Vector>, Error> {
         let f = features_from_reception(&receiver.receive(wave))
             .map_err(|e| Error::Other(format!("features: {e}")))?;
         feats.extend_from_slice(&[
-            f.c40.re,
-            f.c40.im,
+            f.cumulants.c40.re,
+            f.cumulants.c40.im,
             f.c40_magnitude,
-            f.c42,
+            f.cumulants.c42,
             f.line_frequency,
-            f.sample_count as f64,
+            f.cumulants.sample_count as f64,
             f.de_squared_ideal(),
             f.de_squared_real(),
         ]);
