@@ -3,7 +3,11 @@
 //! the frame length.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ctc_core::defense::{constellation_from_reception, ChannelAssumption, Detector, Features};
+use ctc_core::attack::Emulator;
+use ctc_core::defense::{
+    constellation_from_reception, standard_extractors, ChannelAssumption, Detector, FeatureInput,
+    FeatureVector, Features,
+};
 use ctc_dsp::cumulants::Cumulants;
 use ctc_dsp::Complex;
 use ctc_zigbee::{Receiver, Transmitter};
@@ -81,6 +85,36 @@ fn bench_detect_frame(c: &mut Criterion) {
     group.finish();
 }
 
+/// Each standard extractor's `extract` on one captured authentic and one
+/// forged burst. The shared `FeatureInput` (constellation, cumulants and
+/// line search) is forced before timing, so each figure is the extractor's
+/// own cost, as the gateway benchmark's traced replay reports it.
+fn bench_pipeline_extractors(c: &mut Criterion) {
+    let authentic = Transmitter::new()
+        .transmit_payload(b"hello")
+        .expect("short payload");
+    let emulator = Emulator::new();
+    let forged = emulator.received_at_zigbee(&emulator.emulate(&authentic));
+    let rx = Receiver::usrp();
+    let mut group = c.benchmark_group("pipeline_extractors");
+    group.sample_size(30);
+    for (label, burst) in [("authentic", &authentic), ("forged", &forged)] {
+        let reception = rx.receive(burst);
+        let input = FeatureInput::with_samples(&reception, burst);
+        input.features().expect("the burst carries chip samples");
+        for extractor in standard_extractors() {
+            group.bench_function(format!("{}/{label}", extractor.name()), |b| {
+                b.iter(|| {
+                    let mut out = FeatureVector::new();
+                    extractor.extract(std::hint::black_box(&input), &mut out);
+                    out
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
 fn quick() -> Criterion {
     Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(300))
@@ -93,6 +127,7 @@ criterion_group!(
     targets =
     bench_cumulant_scaling,
     bench_feature_extraction,
-    bench_detect_frame
+    bench_detect_frame,
+    bench_pipeline_extractors
 );
 criterion_main!(benches);

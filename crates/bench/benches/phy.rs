@@ -1,6 +1,7 @@
 //! Criterion benches for the PHY substrates: ZigBee and WiFi chains, the
-//! 64-point FFT at the heart of both, and the Viterbi decoder that gates
-//! the bit-chain attack mode.
+//! 64-point FFT at the heart of both (and the 1,024-point one the defense's
+//! line search runs), and the Viterbi decoder that gates the bit-chain
+//! attack mode.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ctc_dsp::{fft, Complex};
@@ -19,6 +20,15 @@ fn bench_fft64(c: &mut Criterion) {
     group.bench_function("fft64", |b| b.iter(|| fft::fft64(std::hint::black_box(&x))));
     group.bench_function("dft64_naive_oracle", |b| {
         b.iter(|| fft::dft_naive(std::hint::black_box(&x)))
+    });
+    // The length the |Ĉ40| line search's chirp-z screen transforms a
+    // 429-point constellation at.
+    let x1024: Vec<Complex> = (0..1024)
+        .map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos()))
+        .collect();
+    group.throughput(Throughput::Elements(1024));
+    group.bench_function("fft1024", |b| {
+        b.iter(|| fft::fft(std::hint::black_box(&x1024)).expect("power of two"))
     });
     group.finish();
 }

@@ -270,6 +270,19 @@ impl FeatureExtractor for SpectralExtractor {
                 out.push("psd_oob", 1.0 - psd.band_power_fraction(0.375));
                 let n = psd.power.len() as f64;
                 let mean = psd.power.iter().sum::<f64>() / n;
+                // Every sample inside a Welch segment reaches `mean`, so a
+                // finite mean and a finite tail past the last segment mean
+                // finite samples; otherwise the full check tells a
+                // non-finite sample from an overflow.
+                let samples = input.samples().unwrap_or_default();
+                let covered = (psd.segments - 1) * (self.segment_len / 2) + self.segment_len;
+                if !((mean.is_finite() && all_finite(&samples[covered..])) || all_finite(samples)) {
+                    // A non-finite sample is no evidence of a flat or a
+                    // peaky spectrum: NaN, which decides attack.
+                    out.push("psd_flatness", f64::NAN);
+                    out.push("psd_papr_db", f64::NAN);
+                    return;
+                }
                 let log_mean = psd.power.iter().map(|p| p.max(1e-300).ln()).sum::<f64>() / n;
                 let flatness = if mean > 0.0 {
                     log_mean.exp() / mean
@@ -380,6 +393,13 @@ impl FeatureExtractor for RssiExtractor {
             return;
         }
         let mean = points.iter().map(|p| p.norm_sqr()).sum::<f64>() / points.len() as f64;
+        // Every sample reaches `mean`: only a non-finite mean needs the
+        // check that tells a non-finite sample from an overflow.
+        if !mean.is_finite() && !all_finite(points) {
+            out.push("rssi_db", f64::NAN);
+            out.push("papr_db", f64::NAN);
+            return;
+        }
         let peak = points.iter().map(|p| p.norm_sqr()).fold(0.0f64, f64::max);
         out.push("rssi_db", 10.0 * mean.max(1e-300).log10());
         let papr_db = if mean > 0.0 {
@@ -389,6 +409,12 @@ impl FeatureExtractor for RssiExtractor {
         };
         out.push("papr_db", papr_db);
     }
+}
+
+/// Whether every sample is finite. The power features need it because
+/// `f64::max` drops NaN and a NaN mean takes their neutral branch.
+fn all_finite(samples: &[Complex]) -> bool {
+    samples.iter().all(|v| v.re.is_finite() && v.im.is_finite())
 }
 
 /// The standard extractor set, in canonical order (cumulants, PSD shape,
@@ -1311,6 +1337,40 @@ mod tests {
         // Waveform-level features are really populated on this path.
         assert!(fv.get("psd_inband").unwrap() > 0.5);
         assert!(fv.get("rssi_db").unwrap().is_finite());
+    }
+
+    #[test]
+    fn non_finite_samples_make_the_power_features_nan() {
+        let wave = Transmitter::new().transmit_payload(b"hello").unwrap();
+        let r = Receiver::usrp().receive(&wave);
+        let extractors: [&dyn FeatureExtractor; 2] =
+            [&SpectralExtractor::default(), &RssiExtractor];
+        // Sample 500 sits inside the Welch segments; the last one past
+        // them.
+        for at in [500, wave.len() - 1] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for feature in ["psd_flatness", "psd_papr_db", "rssi_db", "papr_db"] {
+                    let mut samples = wave.clone();
+                    samples[at] = Complex::new(bad, 0.0);
+                    let input = FeatureInput::with_samples(&r, &samples);
+                    let mut fv = FeatureVector::new();
+                    for extractor in extractors {
+                        extractor.extract(&input, &mut fv);
+                    }
+                    let value = fv.get(feature).unwrap();
+                    assert!(value.is_nan(), "sample {at} = {bad}: {feature} = {value}");
+                }
+            }
+        }
+        // Finite samples still give finite evidence.
+        let input = FeatureInput::with_samples(&r, &wave);
+        let mut fv = FeatureVector::new();
+        for extractor in extractors {
+            extractor.extract(&input, &mut fv);
+        }
+        for (name, value) in fv.entries() {
+            assert!(value.is_finite(), "{name} = {value}");
+        }
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use crate::buffer::SampleBuf;
 use crate::complex::Complex;
 use crate::simd;
+use std::sync::OnceLock;
 
 /// Error produced when a transform is requested for an unsupported length.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,11 +42,50 @@ fn check_len(len: usize) -> Result<(), FftLenError> {
     }
 }
 
-/// In-place iterative radix-2 butterfly; `sign` is -1 for forward, +1 for
-/// inverse (no scaling applied here).
-fn transform_in_place(buf: &mut [Complex], sign: f64) {
-    let n = buf.len();
-    // Bit-reversal permutation.
+/// Largest stage or transform length, as a power of two, whose twiddle
+/// table and bit-reversal swaps are built once and kept for the life of
+/// the process. If every size up to it occurs, the twiddles take 512 KiB
+/// per direction and the swaps 256 KiB; longer transforms build theirs per
+/// call with the same builders.
+const CACHED_LOG2: usize = 15;
+
+/// The tables of one power-of-two length, each built on first use.
+struct Tables {
+    /// The bit-reversal swap pairs of a transform of this length.
+    swaps: OnceLock<Box<[(u32, u32)]>>,
+    /// The twiddles of a stage of this length, forward then inverse.
+    twiddles: [OnceLock<Box<[Complex]>>; 2],
+}
+
+/// Tables by length (`log2`).
+static TABLES: [Tables; CACHED_LOG2 + 1] = [const {
+    Tables {
+        swaps: OnceLock::new(),
+        twiddles: [const { OnceLock::new() }; 2],
+    }
+}; CACHED_LOG2 + 1];
+
+/// The `len / 2` twiddles of one radix-2 stage, `w_k = wlen^k` by the
+/// serial recurrence `w ← w·wlen` from `w_0 = 1`, with
+/// `wlen = e^{sign·j·2π/len}` (`sign` −1 forward, +1 inverse). Every
+/// butterfly block of the stage reads the same table, so a transform gets
+/// the bits the per-block recurrence gave
+/// ([`simd::reference::fft_stage`]).
+fn build_twiddles(len: usize, sign: f64) -> Box<[Complex]> {
+    let wlen = Complex::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+    let mut w = Complex::ONE;
+    (0..len / 2)
+        .map(|_| {
+            let t = w;
+            w *= wlen;
+            t
+        })
+        .collect()
+}
+
+/// Calls `swap(i, j)` for every bit-reversal pair `i < j` of an `n`-point
+/// transform, in the order the in-place permutation applies them.
+fn for_each_swap(n: usize, mut swap: impl FnMut(usize, usize)) {
     let mut j = 0usize;
     for i in 1..n {
         let mut bit = n >> 1;
@@ -55,15 +95,39 @@ fn transform_in_place(buf: &mut [Complex], sign: f64) {
         }
         j |= bit;
         if i < j {
-            buf.swap(i, j);
+            swap(i, j);
         }
     }
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::cis(ang);
-        simd::fft_stage(buf, len, wlen);
-        len <<= 1;
+}
+
+/// In-place iterative radix-2 butterfly; `sign` is -1 for forward, +1 for
+/// inverse (no scaling applied here).
+fn transform_in_place(buf: &mut [Complex], sign: f64) {
+    let n = buf.len();
+    let log2 = n.trailing_zeros() as usize;
+    let dir = usize::from(sign > 0.0);
+    match TABLES.get(log2) {
+        Some(tables) => {
+            let swaps = tables.swaps.get_or_init(|| {
+                let mut pairs = Vec::new();
+                for_each_swap(n, |i, j| pairs.push((i as u32, j as u32)));
+                pairs.into_boxed_slice()
+            });
+            for &(i, j) in swaps.iter() {
+                buf.swap(i as usize, j as usize);
+            }
+        }
+        None => for_each_swap(n, |i, j| buf.swap(i, j)),
+    }
+    for s in 1..=log2 {
+        let len = 1usize << s;
+        match TABLES.get(s) {
+            Some(tables) => {
+                let twiddles = tables.twiddles[dir].get_or_init(|| build_twiddles(len, sign));
+                simd::fft_stage(buf, twiddles);
+            }
+            None => simd::fft_stage(buf, &build_twiddles(len, sign)),
+        }
     }
 }
 

@@ -120,36 +120,37 @@ pub fn kmeans<R: Rng>(
     }
 
     // --- Lloyd iterations ---
+    // One pass per iteration assigns each point and folds it into its
+    // cluster's sum, in point order, so every sum adds in the same order a
+    // separate recompute pass would.
     let mut assignments = vec![0usize; points.len()];
+    let mut sums = vec![Complex::ZERO; k];
+    let mut counts = vec![0usize; k];
     let mut iterations = 0;
     for it in 0..max_iter {
         iterations = it + 1;
         let mut changed = false;
-        for (i, p) in points.iter().enumerate() {
+        sums.fill(Complex::ZERO);
+        counts.fill(0);
+        for (p, a) in points.iter().zip(assignments.iter_mut()) {
+            // Strict `<`: the lowest index wins ties and a NaN distance
+            // never wins.
             let mut best = 0;
             let mut best_d = f64::INFINITY;
             for (c, centroid) in centroids.iter().enumerate() {
                 let d = (*p - *centroid).norm_sqr();
-                if d < best_d {
-                    best_d = d;
-                    best = c;
-                }
+                let closer = d < best_d;
+                best_d = if closer { d } else { best_d };
+                best = if closer { c } else { best };
             }
-            if assignments[i] != best {
-                assignments[i] = best;
-                changed = true;
-            }
+            changed |= *a != best;
+            *a = best;
+            sums[best] += *p;
+            counts[best] += 1;
         }
-        // Recompute centroids.
-        let mut sums = vec![Complex::ZERO; k];
-        let mut counts = vec![0usize; k];
-        for (i, p) in points.iter().enumerate() {
-            sums[assignments[i]] += *p;
-            counts[assignments[i]] += 1;
-        }
-        for c in 0..k {
-            if counts[c] > 0 {
-                centroids[c] = sums[c] / counts[c] as f64;
+        for ((centroid, &sum), &count) in centroids.iter_mut().zip(&sums).zip(&counts) {
+            if count > 0 {
+                *centroid = sum / count as f64;
             }
             // Empty clusters keep their previous centroid.
         }
@@ -196,6 +197,128 @@ mod tests {
             }
         }
         pts
+    }
+
+    /// The Lloyd loop as it was before the single-pass rewrite: a
+    /// two-pass iteration with per-iteration `sums`/`counts` and a
+    /// branching nearest-centroid search. Seeding is shared.
+    fn kmeans_two_pass<R: Rng>(
+        points: &[Complex],
+        k: usize,
+        max_iter: usize,
+        rng: &mut R,
+    ) -> Clustering {
+        let mut centroids = kmeans(points, k, 0, rng).unwrap().centroids;
+        let mut assignments = vec![0usize; points.len()];
+        let mut iterations = 0;
+        for it in 0..max_iter {
+            iterations = it + 1;
+            let mut changed = false;
+            for (i, p) in points.iter().enumerate() {
+                let mut best = 0;
+                let mut best_d = f64::INFINITY;
+                for (c, centroid) in centroids.iter().enumerate() {
+                    let d = (*p - *centroid).norm_sqr();
+                    if d < best_d {
+                        best_d = d;
+                        best = c;
+                    }
+                }
+                if assignments[i] != best {
+                    assignments[i] = best;
+                    changed = true;
+                }
+            }
+            let mut sums = vec![Complex::ZERO; k];
+            let mut counts = vec![0usize; k];
+            for (i, p) in points.iter().enumerate() {
+                sums[assignments[i]] += *p;
+                counts[assignments[i]] += 1;
+            }
+            for c in 0..k {
+                if counts[c] > 0 {
+                    centroids[c] = sums[c] / counts[c] as f64;
+                }
+            }
+            if !changed && it > 0 {
+                break;
+            }
+        }
+        let inertia = points
+            .iter()
+            .zip(&assignments)
+            .map(|(p, &a)| (*p - centroids[a]).norm_sqr())
+            .sum();
+        Clustering {
+            centroids,
+            assignments,
+            inertia,
+            iterations,
+        }
+    }
+
+    /// Bit patterns of a clustering, with every NaN as one value (a NaN's
+    /// sign and payload are unspecified in Rust).
+    fn bits(c: &Clustering) -> (Vec<(u64, u64)>, Vec<usize>, u64, usize) {
+        let canonical = |f: f64| {
+            if f.is_nan() {
+                f64::NAN.to_bits()
+            } else {
+                f.to_bits()
+            }
+        };
+        (
+            c.centroids
+                .iter()
+                .map(|v| (canonical(v.re), canonical(v.im)))
+                .collect(),
+            c.assignments.clone(),
+            canonical(c.inertia),
+            c.iterations,
+        )
+    }
+
+    #[test]
+    fn single_pass_lloyd_matches_the_two_pass_loop_bitwise() {
+        let mut rng = StdRng::seed_from_u64(21);
+        for case in 0..300u64 {
+            let n = rng.gen_range(1..200usize);
+            let k = rng.gen_range(1..=n.min(6));
+            let mut pts: Vec<Complex> = match case % 4 {
+                // A QPSK cloud, like the EVM extractor's input.
+                0 => quad_cloud(rng.gen_range(-1.0..1.0), n.div_ceil(4), 0.3, case),
+                // A coarse integer lattice: duplicates and equidistant ties.
+                1 => (0..n)
+                    .map(|_| {
+                        Complex::new(rng.gen_range(-2..=2) as f64, rng.gen_range(-2..=2) as f64)
+                    })
+                    .collect(),
+                // Every point the same.
+                2 => vec![Complex::new(0.5, -0.5); n],
+                _ => (0..n)
+                    .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                    .collect(),
+            };
+            if case % 5 == 0 {
+                let at = rng.gen_range(0..pts.len());
+                pts[at] = Complex::new(f64::NAN, 0.0);
+            }
+            if case % 7 == 0 {
+                let at = rng.gen_range(0..pts.len());
+                pts[at] = Complex::new(f64::INFINITY, 1.0);
+            }
+            let k = k.min(pts.len());
+            let max_iter = rng.gen_range(0..40);
+            let seed = rng.gen::<u64>();
+            let got = kmeans(&pts, k, max_iter, &mut StdRng::seed_from_u64(seed)).unwrap();
+            let want = kmeans_two_pass(&pts, k, max_iter, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "case {case}: n={} k={k}",
+                pts.len()
+            );
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! caused by QAM quantization, and the receiver's channel filter.
 
 use crate::complex::Complex;
-use crate::fft::fft;
+use crate::fft::fft_in_place;
 
 /// Window functions for spectral estimation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -73,11 +73,12 @@ impl Psd {
         if total <= 0.0 {
             return 0.0;
         }
-        let in_band: f64 = self
-            .ordered()
-            .iter()
-            .filter(|(f, _)| f.abs() <= band)
-            .map(|(_, p)| p)
+        // The bins of `ordered`, in its order, without building it.
+        let n = self.power.len();
+        let half = n / 2;
+        let in_band: f64 = (0..n)
+            .filter(|&i| ((i as f64 - half as f64) / n as f64).abs() <= band)
+            .map(|i| &self.power[(i + half) % n])
             .sum();
         in_band / total
     }
@@ -140,16 +141,15 @@ pub fn welch_psd(x: &[Complex], segment_len: usize, window: Window) -> Result<Ps
         .collect();
     let win_power: f64 = win.iter().map(|w| w * w).sum();
     let mut power = vec![0.0f64; segment_len];
+    let mut seg = vec![Complex::ZERO; segment_len];
     let mut segments = 0usize;
     let mut start = 0usize;
     while start + segment_len <= x.len() {
-        let seg: Vec<Complex> = x[start..start + segment_len]
-            .iter()
-            .zip(&win)
-            .map(|(v, w)| *v * *w)
-            .collect();
-        let spec = fft(&seg).expect("segment_len validated as power of two");
-        for (p, s) in power.iter_mut().zip(&spec) {
+        for ((s, v), w) in seg.iter_mut().zip(&x[start..]).zip(&win) {
+            *s = *v * *w;
+        }
+        fft_in_place(&mut seg).expect("segment_len validated as power of two");
+        for (p, s) in power.iter_mut().zip(&seg) {
             *p += s.norm_sqr() / win_power;
         }
         segments += 1;

@@ -24,6 +24,16 @@
 //! Kernels that mirror a pre-existing scalar loop element-for-element
 //! ([`dtft_norms`], [`fft_stage`], [`norm_sqr_into`],
 //! [`phase_rotate_in_place`]) are bit-equal to the code they replaced.
+//! [`dtft_norms`] computes each frequency alone, so any subset of a grid
+//! gets the bits the whole grid gives at those frequencies.
+//! [`fft_stage`] reads its twiddles from a table; given the table
+//! `fft` builds by the serial `w·wlen` recurrence, it is bit-equal to the
+//! stage that ran the recurrence in every block
+//! ([`reference::fft_stage`]), at every length and on ±0, ±inf, NaN and
+//! subnormal inputs. "Bit-equal" counts every NaN as one value: a NaN's
+//! sign and payload are not part of any operation's contract (Rust leaves
+//! them unspecified, and the compiler may swap the operands of a sum or
+//! product, which decides which NaN an x86 instruction returns).
 //! Kernels that re-associate a reduction into per-lane partial sums
 //! ([`cdot`], [`cdot_conj`], [`dot_real`], [`dot_f64`], [`sum_norm_sqr`],
 //! [`cumulant_sums`], [`fir_interior`]) or re-seed phasors block-wise
@@ -234,11 +244,12 @@ kernels! {
     /// `out[k]` receives the magnitude at `nus[k]`.
     fn dtft_norms(z: &[Complex], nus: &[f64], out: &mut [f64]);
 
-    /// One radix-2 FFT stage over the whole buffer: for each `len`-sized
-    /// block, butterflies between the lower and upper halves with twiddles
-    /// generated by the serial `w·wlen` recurrence — bit-identical to the
-    /// classic nested-loop formulation.
-    fn fft_stage(buf: &mut [Complex], len: usize, wlen: Complex);
+    /// One radix-2 FFT stage over the whole buffer: for each block of
+    /// `len = 2·twiddles.len()` samples, butterflies between the lower and
+    /// upper halves, the `k`-th reading `twiddles[k]`. Given the table
+    /// `fft` builds by the serial `w·wlen` recurrence, bit-identical to
+    /// the nested-loop formulation ([`reference::fft_stage`]).
+    fn fft_stage(buf: &mut [Complex], twiddles: &[Complex]);
 
     /// Lane-parallel power sums for fourth-order cumulant estimation.
     fn cumulant_sums(x: &[Complex]) -> CumulantSums;
@@ -518,38 +529,94 @@ mod body {
         }
     }
 
+    /// One radix-2 butterfly set in structure-of-arrays lanes: `lo[k] ±
+    /// hi[k]·tw[k]` for `k < LANES`, with `Complex`'s own operation order
+    /// (`re = a·c − b·d`, `im = a·d + b·c`) so the values equal the scalar
+    /// butterfly's bit for bit.
     #[inline(always)]
-    pub fn fft_stage(buf: &mut [Complex], len: usize, wlen: Complex) {
-        let half = len / 2;
-        let mut i = 0;
-        while i + len <= buf.len() {
-            let (lo, hi) = buf[i..i + len].split_at_mut(half);
+    fn butterflies(
+        lo: [Complex; LANES],
+        hi: [Complex; LANES],
+        tw: [Complex; LANES],
+    ) -> ([Complex; LANES], [Complex; LANES]) {
+        let mut vr = [0.0; LANES];
+        let mut vi = [0.0; LANES];
+        for k in 0..LANES {
+            vr[k] = hi[k].re * tw[k].re - hi[k].im * tw[k].im;
+            vi[k] = hi[k].re * tw[k].im + hi[k].im * tw[k].re;
+        }
+        let mut sum = [Complex::ZERO; LANES];
+        let mut diff = [Complex::ZERO; LANES];
+        for k in 0..LANES {
+            sum[k] = Complex::new(lo[k].re + vr[k], lo[k].im + vi[k]);
+            diff[k] = Complex::new(lo[k].re - vr[k], lo[k].im - vi[k]);
+        }
+        (sum, diff)
+    }
+
+    /// A stage whose blocks are shorter than a lane set (`HALF < LANES`):
+    /// each run of `2·LANES` samples holds `LANES` butterflies from
+    /// `LANES / HALF` whole blocks, so the lanes run across blocks.
+    #[inline(always)]
+    fn fft_stage_short<const HALF: usize>(buf: &mut [Complex], twiddles: &[Complex]) {
+        let tw: [Complex; LANES] = std::array::from_fn(|m| twiddles[m % HALF]);
+        let pair = |m: usize| {
+            let lo = m / HALF * 2 * HALF + m % HALF;
+            (lo, lo + HALF)
+        };
+        let mut runs = buf.chunks_exact_mut(2 * LANES);
+        for run in &mut runs {
+            let lo = std::array::from_fn(|m| run[pair(m).0]);
+            let hi = std::array::from_fn(|m| run[pair(m).1]);
+            let (sum, diff) = butterflies(lo, hi, tw);
+            for m in 0..LANES {
+                let (l, h) = pair(m);
+                run[l] = sum[m];
+                run[h] = diff[m];
+            }
+        }
+        for block in runs.into_remainder().chunks_exact_mut(2 * HALF) {
+            for k in 0..HALF {
+                let u = block[k];
+                let v = block[k + HALF] * twiddles[k];
+                block[k] = u + v;
+                block[k + HALF] = u - v;
+            }
+        }
+    }
+
+    #[inline(always)]
+    pub fn fft_stage(buf: &mut [Complex], twiddles: &[Complex]) {
+        let half = twiddles.len();
+        match half {
+            0 => return,
+            1 => return fft_stage_short::<1>(buf, twiddles),
+            2 => return fft_stage_short::<2>(buf, twiddles),
+            4 => return fft_stage_short::<4>(buf, twiddles),
+            _ => {}
+        }
+        for block in buf.chunks_exact_mut(2 * half) {
+            let (lo, hi) = block.split_at_mut(half);
             let whole = half - half % LANES;
-            let mut w = Complex::ONE;
-            for (cl, ch) in lo[..whole]
+            for ((cl, ch), tw) in lo[..whole]
                 .chunks_exact_mut(LANES)
                 .zip(hi[..whole].chunks_exact_mut(LANES))
+                .zip(twiddles[..whole].chunks_exact(LANES))
             {
-                let mut tw = [Complex::ZERO; LANES];
-                for t in &mut tw {
-                    *t = w;
-                    w *= wlen;
-                }
-                for k in 0..LANES {
-                    let u = cl[k];
-                    let v = ch[k] * tw[k];
-                    cl[k] = u + v;
-                    ch[k] = u - v;
-                }
+                let (sum, diff) = butterflies(
+                    std::array::from_fn(|k| cl[k]),
+                    std::array::from_fn(|k| ch[k]),
+                    std::array::from_fn(|k| tw[k]),
+                );
+                cl.copy_from_slice(&sum);
+                ch.copy_from_slice(&diff);
             }
             for k in whole..half {
                 let u = lo[k];
-                let v = hi[k] * w;
+                let v = hi[k] * twiddles[k];
                 lo[k] = u + v;
                 hi[k] = u - v;
-                w *= wlen;
             }
-            i += len;
         }
     }
 
@@ -740,6 +807,8 @@ pub mod reference {
         }
     }
 
+    /// The stage as `fft` ran it before its twiddle tables: each block
+    /// regenerates its twiddles by the serial `w·wlen` recurrence.
     pub fn fft_stage(buf: &mut [Complex], len: usize, wlen: Complex) {
         let half = len / 2;
         let mut i = 0;
@@ -995,11 +1064,22 @@ mod tests {
             while len <= n {
                 let ang = -2.0 * std::f64::consts::PI / len as f64;
                 let wlen = Complex::cis(ang);
+                let mut w = Complex::ONE;
+                let table: Vec<Complex> = (0..len / 2)
+                    .map(|_| {
+                        let t = w;
+                        w *= wlen;
+                        t
+                    })
+                    .collect();
                 let mut a = wave(n, len as u64);
                 let mut b = a.clone();
-                fft_stage(&mut a, len, wlen);
+                let mut c = a.clone();
+                fft_stage(&mut a, &table);
                 reference::fft_stage(&mut b, len, wlen);
+                body::fft_stage(&mut c, &table);
                 assert_eq!(a, b, "n={n} len={len}");
+                assert_eq!(a, c, "dispatch n={n} len={len}");
                 len <<= 1;
             }
         }

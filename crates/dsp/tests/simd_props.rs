@@ -23,7 +23,7 @@
 //! the same contract.
 
 use ctc_dsp::simd::{self, reference, GateScanState, LANES};
-use ctc_dsp::Complex;
+use ctc_dsp::{fft, Complex};
 use proptest::prelude::*;
 
 /// Deterministic test waveform with entries in `[-1, 1)`.
@@ -122,6 +122,131 @@ fn check_dots(n: usize, seed: u64, omega: f64) {
         reference::sum_norm_sqr(&a),
         simd::sum_norm_sqr(&a),
     );
+}
+
+/// One stage's twiddles by the serial recurrence `w ← w·wlen` from 1.
+fn recurrence_twiddles(len: usize, wlen: Complex) -> Vec<Complex> {
+    let mut w = Complex::ONE;
+    (0..len / 2)
+        .map(|_| {
+            let t = w;
+            w *= wlen;
+            t
+        })
+        .collect()
+}
+
+/// The transform `fft`/`ifft` ran before their cached tables: the in-place
+/// bit-reversal loop, then every stage regenerating its twiddles by the
+/// recurrence in each block, then the inverse's `1/N`.
+fn recurrence_transform(x: &[Complex], inverse: bool) -> Vec<Complex> {
+    let mut buf = x.to_vec();
+    let n = buf.len();
+    let mut j = 0usize;
+    for i in 1..n {
+        let mut bit = n >> 1;
+        while j & bit != 0 {
+            j ^= bit;
+            bit >>= 1;
+        }
+        j |= bit;
+        if i < j {
+            buf.swap(i, j);
+        }
+    }
+    let sign = if inverse { 1.0 } else { -1.0 };
+    let mut len = 2;
+    while len <= n {
+        let wlen = Complex::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+        reference::fft_stage(&mut buf, len, wlen);
+        len <<= 1;
+    }
+    if inverse {
+        for v in &mut buf {
+            *v /= n as f64;
+        }
+    }
+    buf
+}
+
+/// A test waveform with IEEE special values mixed in: signed zeros,
+/// infinities, NaN and subnormals, each in a few places.
+fn special_wave(n: usize, seed: u64) -> Vec<Complex> {
+    const SPECIAL: [f64; 7] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::MIN_POSITIVE / 8.0,
+        -f64::MIN_POSITIVE / 1024.0,
+    ];
+    let mut x = wave(n, seed);
+    for (i, v) in x.iter_mut().enumerate() {
+        let h = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58;
+        match h {
+            0..=6 => v.re = SPECIAL[h as usize],
+            7..=13 => v.im = SPECIAL[h as usize - 7],
+            _ => {}
+        }
+    }
+    x
+}
+
+/// Bit patterns, with every NaN as one value: a NaN's sign and payload are
+/// not part of any operation's contract (Rust leaves them unspecified, and
+/// LLVM may swap the operands of an addition or product, which decides
+/// which NaN an x86 instruction returns), so only NaN-ness is compared.
+fn bits(x: &[Complex]) -> Vec<(u64, u64)> {
+    let canonical = |f: f64| {
+        if f.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            f.to_bits()
+        }
+    };
+    x.iter()
+        .map(|v| (canonical(v.re), canonical(v.im)))
+        .collect()
+}
+
+/// The table-driven stage against the recurrence stage at every stage
+/// length from 2 to 2^14, both directions, on two blocks holding ±0, ±inf,
+/// NaN and subnormals.
+#[test]
+fn table_driven_fft_stage_matches_the_recurrence_at_every_length() {
+    for pow in 1..=14u32 {
+        let len = 1usize << pow;
+        for sign in [-1.0, 1.0] {
+            let wlen = Complex::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+            let mut got = special_wave(2 * len, u64::from(pow));
+            let mut want = got.clone();
+            simd::fft_stage(&mut got, &recurrence_twiddles(len, wlen));
+            reference::fft_stage(&mut want, len, wlen);
+            assert_eq!(bits(&got), bits(&want), "len={len} sign={sign}");
+        }
+    }
+}
+
+/// `fft` and `ifft` against the recurrence transform at every size from 1
+/// to 2^14, on finite and on special-valued inputs.
+#[test]
+fn fft_and_ifft_match_the_recurrence_transform_at_every_size() {
+    for pow in 0..=14u32 {
+        let n = 1usize << pow;
+        for x in [wave(n, u64::from(pow)), special_wave(n, u64::from(pow))] {
+            assert_eq!(
+                bits(&fft::fft(&x).unwrap()),
+                bits(&recurrence_transform(&x, false)),
+                "fft n={n}"
+            );
+            assert_eq!(
+                bits(&fft::ifft(&x).unwrap()),
+                bits(&recurrence_transform(&x, true)),
+                "ifft n={n}"
+            );
+        }
+    }
 }
 
 proptest! {
@@ -231,11 +356,20 @@ proptest! {
             let wlen = Complex::cis(-2.0 * std::f64::consts::PI / len as f64);
             let mut got = wave(n, seed ^ len as u64);
             let mut want = got.clone();
-            simd::fft_stage(&mut got, len, wlen);
+            simd::fft_stage(&mut got, &recurrence_twiddles(len, wlen));
             reference::fft_stage(&mut want, len, wlen);
-            // Identical butterfly arithmetic and twiddle recurrence: exact.
+            // Identical butterfly arithmetic and twiddles: exact.
             prop_assert_eq!(&got, &want, "n={} len={}", n, len);
             len <<= 1;
+        }
+    }
+
+    #[test]
+    fn fft_and_ifft_keep_the_recurrence_transforms_bits(pow in 0u32..12, seed in 0u64..1000) {
+        let x = special_wave(1 << pow, seed);
+        for inverse in [false, true] {
+            let got = if inverse { fft::ifft(&x) } else { fft::fft(&x) }.unwrap();
+            prop_assert_eq!(bits(&got), bits(&recurrence_transform(&x, inverse)));
         }
     }
 
