@@ -112,11 +112,14 @@ COMMANDS
             --flight-events journal events, registry + delta, per-stage
             latency, session table, config) for `ctc obs report`.
             --detector selects the classification stage: `cumulant` (the
-            default single-statistic DE² threshold, byte-identical legacy
-            output), `features` (the full extractor ensemble thresholding
-            the same DE² statistic, with per-feature scores on every
-            frame line and as ctc_detector_score{feature=...} gauges), or
-            `model:<path>` (a model file from `ctc detector train`).
+            default: the paper's single DE² threshold; frame lines carry
+            the verdict and DE² only), `features` (the full extractor
+            ensemble thresholding the same DE² statistic, with
+            per-feature scores on every frame line and as
+            ctc_detector_score{feature=...} gauges), or `model:<path>` (a
+            model file from `ctc detector train`, which fixes the channel
+            assumption and threshold, so --real and --threshold are
+            rejected with it).
   detector  train --out <file> [--kind logistic|stumps] [--rounds N]
             [--per-class N] [--seed N] [--real] [--threshold Q]
             Train a feature-ensemble classifier on synthetic labelled
@@ -459,20 +462,25 @@ fn flight_options_from(args: &Args) -> Result<Option<ctc_gateway::FlightOptions>
     Ok(Some(options))
 }
 
-/// Parses `--detector cumulant|features|model:<path>` into the optional
-/// detection pipeline layered over the `--real`/`--threshold` detector.
-/// `cumulant` (the default) returns `None`: the legacy single-statistic
-/// path, byte-identical output.
-fn pipeline_from(args: &Args, detector: Detector) -> Result<Option<DetectionPipeline>, String> {
+/// Parses `--detector cumulant|features|model:<path>` into the detection
+/// pipeline. `cumulant` (the default) and `features` classify with the
+/// `--real`/`--threshold` detector; a model file fixes both, so passing
+/// either with it is an error rather than silently ignored.
+fn pipeline_from(args: &Args) -> Result<DetectionPipeline, String> {
+    let detector = detector_from(args)?;
     match args.get("detector") {
-        None | Some("cumulant") => Ok(None),
-        Some("features") => Ok(Some(DetectionPipeline::standard(detector))),
+        None | Some("cumulant") => Ok(DetectionPipeline::legacy(detector)),
+        Some("features") => Ok(DetectionPipeline::standard(detector)),
         Some(spec) => match spec.strip_prefix("model:") {
+            Some(_) if args.flag("real") || args.get("threshold").is_some() => Err(
+                "--detector expects no --real or --threshold with model:<path>: \
+                 the model file fixes both"
+                    .into(),
+            ),
             Some(path) => {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("reading model {path}: {e}"))?;
                 DetectionPipeline::from_model_str(&text)
-                    .map(Some)
                     .map_err(|e| format!("parsing model {path}: {e}"))
             }
             None => Err(format!(
@@ -582,13 +590,9 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
         // gateway always needs a timing search window.
         receiver = receiver.with_sync_search(96);
     }
-    let detector = detector_from(args)?;
     let mut builder = GatewayConfig::builder()
         .receiver(receiver)
-        .detector(detector);
-    if let Some(pipeline) = pipeline_from(args, detector)? {
-        builder = builder.detection_pipeline(pipeline.shared());
-    }
+        .detection_pipeline(pipeline_from(args)?.shared());
     if let Some(n) = args.parse_num::<usize>("workers")? {
         builder = builder.workers(n);
     }
@@ -1670,18 +1674,20 @@ mod tests {
 
     #[test]
     fn detector_spec_parsing() {
-        let det = Detector::default();
-        assert!(pipeline_from(&args(&[]), det).unwrap().is_none());
-        let a = args(&["--detector", "cumulant"]);
-        assert!(pipeline_from(&a, det).unwrap().is_none());
-        let a = args(&["--detector", "features"]);
-        assert!(pipeline_from(&a, det).unwrap().is_some());
+        let features = |list: &[&str]| pipeline_from(&args(list)).unwrap().feature_names().len();
+        assert_eq!(features(&[]), 0);
+        assert_eq!(features(&["--detector", "cumulant"]), 0);
+        assert_eq!(features(&["--detector", "features"]), 16);
         let a = args(&["--detector", "nonsense"]);
-        assert!(pipeline_from(&a, det).is_err());
+        assert!(pipeline_from(&a).is_err());
         let a = args(&["--detector", "model:/no/such/file"]);
-        assert!(pipeline_from(&a, det)
-            .unwrap_err()
-            .contains("reading model"));
+        assert!(pipeline_from(&a).unwrap_err().contains("reading model"));
+        for extra in [&["--real"][..], &["--threshold", "0.25"]] {
+            let mut list = vec!["--detector", "model:/no/such/file"];
+            list.extend(extra);
+            let e = pipeline_from(&args(&list)).unwrap_err();
+            assert!(e.starts_with("--detector expects no --real"), "{e}");
+        }
     }
 
     #[test]

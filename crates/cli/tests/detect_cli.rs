@@ -1,11 +1,14 @@
-//! `ctc detect` end to end on frames the binary generates itself: the
-//! verdict's exit status with and without `--real`, the `|Ĉ40|` column
-//! (which only the line search computes), and the one-line errors for
-//! thresholds and stats intervals that would otherwise panic or switch the
-//! detector off.
+//! `ctc detect` and `ctc monitor` end to end on frames the binary
+//! generates itself: the verdict's exit status with and without `--real`,
+//! the `|Ĉ40|` column (which only the line search computes), the frame
+//! lines of every `--detector` mode, and the one-line errors for
+//! thresholds, stats intervals and flag combinations that would otherwise
+//! panic, switch the detector off or be silently ignored.
 
-use ctc_core::defense::features_from_reception;
+use ctc_core::defense::pipeline::MODEL_MAGIC;
+use ctc_core::defense::{features_from_reception, standard_extractors};
 use ctc_dsp::io::read_cf32_file;
+use ctc_gateway::json::{self, JsonValue};
 use ctc_zigbee::Receiver;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -95,10 +98,88 @@ fn detect_exits_on_the_verdict_and_prints_the_line_search_magnitude() {
     }
 }
 
+/// `ctc monitor --input` over authentic | forged | authentic (zero-power
+/// gaps between them) once per `--detector` mode: the same verdicts and
+/// exit code, no scores on the paper's detector's lines, and every
+/// standard feature on the ensembles' lines.
+#[test]
+fn monitor_classifies_with_every_detector_mode() {
+    let frames = Frames::generate("monitor");
+    let gap = vec![0u8; 4096 * 8];
+    let authentic = std::fs::read(&frames.authentic).unwrap();
+    let forged = std::fs::read(&frames.forged).unwrap();
+    let parts: [&[u8]; 7] = [&gap, &authentic, &gap, &forged, &gap, &authentic, &gap];
+    let stream = frames.dir.join("stream.cf32");
+    std::fs::write(&stream, parts.concat()).unwrap();
+    let model = frames.dir.join("detector.model");
+    let train = [
+        "detector",
+        "train",
+        "--out",
+        path_str(&model),
+        "--per-class",
+        "8",
+        "--seed",
+        "7",
+    ];
+    let out = ctc(&train);
+    assert!(out.status.success(), "{train:?}: {out:?}");
+    let model_spec = format!("model:{}", path_str(&model));
+    let standard: Vec<&str> = standard_extractors()
+        .iter()
+        .flat_map(|e| e.feature_names().iter().copied())
+        .collect();
+    assert_eq!(standard.len(), 16);
+
+    for (detector, threshold, scored) in [
+        ("cumulant", Some("0.25"), false),
+        ("features", Some("0.25"), true),
+        (model_spec.as_str(), None, true),
+    ] {
+        let mut args = vec!["monitor", "--input", path_str(&stream), "--stats", "0"];
+        args.extend(["--detector", detector]);
+        if let Some(q) = threshold {
+            args.extend(["--threshold", q]);
+        }
+        let out = ctc(&args);
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(out.status.code(), Some(EXIT_FORGERY), "{args:?}:\n{stdout}");
+        let frame_lines: Vec<JsonValue> = stdout
+            .lines()
+            .map(|line| json::parse(line).unwrap())
+            .filter(|v| v.get("type").and_then(JsonValue::as_str) == Some("frame"))
+            .collect();
+        let verdicts: Vec<&str> = frame_lines
+            .iter()
+            .map(|f| f.get("verdict").and_then(JsonValue::as_str).unwrap())
+            .collect();
+        assert_eq!(verdicts, ["authentic", "attack", "authentic"], "{args:?}");
+        for frame in &frame_lines {
+            assert_eq!(frame.get("score").is_some(), scored, "{args:?}: {stdout}");
+            let names: Vec<&str> = frame
+                .get("features")
+                .and_then(JsonValue::as_object)
+                .unwrap_or_default()
+                .iter()
+                .map(|(name, _)| name.as_str())
+                .collect();
+            let expected: &[&str] = if scored { &standard } else { &[] };
+            assert_eq!(names, expected, "{args:?}");
+        }
+    }
+}
+
 #[test]
 fn bad_thresholds_and_stats_intervals_fail_with_one_line() {
     let frames = Frames::generate("options");
     let forged = path_str(&frames.forged);
+    let model = frames.dir.join("threshold.model");
+    std::fs::write(
+        &model,
+        format!("{MODEL_MAGIC}\nkind threshold\nfeature de2_ideal\nthreshold 0.25\nend\n"),
+    )
+    .unwrap();
+    let model_spec = format!("model:{}", path_str(&model));
     let mut cases: Vec<Vec<&str>> = Vec::new();
     for q in ["0", "-1", "NaN", "inf", "1e999", "abc"] {
         cases.push(vec!["detect", "--input", forged, "--threshold", q]);
@@ -106,6 +187,14 @@ fn bad_thresholds_and_stats_intervals_fail_with_one_line() {
     }
     for secs in ["inf", "NaN", "-1", "1e999"] {
         cases.push(vec!["monitor", "--input", forged, "--stats", secs]);
+    }
+    // A model file fixes the threshold and channel assumption: a flag
+    // that would change either is refused, not dropped.
+    for extra in [&["--real"][..], &["--threshold", "100"]] {
+        let mut args = vec!["monitor", "--input", forged];
+        args.extend(extra);
+        args.extend(["--detector", model_spec.as_str()]);
+        cases.push(args);
     }
     for args in cases {
         let out = ctc(&args);

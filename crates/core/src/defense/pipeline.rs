@@ -19,11 +19,13 @@
 //!   receptions and serializable to a versioned text model file (the
 //!   workspace is dependency-free, so the format is hand-rolled).
 //!
-//! [`DetectionPipeline::legacy`] reproduces [`Detector`] verdicts
-//! *bit-for-bit*: the DE² feature is computed by the same code path and
-//! compared with the same threshold, so golden vectors and gateway
-//! exit-code semantics are preserved while per-feature scores become
-//! visible to JSONL events and Prometheus metrics.
+//! [`DetectionPipeline::legacy`] is the paper's detector as the
+//! extractor-free configuration: it computes only the verdict's DE² and
+//! decides it with the same rule as [`Detector`], so its verdicts are
+//! *bit-for-bit* the detector's and it reports no scores. Pipelines with
+//! extractors ([`DetectionPipeline::standard`], trained models) also
+//! report every feature, which the gateway surfaces in JSONL events and
+//! Prometheus metrics.
 
 use crate::defense::alternatives::clustered_evm;
 use crate::defense::detector::{decides_attack, ChannelAssumption, DetectError, Detector, Verdict};
@@ -45,32 +47,20 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct FeatureInput<'a> {
     reception: &'a Reception,
-    samples: Option<&'a [Complex]>,
+    samples: &'a [Complex],
     constellation: OnceCell<Vec<Complex>>,
     cumulants: OnceCell<Option<CumulantFeatures>>,
     features: OnceCell<Option<Features>>,
 }
 
 impl<'a> FeatureInput<'a> {
-    /// Input from a reception alone (no raw burst waveform available, so
-    /// waveform-level extractors fall back to neutral values).
-    pub fn new(reception: &'a Reception) -> Self {
-        FeatureInput {
-            reception,
-            samples: None,
-            constellation: OnceCell::new(),
-            cumulants: OnceCell::new(),
-            features: OnceCell::new(),
-        }
-    }
-
     /// Input from a reception plus the raw burst waveform it was decoded
     /// from (the gateway's [`BurstCapture`](crate::defense::BurstCapture)
-    /// samples) — enables the PSD and OFDM-artifact extractors.
+    /// samples), which the PSD, OFDM-artifact and RSSI extractors read.
     pub fn with_samples(reception: &'a Reception, samples: &'a [Complex]) -> Self {
         FeatureInput {
             reception,
-            samples: Some(samples),
+            samples,
             constellation: OnceCell::new(),
             cumulants: OnceCell::new(),
             features: OnceCell::new(),
@@ -82,8 +72,8 @@ impl<'a> FeatureInput<'a> {
         self.reception
     }
 
-    /// The raw burst waveform, when the caller had one.
-    pub fn samples(&self) -> Option<&[Complex]> {
+    /// The raw burst waveform.
+    pub fn samples(&self) -> &[Complex] {
         self.samples
     }
 
@@ -258,10 +248,8 @@ impl FeatureExtractor for SpectralExtractor {
     }
 
     fn extract(&self, input: &FeatureInput<'_>, out: &mut FeatureVector) {
-        let psd = input
-            .samples()
-            .and_then(|s| welch_psd(s, self.segment_len, Window::Hann).ok());
-        match psd {
+        let samples = input.samples();
+        match welch_psd(samples, self.segment_len, Window::Hann).ok() {
             Some(psd) => {
                 // At the 4 MHz capture rate the 2 MHz ZigBee band is
                 // |f| <= 0.25; leakage past |f| = 0.375 is pure attacker
@@ -274,7 +262,6 @@ impl FeatureExtractor for SpectralExtractor {
                 // finite mean and a finite tail past the last segment mean
                 // finite samples; otherwise the full check tells a
                 // non-finite sample from an overflow.
-                let samples = input.samples().unwrap_or_default();
                 let covered = (psd.segments - 1) * (self.segment_len / 2) + self.segment_len;
                 if !((mean.is_finite() && all_finite(&samples[covered..])) || all_finite(samples)) {
                     // A non-finite sample is no evidence of a flat or a
@@ -327,16 +314,10 @@ impl FeatureExtractor for OfdmArtifactExtractor {
     }
 
     fn extract(&self, input: &FeatureInput<'_>, out: &mut FeatureVector) {
-        let cp = input.samples().and_then(cp_similarity_4mhz).unwrap_or(0.0);
-        out.push("cp_similarity", cp);
-        let self_sim = input
-            .samples()
-            .map(|s| {
-                let mid = s.len() / 2;
-                phase_trend_similarity(&s[..mid], &s[mid..])
-            })
-            .unwrap_or(0.0);
-        out.push("phase_self_sim", self_sim);
+        let samples = input.samples();
+        out.push("cp_similarity", cp_similarity_4mhz(samples).unwrap_or(0.0));
+        let (first, second) = samples.split_at(samples.len() / 2);
+        out.push("phase_self_sim", phase_trend_similarity(first, second));
     }
 }
 
@@ -364,9 +345,8 @@ impl FeatureExtractor for EvmExtractor {
     }
 }
 
-/// Burst power features: RSSI (mean power, dB) and waveform peak-to-average
-/// power ratio. Computed over the raw waveform when available, else over
-/// the constellation points.
+/// Burst power features over the raw waveform: RSSI (mean power, dB) and
+/// peak-to-average power ratio.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RssiExtractor;
 
@@ -383,10 +363,7 @@ impl FeatureExtractor for RssiExtractor {
     }
 
     fn extract(&self, input: &FeatureInput<'_>, out: &mut FeatureVector) {
-        let points: &[Complex] = match input.samples() {
-            Some(s) if !s.is_empty() => s,
-            _ => input.constellation(),
-        };
+        let points = input.samples();
         if points.is_empty() {
             out.push("rssi_db", 0.0);
             out.push("papr_db", 0.0);
@@ -783,15 +760,16 @@ pub struct PipelineScores {
     pub features: FeatureVector,
 }
 
-/// Outcome of one pipeline detection: the legacy-shaped [`Verdict`]
-/// (`de_squared` is the configured assumption's DE², `is_attack` is the
-/// classifier decision) plus the per-feature scores behind it.
+/// Outcome of one pipeline detection: the [`Verdict`] (`de_squared` is
+/// the configured assumption's DE², `is_attack` is the classifier
+/// decision) plus the per-feature scores behind it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineVerdict {
-    /// Legacy-compatible verdict (what streaming events carry).
+    /// The verdict streaming events carry.
     pub verdict: Verdict,
-    /// The fused score and named per-feature values.
-    pub scores: PipelineScores,
+    /// The fused score and named per-feature values; `None` exactly when
+    /// the pipeline has no extractors.
+    pub scores: Option<PipelineScores>,
 }
 
 /// A configured detection pipeline: extractors + classifier + the channel
@@ -804,21 +782,19 @@ pub struct DetectionPipeline {
 }
 
 impl DetectionPipeline {
-    /// The legacy detector as a pipeline: cumulant features only, single
-    /// DE² feature thresholded at the detector's `Q`. Verdicts are
-    /// bit-for-bit identical to [`Detector::detect`].
+    /// The paper's detector as a pipeline: no extractors, the verdict's
+    /// DE² thresholded at the detector's `Q`. Only that DE² is computed
+    /// (under [`ChannelAssumption::Ideal`], the cumulant half alone), no
+    /// scores are reported, and verdicts are bit-for-bit identical to
+    /// [`Detector::detect`].
     pub fn legacy(detector: Detector) -> Self {
         DetectionPipeline {
-            extractors: vec![Box::new(CumulantExtractor)],
-            classifier: Classifier::Threshold {
-                feature: de2_feature(detector.assumption()).to_string(),
-                threshold: detector.threshold(),
-            },
-            assumption: detector.assumption(),
+            extractors: Vec::new(),
+            ..DetectionPipeline::standard(detector)
         }
     }
 
-    /// The standard extractor set with the legacy threshold decision:
+    /// The standard extractor set with the paper's threshold decision:
     /// identical verdicts to [`Detector::detect`], but every feature's
     /// score becomes visible downstream.
     pub fn standard(detector: Detector) -> Self {
@@ -829,19 +805,6 @@ impl DetectionPipeline {
                 threshold: detector.threshold(),
             },
             assumption: detector.assumption(),
-        }
-    }
-
-    /// A pipeline with an explicit extractor set and classifier.
-    pub fn with_parts(
-        extractors: Vec<Box<dyn FeatureExtractor>>,
-        classifier: Classifier,
-        assumption: ChannelAssumption,
-    ) -> Self {
-        DetectionPipeline {
-            extractors,
-            classifier,
-            assumption,
         }
     }
 
@@ -886,45 +849,54 @@ impl DetectionPipeline {
         Ok(fv)
     }
 
-    /// Runs extraction + fusion for one burst.
+    /// Runs extraction + fusion for one burst. Without extractors the
+    /// classifier reads the verdict's DE² alone and no scores are
+    /// reported.
     ///
     /// # Errors
     ///
     /// [`DetectError::NoSamples`] when the reception carries no chip
     /// samples.
     pub fn score(&self, input: &FeatureInput<'_>) -> Result<PipelineVerdict, DetectError> {
-        let fv = self.extract(input)?;
-        let (fused, is_attack) = self.classifier.decide(&fv);
         let features = *input.cumulants().ok_or(DetectError::NoSamples)?;
         let de_squared = input
             .de_squared(self.assumption)
             .ok_or(DetectError::NoSamples)?;
+        let (is_attack, scores) = if self.extractors.is_empty() {
+            let mut fv = FeatureVector::new();
+            fv.push(de2_feature(self.assumption), de_squared);
+            (self.classifier.decide(&fv).1, None)
+        } else {
+            let fv = self.extract(input)?;
+            let (fused, is_attack) = self.classifier.decide(&fv);
+            let scores = PipelineScores {
+                fused,
+                features: fv,
+            };
+            (is_attack, Some(scores))
+        };
         Ok(PipelineVerdict {
             verdict: Verdict {
                 de_squared,
                 is_attack,
                 features,
             },
-            scores: PipelineScores {
-                fused,
-                features: fv,
-            },
+            scores,
         })
-    }
-
-    /// Convenience: score a reception without a raw waveform.
-    ///
-    /// # Errors
-    ///
-    /// [`DetectError::NoSamples`] when the reception carries no chip
-    /// samples.
-    pub fn detect(&self, reception: &Reception) -> Result<PipelineVerdict, DetectError> {
-        self.score(&FeatureInput::new(reception))
     }
 
     /// Shared handle for multi-threaded consumers (gateway workers).
     pub fn shared(self) -> Arc<Self> {
         Arc::new(self)
+    }
+}
+
+/// The paper's detector as a shared pipeline
+/// ([`DetectionPipeline::legacy`]), so a stage takes a [`Detector`] or a
+/// pipeline through one `impl Into<Arc<DetectionPipeline>>` parameter.
+impl From<Detector> for Arc<DetectionPipeline> {
+    fn from(detector: Detector) -> Self {
+        DetectionPipeline::legacy(detector).shared()
     }
 }
 
@@ -1300,12 +1272,22 @@ mod tests {
         for assumption in [ChannelAssumption::Ideal, ChannelAssumption::Real] {
             let det = Detector::new(assumption).with_threshold(0.25);
             let pipeline = DetectionPipeline::legacy(det);
+            assert!(pipeline.feature_names().is_empty());
             for (wave, seed) in [(&zig, 10u64), (&emu, 20)] {
-                let r = rx.receive(&noisy(wave, 15.0, seed));
+                let w = noisy(wave, 15.0, seed);
+                let r = rx.receive(&w);
                 let legacy = det.detect(&r).unwrap();
-                let pv = pipeline.detect(&r).unwrap();
+                let input = FeatureInput::with_samples(&r, &w);
+                let pv = pipeline.score(&input).unwrap();
+                // Only the verdict's DE² is computed: the line search
+                // runs for the real-channel statistic alone.
+                assert_eq!(
+                    input.features.get().is_some(),
+                    assumption == ChannelAssumption::Real
+                );
                 assert_eq!(pv.verdict, legacy, "verdicts must be bit-identical");
-                assert_eq!(pv.scores.fused.to_bits(), legacy.de_squared.to_bits());
+                assert_eq!(pv.verdict.de_squared.to_bits(), legacy.de_squared.to_bits());
+                assert_eq!(pv.scores, None, "no extractors, no scores");
             }
         }
     }
@@ -1314,11 +1296,14 @@ mod tests {
     fn standard_pipeline_keeps_legacy_decisions() {
         let det = Detector::default().with_threshold(0.25);
         let pipeline = DetectionPipeline::standard(det);
-        let r = Receiver::usrp().receive(&noisy(&emulated_wave(), 15.0, 3));
+        let w = noisy(&emulated_wave(), 15.0, 3);
+        let r = Receiver::usrp().receive(&w);
         let legacy = det.detect(&r).unwrap();
-        let pv = pipeline.detect(&r).unwrap();
+        let pv = pipeline.score(&FeatureInput::with_samples(&r, &w)).unwrap();
         assert_eq!(pv.verdict, legacy);
-        assert_eq!(pv.scores.features.len(), pipeline.feature_names().len());
+        let scores = pv.scores.unwrap();
+        assert_eq!(scores.features.len(), pipeline.feature_names().len());
+        assert_eq!(scores.fused.to_bits(), legacy.de_squared.to_bits());
     }
 
     #[test]
@@ -1374,22 +1359,15 @@ mod tests {
     }
 
     #[test]
-    fn without_samples_waveform_features_are_neutral() {
-        let pipeline = DetectionPipeline::standard(Detector::default());
-        let r = Receiver::usrp().receive(&noisy(&zigbee_wave(), 12.0, 8));
-        let fv = pipeline.extract(&FeatureInput::new(&r)).unwrap();
-        assert_eq!(fv.get("psd_inband"), Some(0.0));
-        assert_eq!(fv.get("cp_similarity"), Some(0.0));
-        // Constellation-level features still work.
-        assert!(fv.get("de2_ideal").unwrap() > 0.0);
-        assert!(fv.get("clustered_evm").unwrap() > 0.0);
-    }
-
-    #[test]
     fn empty_reception_errors_like_legacy() {
-        let pipeline = DetectionPipeline::legacy(Detector::default());
         let r = Receiver::usrp().receive(&[]);
-        assert_eq!(pipeline.detect(&r).unwrap_err(), DetectError::NoSamples);
+        for pipeline in [
+            DetectionPipeline::legacy(Detector::default()),
+            DetectionPipeline::standard(Detector::default()),
+        ] {
+            let input = FeatureInput::with_samples(&r, &[]);
+            assert_eq!(pipeline.score(&input).unwrap_err(), DetectError::NoSamples);
+        }
     }
 
     #[test]

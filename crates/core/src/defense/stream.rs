@@ -13,7 +13,8 @@
 //!   completed burst's samples (plus a decode margin), carrying detector
 //!   and buffer state across chunk boundaries. O(burst length) memory.
 //! - [`FrameProcessor`] — worker side: decodes one captured burst with the
-//!   stock 802.15.4 receiver and classifies it with the cumulant detector.
+//!   stock 802.15.4 receiver and classifies it with a
+//!   [`DetectionPipeline`] (the paper's cumulant detector by default).
 //! - [`StreamMonitor`] — both stages inline: `push` chunks, get events.
 //!   [`StreamMonitor::scan`] (one-shot, whole recording) is a thin wrapper
 //!   over `push` + `finish`, so the two paths cannot drift: any chunking
@@ -21,7 +22,7 @@
 //!   buffer.
 
 use crate::attack::listener::{Burst, BurstEnd, EnergyDetector, EnergyStream};
-use crate::defense::detector::{Detector, Verdict};
+use crate::defense::detector::Verdict;
 use crate::defense::pipeline::{DetectionPipeline, FeatureInput, PipelineScores};
 use ctc_dsp::{BufferPool, Complex, SampleBuf};
 use ctc_zigbee::{Receiver, Reception};
@@ -43,8 +44,8 @@ pub struct StreamEvent {
     /// stream or by the splitter's burst-length cap).
     pub truncated: bool,
     /// Fused score plus per-feature values, present only when the
-    /// processor runs a [`DetectionPipeline`] (`None` on the legacy
-    /// single-detector path, whose events are unchanged).
+    /// processor's [`DetectionPipeline`] has extractors (`None` for the
+    /// paper's detector, whose events carry the verdict alone).
     pub scores: Option<PipelineScores>,
 }
 
@@ -139,11 +140,6 @@ impl BurstSplitter {
     /// The energy-detector configuration in use.
     pub fn energy(&self) -> &EnergyDetector {
         self.stream.config()
-    }
-
-    /// Total samples consumed so far.
-    pub fn samples_seen(&self) -> usize {
-        self.stream.samples_seen()
     }
 
     /// Consumes a chunk, returning every capture completed by it.
@@ -260,36 +256,21 @@ impl BurstSplitter {
 #[derive(Debug, Clone)]
 pub struct FrameProcessor {
     receiver: Receiver,
-    detector: Detector,
-    pipeline: Option<Arc<DetectionPipeline>>,
+    pipeline: Arc<DetectionPipeline>,
 }
 
 impl FrameProcessor {
-    /// Builds the stage from its receiver and detector.
-    pub fn new(receiver: Receiver, detector: Detector) -> Self {
+    /// Builds the stage from its receiver and its classifier: a
+    /// [`Detector`](crate::defense::Detector) (the paper's test, as
+    /// [`DetectionPipeline::legacy`]) or any shared pipeline.
+    pub fn new(receiver: Receiver, pipeline: impl Into<Arc<DetectionPipeline>>) -> Self {
         FrameProcessor {
             receiver,
-            detector,
-            pipeline: None,
+            pipeline: pipeline.into(),
         }
     }
 
-    /// Classifies with a detection pipeline instead of the bare detector:
-    /// events gain per-feature [`PipelineScores`] and the verdict's
-    /// `is_attack` comes from the pipeline's classifier. With
-    /// [`DetectionPipeline::legacy`] the verdicts are bit-identical to the
-    /// bare detector's.
-    pub fn with_pipeline(mut self, pipeline: Arc<DetectionPipeline>) -> Self {
-        self.pipeline = Some(pipeline);
-        self
-    }
-
-    /// The detection pipeline, when one is configured.
-    pub fn pipeline(&self) -> Option<&Arc<DetectionPipeline>> {
-        self.pipeline.as_ref()
-    }
-
-    /// Runs the stock receiver and the cumulant detector on one capture.
+    /// Runs the stock receiver and the detection pipeline on one capture.
     pub fn process(&self, capture: &BurstCapture) -> StreamEvent {
         let reception = self.decode(capture);
         self.classify(capture, reception)
@@ -304,15 +285,10 @@ impl FrameProcessor {
     /// Stage 2: the hypothesis test, folded into the final event.
     pub fn classify(&self, capture: &BurstCapture, reception: Reception) -> StreamEvent {
         let payload = reception.payload().map(<[u8]>::to_vec);
-        let (verdict, scores) = match &self.pipeline {
-            None => (self.detector.detect(&reception).ok(), None),
-            Some(pipeline) => {
-                let input = FeatureInput::with_samples(&reception, &capture.samples);
-                match pipeline.score(&input) {
-                    Ok(pv) => (Some(pv.verdict), Some(pv.scores)),
-                    Err(_) => (None, None),
-                }
-            }
+        let input = FeatureInput::with_samples(&reception, &capture.samples);
+        let (verdict, scores) = match self.pipeline.score(&input) {
+            Ok(pv) => (Some(pv.verdict), pv.scores),
+            Err(_) => (None, None),
         };
         StreamEvent {
             burst: capture.burst,
@@ -322,16 +298,6 @@ impl FrameProcessor {
             truncated: capture.truncated,
             scores,
         }
-    }
-
-    /// The receiver this stage decodes with.
-    pub fn receiver(&self) -> &Receiver {
-        &self.receiver
-    }
-
-    /// The detector this stage classifies with.
-    pub fn detector(&self) -> &Detector {
-        &self.detector
     }
 }
 
@@ -352,11 +318,16 @@ pub struct MonitorFactory {
 }
 
 impl MonitorFactory {
-    /// Builds the factory from the shared stage configuration.
-    pub fn new(energy: EnergyDetector, receiver: Receiver, detector: Detector) -> Self {
+    /// Builds the factory from the shared stage configuration (see
+    /// [`FrameProcessor::new`] for the classifier).
+    pub fn new(
+        energy: EnergyDetector,
+        receiver: Receiver,
+        pipeline: impl Into<Arc<DetectionPipeline>>,
+    ) -> Self {
         MonitorFactory {
             energy,
-            processor: FrameProcessor::new(receiver, detector),
+            processor: FrameProcessor::new(receiver, pipeline),
             pool: BufferPool::new(),
             max_burst: None,
         }
@@ -376,21 +347,9 @@ impl MonitorFactory {
         self
     }
 
-    /// Classifies every session's bursts with a shared
-    /// [`DetectionPipeline`] (see [`FrameProcessor::with_pipeline`]).
-    pub fn with_pipeline(mut self, pipeline: Arc<DetectionPipeline>) -> Self {
-        self.processor = self.processor.with_pipeline(pipeline);
-        self
-    }
-
     /// The shared capture-buffer pool.
     pub fn pool(&self) -> &BufferPool {
         &self.pool
-    }
-
-    /// The shared energy-detector configuration.
-    pub fn energy(&self) -> &EnergyDetector {
-        &self.energy
     }
 
     /// The shared worker-side stage (clone is cheap; decode/classify hold
@@ -413,14 +372,6 @@ impl MonitorFactory {
             None => splitter,
         }
     }
-
-    /// A fresh inline monitor for one session (splitter + processor).
-    pub fn monitor(&self) -> StreamMonitor {
-        StreamMonitor {
-            splitter: self.splitter(),
-            processor: self.processor.clone(),
-        }
-    }
 }
 
 /// A configured stream monitor: burst splitting plus decode/classify, in
@@ -432,38 +383,27 @@ pub struct StreamMonitor {
 }
 
 impl StreamMonitor {
-    /// Builds a monitor from its three stages.
-    pub fn new(energy: EnergyDetector, receiver: Receiver, detector: Detector) -> Self {
+    /// Builds a monitor from its three stages (see [`FrameProcessor::new`]
+    /// for the classifier).
+    pub fn new(
+        energy: EnergyDetector,
+        receiver: Receiver,
+        pipeline: impl Into<Arc<DetectionPipeline>>,
+    ) -> Self {
         StreamMonitor {
             splitter: BurstSplitter::new(energy),
-            processor: FrameProcessor::new(receiver, detector),
+            processor: FrameProcessor::new(receiver, pipeline),
         }
     }
 
     /// Defaults: standard energy detector, hard-decision receiver with a
-    /// 96-sample timing search, the given detector.
-    pub fn with_detector(detector: Detector) -> Self {
+    /// 96-sample timing search, the given detector or pipeline.
+    pub fn with_detector(detector: impl Into<Arc<DetectionPipeline>>) -> Self {
         StreamMonitor::new(
             EnergyDetector::default(),
             Receiver::usrp().with_sync_search(96),
             detector,
         )
-    }
-
-    /// The ingest-side stage (for running the stages on separate threads,
-    /// clone this before any `push`).
-    pub fn splitter(&self) -> &BurstSplitter {
-        &self.splitter
-    }
-
-    /// The worker-side stage.
-    pub fn processor(&self) -> &FrameProcessor {
-        &self.processor
-    }
-
-    /// Total samples consumed since construction or the last `finish`.
-    pub fn samples_seen(&self) -> usize {
-        self.splitter.samples_seen()
     }
 
     /// Consumes the next chunk of the stream, returning one event per
@@ -507,7 +447,7 @@ impl StreamMonitor {
 mod tests {
     use super::*;
     use crate::attack::Emulator;
-    use crate::defense::ChannelAssumption;
+    use crate::defense::{ChannelAssumption, Detector};
     use ctc_channel::noise::complex_gaussian;
     use ctc_zigbee::Transmitter;
     use rand::rngs::StdRng;
@@ -730,12 +670,11 @@ mod tests {
     #[test]
     fn factory_sessions_are_isolated_but_share_the_pool() {
         let (stream, _) = build_stream(9);
-        let factory = MonitorFactory::new(
-            EnergyDetector::default(),
-            Receiver::usrp().with_sync_search(96),
-            Detector::new(ChannelAssumption::Ideal).with_threshold(0.25),
-        );
-        let reference = factory.monitor().scan(&stream);
+        let detector = Detector::new(ChannelAssumption::Ideal).with_threshold(0.25);
+        let receiver = Receiver::usrp().with_sync_search(96);
+        let factory = MonitorFactory::new(EnergyDetector::default(), receiver.clone(), detector);
+        let reference =
+            StreamMonitor::new(EnergyDetector::default(), receiver, detector).scan(&stream);
         assert_eq!(reference.len(), 2);
 
         // Two interleaved sessions each reproduce the scan exactly.

@@ -14,7 +14,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Gateway configuration: transport-independent pipeline knobs plus the
-/// three detection stages.
+/// three detection stages: energy gate, receiver and one classifying
+/// [`DetectionPipeline`].
 ///
 /// Construct via [`GatewayConfig::builder`] (validates at build time) or
 /// [`GatewayConfig::default`]; the fields stay public for
@@ -37,13 +38,11 @@ pub struct GatewayConfig {
     pub energy: EnergyDetector,
     /// Frame decoding stage.
     pub receiver: Receiver,
-    /// Classification stage.
-    pub detector: Detector,
-    /// Feature-ensemble classification stage (`None`: the legacy
-    /// single-statistic `detector` path, byte-for-byte). When set, every
-    /// burst is scored by the pipeline and events carry per-feature
-    /// scores.
-    pub pipeline: Option<Arc<DetectionPipeline>>,
+    /// Classification stage. The default is the paper's test
+    /// ([`DetectionPipeline::legacy`]: ideal-channel DE² against
+    /// `Q = 0.5`), whose events carry no scores; a pipeline with
+    /// extractors adds per-feature scores to every event.
+    pub pipeline: Arc<DetectionPipeline>,
 }
 
 impl Default for GatewayConfig {
@@ -56,8 +55,7 @@ impl Default for GatewayConfig {
             stats_interval: Some(Duration::from_secs(5)),
             energy: EnergyDetector::default(),
             receiver: Receiver::usrp().with_sync_search(96),
-            detector: Detector::new(ctc_core::defense::ChannelAssumption::Ideal),
-            pipeline: None,
+            pipeline: Detector::default().into(),
         }
     }
 }
@@ -123,16 +121,18 @@ impl GatewayConfigBuilder {
         self
     }
 
-    /// Classification stage.
+    /// Classification stage: the paper's test with this detector's
+    /// assumption and `Q`. Replaces any earlier
+    /// [`detection_pipeline`](Self::detection_pipeline).
     pub fn detector(mut self, detector: Detector) -> Self {
-        self.config.detector = detector;
+        self.config.pipeline = detector.into();
         self
     }
 
-    /// Feature-ensemble classification stage (see
-    /// [`GatewayConfig::pipeline`]).
+    /// Classification stage (see [`GatewayConfig::pipeline`]). Replaces
+    /// any earlier [`detector`](Self::detector).
     pub fn detection_pipeline(mut self, pipeline: Arc<DetectionPipeline>) -> Self {
-        self.config.pipeline = Some(pipeline);
+        self.config.pipeline = pipeline;
         self
     }
 
@@ -197,6 +197,33 @@ mod tests {
         assert_eq!(config.workers, 2);
         assert_eq!(config.queue_depth, 8);
         assert_eq!(config.stats_interval, None);
+    }
+
+    #[test]
+    fn the_last_classification_call_wins() {
+        use ctc_core::defense::Classifier;
+        let threshold = |q: f64| Classifier::Threshold {
+            feature: "de2_ideal".into(),
+            threshold: q,
+        };
+        let default = GatewayConfig::default().pipeline;
+        assert!(default.feature_names().is_empty());
+        assert_eq!(default.classifier(), &threshold(0.5));
+
+        let detector = Detector::default().with_threshold(0.25);
+        let ensemble = GatewayConfig::builder()
+            .detector(detector)
+            .detection_pipeline(DetectionPipeline::standard(detector).shared())
+            .build()
+            .unwrap();
+        assert_eq!(ensemble.pipeline.feature_names().len(), 16);
+        let paper = GatewayConfig::builder()
+            .detection_pipeline(DetectionPipeline::standard(detector).shared())
+            .detector(detector)
+            .build()
+            .unwrap();
+        assert!(paper.pipeline.feature_names().is_empty());
+        assert_eq!(paper.pipeline.classifier(), &threshold(0.25));
     }
 
     #[test]

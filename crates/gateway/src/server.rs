@@ -402,15 +402,10 @@ impl GatewayServer {
             .collect();
         let sessions = SessionTable::new();
         let server_metrics = ServerMetrics::new();
-        let mut factory = MonitorFactory::new(gw.energy, gw.receiver.clone(), gw.detector)
+        let factory = MonitorFactory::new(gw.energy, gw.receiver.clone(), gw.pipeline.clone())
             .with_max_burst(gw.max_burst);
-        if let Some(pipeline) = &gw.pipeline {
-            factory = factory.with_pipeline(pipeline.clone());
-        }
-        let scores = gw
-            .pipeline
-            .as_ref()
-            .map(|p| ScoreBoard::new(p.feature_names()));
+        let feature_names = gw.pipeline.feature_names();
+        let scores = (!feature_names.is_empty()).then(|| ScoreBoard::new(feature_names));
         let processor = factory.processor().clone();
         let (tx, rx) = mpsc::channel::<SinkMsg>();
         let started = Instant::now();
@@ -999,8 +994,9 @@ fn frame_line(
         .opt("verdict", event.verdict, |o, k, v| {
             o.string(k, if v.is_attack { "attack" } else { "authentic" })
         });
-    // Pipeline runs add the fused score and the named feature vector;
-    // legacy runs carry no `scores`, keeping their lines byte-identical.
+    // Pipelines with extractors add the fused score and the named feature
+    // vector; the paper's detector reports no scores, so its lines carry
+    // the verdict alone.
     let line = match &event.scores {
         Some(scores) => {
             let mut features = JsonObject::new();

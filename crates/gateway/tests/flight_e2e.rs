@@ -64,7 +64,7 @@ fn forged_stream_dumps_exactly_one_snapshot_ending_at_the_verdict() {
         .stats_interval(None)
         .build()
         .unwrap();
-    gw.pipeline = Some(DetectionPipeline::standard(detector).shared());
+    gw.pipeline = DetectionPipeline::standard(detector).shared();
     let mut config = ServerConfig::from(gw);
     config.shards = 1;
 

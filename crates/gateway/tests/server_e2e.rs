@@ -724,8 +724,12 @@ fn pipeline_run_carries_per_feature_scores() {
     let (bytes, _) = synthetic_capture(26);
     let detector = Detector::new(ChannelAssumption::Ideal).with_threshold(0.25);
 
+    // The paper's detector reports no scores: neither on its lines nor as
+    // registry gauges.
+    let legacy_registry = Arc::new(ctc_obs::Registry::new());
     let mut legacy_events = Vec::new();
     GatewayServer::new(ServerConfig::from(config()))
+        .with_registry(Arc::clone(&legacy_registry))
         .run_streams(
             vec![NamedStream::new("cap", &bytes[..])],
             &mut legacy_events,
@@ -735,9 +739,11 @@ fn pipeline_run_carries_per_feature_scores() {
     let legacy = String::from_utf8(legacy_events).unwrap();
     assert!(!legacy.contains("\"score\""), "{legacy}");
     assert!(!legacy.contains("\"features\""), "{legacy}");
+    let text = legacy_registry.render();
+    assert!(!text.contains("ctc_detector_score"), "{text}");
 
     let mut gw = config();
-    gw.pipeline = Some(DetectionPipeline::standard(detector).shared());
+    gw.pipeline = DetectionPipeline::standard(detector).shared();
     let registry = Arc::new(ctc_obs::Registry::new());
     let server = GatewayServer::new(ServerConfig::from(gw)).with_registry(Arc::clone(&registry));
     let mut events = Vec::new();

@@ -251,7 +251,9 @@ fn gateway_events(
     let config = GatewayConfig {
         workers: 1,
         stats_interval: None,
-        detector: Detector::new(ChannelAssumption::Ideal).with_threshold(0.25),
+        pipeline: Detector::new(ChannelAssumption::Ideal)
+            .with_threshold(0.25)
+            .into(),
         ..GatewayConfig::default()
     };
     let mut events = Vec::new();

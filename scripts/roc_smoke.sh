@@ -5,7 +5,9 @@
 #
 #   - `ctc detector train` fits a logistic model over the synthetic
 #     SNR sweep and writes a versioned model file, which must parse back
-#     (`--detector model:<path>` is exercised by the gateway smoke);
+#     (`ctc monitor --detector model:<path>` is exercised by
+#     `monitor_classifies_with_every_detector_mode` in
+#     crates/cli/tests/detect_cli.rs);
 #   - `ctc detector eval --gate` reruns the sweep with a held-out split,
 #     trains both ensembles, and exits 13 when the best ensemble AUC
 #     drops below the DE² baseline AUC — that exit fails this script;

@@ -94,7 +94,9 @@ fn gateway_pipeline_matches_inline_monitor() {
     write_cf32(&mut bytes, stream).unwrap();
     let config = GatewayConfig {
         chunk_samples: 1000,
-        detector: Detector::new(ChannelAssumption::Ideal).with_threshold(0.25),
+        pipeline: Detector::new(ChannelAssumption::Ideal)
+            .with_threshold(0.25)
+            .into(),
         stats_interval: None,
         ..GatewayConfig::default()
     };
