@@ -5,9 +5,9 @@
 //! The acceptance floor for the pipeline is 4 Msamples/s at the default
 //! worker count — one 4 MHz ZigBee channel in real time with headroom.
 //!
-//! Benches the single-shard server path with one unlabelled stream — the
-//! shape `ctc monitor --input` runs a recording in — so a shard/session
-//! overhead regression shows up right here.
+//! Benches the server with one unlabelled stream — the shape `ctc monitor
+//! --input` runs a recording in — so a queue/session overhead regression
+//! shows up right here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ctc_channel::noise::complex_gaussian;
@@ -44,20 +44,17 @@ fn sparse_capture(total: usize) -> Vec<u8> {
 }
 
 fn config(workers: usize) -> ServerConfig {
-    ServerConfig {
-        shards: 1,
-        ..ServerConfig::from(GatewayConfig {
-            workers,
-            pipeline: Detector::new(ChannelAssumption::Ideal)
-                .with_threshold(0.25)
-                .into(),
-            stats_interval: None,
-            ..GatewayConfig::default()
-        })
-    }
+    ServerConfig::from(GatewayConfig {
+        workers,
+        pipeline: Detector::new(ChannelAssumption::Ideal)
+            .with_threshold(0.25)
+            .into(),
+        stats_interval: None,
+        ..GatewayConfig::default()
+    })
 }
 
-/// One unlabelled stream through the single-shard server.
+/// One unlabelled stream through the server.
 ///
 /// The flight recorder is attached at its default capacity (no output
 /// path, so no snapshots) — the 12% bench gate therefore prices in the

@@ -83,7 +83,7 @@ COMMANDS
   monitor   --input <src> | --listen <addr> [--real] [--threshold Q]
             [--detector cumulant|features|model:<path>]
             [--workers N] [--chunk N] [--queue N] [--stats SECS]
-            [--max-burst N] [--max-streams N] [--shards N] [--stop-after N]
+            [--max-burst N] [--max-streams N] [--stop-after N]
             [--metrics-addr HOST:PORT] [--trace-out FILE]
             Streaming detection gateway: JSONL frame events on stdout,
             periodic stats on stderr. Exits 3 when a forgery was accepted;
@@ -92,14 +92,16 @@ COMMANDS
             --chunk N is the largest ingest chunk in samples (default
             65536): each read of a stream goes to the burst splitter as
             it arrives, so frames are classified without waiting for a
-            chunk to fill.
+            chunk to fill. --queue N is the work queue's depth in bursts
+            per worker (default 64): every stream shares one queue of
+            N × workers bursts, and under overload a stream over its fair
+            share sheds its own oldest bursts first.
             --listen (tcp://host:port or unix:///path.sock) serves many
             concurrent streams, each a session with a `stream`-tagged
             event sequence and per-stream metrics; --max-streams caps
-            concurrency, --stop-after N exits after N sessions, --shards
-            sets worker shards (0 = one per worker). The bound address
-            prints on stderr as a single `listening <addr>` line, so
-            port 0 works in scripts (`sed -n 's/^listening //p'`).
+            concurrency, --stop-after N exits after N sessions. The bound
+            address prints on stderr as a single `listening <addr>` line,
+            so port 0 works in scripts (`sed -n 's/^listening //p'`).
             --metrics-addr serves Prometheus text at /metrics for the run
             (port 0 picks a free port; the bound address prints on stderr);
             --trace-out writes one JSONL span record per pipeline stage.
@@ -659,9 +661,6 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
         if let Some(n) = args.parse_num::<usize>("max-streams")? {
             server_config.max_streams = n.max(1);
         }
-        if let Some(n) = args.parse_num::<usize>("shards")? {
-            server_config.shards = n;
-        }
         if let Some(n) = args.parse_num::<u64>("stop-after")? {
             server_config.stop_after = Some(n);
         }
@@ -707,18 +706,15 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     }
 
     // Single-stream mode: one input, unlabelled event stream. Runs on
-    // the multi-stream server pinned to a single shard, which keeps the
+    // the multi-stream server as its one session, which keeps the
     // single-stream event and stats shape while sharing one code path
     // with `--listen`.
     let input = match Input::parse(args.require("input")?) {
         Ok(input) => input,
         Err(e) => return Ok(gateway_exit("parsing --input", &e)),
     };
-    let server_config = ServerConfig {
-        shards: 1,
-        ..ServerConfig::from(config)
-    };
-    let mut server = GatewayServer::new(server_config).with_registry(Arc::clone(&registry));
+    let mut server =
+        GatewayServer::new(ServerConfig::from(config)).with_registry(Arc::clone(&registry));
     if let Some(sink) = &trace {
         server = server.with_trace_sink(Arc::clone(sink));
     }
@@ -1248,11 +1244,10 @@ fn render_incident(doc: &ctc_obs::json::JsonValue) -> Result<String, String> {
         out.push_str(&format!("sessions ({}):\n", sessions.len()));
         for s in sessions {
             out.push_str(&format!(
-                "  #{} stream={} shard={} samples_in={} bursts={} frames={} \
+                "  #{} stream={} samples_in={} bursts={} frames={} \
                  forgeries={} dropped={}\n",
                 num(s, "id").unwrap_or(0.0) as u64,
                 s.get("stream").and_then(|v| v.as_str()).unwrap_or("-"),
-                num(s, "shard").unwrap_or(0.0) as u64,
                 num(s, "samples_in").unwrap_or(0.0) as u64,
                 num(s, "bursts").unwrap_or(0.0) as u64,
                 num(s, "frames_decoded").unwrap_or(0.0) as u64,
@@ -1723,7 +1718,7 @@ mod tests {
             r#"{"type":"ctc_incident","version":1,"trigger":"forgery","t_us":5120,
                 "ring":{"capacity":1024,"recorded":7},
                 "events":[
-                  {"t_us":100,"kind":"session_open","session":1,"seq":0,"shard":0},
+                  {"t_us":100,"kind":"session_open","session":1,"seq":0},
                   {"t_us":200,"kind":"burst","session":1,"seq":0,"start":700,"samples":520},
                   {"t_us":300,"kind":"stage","session":1,"seq":0,"stage":"decode","dur_us":40},
                   {"t_us":400,"kind":"verdict","session":1,"seq":0,"decoded":true,
@@ -1733,7 +1728,7 @@ mod tests {
                 "registry":[{"name":"ctc_gateway_bursts_total","labels":{},"value":1}],
                 "delta":[{"name":"ctc_gateway_frames_total",
                           "labels":{"verdict":"attack"},"before":0,"after":1,"delta":1}],
-                "sessions":[{"id":1,"stream":"uplink","shard":0,"samples_in":4096,
+                "sessions":[{"id":1,"stream":"uplink","samples_in":4096,
                              "bursts":1,"frames_decoded":1,"forgeries":1,"bursts_dropped":0}],
                 "config":{"workers":2,"queue_depth":16},
                 "dump_seq":1}"#,

@@ -1,17 +1,21 @@
 //! `ctc detect` and `ctc monitor` end to end on frames the binary
 //! generates itself: the verdict's exit status with and without `--real`,
 //! the `|Ĉ40|` column (which only the line search computes), the frame
-//! lines of every `--detector` mode, and the one-line errors for
-//! thresholds, stats intervals and flag combinations that would otherwise
-//! panic, switch the detector off or be silently ignored.
+//! lines of every `--detector` mode, a `--queue` depth too large to
+//! preallocate, a `SIGUSR1` snapshot taken while the input is still open,
+//! and the one-line errors for thresholds, stats intervals and flag
+//! combinations that would otherwise panic, switch the detector off or be
+//! silently ignored.
 
 use ctc_core::defense::pipeline::MODEL_MAGIC;
 use ctc_core::defense::{features_from_reception, standard_extractors};
 use ctc_dsp::io::read_cf32_file;
 use ctc_gateway::json::{self, JsonValue};
 use ctc_zigbee::Receiver;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 const EXIT_FORGERY: i32 = 3;
 
@@ -56,6 +60,29 @@ impl Frames {
             authentic,
             forged,
         }
+    }
+
+    /// `parts` of the stream (`None`: a 4096-sample zero-power gap)
+    /// concatenated as cf32 bytes.
+    fn stream(&self, parts: &[Option<&Path>]) -> Vec<u8> {
+        let gap = vec![0u8; 4096 * 8];
+        let mut bytes = Vec::new();
+        for part in parts {
+            match part {
+                Some(file) => bytes.extend(std::fs::read(file).unwrap()),
+                None => bytes.extend_from_slice(&gap),
+            }
+        }
+        bytes
+    }
+
+    /// authentic | forged | authentic, with gaps around each frame,
+    /// written to `stream.cf32` in the frames' directory.
+    fn three_frame_stream(&self) -> PathBuf {
+        let (a, f) = (Some(self.authentic.as_path()), Some(self.forged.as_path()));
+        let path = self.dir.join("stream.cf32");
+        std::fs::write(&path, self.stream(&[None, a, None, f, None, a, None])).unwrap();
+        path
     }
 }
 
@@ -105,12 +132,7 @@ fn detect_exits_on_the_verdict_and_prints_the_line_search_magnitude() {
 #[test]
 fn monitor_classifies_with_every_detector_mode() {
     let frames = Frames::generate("monitor");
-    let gap = vec![0u8; 4096 * 8];
-    let authentic = std::fs::read(&frames.authentic).unwrap();
-    let forged = std::fs::read(&frames.forged).unwrap();
-    let parts: [&[u8]; 7] = [&gap, &authentic, &gap, &forged, &gap, &authentic, &gap];
-    let stream = frames.dir.join("stream.cf32");
-    std::fs::write(&stream, parts.concat()).unwrap();
+    let stream = frames.three_frame_stream();
     let model = frames.dir.join("detector.model");
     let train = [
         "detector",
@@ -167,6 +189,91 @@ fn monitor_classifies_with_every_detector_mode() {
             assert_eq!(names, expected, "{args:?}");
         }
     }
+}
+
+/// `--queue N` is bursts per worker and the one work queue allocates as
+/// it fills, so a depth no machine could preallocate runs like the
+/// default: the same frame lines (minus the wall-clock `latency`) and
+/// exit code.
+#[test]
+fn monitor_queue_depth_allocates_as_it_fills() {
+    let frames = Frames::generate("queue");
+    let stream = frames.three_frame_stream();
+    let run = |extra: &[&str]| {
+        let mut args = vec!["monitor", "--input", path_str(&stream)];
+        args.extend(["--stats", "0", "--threshold", "0.25", "--workers", "2"]);
+        args.extend(extra);
+        let out = ctc(&args);
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let lines: Vec<String> = stdout
+            .lines()
+            .map(|line| line.split(",\"latency\":").next().unwrap().to_string())
+            .collect();
+        (out.status.code(), lines)
+    };
+    let default = run(&[]);
+    assert_eq!(default.0, Some(EXIT_FORGERY), "{default:?}");
+    assert_eq!(default.1.len(), 3, "{default:?}");
+    for depth in ["100000000000000", "18446744073709551615"] {
+        assert_eq!(run(&["--queue", depth]), default, "--queue {depth}");
+    }
+}
+
+/// `SIGUSR1` dumps a snapshot while the input is still open, with stats
+/// lines off: the supervisor polls the signal whenever a snapshot path is
+/// set, not only on a stats cadence. The signal goes to a child `ctc`,
+/// since the latch it sets is process-wide.
+#[cfg(unix)]
+#[test]
+fn sigusr1_dumps_while_the_input_is_open_with_stats_off() {
+    let frames = Frames::generate("sigusr1");
+    let snapshot = frames.dir.join("incident.json");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ctc"))
+        .args([
+            "monitor",
+            "--input",
+            "-",
+            "--threshold",
+            "0.25",
+            "--stats",
+            "0",
+        ])
+        .args(["--flight-out", path_str(&snapshot)])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("ctc runs");
+    let mut stdin = child.stdin.take().unwrap();
+    let authentic = Some(frames.authentic.as_path());
+    stdin
+        .write_all(&frames.stream(&[None, authentic, None]))
+        .unwrap();
+    stdin.flush().unwrap();
+
+    // The frame line shows the run is live and its handler installed.
+    let mut stdout = BufReader::new(child.stdout.take().unwrap());
+    let mut line = String::new();
+    stdout.read_line(&mut line).unwrap();
+    assert!(line.contains("\"verdict\":\"authentic\""), "{line}");
+    let kill = Command::new("kill")
+        .args(["-USR1", &child.id().to_string()])
+        .status()
+        .unwrap();
+    assert!(kill.success());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !snapshot.exists() {
+        assert!(
+            Instant::now() < deadline,
+            "no SIGUSR1 snapshot while the input was open"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    drop(stdin);
+    assert!(child.wait().unwrap().success());
+    let text = std::fs::read_to_string(&snapshot).unwrap();
+    assert!(text.contains("\"trigger\":\"sigusr1\""), "{text}");
 }
 
 #[test]

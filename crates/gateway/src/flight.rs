@@ -92,7 +92,6 @@ impl<'a> FlightRun<'a> {
             .uint("workers", gw.workers as u64)
             .uint("queue_depth", gw.queue_depth as u64)
             .uint("max_burst", gw.max_burst as u64)
-            .uint("shards", config.shards as u64)
             .uint("max_streams", config.max_streams as u64)
             .opt(
                 "stats_interval_ms",
@@ -123,7 +122,6 @@ impl<'a> FlightRun<'a> {
             JsonObject::new()
                 .uint("id", session.id())
                 .string_if("stream", session.label())
-                .uint("shard", session.shard() as u64)
                 .uint("samples_in", s.samples_in)
                 .uint("bursts", s.bursts)
                 .uint("frames_decoded", s.frames_decoded)
@@ -243,7 +241,7 @@ mod tests {
             ..FlightOptions::default()
         };
         let (recorder, sessions) = (FlightRecorder::new(), SessionTable::new());
-        sessions.open(Some("s1".into()), 1);
+        sessions.open(Some("s1".into()));
         let run = FlightRun::new(
             &recorder,
             &options,

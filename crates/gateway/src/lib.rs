@@ -12,8 +12,8 @@
 //! shared worker pool:
 //!
 //! - [`server::GatewayServer`] — the service, and the only way in: each
-//!   stream becomes a [`session::Session`] pinned to a worker shard
-//!   (workers steal across shards, so one stalled stream never
+//!   stream becomes a [`session::Session`] feeding one shared
+//!   [`session::WorkQueue`] (a stalled stream pushes nothing, so it never
 //!   head-of-line-blocks another), with per-session drop budgets under
 //!   overload, per-session sequence-ordered JSONL tagged with a `stream`
 //!   field, and both run-wide and `{stream="..."}`-labelled metrics.
@@ -99,5 +99,5 @@ pub use server::{
     GatewayServer, NamedStream, PoolStats, ServerConfig, ServerReport, SessionSummary,
     ShutdownHandle,
 };
-pub use session::{Evicted, Session, SessionId, SessionTable, ShardQueue};
+pub use session::{Evicted, Session, SessionId, SessionTable, WorkQueue};
 pub use source::{Input, Listener, SessionStream};

@@ -316,7 +316,7 @@ mod tests {
         let sessions = SessionTable::new();
         let pool = BufferPool::new();
         register_run(&registry, &sessions, &pool);
-        let session = sessions.open(None, 1);
+        let session = sessions.open(None);
         let metrics = session.metrics();
 
         use std::sync::atomic::Ordering::Relaxed;
@@ -341,7 +341,7 @@ mod tests {
         // opened after registration, show up in the next render.
         metrics.samples_in.fetch_add(1, Relaxed);
         sessions
-            .open(None, 1)
+            .open(None)
             .metrics()
             .samples_in
             .fetch_add(3, Relaxed);
@@ -357,8 +357,8 @@ mod tests {
         let pool = BufferPool::new();
         register_run(&registry, &sessions, &pool);
 
-        let s1 = sessions.open(Some("s1".into()), 2);
-        let s2 = sessions.open(Some("s2".into()), 2);
+        let s1 = sessions.open(Some("s1".into()));
+        let s2 = sessions.open(Some("s2".into()));
         let (s1, s2) = (s1.metrics(), s2.metrics());
         register_session(&registry, "s1", s1);
         register_session(&registry, "s2", s2);

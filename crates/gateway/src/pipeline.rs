@@ -2,7 +2,7 @@
 //! detection-stage knobs every [`GatewayServer`](crate::server::GatewayServer)
 //! session runs with, and its validating builder.
 //!
-//! The pipeline itself (ingest → shard queues → worker pool → ordering
+//! The pipeline itself (ingest → work queue → worker pool → ordering
 //! sink) lives in [`crate::server`].
 
 use crate::error::GatewayError;
@@ -27,7 +27,8 @@ pub struct GatewayConfig {
     pub chunk_samples: usize,
     /// Decode/classify worker threads.
     pub workers: usize,
-    /// Bounded work-queue depth per shard, in bursts.
+    /// Bounded work-queue depth per worker, in bursts: the run's one
+    /// queue holds `queue_depth × workers` bursts across all sessions.
     pub queue_depth: usize,
     /// Burst-length cap in samples (continuous transmissions are split),
     /// bounding per-burst memory.
@@ -91,7 +92,7 @@ impl GatewayConfigBuilder {
         self
     }
 
-    /// Bounded work-queue depth per shard, in bursts.
+    /// Bounded work-queue depth per worker, in bursts.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.config.queue_depth = depth;
         self

@@ -1,31 +1,30 @@
-//! The multi-stream gateway server: sessions, shards, and the shared
-//! decode/classify engine.
+//! The multi-stream gateway server: sessions, one work queue, and the
+//! shared decode/classify engine.
 //!
 //! ```text
 //!            ┌─ accept loop (serve) / caller (run_streams) ─┐
-//!  tcp/unix  │  session 1 ingest ─▶ shard 0 ─┐              │
-//!  clients ─▶│  session 2 ingest ─▶ shard 1 ─┼─▶ worker pool│
-//!            │  session 3 ingest ─▶ shard 0 ─┘   (stealing) │
+//!  tcp/unix  │  session 1 ingest ─┐                         │
+//!  clients ─▶│  session 2 ingest ─┼─▶ work queue ─▶ workers │
+//!            │  session 3 ingest ─┘                         │
 //!            └───────────────────────────────────────┬──────┘
 //!                                  ┌── sink thread ──▼──────────┐
 //!                                  │ per-session reorder ▶ JSONL │
 //!                                  └─────────────────────────────┘
 //! ```
 //!
-//! Each accepted stream becomes a [`Session`] pinned to a worker shard;
-//! workers drain their home shard first and steal from the others when it
-//! is empty, so a stalled or noisy stream cannot head-of-line-block the
-//! rest. Overload is arbitrated per session by the shard queue's drop
-//! budget (see [`crate::session`]). One sink thread restores per-session
-//! sequence order, so the JSONL stream interleaves sessions but is always
-//! in order *within* a `stream` label.
+//! Each accepted stream becomes a [`Session`] whose ingest thread pushes
+//! bursts onto the one [`WorkQueue`] every worker blocks on. A stalled
+//! stream pushes nothing, so it holds up no one; overload is arbitrated
+//! per session by the queue's drop budget (see [`crate::session`]). One
+//! sink thread restores per-session sequence order, so the JSONL stream
+//! interleaves sessions but is always in order *within* a `stream` label.
 
 use crate::error::GatewayError;
 use crate::flight::{FlightOptions, FlightRun};
 use crate::metrics::{MetricsSnapshot, ScoreBoard, ServerMetrics, ServerMetricsSnapshot};
 use crate::obs::RunObs;
 use crate::pipeline::GatewayConfig;
-use crate::session::{Evicted, Session, SessionId, SessionTable, ShardQueue};
+use crate::session::{Evicted, Session, SessionId, SessionTable, WorkQueue};
 use crate::source::Listener;
 use ctc_core::defense::{BurstCapture, FrameProcessor, MonitorFactory, StreamEvent};
 use ctc_dsp::io::Cf32Reader;
@@ -38,25 +37,20 @@ use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// How long an idle worker blocks on its home shard before rescanning.
-const WORKER_IDLE_WAIT: Duration = Duration::from_millis(5);
-/// Accept-loop poll cadence when no client is waiting.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
-/// Supervisor poll cadence while draining sessions with stats enabled.
-const DRAIN_POLL: Duration = Duration::from_millis(1);
+/// Supervisor poll cadence: the accept loop when no client is waiting,
+/// and the drain while sessions finish.
+const POLL: Duration = Duration::from_millis(5);
 
 /// Multi-stream server configuration: the per-stream pipeline knobs plus
-/// the session/shard layer on top.
+/// the session layer on top.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// The per-stream pipeline configuration (chunking, workers, queue
-    /// depth per shard, detection stages).
+    /// depth per worker, detection stages).
     pub gateway: GatewayConfig,
     /// Concurrent-session ceiling; connections beyond it are refused
     /// (counted, reported as a `refused` event) rather than queued.
     pub max_streams: usize,
-    /// Worker shards sessions are pinned to (`0`: one shard per worker).
-    pub shards: usize,
     /// Stop accepting after this many sessions, then drain and return
     /// (`None`: serve until [`GatewayServer::shutdown_handle`] fires).
     pub stop_after: Option<u64>,
@@ -67,7 +61,6 @@ impl Default for ServerConfig {
         ServerConfig {
             gateway: GatewayConfig::default(),
             max_streams: 64,
-            shards: 0,
             stop_after: None,
         }
     }
@@ -101,8 +94,8 @@ impl<'a> NamedStream<'a> {
 
     /// An unlabelled stream: events carry no `stream` field and no
     /// session open/close markers, and the stats lines no `streams`
-    /// field. One unlabelled stream at `shards: 1` is how `ctc monitor
-    /// --input` and the golden corpus monitor a single recording.
+    /// field. One unlabelled stream is how `ctc monitor --input` and the
+    /// golden corpus monitor a single recording.
     pub fn unlabelled(reader: impl Read + Send + 'a) -> Self {
         NamedStream {
             label: None,
@@ -192,7 +185,7 @@ impl ShutdownHandle {
     }
 }
 
-/// One unit of work crossing a shard queue.
+/// One unit of work crossing the work queue.
 struct WorkItem {
     session: Arc<Session>,
     /// Per-session event sequence number.
@@ -250,7 +243,7 @@ enum Feed<'a> {
     Accept(Listener),
 }
 
-/// The sharded multi-stream gateway server.
+/// The multi-stream gateway server.
 ///
 /// # Examples
 ///
@@ -360,8 +353,7 @@ impl GatewayServer {
 
     /// Runs a fixed set of in-process streams through the engine — the
     /// transport-free form of [`serve`](Self::serve). To monitor one
-    /// recording, pass a single [`NamedStream::unlabelled`] with
-    /// [`ServerConfig::shards`] at 1.
+    /// recording, pass a single [`NamedStream::unlabelled`].
     ///
     /// # Errors
     ///
@@ -381,8 +373,8 @@ impl GatewayServer {
         self.run_feed(Feed::Streams(streams), events, stats)
     }
 
-    /// The engine shared by both feeds: shards, workers, sink, and the
-    /// feed-specific supervisor on the calling thread.
+    /// The engine shared by both feeds: the work queue, workers, sink,
+    /// and the supervisor on the calling thread.
     fn run_feed<'a, W, E>(
         &self,
         feed: Feed<'a>,
@@ -396,10 +388,7 @@ impl GatewayServer {
         let cfg = &self.config;
         let gw = &cfg.gateway;
         let workers = gw.workers.max(1);
-        let shard_count = if cfg.shards == 0 { workers } else { cfg.shards };
-        let shards: Vec<ShardQueue<WorkItem>> = (0..shard_count)
-            .map(|_| ShardQueue::new(gw.queue_depth.max(1)))
-            .collect();
+        let queue = WorkQueue::new(gw.queue_depth.max(1).saturating_mul(workers));
         let sessions = SessionTable::new();
         let server_metrics = ServerMetrics::new();
         let factory = MonitorFactory::new(gw.energy, gw.receiver.clone(), gw.pipeline.clone())
@@ -410,6 +399,14 @@ impl GatewayServer {
         let (tx, rx) = mpsc::channel::<SinkMsg>();
         let started = Instant::now();
         let fatal_in_streams = matches!(feed, Feed::Streams(_));
+        // The supervisor polls only when there is something to poll: a
+        // stats cadence, or a snapshot path a SIGUSR1 can dump to.
+        // Otherwise the calling thread sleeps in `join`.
+        let dumps = self
+            .flight
+            .as_ref()
+            .is_some_and(|(options, _)| options.out.is_some());
+        let supervise = gw.stats_interval.is_some() || dumps;
 
         if let Some(registry) = &self.registry {
             crate::obs::register_run(registry, &sessions, factory.pool());
@@ -433,20 +430,15 @@ impl GatewayServer {
             Option<GatewayError>,
         ) = std::thread::scope(|scope| {
             let worker_handles: Vec<_> = (0..workers)
-                .map(|w| {
+                .map(|_| {
                     let tx = tx.clone();
-                    let shards = &shards;
+                    let queue = &queue;
                     let processor = processor.clone();
                     let scores = scores.clone();
                     scope.spawn(move || {
-                        worker_loop(
-                            w % shard_count,
-                            shards,
-                            &processor,
-                            scores.as_ref(),
-                            &tx,
-                            obs,
-                        )
+                        while let Some((_, item)) = queue.pop() {
+                            process_item(item, &processor, scores.as_ref(), &tx, obs);
+                        }
                     })
                 })
                 .collect();
@@ -458,23 +450,21 @@ impl GatewayServer {
                                  session: Arc<Session>,
                                  peer: Option<String>| {
                 let tx = tx.clone();
-                let shards = &shards;
+                let queue = &queue;
                 let server_metrics = &server_metrics;
                 let factory = &factory;
                 let chunk_samples = gw.chunk_samples;
                 scope.spawn(move || {
                     obs.flight_record(|rec| {
                         FlightEvent::new(EventKind::SessionOpen, session.id(), 0, rec.now_us())
-                            .with_args(session.shard() as u64, 0)
                     });
                     if session.label().is_some() {
                         let seq = session.next_seq();
                         let line = session_open_line(&session, seq, peer.as_deref());
                         let _ = tx.send(SinkMsg::line(session.id(), seq, line, 0, Instant::now()));
                     }
-                    let shard = &shards[session.shard()];
                     let result =
-                        session_ingest(reader, &session, factory, shard, &tx, chunk_samples, obs);
+                        session_ingest(reader, &session, factory, queue, &tx, chunk_samples, obs);
                     match &result {
                         Ok(()) => server_metrics.sessions_closed.fetch_add(1, Relaxed),
                         Err(_) => server_metrics.sessions_errored.fetch_add(1, Relaxed),
@@ -506,8 +496,7 @@ impl GatewayServer {
                 if let Some(interval) = gw.stats_interval {
                     if last_stats.elapsed() >= interval {
                         last_stats = Instant::now();
-                        let queue_len: usize = shards.iter().map(ShardQueue::len).sum();
-                        let line = stats_line(&sessions.totals(), started, queue_len, streams);
+                        let line = stats_line(&sessions.totals(), started, queue.len(), streams);
                         writeln!(stats, "{line}")?;
                         stats.flush()?;
                     }
@@ -515,7 +504,7 @@ impl GatewayServer {
                 Ok(())
             };
             let open_session = |label: Option<String>| -> Arc<Session> {
-                let session = sessions.open(label, shard_count);
+                let session = sessions.open(label);
                 if let (Some(registry), Some(label)) = (&self.registry, session.label()) {
                     crate::obs::register_session(registry, label, session.metrics());
                 }
@@ -528,18 +517,6 @@ impl GatewayServer {
                     for stream in streams {
                         let session = open_session(stream.label);
                         handles.push(spawn_session(stream.reader, session, None));
-                    }
-                    // No `streams` field here: a `run_streams` feed keeps
-                    // the single-stream stats shape byte-for-byte.
-                    if gw.stats_interval.is_some() {
-                        while handles.iter().any(|h| !h.is_finished()) {
-                            obs.flight_poll();
-                            if let Err(e) = emit_stats(&mut *stats, None) {
-                                fatal = Some(GatewayError::sink(e));
-                                break;
-                            }
-                            std::thread::sleep(DRAIN_POLL);
-                        }
                     }
                 }
                 Feed::Accept(listener) => {
@@ -576,7 +553,7 @@ impl GatewayServer {
                                     fatal = Some(GatewayError::sink(we));
                                     break;
                                 }
-                                std::thread::sleep(ACCEPT_POLL);
+                                std::thread::sleep(POLL);
                             }
                             Err(e) => {
                                 fatal = Some(GatewayError::Accept(e));
@@ -588,17 +565,20 @@ impl GatewayServer {
                         // Unwedge the sessions so the drain below ends.
                         self.shutdown.store(true, Relaxed);
                     }
-                    while handles.iter().any(|h| !h.is_finished()) {
-                        obs.flight_poll();
-                        let active = handles.iter().filter(|h| !h.is_finished()).count();
-                        // Keep draining even if a stats write fails; the
-                        // first error still wins below.
-                        if let Err(we) = emit_stats(&mut *stats, Some(active as u64)) {
-                            fatal.get_or_insert(GatewayError::sink(we));
-                        }
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
                 }
+            }
+            // Drain. A `run_streams` feed's stats lines carry no `streams`
+            // field, keeping the single-stream stats shape byte-for-byte.
+            while supervise && handles.iter().any(|h| !h.is_finished()) {
+                obs.flight_poll();
+                let active = handles.iter().filter(|h| !h.is_finished()).count();
+                let streams = (!fatal_in_streams).then_some(active as u64);
+                // Keep draining even if a stats write fails; the first
+                // error still wins below.
+                if let Err(e) = emit_stats(&mut *stats, streams) {
+                    fatal.get_or_insert(GatewayError::sink(e));
+                }
+                std::thread::sleep(POLL);
             }
 
             let outcomes: Vec<SessionOutcome> = sessions
@@ -610,9 +590,7 @@ impl GatewayServer {
                     (session, result)
                 })
                 .collect();
-            for shard in &shards {
-                shard.close();
-            }
+            queue.close();
             for handle in worker_handles {
                 handle.join().expect("worker panicked");
             }
@@ -621,8 +599,8 @@ impl GatewayServer {
             (outcomes, sink_result, fatal)
         });
 
-        // One last poll so a SIGUSR1 that landed while sessions drained
-        // (feeds without a polling supervisor loop) still dumps.
+        // One last poll so a SIGUSR1 that landed after the drain's last
+        // poll still dumps.
         obs.flight_poll();
 
         if let Some(err) = fatal {
@@ -681,13 +659,13 @@ impl GatewayServer {
 }
 
 /// One session's ingest loop: hand each read to its splitter as it
-/// arrives, enqueue captures on its shard (the shard's drop budget
+/// arrives, enqueue captures on the work queue (its drop budget
 /// arbitrates overload).
 fn session_ingest<R: Read>(
     input: R,
     session: &Arc<Session>,
     factory: &MonitorFactory,
-    shard: &ShardQueue<WorkItem>,
+    queue: &WorkQueue<WorkItem>,
     tx: &mpsc::Sender<SinkMsg>,
     chunk_samples: usize,
     obs: RunObs<'_>,
@@ -721,12 +699,12 @@ fn session_ingest<R: Read>(
                 enqueued,
                 span,
             };
-            if let Evicted::Item { item: evicted, .. } = shard.push(id, item) {
+            if let Evicted::Item { item: evicted, .. } = queue.push(id, item) {
                 shed(evicted, tx, obs);
             }
             obs.flight_record(|rec| {
                 FlightEvent::new(EventKind::QueueDepth, id, seq, rec.now_us())
-                    .with_args(shard.len() as u64, session.shard() as u64)
+                    .with_args(queue.len() as u64, 0)
             });
         }
     };
@@ -748,7 +726,7 @@ fn session_ingest<R: Read>(
     Ok(())
 }
 
-/// Accounts one burst shed by a shard's drop budget and fills its
+/// Accounts one burst shed by the queue's drop budget and fills its
 /// sequence hole so the sink never waits on work that will not arrive.
 fn shed(evicted: WorkItem, tx: &mpsc::Sender<SinkMsg>, obs: RunObs<'_>) {
     let now = Instant::now();
@@ -764,44 +742,6 @@ fn shed(evicted: WorkItem, tx: &mpsc::Sender<SinkMsg>, obs: RunObs<'_>) {
     obs.flight_drop_check(&evicted.session, ticket);
     let line = dropped_line(evicted.session.label(), &evicted.capture);
     let _ = tx.send(SinkMsg::line(id, seq, line, 0, now));
-}
-
-/// Worker: drain the home shard, steal from the others when it is empty,
-/// block briefly only when every shard is dry.
-fn worker_loop(
-    home: usize,
-    shards: &[ShardQueue<WorkItem>],
-    processor: &FrameProcessor,
-    scores: Option<&ScoreBoard>,
-    tx: &mpsc::Sender<SinkMsg>,
-    obs: RunObs<'_>,
-) {
-    let n = shards.len();
-    loop {
-        let mut found = None;
-        for i in 0..n {
-            if let Some((_key, item)) = shards[(home + i) % n].try_pop() {
-                found = Some(item);
-                break;
-            }
-        }
-        let item = match found {
-            Some(item) => item,
-            None if shards.iter().all(ShardQueue::is_closed) => {
-                // Closed shards cannot gain items; one more scan beats the
-                // close/empty race, then the worker is done.
-                match shards.iter().find_map(ShardQueue::try_pop) {
-                    Some((_key, item)) => item,
-                    None => break,
-                }
-            }
-            None => match shards[home].pop_timeout(WORKER_IDLE_WAIT) {
-                Some((_key, item)) => item,
-                None => continue,
-            },
-        };
-        process_item(item, processor, scores, tx, obs);
-    }
 }
 
 /// Decode, classify, render, send — with per-stage timing, counted into

@@ -1,19 +1,18 @@
-//! Per-stream session state, the run's session table, and the shard
-//! queue a session is pinned to.
+//! Per-stream session state, the run's session table, and the work
+//! queue every session shares.
 //!
 //! A [`Session`] is the server-side handle for one connected IQ stream:
-//! its id, tenant label, per-stream [`Metrics`], per-session event
-//! sequence, and the shard it is pinned to. Sessions never share splitter
-//! state — each gets a fresh `BurstSplitter` from the server's
-//! `MonitorFactory` — but they do share the worker pool, the capture
-//! buffer pool, and (with the other sessions of their shard) a
-//! [`ShardQueue`]. A run's [`SessionTable`] lists every session it
-//! opened; run-wide totals are folded from it when read.
+//! its id, tenant label, per-stream [`Metrics`] and per-session event
+//! sequence. Sessions never share splitter state — each gets a fresh
+//! `BurstSplitter` from the server's `MonitorFactory` — but they do share
+//! the worker pool, the capture buffer pool, and one [`WorkQueue`]. A
+//! run's [`SessionTable`] lists every session it opened; run-wide totals
+//! are folded from it when read.
 //!
-//! The shard queue is bounded, with non-blocking push and drop-oldest
+//! The work queue is bounded, with non-blocking push and drop-oldest
 //! under overload — but *which* oldest is governed by a per-session
 //! **drop budget**. A session pushing beyond its fair share
-//! of the shard (`capacity / active sessions`) sheds its own oldest
+//! of the queue (`capacity / active sessions`) sheds its own oldest
 //! burst; a session within budget sheds the most-loaded session's oldest
 //! instead. A chatty stream therefore pays for its own overload and a
 //! quiet stream's bursts survive, which is the isolation property the
@@ -23,7 +22,6 @@ use crate::metrics::{Metrics, MetricsSnapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
 
 /// Identifier of one gateway session, unique within a server run.
 pub type SessionId = u64;
@@ -33,21 +31,18 @@ pub type SessionId = u64;
 pub struct Session {
     id: SessionId,
     label: Option<String>,
-    shard: usize,
     metrics: Metrics,
     seq: AtomicU64,
 }
 
 impl Session {
-    /// A session pinned to `shard`. `label` is the tenant label stamped
-    /// on the session's JSONL events and metrics; `None` is the
-    /// unlabelled single-stream mode (no `stream` field, no session
-    /// markers).
-    pub fn new(id: SessionId, label: Option<String>, shard: usize) -> Self {
+    /// A session. `label` is the tenant label stamped on the session's
+    /// JSONL events and metrics; `None` is the unlabelled single-stream
+    /// mode (no `stream` field, no session markers).
+    pub fn new(id: SessionId, label: Option<String>) -> Self {
         Session {
             id,
             label,
-            shard,
             metrics: Metrics::new(),
             seq: AtomicU64::new(0),
         }
@@ -61,11 +56,6 @@ impl Session {
     /// The tenant label (`None` in unlabelled single-stream mode).
     pub fn label(&self) -> Option<&str> {
         self.label.as_deref()
-    }
-
-    /// The worker shard this session's bursts are queued on.
-    pub fn shard(&self) -> usize {
-        self.shard
     }
 
     /// This session's counters, the only copy: run-wide totals are
@@ -100,12 +90,11 @@ impl SessionTable {
         Self::default()
     }
 
-    /// Opens the next session: ids count from 1 in open order, and
-    /// sessions are pinned round-robin over `shards` shards.
-    pub fn open(&self, label: Option<String>, shards: usize) -> Arc<Session> {
+    /// Opens the next session: ids count from 1 in open order.
+    pub fn open(&self, label: Option<String>) -> Arc<Session> {
         let mut sessions = self.sessions.lock().expect("session table poisoned");
         let id = sessions.len() as u64 + 1;
-        let session = Arc::new(Session::new(id, label, (id - 1) as usize % shards.max(1)));
+        let session = Arc::new(Session::new(id, label));
         sessions.push(session.clone());
         session
     }
@@ -134,7 +123,7 @@ impl SessionTable {
     }
 }
 
-/// What a full shard did when a push came in.
+/// What a full queue did when a push came in.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Evicted<T> {
     /// There was room; nothing was dropped.
@@ -149,15 +138,16 @@ pub enum Evicted<T> {
     },
 }
 
-/// One shard's bounded work queue with per-session drop budgets.
+/// The run's bounded work queue with per-session drop budgets: every
+/// session pushes to it and every worker blocks on it.
 #[derive(Debug)]
-pub struct ShardQueue<T> {
-    state: Mutex<ShardState<T>>,
+pub struct WorkQueue<T> {
+    state: Mutex<QueueState<T>>,
     available: Condvar,
 }
 
 #[derive(Debug)]
-struct ShardState<T> {
+struct QueueState<T> {
     items: VecDeque<(SessionId, T)>,
     /// Queued items per session — the load the drop budget arbitrates on.
     counts: BTreeMap<SessionId, usize>,
@@ -165,8 +155,8 @@ struct ShardState<T> {
     closed: bool,
 }
 
-impl<T> ShardState<T> {
-    /// The fair per-session share of this shard right now: capacity
+impl<T> QueueState<T> {
+    /// The fair per-session share of the queue right now: capacity
     /// divided over the sessions that currently have items queued (the
     /// pusher counts even when it has none yet).
     fn fair_share(&self, pusher: SessionId) -> usize {
@@ -204,17 +194,19 @@ impl<T> ShardState<T> {
     }
 }
 
-impl<T> ShardQueue<T> {
-    /// Shard queue holding at most `capacity` items across all sessions.
+impl<T> WorkQueue<T> {
+    /// Work queue holding at most `capacity` items across all sessions.
+    /// Slots are allocated as the queue fills, so a huge `capacity`
+    /// costs nothing until items arrive.
     ///
     /// # Panics
     ///
     /// Panics when `capacity == 0`.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "shard capacity must be positive");
-        ShardQueue {
-            state: Mutex::new(ShardState {
-                items: VecDeque::with_capacity(capacity),
+        assert!(capacity > 0, "queue capacity must be positive");
+        WorkQueue {
+            state: Mutex::new(QueueState {
+                items: VecDeque::new(),
                 counts: BTreeMap::new(),
                 capacity,
                 closed: false,
@@ -224,12 +216,12 @@ impl<T> ShardQueue<T> {
     }
 
     /// Enqueues `item` for session `key` without ever blocking. On a full
-    /// shard the drop budget picks the victim: the pusher's own oldest
+    /// queue the drop budget picks the victim: the pusher's own oldest
     /// item when the pusher is at or over its fair share, otherwise the
-    /// most-loaded session's oldest. Pushing to a closed shard sheds the
+    /// most-loaded session's oldest. Pushing to a closed queue sheds the
     /// item itself.
     pub fn push(&self, key: SessionId, item: T) -> Evicted<T> {
-        let mut s = self.state.lock().expect("shard poisoned");
+        let mut s = self.state.lock().expect("work queue poisoned");
         if s.closed {
             return Evicted::Item { key, item };
         }
@@ -255,23 +247,10 @@ impl<T> ShardQueue<T> {
         }
     }
 
-    /// Pops the oldest item without blocking (`None`: empty shard). This
-    /// is what workers use to scan their home shard and steal from
-    /// others.
-    pub fn try_pop(&self) -> Option<(SessionId, T)> {
-        let mut s = self.state.lock().expect("shard poisoned");
-        let popped = s.items.pop_front();
-        if let Some((key, _)) = &popped {
-            s.decrement(*key);
-        }
-        popped
-    }
-
-    /// Blocks up to `timeout` for an item. `None` means the wait timed
-    /// out or the shard is closed and drained — callers distinguish via
-    /// [`is_closed`](Self::is_closed).
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<(SessionId, T)> {
-        let mut s = self.state.lock().expect("shard poisoned");
+    /// Pops the oldest item, blocking until one arrives. `None` means the
+    /// queue is closed and drained: the worker is done.
+    pub fn pop(&self) -> Option<(SessionId, T)> {
+        let mut s = self.state.lock().expect("work queue poisoned");
         loop {
             if let Some((key, item)) = s.items.pop_front() {
                 s.decrement(key);
@@ -280,44 +259,27 @@ impl<T> ShardQueue<T> {
             if s.closed {
                 return None;
             }
-            let (guard, wait) = self
-                .available
-                .wait_timeout(s, timeout)
-                .expect("shard poisoned");
-            s = guard;
-            if wait.timed_out() {
-                return None;
-            }
+            s = self.available.wait(s).expect("work queue poisoned");
         }
     }
 
-    /// Closes the shard: queued items still drain via `try_pop`, new
-    /// pushes are shed, blocked `pop_timeout`s wake.
+    /// Closes the queue: queued items still drain via `pop`, new pushes
+    /// are shed, and every blocked `pop` wakes.
     pub fn close(&self) {
-        self.state.lock().expect("shard poisoned").closed = true;
+        self.state.lock().expect("work queue poisoned").closed = true;
         self.available.notify_all();
     }
 
-    /// True once [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.state.lock().expect("shard poisoned").closed
-    }
-
     /// Items currently queued across all sessions.
-    pub fn len(&self) -> usize {
-        self.state.lock().expect("shard poisoned").items.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub(crate) fn len(&self) -> usize {
+        self.state.lock().expect("work queue poisoned").items.len()
     }
 
     /// Items currently queued for one session.
     pub fn len_of(&self, key: SessionId) -> usize {
         self.state
             .lock()
-            .expect("shard poisoned")
+            .expect("work queue poisoned")
             .counts
             .get(&key)
             .copied()
@@ -328,14 +290,22 @@ impl<T> ShardQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Barrier;
+    use std::time::Duration;
 
-    fn drain<T>(q: &ShardQueue<T>) -> Vec<(SessionId, T)> {
-        std::iter::from_fn(|| q.try_pop()).collect()
+    /// Pops without blocking; exact here because only the test's own
+    /// thread pushes.
+    fn try_pop<T>(q: &WorkQueue<T>) -> Option<(SessionId, T)> {
+        (q.len() > 0).then(|| q.pop()).flatten()
+    }
+
+    fn drain<T>(q: &WorkQueue<T>) -> Vec<(SessionId, T)> {
+        std::iter::from_fn(|| try_pop(q)).collect()
     }
 
     #[test]
     fn fifo_within_capacity_across_sessions() {
-        let q = ShardQueue::new(4);
+        let q = WorkQueue::new(4);
         assert_eq!(q.push(1, "a"), Evicted::None);
         assert_eq!(q.push(2, "b"), Evicted::None);
         assert_eq!(q.push(1, "c"), Evicted::None);
@@ -350,16 +320,16 @@ mod tests {
     /// never the quiet session's only burst.
     #[test]
     fn noisy_session_pays_its_own_drops() {
-        let q = ShardQueue::new(4);
+        let q = WorkQueue::new(4);
         assert_eq!(q.push(7, "quiet"), Evicted::None);
         for noisy in ["a", "b", "c"] {
             assert_eq!(q.push(1, noisy), Evicted::None);
         }
-        // Shard full; session 1 holds 3/4 > fair share (4/2 = 2).
+        // Queue full; session 1 holds 3/4 > fair share (4/2 = 2).
         for noisy in ["d", "e", "f", "g", "h", "i", "j"] {
             match q.push(1, noisy) {
                 Evicted::Item { key, .. } => assert_eq!(key, 1, "noisy pays"),
-                Evicted::None => panic!("full shard must evict"),
+                Evicted::None => panic!("full queue must evict"),
             }
         }
         let remaining = drain(&q);
@@ -370,11 +340,11 @@ mod tests {
         assert_eq!(q.len(), 0);
     }
 
-    /// A within-budget pusher on a full shard evicts from the most
+    /// A within-budget pusher on a full queue evicts from the most
     /// loaded session, not from itself.
     #[test]
     fn under_budget_push_evicts_the_most_loaded() {
-        let q = ShardQueue::new(4);
+        let q = WorkQueue::new(4);
         for i in 0..4 {
             assert_eq!(q.push(1, i), Evicted::None);
         }
@@ -383,7 +353,7 @@ mod tests {
                 assert_eq!(key, 1, "most-loaded session evicted");
                 assert_eq!(item, 0, "its oldest item");
             }
-            Evicted::None => panic!("full shard must evict"),
+            Evicted::None => panic!("full queue must evict"),
         }
         assert_eq!(q.len_of(2), 1);
         assert_eq!(q.len_of(1), 3);
@@ -392,7 +362,7 @@ mod tests {
     /// Per-session FIFO order survives mid-queue evictions.
     #[test]
     fn eviction_preserves_per_session_order() {
-        let q = ShardQueue::new(4);
+        let q = WorkQueue::new(4);
         q.push(1, 0);
         q.push(2, 10);
         q.push(1, 1);
@@ -406,14 +376,14 @@ mod tests {
     /// count, a pusher at fair share (1) sheds its own item.
     #[test]
     fn tiny_capacity_still_fair() {
-        let q = ShardQueue::new(2);
+        let q = WorkQueue::new(2);
         q.push(1, "a");
         q.push(2, "b");
         match q.push(1, "c") {
             Evicted::Item { key, item } => {
                 assert_eq!((key, item), (1, "a"));
             }
-            Evicted::None => panic!("full shard must evict"),
+            Evicted::None => panic!("full queue must evict"),
         }
         assert_eq!(drain(&q), vec![(2, "b"), (1, "c")]);
     }
@@ -428,7 +398,7 @@ mod tests {
     fn adversarial_flood_never_drops_quiet_tenants() {
         const NOISY: SessionId = 1;
         const QUIET_TENANTS: u64 = 31;
-        let q: ShardQueue<u64> = ShardQueue::new(64);
+        let q: WorkQueue<u64> = WorkQueue::new(64);
         let mut dropped_noisy = 0u64;
         let mut dropped_quiet = 0u64;
         let mut quiet_sent = 0u64;
@@ -454,10 +424,10 @@ mod tests {
                 }
             }
             // Workers catch up between rounds, so every round floods a
-            // freshly drained shard back to capacity.
+            // freshly drained queue back to capacity.
             drain_budget = 64;
             while drain_budget > 0 {
-                match q.try_pop() {
+                match try_pop(&q) {
                     Some((key, _)) if key != NOISY => quiet_out += 1,
                     Some(_) => {}
                     None => break,
@@ -483,14 +453,14 @@ mod tests {
 
     #[test]
     fn close_sheds_new_pushes_and_wakes_waiters() {
-        let q = std::sync::Arc::new(ShardQueue::new(2));
+        let q = std::sync::Arc::new(WorkQueue::new(2));
         q.push(1, 1);
         let waiter = {
             let q = q.clone();
             std::thread::spawn(move || {
                 // Drain the one item, then block until close.
-                let first = q.pop_timeout(Duration::from_secs(5));
-                let second = q.pop_timeout(Duration::from_secs(5));
+                let first = q.pop();
+                let second = q.pop();
                 (first, second)
             })
         };
@@ -499,15 +469,42 @@ mod tests {
         let (first, second) = waiter.join().unwrap();
         assert_eq!(first, Some((1, 1)));
         assert_eq!(second, None);
-        assert!(q.is_closed());
         assert_eq!(q.push(2, 9), Evicted::Item { key: 2, item: 9 });
     }
 
+    /// Every push wakes a blocked worker: N poppers parked on an empty
+    /// queue each receive one of N pushes.
     #[test]
-    fn pop_timeout_times_out_when_idle() {
-        let q: ShardQueue<u32> = ShardQueue::new(2);
-        let start = std::time::Instant::now();
-        assert_eq!(q.pop_timeout(Duration::from_millis(30)), None);
-        assert!(start.elapsed() >= Duration::from_millis(25));
+    fn each_blocked_popper_receives_one_push() {
+        const N: u64 = 4;
+        let q = Arc::new(WorkQueue::new(N as usize));
+        let parked = Arc::new(Barrier::new(N as usize + 1));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let poppers: Vec<_> = (0..N)
+            .map(|_| {
+                let (q, parked, tx) = (q.clone(), parked.clone(), tx.clone());
+                std::thread::spawn(move || {
+                    parked.wait();
+                    tx.send(q.pop()).unwrap();
+                })
+            })
+            .collect();
+        parked.wait();
+        for i in 0..N {
+            assert_eq!(q.push(i + 1, i), Evicted::None);
+        }
+        let mut received: Vec<_> = (0..N)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(10))
+                    .expect("a blocked popper never woke")
+                    .expect("queue is open, so pop returns an item")
+            })
+            .collect();
+        q.close();
+        for popper in poppers {
+            popper.join().unwrap();
+        }
+        received.sort_unstable();
+        assert_eq!(received, (0..N).map(|i| (i + 1, i)).collect::<Vec<_>>());
     }
 }

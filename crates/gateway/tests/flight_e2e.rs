@@ -65,11 +65,9 @@ fn forged_stream_dumps_exactly_one_snapshot_ending_at_the_verdict() {
         .build()
         .unwrap();
     gw.pipeline = DetectionPipeline::standard(detector).shared();
-    let mut config = ServerConfig::from(gw);
-    config.shards = 1;
 
     let registry = Arc::new(Registry::new());
-    let server = GatewayServer::new(config)
+    let server = GatewayServer::new(ServerConfig::from(gw))
         .with_registry(Arc::clone(&registry))
         .with_flight(FlightOptions {
             out: Some(out.clone()),
@@ -202,10 +200,8 @@ fn drop_budget_exhaustion_triggers_a_snapshot() {
         .stats_interval(None)
         .build()
         .unwrap();
-    let mut config = ServerConfig::from(gw);
-    config.shards = 1;
 
-    let server = GatewayServer::new(config).with_flight(FlightOptions {
+    let server = GatewayServer::new(ServerConfig::from(gw)).with_flight(FlightOptions {
         out: Some(out.clone()),
         drop_budget: Some(1),
         ..FlightOptions::default()

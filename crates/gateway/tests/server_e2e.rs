@@ -2,8 +2,8 @@
 //! capture streamed through the full pipeline, checked at the JSONL
 //! boundary — the same surface the CI smoke test and shell users consume.
 //!
-//! One unlabelled stream on one shard (how `ctc monitor --input` runs a
-//! recording) pins the single-stream event and stats shape, chunking,
+//! One unlabelled stream (how `ctc monitor --input` runs a recording)
+//! pins the single-stream event and stats shape, chunking,
 //! short-read and worker-count invariance, the trace span chains, an
 //! `ingest` stage that starts when the data arrives, and the canonical
 //! metric names. Labelled streams pin session labelling and per-session
@@ -61,13 +61,9 @@ fn config() -> GatewayConfig {
         .unwrap()
 }
 
-/// One unlabelled stream on one shard: the shape of `ctc monitor
-/// --input`.
+/// One unlabelled stream: the shape of `ctc monitor --input`.
 fn single_stream(config: GatewayConfig) -> GatewayServer {
-    GatewayServer::new(ServerConfig {
-        shards: 1,
-        ..ServerConfig::from(config)
-    })
+    GatewayServer::new(ServerConfig::from(config))
 }
 
 /// Runs `input` through `server` as its one unlabelled stream; returns
@@ -563,7 +559,7 @@ fn labelled_streams_interleave_with_per_session_order() {
 }
 
 /// A stalled client must not delay another stream's events: session
-/// isolation is the whole point of shards + per-session ordering.
+/// isolation is the whole point of per-session ingest and ordering.
 #[test]
 fn stalled_stream_does_not_block_another() {
     let (bytes, _) = synthetic_capture(22);

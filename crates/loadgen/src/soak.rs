@@ -148,7 +148,7 @@ pub struct Observed {
     pub frames_attack: f64,
     /// Bursts that failed to decode.
     pub frames_undecoded: f64,
-    /// Bursts shed by the shard queues.
+    /// Bursts shed by the work queue's drop budget.
     pub dropped: f64,
     /// p99 of the end-to-end latency histogram over the run.
     pub p99_latency_us: Option<f64>,

@@ -63,7 +63,7 @@ const W_SCORES: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum EventKind {
-    /// A stream session opened (`a` = shard index).
+    /// A stream session opened.
     SessionOpen = 1,
     /// A stream session closed (`a` = 1 when it ended in error).
     SessionClose = 2,
@@ -81,7 +81,7 @@ pub enum EventKind {
     /// `b` = µs it sat queued before being shed).
     Drop = 6,
     /// A queue-depth sample at enqueue time (`a` = depth after the
-    /// push, `b` = shard index).
+    /// push).
     QueueDepth = 7,
     /// One loadgen SLO check evaluation (`a` = 1 when the check passed,
     /// `b` = observed value bits; `seq` = check index).

@@ -95,7 +95,7 @@ pub fn event_json(ev: &FlightEvent, feature_names: &[String]) -> String {
         .uint("session", ev.session)
         .uint("seq", ev.seq);
     match ev.kind {
-        EventKind::SessionOpen => o.uint("shard", ev.a),
+        EventKind::SessionOpen => o,
         EventKind::SessionClose => o.bool("error", ev.a == 1),
         EventKind::Burst => o.uint("start", ev.a).uint("samples", ev.b),
         EventKind::Stage => {
@@ -121,7 +121,7 @@ pub fn event_json(ev: &FlightEvent, feature_names: &[String]) -> String {
                 .raw("scores", &scores.finish())
         }
         EventKind::Drop => o.uint("samples", ev.a).uint("queued_us", ev.b),
-        EventKind::QueueDepth => o.uint("depth", ev.a).uint("shard", ev.b),
+        EventKind::QueueDepth => o.uint("depth", ev.a),
         EventKind::SloCheck => o
             .bool("pass", ev.a == 1)
             .float("value", f64::from_bits(ev.b)),

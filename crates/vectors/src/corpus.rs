@@ -257,13 +257,9 @@ fn gateway_events(
         ..GatewayConfig::default()
     };
     let mut events = Vec::new();
-    // The corpus pins the single-stream output shape: one shard, one
-    // unlabelled stream, as `ctc monitor --input` runs a recording.
-    let server_config = ServerConfig {
-        shards: 1,
-        ..ServerConfig::from(config)
-    };
-    GatewayServer::new(server_config)
+    // The corpus pins the single-stream output shape: one unlabelled
+    // stream, as `ctc monitor --input` runs a recording.
+    GatewayServer::new(ServerConfig::from(config))
         .run_streams(
             vec![NamedStream::unlabelled(&bytes[..])],
             &mut events,

@@ -13,8 +13,9 @@
 //! - [`core`] — the paper's contribution: the waveform-emulation attack and
 //!   the cumulant-based defense
 //! - [`gateway`] — the defense as a long-running service: a multi-stream
-//!   server (sessions pinned to work-stealing shards over one decode/
-//!   classify pool), `stream`-tagged JSONL events and per-stream metrics
+//!   server (sessions sharing one drop-budgeted work queue into one
+//!   decode/classify pool), `stream`-tagged JSONL events and per-stream
+//!   metrics
 //! - [`loadgen`] — fleet-scale traffic generation and SLO-asserting soak
 //!   testing against the gateway: seeded mixed authentic/forged/noise
 //!   streams with generator-side ground truth

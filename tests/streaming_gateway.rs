@@ -6,9 +6,9 @@
 //!    `StreamMonitor` in arbitrarily-sized chunks yields exactly the
 //!    events of a one-shot `scan` of the whole buffer.
 //! 2. **Pipeline fidelity**: the multi-threaded gateway over the same
-//!    capture, run as one unlabelled stream on one shard (the shape of
-//!    `ctc monitor --input`), reports the same bursts and verdicts as the
-//!    inline monitor, via its JSONL surface.
+//!    capture, run as one unlabelled stream (the shape of `ctc monitor
+//!    --input`), reports the same bursts and verdicts as the inline
+//!    monitor, via its JSONL surface.
 
 use hide_and_seek::channel::noise::complex_gaussian;
 use hide_and_seek::core::attack::Emulator;
@@ -100,10 +100,7 @@ fn gateway_pipeline_matches_inline_monitor() {
         stats_interval: None,
         ..GatewayConfig::default()
     };
-    let server = GatewayServer::new(ServerConfig {
-        shards: 1,
-        ..ServerConfig::from(config)
-    });
+    let server = GatewayServer::new(ServerConfig::from(config));
     let mut events = Vec::new();
     let report = server
         .run_streams(
