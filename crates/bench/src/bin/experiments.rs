@@ -15,11 +15,13 @@
 //! (default: available parallelism); results are byte-identical for any
 //! value. Reports go to stdout; timing goes to stderr so redirected output
 //! is reproducible. `--obs-dump` prints the engine's stage-timing metrics
-//! (Prometheus text, from the global [`ctc_obs::Registry`]) to stderr
-//! after the run.
+//! (Prometheus text, published by collectors over each experiment's
+//! [`Report`]) to stderr after the run.
 
-use ctc_bench::engine::{available_jobs, Artifacts, TrialRunner, DEFAULT_BASE_SEED};
+use ctc_bench::engine::{available_jobs, Artifacts, Report, TrialRunner, DEFAULT_BASE_SEED};
 use ctc_bench::experiments::{build, ALL};
+use ctc_obs::{Histogram, Registry};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -80,6 +82,40 @@ fn parse_args() -> Result<(Config, Vec<String>), String> {
     Ok((cfg, ids))
 }
 
+/// The engine's stage timings as collectors over the finished reports:
+/// `ctc_bench_trials_total{experiment}` counts trials and
+/// `ctc_bench_stage_duration_us{experiment, stage="trials"|"reduce"}`
+/// holds one observation per run of each phase, so a repeated id adds to
+/// its experiment's series.
+fn stage_registry(reports: &[Report]) -> Registry {
+    let mut by_name: BTreeMap<&str, (u64, Histogram, Histogram)> = BTreeMap::new();
+    for r in reports {
+        let (trials, phase, reduce) = by_name.entry(&r.name).or_default();
+        *trials += r.trials;
+        phase.record(r.trials_elapsed.as_micros() as u64);
+        reduce.record((r.elapsed - r.trials_elapsed).as_micros() as u64);
+    }
+    let registry = Registry::new();
+    let stage_help = "Wall-clock time of one engine phase, in microseconds.";
+    for (name, (trials, phase, reduce)) in by_name {
+        registry.counter_fn(
+            "ctc_bench_trials_total",
+            "Monte-Carlo trials executed, by experiment.",
+            &[("experiment", name)],
+            move || trials,
+        );
+        for (stage, h) in [("trials", phase), ("reduce", reduce)] {
+            registry.histogram_fn(
+                "ctc_bench_stage_duration_us",
+                stage_help,
+                &[("experiment", name), ("stage", stage)],
+                move || h.snapshot(),
+            );
+        }
+    }
+    registry
+}
+
 fn main() -> ExitCode {
     let (cfg, mut ids) = match parse_args() {
         Ok(v) => v,
@@ -107,6 +143,7 @@ fn main() -> ExitCode {
         cfg.seed,
     );
     let total = std::time::Instant::now();
+    let mut reports = Vec::new();
     for id in &ids {
         let Some(exp) = build(id, &cfg.results, cfg.quick) else {
             eprintln!("error: unknown experiment id: {id}");
@@ -123,6 +160,7 @@ fn main() -> ExitCode {
                     report.trials_per_sec(),
                     report.jobs,
                 );
+                reports.push(report);
             }
             Err(e) => {
                 eprintln!("error: {id}: {e}");
@@ -135,9 +173,8 @@ fn main() -> ExitCode {
         total.elapsed().as_secs_f64()
     );
     if cfg.obs_dump {
-        // Stage timings recorded by TrialRunner::run for every experiment
-        // above; stderr, like all timing, so stdout stays reproducible.
-        eprint!("{}", ctc_obs::Registry::global().render());
+        // Stderr, like all timing, so stdout stays reproducible.
+        eprint!("{}", stage_registry(&reports).render());
     }
     ExitCode::SUCCESS
 }

@@ -174,6 +174,9 @@ pub struct Report {
     pub trials: u64,
     /// Wall-clock duration of the trial + reduce phases.
     pub elapsed: Duration,
+    /// Wall-clock duration of the trial phase alone (the rest of
+    /// `elapsed` is the reduce).
+    pub trials_elapsed: Duration,
     /// Worker threads used for the trial phase.
     pub jobs: usize,
 }
@@ -262,13 +265,8 @@ impl TrialRunner {
     }
 
     /// Runs the experiment: parallel trial phase, then single-threaded
-    /// reduce, returning the rendered report with timing.
-    ///
-    /// Per-experiment stage timings land in the global
-    /// [`ctc_obs::Registry`]: `ctc_bench_trials_total{experiment=...}`
-    /// counts trials and `ctc_bench_stage_duration_us{experiment=...,
-    /// stage="trials"|"reduce"}` histograms the two phases, so
-    /// `experiments --obs-dump` shows where a sweep's wall-clock went.
+    /// reduce, returning the rendered report with the time of each phase
+    /// (which `experiments --obs-dump` publishes).
     ///
     /// # Errors
     ///
@@ -278,40 +276,14 @@ impl TrialRunner {
         let n = experiment.trials();
         let start = Instant::now();
         let outcomes = self.fan_out(experiment, artifacts, n)?;
-        let trials_done = start.elapsed();
+        let trials_elapsed = start.elapsed();
         let text = experiment.reduce(artifacts, outcomes)?;
-        let elapsed = start.elapsed();
-
-        let registry = ctc_obs::Registry::global();
-        let name = experiment.name();
-        registry
-            .counter_with(
-                "ctc_bench_trials_total",
-                "Monte-Carlo trials executed, by experiment.",
-                &[("experiment", name)],
-            )
-            .add(n);
-        let stage_help = "Wall-clock time of one engine phase, in microseconds.";
-        registry
-            .histogram_with(
-                "ctc_bench_stage_duration_us",
-                stage_help,
-                &[("experiment", name), ("stage", "trials")],
-            )
-            .record(trials_done.as_micros() as u64);
-        registry
-            .histogram_with(
-                "ctc_bench_stage_duration_us",
-                stage_help,
-                &[("experiment", name), ("stage", "reduce")],
-            )
-            .record((elapsed - trials_done).as_micros() as u64);
-
         Ok(Report {
-            name: name.to_string(),
+            name: experiment.name().to_string(),
             text,
             trials: n,
-            elapsed,
+            elapsed: start.elapsed(),
+            trials_elapsed,
             jobs: self.jobs,
         })
     }

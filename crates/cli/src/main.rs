@@ -63,6 +63,8 @@ ctc — CTC waveform emulation attack & defense toolkit (cf32 IQ files)
 
 USAGE: ctc <command> [--key value]...
 
+A --key the command does not read is an error.
+
 COMMANDS
   generate  --payload <text> --out <file> [--zeros N]
             Synthesize a ZigBee frame waveform (4 MHz baseband).
@@ -74,7 +76,8 @@ COMMANDS
             The ZigBee receiver front-end's 4 MHz view of a 20 MHz waveform.
   decode    --input <src> [--soft] [--search N] [--fractional]
             Decode a 4 MHz waveform with the 802.15.4 receiver.
-  detect    --input <src> [--real] [--threshold Q] [--search N]
+  detect    --input <src> [--real] [--threshold Q] [--soft] [--search N]
+            [--fractional]
             Run the cumulant detector on a 4 MHz waveform. Exits 3 when the
             frame is attributed to the WiFi attacker.
   listen    --input <src>
@@ -82,14 +85,19 @@ COMMANDS
             memory; bursts print as they complete).
   monitor   --input <src> | --listen <addr> [--real] [--threshold Q]
             [--detector cumulant|features|model:<path>]
+            [--soft] [--search N] [--fractional]
             [--workers N] [--chunk N] [--queue N] [--stats SECS]
             [--max-burst N] [--max-streams N] [--stop-after N]
             [--metrics-addr HOST:PORT] [--trace-out FILE]
+            [--flight-out FILE] [--flight-capacity N] [--flight-events N]
+            [--flight-drop-budget N]
             Streaming detection gateway: JSONL frame events on stdout,
             periodic stats on stderr. Exits 3 when a forgery was accepted;
             other failures get distinct codes (bad address 4, bind/accept
-            5, session limit 6, sink 7, input 9, config 10).
-            --chunk N is the largest ingest chunk in samples (default
+            5, sink 7, input 9, config 10).
+            --workers N sets the decode/classify threads, 1 to 256
+            (default: cores − 1, clamped to 1..8). --chunk N is the
+            largest ingest chunk in samples, 1 to 4194304 = 2^22 (default
             65536): each read of a stream goes to the burst splitter as
             it arrives, so frames are classified without waiting for a
             chunk to fill. --queue N is the work queue's depth in bursts
@@ -107,12 +115,13 @@ COMMANDS
             --trace-out writes one JSONL span record per pipeline stage.
             The flight recorder journals every burst, stage, verdict and
             drop into a bounded in-memory ring (--flight-capacity N
-            events, default 1024; 0 disables). --flight-out FILE arms
-            incident snapshots: the first accepted forgery, a session
-            exhausting --flight-drop-budget N dropped bursts, or SIGUSR1
-            each dump a self-contained JSON snapshot (last
-            --flight-events journal events, registry + delta, per-stage
-            latency, session table, config) for `ctc obs report`.
+            events, at most 1048576 = 2^20, default 1024; 0 disables).
+            --flight-out FILE arms incident snapshots: the first accepted
+            forgery, a session exhausting --flight-drop-budget N dropped
+            bursts, or SIGUSR1 each dump a self-contained JSON snapshot
+            (last --flight-events journal events, registry + delta,
+            per-stage latency, session table, config) for `ctc obs
+            report`; each dump overwrites FILE.
             --detector selects the classification stage: `cumulant` (the
             default: the paper's single DE² threshold; frame lines carry
             the verdict and DE² only), `features` (the full extractor
@@ -173,7 +182,8 @@ COMMANDS
             throughput, interval p50/p99 latency, per-stream frame and
             drop counts, detector-score movement. Repaints in place on a
             terminal; --count N prints N frames then exits.
-  vectors   <generate|check|diff> [--dir DIR] [--seed N]
+  vectors   generate [--dir DIR] [--seed N] | check [--dir DIR]
+            | diff [--dir DIR]
             Golden-vector regression corpus (default DIR: vectors).
             generate: run the pipeline, write corpus + manifest.
             check: replay through the live code; exits 1 at the first
@@ -184,12 +194,69 @@ COMMANDS
   one connection and stream from it, or `unix:///path.sock` likewise.
 ";
 
+/// The flags each command reads, declared once (USAGE documents the
+/// same sets): [`Args::parse_for`] rejects any other `--key` before the
+/// command does any work.
+const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("generate", "payload out zeros"),
+    ("emulate", "input out mode bitchain subcarriers alpha"),
+    ("capture", "input out mode"),
+    ("decode", "input soft search fractional"),
+    ("detect", "input real threshold soft search fractional"),
+    ("listen", "input"),
+    (
+        "monitor",
+        "input listen real threshold detector soft search fractional workers chunk queue \
+         stats max-burst max-streams stop-after metrics-addr trace-out flight-out \
+         flight-capacity flight-events flight-drop-budget",
+    ),
+    (
+        "loadgen",
+        "connect streams events mix rate gap seed soak metrics-addr interval warmup \
+         slo-p99-ms slo-drop-rate slo-recall slo-pool-misses slo-rss-growth incident-out \
+         report",
+    ),
+    ("spectrum", "input segment"),
+    (
+        "detector train",
+        "out kind rounds per-class seed real threshold",
+    ),
+    (
+        "detector eval",
+        "per-class seed rounds real threshold model report gate",
+    ),
+    ("obs dump", "addr json"),
+    ("obs report", "input"),
+    ("obs top", "addr interval count"),
+    ("vectors generate", "dir seed"),
+    ("vectors check", "dir"),
+    ("vectors diff", "dir"),
+];
+
 struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
 }
 
 impl Args {
+    /// [`parse`](Self::parse) for `command`: a `--key` it does not read
+    /// (see [`COMMAND_FLAGS`]) is an error naming the key.
+    fn parse_for(command: &str, argv: &[String]) -> Result<Args, String> {
+        let args = Args::parse(argv)?;
+        let known = COMMAND_FLAGS
+            .iter()
+            .find(|(name, _)| *name == command)
+            .map_or("", |(_, flags)| flags);
+        match argv
+            .iter()
+            .filter_map(|a| a.strip_prefix("--"))
+            .find(|key| !known.split_whitespace().any(|k| k == *key))
+        {
+            Some(key) => Err(format!("unknown flag --{key} for `ctc {command}`")),
+            None => Ok(args),
+        }
+    }
+
     fn parse(argv: &[String]) -> Result<Args, String> {
         let mut values = HashMap::new();
         let mut flags = Vec::new();
@@ -441,6 +508,10 @@ fn is_stats_interval(secs: f64) -> bool {
     Duration::try_from_secs_f64(secs).is_ok()
 }
 
+/// The largest `--flight-capacity`, in events: the ring is allocated
+/// whole at start, about 200 MiB at this bound.
+const MAX_FLIGHT_CAPACITY: usize = 1 << 20;
+
 /// Parses the `--flight-*` flags into the gateway's flight-recorder
 /// options. The recorder is always on at its default ring capacity;
 /// `--flight-capacity 0` turns it off entirely (returns `None`).
@@ -449,6 +520,11 @@ fn flight_options_from(args: &Args) -> Result<Option<ctc_gateway::FlightOptions>
     if let Some(n) = args.parse_num::<usize>("flight-capacity")? {
         if n == 0 {
             return Ok(None);
+        }
+        if n > MAX_FLIGHT_CAPACITY {
+            return Err(format!(
+                "--flight-capacity expects at most {MAX_FLIGHT_CAPACITY} events, got {n}"
+            ));
         }
         options.capacity = n;
     }
@@ -578,8 +654,8 @@ fn cmd_listen(args: &Args) -> Result<(), String> {
 
 /// Prints a gateway error and converts it to its process exit code, so
 /// shell pipelines can distinguish a bad address (4) from a bind/accept
-/// failure (5), the session limit (6), a broken sink (7), and so on —
-/// forgery detection keeps its reserved code 3.
+/// failure (5), a broken sink (7), and so on — forgery detection keeps
+/// its reserved code 3.
 fn gateway_exit(context: &str, e: &GatewayError) -> ExitCode {
     eprintln!("{context}: {e}");
     ExitCode::from(e.exit_code())
@@ -618,6 +694,7 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
         Ok(config) => config,
         Err(e) => return Ok(gateway_exit("monitor configuration", &e)),
     };
+    let flight = flight_options_from(args)?;
 
     let registry = Arc::new(Registry::new());
     // Resident-memory gauge for soak testing (`ctc loadgen --soak`
@@ -649,100 +726,94 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     // The flight recorder journals the run regardless; snapshots are only
     // written when --flight-out names a path. SIGUSR1 then dumps one on
     // demand for live forensics (`kill -USR1 <pid>`).
-    let flight = flight_options_from(args)?;
     if flight.as_ref().is_some_and(|f| f.out.is_some()) {
         ctc_obs::flight::install_sigusr1_handler();
     }
 
-    // Server mode: accept many concurrent streams on a listener, each one
-    // a labelled session multiplexed through the shared worker pool.
-    if let Some(spec) = args.get("listen") {
-        let mut server_config = ServerConfig::from(config);
-        if let Some(n) = args.parse_num::<usize>("max-streams")? {
-            server_config.max_streams = n.max(1);
-        }
-        if let Some(n) = args.parse_num::<u64>("stop-after")? {
-            server_config.stop_after = Some(n);
-        }
-        let input = match Input::parse(spec) {
-            Ok(input) => input,
-            Err(e) => return Ok(gateway_exit("parsing --listen", &e)),
-        };
-        let listener = match Listener::bind(&input) {
-            Ok(listener) => listener,
-            Err(e) => return Ok(gateway_exit(&format!("binding {input}"), &e)),
-        };
-        // The bound address prints on stderr as a single parseable
-        // `listening <addr>` line (documented in USAGE), so scripts and
-        // load generators binding port 0 can discover where to connect
-        // with a plain `sed -n 's/^listening //p'`.
-        eprintln!("listening {}", listener.local_display());
-
-        let mut server = GatewayServer::new(server_config).with_registry(Arc::clone(&registry));
-        if let Some(sink) = &trace {
-            server = server.with_trace_sink(Arc::clone(sink));
-        }
-        if let Some(options) = flight.clone() {
-            server = server.with_flight(options);
-        }
-        let report = match server.serve(listener, &mut std::io::stdout(), &mut std::io::stderr()) {
-            Ok(report) => report,
-            Err(e) => return Ok(gateway_exit("gateway server", &e)),
-        };
-        if let Some(trace) = &trace {
-            trace.flush();
-        }
-        eprintln!(
-            "gateway: {} session(s) served, {} refused, {} errored",
-            report.server.sessions_opened,
-            report.server.sessions_refused,
-            report.server.sessions_errored
-        );
-        return Ok(if report.forgery_detected() {
-            ExitCode::from(EXIT_FORGERY)
-        } else {
-            ExitCode::SUCCESS
-        });
+    // Server mode accepts many concurrent streams on a listener, each one
+    // a labelled session multiplexed through the shared worker pool;
+    // single-stream mode runs one input as the server's one unlabelled
+    // session, keeping the single-stream event and stats shape.
+    enum Source {
+        Listen(Listener),
+        Input(Input),
     }
-
-    // Single-stream mode: one input, unlabelled event stream. Runs on
-    // the multi-stream server as its one session, which keeps the
-    // single-stream event and stats shape while sharing one code path
-    // with `--listen`.
-    let input = match Input::parse(args.require("input")?) {
-        Ok(input) => input,
-        Err(e) => return Ok(gateway_exit("parsing --input", &e)),
+    let mut server_config = ServerConfig::from(config);
+    let source = match args.get("listen") {
+        Some(spec) => {
+            if let Some(n) = args.parse_num::<usize>("max-streams")? {
+                server_config.max_streams = n.max(1);
+            }
+            if let Some(n) = args.parse_num::<u64>("stop-after")? {
+                server_config.stop_after = Some(n);
+            }
+            let input = match Input::parse(spec) {
+                Ok(input) => input,
+                Err(e) => return Ok(gateway_exit("parsing --listen", &e)),
+            };
+            let listener = match Listener::bind(&input) {
+                Ok(listener) => listener,
+                Err(e) => return Ok(gateway_exit(&format!("binding {input}"), &e)),
+            };
+            // The bound address prints on stderr as a single parseable
+            // `listening <addr>` line (documented in USAGE), so scripts
+            // and load generators binding port 0 can discover where to
+            // connect with a plain `sed -n 's/^listening //p'`.
+            eprintln!("listening {}", listener.local_display());
+            Source::Listen(listener)
+        }
+        None => match Input::parse(args.require("input")?) {
+            Ok(input) => Source::Input(input),
+            Err(e) => return Ok(gateway_exit("parsing --input", &e)),
+        },
     };
-    let mut server =
-        GatewayServer::new(ServerConfig::from(config)).with_registry(Arc::clone(&registry));
+
+    let mut server = GatewayServer::new(server_config).with_registry(registry);
     if let Some(sink) = &trace {
         server = server.with_trace_sink(Arc::clone(sink));
     }
     if let Some(options) = flight {
         server = server.with_flight(options);
     }
-    let reader = match input.open() {
-        Ok(reader) => reader,
-        Err(e) => return Ok(gateway_exit("opening input", &e)),
+    let (stdout, stderr) = (&mut std::io::stdout(), &mut std::io::stderr());
+    let (result, context) = match source {
+        Source::Listen(listener) => (
+            server.serve(listener, stdout, stderr),
+            "gateway server".into(),
+        ),
+        Source::Input(input) => {
+            let reader = match input.open() {
+                Ok(reader) => reader,
+                Err(e) => return Ok(gateway_exit("opening input", &e)),
+            };
+            let streams = vec![NamedStream::unlabelled(reader)];
+            (
+                server.run_streams(streams, stdout, stderr),
+                format!("gateway on {input}"),
+            )
+        }
     };
-    let result = server.run_streams(
-        vec![NamedStream::unlabelled(reader)],
-        &mut std::io::stdout(),
-        &mut std::io::stderr(),
-    );
     let report = match result {
         Ok(report) => report,
-        Err(e) => return Ok(gateway_exit(&format!("gateway on {input}"), &e)),
+        Err(e) => return Ok(gateway_exit(&context, &e)),
     };
 
     // Exit-code path audit: the forgery exit (code 3) must never race the
-    // telemetry buffers. `run_streams()` has joined every pipeline thread
-    // by now, and the span log is flushed *here*, before the ExitCode is
-    // even constructed — not left to drop order on the way out of `main`
-    // (and never skipped the way a `process::exit` would skip it). The
-    // sink also flushes on drop, so the non-forgery path is covered twice.
+    // telemetry buffers. The run has joined every pipeline thread by now,
+    // and the span log is flushed *here*, before the ExitCode is even
+    // constructed — not left to drop order on the way out of `main` (and
+    // never skipped the way a `process::exit` would skip it). The sink
+    // also flushes on drop, so the non-forgery path is covered twice.
     if let Some(trace) = &trace {
         trace.flush();
+    }
+    if args.get("listen").is_some() {
+        eprintln!(
+            "gateway: {} session(s) served, {} refused, {} errored",
+            report.server.sessions_opened,
+            report.server.sessions_refused,
+            report.server.sessions_errored
+        );
     }
     Ok(if report.forgery_detected() {
         ExitCode::from(EXIT_FORGERY)
@@ -981,7 +1052,12 @@ fn cmd_detector(argv: &[String]) -> Result<ExitCode, String> {
     let Some((action, rest)) = argv.split_first() else {
         return Err("detector needs an action: train or eval".into());
     };
-    let args = Args::parse(rest)?;
+    if !matches!(action.as_str(), "train" | "eval") {
+        return Err(format!(
+            "unknown detector action {action:?} (expected train or eval)"
+        ));
+    }
+    let args = Args::parse_for(&format!("detector {action}"), rest)?;
     let detector = detector_from(&args)?;
     let assumption = if args.flag("real") {
         ChannelAssumption::Real
@@ -1013,7 +1089,7 @@ fn cmd_detector(argv: &[String]) -> Result<ExitCode, String> {
             );
             Ok(ExitCode::SUCCESS)
         }
-        "eval" => {
+        _ => {
             let samples = synthesize_samples(&extractor, &DETECTOR_SNRS, per_class, seed)?;
             // Alternate (authentic, attack) pairs between the halves:
             // train on one half, measure every curve on the held-out
@@ -1101,9 +1177,6 @@ fn cmd_detector(argv: &[String]) -> Result<ExitCode, String> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!(
-            "unknown detector action {other:?} (expected train or eval)"
-        )),
     }
 }
 
@@ -1112,9 +1185,9 @@ fn cmd_obs(argv: &[String]) -> Result<ExitCode, String> {
         return Err("obs needs an action: dump, report, or top".into());
     };
     match action.as_str() {
-        "dump" => cmd_obs_dump(&Args::parse(rest)?),
+        "dump" => cmd_obs_dump(&Args::parse_for("obs dump", rest)?),
         "report" => cmd_obs_report(rest),
-        "top" => cmd_obs_top(&Args::parse(rest)?),
+        "top" => cmd_obs_top(&Args::parse_for("obs top", rest)?),
         other => Err(format!(
             "unknown obs action {other:?} (expected dump, report, or top)"
         )),
@@ -1156,11 +1229,11 @@ fn cmd_obs_report(argv: &[String]) -> Result<ExitCode, String> {
     let (path, rest) = match argv.split_first() {
         Some((first, rest)) if !first.starts_with("--") => (first.clone(), rest),
         _ => {
-            let args = Args::parse(argv)?;
+            let args = Args::parse_for("obs report", argv)?;
             (args.require("input")?.to_string(), &[] as &[String])
         }
     };
-    Args::parse(rest)?; // reject trailing junk with the usual message
+    Args::parse_for("obs report", rest)?; // reject trailing junk
     let text =
         std::fs::read_to_string(&path).map_err(|e| format!("reading snapshot {path}: {e}"))?;
     let doc = ctc_obs::json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
@@ -1468,7 +1541,12 @@ fn cmd_vectors(argv: &[String]) -> Result<ExitCode, String> {
     let Some((action, rest)) = argv.split_first() else {
         return Err("vectors needs an action: generate, check, or diff".into());
     };
-    let args = Args::parse(rest)?;
+    if !matches!(action.as_str(), "generate" | "check" | "diff") {
+        return Err(format!(
+            "unknown vectors action {action:?} (expected generate, check, or diff)"
+        ));
+    }
+    let args = Args::parse_for(&format!("vectors {action}"), rest)?;
     let dir = Path::new(args.get("dir").unwrap_or("vectors")).to_path_buf();
     match action.as_str() {
         "generate" => {
@@ -1507,7 +1585,7 @@ fn cmd_vectors(argv: &[String]) -> Result<ExitCode, String> {
             }
             Err(e) => Err(format!("golden-vector check FAILED: {e}")),
         },
-        "diff" => {
+        _ => {
             let diffs = ctc_vectors::diff_corpus(&dir).map_err(|e| format!("diff failed: {e}"))?;
             let mut diverged = 0usize;
             for d in &diffs {
@@ -1532,9 +1610,6 @@ fn cmd_vectors(argv: &[String]) -> Result<ExitCode, String> {
                 Ok(ExitCode::FAILURE)
             }
         }
-        other => Err(format!(
-            "unknown vectors action {other:?} (expected generate, check, or diff)"
-        )),
     }
 }
 
@@ -1554,18 +1629,18 @@ fn run() -> Result<ExitCode, String> {
     if cmd == "detector" {
         return cmd_detector(rest);
     }
-    let args = Args::parse(rest)?;
+    let args = || Args::parse_for(cmd, rest);
     let ok = |()| ExitCode::SUCCESS;
     match cmd.as_str() {
-        "generate" => cmd_generate(&args).map(ok),
-        "emulate" => cmd_emulate(&args).map(ok),
-        "capture" => cmd_capture(&args).map(ok),
-        "decode" => cmd_decode(&args).map(ok),
-        "detect" => cmd_detect(&args),
-        "listen" => cmd_listen(&args).map(ok),
-        "monitor" => cmd_monitor(&args),
-        "loadgen" => cmd_loadgen(&args),
-        "spectrum" => cmd_spectrum(&args).map(ok),
+        "generate" => cmd_generate(&args()?).map(ok),
+        "emulate" => cmd_emulate(&args()?).map(ok),
+        "capture" => cmd_capture(&args()?).map(ok),
+        "decode" => cmd_decode(&args()?).map(ok),
+        "detect" => cmd_detect(&args()?),
+        "listen" => cmd_listen(&args()?).map(ok),
+        "monitor" => cmd_monitor(&args()?),
+        "loadgen" => cmd_loadgen(&args()?),
+        "spectrum" => cmd_spectrum(&args()?).map(ok),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             Ok(ExitCode::SUCCESS)
@@ -1600,6 +1675,15 @@ mod tests {
         assert_eq!(a.parse_num::<usize>("search").unwrap(), Some(96));
         assert_eq!(a.get("missing"), None);
         assert!(a.require("missing").is_err());
+    }
+
+    #[test]
+    fn every_declared_flag_is_documented() {
+        for (command, flags) in COMMAND_FLAGS {
+            for flag in flags.split_whitespace() {
+                assert!(USAGE.contains(&format!("--{flag}")), "{command}: --{flag}");
+            }
+        }
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! the `|Ĉ40|` column (which only the line search computes), the frame
 //! lines of every `--detector` mode, a `--queue` depth too large to
 //! preallocate, a `SIGUSR1` snapshot taken while the input is still open,
-//! and the one-line errors for thresholds, stats intervals and flag
-//! combinations that would otherwise panic, switch the detector off or be
-//! silently ignored.
+//! and the one-line errors for thresholds, stats intervals, sizing flags,
+//! unknown flags and flag combinations that would otherwise panic, abort,
+//! switch the detector off or be silently ignored.
 
 use ctc_core::defense::pipeline::MODEL_MAGIC;
 use ctc_core::defense::{features_from_reception, standard_extractors};
@@ -313,6 +313,51 @@ fn bad_thresholds_and_stats_intervals_fail_with_one_line() {
             stderr.starts_with(&format!("{flag} expects")),
             "{args:?}: {stderr}"
         );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+/// A flag the command does not read fails before any work with one line
+/// naming it: a typo in `--threshold` must not leave the default Q in
+/// force, and `--shards` (gone with the sharded queue) must not be
+/// silently ignored.
+#[test]
+fn flags_a_command_does_not_read_fail_with_one_line() {
+    let frames = Frames::generate("unknown-flags");
+    let forged = path_str(&frames.forged);
+    let stream = frames.three_frame_stream();
+    let monitor = ["monitor", "--input", path_str(&stream), "--shards", "2"];
+    let detect = ["detect", "--input", forged, "--threshhold", "0.25"];
+    for args in [&detect[..], &monitor[..]] {
+        let out = ctc(args);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(args[3]), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+/// Sizing flags past their limits fail with one line naming the value
+/// instead of aborting on a preallocation no machine can make or, for a
+/// chunk whose byte count wraps to zero, reading nothing and exiting 0.
+#[test]
+fn sizing_flags_beyond_their_limits_fail_with_one_line() {
+    const EXIT_CONFIG: i32 = 10;
+    let frames = Frames::generate("sizing");
+    let stream = frames.three_frame_stream();
+    for (flag, value, code) in [
+        ("--chunk", "100000000000000", EXIT_CONFIG),
+        ("--chunk", "2305843009213693952", EXIT_CONFIG),
+        ("--workers", "100000", EXIT_CONFIG),
+        ("--flight-capacity", "100000000000000", 1),
+    ] {
+        let args = ["monitor", "--input", path_str(&stream), flag, value];
+        let out = ctc(&args);
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(value), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?}");
     }
 }

@@ -1,4 +1,4 @@
-//! Reusable sample buffers and the in-place [`Stage`] processing API.
+//! Reusable sample buffers.
 //!
 //! Every hop of the TX → channel → RX → detector path works on blocks of
 //! complex baseband samples. Allocating a fresh `Vec<Complex>` per hop puts
@@ -12,10 +12,6 @@
 //!   pool it came from on drop. Detached buffers (no pool) behave like a
 //!   plain `Vec` and are always valid, so APIs taking `&mut SampleBuf` work
 //!   with or without pooling.
-//! * [`Stage`] — the processing contract: `process(input, out)` writes the
-//!   result into a caller-supplied buffer, and `process_in_place(buf)` is a
-//!   fast path for stages that preserve length (filters, impairments) or
-//!   that can reuse the buffer through a pooled scratch swap.
 //!
 //! Ownership rule of thumb: *whoever checks a buffer out lets it drop* —
 //! return-to-pool is automatic, never manual. Producers that hand samples
@@ -166,11 +162,6 @@ impl SampleBuf {
         }
     }
 
-    /// Wraps an existing vector as a detached buffer.
-    pub fn from_vec(data: Vec<Complex>) -> Self {
-        SampleBuf { data, pool: None }
-    }
-
     /// Empties the buffer, keeping capacity.
     pub fn clear(&mut self) {
         self.data.clear();
@@ -199,26 +190,6 @@ impl SampleBuf {
     /// Current capacity in samples.
     pub fn capacity(&self) -> usize {
         self.data.capacity()
-    }
-
-    /// Direct access to the backing vector (for `extend`/`truncate`-style
-    /// call sites). The vector still returns to the pool on drop.
-    pub fn as_vec_mut(&mut self) -> &mut Vec<Complex> {
-        &mut self.data
-    }
-
-    /// Checks out an empty sibling buffer: same pool if pooled, detached
-    /// otherwise. Used by scratch-swap in-place fallbacks.
-    pub fn sibling(&self, capacity: usize) -> SampleBuf {
-        match &self.pool {
-            Some(pool) => pool.checkout(capacity),
-            None => SampleBuf::detached(capacity),
-        }
-    }
-
-    /// Swaps contents (and pool affiliation stays with each buffer).
-    pub fn swap_data(&mut self, other: &mut SampleBuf) {
-        std::mem::swap(&mut self.data, &mut other.data);
     }
 
     /// Detaches the backing vector; the capacity is *not* returned to the
@@ -274,40 +245,6 @@ impl Extend<Complex> for SampleBuf {
     }
 }
 
-/// A sample-block processing stage with an explicit-output API and an
-/// in-place fast path.
-///
-/// Implementors must make `process` write the full result into `out`
-/// (clearing it first); stages whose output length equals their input length
-/// should also override [`process_in_place`](Stage::process_in_place) to skip
-/// the copy entirely. The default `process_in_place` is a scratch-swap: it
-/// checks a sibling buffer out of the same pool, processes into it, and swaps
-/// — still allocation-free in steady state.
-pub trait Stage {
-    /// A short static name for telemetry (the `stage` label a profiler
-    /// attaches to this stage's duration histogram). Defaults to `"stage"`;
-    /// override to make instrumented pipelines readable.
-    fn name(&self) -> &'static str {
-        "stage"
-    }
-
-    /// Processes `input`, replacing the contents of `out` with the result.
-    fn process(&mut self, input: &[Complex], out: &mut SampleBuf);
-
-    /// Processes `buf`'s contents in place.
-    ///
-    /// Override when the stage can mutate samples directly (length-preserving
-    /// filters, impairments); the default routes through a pooled scratch
-    /// buffer and swaps.
-    fn process_in_place(&mut self, buf: &mut SampleBuf) {
-        let mut scratch = buf.sibling(buf.len());
-        let data = std::mem::take(&mut buf.data);
-        self.process(&data, &mut scratch);
-        buf.data = data;
-        buf.swap_data(&mut scratch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,28 +297,6 @@ mod tests {
         let b = pool.checkout(0);
         drop(b);
         assert_eq!(pool.idle(), 0, "empty vecs are not worth retaining");
-    }
-
-    struct Doubler;
-    impl Stage for Doubler {
-        fn process(&mut self, input: &[Complex], out: &mut SampleBuf) {
-            out.clear();
-            out.extend(input.iter().map(|&v| v * 2.0));
-        }
-    }
-
-    #[test]
-    fn stage_default_in_place_swaps_through_pool() {
-        let pool = BufferPool::new();
-        let mut buf = pool.checkout(4);
-        buf.extend_from_slice(&[Complex::ONE; 4]);
-        Doubler.process_in_place(&mut buf);
-        assert!(buf
-            .iter()
-            .all(|&v| (v - Complex::new(2.0, 0.0)).norm() < 1e-12));
-        drop(buf);
-        // Both the original and the scratch buffer made it back.
-        assert_eq!(pool.idle(), 2);
     }
 
     proptest! {

@@ -7,7 +7,7 @@
 //! phase, Hamming window — because the paper's effects come from *bandwidth*,
 //! not filter family.
 
-use crate::buffer::{SampleBuf, Stage};
+use crate::buffer::SampleBuf;
 use crate::complex::Complex;
 use crate::simd;
 
@@ -233,15 +233,6 @@ pub fn phase_rotate(x: &[Complex], theta: f64) -> Vec<Complex> {
 /// [`phase_rotate`] mutating the waveform in place.
 pub fn phase_rotate_in_place(x: &mut [Complex], theta: f64) {
     simd::phase_rotate_in_place(x, Complex::cis(theta));
-}
-
-/// [`Fir`] as a [`Stage`]: `process` is delay-compensated filtering into the
-/// output buffer; the in-place path routes through a pooled scratch swap
-/// (the convolution cannot safely overwrite its own history).
-impl Stage for Fir {
-    fn process(&mut self, input: &[Complex], out: &mut SampleBuf) {
-        self.filter_into(input, out);
-    }
 }
 
 #[cfg(test)]

@@ -78,9 +78,17 @@ impl<R: Read> Cf32Reader<R> {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0`, or if the read buffer's byte count (`n`
+    /// samples of 8 bytes plus a carried partial sample) overflows
+    /// `usize`, which would otherwise wrap to a tiny buffer.
     pub fn with_chunk_samples(mut self, n: usize) -> Self {
         assert!(n > 0, "chunk size must be positive");
+        assert!(
+            n.checked_mul(8)
+                .and_then(|bytes| bytes.checked_add(7))
+                .is_some(),
+            "chunk size of {n} samples overflows its byte count"
+        );
         self.chunk_samples = n;
         self
     }
@@ -301,6 +309,18 @@ mod tests {
             assert_eq!(back, samples, "chunk size {chunk_size}");
             assert_eq!(reader.samples_read(), samples.len() as u64);
         }
+    }
+
+    #[test]
+    fn chunk_sizes_whose_byte_count_overflows_are_rejected() {
+        let builds = |n: usize| {
+            std::panic::catch_unwind(|| Cf32Reader::new(&[][..]).with_chunk_samples(n)).is_ok()
+        };
+        let largest = (usize::MAX - 7) / 8;
+        assert!(builds(largest));
+        assert!(!builds(largest + 1));
+        assert!(!builds(usize::MAX / 8 + 1), "a byte count that wraps to 0");
+        assert!(!builds(0));
     }
 
     #[test]

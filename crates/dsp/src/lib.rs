@@ -45,7 +45,7 @@ pub mod resample;
 pub mod simd;
 pub mod spectrogram;
 
-pub use buffer::{BufferPool, SampleBuf, Stage};
+pub use buffer::{BufferPool, SampleBuf};
 pub use complex::Complex;
 pub use cumulants::{Cumulants, Modulation};
 pub use fft::{fft64, ifft64};

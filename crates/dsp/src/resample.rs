@@ -6,7 +6,7 @@
 //! (Sec. V-B1). The ZigBee receiver then consumes the 20 MHz emulated
 //! waveform through a 2 MHz front-end, i.e. low-pass + decimate by 5.
 
-use crate::buffer::{SampleBuf, Stage};
+use crate::buffer::SampleBuf;
 use crate::complex::Complex;
 use crate::filter::Fir;
 
@@ -113,12 +113,6 @@ impl Interpolator {
     }
 }
 
-impl Stage for Interpolator {
-    fn process(&mut self, input: &[Complex], out: &mut SampleBuf) {
-        self.interpolate_into(input, out);
-    }
-}
-
 /// Downsamples by an integer `factor` with an anti-alias low-pass first.
 ///
 /// Models a narrowband receiver front-end digesting a wideband signal: only
@@ -184,12 +178,6 @@ impl Decimator {
         lp.filter_into(x, &mut self.filtered);
         out.reserve(self.filtered.len() / self.factor + 1);
         out.extend(self.filtered.iter().step_by(self.factor).copied());
-    }
-}
-
-impl Stage for Decimator {
-    fn process(&mut self, input: &[Complex], out: &mut SampleBuf) {
-        self.decimate_into(input, out);
     }
 }
 

@@ -30,13 +30,6 @@ pub enum GatewayError {
     /// Accepting a connection failed (transient `WouldBlock` is handled
     /// internally; this is a real accept failure).
     Accept(io::Error),
-    /// A connection was refused because the server is at its
-    /// `max_streams` session limit. Carried in session `refused` events;
-    /// `serve` itself keeps running.
-    SessionLimit {
-        /// The configured ceiling.
-        max: usize,
-    },
     /// Opening an input byte stream failed (file open, for instance).
     Open {
         /// The input spec that failed to open.
@@ -53,10 +46,8 @@ pub enum GatewayError {
     },
     /// Writing the JSONL event sink (or the stats sink) failed.
     SinkWrite(io::Error),
-    /// The server was asked to shut down before the run completed.
-    Shutdown,
     /// A configuration rejected by [`GatewayConfigBuilder::build`]
-    /// (zero workers, zero queue depth, zero chunk size, …).
+    /// (workers or chunk size out of range, zero queue depth, …).
     ///
     /// [`GatewayConfigBuilder::build`]: crate::pipeline::GatewayConfigBuilder::build
     Config(String),
@@ -70,9 +61,7 @@ impl GatewayError {
         match self {
             GatewayError::BadAddress { .. } => 4,
             GatewayError::Bind { .. } | GatewayError::Accept(_) => 5,
-            GatewayError::SessionLimit { .. } => 6,
             GatewayError::SinkWrite(_) => 7,
-            GatewayError::Shutdown => 8,
             GatewayError::Open { .. } | GatewayError::Read { .. } => 9,
             GatewayError::Config(_) => 10,
         }
@@ -92,15 +81,11 @@ impl fmt::Display for GatewayError {
             }
             GatewayError::Bind { addr, source } => write!(f, "bind {addr}: {source}"),
             GatewayError::Accept(e) => write!(f, "accept: {e}"),
-            GatewayError::SessionLimit { max } => {
-                write!(f, "session limit reached ({max} streams)")
-            }
             GatewayError::Open { input, source } => write!(f, "open {input}: {source}"),
             GatewayError::Read { stream, source } => {
                 write!(f, "stream {stream}: read: {source}")
             }
             GatewayError::SinkWrite(e) => write!(f, "event sink: {e}"),
-            GatewayError::Shutdown => write!(f, "shut down before end of stream"),
             GatewayError::Config(reason) => write!(f, "invalid configuration: {reason}"),
         }
     }
@@ -133,9 +118,7 @@ mod tests {
                 addr: "a".into(),
                 source: io::Error::other("e"),
             },
-            GatewayError::SessionLimit { max: 4 },
             GatewayError::SinkWrite(io::Error::other("e")),
-            GatewayError::Shutdown,
             GatewayError::Read {
                 stream: "s1".into(),
                 source: io::Error::other("e"),
@@ -161,7 +144,6 @@ mod tests {
             reason: "missing host:port".into(),
         };
         assert_eq!(e.to_string(), "bad address \"tcp://\": missing host:port");
-        assert!(GatewayError::Shutdown.to_string().contains("shut down"));
         let chained = GatewayError::Bind {
             addr: "tcp://127.0.0.1:1".into(),
             source: io::Error::other("denied"),

@@ -23,9 +23,10 @@
 //!   (`-`), a TCP listener (`tcp://host:port`), or a Unix-domain
 //!   listener (`unix:///path.sock`); [`source::Listener`] accepts many
 //!   connections for [`GatewayServer::serve`].
-//! - [`metrics::Metrics`] — one session's lock-free counters and
-//!   log-scale latency histogram; run-wide totals are folded from the
-//!   run's [`session::SessionTable`] when read.
+//! - [`metrics::MetricsCore`] — one session's lock-free counters and
+//!   log-scale latency histogram; run-wide totals and session-lifecycle
+//!   counts are folded from the run's [`session::SessionTable`] when
+//!   read.
 //! - [`error::GatewayError`] — typed failures with distinct process
 //!   exit codes for the CLI.
 //! - [`obs`] — publishes a run's counters into a [`ctc_obs::Registry`]
@@ -91,8 +92,7 @@ pub mod source;
 pub use error::GatewayError;
 pub use flight::FlightOptions;
 pub use metrics::{
-    LatencyHistogram, Metrics, MetricsCore, MetricsSnapshot, ScoreBoard, ServerMetrics,
-    ServerMetricsCore, ServerMetricsSnapshot,
+    LatencyHistogram, MetricsCore, MetricsSnapshot, ScoreBoard, ServerMetricsSnapshot,
 };
 pub use pipeline::{default_workers, GatewayConfig, GatewayConfigBuilder};
 pub use server::{

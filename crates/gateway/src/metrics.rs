@@ -3,17 +3,13 @@
 //!
 //! The histogram itself now lives in [`ctc_obs`] (the workspace telemetry
 //! layer); this module keeps the gateway-flavoured names and the snapshot
-//! type the stats lines are built from. Each [`Session`](
-//! crate::session::Session) owns one [`Metrics`]; run-wide totals are
+//! types the report and stats lines are built from. Each [`Session`](
+//! crate::session::Session) owns one [`MetricsCore`]; run-wide totals are
 //! snapshots merged at read time (see [`MetricsSnapshot::merge`]), so no
-//! counter is bumped twice. [`Metrics`] is a cheap-to-clone `Arc` handle
-//! so a session's counters can also be captured by `'static` registry
-//! collectors (see [`crate::obs`]) and scraped after the pipeline threads
-//! have joined.
+//! counter is bumped twice.
 
 use ctc_core::defense::PipelineScores;
 use ctc_obs::HistogramSnapshot;
-use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -44,24 +40,6 @@ pub struct MetricsCore {
     pub samples_dropped: AtomicU64,
     /// End-to-end (ingest→classified) per-burst latency.
     pub latency: LatencyHistogram,
-}
-
-/// Shared handle to one run's [`MetricsCore`].
-///
-/// Dereferences to the core, so `metrics.samples_in.fetch_add(...)` works
-/// as it always did; cloning bumps an `Arc`, which is what lets registry
-/// collectors outlive the run that produced them.
-#[derive(Debug, Clone, Default)]
-pub struct Metrics {
-    core: Arc<MetricsCore>,
-}
-
-impl Deref for Metrics {
-    type Target = MetricsCore;
-
-    fn deref(&self) -> &MetricsCore {
-        &self.core
-    }
 }
 
 /// A point-in-time copy of the counters, ready for reporting.
@@ -110,19 +88,12 @@ impl MetricsSnapshot {
     }
 }
 
-impl Metrics {
-    /// Fresh, all-zero metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Latest per-feature detector scores for a pipeline-equipped run —
 /// f64 bits stored in relaxed atomics, the backing store for the
 /// `ctc_detector_score{feature=...}` gauges (see [`crate::obs`]).
 ///
-/// Same `Arc`-backed shape as [`Metrics`]: cloning is cheap, and registry
-/// collectors keep the board alive after the run joins. Workers overwrite
+/// Cloning is cheap (an `Arc` bump), and registry collectors keep the
+/// board alive after the run joins. Workers overwrite
 /// slots with the most recent burst's values (a gauge, not an
 /// accumulator), so a scrape sees the last classified burst.
 #[derive(Debug, Clone)]
@@ -182,43 +153,8 @@ impl ScoreBoard {
     }
 }
 
-/// Session-lifecycle counters for a multi-stream server run.
-#[derive(Debug, Default)]
-pub struct ServerMetricsCore {
-    /// Sessions accepted (or supplied in-process) so far.
-    pub sessions_opened: AtomicU64,
-    /// Sessions that reached end of stream and closed.
-    pub sessions_closed: AtomicU64,
-    /// Connections refused at the `max_streams` ceiling.
-    pub sessions_refused: AtomicU64,
-    /// Sessions whose input died with a read error.
-    pub sessions_errored: AtomicU64,
-}
-
-/// Shared handle to one server run's [`ServerMetricsCore`] — the same
-/// `Arc`-backed shape as [`Metrics`], for the same reason: registry
-/// collectors must be able to outlive the run.
-#[derive(Debug, Clone, Default)]
-pub struct ServerMetrics {
-    core: Arc<ServerMetricsCore>,
-}
-
-impl Deref for ServerMetrics {
-    type Target = ServerMetricsCore;
-
-    fn deref(&self) -> &ServerMetricsCore {
-        &self.core
-    }
-}
-
-impl ServerMetrics {
-    /// Fresh, all-zero server metrics.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// A point-in-time copy of the session-lifecycle counters.
+/// A server run's session-lifecycle counts, folded from its
+/// [`SessionTable`](crate::session::SessionTable) when read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerMetricsSnapshot {
     /// Sessions accepted so far.
@@ -237,19 +173,6 @@ impl ServerMetricsSnapshot {
         self.sessions_opened
             .saturating_sub(self.sessions_closed)
             .saturating_sub(self.sessions_errored)
-    }
-}
-
-impl ServerMetricsCore {
-    /// Copies every counter at once (individually relaxed-consistent).
-    pub fn snapshot(&self) -> ServerMetricsSnapshot {
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ServerMetricsSnapshot {
-            sessions_opened: load(&self.sessions_opened),
-            sessions_closed: load(&self.sessions_closed),
-            sessions_refused: load(&self.sessions_refused),
-            sessions_errored: load(&self.sessions_errored),
-        }
     }
 }
 
@@ -276,7 +199,7 @@ mod tests {
 
     #[test]
     fn snapshot_copies_counters() {
-        let m = Metrics::new();
+        let m = MetricsCore::default();
         m.samples_in.fetch_add(100, Ordering::Relaxed);
         m.forgeries.fetch_add(2, Ordering::Relaxed);
         m.latency.record(50);
@@ -305,13 +228,5 @@ mod tests {
         assert_eq!(clone.value(0), 0.125);
         assert_eq!(clone.value(1), 0.5);
         assert_eq!(clone.names(), ["de2_ideal", "clustered_evm"]);
-    }
-
-    #[test]
-    fn metrics_clones_share_one_core() {
-        let m = Metrics::new();
-        let clone = m.clone();
-        m.bursts.fetch_add(3, Ordering::Relaxed);
-        assert_eq!(clone.snapshot().bursts, 3);
     }
 }

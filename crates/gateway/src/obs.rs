@@ -11,7 +11,7 @@
 //! * [`register_session`] / [`register_server`] — the multi-stream
 //!   layer: the same gateway metric schema stamped with a
 //!   `{stream="..."}` label per session, plus `ctc_sessions_*`
-//!   lifecycle counters for the server itself.
+//!   lifecycle counters folded from the run's session table.
 //! * `RunObs` — the per-run observation handle threaded through ingest,
 //!   workers and sink. It records each stage interval once, fanned out
 //!   to the trace sink and the flight journal when they are attached;
@@ -19,11 +19,12 @@
 //!   server at run time is the only switch.
 
 use crate::flight::FlightRun;
-use crate::metrics::{Metrics, MetricsSnapshot, ServerMetrics};
+use crate::metrics::MetricsSnapshot;
 use crate::session::{Session, SessionId, SessionTable};
 use ctc_dsp::BufferPool;
 use ctc_obs::flight::{EventKind, FlightEvent, FlightRecorder};
 use ctc_obs::{Registry, ScopedRegistry, SpanStage, TraceSink};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-run observation handle: allocates span IDs, records stage
@@ -143,18 +144,22 @@ pub fn register_run(registry: &Registry, sessions: &SessionTable, pool: &BufferP
         "ctc_pool_idle_buffers",
         "Idle buffers currently retained by the pool.",
         &[],
-        move || p.idle() as u64,
+        move || p.idle() as f64,
     );
 }
 
-/// Registers one session's counters under the gateway metric names with a
-/// `{stream="<label>"}` label, alongside the unlabelled totals from
-/// [`register_run`]. Collectors keep the session's [`Metrics`] `Arc`
-/// alive, so a closed session stays scrapeable for the rest of the run.
-pub fn register_session(registry: &Registry, stream: &str, metrics: &Metrics) {
-    let metrics = metrics.clone();
+/// Registers a labelled session's counters under the gateway metric
+/// names with a `{stream="<label>"}` label, alongside the unlabelled
+/// totals from [`register_run`]; an unlabelled session publishes only
+/// through those totals. The collectors hold the session, so a closed
+/// session stays scrapeable for the rest of the run.
+pub fn register_session(registry: &Registry, session: &Arc<Session>) {
+    let Some(stream) = session.label() else {
+        return;
+    };
+    let session = Arc::clone(session);
     register_gateway_metrics(&registry.scoped(&[("stream", stream)]), move || {
-        metrics.snapshot()
+        session.snapshot()
     });
 }
 
@@ -167,7 +172,7 @@ pub fn register_scores(registry: &Registry, board: &crate::metrics::ScoreBoard) 
     let help = "Latest detector score, by feature (fused = classifier output).";
     for (i, name) in board.names().iter().enumerate() {
         let b = board.clone();
-        registry.gauge_f64_fn(
+        registry.gauge_fn(
             "ctc_detector_score",
             help,
             &[("feature", name)],
@@ -175,7 +180,7 @@ pub fn register_scores(registry: &Registry, board: &crate::metrics::ScoreBoard) 
         );
     }
     let b = board.clone();
-    registry.gauge_f64_fn(
+    registry.gauge_fn(
         "ctc_detector_score",
         help,
         &[("feature", "fused")],
@@ -183,44 +188,43 @@ pub fn register_scores(registry: &Registry, board: &crate::metrics::ScoreBoard) 
     );
 }
 
-/// Registers the session-lifecycle counters of a multi-stream server run.
-pub fn register_server(registry: &Registry, server: &ServerMetrics) {
-    use std::sync::atomic::Ordering::Relaxed;
-
-    let s = server.clone();
+/// Registers the session-lifecycle counters of a multi-stream server run,
+/// each folded from `sessions` (see [`SessionTable::lifecycle`]).
+pub fn register_server(registry: &Registry, sessions: &SessionTable) {
+    let s = sessions.clone();
     registry.counter_fn(
         "ctc_sessions_opened_total",
         "Sessions accepted (or supplied in-process).",
         &[],
-        move || s.sessions_opened.load(Relaxed),
+        move || s.lifecycle().sessions_opened,
     );
-    let s = server.clone();
+    let s = sessions.clone();
     registry.counter_fn(
         "ctc_sessions_closed_total",
         "Sessions that reached end of stream and closed.",
         &[],
-        move || s.sessions_closed.load(Relaxed),
+        move || s.lifecycle().sessions_closed,
     );
-    let s = server.clone();
+    let s = sessions.clone();
     registry.counter_fn(
         "ctc_sessions_refused_total",
         "Connections refused at the max-streams ceiling.",
         &[],
-        move || s.sessions_refused.load(Relaxed),
+        move || s.lifecycle().sessions_refused,
     );
-    let s = server.clone();
+    let s = sessions.clone();
     registry.counter_fn(
         "ctc_sessions_errored_total",
         "Sessions whose input died with a read error.",
         &[],
-        move || s.sessions_errored.load(Relaxed),
+        move || s.lifecycle().sessions_errored,
     );
-    let s = server.clone();
+    let s = sessions.clone();
     registry.gauge_fn(
         "ctc_sessions_active",
         "Sessions currently live.",
         &[],
-        move || s.snapshot().active(),
+        move || s.lifecycle().active() as f64,
     );
 }
 
@@ -359,9 +363,11 @@ mod tests {
 
         let s1 = sessions.open(Some("s1".into()));
         let s2 = sessions.open(Some("s2".into()));
+        register_session(&registry, &s1);
+        register_session(&registry, &s2);
+        // Unlabelled sessions publish only through the run-wide sums.
+        register_session(&registry, &sessions.open(None));
         let (s1, s2) = (s1.metrics(), s2.metrics());
-        register_session(&registry, "s1", s1);
-        register_session(&registry, "s2", s2);
 
         s1.samples_in.fetch_add(10, Relaxed);
         s2.samples_in.fetch_add(20, Relaxed);
@@ -372,6 +378,7 @@ mod tests {
         assert!(text.contains("ctc_gateway_samples_total 30"), "{text}");
         assert!(text.contains("ctc_gateway_samples_total{stream=\"s1\"} 10"));
         assert!(text.contains("ctc_gateway_samples_total{stream=\"s2\"} 20"));
+        assert!(!text.contains("stream=\"\""), "{text}");
         // Per-registration labels merge with the stream label.
         assert!(
             text.contains("ctc_gateway_frames_total{stream=\"s1\",verdict=\"attack\"} 1")
@@ -404,20 +411,28 @@ mod tests {
         assert!(text.contains("ctc_detector_score{feature=\"fused\"} 0.25"));
     }
 
+    /// Every lifecycle count folds from the table: opened is its length,
+    /// closed and errored are its sessions' end states, refused is its
+    /// one counter, and active is what remains open.
     #[test]
     fn server_lifecycle_counters_render() {
-        use std::sync::atomic::Ordering::Relaxed;
-
         let registry = Registry::new();
-        let server = ServerMetrics::new();
-        register_server(&registry, &server);
-        server.sessions_opened.fetch_add(3, Relaxed);
-        server.sessions_closed.fetch_add(1, Relaxed);
-        server.sessions_refused.fetch_add(2, Relaxed);
+        let sessions = SessionTable::new();
+        register_server(&registry, &sessions);
+        let opened: Vec<_> = (0..4).map(|_| sessions.open(None)).collect();
+        opened[0].end(false);
+        opened[1].end(true);
+        sessions.refuse();
+        sessions.refuse();
 
         let text = registry.render();
-        assert!(text.contains("ctc_sessions_opened_total 3"), "{text}");
-        assert!(text.contains("ctc_sessions_refused_total 2"));
-        assert!(text.contains("ctc_sessions_active 2"));
+        assert!(text.contains("ctc_sessions_opened_total 4\n"), "{text}");
+        assert!(text.contains("ctc_sessions_closed_total 1\n"), "{text}");
+        assert!(text.contains("ctc_sessions_errored_total 1\n"), "{text}");
+        assert!(text.contains("ctc_sessions_refused_total 2\n"), "{text}");
+        assert!(text.contains("ctc_sessions_active 2\n"), "{text}");
+
+        opened[2].end(false);
+        assert!(registry.render().contains("ctc_sessions_active 1\n"));
     }
 }

@@ -13,6 +13,16 @@ use ctc_zigbee::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
+/// The most decode/classify workers [`GatewayConfigBuilder::build`]
+/// accepts: each is a thread, and far more than cores only adds
+/// switching.
+pub const MAX_WORKERS: usize = 256;
+
+/// The largest ingest chunk [`GatewayConfigBuilder::build`] accepts, in
+/// samples: each session's reader holds a buffer of `8 × chunk_samples`
+/// bytes (32 MiB at this bound).
+pub const MAX_CHUNK_SAMPLES: usize = 1 << 22;
+
 /// Gateway configuration: transport-independent pipeline knobs plus the
 /// three detection stages: energy gate, receiver and one classifying
 /// [`DetectionPipeline`].
@@ -142,21 +152,29 @@ impl GatewayConfigBuilder {
     /// # Errors
     ///
     /// [`GatewayError::Config`] when any of these hold:
-    /// `workers == 0` (no one would ever decode), `queue_depth == 0`
-    /// (every burst would be shed), `chunk_samples == 0` (ingest could
-    /// not make progress), `energy.window == 0` (the splitter would
-    /// panic), or `max_burst < energy.min_len` (the splitter would
-    /// reject it).
+    /// `workers` is 0 (no one would ever decode) or above
+    /// [`MAX_WORKERS`] (each is a thread, spawned up front),
+    /// `queue_depth == 0` (every burst would be shed), `chunk_samples` is
+    /// 0 (ingest could not make progress) or above [`MAX_CHUNK_SAMPLES`]
+    /// (each session's read buffer would not allocate), `energy.window ==
+    /// 0` (the splitter would panic), or `max_burst < energy.min_len`
+    /// (the splitter would reject it).
     pub fn build(self) -> Result<GatewayConfig, GatewayError> {
         let c = &self.config;
-        if c.workers == 0 {
-            return Err(GatewayError::Config("workers must be > 0".into()));
+        if !(1..=MAX_WORKERS).contains(&c.workers) {
+            return Err(GatewayError::Config(format!(
+                "workers must be 1 to {MAX_WORKERS}, got {}",
+                c.workers
+            )));
         }
         if c.queue_depth == 0 {
             return Err(GatewayError::Config("queue depth must be > 0".into()));
         }
-        if c.chunk_samples == 0 {
-            return Err(GatewayError::Config("chunk size must be > 0".into()));
+        if !(1..=MAX_CHUNK_SAMPLES).contains(&c.chunk_samples) {
+            return Err(GatewayError::Config(format!(
+                "chunk size must be 1 to {MAX_CHUNK_SAMPLES} samples, got {}",
+                c.chunk_samples
+            )));
         }
         if c.energy.window == 0 {
             return Err(GatewayError::Config(
@@ -229,10 +247,19 @@ mod tests {
 
     #[test]
     fn builder_rejects_degenerate_configs() {
+        let at_limits = GatewayConfig::builder()
+            .workers(MAX_WORKERS)
+            .chunk_samples(MAX_CHUNK_SAMPLES);
+        assert!(at_limits.build().is_ok());
         for (builder, needle) in [
             (GatewayConfig::builder().workers(0), "workers"),
+            (GatewayConfig::builder().workers(MAX_WORKERS + 1), "workers"),
             (GatewayConfig::builder().queue_depth(0), "queue depth"),
             (GatewayConfig::builder().chunk_samples(0), "chunk size"),
+            (
+                GatewayConfig::builder().chunk_samples(MAX_CHUNK_SAMPLES + 1),
+                "chunk size",
+            ),
             (GatewayConfig::builder().max_burst(1), "min_len"),
         ] {
             match builder.build() {

@@ -21,7 +21,7 @@
 
 use crate::error::GatewayError;
 use crate::flight::{FlightOptions, FlightRun};
-use crate::metrics::{MetricsSnapshot, ScoreBoard, ServerMetrics, ServerMetricsSnapshot};
+use crate::metrics::{MetricsSnapshot, ScoreBoard, ServerMetricsSnapshot};
 use crate::obs::RunObs;
 use crate::pipeline::GatewayConfig;
 use crate::session::{Evicted, Session, SessionId, SessionTable, WorkQueue};
@@ -390,7 +390,6 @@ impl GatewayServer {
         let workers = gw.workers.max(1);
         let queue = WorkQueue::new(gw.queue_depth.max(1).saturating_mul(workers));
         let sessions = SessionTable::new();
-        let server_metrics = ServerMetrics::new();
         let factory = MonitorFactory::new(gw.energy, gw.receiver.clone(), gw.pipeline.clone())
             .with_max_burst(gw.max_burst);
         let feature_names = gw.pipeline.feature_names();
@@ -410,7 +409,7 @@ impl GatewayServer {
 
         if let Some(registry) = &self.registry {
             crate::obs::register_run(registry, &sessions, factory.pool());
-            crate::obs::register_server(registry, &server_metrics);
+            crate::obs::register_server(registry, &sessions);
             if let Some(board) = &scores {
                 crate::obs::register_scores(registry, board);
             }
@@ -451,7 +450,6 @@ impl GatewayServer {
                                  peer: Option<String>| {
                 let tx = tx.clone();
                 let queue = &queue;
-                let server_metrics = &server_metrics;
                 let factory = &factory;
                 let chunk_samples = gw.chunk_samples;
                 scope.spawn(move || {
@@ -465,10 +463,7 @@ impl GatewayServer {
                     }
                     let result =
                         session_ingest(reader, &session, factory, queue, &tx, chunk_samples, obs);
-                    match &result {
-                        Ok(()) => server_metrics.sessions_closed.fetch_add(1, Relaxed),
-                        Err(_) => server_metrics.sessions_errored.fetch_add(1, Relaxed),
-                    };
+                    session.end(result.is_err());
                     obs.flight_record(|rec| {
                         FlightEvent::new(EventKind::SessionClose, session.id(), 0, rec.now_us())
                             .with_args(result.is_err() as u64, 0)
@@ -505,10 +500,9 @@ impl GatewayServer {
             };
             let open_session = |label: Option<String>| -> Arc<Session> {
                 let session = sessions.open(label);
-                if let (Some(registry), Some(label)) = (&self.registry, session.label()) {
-                    crate::obs::register_session(registry, label, session.metrics());
+                if let Some(registry) = &self.registry {
+                    crate::obs::register_session(registry, &session);
                 }
-                server_metrics.sessions_opened.fetch_add(1, Relaxed);
                 session
             };
 
@@ -535,7 +529,7 @@ impl GatewayServer {
                             Ok((conn, peer)) => {
                                 let active = handles.iter().filter(|h| !h.is_finished()).count();
                                 if active >= max_streams {
-                                    server_metrics.sessions_refused.fetch_add(1, Relaxed);
+                                    sessions.refuse();
                                     let _ = tx.send(SinkMsg::Note {
                                         line: session_refused_line(&peer, max_streams),
                                     });
@@ -630,7 +624,7 @@ impl GatewayServer {
 
         let report = ServerReport {
             metrics: sessions.totals(),
-            server: server_metrics.snapshot(),
+            server: sessions.lifecycle(),
             sessions: outcomes
                 .iter()
                 .map(|(session, _)| SessionSummary {

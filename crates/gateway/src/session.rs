@@ -2,12 +2,13 @@
 //! queue every session shares.
 //!
 //! A [`Session`] is the server-side handle for one connected IQ stream:
-//! its id, tenant label, per-stream [`Metrics`] and per-session event
-//! sequence. Sessions never share splitter state — each gets a fresh
-//! `BurstSplitter` from the server's `MonitorFactory` — but they do share
-//! the worker pool, the capture buffer pool, and one [`WorkQueue`]. A
-//! run's [`SessionTable`] lists every session it opened; run-wide totals
-//! are folded from it when read.
+//! its id, tenant label, per-stream [`MetricsCore`], per-session event
+//! sequence and end state. Sessions never share splitter state — each
+//! gets a fresh `BurstSplitter` from the server's `MonitorFactory` — but
+//! they do share the worker pool, the capture buffer pool, and one
+//! [`WorkQueue`]. A run's [`SessionTable`] lists every session it
+//! opened; run-wide totals and session-lifecycle counts are folded from
+//! it when read.
 //!
 //! The work queue is bounded, with non-blocking push and drop-oldest
 //! under overload — but *which* oldest is governed by a per-session
@@ -18,10 +19,10 @@
 //! quiet stream's bursts survive, which is the isolation property the
 //! fairness unit tests below pin down.
 
-use crate::metrics::{Metrics, MetricsSnapshot};
+use crate::metrics::{MetricsCore, MetricsSnapshot, ServerMetricsSnapshot};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 
 /// Identifier of one gateway session, unique within a server run.
 pub type SessionId = u64;
@@ -31,8 +32,10 @@ pub type SessionId = u64;
 pub struct Session {
     id: SessionId,
     label: Option<String>,
-    metrics: Metrics,
+    metrics: MetricsCore,
     seq: AtomicU64,
+    /// Set when the input ends: `true` for a read error.
+    errored: OnceLock<bool>,
 }
 
 impl Session {
@@ -43,8 +46,9 @@ impl Session {
         Session {
             id,
             label,
-            metrics: Metrics::new(),
+            metrics: MetricsCore::default(),
             seq: AtomicU64::new(0),
+            errored: OnceLock::new(),
         }
     }
 
@@ -60,7 +64,7 @@ impl Session {
 
     /// This session's counters, the only copy: run-wide totals are
     /// summed from every session's (see [`SessionTable::totals`]).
-    pub fn metrics(&self) -> &Metrics {
+    pub fn metrics(&self) -> &MetricsCore {
         &self.metrics
     }
 
@@ -73,15 +77,29 @@ impl Session {
     pub fn next_seq(&self) -> u64 {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
+
+    /// Records how the session's input ended: at end of stream
+    /// (`errored == false`) or with a read error.
+    pub(crate) fn end(&self, errored: bool) {
+        let _ = self.errored.set(errored);
+    }
 }
 
-/// Every session one server run opened, live and closed, in open order:
-/// the list the run's report, stats lines, unlabelled registry names and
-/// incident snapshots all read. A cheap-to-clone `Arc` handle, so
-/// registry collectors can keep reading it after the run joins.
+/// Every session one server run opened, live and closed, in open order,
+/// plus the connections it refused: the list the run's report, stats
+/// lines, unlabelled registry names and incident snapshots all read. A
+/// cheap-to-clone `Arc` handle, so registry collectors can keep reading
+/// it after the run joins.
 #[derive(Debug, Clone, Default)]
 pub struct SessionTable {
-    sessions: Arc<Mutex<Vec<Arc<Session>>>>,
+    inner: Arc<TableInner>,
+}
+
+#[derive(Debug, Default)]
+struct TableInner {
+    sessions: Mutex<Vec<Arc<Session>>>,
+    /// Connections refused at the `max_streams` ceiling.
+    refused: AtomicU64,
 }
 
 impl SessionTable {
@@ -92,34 +110,58 @@ impl SessionTable {
 
     /// Opens the next session: ids count from 1 in open order.
     pub fn open(&self, label: Option<String>) -> Arc<Session> {
-        let mut sessions = self.sessions.lock().expect("session table poisoned");
+        let mut sessions = self.lock();
         let id = sessions.len() as u64 + 1;
         let session = Arc::new(Session::new(id, label));
         sessions.push(session.clone());
         session
     }
 
+    fn lock(&self) -> MutexGuard<'_, Vec<Arc<Session>>> {
+        self.inner.sessions.lock().expect("session table poisoned")
+    }
+
     /// Sessions opened so far.
     pub(crate) fn len(&self) -> usize {
-        self.sessions.lock().expect("session table poisoned").len()
+        self.lock().len()
     }
 
     /// The sessions, in open order.
     pub fn sessions(&self) -> Vec<Arc<Session>> {
-        self.sessions
-            .lock()
-            .expect("session table poisoned")
-            .clone()
+        self.lock().clone()
+    }
+
+    /// Counts one connection refused at the `max_streams` ceiling.
+    pub(crate) fn refuse(&self) {
+        self.inner.refused.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Run-wide counters: every session's counters summed and their
     /// latency histograms merged bucket-wise.
     pub fn totals(&self) -> MetricsSnapshot {
         let mut totals = MetricsSnapshot::default();
-        for session in self.sessions.lock().expect("session table poisoned").iter() {
+        for session in self.lock().iter() {
             totals.merge(&session.snapshot());
         }
         totals
+    }
+
+    /// Session-lifecycle counts: every session opened, each one's end
+    /// state, and the refused connections.
+    pub fn lifecycle(&self) -> ServerMetricsSnapshot {
+        let sessions = self.lock();
+        let ended = |errored| {
+            sessions
+                .iter()
+                .filter(|s| s.errored.get() == Some(&errored))
+                .count() as u64
+        };
+        ServerMetricsSnapshot {
+            sessions_opened: sessions.len() as u64,
+            sessions_closed: ended(false),
+            sessions_refused: self.inner.refused.load(Ordering::Relaxed),
+            sessions_errored: ended(true),
+        }
     }
 }
 

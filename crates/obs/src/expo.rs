@@ -90,37 +90,17 @@ pub fn render(registry: &Registry) -> String {
         let _ = writeln!(out, "# TYPE {name} {}", family.kind.as_str());
         for (labels, child) in &family.children {
             match child {
-                Child::Counter(c) => {
-                    out.push_str(name);
-                    write_labels(&mut out, labels, None);
-                    let _ = writeln!(out, " {}", c.get());
-                }
-                Child::CounterFn(f) => {
+                Child::Counter(f) => {
                     out.push_str(name);
                     write_labels(&mut out, labels, None);
                     let _ = writeln!(out, " {}", f());
                 }
-                Child::Gauge(g) => {
-                    out.push_str(name);
-                    write_labels(&mut out, labels, None);
-                    let _ = writeln!(out, " {}", g.get());
-                }
-                Child::GaugeFn(f) => {
+                Child::Gauge(f) => {
                     out.push_str(name);
                     write_labels(&mut out, labels, None);
                     let _ = writeln!(out, " {}", f());
                 }
-                Child::GaugeF64Fn(f) => {
-                    out.push_str(name);
-                    write_labels(&mut out, labels, None);
-                    let _ = writeln!(out, " {}", f());
-                }
-                Child::Histogram(h) => {
-                    write_histogram(&mut out, name, labels, &h.snapshot());
-                }
-                Child::HistogramFn(f) => {
-                    write_histogram(&mut out, name, labels, &f());
-                }
+                Child::Histogram(f) => write_histogram(&mut out, name, labels, &f()),
             }
         }
     }
@@ -130,12 +110,12 @@ pub fn render(registry: &Registry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Histogram;
 
     #[test]
     fn label_values_are_escaped() {
         let r = Registry::new();
-        r.counter_with("esc_total", "e", &[("v", "a\"b\\c\nd")])
-            .inc();
+        r.counter_fn("esc_total", "e", &[("v", "a\"b\\c\nd")], || 1);
         let text = r.render();
         assert!(text.contains(r#"esc_total{v="a\"b\\c\nd"} 1"#), "{text}");
     }
@@ -147,24 +127,36 @@ mod tests {
     fn exposition_golden() {
         let r = Registry::new();
         // Registered deliberately out of final order.
-        r.gauge("ctc_queue_depth", "Chunks waiting in the gateway queue.")
-            .set(3);
-        let attack = r.counter_with(
+        r.gauge_fn(
+            "ctc_queue_depth",
+            "Chunks waiting in the gateway queue.",
+            &[],
+            || 3.0,
+        );
+        let frames_help = "Frames decoded, by verdict.";
+        r.counter_fn(
             "ctc_gateway_frames_total",
-            "Frames decoded, by verdict.",
+            frames_help,
             &[("verdict", "attack")],
+            || 1,
         );
-        let authentic = r.counter_with(
+        r.counter_fn(
             "ctc_gateway_frames_total",
-            "Frames decoded, by verdict.",
+            frames_help,
             &[("verdict", "authentic")],
+            || 2,
         );
-        attack.inc();
-        authentic.add(2);
-        let h = r.histogram("ctc_gateway_latency_us", "Per-frame latency.");
+        let h = Histogram::new();
         h.record(3); // bucket 1 = [2, 4)
         h.record(100); // bucket 6 = [64, 128)
         h.record(u64::MAX); // open-ended bucket
+        let snapshot = h.snapshot();
+        r.histogram_fn(
+            "ctc_gateway_latency_us",
+            "Per-frame latency.",
+            &[],
+            move || snapshot,
+        );
 
         let text = r.render();
         let expected_head = "\
@@ -203,13 +195,13 @@ ctc_gateway_latency_us_bucket{le=\"4\"} 1
     #[test]
     fn f64_gauge_renders_shortest_round_trip() {
         let r = Registry::new();
-        r.gauge_f64_fn(
+        r.gauge_fn(
             "ctc_detector_score",
             "Latest per-feature detector score.",
             &[("feature", "de2_ideal")],
             || 0.062_5,
         );
-        r.gauge_f64_fn(
+        r.gauge_fn(
             "ctc_detector_score",
             "Latest per-feature detector score.",
             &[("feature", "fused")],
@@ -230,8 +222,7 @@ ctc_gateway_latency_us_bucket{le=\"4\"} 1
     #[test]
     fn rendering_twice_is_identical() {
         let r = Registry::new();
-        r.counter_with("a_total", "a", &[("x", "1"), ("y", "2")])
-            .inc();
+        r.counter_fn("a_total", "a", &[("x", "1"), ("y", "2")], || 1);
         r.counter_fn("b_total", "b", &[], || 7);
         assert_eq!(r.render(), r.render());
     }

@@ -132,13 +132,19 @@ pub fn fetch_text(addr: &str) -> std::io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     #[test]
     fn serves_metrics_and_404s_elsewhere() {
         let registry = Arc::new(Registry::new());
-        registry
-            .counter("ctc_http_test_total", "Exercised by the HTTP test.")
-            .add(42);
+        let count = Arc::new(AtomicU64::new(42));
+        let owned = Arc::clone(&count);
+        registry.counter_fn(
+            "ctc_http_test_total",
+            "Exercised by the HTTP test.",
+            &[],
+            move || owned.load(Relaxed),
+        );
         let server = serve("127.0.0.1:0", Arc::clone(&registry)).expect("bind");
         let addr = server.addr().to_string();
 
@@ -147,7 +153,7 @@ mod tests {
         assert!(body.contains("# TYPE ctc_http_test_total counter"));
 
         // A scrape sees updated values, not a snapshot from serve() time.
-        registry.counter("ctc_http_test_total", "").add(1);
+        count.fetch_add(1, Relaxed);
         assert!(fetch_text(&addr)
             .unwrap()
             .contains("ctc_http_test_total 43"));

@@ -6,16 +6,14 @@
 //! the buffer pool, the Monte-Carlo bench engine — reports into one
 //! scrapeable surface instead of keeping private counters:
 //!
-//! - [`metrics`] — the wait-free primitives: [`Counter`], [`Gauge`] and a
-//!   fixed-bucket log-scale [`Histogram`]. Recording is a relaxed atomic
-//!   add; no locks ever sit on a hot path.
-//! - [`registry`] — a process-wide (or per-run) [`Registry`] of named,
-//!   labelled metric families. Registration takes a lock once (cold
-//!   path); handles are plain `Arc`s. Pull-based collectors
-//!   ([`Registry::counter_fn`] and friends) expose counters that already
-//!   exist elsewhere — the gateway's pipeline atomics, a
-//!   [`BufferPool`](ctc_dsp::BufferPool)'s hit/miss counts — without
-//!   double-counting on the hot path.
+//! - [`metrics`] — the wait-free fixed-bucket log-scale [`Histogram`].
+//!   Recording is a relaxed atomic add; no locks ever sit on a hot path.
+//! - [`registry`] — a [`Registry`] of named, labelled metric families,
+//!   each value a collector ([`Registry::counter_fn`], `gauge_fn`,
+//!   `histogram_fn`) sampled at scrape time from state with one owner
+//!   elsewhere — a gateway session's atomics, a
+//!   [`BufferPool`](ctc_dsp::BufferPool)'s hit/miss counts — so nothing
+//!   is counted twice and the hot path never touches the registry.
 //! - [`expo`] — Prometheus text exposition (stable name and label
 //!   ordering, histogram `_bucket`/`_sum`/`_count` triples).
 //! - [`http`] — a tiny blocking responder serving `GET /metrics`, plus a
@@ -45,14 +43,19 @@
 //!
 //! ```
 //! use ctc_obs::Registry;
+//! use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+//! use std::sync::Arc;
 //!
+//! let authentic = Arc::new(AtomicU64::new(0));
 //! let registry = Registry::new();
-//! let frames = registry.counter_with(
+//! let owned = Arc::clone(&authentic);
+//! registry.counter_fn(
 //!     "ctc_gateway_frames_total",
 //!     "Frames decoded, by verdict.",
 //!     &[("verdict", "authentic")],
+//!     move || owned.load(Relaxed),
 //! );
-//! frames.inc();
+//! authentic.fetch_add(1, Relaxed);
 //! let text = registry.render();
 //! assert!(text.contains("ctc_gateway_frames_total{verdict=\"authentic\"} 1"));
 //! ```
@@ -73,7 +76,7 @@ pub mod trace;
 
 pub use flight::{EventKind, FlightEvent, FlightRecorder};
 pub use http::MetricsServer;
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
+pub use metrics::{Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use process::register_process_metrics;
 pub use registry::{Registry, ScopedRegistry};
 pub use scrape::{Scrape, ScrapeError, ScrapeSample, ScrapedHistogram};

@@ -1,62 +1,13 @@
-//! Wait-free metric primitives: counters, gauges and a log-scale
-//! fixed-bucket histogram, all plain atomics so hot paths never contend.
+//! The wait-free metric primitive: a log-scale fixed-bucket histogram of
+//! plain atomics, so hot paths never contend. Counters and gauges need
+//! no type of their own: their owners keep `AtomicU64`s and publish them
+//! through registry collectors.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of power-of-two histogram buckets (bucket `i` covers
 /// `[2^i, 2^(i+1))`; the last bucket is open-ended).
 pub const HISTOGRAM_BUCKETS: usize = 32;
-
-/// A monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can move both ways (queue depth, pool idle count).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Replaces the value.
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
 
 /// Histogram over `u64` observations (canonically microseconds), with
 /// power-of-two buckets: bucket `i` counts values in `[2^i, 2^(i+1))`,
@@ -193,17 +144,25 @@ impl Histogram {
 mod tests {
     use super::*;
 
+    /// Concurrent records never lose an observation: N threads record
+    /// into one histogram, and its count and sum are exact.
     #[test]
-    fn counter_and_gauge_roundtrip() {
-        let c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        g.set(17);
-        assert_eq!(g.get(), 17);
-        g.set(3);
-        assert_eq!(g.get(), 3);
+    fn concurrent_records_are_exact() {
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 20_000;
+        let h = Histogram::new();
+        std::thread::scope(|scope| {
+            for _ in 0..THREADS {
+                scope.spawn(|| {
+                    for i in 0..PER_THREAD {
+                        h.record(i % 1000);
+                    }
+                });
+            }
+        });
+        assert_eq!(h.count(), THREADS * PER_THREAD);
+        let expected_sum: u64 = (0..PER_THREAD).map(|i| i % 1000).sum::<u64>() * THREADS;
+        assert_eq!(h.sum(), expected_sum);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub fn register_process_metrics(registry: &Registry) -> bool {
         RSS_GAUGE,
         "Resident set size of this process in bytes.",
         &[],
-        || resident_bytes().unwrap_or(0),
+        || resident_bytes().unwrap_or(0) as f64,
     );
     true
 }

@@ -1,30 +1,20 @@
-//! The metrics registry: named, labelled metric families behind cheap
-//! handles.
+//! The metrics registry: named, labelled metric families whose values
+//! live somewhere else.
 //!
-//! Registration is the cold path — it takes the registry lock once and
-//! hands back an `Arc` to the metric. The hot path (incrementing through
-//! the handle) is a relaxed atomic and never touches the lock. Exposition
-//! walks the families under the lock, which is fine at scrape frequency.
-//!
-//! Two registration styles coexist:
-//!
-//! - **owned metrics** ([`counter`](Registry::counter),
-//!   [`gauge`](Registry::gauge), [`histogram`](Registry::histogram) and
-//!   their `_with` label variants) — the registry owns the metric, callers
-//!   increment through the returned handle. Registering the same
-//!   name + labels twice returns the *same* handle.
-//! - **collectors** ([`counter_fn`](Registry::counter_fn),
-//!   [`gauge_fn`](Registry::gauge_fn),
-//!   [`histogram_fn`](Registry::histogram_fn)) — the value already lives
-//!   somewhere else (a pipeline's atomics, a buffer pool's hit counter);
-//!   the registry samples it through a closure at exposition time, so the
-//!   hot path is untouched and nothing is counted twice. Re-registering a
-//!   collector replaces the previous one — a fresh gateway run takes over
-//!   the canonical names.
+//! Every metric is a *collector* ([`counter_fn`](Registry::counter_fn),
+//! [`gauge_fn`](Registry::gauge_fn), [`histogram_fn`](Registry::histogram_fn)):
+//! a closure the registry samples at exposition time. The value already
+//! has an owner — a session's atomics, a buffer pool's hit counter, a
+//! finished experiment's report — so the hot path never touches the
+//! registry and nothing is counted twice. Registration is the cold path
+//! and takes the registry lock once; re-registering a name + label set
+//! replaces the previous collector, so a fresh gateway run takes over
+//! the canonical names. Exposition walks the families under the lock,
+//! which is fine at scrape frequency.
 
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::metrics::HistogramSnapshot;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// A sorted label set; the `BTreeMap` key, so exposition order is stable.
 pub(crate) type Labels = Vec<(String, String)>;
@@ -51,22 +41,19 @@ impl MetricKind {
     }
 }
 
+/// One collector, sampled at exposition time.
 pub(crate) enum Child {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-    CounterFn(Box<dyn Fn() -> u64 + Send + Sync>),
-    GaugeFn(Box<dyn Fn() -> u64 + Send + Sync>),
-    GaugeF64Fn(Box<dyn Fn() -> f64 + Send + Sync>),
-    HistogramFn(Box<dyn Fn() -> HistogramSnapshot + Send + Sync>),
+    Counter(Box<dyn Fn() -> u64 + Send + Sync>),
+    Gauge(Box<dyn Fn() -> f64 + Send + Sync>),
+    Histogram(Box<dyn Fn() -> HistogramSnapshot + Send + Sync>),
 }
 
 impl Child {
-    pub(crate) fn kind(&self) -> MetricKind {
+    fn kind(&self) -> MetricKind {
         match self {
-            Child::Counter(_) | Child::CounterFn(_) => MetricKind::Counter,
-            Child::Gauge(_) | Child::GaugeFn(_) | Child::GaugeF64Fn(_) => MetricKind::Gauge,
-            Child::Histogram(_) | Child::HistogramFn(_) => MetricKind::Histogram,
+            Child::Counter(_) => MetricKind::Counter,
+            Child::Gauge(_) => MetricKind::Gauge,
+            Child::Histogram(_) => MetricKind::Histogram,
         }
     }
 }
@@ -79,7 +66,7 @@ pub(crate) struct Family {
 
 /// A registry of metric families, shareable across threads.
 ///
-/// See the [module docs](self) for the registration styles. Rendering
+/// See the [module docs](self) for the collector model. Rendering
 /// ([`render`](Registry::render)) produces Prometheus text format with
 /// families sorted by name and children by label set.
 #[derive(Default)]
@@ -117,113 +104,12 @@ impl Registry {
         Registry::default()
     }
 
-    /// The process-wide registry (for components without a natural owner,
-    /// like the bench engine). Long-running services such as the gateway
-    /// monitor prefer a registry of their own.
-    pub fn global() -> Arc<Registry> {
-        static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(Registry::new())).clone()
-    }
-
-    fn child<T>(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        kind: MetricKind,
-        make: impl FnOnce() -> Child,
-        get: impl Fn(&Child) -> Option<Arc<T>>,
-    ) -> Arc<T> {
-        let mut families = self.families.lock().expect("registry poisoned");
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind,
-            children: BTreeMap::new(),
-        });
-        assert_eq!(
-            family.kind,
-            kind,
-            "metric family {name:?} already registered as a {}",
-            family.kind.as_str()
-        );
-        let child = family
-            .children
-            .entry(to_labels(labels))
-            .or_insert_with(make);
-        get(child).unwrap_or_else(|| {
-            panic!(
-                "metric {name:?} already registered as a {}",
-                child.kind().as_str()
-            )
-        })
-    }
-
-    /// An unlabelled counter (returns the existing handle when already
-    /// registered).
-    pub fn counter(&self, name: &str, help: &str) -> Arc<Counter> {
-        self.counter_with(name, help, &[])
-    }
-
-    /// A labelled counter.
-    pub fn counter_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        self.child(
-            name,
-            help,
-            labels,
-            MetricKind::Counter,
-            || Child::Counter(Arc::new(Counter::new())),
-            |c| match c {
-                Child::Counter(h) => Some(h.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    /// An unlabelled gauge.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        self.gauge_with(name, help, &[])
-    }
-
-    /// A labelled gauge.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.child(
-            name,
-            help,
-            labels,
-            MetricKind::Gauge,
-            || Child::Gauge(Arc::new(Gauge::new())),
-            |c| match c {
-                Child::Gauge(h) => Some(h.clone()),
-                _ => None,
-            },
-        )
-    }
-
-    /// An unlabelled histogram.
-    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
-        self.histogram_with(name, help, &[])
-    }
-
-    /// A labelled histogram.
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-    ) -> Arc<Histogram> {
-        self.child(
-            name,
-            help,
-            labels,
-            MetricKind::Histogram,
-            || Child::Histogram(Arc::new(Histogram::new())),
-            |c| match c {
-                Child::Histogram(h) => Some(h.clone()),
-                _ => None,
-            },
-        )
-    }
-
+    /// Installs `child` under `name` + `labels`, replacing any earlier
+    /// collector there.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `name` is already registered as another kind.
     fn collect(&self, name: &str, help: &str, labels: &[(&str, &str)], child: Child) {
         let mut families = self.families.lock().expect("registry poisoned");
         let kind = child.kind();
@@ -238,11 +124,10 @@ impl Registry {
             "metric family {name:?} already registered as a {}",
             family.kind.as_str()
         );
-        // Collectors replace: a new gateway run takes over the name.
         family.children.insert(to_labels(labels), child);
     }
 
-    /// Registers a pull-based counter: `f` is sampled at exposition time.
+    /// Registers a counter: `f` is sampled at exposition time.
     pub fn counter_fn(
         &self,
         name: &str,
@@ -250,34 +135,23 @@ impl Registry {
         labels: &[(&str, &str)],
         f: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
-        self.collect(name, help, labels, Child::CounterFn(Box::new(f)));
+        self.collect(name, help, labels, Child::Counter(Box::new(f)));
     }
 
-    /// Registers a pull-based gauge.
+    /// Registers a gauge. Values render as the shortest decimal that
+    /// round-trips, so whole values (queue depths, byte counts) print
+    /// without a fraction and scores keep every digit.
     pub fn gauge_fn(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        f: impl Fn() -> u64 + Send + Sync + 'static,
-    ) {
-        self.collect(name, help, labels, Child::GaugeFn(Box::new(f)));
-    }
-
-    /// Registers a pull-based floating-point gauge — for scores and ratios
-    /// (detector feature scores, AUC) that have no natural integer unit.
-    pub fn gauge_f64_fn(
         &self,
         name: &str,
         help: &str,
         labels: &[(&str, &str)],
         f: impl Fn() -> f64 + Send + Sync + 'static,
     ) {
-        self.collect(name, help, labels, Child::GaugeF64Fn(Box::new(f)));
+        self.collect(name, help, labels, Child::Gauge(Box::new(f)));
     }
 
-    /// Registers a pull-based histogram: `f` snapshots the histogram at
-    /// exposition time.
+    /// Registers a histogram: `f` snapshots it at exposition time.
     pub fn histogram_fn(
         &self,
         name: &str,
@@ -285,7 +159,7 @@ impl Registry {
         labels: &[(&str, &str)],
         f: impl Fn() -> HistogramSnapshot + Send + Sync + 'static,
     ) {
-        self.collect(name, help, labels, Child::HistogramFn(Box::new(f)));
+        self.collect(name, help, labels, Child::Histogram(Box::new(f)));
     }
 
     /// Renders the registry in Prometheus text format (see [`crate::expo`]).
@@ -335,23 +209,7 @@ impl ScopedRegistry<'_> {
         all
     }
 
-    /// A labelled counter under the base labels.
-    pub fn counter(&self, name: &str, help: &str, extra: &[(&str, &str)]) -> Arc<Counter> {
-        self.registry.counter_with(name, help, &self.merged(extra))
-    }
-
-    /// A labelled gauge under the base labels.
-    pub fn gauge(&self, name: &str, help: &str, extra: &[(&str, &str)]) -> Arc<Gauge> {
-        self.registry.gauge_with(name, help, &self.merged(extra))
-    }
-
-    /// A labelled histogram under the base labels.
-    pub fn histogram(&self, name: &str, help: &str, extra: &[(&str, &str)]) -> Arc<Histogram> {
-        self.registry
-            .histogram_with(name, help, &self.merged(extra))
-    }
-
-    /// A pull-based counter under the base labels.
+    /// A counter under the base labels.
     pub fn counter_fn(
         &self,
         name: &str,
@@ -362,30 +220,7 @@ impl ScopedRegistry<'_> {
         self.registry.counter_fn(name, help, &self.merged(extra), f);
     }
 
-    /// A pull-based gauge under the base labels.
-    pub fn gauge_fn(
-        &self,
-        name: &str,
-        help: &str,
-        extra: &[(&str, &str)],
-        f: impl Fn() -> u64 + Send + Sync + 'static,
-    ) {
-        self.registry.gauge_fn(name, help, &self.merged(extra), f);
-    }
-
-    /// A pull-based floating-point gauge under the base labels.
-    pub fn gauge_f64_fn(
-        &self,
-        name: &str,
-        help: &str,
-        extra: &[(&str, &str)],
-        f: impl Fn() -> f64 + Send + Sync + 'static,
-    ) {
-        self.registry
-            .gauge_f64_fn(name, help, &self.merged(extra), f);
-    }
-
-    /// A pull-based histogram under the base labels.
+    /// A histogram under the base labels.
     pub fn histogram_fn(
         &self,
         name: &str,
@@ -401,43 +236,33 @@ impl ScopedRegistry<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-
-    #[test]
-    fn same_name_and_labels_share_a_handle() {
-        let r = Registry::new();
-        let a = r.counter("x_total", "x");
-        let b = r.counter("x_total", "x");
-        a.add(3);
-        b.add(4);
-        assert_eq!(a.get(), 7);
-        assert!(Arc::ptr_eq(&a, &b));
-    }
 
     #[test]
     fn different_labels_are_different_children() {
         let r = Registry::new();
-        let a = r.counter_with("y_total", "y", &[("k", "a")]);
-        let b = r.counter_with("y_total", "y", &[("k", "b")]);
-        a.inc();
-        assert_eq!(a.get(), 1);
-        assert_eq!(b.get(), 0);
+        r.counter_fn("y_total", "y", &[("k", "a")], || 1);
+        r.counter_fn("y_total", "y", &[("k", "b")], || 0);
+        let text = r.render();
+        assert!(text.contains("y_total{k=\"a\"} 1\n"), "{text}");
+        assert!(text.contains("y_total{k=\"b\"} 0\n"), "{text}");
     }
 
     #[test]
     fn label_order_does_not_matter() {
         let r = Registry::new();
-        let a = r.counter_with("z_total", "z", &[("a", "1"), ("b", "2")]);
-        let b = r.counter_with("z_total", "z", &[("b", "2"), ("a", "1")]);
-        assert!(Arc::ptr_eq(&a, &b));
+        r.counter_fn("z_total", "z", &[("a", "1"), ("b", "2")], || 1);
+        r.counter_fn("z_total", "z", &[("b", "2"), ("a", "1")], || 2);
+        assert!(r
+            .render()
+            .ends_with("# TYPE z_total counter\nz_total{a=\"1\",b=\"2\"} 2\n"));
     }
 
     #[test]
     #[should_panic(expected = "already registered")]
     fn kind_mismatch_panics() {
         let r = Registry::new();
-        let _ = r.counter("w", "w");
-        let _ = r.gauge("w", "w");
+        r.counter_fn("w", "w", &[], || 0);
+        r.gauge_fn("w", "w", &[], || 0.0);
     }
 
     #[test]
@@ -446,46 +271,5 @@ mod tests {
         r.counter_fn("c_total", "c", &[], || 1);
         r.counter_fn("c_total", "c", &[], || 2);
         assert!(r.render().contains("c_total 2"));
-    }
-
-    /// The satellite hammer test: concurrent increments through shared and
-    /// per-thread handles never lose an update.
-    #[test]
-    fn concurrent_increments_are_exact() {
-        const THREADS: u64 = 8;
-        const PER_THREAD: u64 = 20_000;
-        let r = Arc::new(Registry::new());
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let r = Arc::clone(&r);
-                thread::spawn(move || {
-                    // Each thread re-registers: all get the same child.
-                    let c = r.counter("hammer_total", "hammered");
-                    let lab = r.counter_with(
-                        "hammer_labelled_total",
-                        "hammered",
-                        &[("thread", if t % 2 == 0 { "even" } else { "odd" })],
-                    );
-                    let h = r.histogram("hammer_us", "hammered");
-                    for i in 0..PER_THREAD {
-                        c.inc();
-                        lab.inc();
-                        h.record(i % 1000);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(r.counter("hammer_total", "").get(), THREADS * PER_THREAD);
-        let even = r.counter_with("hammer_labelled_total", "", &[("thread", "even")]);
-        let odd = r.counter_with("hammer_labelled_total", "", &[("thread", "odd")]);
-        assert_eq!(even.get(), THREADS / 2 * PER_THREAD);
-        assert_eq!(odd.get(), THREADS / 2 * PER_THREAD);
-        let h = r.histogram("hammer_us", "");
-        assert_eq!(h.count(), THREADS * PER_THREAD);
-        let expected_sum: u64 = (0..PER_THREAD).map(|i| i % 1000).sum::<u64>() * THREADS;
-        assert_eq!(h.sum(), expected_sum);
     }
 }

@@ -338,18 +338,30 @@ fn parse_labels(mut s: &str) -> Result<(Vec<(String, String)>, &str), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Registry;
+    use crate::{Histogram, Registry};
+    use std::sync::Arc;
+
+    /// A registry publishing one histogram under `name`.
+    fn histogram_registry(name: &str) -> (Registry, Arc<Histogram>) {
+        let (r, h) = (Registry::new(), Arc::new(Histogram::new()));
+        let owned = Arc::clone(&h);
+        r.histogram_fn(name, "", &[], move || owned.snapshot());
+        (r, h)
+    }
 
     /// Round-trip: whatever the registry renders, the scraper reads back.
     #[test]
     fn parses_rendered_exposition() {
         let r = Registry::new();
-        r.counter("ctc_scrape_test_total", "help text").add(41);
-        r.counter_with("ctc_frames_total", "by verdict", &[("verdict", "attack")])
-            .add(3);
-        r.gauge("ctc_depth", "").set(9);
-        r.counter_with("esc_total", "", &[("v", "a\"b\\c\nd")])
-            .inc();
+        r.counter_fn("ctc_scrape_test_total", "help text", &[], || 41);
+        r.counter_fn(
+            "ctc_frames_total",
+            "by verdict",
+            &[("verdict", "attack")],
+            || 3,
+        );
+        r.gauge_fn("ctc_depth", "", &[], || 9.0);
+        r.counter_fn("esc_total", "", &[("v", "a\"b\\c\nd")], || 1);
 
         let scrape = Scrape::parse(&r.render()).unwrap();
         assert_eq!(scrape.value("ctc_scrape_test_total", &[]), Some(41.0));
@@ -368,10 +380,9 @@ mod tests {
     fn label_values_enumerate_a_family() {
         let r = Registry::new();
         for s in ["s2", "s1", "s1"] {
-            r.counter_with("ctc_gateway_samples_total", "", &[("stream", s)])
-                .inc();
+            r.counter_fn("ctc_gateway_samples_total", "", &[("stream", s)], || 1);
         }
-        r.counter("ctc_gateway_samples_total", "").add(5);
+        r.counter_fn("ctc_gateway_samples_total", "", &[], || 5);
         let scrape = Scrape::parse(&r.render()).unwrap();
         assert_eq!(
             scrape.label_values("ctc_gateway_samples_total", "stream"),
@@ -382,8 +393,7 @@ mod tests {
     /// Scraped quantiles agree with the server-side histogram's own.
     #[test]
     fn scraped_quantiles_match_in_process() {
-        let r = Registry::new();
-        let h = r.histogram("ctc_lat_us", "");
+        let (r, h) = histogram_registry("ctc_lat_us");
         for v in [9u64, 10, 12, 14, 100, 100, 3000] {
             h.record(v);
         }
@@ -402,8 +412,7 @@ mod tests {
 
     #[test]
     fn histogram_delta_isolates_new_observations() {
-        let r = Registry::new();
-        let h = r.histogram("ctc_lat_us", "");
+        let (r, h) = histogram_registry("ctc_lat_us");
         h.record(10);
         let before = Scrape::parse(&r.render())
             .unwrap()
@@ -432,8 +441,7 @@ mod tests {
         };
         assert_eq!(empty.quantile(0.5), None);
 
-        let r = Registry::new();
-        let h = r.histogram("ctc_big_us", "");
+        let (r, h) = histogram_registry("ctc_big_us");
         h.record(u64::MAX);
         let sh = Scrape::parse(&r.render())
             .unwrap()

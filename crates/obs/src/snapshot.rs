@@ -280,9 +280,8 @@ mod tests {
     #[test]
     fn registry_json_carries_every_sample() {
         let r = Registry::new();
-        r.counter_with("ctc_frames_total", "", &[("verdict", "attack")])
-            .add(2);
-        r.gauge("ctc_depth", "").set(9);
+        r.counter_fn("ctc_frames_total", "", &[("verdict", "attack")], || 2);
+        r.gauge_fn("ctc_depth", "", &[], || 9.0);
         let scrape = Scrape::parse(&r.render()).unwrap();
         let json = registry_json(&scrape);
         assert!(json.starts_with('[') && json.ends_with(']'));

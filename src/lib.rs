@@ -34,7 +34,7 @@ pub use ctc_channel as channel;
 pub use ctc_core as core;
 pub use ctc_core::{Error, WaveformPair};
 pub use ctc_dsp as dsp;
-pub use ctc_dsp::{BufferPool, Complex, SampleBuf, Stage};
+pub use ctc_dsp::{BufferPool, Complex, SampleBuf};
 pub use ctc_gateway as gateway;
 pub use ctc_loadgen as loadgen;
 pub use ctc_obs as obs;
