@@ -4,6 +4,9 @@
 //! attack mode.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use ctc_channel::noise::complex_gaussian;
+use ctc_core::attack::{Emulator, EnergyDetector};
+use ctc_core::defense::BurstSplitter;
 use ctc_dsp::{fft, Complex};
 use ctc_wifi::convolutional::{decode, encode, Rate};
 use ctc_wifi::WifiTransmitter;
@@ -53,6 +56,48 @@ fn bench_zigbee_chain(c: &mut Criterion) {
     });
     group.bench_function("rx_frame_soft", |b| {
         b.iter(|| soft_rx.receive(std::hint::black_box(&wave)))
+    });
+    group.finish();
+}
+
+/// The receiver as the gateway runs it: a 96-sample timing search over
+/// bursts cut by the energy splitter from a noisy stream, margins and all.
+/// `rx_frame_hard` decodes a frame-aligned waveform with no search, which
+/// skips about a third of the gateway's decode cost.
+fn bench_gateway_receiver(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(31);
+    let sigma2 = 1e-3;
+    let authentic = Transmitter::new()
+        .transmit_payload(b"0000000000")
+        .expect("short payload");
+    let emulator = Emulator::new();
+    let forged = emulator.received_at_zigbee(&emulator.emulate(&authentic));
+    let mut stream: Vec<Complex> = Vec::new();
+    for frame in [&authentic, &forged] {
+        stream.extend((0..4096).map(|_| complex_gaussian(&mut rng, sigma2)));
+        stream.extend(
+            frame
+                .iter()
+                .map(|&v| v + complex_gaussian(&mut rng, sigma2)),
+        );
+    }
+    stream.extend((0..4096).map(|_| complex_gaussian(&mut rng, sigma2)));
+    let mut splitter = BurstSplitter::new(EnergyDetector::default());
+    let mut captures = splitter.push(&stream);
+    captures.extend(splitter.finish());
+    assert_eq!(captures.len(), 2, "one authentic and one forged burst");
+    let samples: usize = captures.iter().map(|c| c.samples.len()).sum();
+
+    let rx = Receiver::usrp().with_sync_search(96);
+    let mut group = c.benchmark_group("zigbee_chain");
+    group.sample_size(30);
+    group.throughput(Throughput::Elements(samples as u64));
+    group.bench_function("rx_capture_gateway", |b| {
+        b.iter(|| {
+            for capture in &captures {
+                std::hint::black_box(rx.receive(std::hint::black_box(&capture.samples)));
+            }
+        })
     });
     group.finish();
 }
@@ -110,6 +155,7 @@ criterion_group!(
     targets =
     bench_fft64,
     bench_zigbee_chain,
+    bench_gateway_receiver,
     bench_wifi_chain,
     bench_viterbi,
     bench_wifi_rx

@@ -191,6 +191,71 @@ fn monitor_classifies_with_every_detector_mode() {
     }
 }
 
+/// One NaN or infinite sample must not blind the energy gate: it used to
+/// stay in the gate's window sum for good, so a stream of 20 frames in
+/// Gaussian noise gave no frame events at all. The sample now counts as
+/// silence, and the stream gives the clean stream's 20 events.
+#[test]
+fn one_nonfinite_sample_does_not_blind_the_gate() {
+    use ctc_channel::noise::complex_gaussian;
+    use ctc_dsp::io::write_cf32;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let frames = Frames::generate("nonfinite");
+    let frame = read_cf32_file(&frames.authentic).unwrap();
+    let mut rng = StdRng::seed_from_u64(20);
+    let mut clean = Vec::new();
+    for _ in 0..20 {
+        clean.extend((0..4096).map(|_| complex_gaussian(&mut rng, 1e-3)));
+        clean.extend(frame.iter().map(|&v| v + complex_gaussian(&mut rng, 1e-3)));
+    }
+    clean.extend((0..4096).map(|_| complex_gaussian(&mut rng, 1e-3)));
+
+    let frame_lines = |wave: &[ctc_dsp::Complex], name: &str| -> Vec<String> {
+        let path = frames.dir.join(name);
+        let mut bytes = Vec::new();
+        write_cf32(&mut bytes, wave).unwrap();
+        std::fs::write(&path, bytes).unwrap();
+        let args = ["monitor", "--input", path_str(&path), "--threshold", "0.25"];
+        let out = ctc(&[&args[..], &["--stats", "0"]].concat());
+        assert!(out.status.success(), "{name}: {out:?}");
+        String::from_utf8(out.stdout)
+            .unwrap()
+            .lines()
+            .map(|line| json::parse(line).unwrap())
+            .filter(|v| v.get("type").and_then(JsonValue::as_str) == Some("frame"))
+            .map(|v| {
+                let number = |k: &str| v.get(k).and_then(JsonValue::as_f64).unwrap();
+                let text = |k: &str| v.get(k).and_then(JsonValue::as_str).unwrap_or("-");
+                format!(
+                    "{}..{} {} {}",
+                    number("burst_start"),
+                    number("burst_end"),
+                    text("payload_hex"),
+                    text("verdict")
+                )
+            })
+            .collect()
+    };
+    let want = frame_lines(&clean, "clean.cf32");
+    assert_eq!(want.len(), 20, "clean stream: {want:?}");
+    assert!(
+        want.iter().all(|l| l.ends_with(" 68656c6c6f authentic")),
+        "{want:?}"
+    );
+    for (name, value) in [
+        ("nan", f64::NAN),
+        ("inf", f64::INFINITY),
+        ("ninf", f64::NEG_INFINITY),
+    ] {
+        let mut wave = clean.clone();
+        wave[1000].re = value;
+        let got = frame_lines(&wave, &format!("{name}.cf32"));
+        assert_eq!(got, want, "one {name} sample at 1000");
+    }
+}
+
 /// `--queue N` is bursts per worker and the one work queue allocates as
 /// it fills, so a depth no machine could preallocate runs like the
 /// default: the same frame lines (minus the wall-clock `latency`) and

@@ -82,9 +82,13 @@ impl EnergyDetector {
         if x.len() < self.window {
             return Vec::new();
         }
-        // Windowed power over a precomputed norm buffer.
+        // Windowed power over a precomputed norm buffer. A sample whose
+        // power is not finite counts as silence, as in `EnergyStream`.
         let mut norms = Vec::new();
         simd::norm_sqr_into(x, &mut norms);
+        for n in norms.iter_mut().filter(|n| !n.is_finite()) {
+            *n = 0.0;
+        }
         let mut power = Vec::with_capacity(x.len() - self.window + 1);
         let mut acc: f64 = norms[..self.window].iter().sum();
         power.push(acc / self.window as f64);
@@ -190,6 +194,8 @@ pub struct EnergyStream {
     total: usize,
     /// Scratch for per-sample activity flags from the scan kernel.
     active: Vec<u8>,
+    /// Samples whose `|x|²` was not finite, scanned as zero power.
+    nonfinite: u64,
     /// True once the first windowed power has seeded the floor.
     floor_seeded: bool,
     /// Start (power index) of the currently open burst.
@@ -286,6 +292,7 @@ impl EnergyStream {
             },
             total: 0,
             active: Vec::new(),
+            nonfinite: 0,
             floor_seeded: false,
             start: None,
             last_active: 0,
@@ -328,6 +335,14 @@ impl EnergyStream {
         self.total
     }
 
+    /// Samples scanned as zero power because their `|x|²` was not finite
+    /// (a NaN or infinite component, or a square that overflows). One such
+    /// sample would otherwise stay in the window sum for good and blind
+    /// the gate.
+    pub fn nonfinite_samples(&self) -> u64 {
+        self.nonfinite
+    }
+
     /// Current noise-floor estimate (`None` before the first full window).
     pub fn noise_floor(&self) -> Option<f64> {
         self.floor_seeded.then_some(self.scan.floor)
@@ -354,7 +369,11 @@ impl EnergyStream {
         // Cold path: fill the first window one sample at a time; the first
         // full window seeds the noise floor and is judged idle.
         while self.ring.len() < w && idx < chunk.len() {
-            let n = chunk[idx].norm_sqr();
+            let mut n = chunk[idx].norm_sqr();
+            if !n.is_finite() {
+                n = 0.0;
+                self.nonfinite += 1;
+            }
             self.ring.push(n);
             self.scan.acc += n;
             self.total += 1;
@@ -374,12 +393,12 @@ impl EnergyStream {
         if active.len() < rest.len() {
             active.resize(rest.len(), 0);
         }
-        simd::gated_power_scan(
+        self.nonfinite += simd::gated_power_scan(
             rest,
             &mut self.ring,
             &mut self.scan,
             &mut active[..rest.len()],
-        );
+        ) as u64;
         // Power index of the window completed by the first scanned sample.
         let base = self.total + 1 - w;
         self.total += rest.len();
@@ -475,7 +494,7 @@ impl EnergyStream {
     }
 
     /// Ends the stream: closes any open burst ([`BurstEnd::EndOfStream`])
-    /// and resets the session for reuse.
+    /// and resets the session for reuse (the non-finite count included).
     pub fn finish(&mut self) -> Option<StreamedBurst> {
         let out = self.start.take().and_then(|s| {
             let end = (self.last_active + self.config.window).min(self.total);

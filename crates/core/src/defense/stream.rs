@@ -142,6 +142,13 @@ impl BurstSplitter {
         self.stream.config()
     }
 
+    /// Samples the energy gate scanned as zero power because their power
+    /// was not finite, since the stream started or last finished (see
+    /// [`EnergyStream::nonfinite_samples`]).
+    pub fn nonfinite_samples(&self) -> u64 {
+        self.stream.nonfinite_samples()
+    }
+
     /// Consumes a chunk, returning every capture completed by it.
     pub fn push(&mut self, chunk: &[Complex]) -> Vec<BurstCapture> {
         let mut out = Vec::new();

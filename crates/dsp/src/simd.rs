@@ -24,6 +24,11 @@
 //! Kernels that mirror a pre-existing scalar loop element-for-element
 //! ([`dtft_norms`], [`fft_stage`], [`norm_sqr_into`],
 //! [`phase_rotate_in_place`]) are bit-equal to the code they replaced.
+//! Kernels that fuse or batch other kernels keep those kernels' bits:
+//! [`window_search`] gives every window the [`cdot_conj`] and
+//! [`sum_norm_sqr`] sums, [`sample_chips`] the samples a copy rotated by
+//! [`rotate_in_place`] then [`phase_rotate_in_place`] holds at the chip
+//! instants, and [`dot_f64_rows`] each row's [`dot_f64`].
 //! [`dtft_norms`] computes each frequency alone, so any subset of a grid
 //! gets the bits the whole grid gives at those frequencies.
 //! [`fft_stage`] reads its twiddles from a table; given the table
@@ -109,12 +114,46 @@ pub struct GateScanState {
     pub inv_w: f64,
 }
 
+/// Where [`sample_chips`] writes one set of O-QPSK chip samples: per chip
+/// pair `n`, the in-phase value `i[n]`, the quadrature value `q[n]` and the
+/// complex sample `mid[n]` between the two pulse centres. All three slices
+/// hold one entry per chip pair.
+#[derive(Debug)]
+pub struct ChipTaps<'a> {
+    /// In-phase chip values (even chips).
+    pub i: &'a mut [f64],
+    /// Quadrature chip values (odd chips).
+    pub q: &'a mut [f64],
+    /// Samples midway between the I and Q pulse centres.
+    pub mid: &'a mut [Complex],
+}
+
+impl ChipTaps<'_> {
+    /// Chip pairs the taps hold.
+    fn pairs(&self) -> usize {
+        assert!(
+            self.q.len() == self.i.len() && self.mid.len() == self.i.len(),
+            "chip taps differ in length"
+        );
+        self.i.len()
+    }
+}
+
 /// Fixed-order pairwise reduction of an 8-lane accumulator. The tree shape
 /// is part of the numeric contract: both compilations of a kernel reduce
 /// in exactly this order.
 #[inline(always)]
 fn reduce(v: [f64; LANES]) -> f64 {
     ((v[0] + v[4]) + (v[2] + v[6])) + ((v[1] + v[5]) + (v[3] + v[7]))
+}
+
+/// [`reduce`] of each column of `G` lane sets: `out[g]` folds `v[0][g], …,
+/// v[LANES-1][g]` in [`reduce`]'s tree, so many sums finish side by side.
+#[inline(always)]
+fn reduce_columns<const G: usize>(v: &[[f64; G]; LANES]) -> [f64; G] {
+    std::array::from_fn(|g| {
+        ((v[0][g] + v[4][g]) + (v[2][g] + v[6][g])) + ((v[1][g] + v[5][g]) + (v[3][g] + v[7][g]))
+    })
 }
 
 /// Fixed-order reduction of a 4-lane accumulator (used where eight lanes
@@ -172,7 +211,7 @@ macro_rules! kernels {
     ($($(#[$meta:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?;)*) => {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         mod avx2 {
-            use super::{body, Complex, CumulantSums, GateScanState};
+            use super::{body, ChipTaps, Complex, CumulantSums, GateScanState};
             $(
                 /// # Safety
                 ///
@@ -219,6 +258,13 @@ kernels! {
     /// Real dot product `Σ a[i]·b[i]` (DSSS chip correlation).
     fn dot_f64(a: &[f64], b: &[f64]) -> f64;
 
+    /// Correlates `a` against every row of a chip-major table: `out[r] =
+    /// Σ_c a[c]·table[c·R + r]` with `R = out.len()` rows of `a.len()`
+    /// entries. Each row's sum is bit-identical to [`dot_f64`] of `a` and
+    /// that row; lanes run across rows (DSSS soft despreading against all
+    /// 16 chip sequences in one dispatch).
+    fn dot_f64_rows(a: &[f64], table: &[f64], out: &mut [f64]);
+
     /// Sliding full-window FIR: `out[j] = Σ_i taps_rev[i]·x[j+i]` — the
     /// interior of a delay-compensated convolution, with `taps_rev` the
     /// time-reversed tap vector. One dispatch covers every interior output.
@@ -226,6 +272,22 @@ kernels! {
 
     /// `Σ |x[i]|²` — block energy.
     fn sum_norm_sqr(x: &[Complex]) -> f64;
+
+    /// A whole timing search in one call: for every offset `o <
+    /// corr.len()`, the template correlation `corr[o] = Σ_i
+    /// x[o+i]·conj(t[i])` and the window energy `energy[o] = Σ_i
+    /// |x[o+i]|²`, over `i < t_re.len()` with the template `t` in split
+    /// re/im form. Each window keeps a fresh sum, bit-identical to
+    /// [`cdot_conj`] and [`sum_norm_sqr`] of that window; lanes run across
+    /// offsets, and `|x|²` is computed once per sample into `scratch`.
+    fn window_search(
+        x: &[Complex],
+        t_re: &[f64],
+        t_im: &[f64],
+        scratch: &mut Vec<f64>,
+        corr: &mut [Complex],
+        energy: &mut [f64],
+    );
 
     /// Writes `|x[i]|²` for every sample into `out` (cleared first).
     fn norm_sqr_into(x: &[Complex], out: &mut Vec<f64>);
@@ -237,6 +299,23 @@ kernels! {
 
     /// Multiplies every sample by a constant phasor `r` in place.
     fn phase_rotate_in_place(x: &mut [Complex], r: Complex);
+
+    /// O-QPSK chip sampling at two samples per chip, fused with carrier
+    /// correction, reading only the chip instants. Chip pair `n` reads
+    /// `x[4n+2].re` (I), `x[4n+3]` (midpoint) and `x[4n+4].im` (Q), for
+    /// `n < raw.i.len()`. `raw` receives them as they are; `out` receives
+    /// them after `x[k]·e^{j·omega·k}` when `omega` is set, with
+    /// [`rotate_in_place`]'s lane phasors over all of `x`, and then `·r`
+    /// when `r` is set. Bit-identical to rotating a copy of `x` in place
+    /// with those kernels and sampling it; an unset correction is skipped,
+    /// not applied as a unit phasor.
+    fn sample_chips(
+        x: &[Complex],
+        omega: Option<f64>,
+        r: Option<Complex>,
+        raw: ChipTaps<'_>,
+        out: ChipTaps<'_>,
+    );
 
     /// Block-Horner DTFT magnitude `|Σ_i z[i]·e^{-j·nu·i}|` for a whole
     /// grid of frequencies, lane-parallel *across frequencies*; per-lane
@@ -258,20 +337,30 @@ kernels! {
     /// sample's power `|x|²` replaces the oldest ring entry, updates the
     /// running sum, forms the window mean, and is compared against the
     /// cached gate (`active[i] = 1` when above). Idle samples advance the
-    /// EWMA noise floor. The recurrence is inherently serial; the wins are
-    /// the norm computation hiding under the loop-carried chain and the
+    /// EWMA noise floor. A sample whose `|x|²` is not finite (a NaN or
+    /// infinite component, or an overflowing square) adds zero power, so
+    /// one bad sample cannot poison the running sum or the floor; returns
+    /// how many samples were zeroed. The recurrence is inherently serial;
+    /// the wins are the norm computation hiding under the loop-carried
+    /// chain and the
     /// `target_feature(fma)` clone, where the explicit `mul_add` becomes a
     /// 4-cycle `vfmadd` instead of a libm call — value-identical because
     /// `alpha` is a power of two, so the product is exact and fused and
     /// two-step rounding agree.
-    fn gated_power_scan(x: &[Complex], ring: &mut [f64], state: &mut GateScanState, active: &mut [u8]);
+    fn gated_power_scan(
+        x: &[Complex],
+        ring: &mut [f64],
+        state: &mut GateScanState,
+        active: &mut [u8],
+    ) -> usize;
 }
 
 /// Lane-structured kernel bodies: the single source of truth compiled both
 /// with and without AVX2 enabled.
 mod body {
     use super::{
-        dtft_block, dtft_one, reduce, reduce4, Complex, CumulantSums, GateScanState, LANES, RESYNC,
+        dtft_block, dtft_one, reduce, reduce4, reduce_columns, ChipTaps, Complex, CumulantSums,
+        GateScanState, LANES, RESYNC,
     };
 
     #[inline(always)]
@@ -398,6 +487,61 @@ mod body {
     }
 
     #[inline(always)]
+    pub fn dot_f64_rows(a: &[f64], table: &[f64], out: &mut [f64]) {
+        const BLOCK: usize = 2 * LANES;
+        let rows = out.len();
+        assert!(
+            table.len() >= a.len() * rows,
+            "dot_f64_rows table shorter than a.len() x rows"
+        );
+        let mut r = 0;
+        while r + BLOCK <= rows {
+            dot_rows_block::<BLOCK>(a, table, rows, r, &mut out[r..r + BLOCK]);
+            r += BLOCK;
+        }
+        while r < rows {
+            dot_rows_block::<1>(a, table, rows, r, &mut out[r..r + 1]);
+            r += 1;
+        }
+    }
+
+    /// `G` adjacent rows of [`dot_f64_rows`], starting at row `r0`: lane
+    /// `k` of every row accumulates entries `k, k + LANES, …` in order, as
+    /// [`dot_f64`]'s lane `k` does, and the lanes fold by [`reduce`]'s tree.
+    #[inline(always)]
+    fn dot_rows_block<const G: usize>(
+        a: &[f64],
+        table: &[f64],
+        rows: usize,
+        r0: usize,
+        out: &mut [f64],
+    ) {
+        let n = a.len();
+        let whole = n - n % LANES;
+        let mut part = [[0.0; G]; LANES];
+        for (k, lane) in part.iter_mut().enumerate() {
+            let mut acc = [0.0; G];
+            let mut c = k;
+            while c < whole {
+                let x = a[c];
+                let t = &table[c * rows + r0..c * rows + r0 + G];
+                for g in 0..G {
+                    acc[g] += x * t[g];
+                }
+                c += LANES;
+            }
+            *lane = acc;
+        }
+        for (g, (o, s)) in out.iter_mut().zip(reduce_columns(&part)).enumerate() {
+            let mut s = s;
+            for c in whole..n {
+                s += a[c] * table[c * rows + r0 + g];
+            }
+            *o = s;
+        }
+    }
+
+    #[inline(always)]
     pub fn fir_interior(taps_rev: &[f64], x: &[Complex], out: &mut [Complex]) {
         let t = taps_rev.len();
         for (j, o) in out.iter_mut().enumerate() {
@@ -419,6 +563,130 @@ mod body {
             s += v.norm_sqr();
         }
         s
+    }
+
+    #[inline(always)]
+    pub fn window_search(
+        x: &[Complex],
+        t_re: &[f64],
+        t_im: &[f64],
+        scratch: &mut Vec<f64>,
+        corr: &mut [Complex],
+        energy: &mut [f64],
+    ) {
+        assert_eq!(t_re.len(), t_im.len(), "template halves differ in length");
+        assert_eq!(corr.len(), energy.len(), "one energy per correlation");
+        let offsets = corr.len();
+        if offsets == 0 {
+            return;
+        }
+        let t = t_re.len();
+        let whole = t - t % LANES;
+        let span = offsets - 1 + t;
+        assert!(x.len() >= span, "search windows run past the input");
+        let starts = offsets + LANES - 1;
+        scratch.clear();
+        scratch.resize(3 * span + starts, 0.0);
+        let (re, rest) = scratch.split_at_mut(span);
+        let (im, rest) = rest.split_at_mut(span);
+        let (nrm, lane_energy) = rest.split_at_mut(span);
+        for (((v, r), i), n) in x[..span].iter().zip(&mut *re).zip(&mut *im).zip(&mut *nrm) {
+            *r = v.re;
+            *i = v.im;
+            *n = v.re * v.re + v.im * v.im;
+        }
+
+        // Lane `k` of window `o`'s energy sums samples `o+k, o+k+LANES, …`
+        // in order, as `sum_norm_sqr`'s lane `k` does: a sum that depends
+        // on `o + k` alone. Each is formed once, then folded by every
+        // window holding it.
+        let mut s = 0;
+        while s + LANES <= starts {
+            let mut acc = [0.0; LANES];
+            let mut i = s;
+            while i < s + whole {
+                for (a, n) in acc.iter_mut().zip(&nrm[i..i + LANES]) {
+                    *a += n;
+                }
+                i += LANES;
+            }
+            lane_energy[s..s + LANES].copy_from_slice(&acc);
+            s += LANES;
+        }
+        for (s, e) in lane_energy.iter_mut().enumerate().skip(s) {
+            let mut acc = 0.0;
+            let mut i = s;
+            while i < s + whole {
+                acc += nrm[i];
+                i += LANES;
+            }
+            *e = acc;
+        }
+        for (o, e) in energy.iter_mut().enumerate() {
+            let lanes: &[f64; LANES] = lane_energy[o..o + LANES].try_into().expect("one lane set");
+            let mut acc = reduce(*lanes);
+            for n in &nrm[o + whole..o + t] {
+                acc += n;
+            }
+            *e = acc;
+        }
+
+        let split = [&*re, &*im];
+        let mut o = 0;
+        while o + LANES <= offsets {
+            window_block::<LANES>(split, t_re, t_im, o, &mut corr[o..o + LANES]);
+            o += LANES;
+        }
+        while o < offsets {
+            window_block::<1>(split, t_re, t_im, o, &mut corr[o..o + 1]);
+            o += 1;
+        }
+    }
+
+    /// Template correlations of `G` adjacent windows of [`window_search`],
+    /// starting at offset `o0`. Window `o0 + g`'s lane `k` accumulates
+    /// template taps `k, k + LANES, …` in order, exactly as [`cdot_conj`]
+    /// does on that window; the lanes fold by [`reduce`]'s tree and the
+    /// taps past the last whole lane block are added after, as its tail.
+    #[inline(always)]
+    fn window_block<const G: usize>(
+        [re, im]: [&[f64]; 2],
+        t_re: &[f64],
+        t_im: &[f64],
+        o0: usize,
+        corr: &mut [Complex],
+    ) {
+        let t = t_re.len();
+        let whole = t - t % LANES;
+        let mut part_re = [[0.0; G]; LANES];
+        let mut part_im = [[0.0; G]; LANES];
+        for k in 0..LANES {
+            // Local accumulators: they stay in registers across the taps.
+            let mut ar = [0.0; G];
+            let mut ai = [0.0; G];
+            let mut i = k;
+            while i < whole {
+                let (tr, ti) = (t_re[i], t_im[i]);
+                let at = o0 + i;
+                let (r, m) = (&re[at..at + G], &im[at..at + G]);
+                for g in 0..G {
+                    ar[g] += r[g] * tr + m[g] * ti;
+                    ai[g] += m[g] * tr - r[g] * ti;
+                }
+                i += LANES;
+            }
+            part_re[k] = ar;
+            part_im[k] = ai;
+        }
+        let (sum_re, sum_im) = (reduce_columns(&part_re), reduce_columns(&part_im));
+        for (g, c) in corr.iter_mut().enumerate() {
+            let mut acc = Complex::new(sum_re[g], sum_im[g]);
+            for i in whole..t {
+                let at = o0 + g + i;
+                acc += Complex::new(re[at], im[at]) * Complex::new(t_re[i], t_im[i]).conj();
+            }
+            *c = acc;
+        }
     }
 
     #[inline(always)]
@@ -465,6 +733,137 @@ mod body {
         }
         for v in &mut x[whole..] {
             *v *= r;
+        }
+    }
+
+    #[inline(always)]
+    pub fn sample_chips(
+        x: &[Complex],
+        omega: Option<f64>,
+        r: Option<Complex>,
+        raw: ChipTaps<'_>,
+        out: ChipTaps<'_>,
+    ) {
+        // One monomorphized pass per correction set, so a correction that
+        // is off costs no branch per sample.
+        match (omega, r) {
+            (Some(w), Some(r)) => chip_pass::<true, true>(x, w, r, raw, out),
+            (Some(w), None) => chip_pass::<true, false>(x, w, Complex::ONE, raw, out),
+            (None, Some(r)) => chip_pass::<false, true>(x, 0.0, r, raw, out),
+            (None, None) => chip_pass::<false, false>(x, 0.0, Complex::ONE, raw, out),
+        }
+    }
+
+    /// Writes sample `idx` to the taps if it is a chip instant of a pair
+    /// in range: `4n+2` → I, `4n+3` → midpoint, `4n+4` → Q. `phase` is
+    /// `idx % 4`, passed apart so an unrolled lane loop sees a constant.
+    #[inline(always)]
+    fn tap(
+        phase: usize,
+        idx: usize,
+        x: Complex,
+        y: Complex,
+        raw: &mut ChipTaps<'_>,
+        out: &mut ChipTaps<'_>,
+    ) {
+        let pairs = raw.i.len();
+        match phase {
+            2 if idx / 4 < pairs => {
+                raw.i[idx / 4] = x.re;
+                out.i[idx / 4] = y.re;
+            }
+            3 if idx / 4 < pairs => {
+                raw.mid[idx / 4] = x;
+                out.mid[idx / 4] = y;
+            }
+            0 if idx >= 4 && idx / 4 - 1 < pairs => {
+                raw.q[idx / 4 - 1] = x.im;
+                out.q[idx / 4 - 1] = y.im;
+            }
+            _ => {}
+        }
+    }
+
+    /// `(a + jb)·(c + jd)` on split lanes, in `Complex`'s `Mul` order.
+    #[inline(always)]
+    fn cmul_lanes([a, b]: [[f64; LANES]; 2], [c, d]: [[f64; LANES]; 2]) -> [[f64; LANES]; 2] {
+        [
+            std::array::from_fn(|k| a[k] * c[k] - b[k] * d[k]),
+            std::array::from_fn(|k| a[k] * d[k] + b[k] * c[k]),
+        ]
+    }
+
+    #[inline(always)]
+    fn chip_pass<const CFO: bool, const PHASE: bool>(
+        x: &[Complex],
+        omega: f64,
+        r: Complex,
+        mut raw: ChipTaps<'_>,
+        mut out: ChipTaps<'_>,
+    ) {
+        let pairs = raw.pairs();
+        assert_eq!(
+            out.pairs(),
+            pairs,
+            "raw and corrected taps differ in length"
+        );
+        if pairs == 0 {
+            return;
+        }
+        // The last chip instant read: pair `pairs - 1`'s Q sample.
+        let last = 4 * pairs;
+        assert!(last < x.len(), "chip instants run past the input");
+        let n = x.len();
+        let step = Complex::cis(omega * LANES as f64);
+        let step = [[step.re; LANES], [step.im; LANES]];
+        let rot = [[r.re; LANES], [r.im; LANES]];
+        // `rotate_in_place`'s blocks over all of `x` (its phasors depend
+        // on where the last block's lane tail starts), stopping after the
+        // block holding `last`.
+        let mut base = 0;
+        while base <= last {
+            let block = (n - base).min(RESYNC);
+            let whole = block - block % LANES;
+            let mut ph = [[1.0; LANES], [0.0; LANES]];
+            if CFO {
+                let seed: [Complex; LANES] =
+                    std::array::from_fn(|k| Complex::cis(omega * (base + k) as f64));
+                ph = [seed.map(|p| p.re), seed.map(|p| p.im)];
+            }
+            let mut c0 = base;
+            while c0 < base + whole && c0 <= last {
+                let xs: &[Complex; LANES] = x[c0..c0 + LANES].try_into().expect("one lane block");
+                let mut y = [
+                    std::array::from_fn(|k| xs[k].re),
+                    std::array::from_fn(|k| xs[k].im),
+                ];
+                if CFO {
+                    y = cmul_lanes(y, ph);
+                    ph = cmul_lanes(ph, step);
+                }
+                if PHASE {
+                    y = cmul_lanes(y, rot);
+                }
+                // `c0` is a multiple of `LANES`, so lane `k` is at phase `k % 4`.
+                for (k, &v) in xs.iter().enumerate() {
+                    let yk = Complex::new(y[0][k], y[1][k]);
+                    tap(k % 4, c0 + k, v, yk, &mut raw, &mut out);
+                }
+                c0 += LANES;
+            }
+            let end = (base + block).min(last + 1);
+            let tail = (base + whole).min(end)..end;
+            for (idx, &v) in (tail.start..).zip(&x[tail]) {
+                let mut y = v;
+                if CFO {
+                    y *= Complex::cis(omega * idx as f64);
+                }
+                if PHASE {
+                    y *= r;
+                }
+                tap(idx % 4, idx, v, y, &mut raw, &mut out);
+            }
+            base += block;
         }
     }
 
@@ -679,13 +1078,23 @@ mod body {
         eps
     }
 
+    /// Out-of-line landing pad for a sample whose power is not finite,
+    /// keeping the check in [`gated_power_scan`] a never-taken branch
+    /// rather than a select on every sample's power.
+    #[cold]
+    #[inline(never)]
+    fn nonfinite_cold(zeroed: &mut usize) -> f64 {
+        *zeroed += 1;
+        0.0
+    }
+
     #[inline(always)]
     pub fn gated_power_scan(
         x: &[Complex],
         ring: &mut [f64],
         st: &mut GateScanState,
         active: &mut [u8],
-    ) {
+    ) -> usize {
         assert!(active.len() >= x.len(), "active buffer shorter than input");
         assert!(!ring.is_empty(), "window must be positive");
         let w = ring.len() as f64;
@@ -693,8 +1102,14 @@ mod body {
         let mut acc = st.acc;
         let mut floor = st.floor;
         let mut gate = st.gate;
+        let mut zeroed = 0;
         for (v, a) in x.iter().zip(active[..x.len()].iter_mut()) {
-            let n = v.re * v.re + v.im * v.im;
+            let mut n = v.re * v.re + v.im * v.im;
+            // A NaN or infinite power would stay in `acc` for good (`inf -
+            // inf` is NaN) and blind the gate; it counts as silence.
+            if !n.is_finite() {
+                n = nonfinite_cold(&mut zeroed);
+            }
             acc += n - ring[slot];
             ring[slot] = n;
             slot += 1;
@@ -731,6 +1146,7 @@ mod body {
         st.acc = acc;
         st.floor = floor;
         st.gate = gate;
+        zeroed
     }
 }
 
@@ -740,7 +1156,7 @@ mod body {
 #[doc(hidden)]
 #[allow(missing_docs)]
 pub mod reference {
-    use super::{Complex, CumulantSums, GateScanState};
+    use super::{ChipTaps, Complex, CumulantSums, GateScanState};
 
     pub fn cdot(a: &[Complex], b: &[Complex]) -> Complex {
         a.iter().zip(b).map(|(x, y)| *x * *y).sum()
@@ -766,6 +1182,18 @@ pub mod reference {
         a.iter().zip(b).map(|(x, y)| x * y).sum()
     }
 
+    /// Row `r` of the chip-major `table` is `table[c·R + r]`, `R = out.len()`.
+    pub fn dot_f64_rows(a: &[f64], table: &[f64], out: &mut [f64]) {
+        let rows = out.len();
+        for (r, o) in out.iter_mut().enumerate() {
+            *o = a
+                .iter()
+                .enumerate()
+                .map(|(c, x)| x * table[c * rows + r])
+                .sum();
+        }
+    }
+
     pub fn fir_interior(taps_rev: &[f64], x: &[Complex], out: &mut [Complex]) {
         let t = taps_rev.len();
         for (j, o) in out.iter_mut().enumerate() {
@@ -775,6 +1203,26 @@ pub mod reference {
 
     pub fn sum_norm_sqr(x: &[Complex]) -> f64 {
         x.iter().map(|v| v.norm_sqr()).sum()
+    }
+
+    /// Each window summed left to right on its own.
+    pub fn window_search(
+        x: &[Complex],
+        t_re: &[f64],
+        t_im: &[f64],
+        corr: &mut [Complex],
+        energy: &mut [f64],
+    ) {
+        let t: Vec<Complex> = t_re
+            .iter()
+            .zip(t_im)
+            .map(|(&re, &im)| Complex::new(re, im))
+            .collect();
+        for (o, (c, e)) in corr.iter_mut().zip(energy.iter_mut()).enumerate() {
+            let seg = &x[o..o + t.len()];
+            *c = cdot_conj(seg, &t);
+            *e = sum_norm_sqr(seg);
+        }
     }
 
     pub fn norm_sqr_into(x: &[Complex], out: &mut Vec<f64>) {
@@ -791,6 +1239,36 @@ pub mod reference {
     pub fn phase_rotate_in_place(x: &mut [Complex], r: Complex) {
         for v in x.iter_mut() {
             *v *= r;
+        }
+    }
+
+    /// Chip sampling with an exact `cis` per sample in place of the lane
+    /// phasors.
+    pub fn sample_chips(
+        x: &[Complex],
+        omega: Option<f64>,
+        r: Option<Complex>,
+        raw: ChipTaps<'_>,
+        out: ChipTaps<'_>,
+    ) {
+        let correct = |k: usize| {
+            let mut y = x[k];
+            if let Some(w) = omega {
+                y *= Complex::cis(w * k as f64);
+            }
+            if let Some(r) = r {
+                y *= r;
+            }
+            y
+        };
+        for n in 0..raw.i.len() {
+            let (i, m, q) = (4 * n + 2, 4 * n + 3, 4 * n + 4);
+            raw.i[n] = x[i].re;
+            raw.mid[n] = x[m];
+            raw.q[n] = x[q].im;
+            out.i[n] = correct(i).re;
+            out.mid[n] = correct(m);
+            out.q[n] = correct(q).im;
         }
     }
 
@@ -826,18 +1304,24 @@ pub mod reference {
     }
 
     /// Textbook per-sample form of the gated scan: window mean by division,
-    /// EWMA as separate multiply-then-add, clamp via `f64::max`. Equal to
-    /// the kernel whenever `alpha` is a power of two and `inv_w` is the
-    /// exact reciprocal of the window (or 0.0).
+    /// EWMA as separate multiply-then-add, clamp via `f64::max`, and a
+    /// non-finite power replaced by zero. Equal to the kernel whenever
+    /// `alpha` is a power of two and `inv_w` is the exact reciprocal of the
+    /// window (or 0.0).
     pub fn gated_power_scan(
         x: &[Complex],
         ring: &mut [f64],
         st: &mut GateScanState,
         active: &mut [u8],
-    ) {
+    ) -> usize {
         let w = ring.len() as f64;
+        let mut zeroed = 0;
         for (v, a) in x.iter().zip(active.iter_mut()) {
-            let n = v.norm_sqr();
+            let mut n = v.norm_sqr();
+            if !n.is_finite() {
+                n = 0.0;
+                zeroed += 1;
+            }
             st.acc += n - ring[st.slot];
             ring[st.slot] = n;
             st.slot = (st.slot + 1) % ring.len();
@@ -850,6 +1334,7 @@ pub mod reference {
                 st.gate = st.floor * st.threshold;
             }
         }
+        zeroed
     }
 
     pub fn cumulant_sums(x: &[Complex]) -> CumulantSums {
@@ -933,6 +1418,70 @@ mod tests {
             let s1 = cumulant_sums(&a);
             let s2 = body::cumulant_sums(&a);
             assert_eq!(s1, s2, "cumulants n={n}");
+
+            let rows = 16;
+            let table = reals(n * rows, 5);
+            let (mut r1, mut r2) = (vec![0.0; rows], vec![0.0; rows]);
+            dot_f64_rows(&t, &table, &mut r1);
+            body::dot_f64_rows(&t, &table, &mut r2);
+            assert_eq!(r1, r2, "rows n={n}");
+
+            let offsets = n.min(97);
+            let t_len = n - offsets + 1;
+            let (tr, ti) = (reals(t_len, 6), reals(t_len, 7));
+            let (mut c1, mut c2) = (vec![Complex::ZERO; offsets], vec![Complex::ZERO; offsets]);
+            let (mut e1, mut e2) = (vec![0.0; offsets], vec![0.0; offsets]);
+            window_search(&a, &tr, &ti, &mut Vec::new(), &mut c1, &mut e1);
+            body::window_search(&a, &tr, &ti, &mut Vec::new(), &mut c2, &mut e2);
+            assert_eq!((c1, e1), (c2, e2), "search n={n}");
+
+            let pairs = n.saturating_sub(1) / 4;
+            let mut got = [
+                vec![0.0; pairs],
+                vec![0.0; pairs],
+                vec![0.0; pairs],
+                vec![0.0; pairs],
+            ];
+            let mut want = got.clone();
+            let (mut m1, mut m2, mut m3, mut m4) = (
+                vec![Complex::ZERO; pairs],
+                vec![Complex::ZERO; pairs],
+                vec![Complex::ZERO; pairs],
+                vec![Complex::ZERO; pairs],
+            );
+            let [g0, g1, g2, g3] = &mut got;
+            sample_chips(
+                &a,
+                Some(-0.031),
+                Some(Complex::cis(0.4)),
+                ChipTaps {
+                    i: g0,
+                    q: g1,
+                    mid: &mut m1,
+                },
+                ChipTaps {
+                    i: g2,
+                    q: g3,
+                    mid: &mut m2,
+                },
+            );
+            let [w0, w1, w2, w3] = &mut want;
+            body::sample_chips(
+                &a,
+                Some(-0.031),
+                Some(Complex::cis(0.4)),
+                ChipTaps {
+                    i: w0,
+                    q: w1,
+                    mid: &mut m3,
+                },
+                ChipTaps {
+                    i: w2,
+                    q: w3,
+                    mid: &mut m4,
+                },
+            );
+            assert_eq!((got, m1, m2), (want, m3, m4), "chips n={n}");
 
             if n > 0 {
                 let mut st1 = gate_state(16);

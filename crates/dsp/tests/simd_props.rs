@@ -11,7 +11,10 @@
 //! terms). Kernels that perform *identical* per-element arithmetic in
 //! identical order (phasor application, norm computation, butterfly
 //! recurrence, the gated power scan with a power-of-two EWMA) must be
-//! **bit-identical** to the reference and are asserted exactly.
+//! **bit-identical** to the reference and are asserted exactly. Kernels
+//! that fuse or batch existing kernels (the timing search, chip sampling,
+//! multi-row correlation) are asserted bit for bit against those kernels
+//! composed the long way, and within the band against the reference.
 //!
 //! Lengths are drawn randomly and the fixed probes include the edge shapes
 //! lane code gets wrong first: empty input, a single sample, and tails
@@ -22,7 +25,7 @@
 //! the same lane bodies) — so it pins the dispatcher *and* the fallback to
 //! the same contract.
 
-use ctc_dsp::simd::{self, reference, GateScanState, LANES};
+use ctc_dsp::simd::{self, reference, ChipTaps, GateScanState, LANES};
 use ctc_dsp::{fft, Complex};
 use proptest::prelude::*;
 
@@ -210,6 +213,196 @@ fn bits(x: &[Complex]) -> Vec<(u64, u64)> {
         .collect()
 }
 
+fn canonical(f: f64) -> u64 {
+    if f.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        f.to_bits()
+    }
+}
+
+fn real_bits(x: &[f64]) -> Vec<u64> {
+    x.iter().map(|&f| canonical(f)).collect()
+}
+
+/// `window_search` against one `cdot_conj` and one `sum_norm_sqr` per
+/// window (bit for bit), and against the sequential model (within the
+/// reassociation band on finite input).
+fn check_window_search(x: &[Complex], t: &[Complex], offsets: usize) {
+    let t_re: Vec<f64> = t.iter().map(|v| v.re).collect();
+    let t_im: Vec<f64> = t.iter().map(|v| v.im).collect();
+    let mut corr = vec![Complex::ZERO; offsets];
+    let mut energy = vec![0.0; offsets];
+    let mut scratch = vec![7.0; 3];
+    simd::window_search(x, &t_re, &t_im, &mut scratch, &mut corr, &mut energy);
+    let per_window: Vec<Complex> = (0..offsets)
+        .map(|o| simd::cdot_conj(&x[o..o + t.len()], t))
+        .collect();
+    let per_energy: Vec<f64> = (0..offsets)
+        .map(|o| simd::sum_norm_sqr(&x[o..o + t.len()]))
+        .collect();
+    assert_eq!(
+        bits(&corr),
+        bits(&per_window),
+        "corr t={} offsets={offsets}",
+        t.len()
+    );
+    assert_eq!(
+        real_bits(&energy),
+        real_bits(&per_energy),
+        "energy t={}",
+        t.len()
+    );
+
+    let mut want_c = vec![Complex::ZERO; offsets];
+    let mut want_e = vec![0.0; offsets];
+    reference::window_search(x, &t_re, &t_im, &mut want_c, &mut want_e);
+    if x.iter().all(|v| v.re.is_finite() && v.im.is_finite()) {
+        for o in 0..offsets {
+            let seg = &x[o..o + t.len()];
+            let scale: f64 = seg.iter().zip(t).map(|(a, b)| a.norm() * b.norm()).sum();
+            let scale_e: f64 = seg.iter().map(|v| v.norm_sqr()).sum();
+            assert_close_c("window corr", t.len(), scale, want_c[o], corr[o]);
+            assert_close("window energy", t.len(), scale_e, want_e[o], energy[o]);
+        }
+    }
+}
+
+/// Chip taps for `pairs` pairs, pre-filled with a sentinel so an unwritten
+/// entry shows.
+fn taps(pairs: usize) -> (Vec<f64>, Vec<f64>, Vec<Complex>) {
+    (
+        vec![-7.5; pairs],
+        vec![-7.5; pairs],
+        vec![Complex::new(-7.5, -7.5); pairs],
+    )
+}
+
+/// `sample_chips` against a rotated copy sampled at the chip instants —
+/// `rotate_in_place` then `phase_rotate_in_place` over all of `x`, each
+/// only when set — bit for bit, and against the exact-`cis` model within
+/// the phasor drift band.
+fn check_sample_chips(x: &[Complex], omega: Option<f64>, r: Option<Complex>) {
+    let pairs = x.len().saturating_sub(1) / 4;
+    let (mut ri, mut rq, mut rm) = taps(pairs);
+    let (mut oi, mut oq, mut om) = taps(pairs);
+    simd::sample_chips(
+        x,
+        omega,
+        r,
+        ChipTaps {
+            i: &mut ri,
+            q: &mut rq,
+            mid: &mut rm,
+        },
+        ChipTaps {
+            i: &mut oi,
+            q: &mut oq,
+            mid: &mut om,
+        },
+    );
+    let mut y = x.to_vec();
+    if let Some(w) = omega {
+        simd::rotate_in_place(&mut y, w);
+    }
+    if let Some(r) = r {
+        simd::phase_rotate_in_place(&mut y, r);
+    }
+    let pick = |w: &[Complex]| -> (Vec<f64>, Vec<f64>, Vec<Complex>) {
+        (
+            (0..pairs).map(|n| w[4 * n + 2].re).collect(),
+            (0..pairs).map(|n| w[4 * n + 4].im).collect(),
+            (0..pairs).map(|n| w[4 * n + 3]).collect(),
+        )
+    };
+    let label = format!("n={} omega={omega:?} r={r:?}", x.len());
+    let (xi, xq, xm) = pick(x);
+    assert_eq!(real_bits(&ri), real_bits(&xi), "raw i {label}");
+    assert_eq!(real_bits(&rq), real_bits(&xq), "raw q {label}");
+    assert_eq!(bits(&rm), bits(&xm), "raw mid {label}");
+    let (yi, yq, ym) = pick(&y);
+    assert_eq!(real_bits(&oi), real_bits(&yi), "i {label}");
+    assert_eq!(real_bits(&oq), real_bits(&yq), "q {label}");
+    assert_eq!(bits(&om), bits(&ym), "mid {label}");
+
+    if x.iter().all(|v| v.re.is_finite() && v.im.is_finite()) {
+        let (mut wi, mut wq, mut wm) = taps(pairs);
+        let (mut vi, mut vq, mut vm) = taps(pairs);
+        reference::sample_chips(
+            x,
+            omega,
+            r,
+            ChipTaps {
+                i: &mut wi,
+                q: &mut wq,
+                mid: &mut wm,
+            },
+            ChipTaps {
+                i: &mut vi,
+                q: &mut vq,
+                mid: &mut vm,
+            },
+        );
+        assert_eq!(real_bits(&wi), real_bits(&ri), "model raw i {label}");
+        assert_eq!(real_bits(&wq), real_bits(&rq), "model raw q {label}");
+        assert_eq!(bits(&wm), bits(&rm), "model raw mid {label}");
+        for n in 0..pairs {
+            let scale = x[4 * n + 2].norm() + x[4 * n + 3].norm() + x[4 * n + 4].norm();
+            assert_close("chip i", 1024, scale, vi[n], oi[n]);
+            assert_close("chip q", 1024, scale, vq[n], oq[n]);
+            assert_close_c("chip mid", 1024, scale, vm[n], om[n]);
+        }
+    }
+}
+
+/// `dot_f64_rows` against one `dot_f64` per row of the chip-major table
+/// (bit for bit) and against the sequential model (within the band).
+fn check_dot_rows(a: &[f64], rows: usize, seed: u64) {
+    let n = a.len();
+    let table = reals(n * rows, seed);
+    let mut out = vec![0.0; rows];
+    simd::dot_f64_rows(a, &table, &mut out);
+    let per_row: Vec<f64> = (0..rows)
+        .map(|r| {
+            let row: Vec<f64> = (0..n).map(|c| table[c * rows + r]).collect();
+            simd::dot_f64(a, &row)
+        })
+        .collect();
+    assert_eq!(real_bits(&out), real_bits(&per_row), "n={n} rows={rows}");
+    if a.iter().all(|v| v.is_finite()) {
+        let mut want = vec![0.0; rows];
+        reference::dot_f64_rows(a, &table, &mut want);
+        for r in 0..rows {
+            let scale: f64 = (0..n).map(|c| (a[c] * table[c * rows + r]).abs()).sum();
+            assert_close("dot_f64_rows", n, scale, want[r], out[r]);
+        }
+    }
+}
+
+#[test]
+fn chip_sampling_keeps_the_rotated_copys_bits_around_every_reseed() {
+    for n in (0..40).chain(1000..1050).chain(2040..2060) {
+        for x in [wave(n, n as u64), special_wave(n, n as u64)] {
+            for omega in [None, Some(0.0), Some(-0.0), Some(0.0123), Some(-2.9)] {
+                for r in [None, Some(Complex::cis(0.7)), Some(Complex::ONE)] {
+                    check_sample_chips(&x, omega, r);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn window_search_on_special_values_keeps_each_windows_bits() {
+    for t_len in [0usize, 1, 7, 8, 13, 128] {
+        for offsets in [1usize, 7, 8, 9, 97] {
+            let x = special_wave(offsets - 1 + t_len + 3, (t_len * 131 + offsets) as u64);
+            let t = wave(t_len, 5);
+            check_window_search(&x, &t, offsets);
+        }
+    }
+}
+
 /// The table-driven stage against the recurrence stage at every stage
 /// length from 2 to 2^14, both directions, on two blocks holding ±0, ±inf,
 /// NaN and subnormals.
@@ -390,6 +583,99 @@ proptest! {
     }
 
     #[test]
+    fn window_search_keeps_each_windows_bits(
+        t_len in 0usize..140,
+        offsets in 0usize..40,
+        extra in 0usize..5,
+        seed in 0u64..1000,
+    ) {
+        let x = wave(offsets.saturating_sub(1) + t_len + extra, seed);
+        let t = wave(t_len, seed ^ 0x7777);
+        check_window_search(&x, &t, offsets);
+    }
+
+    #[test]
+    fn sample_chips_keeps_the_rotated_copys_bits(
+        n in 0usize..2200,
+        seed in 0u64..1000,
+        omega in -0.05f64..0.05,
+        th in -3.2f64..3.2,
+        which in 0u32..4,
+    ) {
+        let omega = (which & 1 == 1).then_some(omega);
+        let r = (which & 2 == 2).then(|| Complex::cis(th));
+        check_sample_chips(&wave(n, seed), omega, r);
+    }
+
+    #[test]
+    fn dot_f64_rows_keeps_each_rows_bits(
+        n in 0usize..70,
+        rows in 0usize..40,
+        seed in 0u64..1000,
+    ) {
+        check_dot_rows(&reals(n, seed), rows, seed ^ 0x1234);
+        let mut special = reals(n, seed);
+        if n > 0 {
+            special[(seed as usize) % n] = [f64::NAN, f64::INFINITY, -0.0][(seed % 3) as usize];
+        }
+        check_dot_rows(&special, rows, seed ^ 0x4321);
+    }
+
+    #[test]
+    fn gated_power_scan_zeroes_nonfinite_power(
+        n in 1usize..600,
+        seed in 0u64..1000,
+        hits in 1usize..4,
+    ) {
+        // NaN, ±Inf, and a finite sample whose square overflows.
+        let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+        let mut x = wave(n, seed);
+        for h in 0..hits {
+            let at = (seed as usize * 31 + h * 97) % n;
+            x[at].re = bad[(seed as usize + h) % bad.len()];
+        }
+        let expected = x.iter().filter(|v| !v.norm_sqr().is_finite()).count();
+        let state = GateScanState {
+            slot: 0,
+            acc: 0.0,
+            floor: 1e-3,
+            gate: 4e-3,
+            threshold: 4.0,
+            alpha: 1.0 / 64.0,
+            floor_eps: 1e-12,
+            inv_w: 1.0 / 16.0,
+        };
+        let (mut st_got, mut st_want) = (state, state);
+        let (mut ring_got, mut ring_want) = (vec![0.0; 16], vec![0.0; 16]);
+        let (mut act_got, mut act_want) = (vec![0u8; n], vec![0u8; n]);
+        let zeroed = simd::gated_power_scan(&x, &mut ring_got, &mut st_got, &mut act_got);
+        let zeroed_ref =
+            reference::gated_power_scan(&x, &mut ring_want, &mut st_want, &mut act_want);
+        prop_assert_eq!(zeroed, expected);
+        prop_assert_eq!(zeroed_ref, expected);
+        prop_assert!(st_got.acc.is_finite(), "acc {}", st_got.acc);
+        prop_assert!(st_got.floor.is_finite(), "floor {}", st_got.floor);
+        prop_assert!(ring_got.iter().all(|p| p.is_finite()));
+        prop_assert_eq!(st_got, st_want);
+        prop_assert_eq!(&act_got, &act_want);
+        // Finite inputs keep their bits: the same stream with the bad
+        // samples replaced by zero scans identically.
+        let clean: Vec<Complex> = x
+            .iter()
+            .map(|v| if v.norm_sqr().is_finite() { *v } else { Complex::ZERO })
+            .collect();
+        let mut st_clean = state;
+        let mut ring_clean = vec![0.0; 16];
+        let mut act_clean = vec![0u8; n];
+        prop_assert_eq!(
+            simd::gated_power_scan(&clean, &mut ring_clean, &mut st_clean, &mut act_clean),
+            0
+        );
+        prop_assert_eq!(st_clean, st_got);
+        prop_assert_eq!(act_clean, act_got);
+    }
+
+    #[test]
     fn gated_power_scan_is_bit_identical(
         n in 0usize..2000,
         window_pow in 1u32..8,
@@ -425,8 +711,9 @@ proptest! {
             let mut ring_want = ring_got.clone();
             let mut act_got = vec![0u8; len];
             let mut act_want = vec![0u8; len];
-            simd::gated_power_scan(&x, &mut ring_got, &mut st_got, &mut act_got);
+            let zeroed = simd::gated_power_scan(&x, &mut ring_got, &mut st_got, &mut act_got);
             reference::gated_power_scan(&x, &mut ring_want, &mut st_want, &mut act_want);
+            prop_assert_eq!(zeroed, 0, "finite input len={}", len);
             // alpha is a power of two, so the kernel's fused `mul_add`
             // EWMA rounds exactly like the textbook two-step form: the
             // whole scan must agree bit for bit.

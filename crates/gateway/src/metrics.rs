@@ -38,6 +38,8 @@ pub struct MetricsCore {
     pub bursts_dropped: AtomicU64,
     /// Samples inside evicted bursts.
     pub samples_dropped: AtomicU64,
+    /// Samples the energy gate scanned as zero power (power not finite).
+    pub nonfinite_samples: AtomicU64,
     /// End-to-end (ingest→classified) per-burst latency.
     pub latency: LatencyHistogram,
 }
@@ -59,6 +61,8 @@ pub struct MetricsSnapshot {
     pub bursts_dropped: u64,
     /// Samples inside evicted bursts.
     pub samples_dropped: u64,
+    /// Samples the energy gate scanned as zero power.
+    pub nonfinite_samples: u64,
     /// End-to-end (ingest→classified) per-burst latency.
     pub latency: HistogramSnapshot,
 }
@@ -84,6 +88,7 @@ impl MetricsSnapshot {
         self.forgeries += other.forgeries;
         self.bursts_dropped += other.bursts_dropped;
         self.samples_dropped += other.samples_dropped;
+        self.nonfinite_samples += other.nonfinite_samples;
         self.latency.merge(&other.latency);
     }
 }
@@ -188,6 +193,7 @@ impl MetricsCore {
             forgeries: load(&self.forgeries),
             bursts_dropped: load(&self.bursts_dropped),
             samples_dropped: load(&self.samples_dropped),
+            nonfinite_samples: load(&self.nonfinite_samples),
             latency: self.latency.snapshot(),
         }
     }

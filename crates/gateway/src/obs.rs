@@ -290,6 +290,14 @@ fn register_gateway_metrics(
     );
     let r = read.clone();
     scoped.counter_fn(
+        "ctc_gateway_nonfinite_samples_total",
+        "IQ samples whose power was not finite (NaN or infinite), scanned \
+         by the energy gate as zero power.",
+        &[],
+        move || r().nonfinite_samples,
+    );
+    let r = read.clone();
+    scoped.counter_fn(
         "ctc_queue_dropped_total",
         "Bursts evicted from the bounded queue under overload.",
         &[],

@@ -703,6 +703,7 @@ fn session_ingest<R: Read>(
         }
     };
 
+    let mut nonfinite = 0;
     loop {
         let n = reader.read_chunk(&mut chunk)?;
         if n == 0 {
@@ -712,6 +713,11 @@ fn session_ingest<R: Read>(
         own.chunks_in.fetch_add(1, Relaxed);
         own.samples_in.fetch_add(n as u64, Relaxed);
         splitter.push_into(&chunk, &mut captures);
+        let zeroed = splitter.nonfinite_samples();
+        if zeroed != nonfinite {
+            own.nonfinite_samples.fetch_add(zeroed - nonfinite, Relaxed);
+            nonfinite = zeroed;
+        }
         enqueue(&mut captures, arrived);
     }
     let finish_started = Instant::now();

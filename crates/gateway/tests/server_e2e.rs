@@ -465,6 +465,7 @@ fn registry_exposes_canonical_names_after_a_run() {
         "ctc_gateway_frames_total{verdict=\"undecoded\"} 0".to_string(),
         "ctc_queue_dropped_total 0".to_string(),
         "ctc_queue_dropped_samples_total 0".to_string(),
+        "ctc_gateway_nonfinite_samples_total 0".to_string(),
         "ctc_gateway_latency_us_count 2".to_string(),
         "ctc_pool_misses_total".to_string(),
     ] {
@@ -473,6 +474,27 @@ fn registry_exposes_canonical_names_after_a_run() {
     // Both decoded frames fell into some finite latency bucket.
     assert!(
         text.contains("ctc_gateway_latency_us_bucket{le=\"+Inf\"} 2"),
+        "{text}"
+    );
+}
+
+/// Samples whose power is not finite are scanned as silence and counted:
+/// a NaN and an infinity in the first noise gap leave both frames and
+/// their verdicts in place, and the registry reports the two samples.
+#[test]
+fn nonfinite_samples_are_counted_and_leave_the_gate_working() {
+    let (mut bytes, _) = synthetic_capture(11);
+    bytes[100 * 8..100 * 8 + 4].copy_from_slice(&f32::NAN.to_le_bytes());
+    bytes[200 * 8 + 4..200 * 8 + 8].copy_from_slice(&f32::INFINITY.to_le_bytes());
+    let registry = Arc::new(ctc_obs::Registry::new());
+    let server = single_stream(config()).with_registry(Arc::clone(&registry));
+    let (report, events, _) = run_single(&server, &bytes[..]);
+    assert_eq!(report.metrics.nonfinite_samples, 2);
+    assert_eq!(report.metrics.bursts, 2, "{events}");
+    assert_eq!(report.metrics.forgeries, 1, "{events}");
+    let text = registry.render();
+    assert!(
+        text.contains("ctc_gateway_nonfinite_samples_total 2"),
         "{text}"
     );
 }
@@ -852,8 +874,8 @@ fn per_stream_metrics_are_scrapeable() {
         );
         totals += 1;
     }
-    // 8 counter samples, 32 latency buckets (`+Inf` included), sum, count.
-    assert_eq!(totals, 8 + 32 + 2, "{text}");
+    // 9 counter samples, 32 latency buckets (`+Inf` included), sum, count.
+    assert_eq!(totals, 9 + 32 + 2, "{text}");
     assert_eq!(scrape.value("ctc_gateway_latency_us_count", &[]), Some(4.0));
 
     let counters = |m: &MetricsSnapshot| {
@@ -865,11 +887,12 @@ fn per_stream_metrics_are_scrapeable() {
             m.forgeries,
             m.bursts_dropped,
             m.samples_dropped,
+            m.nonfinite_samples,
             m.latency.count(),
             m.latency.sum,
         ]
     };
-    let mut summed = [0u64; 9];
+    let mut summed = [0u64; 10];
     for s in &report.sessions {
         for (t, v) in summed.iter_mut().zip(counters(&s.metrics)) {
             *t += v;

@@ -44,20 +44,31 @@ pub fn chip_table() -> &'static [[u8; CHIPS_PER_SYMBOL]; SYMBOL_COUNT] {
     })
 }
 
-/// The spreading table as bipolar rows (`0 -> -1.0`, `1 -> +1.0`), the form
-/// soft-decision correlation consumes. Cached so the DSSS correlation inner
-/// loop is a plain dot product over contiguous `f64` rows.
-fn bipolar_table() -> &'static [[f64; CHIPS_PER_SYMBOL]; SYMBOL_COUNT] {
+/// The spreading table as bit masks: bit `c` of row `s` is chip `c` of
+/// symbol `s`, the form [`despread_hard_bits`] compares against with one
+/// XOR and popcount per row.
+fn mask_table() -> &'static [u32; SYMBOL_COUNT] {
     use std::sync::OnceLock;
-    static TABLE: OnceLock<[[f64; CHIPS_PER_SYMBOL]; SYMBOL_COUNT]> = OnceLock::new();
+    static TABLE: OnceLock<[u32; SYMBOL_COUNT]> = OnceLock::new();
+    TABLE.get_or_init(|| std::array::from_fn(|s| pack_chips(&chip_table()[s])))
+}
+
+/// The spreading table as bipolar values (`0 -> -1.0`, `1 -> +1.0`),
+/// chip-major: entry `c * SYMBOL_COUNT + s` is chip `c` of symbol `s`. The
+/// layout [`ctc_dsp::simd::dot_f64_rows`] correlates soft chips against
+/// all 16 sequences in, lanes across sequences.
+fn bipolar_columns() -> &'static [f64; CHIPS_PER_SYMBOL * SYMBOL_COUNT] {
+    use std::sync::OnceLock;
+    static TABLE: OnceLock<[f64; CHIPS_PER_SYMBOL * SYMBOL_COUNT]> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let mut table = [[0.0f64; CHIPS_PER_SYMBOL]; SYMBOL_COUNT];
-        for (dst, src) in table.iter_mut().zip(chip_table().iter()) {
-            for (d, &c) in dst.iter_mut().zip(src.iter()) {
-                *d = if c == 1 { 1.0 } else { -1.0 };
+        std::array::from_fn(|e| {
+            let (c, s) = (e / SYMBOL_COUNT, e % SYMBOL_COUNT);
+            if chip_table()[s][c] == 1 {
+                1.0
+            } else {
+                -1.0
             }
-        }
-        table
+        })
     })
 }
 
@@ -88,6 +99,15 @@ pub fn hamming(a: &[u8; CHIPS_PER_SYMBOL], b: &[u8; CHIPS_PER_SYMBOL]) -> u32 {
     a.iter().zip(b).map(|(x, y)| u32::from(x != y)).sum()
 }
 
+/// Packs hard chip decisions (0/1 values, chip `c` into bit `c`) into the
+/// word [`despread_hard_bits`] reads.
+fn pack_chips(chips: &[u8; CHIPS_PER_SYMBOL]) -> u32 {
+    chips
+        .iter()
+        .enumerate()
+        .fold(0, |bits, (c, &chip)| bits | u32::from(chip == 1) << c)
+}
+
 /// Hard-decision despreading: returns the symbol whose chip sequence is
 /// nearest in Hamming distance, with the distance itself.
 ///
@@ -95,10 +115,17 @@ pub fn hamming(a: &[u8; CHIPS_PER_SYMBOL], b: &[u8; CHIPS_PER_SYMBOL]) -> u32 {
 /// defined to control the maximum Hamming distance ... the receiver can
 /// tolerate" — Sec. III-B1); sequences above it should be dropped.
 pub fn despread_hard(chips: &[u8; CHIPS_PER_SYMBOL]) -> (u8, u32) {
+    despread_hard_bits(pack_chips(chips))
+}
+
+/// [`despread_hard`] over chips packed by [`pack_chips`] (bit `c` set when
+/// chip `c` is 1): the distance to each row is one XOR and a popcount. Ties
+/// go to the lowest symbol.
+pub(crate) fn despread_hard_bits(chips: u32) -> (u8, u32) {
+    let distances = mask_table().map(|row| (chips ^ row).count_ones());
     let mut best_sym = 0u8;
     let mut best_d = u32::MAX;
-    for (s, row) in chip_table().iter().enumerate() {
-        let d = hamming(chips, row);
+    for (s, d) in distances.into_iter().enumerate() {
         if d < best_d {
             best_d = d;
             best_sym = s as u8;
@@ -126,10 +153,11 @@ pub fn despread_soft(soft_chips: &[f64]) -> (u8, f64) {
     );
     let energy = ctc_dsp::simd::dot_f64(soft_chips, soft_chips);
     let norm = (energy * CHIPS_PER_SYMBOL as f64).sqrt();
+    let mut corr = [0.0; SYMBOL_COUNT];
+    ctc_dsp::simd::dot_f64_rows(soft_chips, bipolar_columns(), &mut corr);
     let mut best_sym = 0u8;
     let mut best_score = f64::NEG_INFINITY;
-    for (s, row) in bipolar_table().iter().enumerate() {
-        let acc = ctc_dsp::simd::dot_f64(soft_chips, row);
+    for (s, &acc) in corr.iter().enumerate() {
         if acc > best_score {
             best_score = acc;
             best_sym = s as u8;
@@ -239,6 +267,25 @@ mod tests {
     fn soft_despread_zero_input() {
         let (_, score) = despread_soft(&[0.0; 32]);
         assert_eq!(score, 0.0);
+    }
+
+    #[test]
+    fn popcount_distance_matches_elementwise_hamming() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..2000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let chips: [u8; CHIPS_PER_SYMBOL] = std::array::from_fn(|c| (state >> c) as u8 & 1);
+            let mut best = (0u8, u32::MAX);
+            for (s, row) in chip_table().iter().enumerate() {
+                let d = hamming(&chips, row);
+                if d < best.1 {
+                    best = (s as u8, d);
+                }
+            }
+            assert_eq!(despread_hard(&chips), best, "chips {chips:?}");
+        }
     }
 
     proptest! {

@@ -96,6 +96,25 @@ pub struct ChipSamples {
 }
 
 impl ChipSamples {
+    /// `pairs` chip pairs of zeros, to be filled in place.
+    pub(crate) fn zeroed(pairs: usize) -> Self {
+        ChipSamples {
+            i_samples: vec![0.0; pairs],
+            q_samples: vec![0.0; pairs],
+            midpoints: vec![Complex::ZERO; pairs],
+        }
+    }
+
+    /// The three vectors as the taps [`ctc_dsp::simd::sample_chips`]
+    /// writes through.
+    pub(crate) fn taps(&mut self) -> ctc_dsp::simd::ChipTaps<'_> {
+        ctc_dsp::simd::ChipTaps {
+            i: &mut self.i_samples,
+            q: &mut self.q_samples,
+            mid: &mut self.midpoints,
+        }
+    }
+
     /// Number of chip pairs.
     pub fn len(&self) -> usize {
         self.i_samples.len()
@@ -143,6 +162,14 @@ impl ChipSamples {
             .map(|(&i, &q)| Complex::new(i, q))
             .collect()
     }
+}
+
+/// Chip pairs a frame-aligned waveform of `len` samples holds: pair `n`
+/// reads samples `4n+2` (I), `4n+3` (midpoint) and `4n+4` (Q), so it
+/// exists once sample `4n+4` does. The count [`demodulate_chips`] returns
+/// when asked for every chip, `(len / SAMPLES_PER_CHIP) & !1`.
+pub(crate) fn chip_pairs(len: usize) -> usize {
+    len.saturating_sub(1) / (2 * SAMPLES_PER_CHIP)
 }
 
 /// Samples the matched-filter outputs at chip centers, assuming the waveform
@@ -306,6 +333,19 @@ mod tests {
         let samples = demodulate_chips(&w[..20], chips.len());
         assert!(samples.len() < 16);
         assert!(!samples.is_empty());
+    }
+
+    #[test]
+    fn chip_pairs_counts_what_demodulation_reads() {
+        for len in 0..200 {
+            let w = vec![Complex::ONE; len];
+            let all = (len / SAMPLES_PER_CHIP) & !1usize;
+            assert_eq!(
+                chip_pairs(len),
+                demodulate_chips(&w, all).len(),
+                "len {len}"
+            );
+        }
     }
 
     #[test]

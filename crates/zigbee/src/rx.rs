@@ -8,11 +8,31 @@
 //! - [`Decision::Soft`] — correlation of soft chip values against all 16
 //!   sequences (the "stronger demodulation functions" of commodity
 //!   CC26x2R1 silicon, Fig. 14b).
+//!
+//! After the timing search, [`Receiver::receive`] reads each capture
+//! sample once: one pass de-rotates (CFO, then phase) and samples only the
+//! chip instants, into chip vectors sized up front, and despreading packs
+//! the hard chips into a `u32` per symbol.
 
-use crate::chipmap::{despread_hard, despread_soft, spread, CHIPS_PER_SYMBOL};
+use crate::chipmap::{despread_hard_bits, despread_soft, spread, CHIPS_PER_SYMBOL};
 use crate::frame::{parse_frame_symbols, Frame, FrameError};
-use crate::modem::{demodulate_chips, modulate_chips, ChipSamples, SAMPLES_PER_CHIP};
+use crate::modem::{chip_pairs, modulate_chips, ChipSamples, SAMPLES_PER_CHIP, SAMPLES_PER_SYMBOL};
 use ctc_dsp::{simd, Complex};
+use std::sync::OnceLock;
+
+/// Chip pairs per symbol.
+const PAIRS_PER_SYMBOL: usize = CHIPS_PER_SYMBOL / 2;
+
+// `simd::sample_chips` reads the chip instants of two samples per chip.
+const _: () = assert!(SAMPLES_PER_CHIP == 2);
+
+/// The timing-search template in the split re/im form
+/// [`simd::window_search`] reads, with its energy.
+struct SplitTemplate {
+    re: Vec<f64>,
+    im: Vec<f64>,
+    energy: f64,
+}
 
 /// Despreading strategy.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,12 +83,10 @@ pub struct Reception {
     pub soft_scores: Vec<f64>,
     /// Per-symbol drop flags (distance/score beyond the configured limit).
     pub dropped: Vec<bool>,
-    /// Raw chip samples before any correction.
+    /// Raw chip samples before any correction — what the defense taps: the
+    /// channel's phase rotation stays visible (Fig. 6b), and a receiver CFO
+    /// estimate cannot inject its estimation noise into `C40` (DESIGN §9.3).
     pub raw_chip_samples: ChipSamples,
-    /// Chip samples after CFO correction but before phase correction — what
-    /// the defense taps: clock recovery has removed the frequency drift, but
-    /// the channel's static phase rotation is still visible (Fig. 6b).
-    pub defense_chip_samples: ChipSamples,
     /// Chip samples after phase/CFO correction — what despreading used.
     pub chip_samples: ChipSamples,
     /// Frame parse over the despread symbols.
@@ -192,20 +210,33 @@ impl Receiver {
     /// runs synchronization, so rebuilding the template per call would put a
     /// fixed waveform synthesis on the hot path.
     fn preamble_template() -> &'static [Complex] {
-        static TEMPLATE: std::sync::OnceLock<Vec<Complex>> = std::sync::OnceLock::new();
+        static TEMPLATE: OnceLock<Vec<Complex>> = OnceLock::new();
         TEMPLATE.get_or_init(|| modulate_chips(&spread(0)))
     }
 
     /// Two preamble symbols back to back — the timing-search template.
     fn sync_template() -> &'static [Complex] {
-        static TEMPLATE: std::sync::OnceLock<Vec<Complex>> = std::sync::OnceLock::new();
+        static TEMPLATE: OnceLock<Vec<Complex>> = OnceLock::new();
         TEMPLATE.get_or_init(|| {
             let one = Self::preamble_template();
-            let sym_len = CHIPS_PER_SYMBOL * SAMPLES_PER_CHIP;
-            let mut template = Vec::with_capacity(sym_len * 2);
-            template.extend_from_slice(&one[..sym_len]);
-            template.extend_from_slice(&one[..sym_len]);
+            let mut template = Vec::with_capacity(SAMPLES_PER_SYMBOL * 2);
+            template.extend_from_slice(&one[..SAMPLES_PER_SYMBOL]);
+            template.extend_from_slice(&one[..SAMPLES_PER_SYMBOL]);
             template
+        })
+    }
+
+    /// [`Receiver::sync_template`] split into re/im halves, built once per
+    /// process like the template itself.
+    fn split_template() -> &'static SplitTemplate {
+        static TEMPLATE: OnceLock<SplitTemplate> = OnceLock::new();
+        TEMPLATE.get_or_init(|| {
+            let t = Self::sync_template();
+            SplitTemplate {
+                re: t.iter().map(|v| v.re).collect(),
+                im: t.iter().map(|v| v.im).collect(),
+                energy: simd::sum_norm_sqr(t),
+            }
         })
     }
 
@@ -214,7 +245,6 @@ impl Receiver {
     fn synchronize(&self, wave: &[Complex]) -> SyncResult {
         // Template: two preamble symbols for timing, full four for CFO.
         let template = Self::sync_template();
-        let sym_len = CHIPS_PER_SYMBOL * SAMPLES_PER_CHIP;
 
         // Too little signal to correlate against the template: report a
         // null sync instead of slicing out of range.
@@ -227,19 +257,29 @@ impl Receiver {
             };
         }
 
-        let t_energy = simd::sum_norm_sqr(template);
+        // Every offset's correlation and energy in one kernel call. Each
+        // window keeps a fresh sum: a sliding energy would round
+        // differently, and a near-tie could then move the chosen offset.
+        let split = Self::split_template();
         let search = self
             .sync_search
             .min(wave.len().saturating_sub(template.len()));
+        let mut corrs = vec![Complex::ZERO; search + 1];
+        let mut energies = vec![0.0; search + 1];
+        simd::window_search(
+            wave,
+            &split.re,
+            &split.im,
+            &mut Vec::new(),
+            &mut corrs,
+            &mut energies,
+        );
         let mut best_off = 0usize;
         let mut best_corr = Complex::ZERO;
         let mut best_score = f64::NEG_INFINITY;
-        for off in 0..=search {
-            let seg = &wave[off..off + template.len()];
-            let corr = simd::cdot_conj(seg, template);
-            let r_energy = simd::sum_norm_sqr(seg);
+        for (off, (&corr, &r_energy)) in corrs.iter().zip(&energies).enumerate() {
             let score = if r_energy > 0.0 {
-                corr.norm_sqr() / (r_energy * t_energy)
+                corr.norm_sqr() / (r_energy * split.energy)
             } else {
                 0.0
             };
@@ -258,12 +298,15 @@ impl Receiver {
         // correction).
         let mut cfo = 0.0;
         if self.correct_cfo {
-            let span = (6 * sym_len).min(wave.len().saturating_sub(best_off));
-            if span > sym_len + 32 {
+            let span = (6 * SAMPLES_PER_SYMBOL).min(wave.len().saturating_sub(best_off));
+            if span > SAMPLES_PER_SYMBOL + 32 {
                 let seg = &wave[best_off..best_off + span];
-                let acc = simd::cdot_conj(&seg[sym_len..], &seg[..span - sym_len]);
+                let acc = simd::cdot_conj(
+                    &seg[SAMPLES_PER_SYMBOL..],
+                    &seg[..span - SAMPLES_PER_SYMBOL],
+                );
                 if acc.norm() > 0.0 {
-                    cfo = acc.arg() / sym_len as f64;
+                    cfo = acc.arg() / SAMPLES_PER_SYMBOL as f64;
                 }
             }
         }
@@ -298,8 +341,7 @@ impl Receiver {
         // maximizes preamble correlation.
         let fractional = if self.fractional_timing && !aligned_slice.is_empty() {
             let one = Self::preamble_template();
-            let sym_len = CHIPS_PER_SYMBOL * SAMPLES_PER_CHIP;
-            let template = &one[..sym_len.min(one.len())];
+            let template = &one[..SAMPLES_PER_SYMBOL.min(one.len())];
             let mut best_mu = 0.0f64;
             let mut best = f64::NEG_INFINITY;
             for k in 0..8 {
@@ -330,36 +372,42 @@ impl Receiver {
             aligned_slice
         };
 
-        // CFO-corrected copy (clock recovery), then the fully corrected copy
-        // for decoding.
-        let mut cfo_corrected = aligned.to_vec();
-        if self.correct_cfo {
-            simd::rotate_in_place(&mut cfo_corrected, -sync.cfo_per_sample);
-        }
-        let mut corrected = cfo_corrected.clone();
-        if self.correct_phase {
-            ctc_dsp::filter::phase_rotate_in_place(&mut corrected, -sync.phase);
-        }
+        // One pass over the chip instants: the raw samples, and the same
+        // samples after CFO correction (clock recovery) then phase
+        // correction. A correction that is off is skipped, not applied as
+        // a unit phasor.
+        let pairs = chip_pairs(aligned.len());
+        let mut raw_chip_samples = ChipSamples::zeroed(pairs);
+        let mut chip_samples = ChipSamples::zeroed(pairs);
+        simd::sample_chips(
+            aligned,
+            self.correct_cfo.then_some(-sync.cfo_per_sample),
+            self.correct_phase.then(|| Complex::cis(-sync.phase)),
+            raw_chip_samples.taps(),
+            chip_samples.taps(),
+        );
 
-        let num_chips = (aligned.len() / SAMPLES_PER_CHIP) & !1usize;
-        let raw_chip_samples = demodulate_chips(aligned, num_chips);
-        let defense_chip_samples = demodulate_chips(&cfo_corrected, num_chips);
-        let chip_samples = demodulate_chips(&corrected, num_chips);
-
-        // Despread 32-chip groups.
-        let soft = chip_samples.interleaved();
-        let hard = chip_samples.hard_chips();
-        let mut symbols = Vec::new();
-        let mut hamming_distances = Vec::new();
-        let mut soft_scores = Vec::new();
-        let mut dropped = Vec::new();
-        for group in 0..(hard.len() / CHIPS_PER_SYMBOL) {
-            let lo = group * CHIPS_PER_SYMBOL;
-            let hi = lo + CHIPS_PER_SYMBOL;
-            let mut chips = [0u8; CHIPS_PER_SYMBOL];
-            chips.copy_from_slice(&hard[lo..hi]);
-            let (hard_sym, dist) = despread_hard(&chips);
-            let (soft_sym, score) = despread_soft(&soft[lo..hi]);
+        // Despread 32-chip groups: soft chips in chip order `c0 = I0, c1 =
+        // Q0, …`, hard decisions (`>= 0` is a 1) packed into bit `c`.
+        let groups = pairs / PAIRS_PER_SYMBOL;
+        let mut symbols = Vec::with_capacity(groups);
+        let mut hamming_distances = Vec::with_capacity(groups);
+        let mut soft_scores = Vec::with_capacity(groups);
+        let mut dropped = Vec::with_capacity(groups);
+        let mut soft = [0.0; CHIPS_PER_SYMBOL];
+        for (i_chips, q_chips) in chip_samples
+            .i_samples
+            .chunks_exact(PAIRS_PER_SYMBOL)
+            .zip(chip_samples.q_samples.chunks_exact(PAIRS_PER_SYMBOL))
+        {
+            let mut bits = 0u32;
+            for (p, (&i, &q)) in i_chips.iter().zip(q_chips).enumerate() {
+                soft[2 * p] = i;
+                soft[2 * p + 1] = q;
+                bits |= u32::from(i >= 0.0) << (2 * p) | u32::from(q >= 0.0) << (2 * p + 1);
+            }
+            let (hard_sym, dist) = despread_hard_bits(bits);
+            let (soft_sym, score) = despread_soft(&soft);
             match self.decision {
                 Decision::Hard { threshold } => {
                     symbols.push(hard_sym);
@@ -381,7 +429,6 @@ impl Receiver {
             soft_scores,
             dropped,
             raw_chip_samples,
-            defense_chip_samples,
             chip_samples,
             frame,
             sync,
