@@ -1,12 +1,14 @@
 //! Criterion benches for the PHY substrates: ZigBee and WiFi chains, the
 //! 64-point FFT at the heart of both (and the 1,024-point one the defense's
-//! line search runs), and the Viterbi decoder that gates the bit-chain
-//! attack mode.
+//! line search runs), the Viterbi decoder that gates the bit-chain
+//! attack mode, and the gateway's ingest half (read, energy gate, burst
+//! split) in its two forms.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ctc_channel::noise::complex_gaussian;
 use ctc_core::attack::{Emulator, EnergyDetector};
-use ctc_core::defense::BurstSplitter;
+use ctc_core::defense::{BurstCapture, BurstSplitter};
+use ctc_dsp::io::{write_cf32, Cf32Reader};
 use ctc_dsp::{fft, Complex};
 use ctc_wifi::convolutional::{decode, encode, Rate};
 use ctc_wifi::WifiTransmitter;
@@ -102,6 +104,78 @@ fn bench_gateway_receiver(c: &mut Criterion) {
     group.finish();
 }
 
+/// The ingest half of the gateway over one cf32 stream, a burst after
+/// every 4,096 noise samples, read in 16,384-sample slices as a paced
+/// source delivers them. `split_parsed` widens each read to `Complex`
+/// (`Cf32Reader::read_chunk`) and splits that; `split_cf32` gates and
+/// splits the read's cf32 pairs (`read_raw`), as the gateway does, and
+/// widens only the captured samples. Both cut the same captures.
+fn bench_ingest_split(c: &mut Criterion) {
+    const SLICE: usize = 16_384;
+    let mut rng = StdRng::seed_from_u64(37);
+    let sigma2 = 1e-3;
+    let authentic = Transmitter::new()
+        .transmit_payload(b"00000")
+        .expect("short payload");
+    let emulator = Emulator::new();
+    let forged = emulator.received_at_zigbee(&emulator.emulate(&authentic));
+    let total = 1 << 20;
+    let mut stream: Vec<Complex> = Vec::with_capacity(total);
+    let mut forge = false;
+    while stream.len() < total {
+        stream.extend((0..4096).map(|_| complex_gaussian(&mut rng, sigma2)));
+        stream.extend_from_slice(if forge { &forged } else { &authentic });
+        forge = !forge;
+    }
+    stream.truncate(total);
+    let mut bytes = Vec::with_capacity(total * 8);
+    write_cf32(&mut bytes, &stream).expect("vec write");
+
+    let energy = EnergyDetector::default();
+    let mut parsed = BurstSplitter::new(energy);
+    let mut raw = BurstSplitter::cf32(energy);
+    let mut chunk = Vec::new();
+    let mut captures: Vec<BurstCapture> = Vec::new();
+    let mut group = c.benchmark_group("ingest");
+    group.sample_size(20);
+    group.throughput(Throughput::Elements(total as u64));
+    group.bench_function("split_parsed", |b| {
+        b.iter(|| {
+            let mut reader = Cf32Reader::new(&bytes[..]).with_chunk_samples(SLICE);
+            let mut bursts = 0;
+            while reader.read_chunk(&mut chunk).expect("in-memory") > 0 {
+                parsed.push_into(&chunk, &mut captures);
+                bursts += captures.len();
+                captures.clear();
+            }
+            parsed.finish_into(&mut captures);
+            bursts += captures.len();
+            captures.clear();
+            bursts
+        })
+    });
+    group.bench_function("split_cf32", |b| {
+        b.iter(|| {
+            let mut reader = Cf32Reader::new(&bytes[..]).with_chunk_samples(SLICE);
+            let mut bursts = 0;
+            loop {
+                let read = reader.read_raw().expect("in-memory");
+                if read.is_empty() {
+                    break;
+                }
+                raw.push_into(read, &mut captures);
+                bursts += captures.len();
+                captures.clear();
+            }
+            raw.finish_into(&mut captures);
+            bursts += captures.len();
+            captures.clear();
+            bursts
+        })
+    });
+    group.finish();
+}
+
 fn bench_wifi_chain(c: &mut Criterion) {
     let tx = WifiTransmitter::new();
     let mut rng = StdRng::seed_from_u64(11);
@@ -156,6 +230,7 @@ criterion_group!(
     bench_fft64,
     bench_zigbee_chain,
     bench_gateway_receiver,
+    bench_ingest_split,
     bench_wifi_chain,
     bench_viterbi,
     bench_wifi_rx

@@ -775,7 +775,11 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     if let Some(options) = flight {
         server = server.with_flight(options);
     }
-    let (stdout, stderr) = (&mut std::io::stdout(), &mut std::io::stderr());
+    // Buffered: the gateway flushes when a thread that wrote is about to
+    // block (after a read's bursts, when the queue runs dry, at the end),
+    // so a read's frame lines leave in one write instead of one each.
+    let mut stdout = std::io::BufWriter::new(std::io::stdout());
+    let (stdout, stderr) = (&mut stdout, &mut std::io::stderr());
     let (result, context) = match source {
         Source::Listen(listener) => (
             server.serve(listener, stdout, stderr),

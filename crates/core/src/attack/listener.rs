@@ -9,6 +9,7 @@
 //! that ZigBee devices are not communicating, it emulates the received
 //! ZigBee waveform".
 
+use ctc_dsp::io::IqSample;
 use ctc_dsp::{simd, Complex};
 
 /// One frame-shaped burst found in a recording.
@@ -188,7 +189,7 @@ pub struct EnergyStream {
     /// Norms of the last `window` samples (ring buffer).
     ring: Vec<f64>,
     /// The floating-point scan state (ring cursor, running sum, EWMA noise
-    /// floor, cached gate), advanced in bulk by [`simd::gated_power_scan`].
+    /// floor, cached gate), advanced in bulk by [`simd::gated_scan`].
     scan: simd::GateScanState,
     /// Total samples consumed.
     total: usize,
@@ -353,23 +354,23 @@ impl EnergyStream {
         self.start
     }
 
-    /// Consumes a batch of samples, handing each completed burst to `sink`.
-    /// The single source of truth behind both the per-sample and chunk
-    /// entry points, so every chunking of a stream takes the identical
-    /// arithmetic path.
+    /// Consumes a batch of samples, parsed or in their cf32 byte form,
+    /// handing each completed burst to `sink`. The single source of truth
+    /// behind every entry point, so every chunking of a stream, and either
+    /// sample form, takes the identical arithmetic path.
     ///
-    /// Warm-path samples run through [`simd::gated_power_scan`] — the whole
+    /// Warm-path samples run through [`simd::gated_scan`] — the whole
     /// floating-point scan (`|x|²`, ring, window mean, gate compare, EWMA
     /// floor) in one kernel call — leaving only integer burst bookkeeping
     /// here, which `process_flags` does run-by-run rather than
     /// sample-by-sample.
-    fn feed(&mut self, chunk: &[Complex], sink: &mut impl FnMut(StreamedBurst)) {
+    pub(crate) fn feed<S: IqSample>(&mut self, chunk: &[S], sink: &mut impl FnMut(StreamedBurst)) {
         let w = self.config.window;
         let mut idx = 0;
         // Cold path: fill the first window one sample at a time; the first
         // full window seeds the noise floor and is judged idle.
         while self.ring.len() < w && idx < chunk.len() {
-            let mut n = chunk[idx].norm_sqr();
+            let mut n = chunk[idx].widen().norm_sqr();
             if !n.is_finite() {
                 n = 0.0;
                 self.nonfinite += 1;
@@ -393,7 +394,7 @@ impl EnergyStream {
         if active.len() < rest.len() {
             active.resize(rest.len(), 0);
         }
-        self.nonfinite += simd::gated_power_scan(
+        self.nonfinite += simd::gated_scan(
             rest,
             &mut self.ring,
             &mut self.scan,
@@ -480,9 +481,13 @@ impl EnergyStream {
 
     /// Consumes a chunk, handing each completed burst to `sink` in order.
     ///
-    /// This is the allocation-free bulk path the streaming gateway rides:
-    /// one scan-kernel call, then run-length burst bookkeeping.
-    pub fn push_each(&mut self, chunk: &[Complex], mut sink: impl FnMut(StreamedBurst)) {
+    /// This is the allocation-free bulk path: one scan-kernel call, then
+    /// run-length burst bookkeeping. The chunk is parsed samples or cf32
+    /// pairs as a read delivered them
+    /// ([`Cf32Reader::read_raw`](ctc_dsp::io::Cf32Reader::read_raw)); the
+    /// gate widens each pair exactly as parsing does, so both forms find
+    /// the same bursts and count the same non-finite samples.
+    pub fn push_each<S: IqSample>(&mut self, chunk: &[S], mut sink: impl FnMut(StreamedBurst)) {
         self.feed(chunk, &mut sink);
     }
 

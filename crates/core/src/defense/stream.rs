@@ -12,6 +12,9 @@
 //!   and carves out each
 //!   completed burst's samples (plus a decode margin), carrying detector
 //!   and buffer state across chunk boundaries. O(burst length) memory.
+//!   Chunks are parsed samples, or cf32 pairs straight from a read
+//!   ([`BurstSplitter::cf32`]): one body serves both, and only the
+//!   samples a capture holds are ever widened to [`Complex`].
 //! - [`FrameProcessor`] — worker side: decodes one captured burst with the
 //!   stock 802.15.4 receiver and classifies it with a
 //!   [`DetectionPipeline`] (the paper's cumulant detector by default).
@@ -24,6 +27,7 @@
 use crate::attack::listener::{Burst, BurstEnd, EnergyDetector, EnergyStream};
 use crate::defense::detector::Verdict;
 use crate::defense::pipeline::{DetectionPipeline, FeatureInput, PipelineScores};
+use ctc_dsp::io::{Cf32, IqSample};
 use ctc_dsp::{BufferPool, Complex, SampleBuf};
 use ctc_zigbee::{Receiver, Reception};
 use std::collections::VecDeque;
@@ -81,13 +85,20 @@ pub struct BurstCapture {
 /// emitted only once its trailing margin has arrived, or at [`finish`],
 /// whichever comes first — exactly the margins the one-shot scan applies.
 ///
+/// The sample type `S` is what the chunks hold: parsed [`Complex`]
+/// samples ([`BurstSplitter::new`]), or [`Cf32`] pairs as a read
+/// delivered them ([`BurstSplitter::cf32`]). The history keeps that form,
+/// and a capture widens only its own samples into its pooled buffer,
+/// exactly as parsing widens them: both forms of one stream give the same
+/// captures, bit for bit.
+///
 /// [`finish`]: BurstSplitter::finish
 #[derive(Debug, Clone)]
-pub struct BurstSplitter {
+pub struct BurstSplitter<S: IqSample = Complex> {
     stream: EnergyStream,
     margin: usize,
     /// Sample history; `history[0]` is absolute stream index `base`.
-    history: VecDeque<Complex>,
+    history: VecDeque<S>,
     base: usize,
     /// Completed bursts whose trailing margin has not fully arrived yet.
     pending: VecDeque<(Burst, BurstEnd)>,
@@ -96,12 +107,33 @@ pub struct BurstSplitter {
 }
 
 impl BurstSplitter {
-    /// Splitter with the standard decode margin of two detection windows.
+    /// Splitter over parsed samples, with the standard decode margin of
+    /// two detection windows.
     ///
     /// # Panics
     ///
     /// Panics when `energy.window == 0`.
     pub fn new(energy: EnergyDetector) -> Self {
+        BurstSplitter::over(energy)
+    }
+}
+
+impl BurstSplitter<Cf32> {
+    /// Splitter over cf32 pairs as
+    /// [`Cf32Reader::read_raw`](ctc_dsp::io::Cf32Reader::read_raw)
+    /// delivers them, with the standard decode margin: the ingest form
+    /// that never parses a sample no capture holds.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `energy.window == 0`.
+    pub fn cf32(energy: EnergyDetector) -> Self {
+        BurstSplitter::over(energy)
+    }
+}
+
+impl<S: IqSample> BurstSplitter<S> {
+    fn over(energy: EnergyDetector) -> Self {
         BurstSplitter {
             stream: energy.stream(),
             margin: 2 * energy.window,
@@ -150,7 +182,7 @@ impl BurstSplitter {
     }
 
     /// Consumes a chunk, returning every capture completed by it.
-    pub fn push(&mut self, chunk: &[Complex]) -> Vec<BurstCapture> {
+    pub fn push(&mut self, chunk: &[S]) -> Vec<BurstCapture> {
         let mut out = Vec::new();
         self.push_into(chunk, &mut out);
         out
@@ -159,13 +191,14 @@ impl BurstSplitter {
     /// [`push`](Self::push) appending captures to a caller-owned vector —
     /// the streaming form: an ingest loop clears and reuses one vector, so
     /// a quiet chunk costs zero allocations.
-    pub fn push_into(&mut self, chunk: &[Complex], out: &mut Vec<BurstCapture>) {
+    pub fn push_into(&mut self, chunk: &[S], out: &mut Vec<BurstCapture>) {
         // Detection first: the energy stream needs no sample history, and
         // knowing where the chunk's bursts sit lets a quiet chunk skip
         // buffering almost all of itself.
         let pending = &mut self.pending;
-        self.stream
-            .push_each(chunk, |sb| pending.push_back((sb.burst, sb.end_reason)));
+        self.stream.feed(chunk, &mut |sb| {
+            pending.push_back((sb.burst, sb.end_reason))
+        });
         let old_total = self.base + self.history.len();
         let keep_from = self.keep_from(old_total + chunk.len());
         if keep_from >= old_total {
@@ -219,7 +252,8 @@ impl BurstSplitter {
         }
     }
 
-    /// Cuts one capture out of the history buffer, into a pooled buffer.
+    /// Cuts one capture out of the history buffer, widened into a pooled
+    /// buffer.
     fn capture(&self, burst: Burst, reason: BurstEnd, total: usize) -> BurstCapture {
         let capture_start = burst.start.saturating_sub(self.margin);
         let capture_end = (burst.end + self.margin).min(total);
@@ -229,10 +263,11 @@ impl BurstSplitter {
         let mut samples = self.pool.checkout(hi - lo);
         let (front, back) = self.history.as_slices();
         if lo < front.len() {
-            samples.extend_from_slice(&front[lo..hi.min(front.len())]);
+            samples.extend(front[lo..hi.min(front.len())].iter().map(|s| s.widen()));
         }
         if hi > front.len() {
-            samples.extend_from_slice(&back[lo.saturating_sub(front.len())..hi - front.len()]);
+            let part = &back[lo.saturating_sub(front.len())..hi - front.len()];
+            samples.extend(part.iter().map(|s| s.widen()));
         }
         BurstCapture {
             burst,
@@ -365,7 +400,8 @@ impl MonitorFactory {
         &self.processor
     }
 
-    /// A fresh ingest stage for one session, drawing from the shared pool.
+    /// A fresh ingest stage for one session over parsed samples, drawing
+    /// from the shared pool.
     ///
     /// # Panics
     ///
@@ -373,7 +409,21 @@ impl MonitorFactory {
     /// below the detector's `min_len` (both are configuration errors the
     /// gateway's builder rejects earlier).
     pub fn splitter(&self) -> BurstSplitter {
-        let splitter = BurstSplitter::new(self.energy).with_pool(self.pool.clone());
+        self.configure(BurstSplitter::new(self.energy))
+    }
+
+    /// [`splitter`](Self::splitter) over cf32 pairs as reads deliver them
+    /// (see [`BurstSplitter::cf32`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`splitter`](Self::splitter).
+    pub fn cf32_splitter(&self) -> BurstSplitter<Cf32> {
+        self.configure(BurstSplitter::cf32(self.energy))
+    }
+
+    fn configure<S: IqSample>(&self, splitter: BurstSplitter<S>) -> BurstSplitter<S> {
+        let splitter = splitter.with_pool(self.pool.clone());
         match self.max_burst {
             Some(max) => splitter.with_max_burst(max),
             None => splitter,

@@ -9,6 +9,51 @@
 use crate::complex::Complex;
 use std::io::{self, Read, Write};
 
+/// One cf32 sample as the byte stream carries it: the little-endian `f32`
+/// I value, then the Q value. [`Cf32Reader::read_raw`] hands samples over
+/// in this form, before any parsing.
+pub type Cf32 = [u8; 8];
+
+/// A sample type the ingest path reads: a parsed [`Complex`], or a
+/// [`Cf32`] pair still in its byte form.
+///
+/// The energy gate's scan kernel, `EnergyStream` and `BurstSplitter`
+/// each have one body, generic over this trait, so a cf32 stream can be
+/// gated and split straight from the bytes of a read without parsing
+/// every sample first. The trait is sealed: these two types are the only
+/// ones.
+pub trait IqSample: Copy + sealed::Sealed {
+    /// The sample as a [`Complex`]. A [`Cf32`] pair widens each `f32`
+    /// to `f64` exactly as [`Cf32Reader::read_chunk`] does, so any
+    /// arithmetic on the widened value has the bits it has on the parsed
+    /// sample.
+    fn widen(self) -> Complex;
+}
+
+impl IqSample for Complex {
+    #[inline(always)]
+    fn widen(self) -> Complex {
+        self
+    }
+}
+
+impl IqSample for Cf32 {
+    #[inline(always)]
+    fn widen(self) -> Complex {
+        let [r0, r1, r2, r3, i0, i1, i2, i3] = self;
+        Complex::new(
+            f32::from_le_bytes([r0, r1, r2, r3]) as f64,
+            f32::from_le_bytes([i0, i1, i2, i3]) as f64,
+        )
+    }
+}
+
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for crate::complex::Complex {}
+    impl Sealed for super::Cf32 {}
+}
+
 /// Default [`Cf32Reader`] chunk size in samples (512 KiB of cf32): the
 /// largest chunk one read hands over, not a size every chunk reaches.
 pub const DEFAULT_CHUNK_SAMPLES: usize = 65_536;
@@ -101,6 +146,22 @@ impl<R: Read> Cf32Reader<R> {
     /// Reads the next chunk into `out` (cleared first), returning the
     /// number of samples read; `0` means end of stream.
     ///
+    /// This is [`read_raw`](Self::read_raw) with every sample widened to
+    /// a [`Complex`] ([`IqSample::widen`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`read_raw`](Self::read_raw).
+    pub fn read_chunk(&mut self, out: &mut Vec<Complex>) -> io::Result<usize> {
+        out.clear();
+        out.extend(self.read_raw()?.iter().map(|s| s.widen()));
+        Ok(out.len())
+    }
+
+    /// Reads the next chunk and returns its whole samples as the source
+    /// sent them, unparsed; an empty slice means end of stream. The slice
+    /// borrows the reader's buffer and lives until the next read.
+    ///
     /// Returns as soon as the source has delivered at least one whole
     /// sample: a chunk holds what one `read` of the source delivered
     /// (several reads only while the first sample is incomplete), capped
@@ -111,8 +172,7 @@ impl<R: Read> Cf32Reader<R> {
     ///
     /// Propagates I/O errors; end-of-stream inside a sample (a byte count
     /// not divisible by 8) is an `InvalidData` error.
-    pub fn read_chunk(&mut self, out: &mut Vec<Complex>) -> io::Result<usize> {
-        out.clear();
+    pub fn read_raw(&mut self) -> io::Result<&[Cf32]> {
         let want = self.carry_len + self.chunk_samples * 8;
         if self.buf.len() < want {
             // One-time grow (and zero-fill); steady-state calls reuse it and
@@ -138,13 +198,9 @@ impl<R: Read> Cf32Reader<R> {
         if whole == 0 && self.carry_len != 0 {
             return Err(partial_sample_error(self.carry_len));
         }
-        out.extend(buf[..whole].chunks_exact(8).map(|c| {
-            let re = f32::from_le_bytes(c[..4].try_into().expect("4 bytes"));
-            let im = f32::from_le_bytes(c[4..].try_into().expect("4 bytes"));
-            Complex::new(re as f64, im as f64)
-        }));
-        self.samples_read += out.len() as u64;
-        Ok(out.len())
+        let (samples, _) = self.buf[..whole].as_chunks::<8>();
+        self.samples_read += samples.len() as u64;
+        Ok(samples)
     }
 }
 
@@ -309,6 +365,56 @@ mod tests {
             assert_eq!(back, samples, "chunk size {chunk_size}");
             assert_eq!(reader.samples_read(), samples.len() as u64);
         }
+    }
+
+    /// `read_raw` hands over the bytes of each whole sample unparsed, and
+    /// widening them gives `read_chunk`'s samples bit for bit, special
+    /// values included; a sample split across reads is carried whole.
+    #[test]
+    fn raw_reads_widen_to_the_parsed_chunks() {
+        let values = [
+            0.0f32,
+            -0.0,
+            1.5,
+            -2.25e-3,
+            f32::MIN_POSITIVE / 4.0,
+            1e30,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let mut bytes = Vec::new();
+        for (i, re) in values.iter().enumerate() {
+            bytes.extend_from_slice(&re.to_le_bytes());
+            bytes.extend_from_slice(&values[(i + 3) % values.len()].to_le_bytes());
+        }
+        // A source whose reads split samples: 3 bytes, then 13, then the rest.
+        let splits = || {
+            let (a, rest) = bytes.split_at(3);
+            let (b, c) = rest.split_at(13);
+            a.chain(b).chain(c)
+        };
+        let mut raw_reader = Cf32Reader::new(splits()).with_chunk_samples(4);
+        let mut parsed_reader = Cf32Reader::new(splits()).with_chunk_samples(4);
+        let mut chunk = Vec::new();
+        let mut seen = 0;
+        loop {
+            let raw: Vec<Cf32> = raw_reader.read_raw().unwrap().to_vec();
+            let n = parsed_reader.read_chunk(&mut chunk).unwrap();
+            assert_eq!(raw.len(), n);
+            if n == 0 {
+                break;
+            }
+            for (r, c) in raw.iter().zip(&chunk) {
+                let w = r.widen();
+                assert_eq!(w.re.to_bits(), c.re.to_bits());
+                assert_eq!(w.im.to_bits(), c.im.to_bits());
+                assert_eq!(r[..], bytes[seen * 8..seen * 8 + 8]);
+                seen += 1;
+            }
+        }
+        assert_eq!(seen, values.len());
+        assert_eq!(raw_reader.samples_read(), values.len() as u64);
     }
 
     #[test]

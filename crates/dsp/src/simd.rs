@@ -59,6 +59,7 @@
 //! runtime-dispatch check amortizes.
 
 use crate::complex::Complex;
+use crate::io::IqSample;
 
 /// Accumulator lane width. Eight `f64` lanes span two AVX2 YMM registers,
 /// giving the out-of-order core independent dependency chains even when
@@ -88,7 +89,7 @@ pub struct CumulantSums {
     pub sa4: f64,
 }
 
-/// Scalar state advanced by [`gated_power_scan`]: the sliding-window power
+/// Scalar state advanced by [`gated_scan`]: the sliding-window power
 /// sum (ring cursor + running total) and the idle-gated EWMA noise floor
 /// with its cached decision gate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -208,16 +209,16 @@ fn dtft_one(z: &[Complex], nu: f64) -> f64 {
 }
 
 macro_rules! kernels {
-    ($($(#[$meta:meta])* fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?;)*) => {
+    ($($(#[$meta:meta])* fn $name:ident $(<$g:ident: $bound:ident>)? ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?;)*) => {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         mod avx2 {
-            use super::{body, ChipTaps, Complex, CumulantSums, GateScanState};
+            use super::{body, ChipTaps, Complex, CumulantSums, GateScanState, IqSample};
             $(
                 /// # Safety
                 ///
                 /// Caller must ensure the CPU supports AVX2 and FMA.
                 #[target_feature(enable = "avx2", enable = "fma")]
-                pub unsafe fn $name($($arg: $ty),*) $(-> $ret)? {
+                pub unsafe fn $name $(<$g: $bound>)? ($($arg: $ty),*) $(-> $ret)? {
                     body::$name($($arg),*)
                 }
             )*
@@ -225,7 +226,7 @@ macro_rules! kernels {
         $(
             $(#[$meta])*
             #[inline]
-            pub fn $name($($arg: $ty),*) $(-> $ret)? {
+            pub fn $name $(<$g: $bound>)? ($($arg: $ty),*) $(-> $ret)? {
                 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
                 if std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma")
@@ -333,26 +334,41 @@ kernels! {
     /// Lane-parallel power sums for fourth-order cumulant estimation.
     fn cumulant_sums(x: &[Complex]) -> CumulantSums;
 
-    /// Advances a gated sliding-power scan by `x.len()` samples: each
-    /// sample's power `|x|²` replaces the oldest ring entry, updates the
-    /// running sum, forms the window mean, and is compared against the
-    /// cached gate (`active[i] = 1` when above). Idle samples advance the
-    /// EWMA noise floor. A sample whose `|x|²` is not finite (a NaN or
-    /// infinite component, or an overflowing square) adds zero power, so
-    /// one bad sample cannot poison the running sum or the floor; returns
-    /// how many samples were zeroed. The recurrence is inherently serial;
-    /// the wins are the norm computation hiding under the loop-carried
-    /// chain and the
+    /// Advances a gated sliding-power scan by `x.len()` samples, parsed
+    /// ([`Complex`]) or still in their cf32 byte form
+    /// ([`Cf32`](crate::io::Cf32)): each sample's power `|x|²` replaces
+    /// the oldest ring entry, updates the running sum, forms the window
+    /// mean, and is compared against the cached gate (`active[i] = 1` when
+    /// above). Idle samples advance the EWMA noise floor. A sample whose
+    /// `|x|²` is not finite (a NaN or infinite component, or an
+    /// overflowing square) adds zero power, so one bad sample cannot
+    /// poison the running sum or the floor; returns how many samples were
+    /// zeroed. A cf32 pair is widened exactly as parsing widens it
+    /// ([`IqSample::widen`]), so its flags, state and zeroed count are
+    /// bit-identical to scanning the parsed chunk. The recurrence is
+    /// inherently serial; the wins are the norm computation hiding under
+    /// the loop-carried chain and the
     /// `target_feature(fma)` clone, where the explicit `mul_add` becomes a
     /// 4-cycle `vfmadd` instead of a libm call — value-identical because
     /// `alpha` is a power of two, so the product is exact and fused and
     /// two-step rounding agree.
-    fn gated_power_scan(
-        x: &[Complex],
+    fn gated_scan<S: IqSample>(
+        x: &[S],
         ring: &mut [f64],
         state: &mut GateScanState,
         active: &mut [u8],
     ) -> usize;
+}
+
+/// [`gated_scan`] over parsed samples.
+#[inline]
+pub fn gated_power_scan(
+    x: &[Complex],
+    ring: &mut [f64],
+    state: &mut GateScanState,
+    active: &mut [u8],
+) -> usize {
+    gated_scan(x, ring, state, active)
 }
 
 /// Lane-structured kernel bodies: the single source of truth compiled both
@@ -360,7 +376,7 @@ kernels! {
 mod body {
     use super::{
         dtft_block, dtft_one, reduce, reduce4, reduce_columns, ChipTaps, Complex, CumulantSums,
-        GateScanState, LANES, RESYNC,
+        GateScanState, IqSample, LANES, RESYNC,
     };
 
     #[inline(always)]
@@ -1070,7 +1086,7 @@ mod body {
     }
 
     /// Out-of-line landing pad for the floor-eps clamp, keeping the
-    /// compare-and-branch off [`gated_power_scan`]'s serial EWMA chain
+    /// compare-and-branch off [`gated_scan`]'s serial EWMA chain
     /// (a call defeats if-conversion into `maxsd`).
     #[cold]
     #[inline(never)]
@@ -1079,7 +1095,7 @@ mod body {
     }
 
     /// Out-of-line landing pad for a sample whose power is not finite,
-    /// keeping the check in [`gated_power_scan`] a never-taken branch
+    /// keeping the check in [`gated_scan`] a never-taken branch
     /// rather than a select on every sample's power.
     #[cold]
     #[inline(never)]
@@ -1089,8 +1105,8 @@ mod body {
     }
 
     #[inline(always)]
-    pub fn gated_power_scan(
-        x: &[Complex],
+    pub fn gated_scan<S: IqSample>(
+        x: &[S],
         ring: &mut [f64],
         st: &mut GateScanState,
         active: &mut [u8],
@@ -1104,6 +1120,7 @@ mod body {
         let mut gate = st.gate;
         let mut zeroed = 0;
         for (v, a) in x.iter().zip(active[..x.len()].iter_mut()) {
+            let v = v.widen();
             let mut n = v.re * v.re + v.im * v.im;
             // A NaN or infinite power would stay in `acc` for good (`inf -
             // inf` is NaN) and blind the gate; it counts as silence.
@@ -1491,10 +1508,34 @@ mod tests {
                 let mut act1 = vec![0u8; n];
                 let mut act2 = vec![0u8; n];
                 gated_power_scan(&a, &mut ring1, &mut st1, &mut act1);
-                body::gated_power_scan(&a, &mut ring2, &mut st2, &mut act2);
+                body::gated_scan(&a, &mut ring2, &mut st2, &mut act2);
                 assert_eq!(st1, st2, "gate state n={n}");
                 assert_eq!(act1, act2, "gate flags n={n}");
                 assert_eq!(ring1, ring2, "gate ring n={n}");
+
+                // The cf32 form: dispatched and plain scans of the bytes
+                // agree with each other and with the parsed samples.
+                let raw: Vec<crate::io::Cf32> = a
+                    .iter()
+                    .map(|v| {
+                        let (re, im) = ((v.re as f32).to_le_bytes(), (v.im as f32).to_le_bytes());
+                        [re[0], re[1], re[2], re[3], im[0], im[1], im[2], im[3]]
+                    })
+                    .collect();
+                let parsed: Vec<Complex> = raw.iter().map(|s| s.widen()).collect();
+                let runs = [0, 1, 2].map(|run| {
+                    let mut st = gate_state(16);
+                    let mut ring = vec![0.0; 16];
+                    let mut act = vec![0u8; n];
+                    let zeroed = match run {
+                        0 => gated_scan(&raw, &mut ring, &mut st, &mut act),
+                        1 => body::gated_scan(&raw, &mut ring, &mut st, &mut act),
+                        _ => gated_power_scan(&parsed, &mut ring, &mut st, &mut act),
+                    };
+                    (st, ring, act, zeroed)
+                });
+                assert_eq!(runs[0], runs[1], "cf32 dispatch n={n}");
+                assert_eq!(runs[0], runs[2], "cf32 vs parsed n={n}");
             }
         }
     }

@@ -5,18 +5,20 @@
 //! streams and emits one JSON-lines event per decoded frame, flagging
 //! waveform-emulation forgeries as they arrive.
 //!
-//! Where [`ctc_core::defense::StreamMonitor`] processes bursts inline,
-//! this crate puts the same two stages on opposite sides of bounded
-//! queues so ingest keeps pace with the sample clock no matter how slow
-//! decoding gets — and multiplexes many independent streams through one
-//! shared worker pool:
+//! Where [`ctc_core::defense::StreamMonitor`] runs one stream's stages
+//! back to back, this crate multiplexes many independent streams through
+//! shared decode capacity. A stream decodes each burst on its own thread
+//! as it is cut while decode capacity is free; when other streams hold
+//! it, the stream queues its bursts for a worker pool, and the bounded
+//! queue sheds overload rather than stall ingest:
 //!
 //! - [`server::GatewayServer`] — the service, and the only way in: each
-//!   stream becomes a [`session::Session`] feeding one shared
-//!   [`session::WorkQueue`] (a stalled stream pushes nothing, so it never
-//!   head-of-line-blocks another), with per-session drop budgets under
-//!   overload, per-session sequence-ordered JSONL tagged with a `stream`
-//!   field, and both run-wide and `{stream="..."}`-labelled metrics.
+//!   stream becomes a [`session::Session`] that runs its bursts inline or
+//!   feeds one shared [`session::WorkQueue`] (a stalled stream pushes
+//!   nothing, so it never head-of-line-blocks another), with per-session
+//!   drop budgets under overload, per-session sequence-ordered JSONL
+//!   tagged with a `stream` field, and both run-wide and
+//!   `{stream="..."}`-labelled metrics.
 //! - [`pipeline::GatewayConfig`] — the per-stream pipeline knobs and
 //!   detection stages, with a validating builder.
 //! - [`source::Input`] — where the bytes come from: cf32 file, stdin

@@ -2,8 +2,9 @@
 //! detection-stage knobs every [`GatewayServer`](crate::server::GatewayServer)
 //! session runs with, and its validating builder.
 //!
-//! The pipeline itself (ingest → work queue → worker pool → ordering
-//! sink) lives in [`crate::server`].
+//! The pipeline itself (ingest, then decode and classify inline or
+//! through the work queue and its worker pool, then the ordered event
+//! output) lives in [`crate::server`].
 
 use crate::error::GatewayError;
 use ctc_core::attack::EnergyDetector;
@@ -35,7 +36,11 @@ pub struct GatewayConfig {
     /// The largest ingest chunk in samples: each read of a session's
     /// stream goes to the splitter as it arrives, capped at this size.
     pub chunk_samples: usize,
-    /// Decode/classify worker threads.
+    /// Decode/classify worker threads, and the inline limit: a session
+    /// decodes a burst on its own thread only while nothing is queued and
+    /// fewer than `workers` bursts are being processed, inline or by a
+    /// worker. The two bounds are separate: workers pop whatever is
+    /// queued, so up to `2 × workers` bursts can be processed at once.
     pub workers: usize,
     /// Bounded work-queue depth per worker, in bursts: the run's one
     /// queue holds `queue_depth × workers` bursts across all sessions.
@@ -96,7 +101,8 @@ impl GatewayConfigBuilder {
         self
     }
 
-    /// Decode/classify worker threads.
+    /// Decode/classify worker threads, and the inline limit (see
+    /// [`GatewayConfig::workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self

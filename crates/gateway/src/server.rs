@@ -2,22 +2,37 @@
 //! shared decode/classify engine.
 //!
 //! ```text
-//!            ┌─ accept loop (serve) / caller (run_streams) ─┐
-//!  tcp/unix  │  session 1 ingest ─┐                         │
-//!  clients ─▶│  session 2 ingest ─┼─▶ work queue ─▶ workers │
-//!            │  session 3 ingest ─┘                         │
-//!            └───────────────────────────────────────┬──────┘
-//!                                  ┌── sink thread ──▼──────────┐
-//!                                  │ per-session reorder ▶ JSONL │
-//!                                  └─────────────────────────────┘
+//!            ┌─ accept loop (serve) / caller (run_streams) ──────────────┐
+//!  tcp/unix  │  session 1 ingest ─┐  a slot free: decode inline ────┐   │
+//!  clients ─▶│  session 2 ingest ─┤                                 │   │
+//!            │  session 3 ingest ─┴▶ all busy: work queue ▶ workers ┤   │
+//!            └──────────────────────────────────────────────────────┼───┘
+//!                    ┌── one lock ──────────────────────────────────▼──┐
+//!                    │ per-session reorder ▶ event writer (JSONL)      │
+//!                    └─────────────────────────────────────────────────┘
 //! ```
 //!
-//! Each accepted stream becomes a [`Session`] whose ingest thread pushes
-//! bursts onto the one [`WorkQueue`] every worker blocks on. A stalled
-//! stream pushes nothing, so it holds up no one; overload is arbitrated
-//! per session by the queue's drop budget (see [`crate::session`]). One
-//! sink thread restores per-session sequence order, so the JSONL stream
-//! interleaves sessions but is always in order *within* a `stream` label.
+//! Each accepted stream becomes a [`Session`] with its own ingest thread,
+//! which gates and splits each read's cf32 bytes as they arrive. While
+//! nothing is queued and fewer than `workers` bursts are being processed,
+//! the thread decodes, classifies and writes each burst it cuts itself,
+//! with no hand-off, wake-up or cross-core copy; its next read waits
+//! until it has, so a lone recording is paced by its own decoding and
+//! never shed. Otherwise (other sessions hold every slot, or bursts
+//! already wait) the burst goes onto the one [`WorkQueue`] every worker
+//! blocks on, and overload is arbitrated per session by the queue's drop
+//! budget (see [`crate::session`]). A stalled stream pushes nothing, so
+//! it holds up no one.
+//!
+//! One lock owns the event writer and every session's reorder state, and
+//! whichever thread delivers a session's next sequence number writes out
+//! the events that are then contiguous, with no thread of its own:
+//! the JSONL stream interleaves sessions but is always in order *within*
+//! a `stream` label. A slow writer blocks the thread that writes, and
+//! through the lock the others, so undelivered lines never pile up in
+//! memory. The writer is flushed when a thread that wrote is about to
+//! block: an ingest thread after it has delivered a read's bursts, a
+//! worker that finds the queue empty, and the run at its end.
 
 use crate::error::GatewayError;
 use crate::flight::{FlightOptions, FlightRun};
@@ -26,7 +41,7 @@ use crate::obs::RunObs;
 use crate::pipeline::GatewayConfig;
 use crate::session::{Evicted, Session, SessionId, SessionTable, WorkQueue};
 use crate::source::Listener;
-use ctc_core::defense::{BurstCapture, FrameProcessor, MonitorFactory, StreamEvent};
+use ctc_core::defense::{BurstCapture, MonitorFactory, StreamEvent};
 use ctc_dsp::io::Cf32Reader;
 use ctc_obs::flight::{EventKind, FlightEvent};
 use ctc_obs::json::{hex, JsonObject};
@@ -34,7 +49,7 @@ use ctc_obs::{FlightRecorder, Registry, SpanStage, TraceSink};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Supervisor poll cadence: the accept loop when no client is waiting,
@@ -185,28 +200,17 @@ impl ShutdownHandle {
     }
 }
 
-/// One unit of work crossing the work queue.
+/// One burst on its way to decode and classify: run inline by its
+/// session's ingest thread, or queued for a worker.
 struct WorkItem {
     session: Arc<Session>,
     /// Per-session event sequence number.
     seq: u64,
     capture: BurstCapture,
+    /// When ingest handed the burst on: its `queue` stage starts here.
     enqueued: Instant,
     /// Trace span for this burst (`0` = tracing disabled).
     span: u64,
-}
-
-/// What reaches the sink. A `Slot` takes its place in its session's
-/// sequence order; `Note` lines (refusals) are written immediately.
-enum SinkMsg {
-    Slot {
-        session: SessionId,
-        seq: u64,
-        slot: Slot,
-    },
-    Note {
-        line: String,
-    },
 }
 
 /// One entry of a session's sequence order: a rendered event line (its
@@ -224,14 +228,116 @@ enum Slot {
     },
 }
 
-impl SinkMsg {
-    fn line(session: SessionId, seq: u64, line: String, span: u64, classified: Instant) -> Self {
-        let slot = Slot::Line {
+impl Slot {
+    /// An untraced line: a session marker or a `dropped` filler.
+    fn untraced(line: String) -> Self {
+        Slot::Line {
             line,
-            span,
-            classified,
-        };
-        SinkMsg::Slot { session, seq, slot }
+            span: 0,
+            classified: Instant::now(),
+        }
+    }
+}
+
+/// The run's event writer and every session's reorder state, behind one
+/// lock. Whichever thread delivers a session's next sequence number
+/// writes out the run of slots that is then contiguous, so events leave
+/// in per-session order without a thread of their own. A slow writer
+/// blocks the thread that writes, and through the lock the others, so
+/// undelivered lines cannot pile up in memory.
+struct Output<'a, W> {
+    state: Mutex<OutputState<'a, W>>,
+}
+
+struct OutputState<'a, W> {
+    events: &'a mut W,
+    /// Slots that arrived ahead of their session's turn.
+    sessions: HashMap<SessionId, SessionSink>,
+    /// Something was written since the last flush.
+    unflushed: bool,
+    /// The first write error: output ends there, and the run reports it.
+    error: Option<io::Error>,
+}
+
+/// One session's reorder state.
+#[derive(Default)]
+struct SessionSink {
+    pending: BTreeMap<u64, Slot>,
+    next: u64,
+}
+
+impl<'a, W: Write> Output<'a, W> {
+    fn new(events: &'a mut W) -> Self {
+        Output {
+            state: Mutex::new(OutputState {
+                events,
+                sessions: HashMap::new(),
+                unflushed: false,
+                error: None,
+            }),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, OutputState<'a, W>> {
+        self.state.lock().expect("event output poisoned")
+    }
+
+    /// Puts `slot` at `seq` in its session's order and writes every slot
+    /// that is now contiguous. A no-op once a write has failed.
+    fn deliver(&self, session: SessionId, seq: u64, slot: Slot, obs: RunObs<'_>) {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        if st.error.is_some() {
+            return;
+        }
+        let sink = st.sessions.entry(session).or_default();
+        sink.pending.insert(seq, slot);
+        match drain_session(session, sink, st.events, obs) {
+            Ok((written, closed)) => {
+                st.unflushed |= written;
+                if closed {
+                    st.sessions.remove(&session);
+                }
+            }
+            Err(e) => st.error = Some(e),
+        }
+    }
+
+    /// Writes and flushes a line outside any session's order (a refusal).
+    fn note(&self, line: &str) {
+        let mut st = self.lock();
+        if st.error.is_none() {
+            if let Err(e) = writeln!(st.events, "{line}") {
+                st.error = Some(e);
+            }
+        }
+        st.unflushed = true;
+        st.flush();
+    }
+
+    /// Flushes what was written since the last flush. A thread calls this
+    /// when it is about to block: an ingest thread after it has delivered
+    /// a read's bursts, a worker that finds the queue empty.
+    fn flush(&self) {
+        self.lock().flush();
+    }
+
+    /// Ends the run's output: flushes and returns the first write error.
+    fn finish(self) -> io::Result<()> {
+        let mut st = self.state.into_inner().expect("event output poisoned");
+        st.flush();
+        st.error.map_or(Ok(()), Err)
+    }
+}
+
+impl<W: Write> OutputState<'_, W> {
+    fn flush(&mut self) {
+        if self.unflushed && self.error.is_none() {
+            self.unflushed = false;
+            if let Err(e) = self.events.flush() {
+                self.error = Some(e);
+            }
+        }
     }
 }
 
@@ -373,8 +479,8 @@ impl GatewayServer {
         self.run_feed(Feed::Streams(streams), events, stats)
     }
 
-    /// The engine shared by both feeds: the work queue, workers, sink,
-    /// and the supervisor on the calling thread.
+    /// The engine shared by both feeds: the work queue, workers, the
+    /// locked event output, and the supervisor on the calling thread.
     fn run_feed<'a, W, E>(
         &self,
         feed: Feed<'a>,
@@ -394,8 +500,7 @@ impl GatewayServer {
             .with_max_burst(gw.max_burst);
         let feature_names = gw.pipeline.feature_names();
         let scores = (!feature_names.is_empty()).then(|| ScoreBoard::new(feature_names));
-        let processor = factory.processor().clone();
-        let (tx, rx) = mpsc::channel::<SinkMsg>();
+        let output = Output::new(events);
         let started = Instant::now();
         let fatal_in_streams = matches!(feed, Feed::Streams(_));
         // The supervisor polls only when there is something to poll: a
@@ -421,177 +526,143 @@ impl GatewayServer {
             FlightRun::new(recorder, options, self.registry.as_deref(), cfg, &sessions)
         });
         let obs = RunObs::new(self.trace.as_deref(), flight.as_ref());
+        let engine = Engine {
+            factory: &factory,
+            scores: scores.as_ref(),
+            queue: &queue,
+            output: &output,
+            workers,
+            chunk_samples: gw.chunk_samples.max(1),
+            obs,
+        };
 
         type SessionOutcome = (Arc<Session>, io::Result<()>);
-        let (outcomes, sink_result, fatal): (
-            Vec<SessionOutcome>,
-            io::Result<()>,
-            Option<GatewayError>,
-        ) = std::thread::scope(|scope| {
-            let worker_handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let tx = tx.clone();
-                    let queue = &queue;
-                    let processor = processor.clone();
-                    let scores = scores.clone();
-                    scope.spawn(move || {
-                        while let Some((_, item)) = queue.pop() {
-                            process_item(item, &processor, scores.as_ref(), &tx, obs);
-                        }
-                    })
-                })
-                .collect();
-            let sink_handle = scope.spawn(|| sink_loop(rx, events, obs));
+        let (outcomes, fatal): (Vec<SessionOutcome>, Option<GatewayError>) =
+            std::thread::scope(|scope| {
+                let worker_handles: Vec<_> = (0..workers)
+                    .map(|_| scope.spawn(|| engine.work()))
+                    .collect();
 
-            // Everything a session thread needs, captured by reference so
-            // the closure can be called for late-arriving connections.
-            let spawn_session = |reader: Box<dyn Read + Send + 'a>,
-                                 session: Arc<Session>,
-                                 peer: Option<String>| {
-                let tx = tx.clone();
-                let queue = &queue;
-                let factory = &factory;
-                let chunk_samples = gw.chunk_samples;
-                scope.spawn(move || {
-                    obs.flight_record(|rec| {
-                        FlightEvent::new(EventKind::SessionOpen, session.id(), 0, rec.now_us())
-                    });
-                    if session.label().is_some() {
-                        let seq = session.next_seq();
-                        let line = session_open_line(&session, seq, peer.as_deref());
-                        let _ = tx.send(SinkMsg::line(session.id(), seq, line, 0, Instant::now()));
-                    }
-                    let result =
-                        session_ingest(reader, &session, factory, queue, &tx, chunk_samples, obs);
-                    session.end(result.is_err());
-                    obs.flight_record(|rec| {
-                        FlightEvent::new(EventKind::SessionClose, session.id(), 0, rec.now_us())
-                            .with_args(result.is_err() as u64, 0)
-                    });
-                    if session.label().is_some() {
-                        let seq = session.next_seq();
-                        let slot = Slot::Close {
-                            session: session.clone(),
-                            error: result.as_ref().err().map(|e| e.to_string()),
-                        };
-                        let _ = tx.send(SinkMsg::Slot {
-                            session: session.id(),
-                            seq,
-                            slot,
-                        });
-                    }
-                    result
-                })
-            };
+                // Everything a session thread needs, captured by reference
+                // so the closure can be called for late-arriving
+                // connections.
+                let spawn_session = |reader: Box<dyn Read + Send + 'a>,
+                                     session: Arc<Session>,
+                                     peer: Option<String>| {
+                    let engine = &engine;
+                    scope.spawn(move || engine.session(reader, &session, peer.as_deref()))
+                };
 
-            let mut handles = Vec::new();
-            let mut fatal: Option<GatewayError> = None;
-            let mut last_stats = started;
-            let mut emit_stats = |stats: &mut E, streams: Option<u64>| -> io::Result<()> {
-                if let Some(interval) = gw.stats_interval {
-                    if last_stats.elapsed() >= interval {
-                        last_stats = Instant::now();
-                        let line = stats_line(&sessions.totals(), started, queue.len(), streams);
-                        writeln!(stats, "{line}")?;
-                        stats.flush()?;
+                let mut handles = Vec::new();
+                let mut fatal: Option<GatewayError> = None;
+                let mut last_stats = started;
+                let mut emit_stats = |stats: &mut E, streams: Option<u64>| -> io::Result<()> {
+                    if let Some(interval) = gw.stats_interval {
+                        if last_stats.elapsed() >= interval {
+                            last_stats = Instant::now();
+                            let line =
+                                stats_line(&sessions.totals(), started, queue.len(), streams);
+                            writeln!(stats, "{line}")?;
+                            stats.flush()?;
+                        }
                     }
-                }
-                Ok(())
-            };
-            let open_session = |label: Option<String>| -> Arc<Session> {
-                let session = sessions.open(label);
-                if let Some(registry) = &self.registry {
-                    crate::obs::register_session(registry, &session);
-                }
-                session
-            };
+                    Ok(())
+                };
+                let open_session = |label: Option<String>| -> Arc<Session> {
+                    let session = sessions.open(label);
+                    if let Some(registry) = &self.registry {
+                        crate::obs::register_session(registry, &session);
+                    }
+                    session
+                };
 
-            match feed {
-                Feed::Streams(streams) => {
-                    for stream in streams {
-                        let session = open_session(stream.label);
-                        handles.push(spawn_session(stream.reader, session, None));
+                match feed {
+                    Feed::Streams(streams) => {
+                        for stream in streams {
+                            let session = open_session(stream.label);
+                            handles.push(spawn_session(stream.reader, session, None));
+                        }
                     }
-                }
-                Feed::Accept(listener) => {
-                    let max_streams = cfg.max_streams.max(1);
-                    loop {
-                        if self.shutdown.load(Relaxed) {
-                            break;
-                        }
-                        if cfg
-                            .stop_after
-                            .is_some_and(|limit| sessions.len() as u64 >= limit)
-                        {
-                            break;
-                        }
-                        match listener.accept() {
-                            Ok((conn, peer)) => {
-                                let active = handles.iter().filter(|h| !h.is_finished()).count();
-                                if active >= max_streams {
-                                    sessions.refuse();
-                                    let _ = tx.send(SinkMsg::Note {
-                                        line: session_refused_line(&peer, max_streams),
-                                    });
-                                    continue;
-                                }
-                                let label = format!("s{}", sessions.len() + 1);
-                                let session = open_session(Some(label));
-                                let reader = Box::new(conn.with_shutdown(self.shutdown.clone()));
-                                handles.push(spawn_session(reader, session, Some(peer)));
-                            }
-                            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                                obs.flight_poll();
-                                let active = handles.iter().filter(|h| !h.is_finished()).count();
-                                if let Err(we) = emit_stats(&mut *stats, Some(active as u64)) {
-                                    fatal = Some(GatewayError::sink(we));
-                                    break;
-                                }
-                                std::thread::sleep(POLL);
-                            }
-                            Err(e) => {
-                                fatal = Some(GatewayError::Accept(e));
+                    Feed::Accept(listener) => {
+                        let max_streams = cfg.max_streams.max(1);
+                        loop {
+                            if self.shutdown.load(Relaxed) {
                                 break;
                             }
+                            if cfg
+                                .stop_after
+                                .is_some_and(|limit| sessions.len() as u64 >= limit)
+                            {
+                                break;
+                            }
+                            match listener.accept() {
+                                Ok((conn, peer)) => {
+                                    let active =
+                                        handles.iter().filter(|h| !h.is_finished()).count();
+                                    if active >= max_streams {
+                                        sessions.refuse();
+                                        output.note(&session_refused_line(&peer, max_streams));
+                                        continue;
+                                    }
+                                    let label = format!("s{}", sessions.len() + 1);
+                                    let session = open_session(Some(label));
+                                    let reader =
+                                        Box::new(conn.with_shutdown(self.shutdown.clone()));
+                                    handles.push(spawn_session(reader, session, Some(peer)));
+                                }
+                                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                                    obs.flight_poll();
+                                    let active =
+                                        handles.iter().filter(|h| !h.is_finished()).count();
+                                    if let Err(we) = emit_stats(&mut *stats, Some(active as u64)) {
+                                        fatal = Some(GatewayError::sink(we));
+                                        break;
+                                    }
+                                    std::thread::sleep(POLL);
+                                }
+                                Err(e) => {
+                                    fatal = Some(GatewayError::Accept(e));
+                                    break;
+                                }
+                            }
+                        }
+                        if fatal.is_some() {
+                            // Unwedge the sessions so the drain below ends.
+                            self.shutdown.store(true, Relaxed);
                         }
                     }
-                    if fatal.is_some() {
-                        // Unwedge the sessions so the drain below ends.
-                        self.shutdown.store(true, Relaxed);
+                }
+                // Drain. A `run_streams` feed's stats lines carry no
+                // `streams` field, keeping the single-stream stats shape
+                // byte-for-byte.
+                while supervise && handles.iter().any(|h| !h.is_finished()) {
+                    obs.flight_poll();
+                    let active = handles.iter().filter(|h| !h.is_finished()).count();
+                    let streams = (!fatal_in_streams).then_some(active as u64);
+                    // Keep draining even if a stats write fails; the first
+                    // error still wins below.
+                    if let Err(e) = emit_stats(&mut *stats, streams) {
+                        fatal.get_or_insert(GatewayError::sink(e));
                     }
+                    std::thread::sleep(POLL);
                 }
-            }
-            // Drain. A `run_streams` feed's stats lines carry no `streams`
-            // field, keeping the single-stream stats shape byte-for-byte.
-            while supervise && handles.iter().any(|h| !h.is_finished()) {
-                obs.flight_poll();
-                let active = handles.iter().filter(|h| !h.is_finished()).count();
-                let streams = (!fatal_in_streams).then_some(active as u64);
-                // Keep draining even if a stats write fails; the first
-                // error still wins below.
-                if let Err(e) = emit_stats(&mut *stats, streams) {
-                    fatal.get_or_insert(GatewayError::sink(e));
-                }
-                std::thread::sleep(POLL);
-            }
 
-            let outcomes: Vec<SessionOutcome> = sessions
-                .sessions()
-                .into_iter()
-                .zip(handles)
-                .map(|(session, handle)| {
-                    let result = handle.join().expect("session ingest panicked");
-                    (session, result)
-                })
-                .collect();
-            queue.close();
-            for handle in worker_handles {
-                handle.join().expect("worker panicked");
-            }
-            drop(tx);
-            let sink_result = sink_handle.join().expect("sink panicked");
-            (outcomes, sink_result, fatal)
-        });
+                let outcomes: Vec<SessionOutcome> = sessions
+                    .sessions()
+                    .into_iter()
+                    .zip(handles)
+                    .map(|(session, handle)| {
+                        let result = handle.join().expect("session ingest panicked");
+                        (session, result)
+                    })
+                    .collect();
+                queue.close();
+                for handle in worker_handles {
+                    handle.join().expect("worker panicked");
+                }
+                (outcomes, fatal)
+            });
+        let output_result = output.finish();
 
         // One last poll so a SIGUSR1 that landed after the drain's last
         // poll still dumps.
@@ -613,7 +684,7 @@ impl GatewayServer {
                 }
             }
         }
-        sink_result.map_err(GatewayError::sink)?;
+        output_result.map_err(GatewayError::sink)?;
 
         // Span records buffer in the sink; push them out while the run's
         // counters are still being finalised so nothing is lost if the
@@ -652,32 +723,116 @@ impl GatewayServer {
     }
 }
 
-/// One session's ingest loop: hand each read to its splitter as it
-/// arrives, enqueue captures on the work queue (its drop budget
-/// arbitrates overload).
-fn session_ingest<R: Read>(
-    input: R,
-    session: &Arc<Session>,
-    factory: &MonitorFactory,
-    queue: &WorkQueue<WorkItem>,
-    tx: &mpsc::Sender<SinkMsg>,
+/// What every thread of one run shares: the stages, the work queue and
+/// the event output.
+struct Engine<'a, 'w, W> {
+    factory: &'a MonitorFactory,
+    scores: Option<&'a ScoreBoard>,
+    queue: &'a WorkQueue<WorkItem>,
+    output: &'a Output<'w, W>,
+    /// The worker pool's size, and the inline limit: a session runs a
+    /// burst itself only while fewer than this many are being processed,
+    /// inline or by a worker. Workers pop regardless, so up to twice this
+    /// many can run at once.
+    workers: usize,
+    /// The largest read of a session's stream, in samples.
     chunk_samples: usize,
-    obs: RunObs<'_>,
-) -> io::Result<()> {
-    let mut reader = Cf32Reader::new(input).with_chunk_samples(chunk_samples.max(1));
-    let mut splitter = factory.splitter();
-    let mut chunk = Vec::new();
-    let mut captures: Vec<BurstCapture> = Vec::new();
-    let (id, own) = (session.id(), session.metrics());
+    obs: RunObs<'a>,
+}
 
-    // `ingest_start` is when the chunk that completed the burst arrived
-    // (its `read_chunk` returned, so a silent client's wait is not
-    // counted); the span's `ingest` stage covers arrival→enqueue and
-    // hands its end instant to the `queue` stage untouched, keeping the
-    // per-frame stage chain contiguous.
-    let enqueue = |captures: &mut Vec<BurstCapture>, ingest_start: Instant| {
+impl<W: Write> Engine<'_, '_, W> {
+    /// One session's thread: its open marker, its ingest, its close
+    /// marker.
+    fn session(
+        &self,
+        reader: impl Read,
+        session: &Arc<Session>,
+        peer: Option<&str>,
+    ) -> io::Result<()> {
+        let (id, obs) = (session.id(), self.obs);
+        obs.flight_record(|rec| FlightEvent::new(EventKind::SessionOpen, id, 0, rec.now_us()));
+        if session.label().is_some() {
+            let seq = session.next_seq();
+            let line = session_open_line(session, seq, peer);
+            self.output.deliver(id, seq, Slot::untraced(line), obs);
+            // The first read may wait on a silent client.
+            self.output.flush();
+        }
+        let result = self.ingest(reader, session);
+        session.end(result.is_err());
+        obs.flight_record(|rec| {
+            FlightEvent::new(EventKind::SessionClose, id, 0, rec.now_us())
+                .with_args(result.is_err() as u64, 0)
+        });
+        if session.label().is_some() {
+            let seq = session.next_seq();
+            let slot = Slot::Close {
+                session: session.clone(),
+                error: result.as_ref().err().map(|e| e.to_string()),
+            };
+            self.output.deliver(id, seq, slot, obs);
+            self.output.flush();
+        }
+        result
+    }
+
+    /// One session's ingest loop: scan each read's cf32 bytes as it
+    /// arrives, and hand the bursts it completes on (see
+    /// [`dispatch`](Self::dispatch)). A read error still finishes the
+    /// splitter, so the bursts already found are processed before the
+    /// error ends the session.
+    fn ingest(&self, input: impl Read, session: &Arc<Session>) -> io::Result<()> {
+        let mut reader = Cf32Reader::new(input).with_chunk_samples(self.chunk_samples);
+        let mut splitter = self.factory.cf32_splitter();
+        let mut captures: Vec<BurstCapture> = Vec::new();
+        let own = session.metrics();
+        let mut nonfinite = 0;
+        let result = loop {
+            let raw = match reader.read_raw() {
+                Ok([]) => break Ok(()),
+                Ok(raw) => raw,
+                Err(e) => break Err(e),
+            };
+            // `arrived` is when the read returned (a silent client's wait is
+            // not counted): the start of every span this read completes.
+            let arrived = Instant::now();
+            own.chunks_in.fetch_add(1, Relaxed);
+            own.samples_in.fetch_add(raw.len() as u64, Relaxed);
+            splitter.push_into(raw, &mut captures);
+            let zeroed = splitter.nonfinite_samples();
+            if zeroed != nonfinite {
+                own.nonfinite_samples.fetch_add(zeroed - nonfinite, Relaxed);
+                nonfinite = zeroed;
+            }
+            self.dispatch(session, &mut captures, arrived);
+        };
+        // The stream has ended, or failed: nothing more will be read, and
+        // the bursts the splitter holds are still processed.
+        let finish_started = Instant::now();
+        splitter.finish_into(&mut captures);
+        self.dispatch(session, &mut captures, finish_started);
+        result
+    }
+
+    /// Hands each capture of one read on, in order: the session runs the
+    /// burst itself while nothing is queued and fewer than `workers`
+    /// bursts are being processed; otherwise the burst goes onto the work
+    /// queue, whose drop budget arbitrates overload. Each burst's
+    /// `ingest` span runs from `ingest_start` (when its read arrived) to
+    /// the hand-off, where its `queue` stage starts; an inline burst's
+    /// queue stage ends where it starts.
+    fn dispatch(
+        &self,
+        session: &Arc<Session>,
+        captures: &mut Vec<BurstCapture>,
+        ingest_start: Instant,
+    ) {
+        if captures.is_empty() {
+            return;
+        }
+        let (id, obs) = (session.id(), self.obs);
         for capture in captures.drain(..) {
-            own.bursts.fetch_add(1, Relaxed);
+            session.metrics().bursts.fetch_add(1, Relaxed);
             let seq = session.next_seq();
             let span = obs.next_span();
             let enqueued = Instant::now();
@@ -693,188 +848,141 @@ fn session_ingest<R: Read>(
                 enqueued,
                 span,
             };
-            if let Evicted::Item { item: evicted, .. } = queue.push(id, item) {
-                shed(evicted, tx, obs);
+            if self.queue.run_inline(self.workers) {
+                let slot = self.process(item, enqueued);
+                self.queue.finish();
+                self.output.deliver(id, seq, slot, obs);
+            } else {
+                if let Evicted::Item { item: evicted, .. } = self.queue.push(id, item) {
+                    self.shed(evicted);
+                }
+                obs.flight_record(|rec| {
+                    FlightEvent::new(EventKind::QueueDepth, id, seq, rec.now_us())
+                        .with_args(self.queue.len() as u64, 0)
+                });
             }
-            obs.flight_record(|rec| {
-                FlightEvent::new(EventKind::QueueDepth, id, seq, rec.now_us())
-                    .with_args(queue.len() as u64, 0)
-            });
         }
-    };
+        self.output.flush();
+    }
 
-    let mut nonfinite = 0;
-    loop {
-        let n = reader.read_chunk(&mut chunk)?;
-        if n == 0 {
-            break;
+    /// One worker: process queued bursts until the queue closes, flushing
+    /// the output whenever the queue runs dry.
+    fn work(&self) {
+        while let Some((id, item)) = self.queue.pop() {
+            let seq = item.seq;
+            let slot = self.process(item, Instant::now());
+            let idle = self.queue.finish();
+            self.output.deliver(id, seq, slot, self.obs);
+            if idle {
+                self.output.flush();
+            }
         }
-        let arrived = Instant::now();
-        own.chunks_in.fetch_add(1, Relaxed);
-        own.samples_in.fetch_add(n as u64, Relaxed);
-        splitter.push_into(&chunk, &mut captures);
-        let zeroed = splitter.nonfinite_samples();
-        if zeroed != nonfinite {
-            own.nonfinite_samples.fetch_add(zeroed - nonfinite, Relaxed);
-            nonfinite = zeroed;
+    }
+
+    /// Accounts one burst shed by the queue's drop budget and fills its
+    /// sequence slot with a `dropped` line, so the session's order never
+    /// waits on work that will not arrive.
+    fn shed(&self, evicted: WorkItem) {
+        let (obs, now) = (self.obs, Instant::now());
+        let samples = evicted.capture.samples.len() as u64;
+        let own = evicted.session.metrics();
+        own.bursts_dropped.fetch_add(1, Relaxed);
+        own.samples_dropped.fetch_add(samples, Relaxed);
+        let (id, seq, span) = (evicted.session.id(), evicted.seq, evicted.span);
+        let queued_us = obs.record(id, span, seq, SpanStage::Drop, evicted.enqueued, now);
+        let ticket = obs.flight_record(|rec| {
+            FlightEvent::new(EventKind::Drop, id, seq, rec.now_us()).with_args(samples, queued_us)
+        });
+        obs.flight_drop_check(&evicted.session, ticket);
+        let line = dropped_line(evicted.session.label(), &evicted.capture);
+        self.output.deliver(id, seq, Slot::untraced(line), obs);
+    }
+
+    /// Decode, classify and render one burst whose queue stage ended at
+    /// `dequeued`, with per-stage timing counted into its session's
+    /// metrics. Returns the rendered line's slot.
+    fn process(&self, item: WorkItem, dequeued: Instant) -> Slot {
+        let WorkItem {
+            session,
+            seq,
+            capture,
+            enqueued,
+            span,
+        } = item;
+        let (processor, obs) = (self.factory.processor(), self.obs);
+        let reception = processor.decode(&capture);
+        let decoded = Instant::now();
+        let event = processor.classify(&capture, reception);
+        let done = Instant::now();
+        if let (Some(board), Some(s)) = (self.scores, event.scores.as_ref()) {
+            board.record(s);
         }
-        enqueue(&mut captures, arrived);
-    }
-    let finish_started = Instant::now();
-    splitter.finish_into(&mut captures);
-    enqueue(&mut captures, finish_started);
-    Ok(())
-}
-
-/// Accounts one burst shed by the queue's drop budget and fills its
-/// sequence hole so the sink never waits on work that will not arrive.
-fn shed(evicted: WorkItem, tx: &mpsc::Sender<SinkMsg>, obs: RunObs<'_>) {
-    let now = Instant::now();
-    let samples = evicted.capture.samples.len() as u64;
-    let own = evicted.session.metrics();
-    own.bursts_dropped.fetch_add(1, Relaxed);
-    own.samples_dropped.fetch_add(samples, Relaxed);
-    let (id, seq, span) = (evicted.session.id(), evicted.seq, evicted.span);
-    let queued_us = obs.record(id, span, seq, SpanStage::Drop, evicted.enqueued, now);
-    let ticket = obs.flight_record(|rec| {
-        FlightEvent::new(EventKind::Drop, id, seq, rec.now_us()).with_args(samples, queued_us)
-    });
-    obs.flight_drop_check(&evicted.session, ticket);
-    let line = dropped_line(evicted.session.label(), &evicted.capture);
-    let _ = tx.send(SinkMsg::line(id, seq, line, 0, now));
-}
-
-/// Decode, classify, render, send — with per-stage timing, counted into
-/// the session's metrics.
-fn process_item(
-    item: WorkItem,
-    processor: &FrameProcessor,
-    scores: Option<&ScoreBoard>,
-    tx: &mpsc::Sender<SinkMsg>,
-    obs: RunObs<'_>,
-) {
-    let WorkItem {
-        session,
-        seq,
-        capture,
-        enqueued,
-        span,
-    } = item;
-    let dequeued = Instant::now();
-    let reception = processor.decode(&capture);
-    let decoded = Instant::now();
-    let event = processor.classify(&capture, reception);
-    let done = Instant::now();
-    if let (Some(board), Some(s)) = (scores, event.scores.as_ref()) {
-        board.record(s);
-    }
-    let id = session.id();
-    let queue_us = obs.record(id, span, seq, SpanStage::Queue, enqueued, dequeued);
-    let decode_us = obs.record(id, span, seq, SpanStage::Decode, dequeued, decoded);
-    let classify_us = obs.record(id, span, seq, SpanStage::Classify, decoded, done);
-    let total_us = done.saturating_duration_since(enqueued).as_micros() as u64;
-    let own = session.metrics();
-    own.latency.record(total_us);
-    if event.payload.is_some() {
-        own.frames_decoded.fetch_add(1, Relaxed);
-    }
-    if event.accepted_forgery() {
-        own.forgeries.fetch_add(1, Relaxed);
-    }
-    // The verdict journal entry carries everything the incident report
-    // needs to explain the call: flags, the DE² statistic, the fused
-    // score and the per-feature scores already computed for this burst.
-    let verdict_ticket = obs.flight_record(|rec| {
-        let mut flags = 0u64;
+        let id = session.id();
+        let queue_us = obs.record(id, span, seq, SpanStage::Queue, enqueued, dequeued);
+        let decode_us = obs.record(id, span, seq, SpanStage::Decode, dequeued, decoded);
+        let classify_us = obs.record(id, span, seq, SpanStage::Classify, decoded, done);
+        let total_us = done.saturating_duration_since(enqueued).as_micros() as u64;
+        let own = session.metrics();
+        own.latency.record(total_us);
         if event.payload.is_some() {
-            flags |= FlightEvent::VERDICT_DECODED;
-        }
-        if event.verdict.is_some_and(|v| v.is_attack) {
-            flags |= FlightEvent::VERDICT_ATTACK;
+            own.frames_decoded.fetch_add(1, Relaxed);
         }
         if event.accepted_forgery() {
-            flags |= FlightEvent::VERDICT_ACCEPTED;
+            own.forgeries.fetch_add(1, Relaxed);
         }
-        let de2 = event.verdict.map(|v| v.de_squared).unwrap_or(f64::NAN);
-        let ev = FlightEvent::new(EventKind::Verdict, id, seq, rec.now_us())
-            .with_args(flags, de2.to_bits());
-        match &event.scores {
-            Some(s) => ev.with_scores(s.fused, s.features.entries().iter().map(|(_, v)| *v)),
-            None => ev,
-        }
-    });
-    if event.accepted_forgery() {
-        // The exit-3 condition: dump one incident snapshot whose journal
-        // ends at exactly this verdict.
-        obs.flight_forgery(verdict_ticket);
-    }
-    let line = frame_line(
-        session.label(),
-        seq,
-        &event,
-        queue_us,
-        decode_us,
-        classify_us,
-        total_us,
-    );
-    // A send error means the sink hit an output error and hung up; keep
-    // draining the queue so ingest accounting stays truthful.
-    let _ = tx.send(SinkMsg::line(id, seq, line, span, done));
-}
-
-/// One session's reorder state inside the sink.
-#[derive(Default)]
-struct SessionSink {
-    pending: BTreeMap<u64, Slot>,
-    next: u64,
-}
-
-/// Sink: restore per-session sequence order (workers race) and write
-/// JSON lines. Sessions interleave; within a session, order is exact.
-fn sink_loop<W: Write>(
-    rx: mpsc::Receiver<SinkMsg>,
-    events: &mut W,
-    obs: RunObs<'_>,
-) -> io::Result<()> {
-    let mut sessions: HashMap<SessionId, SessionSink> = HashMap::new();
-    let mut pending_total = 0usize;
-    for msg in rx.iter() {
-        match msg {
-            SinkMsg::Note { line } => {
-                writeln!(events, "{line}")?;
+        // The verdict journal entry carries everything the incident report
+        // needs to explain the call: flags, the DE² statistic, the fused
+        // score and the per-feature scores already computed for this burst.
+        let verdict_ticket = obs.flight_record(|rec| {
+            let mut flags = 0u64;
+            if event.payload.is_some() {
+                flags |= FlightEvent::VERDICT_DECODED;
             }
-            SinkMsg::Slot { session, seq, slot } => {
-                let sink = sessions.entry(session).or_default();
-                sink.pending.insert(seq, slot);
-                pending_total += 1;
-                let (emitted, closed) = drain_session(session, sink, events, obs)?;
-                pending_total -= emitted;
-                if closed {
-                    sessions.remove(&session);
-                }
+            if event.verdict.is_some_and(|v| v.is_attack) {
+                flags |= FlightEvent::VERDICT_ATTACK;
             }
+            if event.accepted_forgery() {
+                flags |= FlightEvent::VERDICT_ACCEPTED;
+            }
+            let de2 = event.verdict.map(|v| v.de_squared).unwrap_or(f64::NAN);
+            let ev = FlightEvent::new(EventKind::Verdict, id, seq, rec.now_us())
+                .with_args(flags, de2.to_bits());
+            match &event.scores {
+                Some(s) => ev.with_scores(s.fused, s.features.entries().iter().map(|(_, v)| *v)),
+                None => ev,
+            }
+        });
+        if event.accepted_forgery() {
+            // The exit-3 condition: dump one incident snapshot whose journal
+            // ends at exactly this verdict.
+            obs.flight_forgery(verdict_ticket);
         }
-        if pending_total == 0 {
-            events.flush()?;
+        let line = frame_line(
+            session.label(),
+            seq,
+            &event,
+            queue_us,
+            decode_us,
+            classify_us,
+            total_us,
+        );
+        Slot::Line {
+            line,
+            span,
+            classified: done,
         }
     }
-    // Channel closed: flush whatever is contiguous (holes can only mean a
-    // worker died, which join() will have surfaced as a panic).
-    for (id, sink) in sessions.iter_mut() {
-        drain_session(*id, sink, events, obs)?;
-    }
-    events.flush()
 }
 
-/// Writes `sink`'s contiguous prefix; returns (lines written, session
+/// Writes `sink`'s contiguous prefix; returns (anything written, session
 /// closed).
 fn drain_session<W: Write>(
     session: SessionId,
     sink: &mut SessionSink,
     events: &mut W,
     obs: RunObs<'_>,
-) -> io::Result<(usize, bool)> {
-    let mut emitted = 0usize;
+) -> io::Result<(bool, bool)> {
+    let mut written = false;
     let mut closed = false;
     while let Some(slot) = sink.pending.remove(&sink.next) {
         match slot {
@@ -884,8 +992,8 @@ fn drain_session<W: Write>(
                 classified,
             } => {
                 writeln!(events, "{line}")?;
-                let (seq, written) = (sink.next, Instant::now());
-                obs.record(session, span, seq, SpanStage::Emit, classified, written);
+                let (seq, now) = (sink.next, Instant::now());
+                obs.record(session, span, seq, SpanStage::Emit, classified, now);
             }
             Slot::Close { session, error } => {
                 let line = session_close_line(&session, sink.next, error.as_deref());
@@ -894,9 +1002,9 @@ fn drain_session<W: Write>(
             }
         }
         sink.next += 1;
-        emitted += 1;
+        written = true;
     }
-    Ok((emitted, closed))
+    Ok((written, closed))
 }
 
 /// Renders one frame event as a JSON line. Unlabelled sessions omit the

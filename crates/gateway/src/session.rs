@@ -10,6 +10,11 @@
 //! opened; run-wide totals and session-lifecycle counts are folded from
 //! it when read.
 //!
+//! The work queue takes only the sessions' overflow: a session runs its
+//! bursts itself while nothing is queued and fewer bursts are running
+//! than there are workers ([`WorkQueue::run_inline`]). The queue counts
+//! those running bursts along with the ones its workers popped.
+//!
 //! The work queue is bounded, with non-blocking push and drop-oldest
 //! under overload — but *which* oldest is governed by a per-session
 //! **drop budget**. A session pushing beyond its fair share
@@ -181,7 +186,9 @@ pub enum Evicted<T> {
 }
 
 /// The run's bounded work queue with per-session drop budgets: every
-/// session pushes to it and every worker blocks on it.
+/// session pushes to it and every worker blocks on it. It also counts the
+/// items running outside it: popped by a worker, or run inline by their
+/// pusher, until [`finish`](Self::finish).
 #[derive(Debug)]
 pub struct WorkQueue<T> {
     state: Mutex<QueueState<T>>,
@@ -195,6 +202,8 @@ struct QueueState<T> {
     counts: BTreeMap<SessionId, usize>,
     capacity: usize,
     closed: bool,
+    /// Items popped or run inline and not yet finished.
+    running: usize,
 }
 
 impl<T> QueueState<T> {
@@ -252,6 +261,7 @@ impl<T> WorkQueue<T> {
                 counts: BTreeMap::new(),
                 capacity,
                 closed: false,
+                running: 0,
             }),
             available: Condvar::new(),
         }
@@ -289,13 +299,15 @@ impl<T> WorkQueue<T> {
         }
     }
 
-    /// Pops the oldest item, blocking until one arrives. `None` means the
-    /// queue is closed and drained: the worker is done.
+    /// Pops the oldest item, blocking until one arrives; the item counts
+    /// as running until [`finish`](Self::finish). `None` means the queue
+    /// is closed and drained: the worker is done.
     pub fn pop(&self) -> Option<(SessionId, T)> {
         let mut s = self.state.lock().expect("work queue poisoned");
         loop {
             if let Some((key, item)) = s.items.pop_front() {
                 s.decrement(key);
+                s.running += 1;
                 return Some((key, item));
             }
             if s.closed {
@@ -303,6 +315,27 @@ impl<T> WorkQueue<T> {
             }
             s = self.available.wait(s).expect("work queue poisoned");
         }
+    }
+
+    /// Lets a pusher run its next item itself instead of queueing it: when
+    /// nothing is queued and fewer than `limit` items are running, counts
+    /// one more as running (until [`finish`](Self::finish)) and returns
+    /// true. Otherwise returns false, and the item belongs on the queue.
+    pub fn run_inline(&self, limit: usize) -> bool {
+        let mut s = self.state.lock().expect("work queue poisoned");
+        let inline = s.items.is_empty() && s.running < limit;
+        if inline {
+            s.running += 1;
+        }
+        inline
+    }
+
+    /// Marks one running item (popped, or run inline) finished. Returns
+    /// true when nothing is queued: a worker is then about to block.
+    pub fn finish(&self) -> bool {
+        let mut s = self.state.lock().expect("work queue poisoned");
+        s.running = s.running.saturating_sub(1);
+        s.items.is_empty()
     }
 
     /// Closes the queue: queued items still drain via `pop`, new pushes
@@ -491,6 +524,27 @@ mod tests {
             dropped_noisy > 1000,
             "the flood itself must have been shed ({dropped_noisy} drops)"
         );
+    }
+
+    /// An item runs inline only while nothing is queued and fewer than
+    /// the limit are running, popped and inline ones alike.
+    #[test]
+    fn run_inline_only_when_nothing_is_queued_and_a_worker_is_free() {
+        let q = WorkQueue::new(4);
+        assert!(q.run_inline(2));
+        assert!(q.run_inline(2));
+        assert!(!q.run_inline(2), "two running: the limit");
+        assert!(q.finish(), "nothing queued");
+        assert!(q.run_inline(2));
+        assert!(q.finish());
+        assert!(q.finish());
+        assert_eq!(q.push(1, "a"), Evicted::None);
+        assert!(!q.run_inline(2), "an item is queued");
+        assert_eq!(q.pop(), Some((1, "a")));
+        assert!(q.run_inline(2), "one popped, one inline");
+        assert!(!q.run_inline(2), "the popped item counts");
+        assert_eq!(q.push(1, "b"), Evicted::None);
+        assert!(!q.finish(), "an item is still queued");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Proof of the allocation-free sample path: a counting global allocator
 //! wraps `System`, and the steady-state ingest loop (read chunk → energy
 //! detection → burst splitting) must make **zero** heap allocations per
-//! chunk once its buffers have warmed up.
+//! chunk once its buffers have warmed up, in both ingest forms: parsed
+//! chunks, and the cf32 pairs of each read as the gateway scans them.
 //!
 //! The tests run the pipeline stages inline on the test's own thread,
 //! rather than through the threaded `GatewayServer`, and the allocator
@@ -114,6 +115,41 @@ fn ingest_loop_steady_state_allocates_nothing() {
     );
 }
 
+/// The gateway's own form of the loop — each read's cf32 pairs gated and
+/// split as they arrived, never parsed — allocates nothing per quiet
+/// read either.
+#[test]
+fn cf32_ingest_loop_steady_state_allocates_nothing() {
+    const CHUNK: usize = 4096;
+    const WARMUP_CHUNKS: usize = 8;
+    const MEASURED_CHUNKS: usize = 64;
+
+    let bytes = noise_cf32((WARMUP_CHUNKS + MEASURED_CHUNKS) * CHUNK, 0xcf32, 0.01);
+    let mut reader = Cf32Reader::new(Cursor::new(&bytes)).with_chunk_samples(CHUNK);
+    let mut splitter = BurstSplitter::cf32(EnergyDetector::default());
+    let mut captures: Vec<BurstCapture> = Vec::new();
+
+    for _ in 0..WARMUP_CHUNKS {
+        let raw = reader.read_raw().unwrap();
+        assert_eq!(raw.len(), CHUNK);
+        splitter.push_into(raw, &mut captures);
+        assert!(captures.is_empty(), "noise must not trigger bursts");
+    }
+
+    let before = allocations();
+    for _ in 0..MEASURED_CHUNKS {
+        let raw = reader.read_raw().unwrap();
+        assert_eq!(raw.len(), CHUNK);
+        splitter.push_into(raw, &mut captures);
+        assert!(captures.is_empty(), "noise must not trigger bursts");
+    }
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "steady-state cf32 ingest made {delta} allocations over {MEASURED_CHUNKS} reads"
+    );
+}
+
 /// The flight recorder rides the same hot path, so it is held to the
 /// same bar: journaling a burst, its stage boundaries and a queue-depth
 /// sample for every chunk — against a recorder at the default capacity,
@@ -168,7 +204,7 @@ fn flight_recorder_steady_state_allocates_nothing() {
 
 /// With frames in the stream, capture buffers come from the shared pool:
 /// after one pass has warmed the pool, further bursts are free-list hits,
-/// never fresh allocations.
+/// never fresh allocations — parsed or cf32, the captures are the same.
 #[test]
 fn burst_captures_reuse_pooled_buffers() {
     // A square burst is enough for the energy detector; the decode side is
@@ -199,14 +235,33 @@ fn burst_captures_reuse_pooled_buffers() {
         total += captures.len();
         total
     };
+    let run_cf32 = |pool: &BufferPool| {
+        let mut reader = Cf32Reader::new(Cursor::new(&bytes)).with_chunk_samples(1024);
+        let mut splitter = BurstSplitter::cf32(EnergyDetector::default()).with_pool(pool.clone());
+        let mut captures: Vec<BurstCapture> = Vec::new();
+        let mut total = 0usize;
+        loop {
+            let raw = reader.read_raw().unwrap();
+            if raw.is_empty() {
+                break;
+            }
+            splitter.push_into(raw, &mut captures);
+            total += captures.len();
+            captures.clear();
+        }
+        splitter.finish_into(&mut captures);
+        total += captures.len();
+        total
+    };
 
     assert_eq!(run(&pool), 1, "the burst is found");
     let misses_after_first = pool.misses();
     assert_eq!(run(&pool), 1);
+    assert_eq!(run_cf32(&pool), 1, "the cf32 form finds it too");
     assert_eq!(
         pool.misses(),
         misses_after_first,
-        "second pass allocated fresh capture buffers instead of pool hits"
+        "later passes allocated fresh capture buffers instead of pool hits"
     );
-    assert!(pool.hits() >= 1);
+    assert!(pool.hits() >= 2);
 }

@@ -4,13 +4,16 @@
 //!
 //! One unlabelled stream (how `ctc monitor --input` runs a recording)
 //! pins the single-stream event and stats shape, chunking,
-//! short-read and worker-count invariance, the trace span chains, an
-//! `ingest` stage that starts when the data arrives, and the canonical
+//! short-read and worker-count invariance, a recording that is never
+//! shed, the trace span chains, an `ingest` stage that starts when the
+//! data arrives, one flush for the frames of one read, and the canonical
 //! metric names. Labelled streams pin session labelling and per-session
-//! sequence order over the interleaved JSONL stream, isolation of a
-//! stalled stream, verdicts on a stream its client holds open, session
-//! churn against the shared buffer pool, concurrent TCP fan-in, and
-//! run-wide totals that equal the sum over sessions.
+//! sequence order over the interleaved JSONL stream, the bursts a read
+//! error must not drop, isolation of a stalled stream, verdicts on a
+//! stream its client holds open behind a buffered writer, concurrent
+//! floods shedding their own bursts while a later session runs inline,
+//! session churn against the shared buffer pool, concurrent TCP fan-in,
+//! and run-wide totals that equal the sum over sessions.
 
 use ctc_channel::noise::complex_gaussian;
 use ctc_core::attack::Emulator;
@@ -26,7 +29,7 @@ use ctc_zigbee::Transmitter;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -163,7 +166,8 @@ impl Read for ShortReads<'_> {
     }
 }
 
-/// Serves `server` on an ephemeral TCP port from a thread: returns the
+/// Serves `server` on an ephemeral TCP port from a thread, its events
+/// behind a `BufWriter` as `ctc monitor` writes them: returns the
 /// `host:port` to connect to, the live event sink and the server thread.
 fn serve_tcp(
     server: GatewayServer,
@@ -179,7 +183,7 @@ fn serve_tcp(
         .unwrap()
         .to_string();
     let events = SharedBuf::default();
-    let mut sink = events.clone();
+    let mut sink = BufWriter::new(events.clone());
     let handle =
         std::thread::spawn(move || server.serve(listener, &mut sink, &mut std::io::sink()));
     (addr, events, handle)
@@ -300,6 +304,141 @@ fn gateway_events_are_worker_pool_invariant() {
             Some(r) => assert_eq!(&lines, r, "workers {workers}"),
         }
     }
+}
+
+/// A lone recording is never shed: nothing else holds a decode slot, so
+/// its session decodes every burst itself, in full reads, and its next
+/// read waits until it has. That holds at the defaults and at the
+/// tightest queue, one worker one deep, where every burst would shed if
+/// it were queued behind another.
+#[test]
+fn a_lone_recording_decodes_every_burst_inline() {
+    let (one, _) = synthetic_capture(15);
+    let bytes = one.repeat(30);
+    let tight = GatewayConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..config()
+    };
+    for cfg in [config(), tight] {
+        assert!(bytes.len() > 2 * 8 * cfg.chunk_samples, "full reads");
+        let (report, events, _) = run_single(&single_stream(cfg.clone()), &bytes[..]);
+        let tag = format!("workers {} queue {}", cfg.workers, cfg.queue_depth);
+        assert_eq!(report.metrics.bursts, 60, "{tag}");
+        assert_eq!(report.metrics.bursts_dropped, 0, "{tag}");
+        let frames: Vec<&str> = events.lines().collect();
+        assert_eq!(frames.len(), 60, "{tag}");
+        for frame in frames {
+            assert_eq!(field(frame, "type"), "\"frame\"", "{tag}: {frame}");
+            assert!(
+                frame.contains("\"latency\":{\"queue_us\":0,"),
+                "{tag}: {frame}"
+            );
+        }
+    }
+}
+
+/// An events writer that records, at each flush, how many lines it
+/// received since the previous flush.
+#[derive(Default)]
+struct FlushLog {
+    lines: usize,
+    flushes: Vec<usize>,
+}
+
+impl Write for FlushLog {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.lines += buf.iter().filter(|&&b| b == b'\n').count();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.flushes.push(std::mem::take(&mut self.lines));
+        Ok(())
+    }
+}
+
+/// The frame lines of one read leave in one flush, not one flush each:
+/// behind `ctc monitor`'s buffered stdout that is one write per read.
+#[test]
+fn the_frames_of_one_read_leave_in_one_flush() {
+    let (bytes, total) = synthetic_capture(11);
+    assert!(
+        total < ctc_dsp::io::DEFAULT_CHUNK_SAMPLES,
+        "one read holds both"
+    );
+    let mut log = FlushLog::default();
+    let report = single_stream(config())
+        .run_streams(
+            vec![NamedStream::unlabelled(&bytes[..])],
+            &mut log,
+            &mut Vec::new(),
+        )
+        .unwrap();
+    assert_eq!(report.metrics.frames_decoded, 2);
+    assert_eq!(report.metrics.chunks_in, 1);
+    let flushed: Vec<usize> = log.flushes.into_iter().filter(|&n| n > 0).collect();
+    assert_eq!(flushed, [2], "both frames in one flush");
+    assert_eq!(log.lines, 0, "everything written was flushed");
+}
+
+/// A source that sends its bytes and then fails instead of ending, like
+/// a client whose connection resets right after a frame.
+struct FailsAfter<'a> {
+    bytes: &'a [u8],
+}
+
+impl Read for FailsAfter<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.bytes.is_empty() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::ConnectionReset,
+                "connection reset",
+            ));
+        }
+        self.bytes.read(buf)
+    }
+}
+
+/// A read error ends the session, but the bursts its splitter already
+/// holds are still decoded and classified: a frame whose closing gap
+/// never arrived still gets its event before the close marker reports
+/// the error and the run fails with `GatewayError::Read`.
+#[test]
+fn a_read_error_still_processes_the_bursts_already_read() {
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut stream: Vec<Complex> = (0..700).map(|_| complex_gaussian(&mut rng, 1e-3)).collect();
+    stream.extend(Transmitter::new().transmit_payload(b"00000").unwrap());
+    let mut bytes = Vec::new();
+    write_cf32(&mut bytes, &stream).unwrap();
+
+    let mut events = Vec::new();
+    let err = GatewayServer::new(ServerConfig::from(config()))
+        .run_streams(
+            vec![NamedStream::new("reset", FailsAfter { bytes: &bytes })],
+            &mut events,
+            &mut Vec::new(),
+        )
+        .unwrap_err();
+    match &err {
+        GatewayError::Read { stream, source } => {
+            assert_eq!(stream, "reset");
+            assert_eq!(source.kind(), std::io::ErrorKind::ConnectionReset);
+        }
+        other => panic!("expected a read error, got {other:?}"),
+    }
+    let events = String::from_utf8(events).unwrap();
+    let lines = &check_session_order(&events)["reset"];
+    assert_eq!(lines.len(), 3, "open, frame, close:\n{events}");
+    assert_eq!(field(&lines[1], "type"), "\"frame\"");
+    assert_eq!(field(&lines[1], "payload_hex"), "\"3030303030\"");
+    assert_eq!(field(&lines[1], "verdict"), "\"authentic\"");
+    assert_eq!(field(&lines[1], "truncated"), "true");
+    assert!(
+        lines[2].contains("\"error\":\"connection reset\""),
+        "{}",
+        lines[2]
+    );
 }
 
 /// One parsed span record from the JSONL trace log.
@@ -673,6 +812,105 @@ fn held_open_stream_is_classified_before_hang_up() {
     assert_eq!(report.metrics.samples_in as usize, total);
     assert_eq!(report.metrics.frames_decoded, 2);
     check_session_order(&events.contents());
+}
+
+/// A source that stays silent until `events` shows the close marker of
+/// every stream in `streams`, then sends its bytes in short reads.
+struct AfterClose<'a> {
+    events: SharedBuf,
+    streams: &'static [&'static str],
+    bytes: ShortReads<'a>,
+}
+
+impl Read for AfterClose<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        for stream in self.streams {
+            let close = format!("\"stream\":\"{stream}\",\"seq\"");
+            while !self
+                .events
+                .contents()
+                .lines()
+                .any(|l| l.contains(&close) && l.contains("\"event\":\"close\""))
+            {
+                assert!(Instant::now() < deadline, "{stream} never closed");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+        self.bytes.read(buf)
+    }
+}
+
+/// Overload comes only from sessions running at once, and each pays for
+/// its own. Sessions flooding one worker and a one-deep queue together,
+/// each read carrying many bursts, find the decode slot taken and queue
+/// their bursts, and the drop budget sheds some: every shed burst is a
+/// `dropped` line in its own session's output. A session that starts
+/// once they have all closed finds nothing queued and no slot taken, and
+/// runs every burst on its own thread: none is dropped, and each frame's
+/// queue stage is empty.
+#[test]
+fn concurrent_floods_shed_their_own_bursts_and_a_later_session_runs_inline() {
+    const FLOODS: &[&str] = &["flood-a", "flood-b", "flood-c", "flood-d"];
+    let (one, _) = synthetic_capture(28);
+    let flood: Vec<u8> = one.repeat(8);
+    let cfg = GatewayConfig {
+        workers: 1,
+        queue_depth: 1,
+        ..config()
+    };
+    assert!(flood.len() <= 8 * cfg.chunk_samples, "one read each");
+    let events = SharedBuf::default();
+    let late = AfterClose {
+        events: events.clone(),
+        streams: FLOODS,
+        bytes: ShortReads {
+            bytes: &one,
+            rng: StdRng::seed_from_u64(28),
+        },
+    };
+    let mut streams: Vec<NamedStream> = FLOODS
+        .iter()
+        .map(|label| NamedStream::new(*label, &flood[..]))
+        .collect();
+    streams.push(NamedStream::new("late", late));
+    let report = GatewayServer::new(ServerConfig::from(cfg))
+        .run_streams(streams, &mut events.clone(), &mut Vec::new())
+        .unwrap();
+
+    let text = events.contents();
+    let lines_of = |stream: &str| -> Vec<&str> {
+        let tag = format!("\"stream\":\"{stream}\"");
+        text.lines().filter(|l| l.contains(&tag)).collect()
+    };
+    let mut shed = 0;
+    for label in FLOODS {
+        let metrics = &report.session(label).unwrap().metrics;
+        assert_eq!(metrics.bursts, 16, "{label}");
+        let lines = lines_of(label);
+        let count = |kind: &str| {
+            let kind = format!("\"type\":\"{kind}\"");
+            lines.iter().filter(|l| l.contains(&kind)).count() as u64
+        };
+        assert_eq!(count("dropped"), metrics.bursts_dropped, "{label}");
+        assert_eq!(count("frame") + count("dropped"), 16, "{label}");
+        shed += metrics.bursts_dropped;
+    }
+    assert!(shed > 0, "concurrent floods on a one-deep queue must shed");
+
+    let late = &report.session("late").unwrap().metrics;
+    assert_eq!(late.bursts_dropped, 0);
+    assert_eq!(late.frames_decoded, 2);
+    let late_lines = lines_of("late");
+    check_session_order(&late_lines.join("\n"));
+    let frames: Vec<&&str> = late_lines
+        .iter()
+        .filter(|l| l.contains("\"type\":\"frame\""))
+        .collect();
+    assert_eq!(frames.len(), 2);
+    for frame in frames {
+        assert!(frame.contains("\"latency\":{\"queue_us\":0,"), "{frame}");
+    }
 }
 
 /// Session churn must not leak pooled capture buffers: every buffer a
