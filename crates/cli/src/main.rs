@@ -775,9 +775,9 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     if let Some(options) = flight {
         server = server.with_flight(options);
     }
-    // Buffered: the gateway flushes when a thread that wrote is about to
-    // block (after a read's bursts, when the queue runs dry, at the end),
-    // so a read's frame lines leave in one write instead of one each.
+    // Buffered: the gateway flushes once per batch (after an ingest block
+    // whose bursts it handed on, when the queue runs dry, at the end), so
+    // a block's frame lines leave in one write instead of one each.
     let mut stdout = std::io::BufWriter::new(std::io::stdout());
     let (stdout, stderr) = (&mut stdout, &mut std::io::stderr());
     let (result, context) = match source {

@@ -814,6 +814,14 @@ impl DetectionPipeline {
         self
     }
 
+    /// Appends an extractor: its features follow the existing ones in
+    /// every vector, and the classifier still reads only the features it
+    /// names.
+    pub fn with_extractor(mut self, extractor: Box<dyn FeatureExtractor>) -> Self {
+        self.extractors.push(extractor);
+        self
+    }
+
     /// The fusion classifier.
     pub fn classifier(&self) -> &Classifier {
         &self.classifier

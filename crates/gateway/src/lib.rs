@@ -99,7 +99,7 @@ pub use metrics::{
 pub use pipeline::{default_workers, GatewayConfig, GatewayConfigBuilder};
 pub use server::{
     GatewayServer, NamedStream, PoolStats, ServerConfig, ServerReport, SessionSummary,
-    ShutdownHandle,
+    ShutdownHandle, INGEST_BLOCK_SAMPLES,
 };
 pub use session::{Evicted, Session, SessionId, SessionTable, WorkQueue};
 pub use source::{Input, Listener, SessionStream};

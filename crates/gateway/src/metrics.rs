@@ -40,7 +40,8 @@ pub struct MetricsCore {
     pub samples_dropped: AtomicU64,
     /// Samples the energy gate scanned as zero power (power not finite).
     pub nonfinite_samples: AtomicU64,
-    /// End-to-end (ingest→classified) per-burst latency.
+    /// Arrival-to-verdict per-burst latency: from the return of the read
+    /// that completed the burst to its classification.
     pub latency: LatencyHistogram,
 }
 
@@ -63,17 +64,17 @@ pub struct MetricsSnapshot {
     pub samples_dropped: u64,
     /// Samples the energy gate scanned as zero power.
     pub nonfinite_samples: u64,
-    /// End-to-end (ingest→classified) per-burst latency.
+    /// Arrival-to-verdict per-burst latency.
     pub latency: HistogramSnapshot,
 }
 
 impl MetricsSnapshot {
-    /// Median end-to-end latency (µs), when any was recorded.
+    /// Median arrival-to-verdict latency (µs), when any was recorded.
     pub fn p50_us(&self) -> Option<u64> {
         self.latency.quantile(0.50)
     }
 
-    /// 99th-percentile end-to-end latency (µs).
+    /// 99th-percentile arrival-to-verdict latency (µs).
     pub fn p99_us(&self) -> Option<u64> {
         self.latency.quantile(0.99)
     }

@@ -312,7 +312,8 @@ fn register_gateway_metrics(
     );
     scoped.histogram_fn(
         "ctc_gateway_latency_us",
-        "End-to-end (enqueue to classified) per-burst latency in microseconds.",
+        "Arrival-to-verdict per-burst latency in microseconds: from the return \
+         of the read that completed the burst to its classification.",
         &[],
         move || read().latency,
     );

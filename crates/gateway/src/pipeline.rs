@@ -35,6 +35,10 @@ pub const MAX_CHUNK_SAMPLES: usize = 1 << 22;
 pub struct GatewayConfig {
     /// The largest ingest chunk in samples: each read of a session's
     /// stream goes to the splitter as it arrives, capped at this size.
+    /// A read is scanned in blocks of
+    /// [`INGEST_BLOCK_SAMPLES`](crate::INGEST_BLOCK_SAMPLES), each block's
+    /// bursts handed on before the next is scanned, so a larger cap does
+    /// not delay a verdict.
     pub chunk_samples: usize,
     /// Decode/classify worker threads, and the inline limit: a session
     /// decodes a burst on its own thread only while nothing is queued and

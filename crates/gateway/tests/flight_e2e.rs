@@ -3,6 +3,7 @@
 //! the triggering verdict, carrying its per-feature scores, the
 //! preceding events, and registry deltas.
 
+use common::SlotHold;
 use ctc_channel::noise::complex_gaussian;
 use ctc_core::attack::Emulator;
 use ctc_core::defense::{ChannelAssumption, DetectionPipeline, Detector};
@@ -16,6 +17,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
 use std::sync::Arc;
+
+mod common;
 
 /// noise | authentic | noise | forged | noise | forged | noise: two
 /// forgeries, so "exactly one snapshot" is a real claim.
@@ -186,23 +189,30 @@ fn forged_stream_dumps_exactly_one_snapshot_ending_at_the_verdict() {
 
 /// Drop-budget exhaustion is the second auto trigger: sessions flooding
 /// one worker and a one-deep queue at once, each read carrying many
-/// bursts, find the decode slot taken and queue their bursts, which must
+/// bursts, find the decode slots taken and queue their bursts, which must
 /// shed and dump a snapshot whose trigger is `drop_budget` (or the run's
 /// first forgery, if that came first) and whose journal ends at the
-/// triggering drop.
+/// triggering drop. A [`SlotHold`] keeps both slots taken until every
+/// other flood has read to its end, so the shed does not depend on how
+/// the threads are scheduled.
 #[test]
 fn drop_budget_exhaustion_triggers_a_snapshot() {
     let dir = fresh_dir("drops");
     let out = dir.join("incident.json");
 
+    let storms = ["storm-a", "storm-b", "storm-c", "storm-d"];
+    let hold = SlotHold::new(storms.len());
     let detector = Detector::new(ChannelAssumption::Ideal).with_threshold(0.25);
-    let gw = GatewayConfig::builder()
+    let mut gw = GatewayConfig::builder()
         .detector(detector)
         .workers(1)
         .queue_depth(1)
         .stats_interval(None)
         .build()
         .unwrap();
+    gw.pipeline = DetectionPipeline::standard(detector)
+        .with_extractor(Box::new(hold.clone()))
+        .shared();
 
     let server = GatewayServer::new(ServerConfig::from(gw)).with_flight(FlightOptions {
         out: Some(out.clone()),
@@ -211,12 +221,11 @@ fn drop_budget_exhaustion_triggers_a_snapshot() {
     });
 
     let bytes = forged_capture(32).repeat(6);
-    let storms = ["storm-a", "storm-b", "storm-c", "storm-d"];
     let report = server
         .run_streams(
             storms
                 .iter()
-                .map(|label| NamedStream::new(*label, &bytes[..]))
+                .map(|label| NamedStream::new(*label, hold.flood(&bytes)))
                 .collect(),
             &mut std::io::sink(),
             &mut std::io::sink(),

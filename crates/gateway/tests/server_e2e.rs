@@ -15,14 +15,15 @@
 //! session churn against the shared buffer pool, concurrent TCP fan-in,
 //! and run-wide totals that equal the sum over sessions.
 
+use common::SlotHold;
 use ctc_channel::noise::complex_gaussian;
 use ctc_core::attack::Emulator;
-use ctc_core::defense::{ChannelAssumption, Detector};
-use ctc_dsp::io::write_cf32;
+use ctc_core::defense::{ChannelAssumption, DetectionPipeline, Detector, MonitorFactory};
+use ctc_dsp::io::{write_cf32, Cf32Reader};
 use ctc_dsp::Complex;
 use ctc_gateway::{
     FlightOptions, GatewayConfig, GatewayError, GatewayServer, Input, Listener, MetricsSnapshot,
-    NamedStream, ServerConfig, ServerReport,
+    NamedStream, ServerConfig, ServerReport, INGEST_BLOCK_SAMPLES,
 };
 use ctc_obs::json::{self, JsonValue};
 use ctc_zigbee::Transmitter;
@@ -33,6 +34,8 @@ use std::io::{BufWriter, Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+mod common;
 
 /// noise | authentic frame | noise | forged frame | noise, as cf32 bytes.
 fn synthetic_capture(seed: u64) -> (Vec<u8>, usize) {
@@ -231,9 +234,10 @@ fn gateway_flags_the_forged_frame_over_jsonl() {
     assert!(!last.contains("\"streams\""), "{last}");
 }
 
-/// The gateway's event content is invariant to chunk size, and to reads
-/// that split samples and are handed over one at a time: only latency
-/// numbers may differ between runs.
+/// The gateway's event content is invariant to chunk size, reads that
+/// end on, just short of or just past an ingest block's boundary
+/// included, and to reads that split samples and are handed over one at
+/// a time: only latency numbers may differ between runs.
 #[test]
 fn gateway_events_are_chunking_invariant() {
     let (bytes, _) = synthetic_capture(12);
@@ -244,7 +248,8 @@ fn gateway_events_are_chunking_invariant() {
             .collect()
     };
     let mut reference = None;
-    for chunk_samples in [64usize, 1000, 65_536] {
+    const B: usize = INGEST_BLOCK_SAMPLES;
+    for chunk_samples in [64usize, 1000, B - 1, B, B + 1, 3 * B + 1, 65_536] {
         let cfg = GatewayConfig {
             chunk_samples,
             ..config()
@@ -358,28 +363,165 @@ impl Write for FlushLog {
     }
 }
 
-/// The frame lines of one read leave in one flush, not one flush each:
-/// behind `ctc monitor`'s buffered stdout that is one write per read.
+/// cf32 bytes of noise with a loud 200-sample burst starting at each of
+/// `starts`.
+fn short_bursts(total: usize, starts: &[usize], seed: u64) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut stream: Vec<Complex> = (0..total)
+        .map(|_| complex_gaussian(&mut rng, 1e-3))
+        .collect();
+    for &start in starts {
+        for x in &mut stream[start..start + 200] {
+            *x = complex_gaussian(&mut rng, 1.0);
+        }
+    }
+    let mut bytes = Vec::new();
+    write_cf32(&mut bytes, &stream).unwrap();
+    bytes
+}
+
+/// The frame lines completed in one ingest block leave in one flush, not
+/// one flush each, and a block that completes none flushes nothing:
+/// behind `ctc monitor`'s buffered stdout that is one write per block
+/// that delivered lines. The groups are what a splitter fed the same
+/// blocks completes per block.
 #[test]
-fn the_frames_of_one_read_leave_in_one_flush() {
-    let (bytes, total) = synthetic_capture(11);
-    assert!(
-        total < ctc_dsp::io::DEFAULT_CHUNK_SAMPLES,
-        "one read holds both"
-    );
+fn the_frames_of_one_block_leave_in_one_flush() {
+    const B: usize = INGEST_BLOCK_SAMPLES;
+    // Three bursts end inside the second block, one inside the fourth;
+    // the first and third blocks complete none.
+    let starts = [B + 100, B + 600, B + 1100, 3 * B + 500];
+    let bytes = short_bursts(5 * B, &starts, 29);
+    let cfg = config();
+
+    let factory = MonitorFactory::new(cfg.energy, cfg.receiver.clone(), cfg.pipeline.clone())
+        .with_max_burst(cfg.max_burst);
+    let mut splitter = factory.cf32_splitter();
+    let mut reader = Cf32Reader::new(&bytes[..]).with_chunk_samples(5 * B);
+    let mut captures = Vec::new();
+    let mut per_block = Vec::new();
+    for block in reader.read_raw().unwrap().chunks(B) {
+        splitter.push_into(block, &mut captures);
+        per_block.push(std::mem::take(&mut captures).len());
+    }
+    splitter.finish_into(&mut captures);
+    per_block.push(captures.len());
+    assert_eq!(per_block, [0, 3, 0, 1, 0, 0], "the blocks' bursts");
+
     let mut log = FlushLog::default();
-    let report = single_stream(config())
+    let report = single_stream(cfg)
         .run_streams(
             vec![NamedStream::unlabelled(&bytes[..])],
             &mut log,
             &mut Vec::new(),
         )
         .unwrap();
-    assert_eq!(report.metrics.frames_decoded, 2);
+    assert_eq!(report.metrics.bursts, 4);
     assert_eq!(report.metrics.chunks_in, 1);
-    let flushed: Vec<usize> = log.flushes.into_iter().filter(|&n| n > 0).collect();
-    assert_eq!(flushed, [2], "both frames in one flush");
+    assert_eq!(log.flushes, [3, 1], "one flush per block that delivered");
     assert_eq!(log.lines, 0, "everything written was flushed");
+}
+
+/// An events writer that reads the run's non-finite sample count from
+/// the registry whenever a frame line reaches it.
+struct NonfiniteAtFrames {
+    registry: Arc<ctc_obs::Registry>,
+    seen: Arc<Mutex<Vec<f64>>>,
+}
+
+impl Write for NonfiniteAtFrames {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if String::from_utf8_lossy(buf).contains("\"type\":\"frame\"") {
+            let scrape = ctc_obs::Scrape::parse(&self.registry.render()).unwrap();
+            let nonfinite = scrape.value("ctc_gateway_nonfinite_samples_total", &[]);
+            self.seen.lock().unwrap().push(nonfinite.unwrap());
+        }
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A burst completed in a read's first blocks is handed on, and its line
+/// written, before the later blocks of the same read are scanned: a NaN
+/// several blocks after the frame is not yet counted when the frame's
+/// line reaches the writer, and is counted by the end of the run.
+#[test]
+fn a_burst_leaves_before_the_rest_of_its_read_is_scanned() {
+    const B: usize = INGEST_BLOCK_SAMPLES;
+    let mut rng = StdRng::seed_from_u64(30);
+    let mut stream: Vec<Complex> = (0..700).map(|_| complex_gaussian(&mut rng, 1e-3)).collect();
+    stream.extend(Transmitter::new().transmit_payload(b"00000").unwrap());
+    let frame_end = stream.len();
+    let nan_at = (frame_end / B + 4) * B + 100;
+    stream.extend((frame_end..nan_at + 700).map(|_| complex_gaussian(&mut rng, 1e-3)));
+    stream[nan_at] = Complex::new(f64::NAN, 0.0);
+    assert!(
+        stream.len() <= ctc_dsp::io::DEFAULT_CHUNK_SAMPLES,
+        "one read"
+    );
+    let mut bytes = Vec::new();
+    write_cf32(&mut bytes, &stream).unwrap();
+
+    let registry = Arc::new(ctc_obs::Registry::new());
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut writer = NonfiniteAtFrames {
+        registry: Arc::clone(&registry),
+        seen: Arc::clone(&seen),
+    };
+    let report = single_stream(config())
+        .with_registry(Arc::clone(&registry))
+        .run_streams(
+            vec![NamedStream::unlabelled(&bytes[..])],
+            &mut writer,
+            &mut Vec::new(),
+        )
+        .unwrap();
+    assert_eq!(report.metrics.chunks_in, 1);
+    assert_eq!(report.metrics.frames_decoded, 1);
+    assert_eq!(*seen.lock().unwrap(), [0.0], "the NaN was scanned first");
+    assert_eq!(report.metrics.nonfinite_samples, 1);
+}
+
+/// Each frame line reports the wait before its hand-off as
+/// `latency.ingest_us`, and the latency histogram counts from the read's
+/// arrival: the second frame of one read waited at least as long as the
+/// first took to decode and classify, and the histogram's sum is the
+/// lines' `ingest_us + total_us` (each truncated to whole µs).
+#[test]
+fn latency_counts_from_the_read_that_completed_the_burst() {
+    let (bytes, total) = synthetic_capture(11);
+    assert!(total < ctc_dsp::io::DEFAULT_CHUNK_SAMPLES, "one read");
+    let registry = Arc::new(ctc_obs::Registry::new());
+    let server = single_stream(config()).with_registry(Arc::clone(&registry));
+    let (report, events, _) = run_single(&server, &bytes[..]);
+    assert_eq!(report.metrics.chunks_in, 1);
+    let latency: Vec<BTreeMap<String, f64>> = events
+        .lines()
+        .map(|l| {
+            let line = json::parse(l).unwrap();
+            let object = line.get("latency").and_then(JsonValue::as_object).unwrap();
+            object
+                .iter()
+                .map(|(k, v)| (k.clone(), v.as_f64().unwrap()))
+                .collect()
+        })
+        .collect();
+    assert_eq!(latency.len(), 2, "{events}");
+    let (first, second) = (&latency[0], &latency[1]);
+    assert!(
+        second["ingest_us"] >= first["decode_us"] + first["classify_us"],
+        "{events}"
+    );
+    let lines_sum: f64 = latency.iter().map(|l| l["ingest_us"] + l["total_us"]).sum();
+    let scrape = ctc_obs::Scrape::parse(&registry.render()).unwrap();
+    let sum = scrape.value("ctc_gateway_latency_us_sum", &[]).unwrap();
+    assert!(
+        (lines_sum..=lines_sum + 2.0).contains(&sum),
+        "histogram sum {sum} vs lines {lines_sum}"
+    );
 }
 
 /// A source that sends its bytes and then fails instead of ending, like
@@ -842,21 +984,28 @@ impl Read for AfterClose<'_> {
 }
 
 /// Overload comes only from sessions running at once, and each pays for
-/// its own. Sessions flooding one worker and a one-deep queue together,
-/// each read carrying many bursts, find the decode slot taken and queue
-/// their bursts, and the drop budget sheds some: every shed burst is a
-/// `dropped` line in its own session's output. A session that starts
-/// once they have all closed finds nothing queued and no slot taken, and
-/// runs every burst on its own thread: none is dropped, and each frame's
-/// queue stage is empty.
+/// its own. Sessions flood one worker and a one-deep queue together, each
+/// read carrying many bursts. A [`SlotHold`] keeps the first two bursts
+/// to reach classification (one run inline, one the worker popped) in
+/// both decode slots until every other flood has read to its end, so
+/// those floods queue all their bursts and the drop budget must shed:
+/// every shed burst is a `dropped` line at its own `seq` in its own
+/// session's order. A session that starts once they have all closed
+/// finds nothing queued and no slot taken, and runs every burst on its
+/// own thread: none is dropped, and each frame's queue stage is empty.
 #[test]
 fn concurrent_floods_shed_their_own_bursts_and_a_later_session_runs_inline() {
     const FLOODS: &[&str] = &["flood-a", "flood-b", "flood-c", "flood-d"];
     let (one, _) = synthetic_capture(28);
     let flood: Vec<u8> = one.repeat(8);
+    let hold = SlotHold::new(FLOODS.len());
+    let detector = Detector::new(ChannelAssumption::Ideal).with_threshold(0.25);
     let cfg = GatewayConfig {
         workers: 1,
         queue_depth: 1,
+        pipeline: DetectionPipeline::standard(detector)
+            .with_extractor(Box::new(hold.clone()))
+            .shared(),
         ..config()
     };
     assert!(flood.len() <= 8 * cfg.chunk_samples, "one read each");
@@ -871,7 +1020,7 @@ fn concurrent_floods_shed_their_own_bursts_and_a_later_session_runs_inline() {
     };
     let mut streams: Vec<NamedStream> = FLOODS
         .iter()
-        .map(|label| NamedStream::new(*label, &flood[..]))
+        .map(|label| NamedStream::new(*label, hold.flood(&flood)))
         .collect();
     streams.push(NamedStream::new("late", late));
     let report = GatewayServer::new(ServerConfig::from(cfg))
@@ -888,6 +1037,9 @@ fn concurrent_floods_shed_their_own_bursts_and_a_later_session_runs_inline() {
         let metrics = &report.session(label).unwrap().metrics;
         assert_eq!(metrics.bursts, 16, "{label}");
         let lines = lines_of(label);
+        // Dropped lines carry their burst's seq, so the session's order
+        // has no gaps.
+        check_session_order(&lines.join("\n"));
         let count = |kind: &str| {
             let kind = format!("\"type\":\"{kind}\"");
             lines.iter().filter(|l| l.contains(&kind)).count() as u64
@@ -975,8 +1127,6 @@ fn serves_32_concurrent_tcp_streams() {
 /// configuration's lines stay byte-identical (no `score`/`features`).
 #[test]
 fn pipeline_run_carries_per_feature_scores() {
-    use ctc_core::defense::DetectionPipeline;
-
     let (bytes, _) = synthetic_capture(26);
     let detector = Detector::new(ChannelAssumption::Ideal).with_threshold(0.25);
 

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 /// SLO bounds; `None` disables that check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SloSpec {
-    /// p99 end-to-end detection latency bound, microseconds.
+    /// p99 arrival-to-verdict detection latency bound, microseconds.
     pub p99_latency_us: Option<f64>,
     /// Aggregate and per-session drop budget: dropped bursts over
     /// ingested bursts.
@@ -150,7 +150,7 @@ pub struct Observed {
     pub frames_undecoded: f64,
     /// Bursts shed by the work queue's drop budget.
     pub dropped: f64,
-    /// p99 of the end-to-end latency histogram over the run.
+    /// p99 of the arrival-to-verdict latency histogram over the run.
     pub p99_latency_us: Option<f64>,
     /// Pool misses after warmup (steady state).
     pub steady_pool_misses: Option<f64>,
