@@ -6,8 +6,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ctc_channel::noise::complex_gaussian;
-use ctc_core::attack::{Emulator, EnergyDetector};
-use ctc_core::defense::{BurstCapture, BurstSplitter};
+use ctc_core::attack::Emulator;
+use ctc_core::defense::{BurstCapture, BurstSplitter, EnergyDetector};
 use ctc_dsp::io::{write_cf32, Cf32Reader};
 use ctc_dsp::{fft, Complex};
 use ctc_wifi::convolutional::{decode, encode, Rate};

@@ -21,13 +21,14 @@
 //! ctc generate --payload 00000 --out - | ctc decode --input -
 //! ```
 
-use ctc_core::attack::{Emulator, EnergyDetector, SpectralMode, SynthesisMode};
+use ctc_core::attack::{Emulator, SpectralMode, SynthesisMode};
 use ctc_core::defense::pipeline::de2_feature;
 use ctc_core::defense::{
     features_from_reception, train_logistic, train_stumps, ChannelAssumption, DetectError,
-    DetectionPipeline, Detector, FeatureInput, FeatureVector, LabelledSample, Roc,
+    DetectionPipeline, Detector, EnergyDetector, FeatureInput, FeatureVector, LabelledSample, Roc,
+    StreamedBurst,
 };
-use ctc_dsp::io::{write_cf32_file, Cf32Reader};
+use ctc_dsp::io::{read_cf32, write_cf32_file, Cf32Reader};
 use ctc_dsp::psd::{welch_psd, Window};
 use ctc_dsp::Complex;
 use ctc_gateway::{
@@ -320,22 +321,11 @@ impl Args {
 }
 
 /// Reads a whole waveform from an input spec (file, `-`, `tcp://addr`),
-/// streaming through [`Cf32Reader`] so even stdin never double-buffers.
+/// streaming through [`read_cf32`] so even stdin never double-buffers.
 fn load(spec: &str) -> Result<Vec<Complex>, String> {
     let input = Input::parse(spec).map_err(|e| e.to_string())?;
     let reader = input.open().map_err(|e| e.to_string())?;
-    let mut reader = Cf32Reader::new(reader);
-    let mut samples = Vec::new();
-    let mut chunk = Vec::new();
-    loop {
-        let n = reader
-            .read_chunk(&mut chunk)
-            .map_err(|e| format!("reading {input}: {e}"))?;
-        if n == 0 {
-            return Ok(samples);
-        }
-        samples.extend_from_slice(&chunk);
-    }
+    read_cf32(reader).map_err(|e| format!("reading {input}: {e}"))
 }
 
 /// Writes a waveform to a file, or to stdout when the spec is `-`.
@@ -604,7 +594,7 @@ fn cmd_detect(args: &Args) -> Result<ExitCode, String> {
 }
 
 fn cmd_listen(args: &Args) -> Result<(), String> {
-    fn print_burst(i: usize, sb: &ctc_core::attack::StreamedBurst) {
+    fn print_burst(i: usize, sb: &StreamedBurst) {
         let b = &sb.burst;
         println!(
             "  #{i}: samples {}..{} ({} samples, {:.1} µs){}",

@@ -8,8 +8,8 @@
 //! The module is split into resumable stages so a real gateway can spread
 //! them across threads:
 //!
-//! - [`BurstSplitter`] — ingest side: feeds chunks to an [`EnergyStream`]
-//!   and carves out each
+//! - [`BurstSplitter`] — ingest side: feeds chunks to the energy gate's
+//!   [`EnergyStream`] ([`crate::defense::gate`]) and carves out each
 //!   completed burst's samples (plus a decode margin), carrying detector
 //!   and buffer state across chunk boundaries. O(burst length) memory.
 //!   Chunks are parsed samples, or cf32 pairs straight from a read
@@ -24,8 +24,8 @@
 //!   of a stream yields exactly the events `scan` yields on the whole
 //!   buffer.
 
-use crate::attack::listener::{Burst, BurstEnd, EnergyDetector, EnergyStream};
 use crate::defense::detector::Verdict;
+use crate::defense::gate::{Burst, BurstEnd, EnergyDetector, EnergyStream};
 use crate::defense::pipeline::{DetectionPipeline, FeatureInput, PipelineScores};
 use ctc_dsp::io::{Cf32, IqSample};
 use ctc_dsp::{BufferPool, Complex, SampleBuf};
@@ -157,9 +157,8 @@ impl<S: IqSample> BurstSplitter<S> {
         &self.pool
     }
 
-    /// Caps burst length (see
-    /// [`EnergyStream::with_max_burst`](crate::attack::EnergyStream::with_max_burst)),
-    /// bounding this splitter's buffering on continuous transmissions.
+    /// Caps burst length (see [`EnergyStream::with_max_burst`]), bounding
+    /// this splitter's buffering on continuous transmissions.
     ///
     /// # Panics
     ///
@@ -406,8 +405,8 @@ impl MonitorFactory {
     /// # Panics
     ///
     /// Panics when `energy.window == 0`, or when a configured max burst is
-    /// below the detector's `min_len` (both are configuration errors the
-    /// gateway's builder rejects earlier).
+    /// below the detector's `min_len` (the gateway's builder keeps the
+    /// default gate and rejects such a max burst earlier).
     pub fn splitter(&self) -> BurstSplitter {
         self.configure(BurstSplitter::new(self.energy))
     }

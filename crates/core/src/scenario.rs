@@ -9,8 +9,8 @@
 //! the composite channel waveform plus ground truth, ready for the stream
 //! monitor.
 
-use crate::attack::listener::EnergyDetector;
 use crate::attack::Emulator;
+use crate::defense::EnergyDetector;
 use ctc_channel::noise::complex_gaussian;
 use ctc_dsp::metrics::normalize_power;
 use ctc_dsp::Complex;

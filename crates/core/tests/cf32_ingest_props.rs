@@ -11,8 +11,7 @@
 //! and zero components sprinkled through. The source splits its bytes at
 //! random, often inside a sample, and the reader's chunk size is random.
 
-use ctc_core::attack::{EnergyDetector, StreamedBurst};
-use ctc_core::defense::{BurstCapture, BurstSplitter};
+use ctc_core::defense::{BurstCapture, BurstSplitter, EnergyDetector, EnergyStream, StreamedBurst};
 use ctc_dsp::io::{Cf32, Cf32Reader, IqSample};
 use ctc_dsp::simd::{self, GateScanState};
 use ctc_dsp::Complex;
@@ -129,7 +128,7 @@ struct Trace {
 struct Stages<S: IqSample> {
     ring: Vec<f64>,
     scan: GateScanState,
-    gate: ctc_core::attack::EnergyStream,
+    gate: EnergyStream,
     splitter: BurstSplitter<S>,
     captures: Vec<BurstCapture>,
     trace: Trace,
@@ -160,7 +159,7 @@ impl<S: IqSample> Stages<S> {
         &mut self,
         chunk: &[S],
         scan: impl Fn(&[S], &mut [f64], &mut GateScanState, &mut [u8]) -> usize,
-        push_gate: impl Fn(&mut ctc_core::attack::EnergyStream, &[S], &mut Vec<StreamedBurst>),
+        push_gate: impl Fn(&mut EnergyStream, &[S], &mut Vec<StreamedBurst>),
     ) {
         let mut flags = vec![0u8; chunk.len()];
         let zeroed = scan(chunk, &mut self.ring, &mut self.scan, &mut flags);

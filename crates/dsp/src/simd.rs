@@ -40,8 +40,8 @@
 //! them unspecified, and the compiler may swap the operands of a sum or
 //! product, which decides which NaN an x86 instruction returns).
 //! Kernels that re-associate a reduction into per-lane partial sums
-//! ([`cdot`], [`cdot_conj`], [`dot_real`], [`dot_f64`], [`sum_norm_sqr`],
-//! [`cumulant_sums`], [`fir_interior`]) or re-seed phasors block-wise
+//! ([`cdot_conj`], [`dot_f64`], [`sum_norm_sqr`], [`cumulant_sums`],
+//! [`fir_interior`]) or re-seed phasors block-wise
 //! ([`rotate_in_place`], [`cdot_conj_rotated`]) drift from the sequential
 //! order by `O(n · ulp)` — far inside every golden-vector stage tolerance.
 //! Property tests in `tests/simd_props.rs` pin each one against the
@@ -241,9 +241,6 @@ macro_rules! kernels {
 }
 
 kernels! {
-    /// Complex dot product `Σ a[i]·b[i]` over `min(len)` elements.
-    fn cdot(a: &[Complex], b: &[Complex]) -> Complex;
-
     /// Conjugate dot product `Σ a[i]·conj(b[i])` — the correlation form
     /// used by the ZigBee synchronizer.
     fn cdot_conj(a: &[Complex], b: &[Complex]) -> Complex;
@@ -252,9 +249,6 @@ kernels! {
     /// fusing a CFO de-rotation into the correlation (one pass, no `cis`
     /// per sample).
     fn cdot_conj_rotated(a: &[Complex], b: &[Complex], omega: f64) -> Complex;
-
-    /// Real-tap dot product `Σ taps[i]·x[i]` (FIR inner product).
-    fn dot_real(taps: &[f64], x: &[Complex]) -> Complex;
 
     /// Real dot product `Σ a[i]·b[i]` (DSSS chip correlation).
     fn dot_f64(a: &[f64], b: &[f64]) -> f64;
@@ -378,29 +372,6 @@ mod body {
         dtft_block, dtft_one, reduce, reduce4, reduce_columns, ChipTaps, Complex, CumulantSums,
         GateScanState, IqSample, LANES, RESYNC,
     };
-
-    #[inline(always)]
-    pub fn cdot(a: &[Complex], b: &[Complex]) -> Complex {
-        let n = a.len().min(b.len());
-        let whole = n - n % LANES;
-        let mut re = [0.0; LANES];
-        let mut im = [0.0; LANES];
-        for (ca, cb) in a[..whole]
-            .chunks_exact(LANES)
-            .zip(b[..whole].chunks_exact(LANES))
-        {
-            for k in 0..LANES {
-                let (x, y) = (ca[k], cb[k]);
-                re[k] += x.re * y.re - x.im * y.im;
-                im[k] += x.re * y.im + x.im * y.re;
-            }
-        }
-        let mut acc = Complex::new(reduce(re), reduce(im));
-        for k in whole..n {
-            acc += a[k] * b[k];
-        }
-        acc
-    }
 
     #[inline(always)]
     pub fn cdot_conj(a: &[Complex], b: &[Complex]) -> Complex {
@@ -1175,10 +1146,6 @@ mod body {
 pub mod reference {
     use super::{ChipTaps, Complex, CumulantSums, GateScanState};
 
-    pub fn cdot(a: &[Complex], b: &[Complex]) -> Complex {
-        a.iter().zip(b).map(|(x, y)| *x * *y).sum()
-    }
-
     pub fn cdot_conj(a: &[Complex], b: &[Complex]) -> Complex {
         a.iter().zip(b).map(|(x, y)| *x * y.conj()).sum()
     }
@@ -1404,14 +1371,12 @@ mod tests {
             let a = wave(n, 1);
             let b = wave(n, 2);
             let t = reals(n, 3);
-            assert_eq!(cdot(&a, &b), body::cdot(&a, &b), "cdot n={n}");
             assert_eq!(cdot_conj(&a, &b), body::cdot_conj(&a, &b), "conj n={n}");
             assert_eq!(
                 cdot_conj_rotated(&a, &b, 0.017),
                 body::cdot_conj_rotated(&a, &b, 0.017),
                 "rotated n={n}"
             );
-            assert_eq!(dot_real(&t, &a), body::dot_real(&t, &a), "real n={n}");
             assert_eq!(
                 dot_f64(&t, &reals(n, 4)),
                 body::dot_f64(&t, &reals(n, 4)),
@@ -1679,8 +1644,6 @@ mod tests {
     fn kernels_close_to_reference() {
         let a = wave(333, 7);
         let b = wave(333, 8);
-        let d = cdot(&a, &b) - reference::cdot(&a, &b);
-        assert!(d.norm() < 1e-12);
         let d = cdot_conj_rotated(&a, &b, 0.05) - reference::cdot_conj_rotated(&a, &b, 0.05);
         assert!(d.norm() < 1e-12);
         let s = cumulant_sums(&a);

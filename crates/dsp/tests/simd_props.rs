@@ -73,13 +73,6 @@ fn check_dots(n: usize, seed: u64, omega: f64) {
     let scale: f64 = a.iter().zip(&b).map(|(x, y)| x.norm() * y.norm()).sum();
 
     assert_close_c(
-        "cdot",
-        n,
-        scale,
-        reference::cdot(&a, &b),
-        simd::cdot(&a, &b),
-    );
-    assert_close_c(
         "cdot_conj",
         n,
         scale,
@@ -98,15 +91,6 @@ fn check_dots(n: usize, seed: u64, omega: f64) {
     );
 
     let t = reals(n, seed ^ 0xAAAA);
-    let scale_t: f64 = t.iter().zip(&a).map(|(t, x)| t.abs() * x.norm()).sum();
-    assert_close_c(
-        "dot_real",
-        n,
-        scale_t,
-        reference::dot_real(&t, &a),
-        simd::dot_real(&t, &a),
-    );
-
     let u = reals(n, seed ^ 0x3333);
     let scale_u: f64 = t.iter().zip(&u).map(|(x, y)| (x * y).abs()).sum();
     assert_close(

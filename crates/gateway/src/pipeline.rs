@@ -7,8 +7,7 @@
 //! output) lives in [`crate::server`].
 
 use crate::error::GatewayError;
-use ctc_core::attack::EnergyDetector;
-use ctc_core::defense::{DetectionPipeline, Detector};
+use ctc_core::defense::{DetectionPipeline, Detector, EnergyDetector};
 use ctc_dsp::io::DEFAULT_CHUNK_SAMPLES;
 use ctc_zigbee::Receiver;
 use std::sync::Arc;
@@ -130,12 +129,6 @@ impl GatewayConfigBuilder {
         self
     }
 
-    /// Energy/burst detection stage.
-    pub fn energy(mut self, energy: EnergyDetector) -> Self {
-        self.config.energy = energy;
-        self
-    }
-
     /// Frame decoding stage.
     pub fn receiver(mut self, receiver: Receiver) -> Self {
         self.config.receiver = receiver;
@@ -166,9 +159,8 @@ impl GatewayConfigBuilder {
     /// [`MAX_WORKERS`] (each is a thread, spawned up front),
     /// `queue_depth == 0` (every burst would be shed), `chunk_samples` is
     /// 0 (ingest could not make progress) or above [`MAX_CHUNK_SAMPLES`]
-    /// (each session's read buffer would not allocate), `energy.window ==
-    /// 0` (the splitter would panic), or `max_burst < energy.min_len`
-    /// (the splitter would reject it).
+    /// (each session's read buffer would not allocate), or `max_burst <
+    /// energy.min_len` (the splitter would reject it).
     pub fn build(self) -> Result<GatewayConfig, GatewayError> {
         let c = &self.config;
         if !(1..=MAX_WORKERS).contains(&c.workers) {
@@ -185,11 +177,6 @@ impl GatewayConfigBuilder {
                 "chunk size must be 1 to {MAX_CHUNK_SAMPLES} samples, got {}",
                 c.chunk_samples
             )));
-        }
-        if c.energy.window == 0 {
-            return Err(GatewayError::Config(
-                "energy detection window must be > 0".into(),
-            ));
         }
         if c.max_burst < c.energy.min_len {
             return Err(GatewayError::Config(format!(

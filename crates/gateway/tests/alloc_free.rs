@@ -10,8 +10,7 @@
 //! default harness allocate on their own threads and never show up in a
 //! measured delta.
 
-use ctc_core::attack::EnergyDetector;
-use ctc_core::defense::{BurstCapture, BurstSplitter};
+use ctc_core::defense::{BurstCapture, BurstSplitter, EnergyDetector};
 use ctc_dsp::io::Cf32Reader;
 use ctc_dsp::{BufferPool, Complex};
 use std::alloc::{GlobalAlloc, Layout, System};

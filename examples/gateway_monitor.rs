@@ -7,8 +7,8 @@
 //! ```
 
 use hide_and_seek::channel::noise::complex_gaussian;
-use hide_and_seek::core::attack::{Emulator, EnergyDetector, FullFrameAttack};
-use hide_and_seek::core::defense::{ChannelAssumption, Detector, StreamMonitor};
+use hide_and_seek::core::attack::{Emulator, FullFrameAttack};
+use hide_and_seek::core::defense::{ChannelAssumption, Detector, EnergyDetector, StreamMonitor};
 use hide_and_seek::dsp::metrics::normalize_power;
 use hide_and_seek::zigbee::{Receiver, Transmitter};
 use hide_and_seek::Complex;

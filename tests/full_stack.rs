@@ -6,9 +6,9 @@ use hide_and_seek::channel::interference::Interferer;
 use hide_and_seek::channel::noise::complex_gaussian;
 use hide_and_seek::channel::Link;
 use hide_and_seek::core::attack::{
-    clear_channel_assessment, Emulator, EnergyDetector, FullFrameAttack, LeastSquaresEmulator,
+    clear_channel_assessment, Emulator, FullFrameAttack, LeastSquaresEmulator,
 };
-use hide_and_seek::core::defense::{ChannelAssumption, Detector, StreamMonitor};
+use hide_and_seek::core::defense::{ChannelAssumption, Detector, EnergyDetector, StreamMonitor};
 use hide_and_seek::dsp::Complex;
 use hide_and_seek::wifi::WifiReceiver;
 use hide_and_seek::zigbee::{Receiver, Transmitter};
