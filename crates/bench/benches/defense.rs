@@ -4,11 +4,13 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ctc_core::attack::Emulator;
+use ctc_core::defense::naive::phase_trend_similarity;
 use ctc_core::defense::{
     constellation_from_reception, standard_extractors, ChannelAssumption, Detector, FeatureInput,
     FeatureVector, Features,
 };
 use ctc_dsp::cumulants::Cumulants;
+use ctc_dsp::kmeans::kmeans;
 use ctc_dsp::Complex;
 use ctc_zigbee::{Receiver, Transmitter};
 use rand::rngs::StdRng;
@@ -115,6 +117,42 @@ fn bench_pipeline_extractors(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two costliest pieces of the ensemble on one burst's worth of
+/// input: the clustered-EVM k-means (k = 4, 100 iterations at most, seed
+/// `0x5EED`, as `clustered_evm` runs it) on a 429-point QPSK cloud, which
+/// converges in a few Lloyd steps, and on a uniform cloud, which takes
+/// tens; and the phase-trend correlation of a 1,762-sample burst's halves.
+fn bench_ensemble_kernels(c: &mut Criterion) {
+    let mut group = c.benchmark_group("ensemble_kernels");
+    group.sample_size(30);
+    let mut rng = StdRng::seed_from_u64(11);
+    let uniform: Vec<Complex> = (0..429)
+        .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+        .collect();
+    for (label, points) in [("qpsk_429", qpsk_cloud(429)), ("uniform_429", uniform)] {
+        group.bench_function(format!("kmeans/{label}"), |b| {
+            b.iter(|| {
+                let mut rng = StdRng::seed_from_u64(0x5EED);
+                kmeans(std::hint::black_box(&points), 4, 100, &mut rng).expect("429 points")
+            })
+        });
+    }
+    // The 1,666-sample `hello` frame, continued cyclically to the 1,762
+    // samples the gateway captures around it.
+    let burst: Vec<Complex> = Transmitter::new()
+        .transmit_payload(b"hello")
+        .expect("short payload")
+        .into_iter()
+        .cycle()
+        .take(1762)
+        .collect();
+    let (first, second) = burst.split_at(burst.len() / 2);
+    group.bench_function("phase_trend_similarity/1762", |b| {
+        b.iter(|| phase_trend_similarity(std::hint::black_box(first), std::hint::black_box(second)))
+    });
+    group.finish();
+}
+
 fn quick() -> Criterion {
     Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(300))
@@ -128,6 +166,7 @@ criterion_group!(
     bench_cumulant_scaling,
     bench_feature_extraction,
     bench_detect_frame,
-    bench_pipeline_extractors
+    bench_pipeline_extractors,
+    bench_ensemble_kernels
 );
 criterion_main!(benches);

@@ -13,9 +13,9 @@
 //! 3. **Chip sequences after hard decision** — the sequences differ, but
 //!    DSSS tolerance decodes both to the same symbols.
 
-use ctc_dsp::metrics::correlation;
-use ctc_dsp::Complex;
-use ctc_zigbee::modem::instantaneous_phase;
+use ctc_dsp::{simd, Complex};
+use ctc_zigbee::modem::{instantaneous_phase, phase_step};
+use std::cell::RefCell;
 
 /// Samples per emulated WiFi-symbol block at the ZigBee rate
 /// (4 µs × 4 MHz).
@@ -40,17 +40,11 @@ pub fn cp_similarity_4mhz(wave: &[Complex]) -> Option<f64> {
     if blocks == 0 {
         return None;
     }
-    let mut acc = 0.0;
-    for b in 0..blocks {
-        let block = &wave[b * BLOCK_LEN_4MHZ..(b + 1) * BLOCK_LEN_4MHZ];
-        // The CP copies the last 0.8 µs: samples ~12.8..16 at 4 MHz. The
-        // fractional offset costs a fifth of a sample; the signal is
-        // oversampled 2x, so nearest-sample alignment suffices here.
-        let head = &block[..CP_LEN_4MHZ];
-        let tail = &block[BLOCK_LEN_4MHZ - CP_LEN_4MHZ..];
-        acc += correlation(head, tail);
-    }
-    Some(acc / blocks as f64)
+    // The CP copies the last 0.8 µs: samples ~12.8..16 at 4 MHz. The
+    // fractional offset costs a fifth of a sample; the signal is
+    // oversampled 2x, so nearest-sample alignment suffices here.
+    let sum = simd::cp_correlation_sum(wave, BLOCK_LEN_4MHZ, CP_LEN_4MHZ);
+    Some(sum / blocks as f64)
 }
 
 /// The phase-trend trace of Fig. 9a: unwrapped instantaneous phase of the
@@ -60,26 +54,58 @@ pub fn phase_trend(wave: &[Complex]) -> Vec<f64> {
     instantaneous_phase(wave)
 }
 
+thread_local! {
+    /// The two phase trends [`phase_trend_similarity`] compares, kept per
+    /// thread so a call on halves no longer than the thread's last
+    /// allocates nothing.
+    static TRENDS: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Quantifies how similar two phase trends are: the correlation of their
 /// per-sample increments over the overlapping span, in `[-1, 1]`.
 pub fn phase_trend_similarity(a: &[Complex], b: &[Complex]) -> f64 {
-    let pa = phase_trend(a);
-    let pb = phase_trend(b);
-    let n = pa.len().min(pb.len());
+    let n = a.len().min(b.len());
     if n < 2 {
         return 0.0;
     }
-    let da: Vec<f64> = pa[..n].windows(2).map(|w| w[1] - w[0]).collect();
-    let db: Vec<f64> = pb[..n].windows(2).map(|w| w[1] - w[0]).collect();
-    let ma = da.iter().sum::<f64>() / da.len() as f64;
-    let mb = db.iter().sum::<f64>() / db.len() as f64;
-    let cov: f64 = da.iter().zip(&db).map(|(x, y)| (x - ma) * (y - mb)).sum();
-    let va: f64 = da.iter().map(|x| (x - ma).powi(2)).sum();
-    let vb: f64 = db.iter().map(|y| (y - mb).powi(2)).sum();
-    if va <= 0.0 || vb <= 0.0 {
-        return 0.0;
-    }
-    cov / (va * vb).sqrt()
+    TRENDS.with_borrow_mut(|trends| {
+        trends.clear();
+        trends.resize(2 * n, 0.0);
+        let (pa, pb) = trends.split_at_mut(n);
+        // The trend is causal, so the first `n` samples give the first
+        // `n` phases of the whole trend. Both are unwrapped as
+        // `instantaneous_phase` unwraps, and their increments overwrite
+        // the angles in place. Each sum runs in order from -0.0, as
+        // `Iterator::sum` adds, side by side in two passes.
+        simd::arg_into(&a[..n], pa);
+        simd::arg_into(&b[..n], pb);
+        let (mut prev_a, mut prev_b) = (pa[0], pb[0]);
+        let (mut trend_a, mut trend_b) = (prev_a, prev_b);
+        let (mut sa, mut sb) = (-0.0, -0.0);
+        for i in 1..n {
+            let (ra, rb) = (pa[i], pb[i]);
+            let next_a = trend_a + phase_step(prev_a, ra);
+            let next_b = trend_b + phase_step(prev_b, rb);
+            let (x, y) = (next_a - trend_a, next_b - trend_b);
+            (pa[i - 1], pb[i - 1]) = (x, y);
+            sa += x;
+            sb += y;
+            (prev_a, prev_b, trend_a, trend_b) = (ra, rb, next_a, next_b);
+        }
+        let (da, db) = (&pa[..n - 1], &pb[..n - 1]);
+        let (ma, mb) = (sa / (n - 1) as f64, sb / (n - 1) as f64);
+        let (mut cov, mut va, mut vb) = (-0.0, -0.0, -0.0);
+        for (x, y) in da.iter().zip(db) {
+            let (dx, dy) = (x - ma, y - mb);
+            cov += dx * dy;
+            va += dx.powi(2);
+            vb += dy.powi(2);
+        }
+        if va <= 0.0 || vb <= 0.0 {
+            return 0.0;
+        }
+        cov / (va * vb).sqrt()
+    })
 }
 
 /// Strategy 3 summary: fraction of 32-chip groups whose hard-decision chip
@@ -210,6 +236,62 @@ mod tests {
             "phase trend should not separate attacker ({sim_emulated}) from \
              an unrelated authentic waveform ({sim_unrelated})"
         );
+    }
+
+    /// The correlation as written with one vector per trend and per
+    /// increment series and an `Iterator::sum` per statistic.
+    fn phase_trend_similarity_vectors(a: &[Complex], b: &[Complex]) -> f64 {
+        let pa = phase_trend(a);
+        let pb = phase_trend(b);
+        let n = pa.len().min(pb.len());
+        if n < 2 {
+            return 0.0;
+        }
+        let da: Vec<f64> = pa[..n].windows(2).map(|w| w[1] - w[0]).collect();
+        let db: Vec<f64> = pb[..n].windows(2).map(|w| w[1] - w[0]).collect();
+        let ma = da.iter().sum::<f64>() / da.len() as f64;
+        let mb = db.iter().sum::<f64>() / db.len() as f64;
+        let cov: f64 = da.iter().zip(&db).map(|(x, y)| (x - ma) * (y - mb)).sum();
+        let va: f64 = da.iter().map(|x| (x - ma).powi(2)).sum();
+        let vb: f64 = db.iter().map(|y| (y - mb).powi(2)).sum();
+        if va <= 0.0 || vb <= 0.0 {
+            return 0.0;
+        }
+        cov / (va * vb).sqrt()
+    }
+
+    #[test]
+    fn phase_trend_similarity_keeps_the_vector_formulas_bits() {
+        let (orig, emu) = pair();
+        let mut rng = StdRng::seed_from_u64(5);
+        let noisy = Link::awgn(3.0).transmit(&orig, &mut rng);
+        let halves = |w: &[Complex]| {
+            let (x, y) = w.split_at(w.len() / 2);
+            (x.to_vec(), y.to_vec())
+        };
+        let mut cases = vec![
+            (orig.clone(), emu.clone()),
+            (emu.clone(), noisy.clone()),
+            halves(&orig),
+            halves(&emu),
+            halves(&noisy),
+            // Unequal lengths, and a constant phase (zero increments).
+            (orig[..700].to_vec(), noisy.clone()),
+            (vec![Complex::new(-1.0, -0.0); 40], orig[..40].to_vec()),
+        ];
+        // Special values reach the trend.
+        let mut special = noisy.clone();
+        special[300] = Complex::new(f64::NAN, 0.0);
+        special[301] = Complex::new(f64::INFINITY, -0.0);
+        cases.push((special.clone(), orig.clone()));
+        for (i, (a, b)) in cases.iter().enumerate() {
+            let got = phase_trend_similarity(a, b);
+            let want = phase_trend_similarity_vectors(a, b);
+            assert!(
+                got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                "case {i}: {got:e} vs {want:e}"
+            );
+        }
     }
 
     #[test]

@@ -87,7 +87,18 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Argument (phase) in `(-pi, pi]`.
+    /// Argument (phase) in `[-pi, pi]`: `f64::atan2(im, re)`, so the
+    /// negative real axis reads `pi` or `-pi` by the sign of a zero
+    /// imaginary part.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use ctc_dsp::Complex;
+    /// use std::f64::consts::PI;
+    /// assert_eq!(Complex::new(-1.0, 0.0).arg(), PI);
+    /// assert_eq!(Complex::new(-1.0, -0.0).arg(), -PI);
+    /// ```
     #[inline]
     pub fn arg(self) -> f64 {
         self.im.atan2(self.re)

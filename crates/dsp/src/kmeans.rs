@@ -7,6 +7,7 @@
 //! given an RNG seed.
 
 use crate::complex::Complex;
+use crate::simd;
 use rand::Rng;
 
 /// Result of a k-means run.
@@ -120,33 +121,21 @@ pub fn kmeans<R: Rng>(
     }
 
     // --- Lloyd iterations ---
-    // One pass per iteration assigns each point and folds it into its
-    // cluster's sum, in point order, so every sum adds in the same order a
-    // separate recompute pass would.
+    // The lane kernel assigns every point (strict `<`: the lowest index
+    // wins ties and a NaN distance never wins); the cluster sums then add
+    // the points in point order.
     let mut assignments = vec![0usize; points.len()];
     let mut sums = vec![Complex::ZERO; k];
     let mut counts = vec![0usize; k];
     let mut iterations = 0;
     for it in 0..max_iter {
         iterations = it + 1;
-        let mut changed = false;
+        let changed = simd::nearest_centroids(points, &centroids, &mut assignments);
         sums.fill(Complex::ZERO);
         counts.fill(0);
-        for (p, a) in points.iter().zip(assignments.iter_mut()) {
-            // Strict `<`: the lowest index wins ties and a NaN distance
-            // never wins.
-            let mut best = 0;
-            let mut best_d = f64::INFINITY;
-            for (c, centroid) in centroids.iter().enumerate() {
-                let d = (*p - *centroid).norm_sqr();
-                let closer = d < best_d;
-                best_d = if closer { d } else { best_d };
-                best = if closer { c } else { best };
-            }
-            changed |= *a != best;
-            *a = best;
-            sums[best] += *p;
-            counts[best] += 1;
+        for (p, &a) in points.iter().zip(&assignments) {
+            sums[a] += *p;
+            counts[a] += 1;
         }
         for ((centroid, &sum), &count) in centroids.iter_mut().zip(&sums).zip(&counts) {
             if count > 0 {

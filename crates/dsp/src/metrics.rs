@@ -83,13 +83,11 @@ pub fn nmse_db(reference: &[Complex], test: &[Complex]) -> f64 {
 /// Panics if lengths differ.
 pub fn correlation(a: &[Complex], b: &[Complex]) -> f64 {
     assert_eq!(a.len(), b.len(), "correlation requires equal lengths");
-    let cross = simd::cdot_conj(a, b);
-    let pa = simd::sum_norm_sqr(a);
-    let pb = simd::sum_norm_sqr(b);
-    if pa == 0.0 || pb == 0.0 {
-        return 0.0;
-    }
-    cross.norm() / (pa * pb).sqrt()
+    simd::normalized_correlation(
+        simd::cdot_conj(a, b),
+        simd::sum_norm_sqr(a),
+        simd::sum_norm_sqr(b),
+    )
 }
 
 /// Cyclic-prefix self-similarity of an 80-sample OFDM symbol: the normalized

@@ -39,6 +39,10 @@
 //! sign and payload are not part of any operation's contract (Rust leaves
 //! them unspecified, and the compiler may swap the operands of a sum or
 //! product, which decides which NaN an x86 instruction returns).
+//! [`nearest_centroids`] computes each point's distances as the scalar
+//! k-means loop did and keeps its strict-`<` choice, and
+//! [`cp_correlation_sum`] runs [`cdot_conj`] and [`sum_norm_sqr`] on each
+//! block in one dispatch, so both are bit-equal to their models.
 //! Kernels that re-associate a reduction into per-lane partial sums
 //! ([`cdot_conj`], [`dot_f64`], [`sum_norm_sqr`], [`cumulant_sums`],
 //! [`fir_interior`]) or re-seed phasors block-wise
@@ -48,6 +52,14 @@
 //! order-preserving models in [`mod@reference`] within a ULP-scaled band, on
 //! random lengths including empty, single-sample, and non-lane-multiple
 //! tails.
+//!
+//! [`arg_into`] is the one kernel held to a ulp band against libm rather
+//! than to bit-equality with code it replaced: it evaluates `atan2` itself
+//! (one division to reduce the range, then an odd polynomial), so it is
+//! within 2 ulp of `f64::atan2` on finite nonzero input and equal to
+//! it on ±0, ±inf and NaN. Its body calls no libm function and fuses no
+//! multiply-add, so its bits are the same in both compilations and on
+//! every platform, whatever that platform's libm returns.
 //!
 //! ## Adding a kernel
 //!
@@ -208,6 +220,112 @@ fn dtft_one(z: &[Complex], nu: f64) -> f64 {
     acc.norm()
 }
 
+/// `|cross| / sqrt(pa·pb)`, or 0 when either power is 0: the normalized
+/// correlation of two segments from their three sums, as
+/// [`correlation`](crate::metrics::correlation) and
+/// [`cp_correlation_sum`] both form it.
+#[inline(always)]
+pub(crate) fn normalized_correlation(cross: Complex, pa: f64, pb: f64) -> f64 {
+    if pa == 0.0 || pb == 0.0 {
+        return 0.0;
+    }
+    cross.norm() / (pa * pb).sqrt()
+}
+
+/// `2^e` for a normal exponent.
+const fn pow2(e: i32) -> f64 {
+    f64::from_bits(((1023 + e) as u64) << 52)
+}
+
+/// `tan(π/8)`: past it [`arg_reduce`] reduces the tangent `t` by
+/// `(t − 1)/(t + 1)`.
+const TAN_PI_8: f64 = 0.414_213_562_373_095_03;
+
+/// `atan(t) ≈ t − t·u·Σ_i ATAN[i]·uⁱ` with `u = t²`, for `|t| ≤ 7/16`
+/// (fdlibm's `atan` coefficients).
+const ATAN: [f64; 11] = [
+    0.333_333_333_333_329_3,
+    -0.199_999_999_998_764_83,
+    0.142_857_142_725_034_66,
+    -0.111_111_104_054_623_56,
+    0.090_908_871_334_365_07,
+    -0.076_918_762_050_448_3,
+    0.066_610_731_373_875_31,
+    -0.058_335_701_337_905_735,
+    0.049_768_779_946_159_324,
+    -0.036_531_572_744_216_916,
+    0.016_285_820_115_365_782,
+];
+
+/// π/4 as the nearest double and the remainder it misses. Its multiples
+/// up to 4 are exact in the double, so `m·hi + (m·lo + z)` rounds once on
+/// nearly the exact `m·π/4 + z`.
+const PIO4: (f64, f64) = (std::f64::consts::FRAC_PI_4, 3.061_616_997_868_383e-17);
+
+/// The range reduction of `atan2(v.im, v.re)` without libm, written as
+/// selects so a lane loop of it vectorizes: the reduced tangent `t`, the
+/// multiple `m` of π/4, and the two signs, `flip` on `atan(t)` and `sign`
+/// (the sign of `im`) on the angle, as ±1, which [`arg_finish`] turns
+/// into `sign·(m·π/4 + flip·atan(t))`.
+///
+/// With `ax = |re|` and `ay = |im|`, the angle folds to the first octant,
+/// `atan(a/b)` with `a = min` and `b = max`, and one division reduces that
+/// to a tangent with `|t| ≤ tan(π/8)`: `a/b`, or `(a − b)/(a + b)` plus
+/// π/4 past `tan(π/8)`. Unfolding gives `m` from 0 to 4 (`π/2 −` the
+/// octant angle when `ay > ax`, `π −` the quadrant angle when `re` is
+/// negative, −0 included). A `b` past `2^1000` or below `2^-900` is scaled
+/// with `a` by a power of two first, so `a + b` cannot overflow and the
+/// octant test is exact. When `b` is infinite or zero, `t` reads 0 and
+/// only both being infinite adds π/4: `f64::atan2`'s exact answer on
+/// every such input. A NaN component stays in `t`.
+#[inline(always)]
+fn arg_reduce(v: Complex) -> (f64, f64, f64, f64) {
+    const INF: f64 = f64::INFINITY;
+    let (x, y) = (v.re, v.im);
+    let (ax, ay) = (x.abs(), y.abs());
+    let swap = ay > ax;
+    let (a, b) = if swap { (ax, ay) } else { (ay, ax) };
+    let scale = if b > pow2(1000) {
+        0.5
+    } else if b < pow2(-900) {
+        pow2(200)
+    } else {
+        1.0
+    };
+    let (a, b) = (a * scale, b * scale);
+    let mid = a > TAN_PI_8 * b;
+    let num = if mid { a - b } else { a };
+    let den = if mid { a + b } else { b };
+    let t = num / den;
+    let t = if t.is_nan() && !(ax.is_nan() || ay.is_nan()) {
+        0.0
+    } else {
+        t
+    };
+    let left = x.is_sign_negative();
+    let m = if mid || a == INF { 1.0 } else { 0.0 };
+    let m = if swap { 2.0 - m } else { m };
+    let m = if left { 4.0 - m } else { m };
+    let flip = if swap != left { -1.0 } else { 1.0 };
+    (t, m, flip, 1.0f64.copysign(y))
+}
+
+/// `sign·(m·π/4 + flip·atan(t))` from [`arg_reduce`]'s parts.
+#[inline(always)]
+fn arg_finish(t: f64, m: f64, flip: f64, sign: f64) -> f64 {
+    // Estrin's scheme: the powers of `u` run beside the coefficient pairs.
+    let u = t * t;
+    let u2 = u * u;
+    let u4 = u2 * u2;
+    let u8 = u4 * u4;
+    let [c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10] = ATAN;
+    let p = ((c0 + c1 * u) + u2 * (c2 + c3 * u))
+        + u4 * ((c4 + c5 * u) + u2 * (c6 + c7 * u))
+        + u8 * ((c8 + c9 * u) + u2 * c10);
+    let z = (t - t * (u * p)) * flip;
+    (m * PIO4.0 + (m * PIO4.1 + z)) * sign
+}
+
 macro_rules! kernels {
     ($($(#[$meta:meta])* fn $name:ident $(<$g:ident: $bound:ident>)? ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?;)*) => {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -286,6 +404,42 @@ kernels! {
 
     /// Writes `|x[i]|²` for every sample into `out` (cleared first).
     fn norm_sqr_into(x: &[Complex], out: &mut Vec<f64>);
+
+    /// Writes the angle `atan2(x[i].im, x[i].re)` of every sample into
+    /// `out[i]`, in `[-π, π]`. Within 2 ulp of `f64::atan2` on finite
+    /// nonzero input and equal to it on ±0, ±inf and NaN input; evaluated
+    /// without libm, so the bits do not depend on the platform (see the
+    /// module's tolerance policy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` and `x` differ in length.
+    fn arg_into(x: &[Complex], out: &mut [f64]);
+
+    /// One Lloyd assignment step: writes the index of each point's nearest
+    /// centroid (least `|p − c|²`, the lowest index on a tie, and index 0
+    /// when no distance is below +inf, so a NaN distance never wins) into
+    /// `assignments`, and returns whether any entry changed. Lanes run
+    /// across points; each distance is the scalar loop's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `assignments` and `points` differ in length.
+    fn nearest_centroids(
+        points: &[Complex],
+        centroids: &[Complex],
+        assignments: &mut [usize],
+    ) -> bool;
+
+    /// Σ over the whole `block`-sample blocks of `x`, in block order, of
+    /// the [`correlation`](crate::metrics::correlation) between a block's
+    /// first `cp` samples and its last `cp`. Each term is bit-identical to
+    /// that function's on the two slices; one dispatch covers every block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is 0 or `cp > block`.
+    fn cp_correlation_sum(x: &[Complex], block: usize, cp: usize) -> f64;
 
     /// Multiplies `x[i]` by `e^{j·omega·i}` in place: frequency shift / CFO
     /// correction. Lane phasors advance by `e^{j·omega·LANES}` and re-seed
@@ -369,8 +523,8 @@ pub fn gated_power_scan(
 /// with and without AVX2 enabled.
 mod body {
     use super::{
-        dtft_block, dtft_one, reduce, reduce4, reduce_columns, ChipTaps, Complex, CumulantSums,
-        GateScanState, IqSample, LANES, RESYNC,
+        arg_finish, arg_reduce, dtft_block, dtft_one, normalized_correlation, reduce, reduce4,
+        reduce_columns, ChipTaps, Complex, CumulantSums, GateScanState, IqSample, LANES, RESYNC,
     };
 
     #[inline(always)]
@@ -683,6 +837,82 @@ mod body {
         for (o, v) in out.iter_mut().zip(x) {
             *o = v.re * v.re + v.im * v.im;
         }
+    }
+
+    #[inline(always)]
+    pub fn arg_into(x: &[Complex], out: &mut [f64]) {
+        assert_eq!(x.len(), out.len(), "one angle per sample");
+        // Reduction and polynomial run as two passes over a block, so
+        // neither pass's dependency chain holds up the other's lanes.
+        const BLOCK: usize = 8 * LANES;
+        let mut parts = [[0.0; BLOCK]; 4];
+        for (xs, os) in x.chunks(BLOCK).zip(out.chunks_mut(BLOCK)) {
+            let [t, m, flip, sign] = &mut parts;
+            for ((((v, t), m), flip), sign) in xs.iter().zip(t).zip(m).zip(flip).zip(sign) {
+                (*t, *m, *flip, *sign) = arg_reduce(*v);
+            }
+            let [t, m, flip, sign] = &parts;
+            for ((((o, t), m), flip), sign) in os.iter_mut().zip(t).zip(m).zip(flip).zip(sign) {
+                *o = arg_finish(*t, *m, *flip, *sign);
+            }
+        }
+    }
+
+    /// The nearest of `centroids` to each of `G` points, with the scalar
+    /// loop's arithmetic and strict-`<` choice in every lane.
+    #[inline(always)]
+    fn nearest<const G: usize>(points: &[Complex], centroids: &[Complex]) -> [usize; G] {
+        let mut best = [0; G];
+        let mut best_d = [f64::INFINITY; G];
+        for (c, m) in centroids.iter().enumerate() {
+            for g in 0..G {
+                let d = (points[g] - *m).norm_sqr();
+                let closer = d < best_d[g];
+                best_d[g] = if closer { d } else { best_d[g] };
+                best[g] = if closer { c } else { best[g] };
+            }
+        }
+        best
+    }
+
+    #[inline(always)]
+    pub fn nearest_centroids(
+        points: &[Complex],
+        centroids: &[Complex],
+        assignments: &mut [usize],
+    ) -> bool {
+        assert_eq!(points.len(), assignments.len(), "one assignment per point");
+        let whole = points.len() - points.len() % LANES;
+        let mut changed = false;
+        for (p, a) in points[..whole]
+            .chunks_exact(LANES)
+            .zip(assignments[..whole].chunks_exact_mut(LANES))
+        {
+            let best = nearest::<LANES>(p, centroids);
+            changed |= *a != best;
+            a.copy_from_slice(&best);
+        }
+        for (p, a) in points[whole..].iter().zip(&mut assignments[whole..]) {
+            let [best] = nearest::<1>(std::slice::from_ref(p), centroids);
+            changed |= *a != best;
+            *a = best;
+        }
+        changed
+    }
+
+    #[inline(always)]
+    pub fn cp_correlation_sum(x: &[Complex], block: usize, cp: usize) -> f64 {
+        assert!(block > 0 && cp <= block, "the prefix must fit in a block");
+        let mut acc = 0.0;
+        for b in x.chunks_exact(block) {
+            let (head, tail) = (&b[..cp], &b[block - cp..]);
+            acc += normalized_correlation(
+                cdot_conj(head, tail),
+                sum_norm_sqr(head),
+                sum_norm_sqr(tail),
+            );
+        }
+        acc
     }
 
     #[inline(always)]
@@ -1214,6 +1444,53 @@ pub mod reference {
         out.extend(x.iter().map(|v| v.norm_sqr()));
     }
 
+    /// libm's `atan2`, one call per sample.
+    pub fn arg_into(x: &[Complex], out: &mut [f64]) {
+        for (o, v) in out.iter_mut().zip(x) {
+            *o = v.im.atan2(v.re);
+        }
+    }
+
+    /// The Lloyd assignment as a per-point loop, branching on
+    /// each closer centroid.
+    pub fn nearest_centroids(
+        points: &[Complex],
+        centroids: &[Complex],
+        assignments: &mut [usize],
+    ) -> bool {
+        let mut changed = false;
+        for (p, a) in points.iter().zip(assignments.iter_mut()) {
+            let mut best = 0;
+            let mut best_d = f64::INFINITY;
+            for (c, centroid) in centroids.iter().enumerate() {
+                let d = (*p - *centroid).norm_sqr();
+                if d < best_d {
+                    best_d = d;
+                    best = c;
+                }
+            }
+            if *a != best {
+                *a = best;
+                changed = true;
+            }
+        }
+        changed
+    }
+
+    /// Each block's correlation from the sequential sums.
+    pub fn cp_correlation_sum(x: &[Complex], block: usize, cp: usize) -> f64 {
+        let mut acc = 0.0;
+        for b in x.chunks_exact(block) {
+            let (head, tail) = (&b[..cp], &b[block - cp..]);
+            acc += super::normalized_correlation(
+                cdot_conj(head, tail),
+                sum_norm_sqr(head),
+                sum_norm_sqr(tail),
+            );
+        }
+        acc
+    }
+
     pub fn rotate_in_place(x: &mut [Complex], omega: f64) {
         for (i, v) in x.iter_mut().enumerate() {
             *v *= Complex::cis(omega * i as f64);
@@ -1400,6 +1677,26 @@ mod tests {
             let s1 = cumulant_sums(&a);
             let s2 = body::cumulant_sums(&a);
             assert_eq!(s1, s2, "cumulants n={n}");
+
+            let (mut g1, mut g2) = (vec![0.0; n], vec![0.0; n]);
+            arg_into(&a, &mut g1);
+            body::arg_into(&a, &mut g2);
+            assert_eq!(g1, g2, "arg n={n}");
+
+            let centroids = wave(5, 9);
+            let (mut k1, mut k2) = (vec![0; n], vec![0; n]);
+            assert_eq!(
+                nearest_centroids(&a, &centroids, &mut k1),
+                body::nearest_centroids(&a, &centroids, &mut k2),
+                "lloyd changed n={n}"
+            );
+            assert_eq!(k1, k2, "lloyd n={n}");
+
+            assert_eq!(
+                cp_correlation_sum(&a, 16, 3).to_bits(),
+                body::cp_correlation_sum(&a, 16, 3).to_bits(),
+                "cp n={n}"
+            );
 
             let rows = 16;
             let table = reals(n * rows, 5);

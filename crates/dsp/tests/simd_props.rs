@@ -13,8 +13,10 @@
 //! recurrence, the gated power scan with a power-of-two EWMA) must be
 //! **bit-identical** to the reference and are asserted exactly. Kernels
 //! that fuse or batch existing kernels (the timing search, chip sampling,
-//! multi-row correlation) are asserted bit for bit against those kernels
-//! composed the long way, and within the band against the reference.
+//! multi-row correlation, the per-block cyclic-prefix correlation) are
+//! asserted bit for bit against those kernels composed the long way, and
+//! within the band against the reference. The lane `atan2` is held to
+//! libm's `atan2` within 2 ulp, and to its exact bits on special values.
 //!
 //! Lengths are drawn randomly and the fixed probes include the edge shapes
 //! lane code gets wrong first: empty input, a single sample, and tails
@@ -26,7 +28,7 @@
 //! the same contract.
 
 use ctc_dsp::simd::{self, reference, ChipTaps, GateScanState, LANES};
-use ctc_dsp::{fft, Complex};
+use ctc_dsp::{fft, metrics, Complex};
 use proptest::prelude::*;
 
 /// Deterministic test waveform with entries in `[-1, 1)`.
@@ -109,6 +111,72 @@ fn check_dots(n: usize, seed: u64, omega: f64) {
         reference::sum_norm_sqr(&a),
         simd::sum_norm_sqr(&a),
     );
+}
+
+/// Distance in units in the last place between two finite doubles of the
+/// same sign class (adjacent doubles are 1 apart, +0 and -0 are 0 apart).
+fn ulps(a: f64, b: f64) -> u64 {
+    let ordered = |f: f64| {
+        let i = f.to_bits() as i64;
+        if i < 0 {
+            i64::MIN - i
+        } else {
+            i
+        }
+    };
+    (ordered(a) - ordered(b)).unsigned_abs()
+}
+
+/// A component of random sign whose magnitude is log-uniform over
+/// `[2^lo, 2^hi)` with a random 52-bit mantissa; exponents below -1022
+/// give subnormals.
+fn log_uniform(bits: u64, lo: i32, hi: i32) -> f64 {
+    let span = (hi - lo) as u64;
+    let e = lo + ((bits >> 53) % span) as i32;
+    let m = 1.0 + (bits & ((1 << 52) - 1)) as f64 / (1u64 << 52) as f64;
+    // Two steps, so exponents below the normal range round into
+    // subnormals instead of flushing through `powi`'s reciprocal.
+    let v = m * 2f64.powi(e.max(-1000)) * 2f64.powi((e + 1000).min(0));
+    if bits & (1 << 52) != 0 {
+        -v
+    } else {
+        v
+    }
+}
+
+/// `lane atan2 == libm atan2` within 2 ulp on finite input, in `[-π, π]`.
+fn check_arg(x: &[Complex]) {
+    let mut got = vec![7.0; x.len()];
+    simd::arg_into(x, &mut got);
+    let mut want = vec![0.0; x.len()];
+    reference::arg_into(x, &mut want);
+    for ((v, g), w) in x.iter().zip(&got).zip(&want) {
+        assert!(
+            g.abs() <= std::f64::consts::PI,
+            "arg {v:?} = {g:e} outside [-π, π]"
+        );
+        assert!(ulps(*g, *w) <= 2, "arg {v:?}: lane {g:e}, libm {w:e}");
+    }
+}
+
+/// A point set for the Lloyd step: a coarse lattice (duplicates and
+/// equidistant ties) or a uniform cloud, with NaN and ±inf mixed in.
+fn lloyd_points(n: usize, seed: u64, lattice: bool) -> Vec<Complex> {
+    let mut x = wave(n, seed);
+    if lattice {
+        for v in &mut x {
+            *v = Complex::new((v.re * 2.5).round(), (v.im * 2.5).round());
+        }
+    }
+    for (i, v) in x.iter_mut().enumerate() {
+        match (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59 {
+            0 => v.re = f64::NAN,
+            1 => v.im = f64::INFINITY,
+            2 => v.re = f64::NEG_INFINITY,
+            _ => {}
+        }
+    }
+    x
 }
 
 /// One stage's twiddles by the serial recurrence `w ← w·wlen` from 1.
@@ -704,6 +772,167 @@ proptest! {
             prop_assert_eq!(&act_got, &act_want, "flags len={} w={}", len, window);
             prop_assert_eq!(st_got, st_want, "state len={} w={}", len, window);
             prop_assert_eq!(&ring_got, &ring_want, "ring len={} w={}", len, window);
+        }
+    }
+}
+
+#[test]
+fn arg_into_is_within_two_ulp_of_libm_from_1e_minus_300_to_1e300() {
+    // 2^-997 ≈ 1e-300 to 2^997 ≈ 1e300, the two components drawn apart
+    // so every ratio and octant occurs, then the subnormal range alone.
+    let mut s = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    for (lo, hi) in [(-997, 997), (-1074, -1010), (-30, 30)] {
+        let x: Vec<Complex> = (0..60_000)
+            .map(|_| Complex::new(log_uniform(next(), lo, hi), log_uniform(next(), lo, hi)))
+            .collect();
+        check_arg(&x);
+    }
+    for len in EDGE_LENS {
+        check_arg(&wave(len, 5));
+    }
+}
+
+#[test]
+fn arg_into_equals_libm_on_special_values() {
+    const SPECIAL: [f64; 16] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        1.0,
+        -1.0,
+        0.5,
+        -3.0,
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE / 1024.0,
+        f64::from_bits(1),
+        f64::MAX,
+        -f64::MAX,
+        1e300,
+    ];
+    let special = |f: f64| f == 0.0 || !f.is_finite();
+    let mut x = Vec::new();
+    for re in SPECIAL {
+        for im in SPECIAL {
+            x.push(Complex::new(re, im));
+        }
+    }
+    let mut got = vec![0.0; x.len()];
+    simd::arg_into(&x, &mut got);
+    for (v, g) in x.iter().zip(&got) {
+        let want = v.im.atan2(v.re);
+        assert!(
+            g.is_nan() || g.abs() <= std::f64::consts::PI,
+            "{v:?} -> {g:e}"
+        );
+        if special(v.re) || special(v.im) {
+            assert_eq!(canonical(*g), canonical(want), "arg {v:?}");
+        } else {
+            assert!(ulps(*g, want) <= 2, "arg {v:?}: lane {g:e}, libm {want:e}");
+        }
+    }
+    // Lane position does not matter: each table entry alone.
+    for v in &x {
+        let mut one = [0.0];
+        simd::arg_into(std::slice::from_ref(v), &mut one);
+        let mut at = [0.0];
+        reference::arg_into(std::slice::from_ref(v), &mut at);
+        if special(v.re) || special(v.im) {
+            assert_eq!(canonical(one[0]), canonical(at[0]), "arg {v:?} alone");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "one angle per sample")]
+fn arg_into_rejects_a_short_output() {
+    simd::arg_into(&wave(9, 1), &mut [0.0; 8]);
+}
+
+#[test]
+fn nearest_centroids_matches_the_scalar_loop_on_ties_and_specials() {
+    for k in 1..=6usize {
+        for len in EDGE_LENS.into_iter().chain([2 * LANES + 3, 429]) {
+            for (seed, lattice) in [(1u64, true), (2, false), (3, true)] {
+                let points = lloyd_points(len, seed ^ k as u64, lattice);
+                let mut centroids = lloyd_points(k, seed * 7 + k as u64, lattice);
+                // Centroids that sit on points give exact-zero distances and
+                // ties between duplicate centroids.
+                if len > 0 && k > 1 {
+                    centroids[k - 1] = points[len / 2];
+                    centroids[0] = points[len / 2];
+                }
+                let prior: Vec<usize> = (0..len).map(|i| (i * 5 + seed as usize) % k).collect();
+                let (mut got, mut want) = (prior.clone(), prior);
+                let changed = simd::nearest_centroids(&points, &centroids, &mut got);
+                let changed_ref = reference::nearest_centroids(&points, &centroids, &mut want);
+                assert_eq!(got, want, "k={k} len={len} seed={seed}");
+                assert_eq!(changed, changed_ref, "k={k} len={len} seed={seed}");
+                // A second pass from its own output changes nothing.
+                assert!(!simd::nearest_centroids(&points, &centroids, &mut got));
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn arg_into_stays_within_two_ulp(n in 0usize..300, seed in 0u64..1000, exp in -40i32..40) {
+        let scale = 2f64.powi(exp);
+        let x: Vec<Complex> = wave(n, seed).iter().map(|v| *v * scale).collect();
+        check_arg(&x);
+    }
+
+    #[test]
+    fn nearest_centroids_is_bit_identical(
+        n in 0usize..200,
+        k in 1usize..7,
+        seed in 0u64..1000,
+        lattice in any::<bool>(),
+    ) {
+        let points = lloyd_points(n, seed, lattice);
+        let centroids = lloyd_points(k, seed ^ 0xC0FFEE, lattice);
+        let mut got = vec![k - 1; n];
+        let mut want = got.clone();
+        let changed = simd::nearest_centroids(&points, &centroids, &mut got);
+        let changed_ref = reference::nearest_centroids(&points, &centroids, &mut want);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(changed, changed_ref);
+    }
+
+    #[test]
+    fn cp_correlation_sum_keeps_the_composed_correlations_bits(
+        n in 0usize..600,
+        block in 1usize..40,
+        cp in 0usize..41,
+        seed in 0u64..1000,
+        specials in any::<bool>(),
+    ) {
+        let cp = cp.min(block);
+        let x = if specials { special_wave(n, seed) } else { wave(n, seed) };
+        let got = simd::cp_correlation_sum(&x, block, cp);
+        // The per-block composition the cyclic-prefix statistic ran
+        // before: one `correlation` call on each block's two slices.
+        let mut composed = 0.0;
+        for b in x.chunks_exact(block) {
+            composed += metrics::correlation(&b[..cp], &b[block - cp..]);
+        }
+        prop_assert_eq!(canonical(got), canonical(composed), "block={} cp={}", block, cp);
+        let want = reference::cp_correlation_sum(&x, block, cp);
+        if cp < LANES {
+            // No lane partials: the sequential sums are the kernel's.
+            prop_assert_eq!(canonical(got), canonical(want));
+        } else if !specials {
+            let blocks = (n / block) as f64;
+            assert_close("cp_correlation_sum", cp, blocks, want, got);
         }
     }
 }

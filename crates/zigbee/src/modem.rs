@@ -202,29 +202,40 @@ pub fn demodulate_chips(wave: &[Complex], num_chips: usize) -> ChipSamples {
 
 /// Instantaneous phase (radians, unwrapped) of a waveform — the "output of
 /// the OQPSK demodulation" trace the paper plots in Fig. 9a to show that
-/// frequency trends cannot distinguish the attacker.
+/// frequency trends cannot distinguish the attacker. The sample angles
+/// come from [`ctc_dsp::simd::arg_into`] and unwrap by [`phase_step`].
 pub fn instantaneous_phase(wave: &[Complex]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(wave.len());
+    let mut out = vec![0.0; wave.len()];
+    ctc_dsp::simd::arg_into(wave, &mut out);
     let mut prev = 0.0f64;
     let mut acc = 0.0f64;
-    for (n, v) in wave.iter().enumerate() {
-        let a = v.arg();
+    for (n, o) in out.iter_mut().enumerate() {
+        let a = *o;
         if n > 0 {
-            let mut d = a - prev;
-            while d > std::f64::consts::PI {
-                d -= 2.0 * std::f64::consts::PI;
-            }
-            while d < -std::f64::consts::PI {
-                d += 2.0 * std::f64::consts::PI;
-            }
-            acc += d;
+            acc += phase_step(prev, a);
         } else {
             acc = a;
         }
         prev = a;
-        out.push(acc);
+        *o = acc;
     }
     out
+}
+
+/// The unwrapping step of [`instantaneous_phase`]: `a − prev`, less 2π
+/// when above π or plus 2π when below −π. Both angles must lie in
+/// `[-π, π]`, as [`ctc_dsp::simd::arg_into`]'s do, so the difference lies
+/// in `[-2π, 2π]` and one wrap is all it can need; NaN passes through.
+#[inline]
+pub fn phase_step(prev: f64, a: f64) -> f64 {
+    use std::f64::consts::PI;
+    let d = a - prev;
+    let d = if d > PI { d - 2.0 * PI } else { d };
+    if d < -PI {
+        d + 2.0 * PI
+    } else {
+        d
+    }
 }
 
 #[cfg(test)]
@@ -354,6 +365,33 @@ mod tests {
         let ph = instantaneous_phase(&w);
         for pair in ph.windows(2) {
             assert!((pair[1] - pair[0] - 0.3).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn phase_step_matches_the_wrap_loops_on_angles_in_range() {
+        use std::f64::consts::PI;
+        // The unwrap as loops: as many 2π steps as the difference needs.
+        let looped = |prev: f64, a: f64| {
+            let mut d = a - prev;
+            while d > PI {
+                d -= 2.0 * PI;
+            }
+            while d < -PI {
+                d += 2.0 * PI;
+            }
+            d
+        };
+        let mut angles = vec![-PI, PI, 0.0, -0.0, PI / 2.0, -PI / 2.0, 1e-300, f64::NAN];
+        angles.extend((0..400).map(|i| -PI + 2.0 * PI * (i as f64 * 0.618_034).fract()));
+        for &prev in &angles {
+            for &a in &angles {
+                let (got, want) = (phase_step(prev, a), looped(prev, a));
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "step {prev} -> {a}: {got} vs {want}"
+                );
+            }
         }
     }
 

@@ -12,7 +12,9 @@
 #     trains both ensembles, and exits 13 when the best ensemble AUC
 #     drops below the DE² baseline AUC — that exit fails this script;
 #   - the JSON report (AUC / EER / TPR@FPR=1% for baseline, logistic and
-#     stumps, plus per-feature AUCs) lands in $REPORT so CI can archive
+#     stumps, plus per-feature AUCs) lands in $REPORT (default: the
+#     committed roc_report.json). CI writes it to a temporary file,
+#     compares it byte for byte with the committed report and archives
 #     it as an artifact.
 #
 # Run from the repo root after `cargo build --release -p ctc-cli`.
