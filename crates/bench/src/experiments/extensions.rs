@@ -6,7 +6,7 @@ use crate::report::{f2, f4, markdown_table, pct, write_csv};
 use crate::trials::mean;
 use ctc_channel::Link;
 use ctc_core::attack::{Emulator, SpectralMode, SynthesisMode};
-use ctc_core::defense::{cumulant_features_from_reception, ChannelAssumption, Detector};
+use ctc_core::defense::{cumulant_features_from_reception, ChannelAssumption, Detector, Roc};
 use ctc_dsp::metrics::{correlation, normalize_power};
 use ctc_zigbee::Receiver;
 use rand::rngs::StdRng;
@@ -34,22 +34,12 @@ pub fn roc(results: PathBuf, snr_db: f64, per_class: usize) -> Box<dyn Experimen
             })
         },
         reduce_fn: move |_artifacts: &Artifacts, grouped: Vec<Vec<Vec<f64>>>| {
-            let zig = column(&grouped[0], 0);
-            let emu = column(&grouped[1], 0);
-            let mut thresholds: Vec<f64> = zig.iter().chain(&emu).copied().collect();
-            thresholds.sort_by(f64::total_cmp);
-            thresholds.dedup();
-            let mut rows = Vec::new();
-            let mut auc = 0.0;
-            let mut prev = (1.0, 1.0); // (fpr, tpr) at threshold -inf
-            for &q in &thresholds {
-                let fpr = zig.iter().filter(|&&v| v > q).count() as f64 / zig.len() as f64;
-                let tpr = emu.iter().filter(|&&v| v > q).count() as f64 / emu.len() as f64;
-                auc += (prev.0 - fpr) * (tpr + prev.1) / 2.0;
-                prev = (fpr, tpr);
-                rows.push(vec![f4(q), f4(fpr), f4(tpr)]);
-            }
-            auc += prev.0 * prev.1 / 2.0;
+            let roc = Roc::from_scores(&column(&grouped[0], 0), &column(&grouped[1], 0));
+            let rows: Vec<Vec<String>> = roc
+                .points
+                .iter()
+                .map(|p| vec![f4(p.threshold), f4(p.fpr), f4(p.tpr)])
+                .collect();
             write_csv(
                 &results,
                 "ext_roc.csv",
@@ -61,7 +51,7 @@ pub fn roc(results: PathBuf, snr_db: f64, per_class: usize) -> Box<dyn Experimen
                 "## Extension — Detector ROC at {snr_db} dB ({per_class} frames per class)\n\n\
                  CSV: results/ext_roc.csv\n\
                  AUC ≈ {} (1.0 = perfect separation; the paper's gap implies ≈ 1.0).\n",
-                f4(auc)
+                f4(roc.auc)
             ))
         },
     })

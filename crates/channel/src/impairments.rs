@@ -27,53 +27,23 @@ use ctc_dsp::Complex;
 /// assert!((y[1] - Complex::I).norm() < 1e-12);
 /// ```
 pub fn apply_cfo(x: &[Complex], cfo_hz: f64, sample_rate_hz: f64, phase_rad: f64) -> Vec<Complex> {
-    let mut out = x.to_vec();
-    apply_cfo_in_place(&mut out, cfo_hz, sample_rate_hz, phase_rad);
-    out
-}
-
-/// [`apply_cfo`] mutating the waveform in place — the impairment is
-/// length-preserving, so streaming pipelines need no second buffer.
-///
-/// # Panics
-///
-/// Panics if `sample_rate_hz <= 0`.
-pub fn apply_cfo_in_place(x: &mut [Complex], cfo_hz: f64, sample_rate_hz: f64, phase_rad: f64) {
     assert!(sample_rate_hz > 0.0, "sample rate must be positive");
     let w = 2.0 * std::f64::consts::PI * cfo_hz / sample_rate_hz;
-    for (n, v) in x.iter_mut().enumerate() {
-        *v *= Complex::cis(w * n as f64 + phase_rad);
-    }
+    x.iter()
+        .enumerate()
+        .map(|(n, &v)| v * Complex::cis(w * n as f64 + phase_rad))
+        .collect()
 }
 
 /// Applies only a static phase rotation.
 pub fn apply_phase(x: &[Complex], phase_rad: f64) -> Vec<Complex> {
-    let mut out = x.to_vec();
-    apply_phase_in_place(&mut out, phase_rad);
-    out
-}
-
-/// [`apply_phase`] mutating the waveform in place.
-pub fn apply_phase_in_place(x: &mut [Complex], phase_rad: f64) {
-    let r = Complex::cis(phase_rad);
-    for v in x.iter_mut() {
-        *v *= r;
-    }
+    apply_flat_gain(x, Complex::cis(phase_rad))
 }
 
 /// Applies a flat complex gain (amplitude scale + phase), e.g. one fading
 /// realization held constant over a packet (block fading).
 pub fn apply_flat_gain(x: &[Complex], gain: Complex) -> Vec<Complex> {
-    let mut out = x.to_vec();
-    apply_flat_gain_in_place(&mut out, gain);
-    out
-}
-
-/// [`apply_flat_gain`] mutating the waveform in place.
-pub fn apply_flat_gain_in_place(x: &mut [Complex], gain: Complex) {
-    for v in x.iter_mut() {
-        *v *= gain;
-    }
+    x.iter().map(|&v| v * gain).collect()
 }
 
 #[cfg(test)]

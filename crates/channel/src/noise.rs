@@ -38,39 +38,26 @@ pub fn complex_gaussian<R: Rng>(rng: &mut R, variance: f64) -> Complex {
 /// For non-unit-power inputs use [`awgn_measured`], which measures the
 /// input's power first.
 pub fn awgn<R: Rng>(x: &[Complex], snr_db: f64, rng: &mut R) -> Vec<Complex> {
-    let mut out = x.to_vec();
-    awgn_in_place(&mut out, snr_db, rng);
-    out
-}
-
-/// [`awgn`] mutating the waveform in place (unit-mean-power convention).
-pub fn awgn_in_place<R: Rng>(x: &mut [Complex], snr_db: f64, rng: &mut R) {
-    let sigma2 = 10f64.powf(-snr_db / 10.0);
-    for v in x.iter_mut() {
-        *v += complex_gaussian(rng, sigma2);
-    }
+    add_noise(x, 10f64.powf(-snr_db / 10.0), rng)
 }
 
 /// Adds AWGN at the given SNR relative to the *measured* mean power of `x`.
 ///
 /// Returns `x` unchanged when it has zero power (nothing to scale noise to).
 pub fn awgn_measured<R: Rng>(x: &[Complex], snr_db: f64, rng: &mut R) -> Vec<Complex> {
-    let mut out = x.to_vec();
-    awgn_measured_in_place(&mut out, snr_db, rng);
-    out
-}
-
-/// [`awgn_measured`] mutating the waveform in place; zero-power input is
-/// left untouched.
-pub fn awgn_measured_in_place<R: Rng>(x: &mut [Complex], snr_db: f64, rng: &mut R) {
     let p = ctc_dsp::metrics::mean_power(x);
     if p <= 0.0 {
-        return;
+        return x.to_vec();
     }
-    let sigma2 = p * 10f64.powf(-snr_db / 10.0);
-    for v in x.iter_mut() {
-        *v += complex_gaussian(rng, sigma2);
-    }
+    add_noise(x, p * 10f64.powf(-snr_db / 10.0), rng)
+}
+
+/// `x` plus one complex Gaussian draw of total variance `sigma2` per
+/// sample, drawn in sample order.
+fn add_noise<R: Rng>(x: &[Complex], sigma2: f64, rng: &mut R) -> Vec<Complex> {
+    x.iter()
+        .map(|&v| v + complex_gaussian(rng, sigma2))
+        .collect()
 }
 
 #[cfg(test)]

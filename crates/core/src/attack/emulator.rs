@@ -12,15 +12,15 @@
 //! ```
 
 use crate::attack::quantizer::{quantize_points, quantize_points_fixed, QuantizedPoints};
-use crate::attack::spectrum::{block_spectra, select_subcarriers};
-use ctc_dsp::resample::{interpolate, Decimator};
-use ctc_dsp::{Complex, SampleBuf};
+use crate::attack::spectrum::{block_spectra, select_subcarriers, COARSE_THRESHOLD};
+use ctc_dsp::resample::interpolate;
+use ctc_dsp::Complex;
 use ctc_wifi::ofdm::{
     bin_to_subcarrier, data_subcarrier_indices, synthesize_symbol_into, FFT_SIZE, SYMBOL_LEN,
 };
 use ctc_wifi::qam::NORM_64QAM;
 use ctc_wifi::WifiTransmitter;
-use ctc_zigbee::frontend::{capture_into, embed};
+use ctc_zigbee::frontend::{capture, embed};
 
 /// Where in the WiFi spectrum the ZigBee band is emulated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +66,6 @@ pub enum SynthesisMode {
 pub struct Emulator {
     spectral_mode: SpectralMode,
     synthesis_mode: SynthesisMode,
-    coarse_threshold: f64,
     kept_subcarriers: usize,
     fixed_alpha: Option<f64>,
     zigbee_center_hz: f64,
@@ -87,7 +86,6 @@ impl Emulator {
         Emulator {
             spectral_mode: SpectralMode::BasebandAligned,
             synthesis_mode: SynthesisMode::RawSpectrum,
-            coarse_threshold: 3.0,
             kept_subcarriers: 7,
             fixed_alpha: None,
             zigbee_center_hz: 2.435e9,
@@ -105,13 +103,6 @@ impl Emulator {
     /// Selects the synthesis path.
     pub fn with_synthesis_mode(mut self, mode: SynthesisMode) -> Self {
         self.synthesis_mode = mode;
-        self
-    }
-
-    /// Overrides the coarse-estimation magnitude threshold (default 3.0,
-    /// the value used in the paper's Table I walkthrough).
-    pub fn with_coarse_threshold(mut self, threshold: f64) -> Self {
-        self.coarse_threshold = threshold;
         self
     }
 
@@ -187,7 +178,7 @@ impl Emulator {
             &padded
         };
         let spectra = block_spectra(wide);
-        let kept_bins = select_subcarriers(&spectra, self.coarse_threshold, self.kept_subcarriers);
+        let kept_bins = select_subcarriers(&spectra, COARSE_THRESHOLD, self.kept_subcarriers);
 
         // Gather the chosen components of every block and quantize them with
         // one global scaler ("the attacker has to choose a scalar for QAM
@@ -224,18 +215,17 @@ impl Emulator {
         kept_bins: &[usize],
         quantized: &QuantizedPoints,
     ) -> Emulation {
-        let mut wave = SampleBuf::detached(spectra.len() * SYMBOL_LEN);
+        let mut wave = Vec::with_capacity(spectra.len() * SYMBOL_LEN);
         let mut spectrum = [Complex::ZERO; FFT_SIZE];
-        let mut scratch = SampleBuf::detached(FFT_SIZE);
         for (b, _) in spectra.iter().enumerate() {
             spectrum.fill(Complex::ZERO);
             for (j, &bin) in kept_bins.iter().enumerate() {
                 spectrum[bin] = quantized.points[b * kept_bins.len() + j];
             }
-            synthesize_symbol_into(&spectrum, &mut scratch, &mut wave);
+            synthesize_symbol_into(&spectrum, &mut wave);
         }
         Emulation {
-            waveform_20mhz: wave.into_vec(),
+            waveform_20mhz: wave,
             kept_bins: kept_bins.to_vec(),
             alpha: quantized.alpha,
             quantization_error: quantized.error,
@@ -282,38 +272,20 @@ impl Emulator {
     /// What the ZigBee receiver's 2 MHz front-end captures of the emulated
     /// transmission, back at 4 MHz.
     pub fn received_at_zigbee(&self, emulation: &Emulation) -> Vec<Complex> {
-        let mut scratch = SampleBuf::detached(0);
-        let mut out = SampleBuf::detached(emulation.waveform_20mhz.len() / 5 + 1);
-        self.received_at_zigbee_into(emulation, &mut scratch, &mut out);
-        out.into_vec()
-    }
-
-    /// [`Emulator::received_at_zigbee`] writing into a caller-supplied
-    /// buffer (cleared first); `shift_scratch` is only touched in
-    /// carrier-allocated mode, where the band must be moved to DC first.
-    pub fn received_at_zigbee_into(
-        &self,
-        emulation: &Emulation,
-        shift_scratch: &mut SampleBuf,
-        out: &mut SampleBuf,
-    ) {
         let (in_center, out_center) = match emulation.spectral_mode {
             SpectralMode::BasebandAligned => (self.zigbee_center_hz, self.zigbee_center_hz),
             SpectralMode::CarrierAllocated => {
                 (self.wifi.center_frequency_hz(), self.zigbee_center_hz)
             }
         };
-        let factor = (self.wifi.sample_rate_hz() / self.zigbee_rate_hz).round() as usize;
-        let mut decimator = Decimator::new(factor).expect("factor 5 is nonzero");
-        capture_into(
+        capture(
             &emulation.waveform_20mhz,
             in_center,
             self.wifi.sample_rate_hz(),
             out_center,
-            &mut decimator,
-            shift_scratch,
-            out,
-        );
+            self.zigbee_rate_hz,
+        )
+        .expect("factor 5 is nonzero")
     }
 }
 

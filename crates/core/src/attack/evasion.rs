@@ -16,7 +16,7 @@
 //! truncation remain.
 
 use crate::attack::quantizer::{quantize_points, quantize_points_fixed, QuantizedPoints};
-use crate::attack::spectrum::{block_spectra, select_subcarriers};
+use crate::attack::spectrum::{block_spectra, select_subcarriers, COARSE_THRESHOLD};
 use ctc_dsp::linalg::Matrix;
 use ctc_dsp::Complex;
 use ctc_wifi::ofdm::{synthesize_symbol, CP_LEN, FFT_SIZE, SYMBOL_LEN};
@@ -40,7 +40,6 @@ fn cp_extended_basis(kept_bins: &[usize]) -> Matrix {
 /// Configuration of the least-squares attacker.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LeastSquaresEmulator {
-    coarse_threshold: f64,
     kept_subcarriers: usize,
     fixed_alpha: Option<f64>,
 }
@@ -56,7 +55,6 @@ impl LeastSquaresEmulator {
     /// 7 kept subcarriers, optimized alpha.
     pub fn new() -> Self {
         LeastSquaresEmulator {
-            coarse_threshold: 3.0,
             kept_subcarriers: 7,
             fixed_alpha: None,
         }
@@ -92,7 +90,7 @@ impl LeastSquaresEmulator {
         // Subcarrier selection identical to the baseline attack so the two
         // are comparable.
         let spectra = block_spectra(&wide);
-        let kept_bins = select_subcarriers(&spectra, self.coarse_threshold, self.kept_subcarriers);
+        let kept_bins = select_subcarriers(&spectra, COARSE_THRESHOLD, self.kept_subcarriers);
         let basis = cp_extended_basis(&kept_bins);
 
         // Per-block least-squares fit of the kept coefficients.

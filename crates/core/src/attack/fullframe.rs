@@ -19,7 +19,7 @@
 //! commands the ZigBee device.
 
 use crate::attack::quantizer::quantize_points;
-use crate::attack::spectrum::{block_spectra, select_subcarriers};
+use crate::attack::spectrum::{block_spectra, select_subcarriers, COARSE_THRESHOLD};
 use ctc_dsp::Complex;
 use ctc_wifi::convolutional::{decode_with, Rate};
 use ctc_wifi::interleaver::{permutation, N_BPSC_64QAM, N_CBPS_64QAM};
@@ -53,7 +53,6 @@ pub struct FullFrameEmulation {
 /// 802.11g transmission, as in the paper's Sec. V-A4 deployment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FullFrameAttack {
-    coarse_threshold: f64,
     kept_subcarriers: usize,
     wifi: WifiTransmitter,
     zigbee_center_hz: f64,
@@ -70,7 +69,6 @@ impl FullFrameAttack {
     /// Defaults matching [`crate::attack::Emulator`].
     pub fn new() -> Self {
         FullFrameAttack {
-            coarse_threshold: 3.0,
             kept_subcarriers: 7,
             wifi: WifiTransmitter::new(),
             zigbee_center_hz: 2.435e9,
@@ -102,7 +100,7 @@ impl FullFrameAttack {
         // ZigBee symbol must not fall off the end of the frame.
         wide.extend(std::iter::repeat_n(Complex::ZERO, SYMBOL_LEN));
         let spectra = block_spectra(&wide);
-        let kept_bins = select_subcarriers(&spectra, self.coarse_threshold, self.kept_subcarriers);
+        let kept_bins = select_subcarriers(&spectra, COARSE_THRESHOLD, self.kept_subcarriers);
         let mut chosen = Vec::with_capacity(spectra.len() * kept_bins.len());
         for spec in &spectra {
             for &bin in &kept_bins {

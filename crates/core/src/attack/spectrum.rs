@@ -13,6 +13,11 @@
 use ctc_dsp::{fft64, Complex};
 use ctc_wifi::ofdm::{CP_LEN, SYMBOL_LEN};
 
+/// The coarse estimation's magnitude threshold: the value used in the
+/// paper's Table I walkthrough, and the one every attacker here selects
+/// subcarriers with.
+pub const COARSE_THRESHOLD: f64 = 3.0;
+
 /// Per-block FFT magnitudes of an observed waveform, one column of Table I.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockSpectrum {

@@ -10,6 +10,7 @@
 //! is the quantitative argument for the paper's choice of higher-order
 //! statistics.
 
+use crate::defense::detector::decides_attack;
 use crate::defense::features::constellation_from_reception;
 use ctc_dsp::kmeans::kmeans;
 use ctc_dsp::Complex;
@@ -61,9 +62,13 @@ impl EvmDetector {
     ///
     /// # Panics
     ///
-    /// Panics if `threshold <= 0`.
+    /// Panics unless `threshold` is finite and positive: a NaN or infinite
+    /// threshold would pass every frame as authentic.
     pub fn with_threshold(mut self, threshold: f64) -> Self {
-        assert!(threshold > 0.0, "threshold must be positive");
+        assert!(
+            threshold.is_finite() && threshold > 0.0,
+            "threshold must be finite and positive"
+        );
         self.threshold = threshold;
         self
     }
@@ -74,12 +79,13 @@ impl EvmDetector {
     }
 
     /// Computes the statistic and verdict for a reception; `None` when too
-    /// few chip samples exist.
+    /// few chip samples exist. A non-finite statistic decides "attack", as
+    /// it does for every detector.
     pub fn detect(&self, reception: &Reception) -> Option<EvmVerdict> {
         let evm = clustered_evm(&constellation_from_reception(reception))?;
         Some(EvmVerdict {
             evm,
-            is_attack: evm > self.threshold,
+            is_attack: decides_attack(evm, self.threshold),
         })
     }
 }
@@ -149,6 +155,25 @@ mod tests {
             "the |C40| line estimator should survive: {}",
             f.de_squared_real()
         );
+    }
+
+    #[test]
+    fn non_finite_statistic_decides_attack() {
+        let (orig, _) = pair();
+        let mut poisoned = Receiver::usrp().receive(&orig);
+        // One NaN chip sample, as a poisoned capture delivers it.
+        poisoned.raw_chip_samples.midpoints[7].re = f64::NAN;
+        let v = EvmDetector::new().detect(&poisoned).unwrap();
+        assert!(v.evm.is_nan());
+        assert!(v.is_attack, "a NaN statistic passed as authentic");
+    }
+
+    #[test]
+    fn non_finite_thresholds_rejected() {
+        for threshold in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let caught = std::panic::catch_unwind(|| EvmDetector::new().with_threshold(threshold));
+            assert!(caught.is_err(), "threshold {threshold} accepted");
+        }
     }
 
     #[test]

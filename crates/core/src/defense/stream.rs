@@ -64,7 +64,7 @@ impl StreamEvent {
 
 /// A completed burst cut out of the stream with its decode margin: the
 /// unit of work handed from the ingest stage to a decode worker.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BurstCapture {
     /// The burst, in absolute stream sample indices.
     pub burst: Burst,

@@ -9,7 +9,7 @@
 
 use crate::attack::{Emulation, Emulator};
 use crate::error::Error;
-use ctc_dsp::{Complex, SampleBuf};
+use ctc_dsp::Complex;
 use ctc_zigbee::Transmitter;
 
 /// A reusable pair of transmit waveforms: the authentic frame and its
@@ -43,15 +43,9 @@ impl WaveformPair {
     pub fn with_emulator(payload: &[u8], emulator: &Emulator) -> Result<Self, Error> {
         let original = Transmitter::new().transmit_payload(payload)?;
         let emulation = emulator.emulate(&original);
-        // Capture straight into the buffer that becomes `emulated` — the
-        // front-end decimates from the emulation in place of the old
-        // shift-copy + collect, so no intermediate full-waveform copy.
-        let mut scratch = SampleBuf::detached(0);
-        let mut captured = SampleBuf::detached(emulation.waveform_20mhz.len() / 5 + 1);
-        emulator.received_at_zigbee_into(&emulation, &mut scratch, &mut captured);
         Ok(WaveformPair {
             original,
-            emulated: captured.into_vec(),
+            emulated: emulator.received_at_zigbee(&emulation),
             emulation,
         })
     }

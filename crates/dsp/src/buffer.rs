@@ -1,24 +1,24 @@
-//! Reusable sample buffers.
+//! Pooled capture buffers.
 //!
-//! Every hop of the TX → channel → RX → detector path works on blocks of
-//! complex baseband samples. Allocating a fresh `Vec<Complex>` per hop puts
-//! the allocator — not the math — on the critical path of the streaming
-//! gateway. This module provides the ownership model that removes it:
+//! The streaming gateway cuts every burst it serves into a buffer of its
+//! own: the burst's samples plus a decode margin, handed from the session
+//! that read them to the receiver and detector. Allocating a fresh
+//! `Vec<Complex>` per burst would put the allocator on that path, so the
+//! captures' capacity is recycled instead:
 //!
 //! * [`BufferPool`] — a thread-safe free-list of `Vec<Complex>` capacity.
 //!   Checking out is a mutex-protected pop (a *hit*) or a fresh allocation
 //!   (a *miss*); steady-state pipelines converge to all-hits.
-//! * [`SampleBuf`] — an owned sample buffer that returns its capacity to the
-//!   pool it came from on drop. Detached buffers (no pool) behave like a
-//!   plain `Vec` and are always valid, so APIs taking `&mut SampleBuf` work
-//!   with or without pooling.
+//! * [`SampleBuf`] — a buffer checked out of a pool, which returns its
+//!   capacity there on drop.
 //!
 //! Ownership rule of thumb: *whoever checks a buffer out lets it drop* —
-//! return-to-pool is automatic, never manual. Producers that hand samples
-//! across threads move the `SampleBuf` itself (it is `Send`), and the
-//! consumer's drop returns the capacity to the shared pool.
+//! return-to-pool is automatic, never manual. A capture crosses threads by
+//! moving its `SampleBuf` (it is `Send`), and the consumer's drop returns
+//! the capacity to the shared pool. Nothing else is pooled: the DSP stages
+//! are plain functions from `&[Complex]` to a fresh `Vec<Complex>`.
 
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -47,7 +47,7 @@ struct PoolInner {
 ///
 /// let pool = BufferPool::new();
 /// let mut buf = pool.checkout(1024);
-/// buf.extend_from_slice(&[ctc_dsp::Complex::ONE; 8]);
+/// buf.extend([ctc_dsp::Complex::ONE; 8]);
 /// let cap = buf.capacity();
 /// drop(buf); // capacity returns to the pool
 /// let again = pool.checkout(16);
@@ -110,7 +110,7 @@ impl BufferPool {
         };
         SampleBuf {
             data,
-            pool: Some(self.clone()),
+            pool: self.clone(),
         }
     }
 
@@ -140,80 +140,20 @@ impl BufferPool {
     }
 }
 
-/// An owned block of complex samples whose capacity is recycled on drop.
+/// A block of complex samples checked out of a [`BufferPool`], whose
+/// capacity returns to that pool on drop.
 ///
-/// Dereferences to `[Complex]`; grow with [`push`](SampleBuf::push),
-/// [`extend_from_slice`](SampleBuf::extend_from_slice) or
-/// [`resize`](SampleBuf::resize). A buffer checked out of a [`BufferPool`]
-/// returns there on drop; a [detached](SampleBuf::detached) buffer frees
-/// normally, so all APIs work identically either way.
+/// Dereferences to `[Complex]`; fill it with [`Extend`].
 #[derive(Debug)]
 pub struct SampleBuf {
     data: Vec<Complex>,
-    pool: Option<BufferPool>,
+    pool: BufferPool,
 }
 
 impl SampleBuf {
-    /// Creates a pool-less buffer with the given capacity reserved.
-    pub fn detached(capacity: usize) -> Self {
-        SampleBuf {
-            data: Vec::with_capacity(capacity),
-            pool: None,
-        }
-    }
-
-    /// Empties the buffer, keeping capacity.
-    pub fn clear(&mut self) {
-        self.data.clear();
-    }
-
-    /// Appends one sample.
-    pub fn push(&mut self, v: Complex) {
-        self.data.push(v);
-    }
-
-    /// Appends a slice of samples.
-    pub fn extend_from_slice(&mut self, s: &[Complex]) {
-        self.data.extend_from_slice(s);
-    }
-
-    /// Resizes to `len`, filling new slots with `value`.
-    pub fn resize(&mut self, len: usize, value: Complex) {
-        self.data.resize(len, value);
-    }
-
-    /// Reserves room for at least `additional` more samples.
-    pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve(additional);
-    }
-
     /// Current capacity in samples.
     pub fn capacity(&self) -> usize {
         self.data.capacity()
-    }
-
-    /// Detaches the backing vector; the capacity is *not* returned to the
-    /// pool. Use at the pipeline boundary where a plain `Vec` must escape.
-    pub fn into_vec(mut self) -> Vec<Complex> {
-        std::mem::take(&mut self.data)
-    }
-}
-
-impl Clone for SampleBuf {
-    /// Clones the samples; the copy draws from (and returns to) the same
-    /// pool when the original is pooled.
-    fn clone(&self) -> Self {
-        match &self.pool {
-            Some(pool) => {
-                let mut b = pool.checkout(self.data.len());
-                b.extend_from_slice(&self.data);
-                b
-            }
-            None => SampleBuf {
-                data: self.data.clone(),
-                pool: None,
-            },
-        }
     }
 }
 
@@ -225,17 +165,9 @@ impl Deref for SampleBuf {
     }
 }
 
-impl DerefMut for SampleBuf {
-    fn deref_mut(&mut self) -> &mut [Complex] {
-        &mut self.data
-    }
-}
-
 impl Drop for SampleBuf {
     fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.give_back(std::mem::take(&mut self.data));
-        }
+        self.pool.give_back(std::mem::take(&mut self.data));
     }
 }
 
@@ -266,29 +198,11 @@ mod tests {
     }
 
     #[test]
-    fn into_vec_does_not_return_to_pool() {
-        let pool = BufferPool::new();
-        let mut b = pool.checkout(16);
-        b.push(Complex::ONE);
-        let v = b.into_vec();
-        assert_eq!(v.len(), 1);
-        assert_eq!(pool.idle(), 0);
-    }
-
-    #[test]
     fn max_idle_caps_retention() {
         let pool = BufferPool::with_max_idle(2);
         let bufs: Vec<SampleBuf> = (0..4).map(|_| pool.checkout(8)).collect();
         drop(bufs);
         assert_eq!(pool.idle(), 2);
-    }
-
-    #[test]
-    fn detached_buf_is_plain_vec() {
-        let mut b = SampleBuf::detached(4);
-        b.extend_from_slice(&[Complex::I; 3]);
-        assert_eq!(b.len(), 3);
-        assert_eq!(b.into_vec(), vec![Complex::I; 3]);
     }
 
     #[test]
@@ -307,7 +221,7 @@ mod tests {
         fn roundtrip_preserves_capacity(n in 1usize..4096) {
             let pool = BufferPool::new();
             let mut b = pool.checkout(0);
-            b.resize(n, Complex::ZERO);
+            b.extend(std::iter::repeat_n(Complex::ZERO, n));
             let grown = b.capacity();
             prop_assert!(grown >= n);
             drop(b);
@@ -343,8 +257,8 @@ mod tests {
                     for i in 0..200 {
                         let mut a = pool.checkout(64);
                         let mut b = pool.checkout(64);
-                        a.resize(1, Complex::new(t as f64, i as f64));
-                        b.resize(1, Complex::new(-(t as f64), i as f64));
+                        a.extend([Complex::new(t as f64, i as f64)]);
+                        b.extend([Complex::new(-(t as f64), i as f64)]);
                         let pa = a.as_ptr() as usize;
                         let pb = b.as_ptr() as usize;
                         assert_ne!(pa, pb, "two live buffers share storage");

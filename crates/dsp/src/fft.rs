@@ -11,7 +11,6 @@
 //! `fft(ifft(x)) == x` and Parseval's theorem holds as
 //! `sum |x(n)|^2 == (1/N) sum |X(k)|^2`.
 
-use crate::buffer::SampleBuf;
 use crate::complex::Complex;
 use crate::simd;
 use std::sync::OnceLock;
@@ -164,19 +163,6 @@ pub fn fft_in_place(buf: &mut [Complex]) -> Result<(), FftLenError> {
     Ok(())
 }
 
-/// Forward FFT writing into a caller-supplied buffer (cleared first).
-///
-/// # Errors
-///
-/// Returns [`FftLenError`] unless `x.len()` is a nonzero power of two.
-pub fn fft_into(x: &[Complex], out: &mut SampleBuf) -> Result<(), FftLenError> {
-    check_len(x.len())?;
-    out.clear();
-    out.extend_from_slice(x);
-    transform_in_place(out, -1.0);
-    Ok(())
-}
-
 /// Inverse FFT: `x(n) = (1/N) sum_k X(k) e^{+j 2 pi k n / N}`.
 ///
 /// # Errors
@@ -200,19 +186,6 @@ pub fn ifft_in_place(buf: &mut [Complex]) -> Result<(), FftLenError> {
     for v in buf.iter_mut() {
         *v /= n;
     }
-    Ok(())
-}
-
-/// Inverse FFT writing into a caller-supplied buffer (cleared first).
-///
-/// # Errors
-///
-/// Returns [`FftLenError`] unless `spectrum.len()` is a nonzero power of two.
-pub fn ifft_into(spectrum: &[Complex], out: &mut SampleBuf) -> Result<(), FftLenError> {
-    check_len(spectrum.len())?;
-    out.clear();
-    out.extend_from_slice(spectrum);
-    ifft_in_place(out).expect("length already checked");
     Ok(())
 }
 

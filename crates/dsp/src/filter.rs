@@ -7,7 +7,6 @@
 //! phase, Hamming window — because the paper's effects come from *bandwidth*,
 //! not filter family.
 
-use crate::buffer::SampleBuf;
 use crate::complex::Complex;
 use crate::simd;
 
@@ -28,8 +27,8 @@ use crate::simd;
 pub struct Fir {
     taps: Vec<f64>,
     /// `taps` reversed, cached so the full-window interior of
-    /// [`Fir::filter_into`] is a contiguous forward dot product the SIMD
-    /// kernel can stream.
+    /// [`Fir::filter`] is a contiguous forward dot product the SIMD kernel
+    /// can stream.
     taps_rev: Vec<f64>,
 }
 
@@ -120,26 +119,16 @@ impl Fir {
     /// the group delay removed (zero-padded edges).
     ///
     /// This keeps waveform timing aligned so block boundaries (WiFi symbols,
-    /// ZigBee chips) stay where the transmit chain put them.
+    /// ZigBee chips) stay where the transmit chain put them. Only the
+    /// `x.len()` delay-compensated outputs are computed, with no
+    /// full-convolution temporary.
     pub fn filter(&self, x: &[Complex]) -> Vec<Complex> {
-        let mut out = SampleBuf::detached(x.len());
-        self.filter_into(x, &mut out);
-        out.into_vec()
-    }
-
-    /// [`Fir::filter`] writing into a caller-supplied buffer.
-    ///
-    /// Computes only the `x.len()` delay-compensated output samples directly
-    /// (no full-convolution temporary), so the hot path performs zero
-    /// allocations when `out` has capacity.
-    pub fn filter_into(&self, x: &[Complex], out: &mut SampleBuf) {
-        out.clear();
         if x.is_empty() {
-            return;
+            return Vec::new();
         }
         let delay = self.group_delay();
         let t = self.taps.len();
-        out.reserve(x.len());
+        let mut out = Vec::with_capacity(x.len());
         // Full-window interior: outputs `lo..hi` see every tap with the
         // window entirely inside `x`, so y[k] is a contiguous dot product
         // of the reversed taps against x[k-lo..k-lo+t] — one SIMD kernel
@@ -155,6 +144,7 @@ impl Fir {
         for k in hi..x.len() {
             out.push(self.edge_output(x, k + delay, t));
         }
+        out
     }
 
     /// One delay-compensated output at the zero-padded edges:
@@ -319,7 +309,7 @@ mod tests {
     }
 
     #[test]
-    fn filter_into_matches_convolve_path() {
+    fn filter_matches_convolve_path() {
         let f = Fir::low_pass(0.2, 31);
         let x: Vec<Complex> = (0..100)
             .map(|i| Complex::new((i as f64 * 0.3).sin(), (i as f64 * 0.7).cos()))

@@ -6,7 +6,6 @@
 //! implementation) is accurate to well below the channel noise floor for
 //! signals oversampled 2x, like the 2 samples/chip O-QPSK waveform.
 
-use crate::buffer::SampleBuf;
 use crate::complex::Complex;
 
 /// Evaluates the cubic-Lagrange interpolant of `x` at position
@@ -44,43 +43,28 @@ pub fn sample_at(x: &[Complex], index: usize, mu: f64) -> Complex {
 ///
 /// Panics when `delay < 0`.
 pub fn fractional_delay(x: &[Complex], delay: f64) -> Vec<Complex> {
-    let mut out = SampleBuf::detached(x.len());
-    fractional_delay_into(x, delay, &mut out);
-    out.into_vec()
-}
-
-/// [`fractional_delay`] writing into a caller-supplied buffer (cleared
-/// first).
-///
-/// # Panics
-///
-/// Panics when `delay < 0`.
-pub fn fractional_delay_into(x: &[Complex], delay: f64, out: &mut SampleBuf) {
     assert!(delay >= 0.0, "delay must be nonnegative, got {delay}");
-    out.clear();
-    if x.is_empty() {
-        return;
-    }
     let d_int = delay.floor() as usize;
     let mu = delay - delay.floor();
-    out.reserve(x.len());
-    out.extend((0..x.len()).map(|n| {
-        if n < d_int {
-            return Complex::ZERO;
-        }
-        let base = n - d_int;
-        if mu == 0.0 {
-            x[base]
-        } else if base == 0 {
-            // Evaluating before the first sample: the signal is zero
-            // there, so ramp in linearly from the zero padding.
-            x[0] * (1.0 - mu)
-        } else {
-            // x evaluated at (base - mu) = interpolate between base-1
-            // and base with fraction (1 - mu).
-            sample_at(x, base - 1, 1.0 - mu)
-        }
-    }));
+    (0..x.len())
+        .map(|n| {
+            if n < d_int {
+                return Complex::ZERO;
+            }
+            let base = n - d_int;
+            if mu == 0.0 {
+                x[base]
+            } else if base == 0 {
+                // Evaluating before the first sample: the signal is zero
+                // there, so ramp in linearly from the zero padding.
+                x[0] * (1.0 - mu)
+            } else {
+                // x evaluated at (base - mu) = interpolate between base-1
+                // and base with fraction (1 - mu).
+                sample_at(x, base - 1, 1.0 - mu)
+            }
+        })
+        .collect()
 }
 
 /// Advances (left-shifts) a waveform by a fractional number of samples:
@@ -90,36 +74,21 @@ pub fn fractional_delay_into(x: &[Complex], delay: f64, out: &mut SampleBuf) {
 ///
 /// Panics when `advance < 0`.
 pub fn fractional_advance(x: &[Complex], advance: f64) -> Vec<Complex> {
-    let mut out = SampleBuf::detached(x.len());
-    fractional_advance_into(x, advance, &mut out);
-    out.into_vec()
-}
-
-/// [`fractional_advance`] writing into a caller-supplied buffer (cleared
-/// first).
-///
-/// # Panics
-///
-/// Panics when `advance < 0`.
-pub fn fractional_advance_into(x: &[Complex], advance: f64, out: &mut SampleBuf) {
     assert!(advance >= 0.0, "advance must be nonnegative, got {advance}");
-    out.clear();
-    if x.is_empty() {
-        return;
-    }
     let a_int = advance.floor() as usize;
     let mu = advance - advance.floor();
-    out.reserve(x.len());
-    out.extend((0..x.len()).map(|n| {
-        let base = n + a_int;
-        if base >= x.len() {
-            Complex::ZERO
-        } else if mu == 0.0 {
-            x[base]
-        } else {
-            sample_at(x, base, mu)
-        }
-    }));
+    (0..x.len())
+        .map(|n| {
+            let base = n + a_int;
+            if base >= x.len() {
+                Complex::ZERO
+            } else if mu == 0.0 {
+                x[base]
+            } else {
+                sample_at(x, base, mu)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@
 //! (Sec. V-B1). The ZigBee receiver then consumes the 20 MHz emulated
 //! waveform through a 2 MHz front-end, i.e. low-pass + decimate by 5.
 
-use crate::buffer::SampleBuf;
 use crate::complex::Complex;
 use crate::filter::Fir;
 
@@ -42,75 +41,25 @@ impl std::error::Error for ZeroFactorError {}
 /// # Ok::<(), ctc_dsp::resample::ZeroFactorError>(())
 /// ```
 pub fn interpolate(x: &[Complex], factor: usize) -> Result<Vec<Complex>, ZeroFactorError> {
-    let mut out = SampleBuf::detached(x.len() * factor.max(1));
-    Interpolator::new(factor)?.interpolate_into(x, &mut out);
-    Ok(out.into_vec())
-}
-
-/// An integer-factor interpolator with the anti-imaging filter designed once
-/// and scratch storage reused across calls.
-///
-/// [`interpolate`] redesigns the windowed-sinc taps on every invocation;
-/// per-block pipelines should construct an `Interpolator` and call
-/// [`interpolate_into`](Interpolator::interpolate_into) instead.
-#[derive(Debug, Clone)]
-pub struct Interpolator {
-    factor: usize,
-    lp: Option<Fir>,
-    stuffed: Vec<Complex>,
-}
-
-impl Interpolator {
-    /// Designs the anti-imaging filter for the given factor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZeroFactorError`] when `factor == 0`.
-    pub fn new(factor: usize) -> Result<Self, ZeroFactorError> {
-        if factor == 0 {
-            return Err(ZeroFactorError);
-        }
-        let lp = (factor > 1).then(|| {
-            let taps = (16 * factor + 1).max(65);
-            Fir::low_pass(0.5 / factor as f64, taps)
-        });
-        Ok(Interpolator {
-            factor,
-            lp,
-            stuffed: Vec::new(),
-        })
+    if factor == 0 {
+        return Err(ZeroFactorError);
     }
-
-    /// Upsampling factor.
-    pub fn factor(&self) -> usize {
-        self.factor
+    if factor == 1 || x.is_empty() {
+        return Ok(x.to_vec());
     }
-
-    /// Upsamples `x` into `out` (cleared first); output length is
-    /// `x.len() * factor`.
-    pub fn interpolate_into(&mut self, x: &[Complex], out: &mut SampleBuf) {
-        out.clear();
-        if x.is_empty() {
-            return;
-        }
-        let Some(lp) = &self.lp else {
-            out.extend_from_slice(x);
-            return;
-        };
-        // Zero-stuff into reusable scratch.
-        self.stuffed.clear();
-        self.stuffed.resize(x.len() * self.factor, Complex::ZERO);
-        for (i, &v) in x.iter().enumerate() {
-            self.stuffed[i * self.factor] = v;
-        }
-        // Anti-imaging filter: cutoff at 1/(2*factor) of the new rate,
-        // gain `factor` to compensate zero-stuffing.
-        lp.filter_into(&self.stuffed, out);
-        let gain = self.factor as f64;
-        for v in out.iter_mut() {
-            *v *= gain;
-        }
+    let mut stuffed = vec![Complex::ZERO; x.len() * factor];
+    for (i, &v) in x.iter().enumerate() {
+        stuffed[i * factor] = v;
     }
+    // Anti-imaging filter: cutoff at 1/(2*factor) of the new rate, gain
+    // `factor` to compensate zero-stuffing.
+    let taps = (16 * factor + 1).max(65);
+    let mut out = Fir::low_pass(0.5 / factor as f64, taps).filter(&stuffed);
+    let gain = factor as f64;
+    for v in &mut out {
+        *v *= gain;
+    }
+    Ok(out)
 }
 
 /// Downsamples by an integer `factor` with an anti-alias low-pass first.
@@ -123,62 +72,15 @@ impl Interpolator {
 ///
 /// Returns [`ZeroFactorError`] when `factor == 0`.
 pub fn decimate(x: &[Complex], factor: usize) -> Result<Vec<Complex>, ZeroFactorError> {
-    let mut out = SampleBuf::detached(x.len() / factor.max(1) + 1);
-    Decimator::new(factor)?.decimate_into(x, &mut out);
-    Ok(out.into_vec())
-}
-
-/// An integer-factor decimator with the anti-alias filter designed once and
-/// scratch storage reused across calls (the streaming analogue of
-/// [`decimate`]).
-#[derive(Debug, Clone)]
-pub struct Decimator {
-    factor: usize,
-    lp: Option<Fir>,
-    filtered: SampleBuf,
-}
-
-impl Decimator {
-    /// Designs the anti-alias filter for the given factor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ZeroFactorError`] when `factor == 0`.
-    pub fn new(factor: usize) -> Result<Self, ZeroFactorError> {
-        if factor == 0 {
-            return Err(ZeroFactorError);
-        }
-        let lp = (factor > 1).then(|| {
-            let taps = (8 * factor + 1).max(33);
-            Fir::low_pass(0.5 / factor as f64, taps)
-        });
-        Ok(Decimator {
-            factor,
-            lp,
-            filtered: SampleBuf::detached(0),
-        })
+    if factor == 0 {
+        return Err(ZeroFactorError);
     }
-
-    /// Downsampling factor.
-    pub fn factor(&self) -> usize {
-        self.factor
+    if factor == 1 {
+        return Ok(x.to_vec());
     }
-
-    /// Downsamples `x` into `out` (cleared first); output length is
-    /// `ceil(x.len() / factor)`.
-    pub fn decimate_into(&mut self, x: &[Complex], out: &mut SampleBuf) {
-        out.clear();
-        if x.is_empty() {
-            return;
-        }
-        let Some(lp) = &self.lp else {
-            out.extend_from_slice(x);
-            return;
-        };
-        lp.filter_into(x, &mut self.filtered);
-        out.reserve(self.filtered.len() / self.factor + 1);
-        out.extend(self.filtered.iter().step_by(self.factor).copied());
-    }
+    let taps = (8 * factor + 1).max(33);
+    let filtered = Fir::low_pass(0.5 / factor as f64, taps).filter(x);
+    Ok(filtered.into_iter().step_by(factor).collect())
 }
 
 /// Downsamples without filtering (pure sample dropping).

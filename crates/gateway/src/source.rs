@@ -85,12 +85,6 @@ impl Input {
         spec.parse()
     }
 
-    /// True for the listener flavours ([`Input::TcpListen`] and
-    /// [`Input::UnixListen`]) — the specs [`Listener::bind`] accepts.
-    pub fn is_listener(&self) -> bool {
-        matches!(self, Input::TcpListen(_) | Input::UnixListen(_))
-    }
-
     /// Opens the byte stream. For the listener flavours this blocks until
     /// one client connects, then streams from that connection (the legacy
     /// single-stream path; a server calls [`Listener::bind`] instead).

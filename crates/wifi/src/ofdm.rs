@@ -6,7 +6,7 @@
 //! edges). After the IFFT the last 16 time samples are copied to the front
 //! as the 0.8 µs guard interval, for 80 samples = 4 µs per symbol.
 
-use ctc_dsp::{fft64, Complex, SampleBuf};
+use ctc_dsp::{fft64, Complex};
 
 /// FFT size / subcarrier count.
 pub const FFT_SIZE: usize = 64;
@@ -111,25 +111,24 @@ pub fn extract_data_subcarriers(spectrum: &[Complex]) -> Vec<Complex> {
 ///
 /// Panics unless `spectrum.len() == 64`.
 pub fn synthesize_symbol(spectrum: &[Complex]) -> Vec<Complex> {
-    let mut scratch = SampleBuf::detached(FFT_SIZE);
-    let mut out = SampleBuf::detached(SYMBOL_LEN);
-    synthesize_symbol_into(spectrum, &mut scratch, &mut out);
-    out.into_vec()
+    let mut out = Vec::with_capacity(SYMBOL_LEN);
+    synthesize_symbol_into(spectrum, &mut out);
+    out
 }
 
 /// [`synthesize_symbol`] appending the 80-sample symbol to `out` (not
-/// cleared — block pipelines concatenate symbols directly). `scratch` holds
-/// the IFFT body and is reusable across calls.
+/// cleared — block pipelines concatenate symbols directly).
 ///
 /// # Panics
 ///
 /// Panics unless `spectrum.len() == 64`.
-pub fn synthesize_symbol_into(spectrum: &[Complex], scratch: &mut SampleBuf, out: &mut SampleBuf) {
+pub fn synthesize_symbol_into(spectrum: &[Complex], out: &mut Vec<Complex>) {
     assert_eq!(spectrum.len(), FFT_SIZE, "need a 64-entry spectrum");
-    ctc_dsp::fft::ifft_into(spectrum, scratch).expect("64 is a power of two");
-    out.reserve(SYMBOL_LEN);
-    out.extend_from_slice(&scratch[FFT_SIZE - CP_LEN..]);
-    out.extend_from_slice(scratch);
+    let mut body = [Complex::ZERO; FFT_SIZE];
+    body.copy_from_slice(spectrum);
+    ctc_dsp::fft::ifft_in_place(&mut body).expect("64 is a power of two");
+    out.extend_from_slice(&body[FFT_SIZE - CP_LEN..]);
+    out.extend_from_slice(&body);
 }
 
 /// Recovers the 64-entry spectrum from one received 80-sample symbol
@@ -143,17 +142,6 @@ pub fn synthesize_symbol_into(spectrum: &[Complex], scratch: &mut SampleBuf, out
 pub fn analyze_symbol(symbol: &[Complex]) -> Vec<Complex> {
     assert_eq!(symbol.len(), SYMBOL_LEN, "need an 80-sample symbol");
     fft64(&symbol[CP_LEN..])
-}
-
-/// [`analyze_symbol`] writing the 64-entry spectrum into `out` (cleared
-/// first).
-///
-/// # Panics
-///
-/// Panics unless `symbol.len() == 80`.
-pub fn analyze_symbol_into(symbol: &[Complex], out: &mut SampleBuf) {
-    assert_eq!(symbol.len(), SYMBOL_LEN, "need an 80-sample symbol");
-    ctc_dsp::fft::fft_into(&symbol[CP_LEN..], out).expect("64 is a power of two");
 }
 
 #[cfg(test)]

@@ -7,9 +7,8 @@
 //! the information loss at the heart of the paper's Sec. V-A1 "FFT"
 //! challenge.
 
-use ctc_dsp::buffer::SampleBuf;
 use ctc_dsp::filter::frequency_shift_in_place;
-use ctc_dsp::resample::{decimate, Decimator, ZeroFactorError};
+use ctc_dsp::resample::{decimate, ZeroFactorError};
 use ctc_dsp::Complex;
 
 /// Converts a wideband waveform (sample rate `in_rate_hz`, centred at
@@ -62,41 +61,6 @@ pub fn capture(
     let mut shifted = wave.to_vec();
     frequency_shift_in_place(&mut shifted, -offset_hz / in_rate_hz);
     decimate(&shifted, factor)
-}
-
-/// Streaming form of [`capture`]: the anti-alias decimator is designed once
-/// and output goes to a caller-supplied buffer.
-///
-/// `shift_scratch` holds the frequency-shifted copy when the centres differ;
-/// it is unused (and untouched) in the baseband-aligned case.
-///
-/// # Panics
-///
-/// Panics if `in_rate_hz / out_rate_hz` does not match `decimator.factor()`.
-pub fn capture_into(
-    wave: &[Complex],
-    in_center_hz: f64,
-    in_rate_hz: f64,
-    out_center_hz: f64,
-    decimator: &mut Decimator,
-    shift_scratch: &mut SampleBuf,
-    out: &mut SampleBuf,
-) {
-    let out_rate_hz = in_rate_hz / decimator.factor() as f64;
-    let ratio = in_rate_hz / out_rate_hz;
-    assert!(
-        (ratio - decimator.factor() as f64).abs() < 1e-9,
-        "sample-rate ratio must match the decimator factor, got {ratio}"
-    );
-    let offset_hz = out_center_hz - in_center_hz;
-    if offset_hz == 0.0 {
-        decimator.decimate_into(wave, out);
-        return;
-    }
-    shift_scratch.clear();
-    shift_scratch.extend_from_slice(wave);
-    frequency_shift_in_place(shift_scratch, -offset_hz / in_rate_hz);
-    decimator.decimate_into(shift_scratch, out);
 }
 
 /// The reverse of [`capture`] for the attacker side: express a narrowband
