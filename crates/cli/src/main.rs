@@ -96,8 +96,9 @@ COMMANDS
             periodic stats on stderr. Exits 3 when a forgery was accepted;
             other failures get distinct codes (bad address 4, bind/accept
             5, sink 7, input 9, config 10).
-            --workers N sets the decode/classify threads, 1 to 256
-            (default: cores − 1, clamped to 1..8). --chunk N is the
+            --workers N caps the decode/classify threads, 1 to 256
+            (default: cores − 1, clamped to 1..8): at most N start, each
+            on demand when a burst has to queue. --chunk N is the
             largest ingest chunk in samples, 1 to 4194304 = 2^22 (default
             65536): each read of a stream goes to the burst splitter as
             it arrives, so frames are classified without waiting for a

@@ -37,11 +37,12 @@ pub fn sample_at(x: &[Complex], index: usize, mu: f64) -> Complex {
 
 /// Delays a waveform by a fractional number of samples
 /// (`delay = d_int + mu`): output sample `n` equals the input evaluated at
-/// `n - delay` (zero before the signal starts).
+/// `n - delay` (zero before the signal starts). A delay at or past the
+/// end, `+inf` included, gives `x.len()` zeros.
 ///
 /// # Panics
 ///
-/// Panics when `delay < 0`.
+/// Panics when `delay < 0` or `delay` is NaN.
 pub fn fractional_delay(x: &[Complex], delay: f64) -> Vec<Complex> {
     assert!(delay >= 0.0, "delay must be nonnegative, got {delay}");
     let d_int = delay.floor() as usize;
@@ -68,18 +69,22 @@ pub fn fractional_delay(x: &[Complex], delay: f64) -> Vec<Complex> {
 }
 
 /// Advances (left-shifts) a waveform by a fractional number of samples:
-/// output sample `n` equals the input at `n + advance` (clamped tail).
+/// output sample `n` equals the input at `n + advance` (clamped tail, zero
+/// past the end). An advance at or past the end, `+inf` included, gives
+/// `x.len()` zeros.
 ///
 /// # Panics
 ///
-/// Panics when `advance < 0`.
+/// Panics when `advance < 0` or `advance` is NaN.
 pub fn fractional_advance(x: &[Complex], advance: f64) -> Vec<Complex> {
     assert!(advance >= 0.0, "advance must be nonnegative, got {advance}");
     let a_int = advance.floor() as usize;
     let mu = advance - advance.floor();
     (0..x.len())
         .map(|n| {
-            let base = n + a_int;
+            // `a_int` saturates at `usize::MAX` for huge or infinite
+            // advances, so the index does too: past the end is zero.
+            let base = n.saturating_add(a_int);
             if base >= x.len() {
                 Complex::ZERO
             } else if mu == 0.0 {
@@ -176,6 +181,29 @@ mod tests {
     #[should_panic(expected = "nonnegative")]
     fn negative_delay_panics() {
         let _ = fractional_delay(&[Complex::ONE; 4], -0.5);
+    }
+
+    /// An advance at or past the end, however large, is all zeros, as a
+    /// delay that large already is.
+    #[test]
+    fn huge_shifts_give_zeros() {
+        let x = [Complex::ONE; 4];
+        for shift in [4.0, 4.5, 1e300, 2f64.powi(64), f64::INFINITY] {
+            assert_eq!(fractional_advance(&x, shift), [Complex::ZERO; 4], "{shift}");
+            assert_eq!(fractional_delay(&x, shift), [Complex::ZERO; 4], "{shift}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "nonnegative")]
+    fn nan_advance_panics() {
+        let _ = fractional_advance(&[Complex::ONE; 4], f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "nonnegative")]
+    fn nan_delay_panics() {
+        let _ = fractional_delay(&[Complex::ONE; 4], f64::NAN);
     }
 
     #[test]

@@ -56,7 +56,9 @@ pub(crate) struct FlightRun<'a> {
     options: &'a FlightOptions,
     registry: Option<&'a Registry>,
     sessions: &'a SessionTable,
-    /// Exposition text captured at run start — the delta baseline.
+    /// Exposition text captured at run start — the delta baseline. Only
+    /// a dump reads it, so it is rendered only when
+    /// [`FlightOptions::out`] is set.
     baseline: Option<String>,
     /// Effective config, pre-rendered once at run start.
     config_json: String,
@@ -67,8 +69,8 @@ pub(crate) struct FlightRun<'a> {
 }
 
 impl<'a> FlightRun<'a> {
-    /// Captures the run's baseline (registry exposition at start) and
-    /// renders the effective config.
+    /// Captures the run's baseline (registry exposition at start) when
+    /// snapshots can be written, and renders the effective config.
     pub(crate) fn new(
         recorder: &'a FlightRecorder,
         options: &'a FlightOptions,
@@ -105,7 +107,9 @@ impl<'a> FlightRun<'a> {
             options,
             registry,
             sessions,
-            baseline: registry.map(Registry::render),
+            baseline: registry
+                .filter(|_| options.out.is_some())
+                .map(Registry::render),
             config_json,
             auto_dumped: AtomicBool::new(false),
             dumps: AtomicU64::new(0),

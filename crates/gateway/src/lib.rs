@@ -9,8 +9,9 @@
 //! back to back, this crate multiplexes many independent streams through
 //! shared decode capacity. A stream decodes each burst on its own thread
 //! as it is cut while decode capacity is free; when other streams hold
-//! it, the stream queues its bursts for a worker pool, and the bounded
-//! queue sheds overload rather than stall ingest:
+//! it, the stream queues its bursts for a pool of workers, each started
+//! when a burst first queues (a run that never queues starts none), and
+//! the bounded queue sheds overload rather than stall ingest:
 //!
 //! - [`server::GatewayServer`] — the service, and the only way in: each
 //!   stream becomes a [`session::Session`] that runs its bursts inline or

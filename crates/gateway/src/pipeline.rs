@@ -10,7 +10,7 @@ use crate::error::GatewayError;
 use ctc_core::defense::{DetectionPipeline, Detector, EnergyDetector};
 use ctc_dsp::io::DEFAULT_CHUNK_SAMPLES;
 use ctc_zigbee::Receiver;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 /// The most decode/classify workers [`GatewayConfigBuilder::build`]
@@ -39,11 +39,14 @@ pub struct GatewayConfig {
     /// bursts handed on before the next is scanned, so a larger cap does
     /// not delay a verdict.
     pub chunk_samples: usize,
-    /// Decode/classify worker threads, and the inline limit: a session
-    /// decodes a burst on its own thread only while nothing is queued and
-    /// fewer than `workers` bursts are being processed, inline or by a
-    /// worker. The two bounds are separate: workers pop whatever is
-    /// queued, so up to `2 × workers` bursts can be processed at once.
+    /// The most decode/classify worker threads a run starts, and the
+    /// inline limit: a session decodes a burst on its own thread only
+    /// while nothing is queued and fewer than `workers` bursts are being
+    /// processed, inline or by a worker. Workers start on demand, one per
+    /// queued burst until `workers` have started, so a run whose bursts
+    /// all run inline starts none. The two bounds are separate: workers
+    /// pop whatever is queued, so up to `2 × workers` bursts can be
+    /// processed at once.
     pub workers: usize,
     /// Bounded work-queue depth per worker, in bursts: the run's one
     /// queue holds `queue_depth × workers` bursts across all sessions.
@@ -104,7 +107,7 @@ impl GatewayConfigBuilder {
         self
     }
 
-    /// Decode/classify worker threads, and the inline limit (see
+    /// The most decode/classify worker threads, and the inline limit (see
     /// [`GatewayConfig::workers`]).
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
@@ -156,7 +159,7 @@ impl GatewayConfigBuilder {
     ///
     /// [`GatewayError::Config`] when any of these hold:
     /// `workers` is 0 (no one would ever decode) or above
-    /// [`MAX_WORKERS`] (each is a thread, spawned up front),
+    /// [`MAX_WORKERS`] (each is a thread, started when a burst queues),
     /// `queue_depth == 0` (every burst would be shed), `chunk_samples` is
     /// 0 (ingest could not make progress) or above [`MAX_CHUNK_SAMPLES`]
     /// (each session's read buffer would not allocate), or `max_burst <
@@ -189,11 +192,18 @@ impl GatewayConfigBuilder {
 }
 
 /// Default worker count: leave a core for ingest, cap the fan-out.
+///
+/// The core count is read once per process, on the first call: every
+/// [`GatewayConfig::default`] (and so every builder) calls this, and
+/// reading it means reading the cgroup's CPU quota files.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().saturating_sub(1))
-        .unwrap_or(2)
-        .clamp(1, 8)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get().saturating_sub(1))
+            .unwrap_or(2)
+            .clamp(1, 8)
+    })
 }
 
 #[cfg(test)]

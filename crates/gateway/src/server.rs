@@ -6,6 +6,7 @@
 //!  tcp/unix  │  session 1 ingest ─┐  a slot free: decode inline ────┐   │
 //!  clients ─▶│  session 2 ingest ─┤                                 │   │
 //!            │  session 3 ingest ─┴▶ all busy: work queue ▶ workers ┤   │
+//!            │               each started when a burst first queues │   │
 //!            └──────────────────────────────────────────────────────┼───┘
 //!                    ┌── one lock ──────────────────────────────────▼──┐
 //!                    │ per-session reorder ▶ event writer (JSONL)      │
@@ -22,7 +23,9 @@
 //! copy; it scans its next block only once it has, so a lone recording
 //! is paced by its own decoding and never shed. Otherwise (other sessions
 //! hold every slot, or bursts already wait) the burst goes onto the one
-//! [`WorkQueue`] every worker blocks on, and overload is arbitrated per
+//! [`WorkQueue`], whose workers are started when a burst first queues:
+//! each push while fewer than `workers` have started starts one, so a run
+//! whose bursts all run inline starts none. Overload is arbitrated per
 //! session by the queue's drop budget (see [`crate::session`]). A stalled
 //! stream pushes nothing, so it holds up no one.
 //!
@@ -51,8 +54,9 @@ use ctc_obs::json::{hex, JsonObject};
 use ctc_obs::{FlightRecorder, Registry, SpanStage, TraceSink};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// Supervisor poll cadence: the accept loop when no client is waiting,
@@ -169,6 +173,10 @@ pub struct ServerReport {
     pub elapsed: Duration,
     /// Shared capture-pool counters at the end of the run.
     pub pool: PoolStats,
+    /// Decode/classify workers the run started: at most the configured
+    /// `workers`, each when a burst was queued while fewer had started,
+    /// so 0 for a run whose bursts all ran inline.
+    pub workers_started: usize,
 }
 
 impl ServerReport {
@@ -494,8 +502,9 @@ impl GatewayServer {
         self.run_feed(Feed::Streams(streams), events, stats)
     }
 
-    /// The engine shared by both feeds: the work queue, workers, the
-    /// locked event output, and the supervisor on the calling thread.
+    /// The engine shared by both feeds: the work queue, the workers it
+    /// starts on demand, the locked event output, and the supervisor on
+    /// the calling thread.
     fn run_feed<'a, W, E>(
         &self,
         feed: Feed<'a>,
@@ -547,6 +556,7 @@ impl GatewayServer {
             queue: &queue,
             output: &output,
             workers,
+            workers_started: AtomicUsize::new(0),
             chunk_samples: gw.chunk_samples.max(1),
             obs,
         };
@@ -554,18 +564,15 @@ impl GatewayServer {
         type SessionOutcome = (Arc<Session>, io::Result<()>);
         let (outcomes, fatal): (Vec<SessionOutcome>, Option<GatewayError>) =
             std::thread::scope(|scope| {
-                let worker_handles: Vec<_> = (0..workers)
-                    .map(|_| scope.spawn(|| engine.work()))
-                    .collect();
-
                 // Everything a session thread needs, captured by reference
                 // so the closure can be called for late-arriving
-                // connections.
+                // connections. A session starts the workers its overflow
+                // needs from the same scope.
                 let spawn_session = |reader: Box<dyn Read + Send + 'a>,
                                      session: Arc<Session>,
                                      peer: Option<String>| {
                     let engine = &engine;
-                    scope.spawn(move || engine.session(reader, &session, peer.as_deref()))
+                    scope.spawn(move || engine.session(scope, reader, &session, peer.as_deref()))
                 };
 
                 let mut handles = Vec::new();
@@ -662,21 +669,23 @@ impl GatewayServer {
                     std::thread::sleep(POLL);
                 }
 
+                let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+                // Every session has ended, so no worker starts after this:
+                // the workers drain the queue and exit, and the scope joins
+                // whichever started. A session's panic (a failed worker
+                // spawn among them) is passed on only after the close, so
+                // it fails the run instead of leaving the scope waiting on
+                // workers blocked in `pop`.
+                queue.close();
                 let outcomes: Vec<SessionOutcome> = sessions
                     .sessions()
                     .into_iter()
-                    .zip(handles)
-                    .map(|(session, handle)| {
-                        let result = handle.join().expect("session ingest panicked");
-                        (session, result)
-                    })
+                    .zip(joined)
+                    .map(|(session, joined)| (session, joined.expect("session ingest panicked")))
                     .collect();
-                queue.close();
-                for handle in worker_handles {
-                    handle.join().expect("worker panicked");
-                }
                 (outcomes, fatal)
             });
+        let workers_started = engine.workers_started.into_inner();
         let output_result = output.finish();
 
         // One last poll so a SIGUSR1 that landed after the drain's last
@@ -725,6 +734,7 @@ impl GatewayServer {
                 misses: factory.pool().misses(),
                 idle: factory.pool().idle(),
             },
+            workers_started,
         };
         let streams_field = if fatal_in_streams { None } else { Some(0) };
         writeln!(
@@ -745,21 +755,26 @@ struct Engine<'a, 'w, W> {
     scores: Option<&'a ScoreBoard>,
     queue: &'a WorkQueue<WorkItem>,
     output: &'a Output<'w, W>,
-    /// The worker pool's size, and the inline limit: a session runs a
-    /// burst itself only while fewer than this many are being processed,
-    /// inline or by a worker. Workers pop regardless, so up to twice this
-    /// many can run at once.
+    /// The most workers the run starts, and the inline limit: a session
+    /// runs a burst itself only while fewer than this many are being
+    /// processed, inline or by a worker. Workers pop regardless, so up to
+    /// twice this many can run at once.
     workers: usize,
+    /// Workers started so far. Each push onto the queue starts one while
+    /// fewer than `workers` have started, so a run that never queues
+    /// starts none.
+    workers_started: AtomicUsize,
     /// The largest read of a session's stream, in samples.
     chunk_samples: usize,
     obs: RunObs<'a>,
 }
 
-impl<W: Write> Engine<'_, '_, W> {
+impl<W: Write + Send> Engine<'_, '_, W> {
     /// One session's thread: its open marker, its ingest, its close
-    /// marker.
-    fn session(
-        &self,
+    /// marker. `scope` is the run's, where the workers start.
+    fn session<'s>(
+        &'s self,
+        scope: &'s Scope<'s, '_>,
         reader: impl Read,
         session: &Arc<Session>,
         peer: Option<&str>,
@@ -773,7 +788,7 @@ impl<W: Write> Engine<'_, '_, W> {
             // The first read may wait on a silent client.
             self.output.flush();
         }
-        let result = self.ingest(reader, session);
+        let result = self.ingest(scope, reader, session);
         session.end(result.is_err());
         obs.flight_record(|rec| {
             FlightEvent::new(EventKind::SessionClose, id, 0, rec.now_us())
@@ -797,7 +812,12 @@ impl<W: Write> Engine<'_, '_, W> {
     /// [`dispatch`](Self::dispatch)). A read error still finishes the
     /// splitter, so the bursts already found are processed before the
     /// error ends the session.
-    fn ingest(&self, input: impl Read, session: &Arc<Session>) -> io::Result<()> {
+    fn ingest<'s>(
+        &'s self,
+        scope: &'s Scope<'s, '_>,
+        input: impl Read,
+        session: &Arc<Session>,
+    ) -> io::Result<()> {
         let mut reader = Cf32Reader::new(input).with_chunk_samples(self.chunk_samples);
         let mut splitter = self.factory.cf32_splitter();
         let mut captures: Vec<BurstCapture> = Vec::new();
@@ -821,27 +841,34 @@ impl<W: Write> Engine<'_, '_, W> {
                     own.nonfinite_samples.fetch_add(zeroed - nonfinite, Relaxed);
                     nonfinite = zeroed;
                 }
-                self.dispatch(session, &mut captures, arrived);
+                self.dispatch(scope, session, &mut captures, arrived);
             }
         };
         // The stream has ended, or failed: nothing more will be read, and
         // the bursts the splitter holds are still processed.
         let finish_started = Instant::now();
         splitter.finish_into(&mut captures);
-        self.dispatch(session, &mut captures, finish_started);
+        self.dispatch(scope, session, &mut captures, finish_started);
         result
     }
 
     /// Hands each capture one block completed on, in order: the session
     /// runs the burst itself while nothing is queued and fewer than
     /// `workers` bursts are being processed; otherwise the burst goes onto
-    /// the work queue, whose drop budget arbitrates overload. Each burst's
-    /// `ingest` span runs from `arrived` (when its read returned) to the
-    /// hand-off, where its `queue` stage starts; an inline burst's queue
-    /// stage ends where it starts. The output is flushed once at the end,
+    /// the work queue, whose drop budget arbitrates overload, and the push
+    /// starts a worker in `scope` while fewer than `workers` have started.
+    /// Each burst's `ingest` span runs from `arrived` (when its read
+    /// returned) to the hand-off, where its `queue` stage starts; an
+    /// inline burst's queue stage ends where it starts. The output is flushed once at the end,
     /// so the lines of one block leave together, and a block that
     /// completed no burst flushes nothing.
-    fn dispatch(&self, session: &Arc<Session>, captures: &mut Vec<BurstCapture>, arrived: Instant) {
+    fn dispatch<'s>(
+        &'s self,
+        scope: &'s Scope<'s, '_>,
+        session: &Arc<Session>,
+        captures: &mut Vec<BurstCapture>,
+        arrived: Instant,
+    ) {
         if captures.is_empty() {
             return;
         }
@@ -869,7 +896,16 @@ impl<W: Write> Engine<'_, '_, W> {
                 self.queue.finish();
                 self.output.deliver(id, seq, slot, obs);
             } else {
-                if let Evicted::Item { item: evicted, .. } = self.queue.push(id, item) {
+                let evicted = self.queue.push(id, item);
+                let below = |n: usize| (n < self.workers).then_some(n + 1);
+                if self
+                    .workers_started
+                    .fetch_update(Relaxed, Relaxed, below)
+                    .is_ok()
+                {
+                    scope.spawn(move || self.work());
+                }
+                if let Evicted::Item { item: evicted, .. } = evicted {
                     self.shed(evicted);
                 }
                 obs.flight_record(|rec| {

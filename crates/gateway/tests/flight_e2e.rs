@@ -1,7 +1,8 @@
 //! End-to-end flight-recorder trigger tests: a forged stream must
 //! produce exactly one incident snapshot per run whose journal ends at
 //! the triggering verdict, carrying its per-feature scores, the
-//! preceding events, and registry deltas.
+//! preceding events, and registry deltas. A run that cannot write a
+//! snapshot must not render the registry baseline one would embed.
 
 use common::SlotHold;
 use ctc_channel::noise::complex_gaussian;
@@ -16,6 +17,7 @@ use ctc_zigbee::Transmitter;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
 mod common;
@@ -23,22 +25,25 @@ mod common;
 /// noise | authentic | noise | forged | noise | forged | noise: two
 /// forgeries, so "exactly one snapshot" is a real claim.
 fn forged_capture(seed: u64) -> Vec<u8> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let sigma2 = 1e-3;
     let authentic = Transmitter::new().transmit_payload(b"00000").unwrap();
     let emulator = Emulator::new();
     let forged = emulator.received_at_zigbee(&emulator.emulate(&authentic));
+    framed_in_noise(seed, &[&authentic, &forged, &forged])
+}
+
+/// `frames` in order, each between 700-sample noise gaps, as cf32 bytes.
+fn framed_in_noise(seed: u64, frames: &[&[Complex]]) -> Vec<u8> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sigma2 = 1e-3;
     let mut stream: Vec<Complex> = Vec::new();
     let mut noise = |n: usize, stream: &mut Vec<Complex>| {
         stream.extend((0..n).map(|_| complex_gaussian(&mut rng, sigma2)));
     };
     noise(700, &mut stream);
-    stream.extend_from_slice(&authentic);
-    noise(700, &mut stream);
-    stream.extend_from_slice(&forged);
-    noise(700, &mut stream);
-    stream.extend_from_slice(&forged);
-    noise(700, &mut stream);
+    for frame in frames {
+        stream.extend_from_slice(frame);
+        noise(700, &mut stream);
+    }
     let mut bytes = Vec::new();
     write_cf32(&mut bytes, &stream).unwrap();
     bytes
@@ -251,6 +256,54 @@ fn drop_budget_exhaustion_triggers_a_snapshot() {
             Some("drop"),
             "journal must end at the triggering drop"
         );
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The registry baseline a snapshot diffs against is rendered only when a
+/// snapshot can be written. A gauge that counts its samples shows it: an
+/// authentic stream, which trips no trigger, samples the gauge never
+/// without an output path, and exactly once (the baseline) with one, and
+/// no snapshot is written either way.
+#[test]
+fn the_baseline_is_rendered_only_when_snapshots_can_be_written() {
+    let dir = fresh_dir("baseline");
+    let authentic = Transmitter::new().transmit_payload(b"00000").unwrap();
+    let bytes = framed_in_noise(33, &[&authentic, &authentic]);
+    for out in [None, Some(dir.join("incident.json"))] {
+        let samples = Arc::new(AtomicUsize::new(0));
+        let registry = Arc::new(Registry::new());
+        let counter = Arc::clone(&samples);
+        registry.gauge_fn(
+            "test_samples",
+            "Times this gauge was read.",
+            &[],
+            move || counter.fetch_add(1, Relaxed) as f64,
+        );
+        let gw = GatewayConfig::builder()
+            .detector(Detector::new(ChannelAssumption::Ideal).with_threshold(0.25))
+            .stats_interval(None)
+            .build()
+            .unwrap();
+        let server = GatewayServer::new(ServerConfig::from(gw))
+            .with_registry(registry)
+            .with_flight(FlightOptions {
+                out: out.clone(),
+                ..FlightOptions::default()
+            });
+        let report = server
+            .run_streams(
+                vec![NamedStream::new("uplink", &bytes[..])],
+                &mut std::io::sink(),
+                &mut std::io::sink(),
+            )
+            .unwrap();
+        assert_eq!(report.metrics.frames_decoded, 2, "out {out:?}");
+        assert!(!report.forgery_detected(), "out {out:?}");
+        let baselines = usize::from(out.is_some());
+        assert_eq!(samples.load(Relaxed), baselines, "out {out:?}");
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, 0, "out {out:?}: no trigger, so no snapshot");
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

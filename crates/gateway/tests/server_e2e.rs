@@ -5,17 +5,19 @@
 //! One unlabelled stream (how `ctc monitor --input` runs a recording)
 //! pins the single-stream event and stats shape, chunking,
 //! short-read and worker-count invariance, a recording that is never
-//! shed, the trace span chains, an `ingest` stage that starts when the
+//! shed and starts no worker, the trace span chains, an `ingest` stage that starts when the
 //! data arrives, one flush for the frames of one read, and the canonical
 //! metric names. Labelled streams pin session labelling and per-session
 //! sequence order over the interleaved JSONL stream, the bursts a read
-//! error must not drop, isolation of a stalled stream, verdicts on a
-//! stream its client holds open behind a buffered writer, concurrent
-//! floods shedding their own bursts while a later session runs inline,
+//! error must not drop, two streams at two workers starting no worker,
+//! isolation of a stalled stream, verdicts on a stream its client holds
+//! open behind a buffered writer, concurrent floods shedding their own
+//! bursts (through the one worker they start) while a later session runs
+//! inline, a panicking session failing the run instead of hanging it,
 //! session churn against the shared buffer pool, concurrent TCP fan-in,
 //! and run-wide totals that equal the sum over sessions.
 
-use common::SlotHold;
+use common::{Flood, SlotHold};
 use ctc_channel::noise::complex_gaussian;
 use ctc_core::attack::Emulator;
 use ctc_core::defense::{ChannelAssumption, DetectionPipeline, Detector, MonitorFactory};
@@ -313,24 +315,30 @@ fn gateway_events_are_worker_pool_invariant() {
 
 /// A lone recording is never shed: nothing else holds a decode slot, so
 /// its session decodes every burst itself, in full reads, and its next
-/// read waits until it has. That holds at the defaults and at the
-/// tightest queue, one worker one deep, where every burst would shed if
-/// it were queued behind another.
+/// read waits until it has. That holds at the defaults, at four workers
+/// and at the tightest queue, one worker one deep, where every burst
+/// would shed if it were queued behind another. Nothing is queued, so
+/// the run starts no worker.
 #[test]
 fn a_lone_recording_decodes_every_burst_inline() {
     let (one, _) = synthetic_capture(15);
     let bytes = one.repeat(30);
+    let wide = GatewayConfig {
+        workers: 4,
+        ..config()
+    };
     let tight = GatewayConfig {
         workers: 1,
         queue_depth: 1,
         ..config()
     };
-    for cfg in [config(), tight] {
+    for cfg in [config(), wide, tight] {
         assert!(bytes.len() > 2 * 8 * cfg.chunk_samples, "full reads");
         let (report, events, _) = run_single(&single_stream(cfg.clone()), &bytes[..]);
         let tag = format!("workers {} queue {}", cfg.workers, cfg.queue_depth);
         assert_eq!(report.metrics.bursts, 60, "{tag}");
         assert_eq!(report.metrics.bursts_dropped, 0, "{tag}");
+        assert_eq!(report.workers_started, 0, "{tag}");
         let frames: Vec<&str> = events.lines().collect();
         assert_eq!(frames.len(), 60, "{tag}");
         for frame in frames {
@@ -341,6 +349,34 @@ fn a_lone_recording_decodes_every_burst_inline() {
             );
         }
     }
+}
+
+/// Workers start only when a burst is queued, and two streams at two
+/// workers (the benchmark's shape) never queue one: each session runs at
+/// most one burst at a time, so two sessions never hold more than the two
+/// decode slots, and the run starts no worker.
+#[test]
+fn two_streams_at_two_workers_start_no_worker() {
+    let (one, total) = synthetic_capture(16);
+    let bytes = one.repeat(4);
+    let pair = GatewayConfig {
+        workers: 2,
+        ..config()
+    };
+    let report = GatewayServer::new(ServerConfig::from(pair))
+        .run_streams(
+            vec![
+                NamedStream::new("a", &bytes[..]),
+                NamedStream::new("b", &bytes[..]),
+            ],
+            &mut Vec::new(),
+            &mut Vec::new(),
+        )
+        .unwrap();
+    assert_eq!(report.metrics.samples_in as usize, 8 * total);
+    assert_eq!(report.metrics.frames_decoded, 16);
+    assert_eq!(report.metrics.bursts_dropped, 0);
+    assert_eq!(report.workers_started, 0);
 }
 
 /// An events writer that records, at each flush, how many lines it
@@ -993,6 +1029,8 @@ impl Read for AfterClose<'_> {
 /// session's order. A session that starts once they have all closed
 /// finds nothing queued and no slot taken, and runs every burst on its
 /// own thread: none is dropped, and each frame's queue stage is empty.
+/// The first queued burst starts the run's one worker, and no later push
+/// starts another.
 #[test]
 fn concurrent_floods_shed_their_own_bursts_and_a_later_session_runs_inline() {
     const FLOODS: &[&str] = &["flood-a", "flood-b", "flood-c", "flood-d"];
@@ -1049,6 +1087,7 @@ fn concurrent_floods_shed_their_own_bursts_and_a_later_session_runs_inline() {
         shed += metrics.bursts_dropped;
     }
     assert!(shed > 0, "concurrent floods on a one-deep queue must shed");
+    assert_eq!(report.workers_started, 1);
 
     let late = &report.session("late").unwrap().metrics;
     assert_eq!(late.bursts_dropped, 0);
@@ -1063,6 +1102,57 @@ fn concurrent_floods_shed_their_own_bursts_and_a_later_session_runs_inline() {
     for frame in frames {
         assert!(frame.contains("\"latency\":{\"queue_us\":0,"), "{frame}");
     }
+}
+
+/// A flood source that panics where its stream would end, once the
+/// [`SlotHold`] has counted it as ended.
+struct PanicsAtEnd<'a>(Flood<'a>);
+
+impl Read for PanicsAtEnd<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.0.read(buf)?;
+        assert!(n > 0 || buf.is_empty(), "the source fails at its end");
+        Ok(n)
+    }
+}
+
+/// A session that panics fails the run instead of hanging it, also once
+/// a worker has started: the queue closes before the panic is passed on,
+/// so the worker leaves `pop` and the scope can join it. Two floods share
+/// one worker, and a [`SlotHold`] keeps the first two bursts in both
+/// decode slots until one flood has read to its end, so the other flood's
+/// first burst queues and starts the worker. Then one flood's source
+/// panics. The run has its own thread, so a hang fails at a deadline
+/// instead of stalling the suite.
+#[test]
+fn a_panicking_session_fails_the_run_after_a_worker_started() {
+    let (one, _) = synthetic_capture(29);
+    let flood: &'static [u8] = one.repeat(8).leak();
+    let hold = SlotHold::new(2);
+    let detector = Detector::new(ChannelAssumption::Ideal).with_threshold(0.25);
+    let cfg = GatewayConfig {
+        workers: 1,
+        pipeline: DetectionPipeline::standard(detector)
+            .with_extractor(Box::new(hold.clone()))
+            .shared(),
+        ..config()
+    };
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let streams = vec![
+            NamedStream::new("steady", hold.flood(flood)),
+            NamedStream::new("failing", PanicsAtEnd(hold.flood(flood))),
+        ];
+        let server = GatewayServer::new(ServerConfig::from(cfg));
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            server.run_streams(streams, &mut Vec::new(), &mut Vec::new())
+        }));
+        done.send(run.is_err()).unwrap();
+    });
+    let failed = outcome
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the run hung after a session panicked");
+    assert!(failed, "a panicking session must fail the run");
 }
 
 /// Session churn must not leak pooled capture buffers: every buffer a

@@ -9,6 +9,7 @@
 //! seconds costs one small file read).
 
 use crate::registry::Registry;
+use std::sync::OnceLock;
 
 /// Gauge name under which the resident set size is exposed, in bytes
 /// (the conventional Prometheus process-metric name).
@@ -17,9 +18,11 @@ pub const RSS_GAUGE: &str = "process_resident_memory_bytes";
 /// Registers process-level gauges (currently [`RSS_GAUGE`]) into
 /// `registry`. Returns `true` when the platform supports them; on
 /// non-Linux targets nothing is registered and the soak harness reports
-/// its memory check as skipped rather than failing.
+/// its memory check as skipped rather than failing. Whether `/proc` is
+/// there is probed once per process, on the first call.
 pub fn register_process_metrics(registry: &Registry) -> bool {
-    if resident_bytes().is_none() {
+    static SUPPORTED: OnceLock<bool> = OnceLock::new();
+    if !*SUPPORTED.get_or_init(|| resident_bytes().is_some()) {
         return false;
     }
     registry.gauge_fn(

@@ -338,22 +338,28 @@ impl Receiver {
         let sync = self.synchronize(wave);
         let aligned_slice = &wave[sync.offset.min(wave.len())..];
         // Sub-sample refinement: advance by the fractional offset that
-        // maximizes preamble correlation.
+        // maximizes preamble correlation. Only the first `template.len()`
+        // samples of a candidate are scored, and the cubic interpolant
+        // reads at most two samples ahead, so each candidate advances just
+        // that prefix plus two: the scores are those of the whole slice.
         let fractional = if self.fractional_timing && !aligned_slice.is_empty() {
             let one = Self::preamble_template();
             let template = &one[..SAMPLES_PER_SYMBOL.min(one.len())];
+            let prefix = &aligned_slice[..(template.len() + 2).min(aligned_slice.len())];
             let mut best_mu = 0.0f64;
             let mut best = f64::NEG_INFINITY;
             for k in 0..8 {
-                let mu = k as f64 / 8.0;
-                let candidate = if mu == 0.0 {
-                    aligned_slice.to_vec()
-                } else {
-                    ctc_dsp::fractional::fractional_advance(aligned_slice, mu)
-                };
-                if candidate.len() < template.len() {
+                if aligned_slice.len() < template.len() {
                     break;
                 }
+                let mu = k as f64 / 8.0;
+                let advanced;
+                let candidate = if mu == 0.0 {
+                    prefix
+                } else {
+                    advanced = ctc_dsp::fractional::fractional_advance(prefix, mu);
+                    &advanced[..]
+                };
                 let corr = simd::cdot_conj(&candidate[..template.len()], template);
                 if corr.norm() > best {
                     best = corr.norm();
