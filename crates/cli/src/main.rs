@@ -59,12 +59,53 @@ const EXIT_SLO_BREACH: u8 = 12;
 /// regression gate, distinct from the load/SLO code above.
 const EXIT_DETECTOR_GATE: u8 = 13;
 
+/// Why a command stopped short of its own exit code.
+enum Failure {
+    /// A one-line error for stderr; the process exits 1.
+    Message(String),
+    /// Writing stdout failed, as when its reader closed the pipe early
+    /// (`ctc listen ... | head -1`); the process exits with the code
+    /// `ctc monitor` uses for a failed event sink.
+    Stdout(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Message(message)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(message: &str) -> Self {
+        Failure::Message(message.to_string())
+    }
+}
+
+/// `print!` for command output. Every command writes stdout through this
+/// one fallible writer, so a closed stdout ends the command with
+/// [`Failure::Stdout`] instead of a panic.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        std::io::Write::write_fmt(&mut std::io::stdout().lock(), format_args!($($arg)*))
+            .map_err(Failure::Stdout)
+    };
+}
+
+/// `println!` through [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
 const USAGE: &str = "\
 ctc — CTC waveform emulation attack & defense toolkit (cf32 IQ files)
 
 USAGE: ctc <command> [--key value]...
 
-A --key the command does not read is an error.
+A --key the command does not read is an error. A command whose stdout
+closes early (`| head -1`) stops with one line on stderr and exits 7,
+the monitor's sink code.
 
 COMMANDS
   generate  --payload <text> --out <file> [--zeros N]
@@ -330,22 +371,23 @@ fn load(spec: &str) -> Result<Vec<Complex>, String> {
 }
 
 /// Writes a waveform to a file, or to stdout when the spec is `-`.
-fn save(spec: &str, samples: &[Complex]) -> Result<(), String> {
+fn save(spec: &str, samples: &[Complex]) -> Result<(), Failure> {
     if spec == "-" {
-        ctc_dsp::io::write_cf32(std::io::stdout().lock(), samples)
-            .map_err(|e| format!("writing stdout: {e}"))
+        ctc_dsp::io::write_cf32(std::io::stdout().lock(), samples).map_err(Failure::Stdout)
     } else {
-        write_cf32_file(Path::new(spec), samples).map_err(|e| format!("writing {spec}: {e}"))
+        write_cf32_file(Path::new(spec), samples)
+            .map_err(|e| Failure::Message(format!("writing {spec}: {e}")))
     }
 }
 
 /// Status text goes to stdout normally, but to stderr when the waveform
 /// itself is being piped to stdout.
-fn note(out_spec: &str, msg: String) {
+fn note(out_spec: &str, msg: String) -> Result<(), Failure> {
     if out_spec == "-" {
         eprintln!("{msg}");
+        Ok(())
     } else {
-        println!("{msg}");
+        outln!("{msg}")
     }
 }
 
@@ -387,7 +429,7 @@ fn receiver_from(args: &Args) -> Result<Receiver, String> {
     Ok(rx)
 }
 
-fn cmd_generate(args: &Args) -> Result<(), String> {
+fn cmd_generate(args: &Args) -> Result<(), Failure> {
     let payload = args.require("payload")?.as_bytes().to_vec();
     let zeros = args.parse_num::<usize>("zeros")?.unwrap_or(0);
     let tx = Transmitter::new().with_leading_zero_samples(zeros);
@@ -404,11 +446,10 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
             wave.len() as f64 / 4.0,
             String::from_utf8_lossy(&payload)
         ),
-    );
-    Ok(())
+    )
 }
 
-fn cmd_emulate(args: &Args) -> Result<(), String> {
+fn cmd_emulate(args: &Args) -> Result<(), Failure> {
     let observed = load(args.require("input")?)?;
     let emulator = emulator_from(args)?;
     let em = emulator.emulate(&observed);
@@ -421,58 +462,59 @@ fn cmd_emulate(args: &Args) -> Result<(), String> {
             em.wifi_symbol_count(),
             em.waveform_20mhz.len()
         ),
-    );
-    note(out, format!("kept FFT bins: {:?}", em.kept_bins));
+    )?;
+    note(out, format!("kept FFT bins: {:?}", em.kept_bins))?;
     note(
         out,
         format!(
             "alpha = {:.4}, quantization error = {:.1}",
             em.alpha, em.quantization_error
         ),
-    );
+    )?;
     if let Some(d) = em.codeword_distance {
-        note(out, format!("bit-chain codeword distance = {d}"));
+        note(out, format!("bit-chain codeword distance = {d}"))?;
     }
     Ok(())
 }
 
-fn cmd_capture(args: &Args) -> Result<(), String> {
+fn cmd_capture(args: &Args) -> Result<(), Failure> {
     let wide = load(args.require("input")?)?;
     let (in_center, out_center) = match args.get("mode").unwrap_or("baseband") {
         "baseband" => (2.435e9, 2.435e9),
         "carrier" => (2.44e9, 2.435e9),
-        other => return Err(format!("--mode must be baseband or carrier, got {other:?}")),
+        other => return Err(format!("--mode must be baseband or carrier, got {other:?}").into()),
     };
     let captured = ctc_zigbee::frontend::capture(&wide, in_center, 20.0e6, out_center, 4.0e6)
         .map_err(|e| format!("capture failed: {e}"))?;
     let out = args.require("out")?;
     save(out, &captured)?;
-    note(out, format!("captured {} samples at 4 MHz", captured.len()));
-    Ok(())
+    note(out, format!("captured {} samples at 4 MHz", captured.len()))
 }
 
-fn cmd_decode(args: &Args) -> Result<(), String> {
+fn cmd_decode(args: &Args) -> Result<(), Failure> {
     let wave = load(args.require("input")?)?;
     let rx = receiver_from(args)?;
     let r = rx.receive(&wave);
-    println!(
+    outln!(
         "sync: offset {}, peak correlation {:.3}, CFO {:.2e} rad/sample",
-        r.sync.offset, r.sync.peak_correlation, r.sync.cfo_per_sample
-    );
-    println!("symbols decoded: {}", r.symbols.len());
+        r.sync.offset,
+        r.sync.peak_correlation,
+        r.sync.cfo_per_sample
+    )?;
+    outln!("symbols decoded: {}", r.symbols.len())?;
     if let Some(max) = r.hamming_distances.iter().max() {
         let mean: f64 = r.hamming_distances.iter().map(|&d| d as f64).sum::<f64>()
             / r.hamming_distances.len().max(1) as f64;
-        println!("chip errors per symbol: mean {mean:.2}, max {max}");
+        outln!("chip errors per symbol: mean {mean:.2}, max {max}")?;
     }
     match r.payload() {
-        Some(p) => println!(
+        Some(p) => outln!(
             "payload ({} bytes): {:?}  [packet_ok = {}]",
             p.len(),
             String::from_utf8_lossy(p),
             r.packet_ok()
-        ),
-        None => println!("frame did not decode: {:?}", r.frame.err()),
+        )?,
+        None => outln!("frame did not decode: {:?}", r.frame.err())?,
     }
     Ok(())
 }
@@ -559,7 +601,7 @@ fn pipeline_from(args: &Args) -> Result<DetectionPipeline, String> {
     }
 }
 
-fn cmd_detect(args: &Args) -> Result<ExitCode, String> {
+fn cmd_detect(args: &Args) -> Result<ExitCode, Failure> {
     let wave = load(args.require("input")?)?;
     let rx = receiver_from(args)?;
     let detector = detector_from(args)?;
@@ -569,15 +611,15 @@ fn cmd_detect(args: &Args) -> Result<ExitCode, String> {
     let f = features_from_reception(&r)
         .map_err(|_| format!("detection failed: {}", DetectError::NoSamples))?;
     let v = detector.verdict_for(&f);
-    println!(
+    outln!(
         "Ĉ40 = {:.4}{:+.4}i  |Ĉ40| = {:.4}  Ĉ42 = {:.4}  ({} chip pairs)",
         v.features.c40.re,
         v.features.c40.im,
         f.c40_magnitude,
         v.features.c42,
         v.features.sample_count
-    );
-    println!(
+    )?;
+    outln!(
         "DE² = {:.4} vs Q = {:.3}  ->  {}",
         v.de_squared,
         detector.threshold(),
@@ -586,7 +628,7 @@ fn cmd_detect(args: &Args) -> Result<ExitCode, String> {
         } else {
             "authentic ZigBee (H0)"
         }
-    );
+    )?;
     Ok(if v.is_attack {
         ExitCode::from(EXIT_FORGERY)
     } else {
@@ -594,17 +636,17 @@ fn cmd_detect(args: &Args) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_listen(args: &Args) -> Result<(), String> {
-    fn print_burst(i: usize, sb: &StreamedBurst) {
+fn cmd_listen(args: &Args) -> Result<(), Failure> {
+    fn print_burst(i: usize, sb: &StreamedBurst) -> Result<(), Failure> {
         let b = &sb.burst;
-        println!(
+        outln!(
             "  #{i}: samples {}..{} ({} samples, {:.1} µs){}",
             b.start,
             b.end,
             b.len(),
             b.len() as f64 / 4.0,
             if sb.truncated() { "  [truncated]" } else { "" }
-        );
+        )
     }
 
     let input = Input::parse(args.require("input")?).map_err(|e| e.to_string())?;
@@ -625,20 +667,20 @@ fn cmd_listen(args: &Args) -> Result<(), String> {
         total += n;
         energy += chunk.iter().map(|c| c.norm_sqr()).sum::<f64>();
         for sb in stream.push(&chunk) {
-            print_burst(count, &sb);
+            print_burst(count, &sb)?;
             count += 1;
         }
     }
     if let Some(sb) = stream.finish() {
-        print_burst(count, &sb);
+        print_burst(count, &sb)?;
         count += 1;
     }
-    println!("{count} burst(s) in {total} samples");
+    outln!("{count} burst(s) in {total} samples")?;
     if count == 0 && energy > 0.0 {
-        println!(
+        outln!(
             "  (energy detection baselines on quiet gaps; a stream that is all\n\
              signal has no noise floor to rise above — record with margins)"
-        );
+        )?;
     }
     Ok(())
 }
@@ -817,18 +859,18 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     })
 }
 
-fn cmd_spectrum(args: &Args) -> Result<(), String> {
+fn cmd_spectrum(args: &Args) -> Result<(), Failure> {
     let wave = load(args.require("input")?)?;
     let segment = args.parse_num::<usize>("segment")?.unwrap_or(64);
     let psd = welch_psd(&wave, segment, Window::Hann).map_err(|e| format!("psd failed: {e}"))?;
     let db = psd.db_rel_peak();
     let ordered = psd.ordered();
-    println!("Welch PSD ({} segments of {segment}):", psd.segments);
+    outln!("Welch PSD ({} segments of {segment}):", psd.segments)?;
     for (i, (f, _)) in ordered.iter().enumerate() {
         let bin = (i + segment / 2) % segment;
         let level = db[bin];
         let bar = "#".repeat(((level + 60.0).max(0.0) / 2.0) as usize);
-        println!("{f:>8.3} | {level:>7.1} dB | {bar}");
+        outln!("{f:>8.3} | {level:>7.1} dB | {bar}")?;
     }
     Ok(())
 }
@@ -880,7 +922,7 @@ fn fleet_spec_from(args: &Args) -> Result<FleetSpec, String> {
     Ok(spec)
 }
 
-fn cmd_loadgen(args: &Args) -> Result<ExitCode, String> {
+fn cmd_loadgen(args: &Args) -> Result<ExitCode, Failure> {
     let target = Target::parse(args.require("connect")?).map_err(|e| e.to_string())?;
     let spec = fleet_spec_from(args)?;
 
@@ -956,7 +998,7 @@ fn cmd_loadgen(args: &Args) -> Result<ExitCode, String> {
         }
     };
 
-    println!("{line}");
+    outln!("{line}")?;
     if let Some(path) = args.get("report") {
         std::fs::write(path, format!("{line}\n"))
             .map_err(|e| format!("writing report {path}: {e}"))?;
@@ -1032,25 +1074,21 @@ fn class_scores(
     (authentic, attack)
 }
 
-/// Renders one ROC summary as a JSON object body.
-fn roc_json(roc: &Roc) -> String {
-    ctc_obs::json::JsonObject::new()
-        .float("auc", roc.auc)
+/// Adds one ROC summary's fields.
+fn roc_fields(o: ctc_obs::json::JsonObject, roc: &Roc) -> ctc_obs::json::JsonObject {
+    o.float("auc", roc.auc)
         .float("eer", roc.eer())
         .float("tpr_at_fpr_1pct", roc.tpr_at_fpr(0.01))
-        .finish()
 }
 
-fn cmd_detector(argv: &[String]) -> Result<ExitCode, String> {
+fn cmd_detector(argv: &[String]) -> Result<ExitCode, Failure> {
     use ctc_obs::json::JsonObject;
 
     let Some((action, rest)) = argv.split_first() else {
         return Err("detector needs an action: train or eval".into());
     };
     if !matches!(action.as_str(), "train" | "eval") {
-        return Err(format!(
-            "unknown detector action {action:?} (expected train or eval)"
-        ));
+        return Err(format!("unknown detector action {action:?} (expected train or eval)").into());
     }
     let args = Args::parse_for(&format!("detector {action}"), rest)?;
     let detector = detector_from(&args)?;
@@ -1071,17 +1109,19 @@ fn cmd_detector(argv: &[String]) -> Result<ExitCode, String> {
             let classifier = match args.get("kind").unwrap_or("logistic") {
                 "logistic" => train_logistic(&samples).map_err(|e| format!("training: {e}"))?,
                 "stumps" => train_stumps(&samples, rounds).map_err(|e| format!("training: {e}"))?,
-                other => return Err(format!("--kind must be logistic or stumps, got {other:?}")),
+                other => {
+                    return Err(format!("--kind must be logistic or stumps, got {other:?}").into())
+                }
             };
             let trained = extractor.with_classifier(classifier);
             std::fs::write(out, trained.to_model_string())
                 .map_err(|e| format!("writing model {out}: {e}"))?;
-            println!(
+            outln!(
                 "wrote {} model over {} features ({} labelled samples, seed {seed}) to {out}",
                 trained.classifier().kind(),
                 trained.feature_names().len(),
                 2 * per_class * DETECTOR_SNRS.len(),
-            );
+            )?;
             Ok(ExitCode::SUCCESS)
         }
         _ => {
@@ -1109,7 +1149,7 @@ fn cmd_detector(argv: &[String]) -> Result<ExitCode, String> {
                 .uint("per_class", per_class as u64)
                 .uint("snr_cells", DETECTOR_SNRS.len() as u64)
                 .string("baseline_feature", de2)
-                .raw("baseline", &roc_json(&baseline));
+                .object("baseline", |o| roc_fields(o, &baseline));
 
             let (ensemble_auc, ensemble_name) = match args.get("model") {
                 // Evaluate a trained model file on the full sample set.
@@ -1120,7 +1160,7 @@ fn cmd_detector(argv: &[String]) -> Result<ExitCode, String> {
                         .map_err(|e| format!("parsing model {path}: {e}"))?;
                     let (auth, att) = class_scores(&test, |fv| model.classifier().decide(fv).0);
                     let roc = Roc::from_scores(&auth, &att);
-                    report = report.raw("model", &roc_json(&roc));
+                    report = report.object("model", |o| roc_fields(o, &roc));
                     (roc.auc, model.classifier().kind())
                 }
                 // Train both ensembles on the spot; the better one gates.
@@ -1133,8 +1173,8 @@ fn cmd_detector(argv: &[String]) -> Result<ExitCode, String> {
                     let (auth, att) = class_scores(&test, |fv| stumps.decide(fv).0);
                     let roc_stumps = Roc::from_scores(&auth, &att);
                     report = report
-                        .raw("logistic", &roc_json(&roc_logistic))
-                        .raw("stumps", &roc_json(&roc_stumps));
+                        .object("logistic", |o| roc_fields(o, &roc_logistic))
+                        .object("stumps", |o| roc_fields(o, &roc_stumps));
                     if roc_logistic.auc >= roc_stumps.auc {
                         (roc_logistic.auc, "logistic")
                     } else {
@@ -1145,19 +1185,21 @@ fn cmd_detector(argv: &[String]) -> Result<ExitCode, String> {
 
             // Per-feature discriminative power on the held-out half,
             // orientation-folded so "lower = attack" features still rank.
-            let mut features = JsonObject::new();
-            for name in extractor.feature_names() {
-                let (auth, att) = class_scores(&test, |fv| fv.get(name).unwrap_or(0.0));
-                features = features.float(name, Roc::from_scores(&auth, &att).oriented_auc());
-            }
             let gate_pass = ensemble_auc >= baseline.auc;
             let line = report
-                .raw("feature_auc", &features.finish())
+                .object("feature_auc", |mut features| {
+                    for name in extractor.feature_names() {
+                        let (auth, att) = class_scores(&test, |fv| fv.get(name).unwrap_or(0.0));
+                        features =
+                            features.float(name, Roc::from_scores(&auth, &att).oriented_auc());
+                    }
+                    features
+                })
                 .string("ensemble", ensemble_name)
                 .float("ensemble_auc", ensemble_auc)
                 .bool("gate_pass", gate_pass)
                 .finish();
-            println!("{line}");
+            outln!("{line}")?;
             if let Some(path) = args.get("report") {
                 std::fs::write(path, format!("{line}\n"))
                     .map_err(|e| format!("writing report {path}: {e}"))?;
@@ -1175,7 +1217,7 @@ fn cmd_detector(argv: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_obs(argv: &[String]) -> Result<ExitCode, String> {
+fn cmd_obs(argv: &[String]) -> Result<ExitCode, Failure> {
     let Some((action, rest)) = argv.split_first() else {
         return Err("obs needs an action: dump, report, or top".into());
     };
@@ -1183,13 +1225,13 @@ fn cmd_obs(argv: &[String]) -> Result<ExitCode, String> {
         "dump" => cmd_obs_dump(&Args::parse_for("obs dump", rest)?),
         "report" => cmd_obs_report(rest),
         "top" => cmd_obs_top(&Args::parse_for("obs top", rest)?),
-        other => Err(format!(
-            "unknown obs action {other:?} (expected dump, report, or top)"
-        )),
+        other => {
+            Err(format!("unknown obs action {other:?} (expected dump, report, or top)").into())
+        }
     }
 }
 
-fn cmd_obs_dump(args: &Args) -> Result<ExitCode, String> {
+fn cmd_obs_dump(args: &Args) -> Result<ExitCode, Failure> {
     // Exposition text: scraped from a live monitor, or the canonical
     // gateway schema (every metric name, help string and type) at zero —
     // what a scrape of an idle run would return.
@@ -1211,16 +1253,16 @@ fn cmd_obs_dump(args: &Args) -> Result<ExitCode, String> {
         // The same serializer incident snapshots use for their registry
         // section, so one jq recipe works on both.
         let scrape = ctc_obs::Scrape::parse(&text).map_err(|e| format!("parsing scrape: {e}"))?;
-        println!("{}", ctc_obs::snapshot::registry_json(&scrape));
+        outln!("{}", ctc_obs::snapshot::registry_json(&scrape))?;
     } else {
-        print!("{text}");
+        out!("{text}")?;
     }
     Ok(ExitCode::SUCCESS)
 }
 
 /// `obs report <incident.json>`: renders a flight-recorder incident
 /// snapshot human-readable. The path may be positional or `--input`.
-fn cmd_obs_report(argv: &[String]) -> Result<ExitCode, String> {
+fn cmd_obs_report(argv: &[String]) -> Result<ExitCode, Failure> {
     let (path, rest) = match argv.split_first() {
         Some((first, rest)) if !first.starts_with("--") => (first.clone(), rest),
         _ => {
@@ -1232,7 +1274,7 @@ fn cmd_obs_report(argv: &[String]) -> Result<ExitCode, String> {
     let text =
         std::fs::read_to_string(&path).map_err(|e| format!("reading snapshot {path}: {e}"))?;
     let doc = ctc_obs::json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    print!("{}", render_incident(&doc)?);
+    out!("{}", render_incident(&doc)?)?;
     Ok(ExitCode::SUCCESS)
 }
 
@@ -1495,7 +1537,7 @@ fn render_top(scrape: &ctc_obs::Scrape, prev: Option<(&ctc_obs::Scrape, Duration
 
 /// `obs top --addr HOST:PORT`: live terminal view over a monitor's
 /// Prometheus endpoint.
-fn cmd_obs_top(args: &Args) -> Result<ExitCode, String> {
+fn cmd_obs_top(args: &Args) -> Result<ExitCode, Failure> {
     use std::io::{IsTerminal, Write};
 
     let addr = args.require("addr")?;
@@ -1514,15 +1556,11 @@ fn cmd_obs_top(args: &Args) -> Result<ExitCode, String> {
         let scrape = ctc_obs::Scrape::fetch(addr).map_err(|e| format!("scraping {addr}: {e}"))?;
         let now = std::time::Instant::now();
         let frame = render_top(&scrape, prev.as_ref().map(|(s, t)| (s, now - *t)));
-        let mut stdout = std::io::stdout().lock();
-        if clear {
-            // Clear + home: repaint in place like top(1). Piped output
-            // gets plain frames back to back instead.
-            let _ = write!(stdout, "\x1b[2J\x1b[H");
-        }
-        let _ = stdout.write_all(frame.as_bytes());
-        let _ = stdout.flush();
-        drop(stdout);
+        // Clear + home: repaint in place like top(1). Piped output gets
+        // plain frames back to back instead.
+        let home = if clear { "\x1b[2J\x1b[H" } else { "" };
+        out!("{home}{frame}")?;
+        std::io::stdout().flush().map_err(Failure::Stdout)?;
         prev = Some((scrape, now));
         frames += 1;
         if count.is_some_and(|c| frames >= c) {
@@ -1532,14 +1570,15 @@ fn cmd_obs_top(args: &Args) -> Result<ExitCode, String> {
     }
 }
 
-fn cmd_vectors(argv: &[String]) -> Result<ExitCode, String> {
+fn cmd_vectors(argv: &[String]) -> Result<ExitCode, Failure> {
     let Some((action, rest)) = argv.split_first() else {
         return Err("vectors needs an action: generate, check, or diff".into());
     };
     if !matches!(action.as_str(), "generate" | "check" | "diff") {
         return Err(format!(
             "unknown vectors action {action:?} (expected generate, check, or diff)"
-        ));
+        )
+        .into());
     }
     let args = Args::parse_for(&format!("vectors {action}"), rest)?;
     let dir = Path::new(args.get("dir").unwrap_or("vectors")).to_path_buf();
@@ -1553,53 +1592,53 @@ fn cmd_vectors(argv: &[String]) -> Result<ExitCode, String> {
                 ctc_vectors::generate(&spec).map_err(|e| format!("generation failed: {e}"))?;
             ctc_vectors::write_corpus(&dir, &spec, &vectors)
                 .map_err(|e| format!("writing {}: {e}", dir.display()))?;
-            println!(
+            outln!(
                 "wrote {} vectors + manifest to {} (seed {})",
                 vectors.len(),
                 dir.display(),
                 spec.seed
-            );
+            )?;
             for v in &vectors {
-                println!(
+                outln!(
                     "  {:<18} {:>8} {:<8} [{}]",
                     v.name,
                     v.payload.len(),
                     v.payload.kind().name(),
                     v.tolerance.describe()
-                );
+                )?;
             }
             Ok(ExitCode::SUCCESS)
         }
         "check" => match ctc_vectors::check_corpus(&dir) {
             Ok(reports) => {
                 for r in &reports {
-                    println!("ok  {r}");
+                    outln!("ok  {r}")?;
                 }
-                println!("{} stages within tolerance", reports.len());
+                outln!("{} stages within tolerance", reports.len())?;
                 Ok(ExitCode::SUCCESS)
             }
-            Err(e) => Err(format!("golden-vector check FAILED: {e}")),
+            Err(e) => Err(format!("golden-vector check FAILED: {e}").into()),
         },
         _ => {
             let diffs = ctc_vectors::diff_corpus(&dir).map_err(|e| format!("diff failed: {e}"))?;
             let mut diverged = 0usize;
             for d in &diffs {
                 match (&d.report, &d.first_divergence) {
-                    (Some(r), None) => println!("ok    {r}"),
+                    (Some(r), None) => outln!("ok    {r}")?,
                     (Some(r), Some(first)) => {
                         diverged += 1;
-                        println!("DIFF  {r}");
-                        println!("      {first}");
+                        outln!("DIFF  {r}")?;
+                        outln!("      {first}")?;
                     }
                     (None, Some(first)) => {
                         diverged += 1;
-                        println!("DIFF  {first}");
+                        outln!("DIFF  {first}")?;
                     }
                     (None, None) => unreachable!("deviation yields a report or a divergence"),
                 }
             }
             if diverged == 0 {
-                println!("{} stages bit-compatible or within tolerance", diffs.len());
+                outln!("{} stages bit-compatible or within tolerance", diffs.len())?;
                 Ok(ExitCode::SUCCESS)
             } else {
                 Ok(ExitCode::FAILURE)
@@ -1608,7 +1647,7 @@ fn cmd_vectors(argv: &[String]) -> Result<ExitCode, String> {
     }
 }
 
-fn run() -> Result<ExitCode, String> {
+fn run() -> Result<ExitCode, Failure> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
         return Err(USAGE.into());
@@ -1633,23 +1672,27 @@ fn run() -> Result<ExitCode, String> {
         "decode" => cmd_decode(&args()?).map(ok),
         "detect" => cmd_detect(&args()?),
         "listen" => cmd_listen(&args()?).map(ok),
-        "monitor" => cmd_monitor(&args()?),
+        "monitor" => Ok(cmd_monitor(&args()?)?),
         "loadgen" => cmd_loadgen(&args()?),
         "spectrum" => cmd_spectrum(&args()?).map(ok),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            outln!("{USAGE}")?;
             Ok(ExitCode::SUCCESS)
         }
-        other => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+        other => Err(format!("unknown command {other:?}\n\n{USAGE}").into()),
     }
 }
 
 fn main() -> ExitCode {
     match run() {
         Ok(code) => code,
-        Err(e) => {
+        Err(Failure::Message(e)) => {
             eprintln!("{e}");
             ExitCode::FAILURE
+        }
+        Err(Failure::Stdout(e)) => {
+            eprintln!("writing stdout: {e}");
+            ExitCode::from(GatewayError::SinkWrite(e).exit_code())
         }
     }
 }

@@ -3,7 +3,8 @@
 //! the `|Ĉ40|` column (which only the line search computes), the frame
 //! lines of every `--detector` mode, a `--queue` depth too large to
 //! preallocate, a `SIGUSR1` snapshot taken while the input is still open,
-//! and the one-line errors for thresholds, stats intervals, sizing flags,
+//! the sink exit code (not a panic) when stdout closes early, and the
+//! one-line errors for thresholds, stats intervals, sizing flags,
 //! unknown flags and flag combinations that would otherwise panic, abort,
 //! switch the detector off or be silently ignored.
 
@@ -122,6 +123,35 @@ fn detect_exits_on_the_verdict_and_prints_the_line_search_magnitude() {
                 "{args:?}"
             );
         }
+    }
+}
+
+/// Exit code of a command whose stdout fails: `ctc monitor`'s sink code.
+const EXIT_SINK: i32 = 7;
+
+/// `ctc decode`, `detect` and `listen` with a stdout whose reader is
+/// already gone: each ends with one line on stderr and the sink's exit
+/// code, not a panic.
+#[test]
+fn a_closed_stdout_exits_with_the_sink_code_not_a_panic() {
+    let frames = Frames::generate("closed-stdout");
+    let input = path_str(&frames.forged);
+    for command in ["decode", "detect", "listen"] {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_ctc"))
+            .args([command, "--input", input])
+            .stdout(writer)
+            .output()
+            .expect("ctc runs");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(EXIT_SINK), "{command}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{command}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{command}: {stderr}");
+        assert!(
+            stderr.starts_with("writing stdout: "),
+            "{command}: {stderr}"
+        );
     }
 }
 

@@ -182,9 +182,12 @@ pub fn ifft(spectrum: &[Complex]) -> Result<Vec<Complex>, FftLenError> {
 pub fn ifft_in_place(buf: &mut [Complex]) -> Result<(), FftLenError> {
     check_len(buf.len())?;
     transform_in_place(buf, 1.0);
-    let n = buf.len() as f64;
+    // The reciprocal of a power of two is exact, so each product rounds
+    // the same exact value a division by the length would: the same bits,
+    // subnormal results included, for a multiply instead of a divide.
+    let scale = 1.0 / buf.len() as f64;
     for v in buf.iter_mut() {
-        *v /= n;
+        *v *= scale;
     }
     Ok(())
 }

@@ -6,6 +6,7 @@
 
 use crate::complex::Complex;
 use crate::fft::fft_in_place;
+use std::sync::OnceLock;
 
 /// Window functions for spectral estimation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,6 +31,43 @@ impl Window {
             Window::Rectangular => 1.0,
             Window::Hann => 0.5 * (1.0 - x.cos()),
             Window::Hamming => 0.54 - 0.46 * x.cos(),
+        }
+    }
+}
+
+/// One window's coefficients at one length, with their power `Σ w²`.
+struct WindowTable {
+    coeffs: Box<[f64]>,
+    power: f64,
+}
+
+impl WindowTable {
+    fn build(window: Window, len: usize) -> Self {
+        let coeffs: Box<[f64]> = (0..len).map(|i| window.value(i, len)).collect();
+        let power = coeffs.iter().map(|w| w * w).sum();
+        WindowTable { coeffs, power }
+    }
+}
+
+/// Largest segment length, as a power of two, whose window tables are
+/// built once and kept for the life of the process, as the FFT keeps its
+/// twiddles (at most 1.5 MiB if every window and length occurs); longer
+/// segments build theirs per call.
+const CACHED_LOG2: usize = 15;
+
+/// One window's tables by length (`log2`).
+type WindowTables = [OnceLock<WindowTable>; CACHED_LOG2 + 1];
+
+impl Window {
+    /// This window's process-wide tables.
+    fn tables(self) -> &'static WindowTables {
+        static RECTANGULAR: WindowTables = [const { OnceLock::new() }; CACHED_LOG2 + 1];
+        static HANN: WindowTables = [const { OnceLock::new() }; CACHED_LOG2 + 1];
+        static HAMMING: WindowTables = [const { OnceLock::new() }; CACHED_LOG2 + 1];
+        match self {
+            Window::Rectangular => &RECTANGULAR,
+            Window::Hann => &HANN,
+            Window::Hamming => &HAMMING,
         }
     }
 }
@@ -87,7 +125,8 @@ impl Psd {
 /// Errors for [`welch_psd`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PsdError {
-    /// Segment length is not a nonzero power of two.
+    /// Segment length is not a power of two of at least 2 (a one-sample
+    /// segment has no half-segment hop to advance by).
     BadSegmentLen {
         /// Requested length.
         len: usize,
@@ -100,7 +139,10 @@ impl std::fmt::Display for PsdError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PsdError::BadSegmentLen { len } => {
-                write!(f, "segment length must be a power of two, got {len}")
+                write!(
+                    f,
+                    "segment length must be a power of two of at least 2, got {len}"
+                )
             }
             PsdError::TooShort => write!(f, "input shorter than one segment"),
         }
@@ -113,8 +155,8 @@ impl std::error::Error for PsdError {}
 ///
 /// # Errors
 ///
-/// [`PsdError::BadSegmentLen`] unless `segment_len` is a power of two;
-/// [`PsdError::TooShort`] when `x.len() < segment_len`.
+/// [`PsdError::BadSegmentLen`] unless `segment_len` is a power of two of
+/// at least 2; [`PsdError::TooShort`] when `x.len() < segment_len`.
 ///
 /// # Examples
 ///
@@ -129,28 +171,32 @@ impl std::error::Error for PsdError {}
 /// # Ok::<(), ctc_dsp::psd::PsdError>(())
 /// ```
 pub fn welch_psd(x: &[Complex], segment_len: usize, window: Window) -> Result<Psd, PsdError> {
-    if segment_len == 0 || !segment_len.is_power_of_two() {
+    if segment_len < 2 || !segment_len.is_power_of_two() {
         return Err(PsdError::BadSegmentLen { len: segment_len });
     }
     if x.len() < segment_len {
         return Err(PsdError::TooShort);
     }
+    let built;
+    let win = match window.tables().get(segment_len.trailing_zeros() as usize) {
+        Some(table) => table.get_or_init(|| WindowTable::build(window, segment_len)),
+        None => {
+            built = WindowTable::build(window, segment_len);
+            &built
+        }
+    };
     let hop = segment_len / 2;
-    let win: Vec<f64> = (0..segment_len)
-        .map(|i| window.value(i, segment_len))
-        .collect();
-    let win_power: f64 = win.iter().map(|w| w * w).sum();
     let mut power = vec![0.0f64; segment_len];
     let mut seg = vec![Complex::ZERO; segment_len];
     let mut segments = 0usize;
     let mut start = 0usize;
     while start + segment_len <= x.len() {
-        for ((s, v), w) in seg.iter_mut().zip(&x[start..]).zip(&win) {
+        for ((s, v), w) in seg.iter_mut().zip(&x[start..]).zip(&win.coeffs) {
             *s = *v * *w;
         }
         fft_in_place(&mut seg).expect("segment_len validated as power of two");
         for (p, s) in power.iter_mut().zip(&seg) {
-            *p += s.norm_sqr() / win_power;
+            *p += s.norm_sqr() / win.power;
         }
         segments += 1;
         start += hop;
@@ -175,6 +221,65 @@ mod tests {
     fn rejects_bad_inputs() {
         assert!(welch_psd(&tone(0.1, 100), 48, Window::Hann).is_err());
         assert!(welch_psd(&tone(0.1, 10), 64, Window::Hann).is_err());
+        // One sample has no half-segment hop: the average would never end.
+        assert_eq!(
+            welch_psd(&tone(0.1, 10), 1, Window::Hann),
+            Err(PsdError::BadSegmentLen { len: 1 })
+        );
+        assert!(welch_psd(&tone(0.1, 10), 0, Window::Hann).is_err());
+    }
+
+    /// The estimate as it ran with the window built per call.
+    fn welch_per_call(x: &[Complex], segment_len: usize, window: Window) -> Psd {
+        let hop = segment_len / 2;
+        let win: Vec<f64> = (0..segment_len)
+            .map(|i| window.value(i, segment_len))
+            .collect();
+        let win_power: f64 = win.iter().map(|w| w * w).sum();
+        let mut power = vec![0.0f64; segment_len];
+        let mut seg = vec![Complex::ZERO; segment_len];
+        let mut segments = 0usize;
+        let mut start = 0usize;
+        while start + segment_len <= x.len() {
+            for ((s, v), w) in seg.iter_mut().zip(&x[start..]).zip(&win) {
+                *s = *v * *w;
+            }
+            fft_in_place(&mut seg).unwrap();
+            for (p, s) in power.iter_mut().zip(&seg) {
+                *p += s.norm_sqr() / win_power;
+            }
+            segments += 1;
+            start += hop;
+        }
+        for p in &mut power {
+            *p /= segments as f64;
+        }
+        Psd { power, segments }
+    }
+
+    #[test]
+    fn cached_windows_give_the_per_call_estimates_bits() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for window in [Window::Rectangular, Window::Hann, Window::Hamming] {
+            for (segment_len, n) in [(2, 2), (2, 9), (64, 64), (64, 1000), (256, 700)] {
+                let x: Vec<Complex> = (0..n)
+                    .map(|_| Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                    .collect();
+                // Twice: the first call builds the table, the second reads it.
+                for _ in 0..2 {
+                    let got = welch_psd(&x, segment_len, window).unwrap();
+                    let want = welch_per_call(&x, segment_len, window);
+                    assert_eq!(got.segments, want.segments);
+                    let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&got.power),
+                        bits(&want.power),
+                        "{window:?} {segment_len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -79,16 +79,6 @@ impl<'a> FlightRun<'a> {
         sessions: &'a SessionTable,
     ) -> FlightRun<'a> {
         let gw = &config.gateway;
-        let flight = JsonObject::new()
-            .uint("capacity", recorder.capacity() as u64)
-            .uint("max_events", options.max_events as u64)
-            .opt("drop_budget", options.drop_budget, JsonObject::uint)
-            .opt(
-                "out",
-                options.out.as_ref().map(|p| p.display().to_string()),
-                |o, k, v| o.string(k, &v),
-            )
-            .finish();
         let config_json = JsonObject::new()
             .uint("chunk_samples", gw.chunk_samples as u64)
             .uint("workers", gw.workers as u64)
@@ -100,7 +90,16 @@ impl<'a> FlightRun<'a> {
                 gw.stats_interval.map(|d| d.as_millis() as u64),
                 JsonObject::uint,
             )
-            .raw("flight", &flight)
+            .object("flight", |o| {
+                o.uint("capacity", recorder.capacity() as u64)
+                    .uint("max_events", options.max_events as u64)
+                    .opt("drop_budget", options.drop_budget, JsonObject::uint)
+                    .opt(
+                        "out",
+                        options.out.as_ref().map(|p| p.display().to_string()),
+                        |o, k, v| o.string(k, &v),
+                    )
+            })
             .finish();
         FlightRun {
             recorder,

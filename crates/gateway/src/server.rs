@@ -330,7 +330,7 @@ impl<'a, W: Write> Output<'a, W> {
     fn note(&self, line: &str) {
         let mut st = self.lock();
         if st.error.is_none() {
-            if let Err(e) = writeln!(st.events, "{line}") {
+            if let Err(e) = write_line(st.events, line) {
                 st.error = Some(e);
             }
         }
@@ -584,7 +584,7 @@ impl GatewayServer {
                             last_stats = Instant::now();
                             let line =
                                 stats_line(&sessions.totals(), started, queue.len(), streams);
-                            writeln!(stats, "{line}")?;
+                            write_line(stats, &line)?;
                             stats.flush()?;
                         }
                     }
@@ -737,10 +737,9 @@ impl GatewayServer {
             workers_started,
         };
         let streams_field = if fatal_in_streams { None } else { Some(0) };
-        writeln!(
+        write_line(
             stats,
-            "{}",
-            stats_line(&report.metrics, started, 0, streams_field)
+            &stats_line(&report.metrics, started, 0, streams_field),
         )
         .map_err(GatewayError::sink)?;
         stats.flush().map_err(GatewayError::sink)?;
@@ -1016,14 +1015,14 @@ impl<W: Write + Send> Engine<'_, '_, W> {
         // `total_us` runs from the hand-off, so consumers that subtract it
         // from an arrival-to-verdict time get the ingest wait; the line
         // also reports that wait directly as `ingest_us`.
-        let latency = JsonObject::new()
-            .uint("queue_us", queue_us)
-            .uint("decode_us", decode_us)
-            .uint("classify_us", classify_us)
-            .uint("total_us", total_us)
-            .uint("ingest_us", ingest_us)
-            .finish();
-        let line = frame_line(session.label(), seq, &event, &latency);
+        let line = frame_line(session.label(), seq, &event, |latency| {
+            latency
+                .uint("queue_us", queue_us)
+                .uint("decode_us", decode_us)
+                .uint("classify_us", classify_us)
+                .uint("total_us", total_us)
+                .uint("ingest_us", ingest_us)
+        });
         Slot::Line {
             line,
             span,
@@ -1049,13 +1048,13 @@ fn drain_session<W: Write>(
                 span,
                 classified,
             } => {
-                writeln!(events, "{line}")?;
+                write_line(events, &line)?;
                 let (seq, now) = (sink.next, Instant::now());
                 obs.record(session, span, seq, SpanStage::Emit, classified, now);
             }
             Slot::Close { session, error } => {
                 let line = session_close_line(&session, sink.next, error.as_deref());
-                writeln!(events, "{line}")?;
+                write_line(events, &line)?;
                 closed = true;
             }
         }
@@ -1065,9 +1064,21 @@ fn drain_session<W: Write>(
     Ok((written, closed))
 }
 
-/// Renders one frame event as a JSON line around its rendered `latency`
-/// object. Unlabelled sessions omit the `stream` field entirely.
-fn frame_line(stream: Option<&str>, seq: u64, event: &StreamEvent, latency: &str) -> String {
+/// Writes one rendered event line and its newline.
+fn write_line(out: &mut impl Write, line: &str) -> io::Result<()> {
+    out.write_all(line.as_bytes())?;
+    out.write_all(b"\n")
+}
+
+/// Renders one frame event as a JSON line, with the fields `latency` adds
+/// as its `latency` object. Unlabelled sessions omit the `stream` field
+/// entirely.
+fn frame_line(
+    stream: Option<&str>,
+    seq: u64,
+    event: &StreamEvent,
+    latency: impl FnOnce(JsonObject) -> JsonObject,
+) -> String {
     let line = JsonObject::new()
         .string("type", "frame")
         .string_if("stream", stream)
@@ -1090,18 +1101,18 @@ fn frame_line(stream: Option<&str>, seq: u64, event: &StreamEvent, latency: &str
     // vector; the paper's detector reports no scores, so its lines carry
     // the verdict alone.
     let line = match &event.scores {
-        Some(scores) => {
-            let mut features = JsonObject::new();
-            for (name, value) in scores.features.entries() {
-                features = features.float(name, *value);
-            }
-            line.float("score", scores.fused)
-                .raw("features", &features.finish())
-        }
+        Some(scores) => line
+            .float("score", scores.fused)
+            .object("features", |mut features| {
+                for (name, value) in scores.features.entries() {
+                    features = features.float(name, *value);
+                }
+                features
+            }),
         None => line,
     };
     line.bool("accepted_forgery", event.accepted_forgery())
-        .raw("latency", latency)
+        .object("latency", latency)
         .finish()
 }
 

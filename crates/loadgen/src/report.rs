@@ -7,23 +7,21 @@ use crate::soak::{SloCheck, SoakConfig, SoakOutcome};
 use crate::spec::FleetSpec;
 use ctc_obs::json::JsonObject;
 
-/// The spec echoed into the report, so a stored artifact is
+/// Adds the spec, echoed into the report so a stored artifact is
 /// self-describing.
-fn spec_json(spec: &FleetSpec) -> String {
-    JsonObject::new()
-        .uint("streams", spec.streams as u64)
+fn spec_fields(o: JsonObject, spec: &FleetSpec) -> JsonObject {
+    o.uint("streams", spec.streams as u64)
         .uint("events_per_stream", spec.events_per_stream as u64)
         .string("mix", &spec.mix.to_string())
         .uint("gap_samples", spec.gap_samples as u64)
         .float("rate_msps", spec.rate_msps)
         .uint("seed", spec.seed)
-        .finish()
 }
 
-fn sent_json(report: &FleetReport) -> String {
+/// Adds the ground-truth send totals.
+fn sent_fields(o: JsonObject, report: &FleetReport) -> JsonObject {
     let sent = report.sent();
-    JsonObject::new()
-        .uint("authentic", sent.authentic)
+    o.uint("authentic", sent.authentic)
         .uint("forged", sent.forged)
         .uint("noise", sent.noise)
         .uint("bursts", sent.total())
@@ -31,7 +29,6 @@ fn sent_json(report: &FleetReport) -> String {
         .float("aggregate_msps", report.msps())
         .float("elapsed_s", report.elapsed.as_secs_f64())
         .uint("stream_errors", report.errors() as u64)
-        .finish()
 }
 
 /// Renders the fixed-count (non-soak) run report.
@@ -39,8 +36,8 @@ pub fn render_fleet(spec: &FleetSpec, target: &Target, report: &FleetReport) -> 
     JsonObject::new()
         .string("mode", "fixed")
         .string("target", &target.to_string())
-        .raw("loadgen", &spec_json(spec))
-        .raw("sent", &sent_json(report))
+        .object("loadgen", |o| spec_fields(o, spec))
+        .object("sent", |o| sent_fields(o, report))
         .bool("pass", report.errors() == 0)
         .finish()
 }
@@ -70,42 +67,40 @@ pub(crate) fn checks_json(checks: &[SloCheck]) -> String {
 /// point this run certifies (or refutes).
 pub fn render_soak(config: &SoakConfig, target: &Target, outcome: &SoakOutcome) -> String {
     let obs = &outcome.observed;
-    let observed = JsonObject::new()
-        .float("bursts", obs.bursts)
-        .float("frames_authentic", obs.frames_authentic)
-        .float("frames_attack", obs.frames_attack)
-        .float("frames_undecoded", obs.frames_undecoded)
-        .float("dropped", obs.dropped)
-        .opt("p99_latency_us", obs.p99_latency_us, JsonObject::float)
-        .opt(
-            "steady_pool_misses",
-            obs.steady_pool_misses,
-            JsonObject::float,
-        )
-        .opt("rss_steady_bytes", obs.rss_steady_bytes, JsonObject::float)
-        .opt("rss_final_bytes", obs.rss_final_bytes, JsonObject::float)
-        .float("sessions_closed", obs.sessions_closed)
-        .uint("scrapes", obs.scrapes as u64)
-        .finish();
-    // The capacity point this run certifies: N streams at the achieved
-    // aggregate rate, sustained iff every SLO held.
-    let capacity = JsonObject::new()
-        .uint("streams", config.fleet.streams as u64)
-        .float("per_stream_msps", config.fleet.rate_msps)
-        .float("aggregate_msps", outcome.fleet.msps())
-        .bool("sustained", outcome.pass)
-        .finish();
     JsonObject::new()
         .string("mode", "soak")
         .string("target", &target.to_string())
         .float("duration_s", config.duration.as_secs_f64())
         .float("warmup_s", config.warmup.as_secs_f64())
         .string("metrics_addr", &config.metrics_addr)
-        .raw("loadgen", &spec_json(&config.fleet))
-        .raw("sent", &sent_json(&outcome.fleet))
-        .raw("observed", &observed)
+        .object("loadgen", |o| spec_fields(o, &config.fleet))
+        .object("sent", |o| sent_fields(o, &outcome.fleet))
+        .object("observed", |o| {
+            o.float("bursts", obs.bursts)
+                .float("frames_authentic", obs.frames_authentic)
+                .float("frames_attack", obs.frames_attack)
+                .float("frames_undecoded", obs.frames_undecoded)
+                .float("dropped", obs.dropped)
+                .opt("p99_latency_us", obs.p99_latency_us, JsonObject::float)
+                .opt(
+                    "steady_pool_misses",
+                    obs.steady_pool_misses,
+                    JsonObject::float,
+                )
+                .opt("rss_steady_bytes", obs.rss_steady_bytes, JsonObject::float)
+                .opt("rss_final_bytes", obs.rss_final_bytes, JsonObject::float)
+                .float("sessions_closed", obs.sessions_closed)
+                .uint("scrapes", obs.scrapes as u64)
+        })
         .raw("slo", &checks_json(&outcome.checks))
-        .raw("capacity", &capacity)
+        // The capacity point this run certifies: N streams at the
+        // achieved aggregate rate, sustained iff every SLO held.
+        .object("capacity", |o| {
+            o.uint("streams", config.fleet.streams as u64)
+                .float("per_stream_msps", config.fleet.rate_msps)
+                .float("aggregate_msps", outcome.fleet.msps())
+                .bool("sustained", outcome.pass)
+        })
         .string_if("incident", outcome.incident.as_deref())
         .bool("pass", outcome.pass)
         .finish()

@@ -18,19 +18,35 @@
 use std::fmt::Write as _;
 
 /// Builder for one JSON object rendered onto a single line.
-#[derive(Debug, Default)]
+///
+/// The line renders in one pass into one buffer: it opens with `{`, each
+/// field appends its key and value, a nested [`object`](Self::object)
+/// renders in place, and [`finish`](Self::finish) closes the buffer and
+/// hands it over without a copy.
+#[derive(Debug)]
 pub struct JsonObject {
     buf: String,
+}
+
+impl Default for JsonObject {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl JsonObject {
     /// Starts an empty object.
     pub fn new() -> Self {
-        JsonObject { buf: String::new() }
+        JsonObject {
+            buf: String::from("{"),
+        }
     }
 
+    /// Appends `key` and its colon, after a comma unless the innermost
+    /// open object is still empty. No value ends in `{`, so the buffer's
+    /// last byte tells.
     fn key(&mut self, key: &str) -> &mut String {
-        if !self.buf.is_empty() {
+        if !self.buf.ends_with('{') {
             self.buf.push(',');
         }
         push_string(&mut self.buf, key);
@@ -46,7 +62,7 @@ impl JsonObject {
 
     /// Adds an unsigned integer field.
     pub fn uint(mut self, key: &str, value: u64) -> Self {
-        let _ = write!(self.key(key), "{value}");
+        push_u64(self.key(key), value);
         self
     }
 
@@ -92,15 +108,28 @@ impl JsonObject {
         }
     }
 
-    /// Adds a pre-rendered JSON value (e.g. a nested object) verbatim.
+    /// Adds a nested object whose fields `fields` adds, rendered in place:
+    /// `fields` gets this object with the nested one open and returns
+    /// it with the fields added.
+    pub fn object(mut self, key: &str, fields: impl FnOnce(Self) -> Self) -> Self {
+        self.key(key).push('{');
+        let mut nested = fields(self);
+        nested.buf.push('}');
+        nested
+    }
+
+    /// Adds a pre-rendered JSON value verbatim: an array, or a section a
+    /// caller rendered. A nested object whose fields are at hand goes
+    /// through [`object`](Self::object) instead.
     pub fn raw(mut self, key: &str, json: &str) -> Self {
         self.key(key).push_str(json);
         self
     }
 
     /// Renders the object (no trailing newline).
-    pub fn finish(self) -> String {
-        format!("{{{}}}", self.buf)
+    pub fn finish(mut self) -> String {
+        self.buf.push('}');
+        self.buf
     }
 }
 
@@ -117,23 +146,53 @@ pub fn array(items: impl IntoIterator<Item = String>) -> String {
     out
 }
 
-/// Appends `s` as a JSON string literal (quotes + escapes).
+/// The lowercase hex digit of `nibble` (below 16).
+fn hex_digit(nibble: u8) -> char {
+    char::from(b"0123456789abcdef"[usize::from(nibble)])
+}
+
+/// Appends `s` as a JSON string literal (quotes + escapes). Runs that
+/// need no escape are copied whole; every byte that does is ASCII, so
+/// each run ends on a char boundary.
 fn push_string(buf: &mut String, s: &str) {
     buf.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(buf, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        if !(byte < 0x20 || byte == b'"' || byte == b'\\') {
+            continue;
+        }
+        buf.push_str(&s[run..at]);
+        run = at + 1;
+        match byte {
+            b'"' => buf.push_str("\\\""),
+            b'\\' => buf.push_str("\\\\"),
+            b'\n' => buf.push_str("\\n"),
+            b'\r' => buf.push_str("\\r"),
+            b'\t' => buf.push_str("\\t"),
+            _ => {
+                buf.push_str("\\u00");
+                buf.push(hex_digit(byte >> 4));
+                buf.push(hex_digit(byte & 0xf));
             }
-            c => buf.push(c),
         }
     }
+    buf.push_str(&s[run..]);
     buf.push('"');
+}
+
+/// Appends `value` in decimal.
+fn push_u64(buf: &mut String, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    buf.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Appends `value` as a JSON number; non-finite values, which JSON
@@ -149,8 +208,9 @@ fn push_f64(buf: &mut String, value: f64) {
 /// Lowercase hex encoding (for payload bytes).
 pub fn hex(bytes: &[u8]) -> String {
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        let _ = write!(s, "{b:02x}");
+    for &b in bytes {
+        s.push(hex_digit(b >> 4));
+        s.push(hex_digit(b & 0xf));
     }
     s
 }
@@ -568,6 +628,21 @@ mod tests {
     }
 
     #[test]
+    fn nested_objects_render_in_place() {
+        let line = JsonObject::new()
+            .uint("a", 1)
+            .object("inner", |o| o.uint("b", 2).object("empty", |o| o))
+            .object("first", |o| o.bool("c", true))
+            .finish();
+        assert_eq!(
+            line,
+            r#"{"a":1,"inner":{"b":2,"empty":{}},"first":{"c":true}}"#
+        );
+        let leading = JsonObject::new().object("x", |o| o.null("y")).finish();
+        assert_eq!(leading, r#"{"x":{"y":null}}"#);
+    }
+
+    #[test]
     fn hex_encodes_lowercase() {
         assert_eq!(hex(&[0x00, 0xff, 0x30]), "00ff30");
         assert_eq!(hex(&[]), "");
@@ -699,14 +774,6 @@ mod tests {
 
     /// A gateway frame line, the most common document the parser reads.
     fn frame_line() -> String {
-        let features = JsonObject::new()
-            .float("de2_ideal", 0.125)
-            .float("rssi_db", -41.5)
-            .finish();
-        let latency = JsonObject::new()
-            .uint("queue_us", 12)
-            .uint("total_us", 80)
-            .finish();
         JsonObject::new()
             .string("type", "frame")
             .string("stream", "s1")
@@ -717,9 +784,11 @@ mod tests {
             .float("de2", 0.3468)
             .string("verdict", "attack")
             .float("score", 0.91)
-            .raw("features", &features)
+            .object("features", |o| {
+                o.float("de2_ideal", 0.125).float("rssi_db", -41.5)
+            })
             .bool("accepted_forgery", true)
-            .raw("latency", &latency)
+            .object("latency", |o| o.uint("queue_us", 12).uint("total_us", 80))
             .finish()
     }
 

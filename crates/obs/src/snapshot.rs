@@ -24,11 +24,9 @@ use crate::scrape::{Scrape, ScrapeSample};
 use crate::trace::SpanStage;
 use std::collections::BTreeMap;
 
-fn labels_json(labels: &[(String, String)]) -> String {
-    labels
-        .iter()
-        .fold(JsonObject::new(), |o, (k, v)| o.string(k, v))
-        .finish()
+/// Adds one sample's labels as string fields.
+fn label_fields(o: JsonObject, labels: &[(String, String)]) -> JsonObject {
+    labels.iter().fold(o, |o, (k, v)| o.string(k, v))
 }
 
 /// Serializes every sample of a scrape as a JSON array — the registry
@@ -37,7 +35,7 @@ pub fn registry_json(scrape: &Scrape) -> String {
     array(scrape.samples().iter().map(|s| {
         JsonObject::new()
             .string("name", &s.name)
-            .raw("labels", &labels_json(&s.labels))
+            .object("labels", |o| label_fields(o, &s.labels))
             .float("value", s.value)
             .finish()
     }))
@@ -76,7 +74,7 @@ pub fn registry_delta_json(baseline: &Scrape, now: &Scrape) -> String {
         (!same).then(|| {
             JsonObject::new()
                 .string("name", &s.name)
-                .raw("labels", &labels_json(&s.labels))
+                .object("labels", |o| label_fields(o, &s.labels))
                 .float("before", before)
                 .float("after", s.value)
                 .float("delta", s.value - before)
@@ -102,24 +100,24 @@ pub fn event_json(ev: &FlightEvent, feature_names: &[String]) -> String {
             let stage = SpanStage::from_id(ev.a).map_or("stage?", SpanStage::name);
             o.string("stage", stage).uint("dur_us", ev.b)
         }
-        EventKind::Verdict => {
-            let mut scores = JsonObject::new();
-            for (i, v) in ev.feature_scores().iter().enumerate() {
-                scores = match feature_names.get(i) {
-                    Some(name) => scores.float(name, *v),
-                    None => scores.float(&format!("f{i}"), *v),
-                };
-            }
-            o.bool("decoded", ev.a & FlightEvent::VERDICT_DECODED != 0)
-                .bool("attack", ev.a & FlightEvent::VERDICT_ATTACK != 0)
-                .bool(
-                    "accepted_forgery",
-                    ev.a & FlightEvent::VERDICT_ACCEPTED != 0,
-                )
-                .float("de2", f64::from_bits(ev.b))
-                .float("fused", ev.fused)
-                .raw("scores", &scores.finish())
-        }
+        EventKind::Verdict => o
+            .bool("decoded", ev.a & FlightEvent::VERDICT_DECODED != 0)
+            .bool("attack", ev.a & FlightEvent::VERDICT_ATTACK != 0)
+            .bool(
+                "accepted_forgery",
+                ev.a & FlightEvent::VERDICT_ACCEPTED != 0,
+            )
+            .float("de2", f64::from_bits(ev.b))
+            .float("fused", ev.fused)
+            .object("scores", |scores| {
+                ev.feature_scores()
+                    .iter()
+                    .enumerate()
+                    .fold(scores, |scores, (i, v)| match feature_names.get(i) {
+                        Some(name) => scores.float(name, *v),
+                        None => scores.float(&format!("f{i}"), *v),
+                    })
+            }),
         EventKind::Drop => o.uint("samples", ev.a).uint("queued_us", ev.b),
         EventKind::QueueDepth => o.uint("depth", ev.a),
         EventKind::SloCheck => o
@@ -129,9 +127,9 @@ pub fn event_json(ev: &FlightEvent, feature_names: &[String]) -> String {
     .finish()
 }
 
-/// Per-stage latency summary computed from the journaled [`EventKind::
-/// Stage`] durations in the snapshot window.
-fn stages_json(events: &[FlightEvent]) -> String {
+/// Adds the per-stage latency summaries computed from the journaled
+/// [`EventKind::Stage`] durations in the snapshot window.
+fn stage_fields(mut out: JsonObject, events: &[FlightEvent]) -> JsonObject {
     let mut per_stage: Vec<Vec<u64>> = vec![Vec::new(); SpanStage::ALL.len()];
     for ev in events {
         if ev.kind == EventKind::Stage {
@@ -140,7 +138,6 @@ fn stages_json(events: &[FlightEvent]) -> String {
             }
         }
     }
-    let mut out = JsonObject::new();
     for (stage, durs) in SpanStage::ALL.iter().zip(&mut per_stage) {
         if durs.is_empty() {
             continue;
@@ -152,15 +149,14 @@ fn stages_json(events: &[FlightEvent]) -> String {
             let rank = ((q * durs.len() as f64).ceil() as usize).max(1);
             durs[rank.min(durs.len()) - 1]
         };
-        let summary = JsonObject::new()
-            .uint("count", durs.len() as u64)
-            .uint("p50_us", pct(0.50))
-            .uint("p99_us", pct(0.99))
-            .uint("max_us", durs[durs.len() - 1])
-            .finish();
-        out = out.raw(stage.name(), &summary);
+        out = out.object(stage.name(), |o| {
+            o.uint("count", durs.len() as u64)
+                .uint("p50_us", pct(0.50))
+                .uint("p99_us", pct(0.99))
+                .uint("max_us", durs[durs.len() - 1])
+        });
     }
-    out.finish()
+    out
 }
 
 /// Builds one incident snapshot from a recorder plus whatever context
@@ -241,21 +237,20 @@ impl<'a> SnapshotBuilder<'a> {
         }
         let names = self.recorder.feature_names();
 
-        let ring = JsonObject::new()
-            .uint("capacity", self.recorder.capacity() as u64)
-            .uint("recorded", self.recorder.recorded())
-            .finish();
         let mut doc = JsonObject::new()
             .string("type", "ctc_incident")
             .uint("version", 1)
             .string("trigger", &self.trigger)
             .uint("t_us", self.recorder.now_us())
-            .raw("ring", &ring)
+            .object("ring", |o| {
+                o.uint("capacity", self.recorder.capacity() as u64)
+                    .uint("recorded", self.recorder.recorded())
+            })
             .raw(
                 "events",
                 &array(events.iter().map(|ev| event_json(ev, &names))),
             )
-            .raw("stages", &stages_json(&events));
+            .object("stages", |o| stage_fields(o, &events));
         let parsed_now = self.now_text.as_deref().map(Scrape::parse);
         let parsed_base = self.baseline_text.as_deref().map(Scrape::parse);
         if let Some(Ok(now)) = &parsed_now {

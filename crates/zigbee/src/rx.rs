@@ -12,7 +12,9 @@
 //! After the timing search, [`Receiver::receive`] reads each capture
 //! sample once: one pass de-rotates (CFO, then phase) and samples only the
 //! chip instants, into chip vectors sized up front, and despreading packs
-//! the hard chips into a `u32` per symbol.
+//! the hard chips into a `u32` per symbol. Only the soft decision
+//! correlates soft chips while receiving; [`Reception::soft_scores`]
+//! despreads the kept chip samples when a caller asks for the scores.
 
 use crate::chipmap::{despread_hard_bits, despread_soft, spread, CHIPS_PER_SYMBOL};
 use crate::frame::{parse_frame_symbols, Frame, FrameError};
@@ -79,15 +81,14 @@ pub struct Reception {
     /// Per-symbol Hamming distance (hard decision) between received and
     /// matched chip sequence.
     pub hamming_distances: Vec<u32>,
-    /// Per-symbol normalized soft correlation score.
-    pub soft_scores: Vec<f64>,
     /// Per-symbol drop flags (distance/score beyond the configured limit).
     pub dropped: Vec<bool>,
     /// Raw chip samples before any correction — what the defense taps: the
     /// channel's phase rotation stays visible (Fig. 6b), and a receiver CFO
     /// estimate cannot inject its estimation noise into `C40` (DESIGN §9.3).
     pub raw_chip_samples: ChipSamples,
-    /// Chip samples after phase/CFO correction — what despreading used.
+    /// Chip samples after phase/CFO correction — what despreading used,
+    /// and what [`Reception::soft_scores`] despreads again.
     pub chip_samples: ChipSamples,
     /// Frame parse over the despread symbols.
     pub frame: Result<Frame, FrameError>,
@@ -118,6 +119,20 @@ impl Reception {
         self.frame.as_ref().ok().map(|f| f.payload.as_slice())
     }
 
+    /// Per-symbol normalized soft correlation score of
+    /// [`chip_samples`](Self::chip_samples), in `[-1, 1]`: each whole
+    /// 32-chip group despread by [`despread_soft`] against all 16 chip
+    /// sequences, whichever [`Decision`] received it.
+    ///
+    /// Computed on each call rather than kept: the hard decision, which
+    /// the gateway runs, never reads it. The bits are those the soft
+    /// decision ranked its symbols by.
+    pub fn soft_scores(&self) -> Vec<f64> {
+        symbol_groups(&self.chip_samples)
+            .map(|(i_chips, q_chips)| despread_soft(&soft_chips(i_chips, q_chips)).1)
+            .collect()
+    }
+
     /// Counts symbol mismatches against an expected transmitted stream
     /// (compared over the shorter of the two).
     pub fn symbol_errors(&self, expected: &[u8]) -> usize {
@@ -128,6 +143,24 @@ impl Reception {
             .count()
             + expected.len().saturating_sub(self.symbols.len())
     }
+}
+
+/// The I and Q chip values of each whole 32-chip symbol, in order.
+fn symbol_groups(chips: &ChipSamples) -> impl Iterator<Item = (&[f64], &[f64])> {
+    chips
+        .i_samples
+        .chunks_exact(PAIRS_PER_SYMBOL)
+        .zip(chips.q_samples.chunks_exact(PAIRS_PER_SYMBOL))
+}
+
+/// One symbol's soft chips in chip order `c0 = I0, c1 = Q0, …`.
+fn soft_chips(i_chips: &[f64], q_chips: &[f64]) -> [f64; CHIPS_PER_SYMBOL] {
+    let mut soft = [0.0; CHIPS_PER_SYMBOL];
+    for (p, (&i, &q)) in i_chips.iter().zip(q_chips).enumerate() {
+        soft[2 * p] = i;
+        soft[2 * p + 1] = q;
+    }
+    soft
 }
 
 /// A configured ZigBee receiver.
@@ -393,46 +426,36 @@ impl Receiver {
             chip_samples.taps(),
         );
 
-        // Despread 32-chip groups: soft chips in chip order `c0 = I0, c1 =
-        // Q0, …`, hard decisions (`>= 0` is a 1) packed into bit `c`.
+        // Despread 32-chip groups: hard decisions (`>= 0` is a 1) packed
+        // into bit `c`; the soft decision also correlates the soft chips.
         let groups = pairs / PAIRS_PER_SYMBOL;
         let mut symbols = Vec::with_capacity(groups);
         let mut hamming_distances = Vec::with_capacity(groups);
-        let mut soft_scores = Vec::with_capacity(groups);
         let mut dropped = Vec::with_capacity(groups);
-        let mut soft = [0.0; CHIPS_PER_SYMBOL];
-        for (i_chips, q_chips) in chip_samples
-            .i_samples
-            .chunks_exact(PAIRS_PER_SYMBOL)
-            .zip(chip_samples.q_samples.chunks_exact(PAIRS_PER_SYMBOL))
-        {
+        for (i_chips, q_chips) in symbol_groups(&chip_samples) {
             let mut bits = 0u32;
             for (p, (&i, &q)) in i_chips.iter().zip(q_chips).enumerate() {
-                soft[2 * p] = i;
-                soft[2 * p + 1] = q;
                 bits |= u32::from(i >= 0.0) << (2 * p) | u32::from(q >= 0.0) << (2 * p + 1);
             }
             let (hard_sym, dist) = despread_hard_bits(bits);
-            let (soft_sym, score) = despread_soft(&soft);
             match self.decision {
                 Decision::Hard { threshold } => {
                     symbols.push(hard_sym);
                     dropped.push(dist > threshold);
                 }
                 Decision::Soft { min_score } => {
+                    let (soft_sym, score) = despread_soft(&soft_chips(i_chips, q_chips));
                     symbols.push(soft_sym);
                     dropped.push(score < min_score);
                 }
             }
             hamming_distances.push(dist);
-            soft_scores.push(score);
         }
 
         let frame = parse_frame_symbols(&symbols);
         Reception {
             symbols,
             hamming_distances,
-            soft_scores,
             dropped,
             raw_chip_samples,
             chip_samples,
@@ -469,7 +492,7 @@ mod tests {
         let r = tx_rx(b"hello zigbee", &Receiver::commodity());
         assert!(r.packet_ok());
         assert_eq!(r.payload(), Some(&b"hello zigbee"[..]));
-        assert!(r.soft_scores.iter().all(|&s| s > 0.95));
+        assert!(r.soft_scores().iter().all(|&s| s > 0.95));
     }
 
     #[test]
@@ -608,8 +631,8 @@ mod tests {
         // shoulders) — hard decisions survive, but the matched-filter
         // quality visibly improves with sub-sample recovery.
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-        let plain_score = mean(&plain.soft_scores);
-        let frac_score = mean(&frac.soft_scores);
+        let plain_score = mean(&plain.soft_scores());
+        let frac_score = mean(&frac.soft_scores());
         assert!(
             frac_score > plain_score + 0.01,
             "sub-sample recovery should raise the despreading correlation: \

@@ -6,7 +6,9 @@
 //! oracle below is the straightforward form that pass replaced: whole-slice
 //! rotation copies, per-offset `cdot_conj`/`sum_norm_sqr`, three
 //! `demodulate_chips` passes, and per-row despreading. Every [`Reception`]
-//! field must match it bit for bit, for every receiver configuration and on
+//! field must match it bit for bit, and so must the soft scores
+//! [`Reception::soft_scores`] despreads on demand against the scores the
+//! oracle keeps while despreading, for every receiver configuration and on
 //! captures built to hit the edges: frame offsets across the search window,
 //! amplitudes from 1e-3 to 10, CFO and phase, truncation at any length
 //! (including below the 128-sample sync template), lengths around the
@@ -186,7 +188,8 @@ fn oracle_despread_soft(soft_chips: &[f64]) -> (u8, f64) {
     (best_sym, score)
 }
 
-fn oracle_receive(cfg: &Config, wave: &[Complex]) -> Reception {
+/// The oracle's reception and the soft score it computed per symbol.
+fn oracle_receive(cfg: &Config, wave: &[Complex]) -> (Reception, Vec<f64>) {
     let sync = oracle_synchronize(cfg, wave);
     let aligned_slice = &wave[sync.offset.min(wave.len())..];
     let fractional = if cfg.fractional_timing && !aligned_slice.is_empty() {
@@ -263,16 +266,16 @@ fn oracle_receive(cfg: &Config, wave: &[Complex]) -> Reception {
         soft_scores.push(score);
     }
     let frame = parse_frame_symbols(&symbols);
-    Reception {
+    let reception = Reception {
         symbols,
         hamming_distances,
-        soft_scores,
         dropped,
         raw_chip_samples,
         chip_samples,
         frame,
         sync,
-    }
+    };
+    (reception, soft_scores)
 }
 
 // ---------------------------------------------------------------------
@@ -309,8 +312,13 @@ fn chips_equal(label: &str, got: &ChipSamples, want: &ChipSamples) -> Result<(),
     Ok(())
 }
 
-/// Every [`Reception`] field, bit for bit; names the first that differs.
-fn receptions_equal(got: &Reception, want: &Reception) -> Result<(), String> {
+/// Every [`Reception`] field and the soft scores, bit for bit; names the
+/// first that differs.
+fn receptions_equal(
+    got: &Reception,
+    want: &Reception,
+    want_soft_scores: &[f64],
+) -> Result<(), String> {
     let (gs, ws) = (&got.sync, &want.sync);
     if gs.offset != ws.offset {
         return Err(format!("sync.offset {} vs {}", gs.offset, ws.offset));
@@ -334,7 +342,7 @@ fn receptions_equal(got: &Reception, want: &Reception) -> Result<(), String> {
     if got.hamming_distances != want.hamming_distances {
         return Err("hamming_distances differ".into());
     }
-    if reals_bits(&got.soft_scores) != reals_bits(&want.soft_scores) {
+    if reals_bits(&got.soft_scores()) != reals_bits(want_soft_scores) {
         return Err("soft_scores differ".into());
     }
     if got.dropped != want.dropped {
@@ -354,8 +362,9 @@ fn receptions_equal(got: &Reception, want: &Reception) -> Result<(), String> {
 
 fn check(cfg: &Config, wave: &[Complex], what: &str) -> Result<(), String> {
     let got = cfg.receiver().receive(wave);
-    let want = oracle_receive(cfg, wave);
-    receptions_equal(&got, &want).map_err(|e| format!("{what} (len {}) {cfg:?}: {e}", wave.len()))
+    let (want, want_soft_scores) = oracle_receive(cfg, wave);
+    receptions_equal(&got, &want, &want_soft_scores)
+        .map_err(|e| format!("{what} (len {}) {cfg:?}: {e}", wave.len()))
 }
 
 // ---------------------------------------------------------------------

@@ -34,6 +34,11 @@
 #   - the forgery snapshot is left at ./flight_incident.json for CI to
 #     archive as an artifact.
 #
+# A fifth pass closes stdout early (broken-pipe smoke):
+#
+#   - `ctc listen | head -1` and `ctc decode` into a reader that is gone
+#     each exit 7 (the sink code) with one stderr line and no panic.
+#
 # Run from the repo root after `cargo build --release -p ctc-cli`.
 set -euo pipefail
 
@@ -347,3 +352,41 @@ wait "$usr1_pid" || ustatus=$?
 [ "$ustatus" -eq 0 ] || fail "authentic-only flight run: expected exit 0, got $ustatus"
 
 echo "flight smoke OK: forgery snapshot rendered, SIGUSR1 live dump, obs top/dump --json live"
+
+# --- broken-pipe smoke: a reader that leaves early ----------------------
+#
+# `ctc listen` prints a line per burst. Over 2,048 bursts that is more
+# than a pipe holds plus `head`'s first read, so once `head -1` has its
+# line and exits, a later write fails with EPIPE whatever the timing.
+# `ctc decode` prints four lines, which fit in a pipe: behind `head -1`
+# they could all land before `head` exits, so its reader is gone before
+# it writes instead (`true` exits while decode still waits for input).
+"$CTC" generate --payload x --out "$workdir/short.cf32" >/dev/null
+head -c 4096 /dev/zero > "$workdir/gap512.cf32"
+cat "$workdir/gap512.cf32" "$workdir/short.cf32" > "$workdir/many.cf32"
+for _ in $(seq 11); do
+    cat "$workdir/many.cf32" "$workdir/many.cf32" > "$workdir/many2.cf32"
+    mv "$workdir/many2.cf32" "$workdir/many.cf32"
+done
+
+broken_pipe() {
+    local name=$1 status=$2 err=$3
+    [ "$status" -eq 7 ] || fail "$name into a closed pipe: expected exit 7, got $status: $(cat "$err")"
+    if grep -qiE 'panicked|backtrace' "$err"; then
+        fail "$name into a closed pipe panicked: $(cat "$err")"
+    fi
+    [ "$(wc -l < "$err")" -eq 1 ] || fail "$name into a closed pipe: expected one stderr line: $(cat "$err")"
+}
+
+set +e
+"$CTC" listen --input "$workdir/many.cf32" 2> "$workdir/listen.err" | head -1 > /dev/null
+listen_status=${PIPESTATUS[0]}
+{ sleep 0.5; cat "$workdir/zig.cf32"; } \
+    | "$CTC" decode --input - 2> "$workdir/decode.err" | true
+decode_status=${PIPESTATUS[1]}
+set -e
+rm -f "$workdir/many.cf32"
+broken_pipe "ctc listen" "$listen_status" "$workdir/listen.err"
+broken_pipe "ctc decode" "$decode_status" "$workdir/decode.err"
+
+echo "broken-pipe smoke OK: listen and decode exit 7 with one stderr line, no panic"
