@@ -55,14 +55,8 @@ fn config(workers: usize) -> ServerConfig {
 }
 
 /// One unlabelled stream through the server.
-///
-/// The flight recorder is attached at its default capacity (no output
-/// path, so no snapshots) — the 12% bench gate therefore prices in the
-/// journaling overhead the recorder adds to every burst, stage and
-/// verdict.
 fn run_single(config: ServerConfig, bytes: &[u8]) -> ctc_gateway::ServerReport {
     GatewayServer::new(config)
-        .with_flight(ctc_gateway::FlightOptions::default())
         .run_streams(
             vec![NamedStream::unlabelled(bytes)],
             &mut std::io::sink(),

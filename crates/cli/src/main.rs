@@ -131,8 +131,8 @@ COMMANDS
             [--workers N] [--chunk N] [--queue N] [--stats SECS]
             [--max-burst N] [--max-streams N] [--stop-after N]
             [--metrics-addr HOST:PORT] [--trace-out FILE]
-            [--flight-out FILE] [--flight-capacity N] [--flight-events N]
-            [--flight-drop-budget N]
+            [--flight-out FILE [--flight-capacity N] [--flight-events N]
+            [--flight-drop-budget N]]
             Streaming detection gateway: JSONL frame events on stdout,
             periodic stats on stderr. Exits 3 when a forgery was accepted;
             other failures get distinct codes (bad address 4, bind/accept
@@ -156,15 +156,16 @@ COMMANDS
             --metrics-addr serves Prometheus text at /metrics for the run
             (port 0 picks a free port; the bound address prints on stderr);
             --trace-out writes one JSONL span record per pipeline stage.
-            The flight recorder journals every burst, stage, verdict and
-            drop into a bounded in-memory ring (--flight-capacity N
-            events, at most 1048576 = 2^20, default 1024; 0 disables).
-            --flight-out FILE arms incident snapshots: the first accepted
-            forgery, a session exhausting --flight-drop-budget N dropped
-            bursts, or SIGUSR1 each dump a self-contained JSON snapshot
-            (last --flight-events journal events, registry + delta,
-            per-stage latency, session table, config) for `ctc obs
-            report`; each dump overwrites FILE.
+            --flight-out FILE runs the flight recorder, which journals
+            every burst, stage, verdict and drop of a run into a bounded
+            in-memory ring of its own (--flight-capacity N events, 1 to
+            1048576 = 2^20, default 1024). The first accepted forgery, a
+            session exhausting --flight-drop-budget N dropped bursts, or
+            SIGUSR1 each dump a self-contained JSON snapshot (last
+            --flight-events journal events, registry + delta, per-stage
+            latency, session table, config) for `ctc obs report`; each
+            dump overwrites FILE. The other --flight-* flags need
+            --flight-out.
             --detector selects the classification stage: `cumulant` (the
             default: the paper's single DE² threshold; frame lines carry
             the verdict and DE² only), `features` (the full extractor
@@ -546,17 +547,16 @@ fn is_stats_interval(secs: f64) -> bool {
 const MAX_FLIGHT_CAPACITY: usize = 1 << 20;
 
 /// Parses the `--flight-*` flags into the gateway's flight-recorder
-/// options. The recorder is always on at its default ring capacity;
-/// `--flight-capacity 0` turns it off entirely (returns `None`).
+/// options. The recorder runs only with `--flight-out`, where its
+/// snapshots can be written (`None` without it); the other flags size
+/// that recorder, so passing one without `--flight-out` is an error
+/// rather than silently ignored.
 fn flight_options_from(args: &Args) -> Result<Option<ctc_gateway::FlightOptions>, String> {
     let mut options = ctc_gateway::FlightOptions::default();
     if let Some(n) = args.parse_num::<usize>("flight-capacity")? {
-        if n == 0 {
-            return Ok(None);
-        }
-        if n > MAX_FLIGHT_CAPACITY {
+        if !(1..=MAX_FLIGHT_CAPACITY).contains(&n) {
             return Err(format!(
-                "--flight-capacity expects at most {MAX_FLIGHT_CAPACITY} events, got {n}"
+                "--flight-capacity expects 1 to {MAX_FLIGHT_CAPACITY} events, got {n}"
             ));
         }
         options.capacity = n;
@@ -567,9 +567,18 @@ fn flight_options_from(args: &Args) -> Result<Option<ctc_gateway::FlightOptions>
     if let Some(n) = args.parse_num::<u64>("flight-drop-budget")? {
         options.drop_budget = Some(n);
     }
-    if let Some(path) = args.get("flight-out") {
-        options.out = Some(path.into());
-    }
+    let Some(path) = args.get("flight-out") else {
+        return match ["flight-capacity", "flight-events", "flight-drop-budget"]
+            .into_iter()
+            .find(|key| args.get(key).is_some())
+        {
+            Some(key) => Err(format!(
+                "--{key} expects --flight-out: without a snapshot path no recorder runs"
+            )),
+            None => Ok(None),
+        };
+    };
+    options.out = Some(path.into());
     Ok(Some(options))
 }
 
@@ -756,10 +765,11 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
         }
         None => None,
     };
-    // The flight recorder journals the run regardless; snapshots are only
-    // written when --flight-out names a path. SIGUSR1 then dumps one on
-    // demand for live forensics (`kill -USR1 <pid>`).
-    if flight.as_ref().is_some_and(|f| f.out.is_some()) {
+    // A flight recorder runs only when --flight-out names a snapshot
+    // path; SIGUSR1 then dumps one on demand for live forensics
+    // (`kill -USR1 <pid>`). The handler goes in before the listener
+    // announces itself, so no signal can find it missing.
+    if flight.is_some() {
         ctc_obs::flight::install_sigusr1_handler();
     }
 
@@ -1317,6 +1327,19 @@ fn render_event(ev: &ctc_obs::json::JsonValue) -> String {
     line
 }
 
+/// Appends a snapshot's config scalars as ` key=value` pairs, a nested
+/// object's under dotted keys (`flight.drop_budget=5`).
+fn push_config(out: &mut String, prefix: &str, config: &[(String, ctc_obs::json::JsonValue)]) {
+    for (key, value) in config {
+        match (value.as_f64(), value.as_str(), value.as_object()) {
+            (Some(v), _, _) => out.push_str(&format!(" {prefix}{key}={v}")),
+            (_, Some(s), _) => out.push_str(&format!(" {prefix}{key}={s}")),
+            (_, _, Some(fields)) => push_config(out, &format!("{prefix}{key}."), fields),
+            _ => {}
+        }
+    }
+}
+
 /// The human-readable rendering behind `ctc obs report`.
 fn render_incident(doc: &ctc_obs::json::JsonValue) -> Result<String, String> {
     if doc.get("type").and_then(|t| t.as_str()) != Some("ctc_incident") {
@@ -1341,13 +1364,7 @@ fn render_incident(doc: &ctc_obs::json::JsonValue) -> Result<String, String> {
     }
     if let Some(config) = doc.get("config").and_then(|c| c.as_object()) {
         out.push_str("config:");
-        for (key, value) in config {
-            match (value.as_f64(), value.as_str()) {
-                (Some(v), _) => out.push_str(&format!(" {key}={v}")),
-                (_, Some(s)) => out.push_str(&format!(" {key}={s}")),
-                _ => {}
-            }
-        }
+        push_config(&mut out, "", config);
         out.push('\n');
     }
     if let Some(sessions) = doc.get("sessions").and_then(|s| s.as_array()) {
@@ -1809,9 +1826,8 @@ mod tests {
 
     #[test]
     fn flight_flags() {
-        let options = flight_options_from(&args(&[])).unwrap().unwrap();
-        assert!(options.out.is_none());
-        assert_eq!(options.capacity, ctc_obs::FlightRecorder::DEFAULT_CAPACITY);
+        // No --flight-out, no recorder.
+        assert!(flight_options_from(&args(&[])).unwrap().is_none());
 
         let a = args(&[
             "--flight-out",
@@ -1829,9 +1845,17 @@ mod tests {
         assert_eq!(options.max_events, 16);
         assert_eq!(options.drop_budget, Some(8));
 
-        // Capacity 0 compiles the recorder out of the run entirely.
-        let a = args(&["--flight-capacity", "0"]);
-        assert!(flight_options_from(&a).unwrap().is_none());
+        // A ring of no events is out of range, not an off switch.
+        let a = args(&["--flight-out", "x.json", "--flight-capacity", "0"]);
+        let e = flight_options_from(&a).unwrap_err();
+        assert!(e.starts_with("--flight-capacity expects 1 to"), "{e}");
+
+        // A sizing flag without --flight-out sizes nothing.
+        let e = flight_options_from(&args(&["--flight-drop-budget", "8"])).unwrap_err();
+        assert!(
+            e.starts_with("--flight-drop-budget expects --flight-out"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -1852,13 +1876,21 @@ mod tests {
                           "labels":{"verdict":"attack"},"before":0,"after":1,"delta":1}],
                 "sessions":[{"id":1,"stream":"uplink","samples_in":4096,
                              "bursts":1,"frames_decoded":1,"forgeries":1,"bursts_dropped":0}],
-                "config":{"workers":2,"queue_depth":16},
+                "config":{"workers":2,"queue_depth":16,
+                          "flight":{"capacity":1024,"drop_budget":5,"out":"incident.json"}},
                 "dump_seq":1}"#,
         )
         .unwrap();
         let text = render_incident(&doc).unwrap();
         assert!(text.contains("trigger=forgery"), "{text}");
         assert!(text.contains("dump #1"), "{text}");
+        assert!(
+            text.contains(
+                "config: workers=2 queue_depth=16 flight.capacity=1024 \
+                 flight.drop_budget=5 flight.out=incident.json\n"
+            ),
+            "{text}"
+        );
         assert!(text.contains("stream=uplink"), "{text}");
         assert!(text.contains("decode"), "{text}");
         assert!(text.contains("p50=40"), "{text}");

@@ -414,16 +414,24 @@ fn bad_thresholds_and_stats_intervals_fail_with_one_line() {
 
 /// A flag the command does not read fails before any work with one line
 /// naming it: a typo in `--threshold` must not leave the default Q in
-/// force, and `--shards` (gone with the sharded queue) must not be
-/// silently ignored.
+/// force, `--shards` (gone with the sharded queue) must not be silently
+/// ignored, and neither must a flight-recorder size with no
+/// `--flight-out` to run a recorder.
 #[test]
 fn flags_a_command_does_not_read_fail_with_one_line() {
     let frames = Frames::generate("unknown-flags");
     let forged = path_str(&frames.forged);
     let stream = frames.three_frame_stream();
     let monitor = ["monitor", "--input", path_str(&stream), "--shards", "2"];
+    let flight = [
+        "monitor",
+        "--input",
+        path_str(&stream),
+        "--flight-events",
+        "8",
+    ];
     let detect = ["detect", "--input", forged, "--threshhold", "0.25"];
-    for args in [&detect[..], &monitor[..]] {
+    for args in [&detect[..], &monitor[..], &flight[..]] {
         let out = ctc(args);
         let stderr = String::from_utf8(out.stderr).unwrap();
         assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
@@ -446,6 +454,7 @@ fn sizing_flags_beyond_their_limits_fail_with_one_line() {
         ("--chunk", "2305843009213693952", EXIT_CONFIG),
         ("--workers", "100000", EXIT_CONFIG),
         ("--flight-capacity", "100000000000000", 1),
+        ("--flight-capacity", "0", 1),
     ] {
         let args = ["monitor", "--input", path_str(&stream), flag, value];
         let out = ctc(&args);

@@ -6,17 +6,17 @@
 //! baseline/current exposition, the session table, the effective
 //! config, and the trigger policy — dump once per run on the first
 //! accepted forgery or on per-session drop-budget exhaustion, dump on
-//! every `SIGUSR1`. Snapshots are only written when an output path is
-//! configured ([`FlightOptions::out`]); the journal itself is always on
-//! while a recorder is attached, so a `SIGUSR1` can interrogate a run
-//! that was started without any incident expected.
+//! every `SIGUSR1`. A recorder exists only where a snapshot can be
+//! written ([`FlightOptions::out`]): the journal has no other reader.
+//! Each run journals into a ring of its own, so a snapshot holds only
+//! its own run's events.
 
 use crate::server::ServerConfig;
 use crate::session::{Session, SessionTable};
 use ctc_obs::flight::take_sigusr1;
 use ctc_obs::json::{array, JsonObject};
 use ctc_obs::{FlightRecorder, Registry, SnapshotBuilder};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
 /// Flight-recorder configuration for a [`GatewayServer`](
@@ -24,10 +24,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 #[derive(Debug, Clone)]
 pub struct FlightOptions {
     /// Ring capacity in events ([`FlightRecorder::DEFAULT_CAPACITY`] by
-    /// default; memory is `capacity × ~200 B`, allocated once).
+    /// default; memory is `capacity × ~200 B`, allocated at each run's
+    /// start).
     pub capacity: usize,
-    /// Where to write incident snapshots. `None`: journal only, no
-    /// dumps (triggers are ignored).
+    /// Where to write incident snapshots. The recorder's switch: with
+    /// `None` (the default), [`with_flight`](
+    /// crate::server::GatewayServer::with_flight) attaches nothing.
     pub out: Option<PathBuf>,
     /// Cap on journal events embedded per snapshot.
     pub max_events: usize,
@@ -47,21 +49,19 @@ impl Default for FlightOptions {
     }
 }
 
-/// One run's flight-recorder state: the server's ring plus everything a
+/// One run's flight-recorder state: the run's own ring plus everything a
 /// snapshot of this run embeds. `run_feed` builds it at run start and
-/// drops it with the run, so every run starts with its auto triggers
-/// armed.
+/// drops it with the run, so every run starts with an empty journal and
+/// its auto triggers armed.
 pub(crate) struct FlightRun<'a> {
-    recorder: &'a FlightRecorder,
+    recorder: FlightRecorder,
+    out: &'a Path,
     options: &'a FlightOptions,
     registry: Option<&'a Registry>,
+    config: &'a ServerConfig,
     sessions: &'a SessionTable,
-    /// Exposition text captured at run start — the delta baseline. Only
-    /// a dump reads it, so it is rendered only when
-    /// [`FlightOptions::out`] is set.
+    /// Exposition text captured at run start — the delta baseline.
     baseline: Option<String>,
-    /// Effective config, pre-rendered once at run start.
-    config_json: String,
     /// Auto triggers (forgery, drop budget) dump at most once per run;
     /// SIGUSR1 dumps are not gated.
     auto_dumped: AtomicBool,
@@ -69,54 +69,53 @@ pub(crate) struct FlightRun<'a> {
 }
 
 impl<'a> FlightRun<'a> {
-    /// Captures the run's baseline (registry exposition at start) when
-    /// snapshots can be written, and renders the effective config.
+    /// Allocates the run's ring and captures its baseline (registry
+    /// exposition at start).
     pub(crate) fn new(
-        recorder: &'a FlightRecorder,
+        out: &'a Path,
         options: &'a FlightOptions,
         registry: Option<&'a Registry>,
-        config: &ServerConfig,
+        config: &'a ServerConfig,
         sessions: &'a SessionTable,
     ) -> FlightRun<'a> {
-        let gw = &config.gateway;
-        let config_json = JsonObject::new()
-            .uint("chunk_samples", gw.chunk_samples as u64)
-            .uint("workers", gw.workers as u64)
-            .uint("queue_depth", gw.queue_depth as u64)
-            .uint("max_burst", gw.max_burst as u64)
-            .uint("max_streams", config.max_streams as u64)
-            .opt(
-                "stats_interval_ms",
-                gw.stats_interval.map(|d| d.as_millis() as u64),
-                JsonObject::uint,
-            )
-            .object("flight", |o| {
-                o.uint("capacity", recorder.capacity() as u64)
-                    .uint("max_events", options.max_events as u64)
-                    .opt("drop_budget", options.drop_budget, JsonObject::uint)
-                    .opt(
-                        "out",
-                        options.out.as_ref().map(|p| p.display().to_string()),
-                        |o, k, v| o.string(k, &v),
-                    )
-            })
-            .finish();
         FlightRun {
-            recorder,
+            recorder: FlightRecorder::with_capacity(options.capacity),
+            out,
             options,
             registry,
+            config,
             sessions,
-            baseline: registry
-                .filter(|_| options.out.is_some())
-                .map(Registry::render),
-            config_json,
+            baseline: registry.map(Registry::render),
             auto_dumped: AtomicBool::new(false),
             dumps: AtomicU64::new(0),
         }
     }
 
     pub(crate) fn recorder(&self) -> &FlightRecorder {
-        self.recorder
+        &self.recorder
+    }
+
+    /// The effective config, as the snapshot's `config` section.
+    fn config_json(&self) -> String {
+        let gw = &self.config.gateway;
+        JsonObject::new()
+            .uint("chunk_samples", gw.chunk_samples as u64)
+            .uint("workers", gw.workers as u64)
+            .uint("queue_depth", gw.queue_depth as u64)
+            .uint("max_burst", gw.max_burst as u64)
+            .uint("max_streams", self.config.max_streams as u64)
+            .opt(
+                "stats_interval_ms",
+                gw.stats_interval.map(|d| d.as_millis() as u64),
+                JsonObject::uint,
+            )
+            .object("flight", |o| {
+                o.uint("capacity", self.recorder.capacity() as u64)
+                    .uint("max_events", self.options.max_events as u64)
+                    .opt("drop_budget", self.options.drop_budget, JsonObject::uint)
+                    .string("out", &self.out.display().to_string())
+            })
+            .finish()
     }
 
     fn sessions_json(&self) -> String {
@@ -138,10 +137,9 @@ impl<'a> FlightRun<'a> {
     /// later ones are no-ops so a noisy incident produces exactly one
     /// snapshot.
     pub(crate) fn auto_trigger(&self, reason: &str, until: Option<u64>) {
-        if self.options.out.is_none() || self.auto_dumped.swap(true, Relaxed) {
-            return;
+        if !self.auto_dumped.swap(true, Relaxed) {
+            self.dump(reason, until);
         }
-        self.dump(reason, until);
     }
 
     /// Drop-budget trigger: fires when `session`'s dropped-burst count
@@ -157,7 +155,7 @@ impl<'a> FlightRun<'a> {
     /// Polls the process-wide SIGUSR1 latch; each signal dumps a fresh
     /// snapshot (overwriting the configured path).
     pub(crate) fn poll_sigusr1(&self) {
-        if take_sigusr1() && self.options.out.is_some() {
+        if take_sigusr1() {
             self.dump("sigusr1", None);
         }
     }
@@ -165,13 +163,12 @@ impl<'a> FlightRun<'a> {
     /// Writes one incident snapshot to the configured path and notes it
     /// on stderr (scripts watch for the `flight:` marker line).
     fn dump(&self, reason: &str, until: Option<u64>) {
-        let Some(path) = &self.options.out else {
-            return;
-        };
         let seq = self.dumps.fetch_add(1, Relaxed) + 1;
         let now_text = self.registry.map(Registry::render);
-        let mut builder =
-            SnapshotBuilder::new(self.recorder, reason).max_events(self.options.max_events);
+        let names = self.config.gateway.pipeline.feature_names();
+        let mut builder = SnapshotBuilder::new(&self.recorder, reason)
+            .feature_names(&names)
+            .max_events(self.options.max_events);
         if let Some(t) = until {
             builder = builder.until_ticket(t);
         }
@@ -183,18 +180,13 @@ impl<'a> FlightRun<'a> {
         }
         let json = builder
             .section("sessions", &self.sessions_json())
-            .section("config", &self.config_json)
+            .section("config", &self.config_json())
             .section("dump_seq", &seq.to_string())
             .render();
-        match std::fs::write(path, json + "\n") {
-            Ok(()) => eprintln!(
-                "flight: incident snapshot ({reason}) written to {}",
-                path.display()
-            ),
-            Err(e) => eprintln!(
-                "flight: failed to write incident snapshot to {}: {e}",
-                path.display()
-            ),
+        let path = self.out.display();
+        match std::fs::write(self.out, json + "\n") {
+            Ok(()) => eprintln!("flight: incident snapshot ({reason}) written to {path}"),
+            Err(e) => eprintln!("flight: failed to write incident snapshot to {path}: {e}"),
         }
     }
 }
@@ -211,18 +203,9 @@ mod tests {
     fn auto_trigger_dumps_exactly_once() {
         let path = tmp_path("auto_once");
         let _ = std::fs::remove_file(&path);
-        let options = FlightOptions {
-            out: Some(path.clone()),
-            ..FlightOptions::default()
-        };
-        let (recorder, sessions) = (FlightRecorder::new(), SessionTable::new());
-        let run = FlightRun::new(
-            &recorder,
-            &options,
-            None,
-            &ServerConfig::default(),
-            &sessions,
-        );
+        let (options, config) = (FlightOptions::default(), ServerConfig::default());
+        let sessions = SessionTable::new();
+        let run = FlightRun::new(&path, &options, None, &config, &sessions);
         run.auto_trigger("forgery", None);
         let first = std::fs::read_to_string(&path).unwrap();
         assert!(first.contains("\"trigger\":\"forgery\""));
@@ -239,40 +222,18 @@ mod tests {
         let path = tmp_path("sections");
         let _ = std::fs::remove_file(&path);
         let options = FlightOptions {
-            out: Some(path.clone()),
             drop_budget: Some(4),
             ..FlightOptions::default()
         };
-        let (recorder, sessions) = (FlightRecorder::new(), SessionTable::new());
+        let (config, sessions) = (ServerConfig::default(), SessionTable::new());
         sessions.open(Some("s1".into()));
-        let run = FlightRun::new(
-            &recorder,
-            &options,
-            None,
-            &ServerConfig::default(),
-            &sessions,
-        );
+        let run = FlightRun::new(&path, &options, None, &config, &sessions);
         run.auto_trigger("forgery", None);
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"config\":{"), "{json}");
         assert!(json.contains("\"drop_budget\":4"));
+        assert!(json.contains(&format!("\"out\":\"{}\"", path.display())));
         assert!(json.contains("\"sessions\":[{\"id\":1,\"stream\":\"s1\""));
         std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn no_out_path_means_no_dump() {
-        let options = FlightOptions::default();
-        let (recorder, sessions) = (FlightRecorder::new(), SessionTable::new());
-        let run = FlightRun::new(
-            &recorder,
-            &options,
-            None,
-            &ServerConfig::default(),
-            &sessions,
-        );
-        // Must be a no-op rather than a panic or a stray file.
-        run.auto_trigger("forgery", None);
-        run.poll_sigusr1();
     }
 }

@@ -41,11 +41,12 @@
 //! - [`json`] — the workspace's JSON encoder and parser, re-exported
 //!   from [`ctc_obs::json`].
 //! - [`flight`] — a bounded-memory flight recorder
-//!   ([`ctc_obs::flight`]) journaling bursts, stage boundaries, verdicts
-//!   with per-feature scores, drops and session lifecycle; on a trigger
-//!   (a run's first accepted forgery, per-session drop-budget
-//!   exhaustion, `SIGUSR1`) it dumps a self-contained JSON incident
-//!   snapshot; see [`GatewayServer::with_flight`].
+//!   ([`ctc_obs::flight`]), attached only with a snapshot path,
+//!   journaling each run's bursts, stage boundaries, verdicts with
+//!   per-feature scores, drops and session lifecycle into a ring of its
+//!   own; on a trigger (a run's first accepted forgery, per-session
+//!   drop-budget exhaustion, `SIGUSR1`) it dumps a self-contained JSON
+//!   incident snapshot; see [`GatewayServer::with_flight`].
 //!
 //! Monitor two labelled streams through one engine:
 //!

@@ -51,9 +51,10 @@ use ctc_core::defense::{BurstCapture, MonitorFactory, StreamEvent};
 use ctc_dsp::io::Cf32Reader;
 use ctc_obs::flight::{EventKind, FlightEvent};
 use ctc_obs::json::{hex, JsonObject};
-use ctc_obs::{FlightRecorder, Registry, SpanStage, TraceSink};
+use ctc_obs::{Registry, SpanStage, TraceSink};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::Scope;
@@ -396,8 +397,9 @@ pub struct GatewayServer {
     shutdown: Arc<AtomicBool>,
     registry: Option<Arc<Registry>>,
     trace: Option<Arc<TraceSink>>,
-    /// The flight options and the ring, allocated once when attached.
-    flight: Option<(FlightOptions, FlightRecorder)>,
+    /// The snapshot path and the flight options, when a recorder is
+    /// attached; each run allocates its own ring.
+    flight: Option<(PathBuf, FlightOptions)>,
 }
 
 impl GatewayServer {
@@ -427,16 +429,16 @@ impl GatewayServer {
         self
     }
 
-    /// Attaches a flight recorder: a bounded ring journal of bursts,
-    /// stage boundaries, verdicts (with per-feature scores), drops and
-    /// session lifecycle, recorded wait-free from the hot path. With
-    /// [`FlightOptions::out`] set, a trigger — the run's first accepted
+    /// Attaches a flight recorder when [`FlightOptions::out`] names a
+    /// snapshot path, and nothing otherwise: the journal has no other
+    /// reader. Each run then journals bursts, stage boundaries, verdicts
+    /// (with per-feature scores), drops and session lifecycle wait-free
+    /// into a ring of its own, and a trigger — the run's first accepted
     /// forgery, per-session drop-budget exhaustion, or `SIGUSR1` (install
     /// the handler with [`ctc_obs::flight::install_sigusr1_handler`]) —
-    /// dumps a self-contained JSON incident snapshot there.
-    pub fn with_flight(mut self, options: FlightOptions) -> Self {
-        let recorder = FlightRecorder::with_capacity(options.capacity);
-        self.flight = Some((options, recorder));
+    /// dumps a self-contained JSON incident snapshot to the path.
+    pub fn with_flight(mut self, mut options: FlightOptions) -> Self {
+        self.flight = options.out.take().map(|out| (out, options));
         self
     }
 
@@ -528,13 +530,9 @@ impl GatewayServer {
         let started = Instant::now();
         let fatal_in_streams = matches!(feed, Feed::Streams(_));
         // The supervisor polls only when there is something to poll: a
-        // stats cadence, or a snapshot path a SIGUSR1 can dump to.
-        // Otherwise the calling thread sleeps in `join`.
-        let dumps = self
-            .flight
-            .as_ref()
-            .is_some_and(|(options, _)| options.out.is_some());
-        let supervise = gw.stats_interval.is_some() || dumps;
+        // stats cadence, or a recorder a SIGUSR1 can dump. Otherwise the
+        // calling thread sleeps in `join`.
+        let supervise = gw.stats_interval.is_some() || self.flight.is_some();
 
         if let Some(registry) = &self.registry {
             crate::obs::register_run(registry, &sessions, factory.pool());
@@ -543,11 +541,8 @@ impl GatewayServer {
                 crate::obs::register_scores(registry, board);
             }
         }
-        let flight = self.flight.as_ref().map(|(options, recorder)| {
-            if let Some(board) = &scores {
-                recorder.set_feature_names(board.names().iter().map(|s| s.to_string()).collect());
-            }
-            FlightRun::new(recorder, options, self.registry.as_deref(), cfg, &sessions)
+        let flight = self.flight.as_ref().map(|(out, options)| {
+            FlightRun::new(out, options, self.registry.as_deref(), cfg, &sessions)
         });
         let obs = RunObs::new(self.trace.as_deref(), flight.as_ref());
         let engine = Engine {
@@ -1200,4 +1195,22 @@ fn stats_line(
         .opt("p99_us", s.p99_us(), JsonObject::uint)
         .float("msamples_per_sec", (msps * 1e3).round() / 1e3)
         .finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The journal's only reader is a snapshot, so without a path to
+    /// write one to, `with_flight` attaches no recorder.
+    #[test]
+    fn with_flight_attaches_a_recorder_only_with_an_out_path() {
+        let server = GatewayServer::default().with_flight(FlightOptions::default());
+        assert!(server.flight.is_none());
+        let server = GatewayServer::default().with_flight(FlightOptions {
+            out: Some("incident.json".into()),
+            ..FlightOptions::default()
+        });
+        assert!(server.flight.is_some());
+    }
 }

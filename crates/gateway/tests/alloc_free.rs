@@ -161,7 +161,7 @@ fn flight_recorder_steady_state_allocates_nothing() {
     const WARMUP_CHUNKS: usize = 8;
     const MEASURED_CHUNKS: usize = 64;
 
-    let recorder = FlightRecorder::new(); // DEFAULT_CAPACITY slots
+    let recorder = FlightRecorder::with_capacity(FlightRecorder::DEFAULT_CAPACITY);
     let bytes = noise_cf32((WARMUP_CHUNKS + MEASURED_CHUNKS) * CHUNK, 0xf11e, 0.01);
     let mut reader = Cf32Reader::new(Cursor::new(&bytes)).with_chunk_samples(CHUNK);
     let mut splitter = BurstSplitter::new(EnergyDetector::default());

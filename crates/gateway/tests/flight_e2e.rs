@@ -170,8 +170,12 @@ fn forged_stream_dumps_exactly_one_snapshot_ending_at_the_verdict() {
     let cfg = get(&doc, "config");
     assert_eq!(get(cfg, "workers").as_f64(), Some(1.0));
 
+    let recorded = get(get(&doc, "ring"), "recorded").as_f64();
+
     // The auto trigger fires once per run, not once per server: the same
-    // server over the same stream dumps exactly one new snapshot.
+    // server over the same stream dumps exactly one new snapshot, and
+    // journals into a ring of its own, so the snapshot holds this run's
+    // events only.
     std::fs::remove_file(&out).unwrap();
     server
         .run_streams(
@@ -184,7 +188,13 @@ fn forged_stream_dumps_exactly_one_snapshot_ending_at_the_verdict() {
     assert_eq!(files.len(), 1, "second run: one snapshot in {dir:?}");
     let doc = parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
     assert_eq!(get(&doc, "trigger").as_str(), Some("forgery"));
+    assert_eq!(get(get(&doc, "ring"), "recorded").as_f64(), recorded);
     let events = get(&doc, "events").as_array().unwrap();
+    let opens = events
+        .iter()
+        .filter(|e| get(e, "kind").as_str() == Some("session_open"))
+        .count();
+    assert_eq!(opens, 1, "second run's journal holds one session_open");
     let last = events.last().unwrap();
     assert_eq!(get(last, "kind").as_str(), Some("verdict"));
     assert_eq!(get(last, "accepted_forgery").as_bool(), Some(true));

@@ -1,6 +1,7 @@
-//! Always-on, bounded-memory flight recorder: a lock-free ring journal
-//! of compact structured events, dumped as an incident snapshot when
-//! something goes wrong.
+//! Bounded-memory flight recorder: a lock-free ring journal of compact
+//! structured events, dumped as an incident snapshot when something goes
+//! wrong. A ring is worth its per-event cost only where a snapshot can
+//! read it, so its owner attaches one only then.
 //!
 //! Aggregate counters answer "how much"; they cannot answer "what was
 //! the system doing in the seconds before the detector fired?". The
@@ -37,7 +38,6 @@
 //! ```
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Maximum per-feature scores carried inline by one event. The detector
@@ -244,21 +244,13 @@ impl Slot {
     }
 }
 
-struct Inner {
-    slots: Vec<Slot>,
+/// The lock-free ring journal. All methods take `&self`, so one
+/// recorder is shared by reference across every worker, sink, and
+/// supervisor thread of a run.
+pub struct FlightRecorder {
+    slots: Box<[Slot]>,
     head: AtomicU64,
     epoch: Instant,
-    /// Feature names for rendering verdict scores; set once at startup
-    /// (cold path), never touched while recording.
-    feature_names: Mutex<Vec<String>>,
-}
-
-/// The lock-free ring journal. Cheap to clone (`Arc` inside); all
-/// methods take `&self`, so one recorder is shared across every worker,
-/// sink, and supervisor thread of a run.
-#[derive(Clone)]
-pub struct FlightRecorder {
-    inner: Arc<Inner>,
 }
 
 impl FlightRecorder {
@@ -266,59 +258,40 @@ impl FlightRecorder {
     /// journal at typical gateway burst rates.
     pub const DEFAULT_CAPACITY: usize = 1024;
 
-    /// A recorder with the default capacity.
-    pub fn new() -> FlightRecorder {
-        FlightRecorder::with_capacity(FlightRecorder::DEFAULT_CAPACITY)
-    }
-
     /// A recorder holding the last `capacity` events (minimum 1). All
     /// memory is allocated here; recording never allocates.
     pub fn with_capacity(capacity: usize) -> FlightRecorder {
         let capacity = capacity.max(1);
         FlightRecorder {
-            inner: Arc::new(Inner {
-                slots: (0..capacity).map(|_| Slot::new()).collect(),
-                head: AtomicU64::new(0),
-                epoch: Instant::now(),
-                feature_names: Mutex::new(Vec::new()),
-            }),
+            slots: (0..capacity).map(|_| Slot::new()).collect(),
+            head: AtomicU64::new(0),
+            epoch: Instant::now(),
         }
     }
 
     /// Ring capacity in events.
     pub fn capacity(&self) -> usize {
-        self.inner.slots.len()
+        self.slots.len()
     }
 
     /// Total events ever recorded (recorded − capacity have been
     /// overwritten once past the first lap).
     pub fn recorded(&self) -> u64 {
-        self.inner.head.load(Ordering::Relaxed)
+        self.head.load(Ordering::Relaxed)
     }
 
     /// Microseconds since this recorder was constructed — the timestamp
     /// base every event uses.
     pub fn now_us(&self) -> u64 {
-        self.inner.epoch.elapsed().as_micros() as u64
-    }
-
-    /// Names for verdict per-feature scores, in score order. Cold path:
-    /// call once at startup, before traffic.
-    pub fn set_feature_names(&self, names: Vec<String>) {
-        *self.inner.feature_names.lock().unwrap() = names;
-    }
-
-    /// The configured feature names (empty until set).
-    pub fn feature_names(&self) -> Vec<String> {
-        self.inner.feature_names.lock().unwrap().clone()
+        self.epoch.elapsed().as_micros() as u64
     }
 
     /// Journals one event and returns its ticket (its position in the
     /// all-time event sequence). Wait-free, allocation-free: one
     /// `fetch_add` to claim the slot, then plain atomic stores.
     pub fn record(&self, event: FlightEvent) -> u64 {
-        let ticket = self.inner.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.inner.slots[(ticket % self.inner.slots.len() as u64) as usize];
+        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
+        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
         slot.stamp.store(ticket * 2 + 1, Ordering::Relaxed);
         // Order the odd stamp before the payload words, and the payload
         // before the even stamp, so a reader that sees a stable even
@@ -340,8 +313,8 @@ impl FlightRecorder {
     /// overwrite are skipped, not misread: each copy is validated
     /// against the slot's sequence stamp before being kept.
     pub fn events_until(&self, last_ticket: Option<u64>) -> Vec<FlightEvent> {
-        let cap = self.inner.slots.len() as u64;
-        let head = self.inner.head.load(Ordering::Acquire);
+        let cap = self.slots.len() as u64;
+        let head = self.head.load(Ordering::Acquire);
         let end = match last_ticket {
             Some(t) => (t + 1).min(head),
             None => head,
@@ -349,7 +322,7 @@ impl FlightRecorder {
         let start = end.saturating_sub(cap);
         let mut out = Vec::with_capacity((end - start) as usize);
         for ticket in start..end {
-            let slot = &self.inner.slots[(ticket % cap) as usize];
+            let slot = &self.slots[(ticket % cap) as usize];
             let before = slot.stamp.load(Ordering::Acquire);
             if before != ticket * 2 + 2 {
                 continue; // overwritten or mid-write: not this ticket's data
@@ -365,12 +338,6 @@ impl FlightRecorder {
             }
         }
         out
-    }
-}
-
-impl Default for FlightRecorder {
-    fn default() -> FlightRecorder {
-        FlightRecorder::new()
     }
 }
 
@@ -506,10 +473,10 @@ mod tests {
     #[test]
     fn concurrent_writers_never_tear_reads() {
         let rec = FlightRecorder::with_capacity(32);
-        let writers: Vec<_> = (0..4)
-            .map(|w| {
-                let rec = rec.clone();
-                std::thread::spawn(move || {
+        std::thread::scope(|scope| {
+            for w in 0..4 {
+                let rec = &rec;
+                scope.spawn(move || {
                     for i in 0..2000u64 {
                         // Each writer's events carry a self-consistent
                         // signature: a == session * 1_000_000 + seq.
@@ -518,18 +485,15 @@ mod tests {
                                 .with_args(w * 1_000_000 + i, w),
                         );
                     }
-                })
-            })
-            .collect();
-        for _ in 0..200 {
-            for ev in rec.events() {
-                assert_eq!(ev.a, ev.session * 1_000_000 + ev.seq, "torn event: {ev:?}");
-                assert_eq!(ev.b, ev.session);
+                });
             }
-        }
-        for w in writers {
-            w.join().unwrap();
-        }
+            for _ in 0..200 {
+                for ev in rec.events() {
+                    assert_eq!(ev.a, ev.session * 1_000_000 + ev.seq, "torn event: {ev:?}");
+                    assert_eq!(ev.b, ev.session);
+                }
+            }
+        });
         assert_eq!(rec.recorded(), 8000);
         assert_eq!(rec.events().len(), 32);
     }

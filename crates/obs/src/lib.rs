@@ -24,7 +24,7 @@
 //!   against a live endpoint numerically.
 //! - [`process`] — process-level collectors (resident memory), so memory
 //!   stability is checkable from the same scrape.
-//! - [`flight`] — an always-on, bounded-memory flight recorder: a
+//! - [`flight`] — a bounded-memory flight recorder: a
 //!   lock-free ring journal ([`FlightRecorder`]) of compact structured
 //!   events (bursts, stage boundaries, verdicts with per-feature
 //!   scores, drops), recorded wait-free and allocation-free.

@@ -86,7 +86,7 @@ pub fn registry_delta_json(baseline: &Scrape, now: &Scrape) -> String {
 /// Serializes one journal event with kind-specific field names (stage
 /// ids become names, verdict flag bits become booleans, per-feature
 /// scores are keyed by `feature_names` where available).
-pub fn event_json(ev: &FlightEvent, feature_names: &[String]) -> String {
+pub fn event_json(ev: &FlightEvent, feature_names: &[&str]) -> String {
     let o = JsonObject::new()
         .uint("t_us", ev.t_us)
         .string("kind", ev.kind.name())
@@ -160,11 +160,12 @@ fn stage_fields(mut out: JsonObject, events: &[FlightEvent]) -> JsonObject {
 }
 
 /// Builds one incident snapshot from a recorder plus whatever context
-/// the caller has: current exposition, baseline exposition, raw JSON
-/// sections (session table, effective config). [`render`](
-/// SnapshotBuilder::render) produces the final document.
+/// the caller has: verdict-score names, current exposition, baseline
+/// exposition, raw JSON sections (session table, effective config).
+/// [`render`](SnapshotBuilder::render) produces the final document.
 pub struct SnapshotBuilder<'a> {
     recorder: &'a FlightRecorder,
+    feature_names: &'a [&'a str],
     trigger: String,
     until: Option<u64>,
     max_events: usize,
@@ -182,6 +183,7 @@ impl<'a> SnapshotBuilder<'a> {
     pub fn new(recorder: &'a FlightRecorder, trigger: &str) -> SnapshotBuilder<'a> {
         SnapshotBuilder {
             recorder,
+            feature_names: &[],
             trigger: trigger.to_string(),
             until: None,
             max_events: SnapshotBuilder::DEFAULT_MAX_EVENTS,
@@ -196,6 +198,13 @@ impl<'a> SnapshotBuilder<'a> {
     /// keep journaling.
     pub fn until_ticket(mut self, ticket: u64) -> SnapshotBuilder<'a> {
         self.until = Some(ticket);
+        self
+    }
+
+    /// Names the verdict events' per-feature scores, in score order
+    /// (unnamed scores render as `f0`, `f1`, …).
+    pub fn feature_names(mut self, names: &'a [&'a str]) -> SnapshotBuilder<'a> {
+        self.feature_names = names;
         self
     }
 
@@ -235,7 +244,6 @@ impl<'a> SnapshotBuilder<'a> {
         if events.len() > self.max_events {
             events.drain(..events.len() - self.max_events);
         }
-        let names = self.recorder.feature_names();
 
         let mut doc = JsonObject::new()
             .string("type", "ctc_incident")
@@ -248,7 +256,7 @@ impl<'a> SnapshotBuilder<'a> {
             })
             .raw(
                 "events",
-                &array(events.iter().map(|ev| event_json(ev, &names))),
+                &array(events.iter().map(|ev| event_json(ev, self.feature_names))),
             )
             .object("stages", |o| stage_fields(o, &events));
         let parsed_now = self.now_text.as_deref().map(Scrape::parse);
@@ -308,8 +316,6 @@ mod tests {
 
     #[test]
     fn verdict_events_render_named_scores() {
-        let rec = FlightRecorder::with_capacity(8);
-        rec.set_feature_names(vec!["de2_ideal".into(), "psd_flatness".into()]);
         let ev = FlightEvent::new(EventKind::Verdict, 3, 7, 42)
             .with_args(
                 FlightEvent::VERDICT_DECODED
@@ -318,7 +324,7 @@ mod tests {
                 0.5f64.to_bits(),
             )
             .with_scores(0.51, [0.5, 0.6, 0.7]);
-        let json = event_json(&ev, &rec.feature_names());
+        let json = event_json(&ev, &["de2_ideal", "psd_flatness"]);
         assert!(json.contains("\"kind\":\"verdict\""));
         assert!(json.contains("\"accepted_forgery\":true"));
         assert!(json.contains("\"de2\":0.5"));
