@@ -162,8 +162,9 @@ COMMANDS
             1048576 = 2^20, default 1024). The first accepted forgery, a
             session exhausting --flight-drop-budget N dropped bursts, or
             SIGUSR1 each dump a self-contained JSON snapshot (last
-            --flight-events journal events, registry + delta, per-stage
-            latency, session table, config) for `ctc obs report`; each
+            --flight-events N journal events, at least 1, default 256;
+            registry + delta, per-stage latency, session table, config)
+            for `ctc obs report`; each
             dump overwrites FILE. The other --flight-* flags need
             --flight-out.
             --detector selects the classification stage: `cumulant` (the
@@ -562,6 +563,9 @@ fn flight_options_from(args: &Args) -> Result<Option<ctc_gateway::FlightOptions>
         options.capacity = n;
     }
     if let Some(n) = args.parse_num::<usize>("flight-events")? {
+        if n == 0 {
+            return Err(format!("--flight-events expects at least 1 event, got {n}"));
+        }
         options.max_events = n;
     }
     if let Some(n) = args.parse_num::<u64>("flight-drop-budget")? {
@@ -680,7 +684,7 @@ fn cmd_listen(args: &Args) -> Result<(), Failure> {
             count += 1;
         }
     }
-    if let Some(sb) = stream.finish() {
+    for sb in stream.finish() {
         print_burst(count, &sb)?;
         count += 1;
     }
@@ -1849,6 +1853,11 @@ mod tests {
         let a = args(&["--flight-out", "x.json", "--flight-capacity", "0"]);
         let e = flight_options_from(&a).unwrap_err();
         assert!(e.starts_with("--flight-capacity expects 1 to"), "{e}");
+
+        // A snapshot embeds at least one event.
+        let a = args(&["--flight-out", "x.json", "--flight-events", "0"]);
+        let e = flight_options_from(&a).unwrap_err();
+        assert!(e.starts_with("--flight-events expects at least 1"), "{e}");
 
         // A sizing flag without --flight-out sizes nothing.
         let e = flight_options_from(&args(&["--flight-drop-budget", "8"])).unwrap_err();

@@ -224,7 +224,11 @@ fn monitor_classifies_with_every_detector_mode() {
 /// One NaN or infinite sample must not blind the energy gate: it used to
 /// stay in the gate's window sum for good, so a stream of 20 frames in
 /// Gaussian noise gave no frame events at all. The sample now counts as
-/// silence, and the stream gives the clean stream's 20 events.
+/// silence, and the stream gives the clean stream's 20 events. Nor may
+/// one huge finite sample flood it: a 1e8 sample (a valid f32) once left
+/// a running window sum whose rounding wiped out the noise power after
+/// the spike, and the gate cut 176 bursts where there are 20. Each window
+/// is now summed fresh, so the spike sways only the windows that hold it.
 #[test]
 fn one_nonfinite_sample_does_not_blind_the_gate() {
     use ctc_channel::noise::complex_gaussian;
@@ -278,6 +282,7 @@ fn one_nonfinite_sample_does_not_blind_the_gate() {
         ("nan", f64::NAN),
         ("inf", f64::INFINITY),
         ("ninf", f64::NEG_INFINITY),
+        ("huge", 1e8),
     ] {
         let mut wave = clean.clone();
         wave[1000].re = value;
@@ -455,6 +460,7 @@ fn sizing_flags_beyond_their_limits_fail_with_one_line() {
         ("--workers", "100000", EXIT_CONFIG),
         ("--flight-capacity", "100000000000000", 1),
         ("--flight-capacity", "0", 1),
+        ("--flight-events", "0", 1),
     ] {
         let args = ["monitor", "--input", path_str(&stream), flag, value];
         let out = ctc(&args);

@@ -78,12 +78,27 @@ impl EnergyDetector {
 
 /// Resumable, chunk-invariant burst detection over an unbounded stream.
 ///
-/// The noise floor is causal: an exponential moving average of the
+/// Each window's mean power is a fresh sum of its samples' powers
+/// ([`simd::window_sum`]), so no rounding carries from one window to the
+/// next and one huge sample sways only the windows that hold it. The noise
+/// floor is causal: an exponential moving average (weight 1/64) of the
 /// windowed power, seeded by the first full window and updated only while
-/// the channel is judged idle, so frames do not drag the floor up. Every
-/// decision is a function of the sample prefix alone, which makes the
-/// event sequence identical for **any** chunking of the same stream — the
-/// property the streaming defense is tested against.
+/// the channel is judged idle, so frames do not drag the floor up. It is
+/// evaluated per block of [`simd::GATE_BLOCK`] windows, the blocks aligned
+/// to the absolute sample index (see [`simd::gated_scan`]): a block loud
+/// throughout keeps its base floor, a block idle throughout commits the
+/// end of its closed-form idle trajectory, and any other block steps one
+/// window at a time. The session holds the samples of a partial block
+/// until a later chunk completes it (or [`finish`](Self::finish) steps
+/// them), so every decision is a function of the sample prefix alone,
+/// which makes the event sequence identical for **any** chunking of the
+/// same stream — the property the streaming defense is tested against.
+/// The held windows still reach the burst bookkeeping on arrival wherever
+/// the rest of their block cannot change their flags
+/// ([`simd::gated_prefix`]), so a burst is handed out by the chunk that
+/// brings the window closing it. Only at a tie with the gate within
+/// rounding does a decision wait, for at most 7 more samples or the end
+/// of the stream.
 ///
 /// State is O(`window`): suitable for arbitrarily long streams.
 ///
@@ -108,17 +123,25 @@ pub struct EnergyStream {
     /// Bursts longer than this are force-closed (and flagged), bounding
     /// the memory of anything buffering the burst's samples downstream.
     max_burst: usize,
-    /// Norms of the last `window` samples (ring buffer).
+    /// Powers of the last `window` judged samples, oldest first.
     ring: Vec<f64>,
-    /// The floating-point scan state (ring cursor, running sum, EWMA noise
+    /// The floating-point scan state (the last window's sum, EWMA noise
     /// floor, cached gate), advanced in bulk by [`simd::gated_scan`].
     scan: simd::GateScanState,
-    /// Total samples consumed.
+    /// Total samples consumed, held ones included.
     total: usize,
     /// Scratch for per-sample activity flags from the scan kernel.
     active: Vec<u8>,
     /// Samples whose `|x|²` was not finite, scanned as zero power.
     nonfinite: u64,
+    /// The consumed samples of the block not yet complete (the first
+    /// `held_len`), widened, a non-finite one held as zero.
+    held: [Complex; simd::GATE_BLOCK],
+    /// How many samples `held` holds (always below a block).
+    held_len: usize,
+    /// How many of the held samples' windows the burst bookkeeping has
+    /// seen: their flags stand whatever completes the block.
+    settled: usize,
     /// True once the first windowed power has seeded the floor.
     floor_seeded: bool,
     /// Start (power index) of the currently open burst.
@@ -216,13 +239,16 @@ impl EnergyStream {
             total: 0,
             active: Vec::new(),
             nonfinite: 0,
+            held: [Complex::ZERO; simd::GATE_BLOCK],
+            held_len: 0,
+            settled: 0,
             floor_seeded: false,
             start: None,
             last_active: 0,
         }
     }
 
-    /// Mean power of the current window; `acc / window`, via the exact
+    /// Mean power of the last full window; `acc / window`, via the exact
     /// reciprocal when the window is a power of two.
     #[inline]
     fn window_mean(&self) -> f64 {
@@ -266,14 +292,11 @@ impl EnergyStream {
         self.nonfinite
     }
 
-    /// Current noise-floor estimate (`None` before the first full window).
+    /// Noise-floor estimate after the last complete block of windows
+    /// (`None` before the first full window): samples held for a partial
+    /// block have not moved it yet.
     pub fn noise_floor(&self) -> Option<f64> {
         self.floor_seeded.then_some(self.scan.floor)
-    }
-
-    /// Start index of the currently open (unfinished) burst, if any.
-    pub fn open_burst_start(&self) -> Option<usize> {
-        self.start
     }
 
     /// Consumes a batch of samples, parsed or in their cf32 byte form,
@@ -282,51 +305,130 @@ impl EnergyStream {
     /// sample form, takes the identical arithmetic path.
     ///
     /// Warm-path samples run through [`simd::gated_scan`] — the whole
-    /// floating-point scan (`|x|²`, ring, window mean, gate compare, EWMA
-    /// floor) in one kernel call — leaving only integer burst bookkeeping
-    /// here, which `process_flags` does run-by-run rather than
-    /// sample-by-sample.
+    /// floating-point scan (`|x|²`, window sums, gate compare, EWMA
+    /// floor) in one kernel call per run of whole blocks — leaving only
+    /// integer burst bookkeeping here, which `process_flags` does
+    /// run-by-run rather than sample-by-sample. The kernel sees only whole
+    /// blocks, aligned to the absolute sample index; the samples of a
+    /// partial block wait in `held` for the chunk that completes it, and
+    /// the bookkeeping sees their windows as soon as their flags stand.
     pub(crate) fn feed<S: IqSample>(&mut self, chunk: &[S], sink: &mut impl FnMut(StreamedBurst)) {
         let w = self.config.window;
-        let mut idx = 0;
+        let mut rest = chunk;
         // Cold path: fill the first window one sample at a time; the first
         // full window seeds the noise floor and is judged idle.
-        while self.ring.len() < w && idx < chunk.len() {
-            let mut n = chunk[idx].widen().norm_sqr();
+        while self.ring.len() < w {
+            let Some((s, tail)) = rest.split_first() else {
+                return;
+            };
+            rest = tail;
+            let mut n = s.widen().norm_sqr();
             if !n.is_finite() {
                 n = 0.0;
                 self.nonfinite += 1;
             }
             self.ring.push(n);
-            self.scan.acc += n;
             self.total += 1;
-            idx += 1;
             if self.ring.len() == w {
+                self.scan.acc = simd::window_sum(&self.ring);
                 let p = self.window_mean();
                 self.seed_floor(p.max(1e-12));
             }
         }
-        let rest = &chunk[idx..];
-        if rest.is_empty() {
-            return;
+        const B: usize = simd::GATE_BLOCK;
+        if !self.total.is_multiple_of(B) {
+            // Complete the held block (or, after a window that is not a
+            // whole number of blocks, the short block before the first
+            // block boundary).
+            let take = (B - self.total % B).min(rest.len());
+            for &s in &rest[..take] {
+                self.hold(s);
+            }
+            self.total += take;
+            rest = &rest[take..];
+            if !self.total.is_multiple_of(B) {
+                self.settle(sink);
+                return;
+            }
+            let (held, n) = (self.held, std::mem::take(&mut self.held_len));
+            let settled = std::mem::take(&mut self.settled);
+            self.judge(&held[..n], self.total - n, settled, sink);
         }
+        let whole = rest.len() - rest.len() % B;
+        if whole > 0 {
+            self.judge(&rest[..whole], self.total, 0, sink);
+            self.total += whole;
+        }
+        for &s in &rest[whole..] {
+            self.hold(s);
+        }
+        self.total += rest.len() - whole;
+        self.settle(sink);
+    }
+
+    /// Hands the bookkeeping the held windows it has not seen, where the
+    /// rest of their block cannot change their flags.
+    fn settle(&mut self, sink: &mut impl FnMut(StreamedBurst)) {
+        let n = self.held_len;
+        let mut flags = [0u8; simd::GATE_BLOCK];
+        if n > self.settled
+            && simd::gated_prefix(&self.held[..n], &self.ring, &self.scan, &mut flags)
+        {
+            let first = self.total - n + self.settled;
+            self.process_flags(
+                &flags[self.settled..n],
+                first + 1 - self.config.window,
+                sink,
+            );
+            self.settled = n;
+        }
+    }
+
+    /// Keeps one sample of a partial block for a later chunk, widened (a
+    /// [`Cf32`](ctc_dsp::io::Cf32) pair exactly as the kernel would widen
+    /// it). A sample whose power is not finite is counted now and held as
+    /// zero, which the kernel scans as the same zero power.
+    fn hold<S: IqSample>(&mut self, s: S) {
+        let mut v = s.widen();
+        if !v.norm_sqr().is_finite() {
+            v = Complex::ZERO;
+            self.nonfinite += 1;
+        }
+        self.held[self.held_len] = v;
+        self.held_len += 1;
+    }
+
+    /// Runs the scan kernel over `x`, whose first sample has absolute
+    /// index `first`, and the burst bookkeeping over its flags but the
+    /// first `settled`, which it has seen.
+    fn judge<S: IqSample>(
+        &mut self,
+        x: &[S],
+        first: usize,
+        settled: usize,
+        sink: &mut impl FnMut(StreamedBurst),
+    ) {
         let mut active = std::mem::take(&mut self.active);
         // Grow-only scratch: the kernel writes every flag it scans, so
         // stale bytes beyond previous chunks never get read.
-        if active.len() < rest.len() {
-            active.resize(rest.len(), 0);
+        if active.len() < x.len() {
+            active.resize(x.len(), 0);
         }
-        self.nonfinite += simd::gated_scan(
-            rest,
-            &mut self.ring,
-            &mut self.scan,
-            &mut active[..rest.len()],
-        ) as u64;
-        // Power index of the window completed by the first scanned sample.
-        let base = self.total + 1 - w;
-        self.total += rest.len();
-        self.process_flags(&active[..rest.len()], base, sink);
+        self.nonfinite +=
+            simd::gated_scan(x, &mut self.ring, &mut self.scan, &mut active[..x.len()]) as u64;
+        // Power index of the window completed by the first unseen sample.
+        let base = first + settled + 1 - self.config.window;
+        self.process_flags(&active[settled..x.len()], base, sink);
         self.active = active;
+    }
+
+    /// The earliest sample index a burst not yet handed out can start
+    /// at: the open burst's start, or else the first window the burst
+    /// bookkeeping has not seen.
+    pub(crate) fn reach(&self) -> usize {
+        let unseen = self.total - self.held_len + self.settled;
+        let next = (unseen + 1).saturating_sub(self.config.window);
+        self.start.map_or(next, |s| s.min(next))
     }
 
     /// Burst bookkeeping over a batch of activity flags, run-by-run: flag
@@ -394,9 +496,15 @@ impl EnergyStream {
         }
     }
 
-    /// Consumes a chunk, handing each completed burst to `sink` in order.
+    /// Consumes a chunk, handing each burst it completes to `sink` in
+    /// order: a burst closes once the window that ends its hang has
+    /// arrived, unless that window ties with the gate within rounding in a
+    /// block the chunk leaves incomplete (see [`EnergyStream`]); then it
+    /// closes with the chunk that completes the block, or at
+    /// [`finish`](Self::finish).
     ///
-    /// This is the allocation-free bulk path: one scan-kernel call, then
+    /// This is the allocation-free bulk path: a scan-kernel call for the
+    /// chunk's whole blocks (and one for a held block it completes), then
     /// run-length burst bookkeeping. The chunk is parsed samples or cf32
     /// pairs as a read delivered them
     /// ([`Cf32Reader::read_raw`](ctc_dsp::io::Cf32Reader::read_raw)); the
@@ -406,23 +514,36 @@ impl EnergyStream {
         self.feed(chunk, &mut sink);
     }
 
-    /// Consumes a chunk; returns the bursts completed inside it, in order.
+    /// Consumes a chunk; returns the bursts it completes, in order (as
+    /// [`push_each`](Self::push_each)).
     pub fn push(&mut self, chunk: &[Complex]) -> Vec<StreamedBurst> {
         let mut out = Vec::new();
         self.push_each(chunk, |b| out.push(b));
         out
     }
 
-    /// Ends the stream: closes any open burst ([`BurstEnd::EndOfStream`])
-    /// and resets the session for reuse (the non-finite count included).
-    pub fn finish(&mut self) -> Option<StreamedBurst> {
-        let out = self.start.take().and_then(|s| {
+    /// Ends the stream: judges the samples held for a partial block one
+    /// window at a time, closes any open burst
+    /// ([`BurstEnd::EndOfStream`]), returns the bursts these complete, in
+    /// order, and resets the session for reuse (the non-finite count
+    /// included).
+    pub fn finish(&mut self) -> Vec<StreamedBurst> {
+        let mut out = Vec::new();
+        let (held, n) = (self.held, self.held_len);
+        if n > 0 {
+            self.judge(&held[..n], self.total - n, self.settled, &mut |b| {
+                out.push(b)
+            });
+        }
+        if let Some(s) = self.start.take() {
             let end = (self.last_active + self.config.window).min(self.total);
-            (end - s >= self.config.min_len).then_some(StreamedBurst {
-                burst: Burst { start: s, end },
-                end_reason: BurstEnd::EndOfStream,
-            })
-        });
+            if end - s >= self.config.min_len {
+                out.push(StreamedBurst {
+                    burst: Burst { start: s, end },
+                    end_reason: BurstEnd::EndOfStream,
+                });
+            }
+        }
         // Keep the scratch allocation alive across sessions.
         let active = std::mem::take(&mut self.active);
         *self = EnergyStream::new(self.config).with_max_burst(self.max_burst);
@@ -600,7 +721,7 @@ pub(crate) mod tests {
             let chunk: Vec<Complex> = (0..100).map(|_| complex_gaussian(&mut rng, 0.01)).collect();
             assert!(s.push(&chunk).is_empty());
         }
-        assert!(s.finish().is_none());
+        assert!(s.finish().is_empty());
         assert!(s.samples_seen() == 0, "finish resets the session");
     }
 

@@ -199,7 +199,7 @@ impl<S: IqSample> BurstSplitter<S> {
             pending.push_back((sb.burst, sb.end_reason))
         });
         let old_total = self.base + self.history.len();
-        let keep_from = self.keep_from(old_total + chunk.len());
+        let keep_from = self.keep_from();
         if keep_from >= old_total {
             // Nothing before this chunk can be captured any more: drop the
             // old history outright and buffer only the reachable suffix.
@@ -228,7 +228,7 @@ impl<S: IqSample> BurstSplitter<S> {
 
     /// [`finish`](Self::finish) appending captures to a caller-owned vector.
     pub fn finish_into(&mut self, out: &mut Vec<BurstCapture>) {
-        if let Some(sb) = self.stream.finish() {
+        for sb in self.stream.finish() {
             self.pending.push_back((sb.burst, sb.end_reason));
         }
         let total = self.base + self.history.len();
@@ -276,20 +276,16 @@ impl<S: IqSample> BurstSplitter<S> {
         }
     }
 
-    /// First stream index any future capture can still reach once `total`
-    /// samples have been consumed: the oldest of (pending captures, the
-    /// open burst, the margin horizon behind the read position). History
-    /// before it is dead.
-    fn keep_from(&self, total: usize) -> usize {
-        let horizon = total.saturating_sub(self.margin + self.energy().window + self.energy().hang);
-        let mut keep_from = horizon;
+    /// First stream index any future capture can still reach: a margin
+    /// before the oldest of the pending captures and the bursts the
+    /// energy stream has not handed out ([`EnergyStream::reach`]).
+    /// History before it is dead.
+    fn keep_from(&self) -> usize {
+        let mut reach = self.stream.reach();
         if let Some(&(burst, _)) = self.pending.front() {
-            keep_from = keep_from.min(burst.start.saturating_sub(self.margin));
+            reach = reach.min(burst.start);
         }
-        if let Some(open) = self.stream.open_burst_start() {
-            keep_from = keep_from.min(open.saturating_sub(self.margin));
-        }
-        keep_from
+        reach.saturating_sub(self.margin)
     }
 }
 
@@ -718,6 +714,70 @@ mod tests {
             let expected = &stream[c.capture_start..c.capture_start + c.samples.len()];
             assert_eq!(&c.samples[..], expected);
         }
+    }
+
+    /// A burst may open among the held windows of a partial block that
+    /// wait for the rest of it (a tie with the gate within rounding), so
+    /// the splitter keeps their history: a stream cut right after the tie
+    /// gives the captures it gives uncut. With window 1 and the floor at
+    /// `F` (power-`F` windows are idle and leave it), an idle `x0` and an
+    /// `x1` that the one-window step calls loud but the idle trajectory
+    /// calls idle make that tie: `x1` is loud when a loud window later in
+    /// its block makes the block stepped, idle when the block stays idle.
+    #[test]
+    fn history_outlasts_a_tie_held_over_a_read() {
+        let energy = EnergyDetector {
+            window: 1,
+            min_len: 1,
+            hang: 0,
+            ..EnergyDetector::default()
+        };
+        let near = |v: f64, ulps: i64| f64::from_bits((v.to_bits() as i64 + ulps) as u64);
+        let tie = (1..100_000).find_map(|i| {
+            let xs = Complex::new((1e-3 + 1e-9 * i as f64).sqrt(), 0.0);
+            let floor = xs.norm_sqr();
+            let state = ctc_dsp::simd::GateScanState {
+                slot: 0,
+                acc: 0.0,
+                floor,
+                gate: floor * energy.threshold,
+                threshold: energy.threshold,
+                alpha: 1.0 / 64.0,
+                floor_eps: 1e-12,
+                inv_w: 1.0,
+            };
+            let x0 = Complex::new((0.8 * floor).sqrt(), 0.0);
+            let step = (floor + (x0.norm_sqr() - floor) / 64.0) * energy.threshold;
+            let ulp = near(step, 1) - step;
+            let mut flags = [0; 2];
+            (-3..=3)
+                .flat_map(|d| (0..4).map(move |k| (d, k)))
+                .map(|(d, k)| Complex::new(near(step.sqrt(), d), (k as f64 * ulp).sqrt()))
+                .find(|&x1| !ctc_dsp::simd::gated_prefix(&[x0, x1], &[floor], &state, &mut flags))
+                .map(|x1| (xs, x0, x1))
+        });
+        let (xs, x0, x1) = tie.expect("a tie within the search");
+        let stream = |last: Complex| {
+            let mut x = vec![xs; 8];
+            x.extend([x0, x1, x0, x0, x0, x0, x0, last]);
+            x.extend([xs; 8]);
+            x
+        };
+        let captures = |x: &[Complex], cut: usize| {
+            let mut splitter = BurstSplitter::new(energy);
+            let mut out = splitter.push(&x[..cut]);
+            out.extend(splitter.push(&x[cut..]));
+            out.extend(splitter.finish());
+            out.iter()
+                .map(|c| (c.burst, c.capture_start, c.samples.to_vec()))
+                .collect::<Vec<_>>()
+        };
+        let quiet = captures(&stream(x0), 0);
+        assert!(quiet.is_empty(), "x1 idles in an idle block: {quiet:?}");
+        let loud = stream(Complex::ONE);
+        let whole = captures(&loud, 0);
+        assert_eq!(whole[0].0, Burst { start: 9, end: 10 }, "x1 is loud");
+        assert_eq!(captures(&loud, 10), whole, "cut after the tie");
     }
 
     /// A factory mints independent per-session splitters that share one

@@ -53,6 +53,22 @@
 //! random lengths including empty, single-sample, and non-lane-multiple
 //! tails.
 //!
+//! [`gated_scan`] is the one kernel with a hand-written AVX2 body. Its
+//! lane-array form ran no faster than the serial scan it replaced,
+//! because LLVM spilled the lane sets carried from block to block, so
+//! the AVX2 build judges each block of a window-16 scan with
+//! `std::arch` intrinsics that perform the portable body's adds,
+//! multiplies, divisions and compares in the same order, and neither
+//! build fuses a multiply-add: the two builds are bit-identical, which
+//! `gate_builds_agree_bit_for_bit` checks on ±0, NaN, ±inf, subnormal,
+//! huge finite and overflowing samples. Its definition is its own, not a
+//! reassociation of an older loop: each window is a fresh
+//! [`window_sum`] and the noise floor moves block by block
+//! ([`reference::gated_power_scan`] is the model). The running sum it
+//! replaced drifted from a fresh sum by about 1e-9, relative, after loud
+//! bursts, and its floor moved with it; the gate's decisions on real
+//! streams are the old scan's (`crates/loadgen/tests/gate_oracle.rs`).
+//!
 //! [`arg_into`] is the one kernel held to a ulp band against libm rather
 //! than to bit-equality with code it replaced: it evaluates `atan2` itself
 //! (one division to reduce the range, then an odd polynomial), so it is
@@ -101,14 +117,18 @@ pub struct CumulantSums {
     pub sa4: f64,
 }
 
-/// Scalar state advanced by [`gated_scan`]: the sliding-window power
-/// sum (ring cursor + running total) and the idle-gated EWMA noise floor
+/// Scalar state advanced by [`gated_scan`]: where the ring's oldest
+/// power sits, the last window's sum, and the idle-gated EWMA noise floor
 /// with its cached decision gate.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateScanState {
-    /// Ring slot the next sample overwrites.
+    /// Ring slot holding the oldest of the last `window` powers. A scan
+    /// reads the ring from here and leaves it in order, oldest first, with
+    /// `slot` 0.
     pub slot: usize,
-    /// Running sum of the ring.
+    /// Sum of the window completed by the last scanned sample, in
+    /// [`window_sum`]'s order: an output only, since every window is
+    /// summed fresh (no running sum is carried between samples or calls).
     pub acc: f64,
     /// EWMA noise-floor estimate.
     pub floor: f64,
@@ -116,15 +136,61 @@ pub struct GateScanState {
     pub gate: f64,
     /// Power ratio over the floor that declares a sample active.
     pub threshold: f64,
-    /// EWMA weight. MUST be a power of two: the kernel folds the update
-    /// into `mul_add`, which only matches mul-then-add bitwise when the
-    /// product is exact.
+    /// EWMA weight: an idle power moves the floor by `alpha` of its
+    /// distance. The gateway's 1/64 makes the decay factors `(1 −
+    /// alpha)^k`, `k ≤ 8`, of the idle trajectory exact.
     pub alpha: f64,
     /// Lower clamp applied to the floor after every update.
     pub floor_eps: f64,
     /// `1/window` when the window length is a power of two (multiplying is
     /// then bit-identical to dividing), else `0.0` and the kernel divides.
     pub inv_w: f64,
+}
+
+/// Power indices per block of [`gated_scan`]'s noise floor. The floor is
+/// evaluated block by block from the start of each call, so splitting a
+/// stream into calls leaves every flag and state bit as one call gives
+/// only where each call but the last covers whole blocks.
+pub const GATE_BLOCK: usize = 8;
+
+/// Samples [`gated_scan`] stages on the stack per pass: a multiple of
+/// [`GATE_BLOCK`], so passes keep the call's block alignment.
+const GATE_SPAN: usize = 32 * GATE_BLOCK;
+
+/// The sum [`gated_scan`] takes of one window's powers, in a fixed order:
+/// split at the largest power of two below the length, sum each side the
+/// same way, and add. A window of 16 is pairs, then fours, then eights,
+/// then the two eights. Each window is summed fresh, so no rounding
+/// carries from one window to the next, and one huge power leaves no
+/// trace once it has left the window.
+pub fn window_sum(powers: &[f64]) -> f64 {
+    match powers.len() {
+        0 => 0.0,
+        1 => powers[0],
+        n => {
+            let h = split(n);
+            window_sum(&powers[..h]) + window_sum(&powers[h..])
+        }
+    }
+}
+
+/// Where [`window_sum`] splits `n ≥ 2` powers: the largest power of two
+/// below `n`.
+fn split(n: usize) -> usize {
+    1 << (usize::BITS - 1 - (n - 1).leading_zeros())
+}
+
+/// [`window_sum`] of the powers `a` followed by `b`, without joining them.
+fn window_sum_of(a: &[f64], b: &[f64]) -> f64 {
+    if a.is_empty() || b.is_empty() {
+        return window_sum(if a.is_empty() { b } else { a });
+    }
+    let h = split(a.len() + b.len());
+    if h <= a.len() {
+        window_sum(&a[..h]) + window_sum_of(&a[h..], b)
+    } else {
+        window_sum_of(a, &b[..h - a.len()]) + window_sum(&b[h - a.len()..])
+    }
 }
 
 /// Where [`sample_chips`] writes one set of O-QPSK chip samples: per chip
@@ -327,16 +393,16 @@ fn arg_finish(t: f64, m: f64, flip: f64, sign: f64) -> f64 {
 }
 
 macro_rules! kernels {
-    ($($(#[$meta:meta])* fn $name:ident $(<$g:ident: $bound:ident>)? ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?;)*) => {
+    ($($(#[$meta:meta])* fn $name:ident ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?;)*) => {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         mod avx2 {
-            use super::{body, ChipTaps, Complex, CumulantSums, GateScanState, IqSample};
+            use super::{body, ChipTaps, Complex, CumulantSums};
             $(
                 /// # Safety
                 ///
                 /// Caller must ensure the CPU supports AVX2 and FMA.
                 #[target_feature(enable = "avx2", enable = "fma")]
-                pub unsafe fn $name $(<$g: $bound>)? ($($arg: $ty),*) $(-> $ret)? {
+                pub unsafe fn $name ($($arg: $ty),*) $(-> $ret)? {
                     body::$name($($arg),*)
                 }
             )*
@@ -344,7 +410,7 @@ macro_rules! kernels {
         $(
             $(#[$meta])*
             #[inline]
-            pub fn $name $(<$g: $bound>)? ($($arg: $ty),*) $(-> $ret)? {
+            pub fn $name ($($arg: $ty),*) $(-> $ret)? {
                 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
                 if std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma")
@@ -481,31 +547,58 @@ kernels! {
 
     /// Lane-parallel power sums for fourth-order cumulant estimation.
     fn cumulant_sums(x: &[Complex]) -> CumulantSums;
+}
 
-    /// Advances a gated sliding-power scan by `x.len()` samples, parsed
-    /// ([`Complex`]) or still in their cf32 byte form
-    /// ([`Cf32`](crate::io::Cf32)): each sample's power `|x|²` replaces
-    /// the oldest ring entry, updates the running sum, forms the window
-    /// mean, and is compared against the cached gate (`active[i] = 1` when
-    /// above). Idle samples advance the EWMA noise floor. A sample whose
-    /// `|x|²` is not finite (a NaN or infinite component, or an
-    /// overflowing square) adds zero power, so one bad sample cannot
-    /// poison the running sum or the floor; returns how many samples were
-    /// zeroed. A cf32 pair is widened exactly as parsing widens it
-    /// ([`IqSample::widen`]), so its flags, state and zeroed count are
-    /// bit-identical to scanning the parsed chunk. The recurrence is
-    /// inherently serial; the wins are the norm computation hiding under
-    /// the loop-carried chain and the
-    /// `target_feature(fma)` clone, where the explicit `mul_add` becomes a
-    /// 4-cycle `vfmadd` instead of a libm call — value-identical because
-    /// `alpha` is a power of two, so the product is exact and fused and
-    /// two-step rounding agree.
-    fn gated_scan<S: IqSample>(
-        x: &[S],
-        ring: &mut [f64],
-        state: &mut GateScanState,
-        active: &mut [u8],
-    ) -> usize;
+/// Advances a gated sliding-power scan by `x.len()` samples, parsed
+/// ([`Complex`]) or still in their cf32 byte form
+/// ([`Cf32`](crate::io::Cf32)), writing `active[i] = 1` where the
+/// window completed by `x[i]` is loud.
+///
+/// - **Window power.** Each sample's `|x|²` enters the ring, and the
+///   window's mean power is a fresh [`window_sum`] of its `ring.len()`
+///   powers, scaled by `inv_w` (or divided by the window). No running
+///   sum drifts, and one huge sample sways only the windows that hold
+///   it. A power that is not finite (a NaN or infinite component, or
+///   an overflowing square) counts as zero, so one bad sample cannot
+///   poison a window or the floor; returns how many were zeroed.
+/// - **Noise floor.** Idle windows (mean power at most the cached
+///   gate) move the EWMA floor by `alpha` toward their power, clamped
+///   at `floor_eps`; loud ones leave it. The floor is evaluated per
+///   block of [`GATE_BLOCK`] windows from `x[0]`, starting from the
+///   block's base floor: a block loud throughout against the base gate
+///   keeps the base; a block idle throughout along its closed-form
+///   idle trajectory (the floor each idle step would give, as a
+///   fixed-order decayed prefix sum of `alpha · p`) commits the
+///   trajectory's end; any other block, and a trailing partial one,
+///   steps one window at a time.
+///
+/// Calls are therefore chunk-invariant only at block boundaries: a
+/// stream split into calls of whole blocks (the last call excepted)
+/// gives the flags, ring and state of one call, bit for bit. A caller
+/// that holds the samples of a partial block learns from
+/// [`gated_prefix`] which of their flags already stand. A cf32
+/// pair is widened exactly as parsing widens it
+/// ([`IqSample::widen`]), so its flags, state and zeroed count equal
+/// those of the parsed chunk. A window of 16 sums its windows level
+/// by level over the whole chunk; other windows sum each one alone.
+///
+/// The AVX2 build judges a window-16 scan's blocks with hand-written
+/// intrinsics that perform the portable body's operations in its order
+/// (see the module's tolerance policy), so both builds give the same
+/// bits.
+#[inline]
+pub fn gated_scan<S: IqSample>(
+    x: &[S],
+    ring: &mut [f64],
+    state: &mut GateScanState,
+    active: &mut [u8],
+) -> usize {
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma") {
+        // SAFETY: the required CPU features were just detected.
+        return unsafe { gate_avx2::gated_scan(x, ring, state, active) };
+    }
+    body::gated_scan(x, ring, state, active)
 }
 
 /// [`gated_scan`] over parsed samples.
@@ -519,12 +612,60 @@ pub fn gated_power_scan(
     gated_scan(x, ring, state, active)
 }
 
+/// The flags [`gated_scan`] will give the windows completed by `x` when
+/// `x` opens a block of [`GATE_BLOCK`] windows, whatever samples complete
+/// that block: writes them to `active[..x.len()]` and returns `true`, or
+/// returns `false` where they hang on those samples. Reads the ring
+/// (oldest first, as a scan leaves it) and the state without advancing
+/// them; a sample whose power is not finite counts as zero, as in the
+/// scan.
+///
+/// The one-window step flags each of the first windows from those windows
+/// alone, and its flags stand whatever follows: if all are loud, the block
+/// is loud throughout or stepped, and both flag them loud; if all are
+/// idle, it is idle throughout or stepped, and both flag them idle; if
+/// they are mixed, the block is not loud throughout, and it is stepped
+/// unless these windows stay idle along the idle trajectory, which takes
+/// a tie at the gate within rounding. Only then does the rest of the block
+/// decide, and this returns `false`.
+///
+/// # Panics
+///
+/// Panics when `x` holds a whole block, `active` is shorter than `x`, the
+/// ring is empty, or `state.slot` is not 0.
+pub fn gated_prefix(x: &[Complex], ring: &[f64], state: &GateScanState, active: &mut [u8]) -> bool {
+    let k = x.len();
+    let w = ring.len();
+    assert!(k < GATE_BLOCK, "a prefix is shorter than a block");
+    assert!(w > 0 && state.slot == 0, "the ring is oldest first");
+    let active = &mut active[..k];
+    let mut pow = [0.0; GATE_BLOCK];
+    for (n, &s) in pow.iter_mut().zip(x) {
+        *n = body::gate_power(s, &mut 0);
+    }
+    // The window completed by `x[j]`: the ring's last `w − j − 1` powers
+    // (when the window is longer than `j`), then those of `x[..=j]`.
+    let mut p = [0.0; GATE_BLOCK];
+    for (j, v) in p[..k].iter_mut().enumerate() {
+        let sum = window_sum_of(&ring[(j + 1).min(w)..], &pow[(j + 1).saturating_sub(w)..=j]);
+        *v = body::window_mean(sum, state, w);
+    }
+    let (mut floor, mut gate) = (state.floor, state.gate);
+    body::gate_step(&p[..k], active, state, &mut floor, &mut gate);
+    if active.iter().all(|&a| a == active[0]) {
+        return true;
+    }
+    let traj = body::trajectory(&p[..k], state.floor, state.alpha, &body::decay(state.alpha));
+    !body::idle_along(&p[..k], &traj, state.gate, state).0
+}
+
 /// Lane-structured kernel bodies: the single source of truth compiled both
 /// with and without AVX2 enabled.
 mod body {
     use super::{
         arg_finish, arg_reduce, dtft_block, dtft_one, normalized_correlation, reduce, reduce4,
-        reduce_columns, ChipTaps, Complex, CumulantSums, GateScanState, IqSample, LANES, RESYNC,
+        reduce_columns, window_sum, ChipTaps, Complex, CumulantSums, GateScanState, IqSample,
+        GATE_BLOCK, GATE_SPAN, LANES, RESYNC,
     };
 
     #[inline(always)]
@@ -1286,23 +1427,179 @@ mod body {
         sums
     }
 
-    /// Out-of-line landing pad for the floor-eps clamp, keeping the
-    /// compare-and-branch off [`gated_scan`]'s serial EWMA chain
-    /// (a call defeats if-conversion into `maxsd`).
-    #[cold]
-    #[inline(never)]
-    fn clamp_cold(eps: f64) -> f64 {
-        eps
+    /// `|x|²` of one sample, or zero (counted in `zeroed`) when it is not
+    /// finite: a NaN or infinite component, or an overflowing square.
+    #[inline(always)]
+    pub(super) fn gate_power<S: IqSample>(s: S, zeroed: &mut usize) -> f64 {
+        let v = s.widen();
+        let n = v.re * v.re + v.im * v.im;
+        // `n` is ≥ 0 or NaN, so this keeps exactly the finite powers.
+        if n < f64::INFINITY {
+            n
+        } else {
+            *zeroed += 1;
+            0.0
+        }
     }
 
-    /// Out-of-line landing pad for a sample whose power is not finite,
-    /// keeping the check in [`gated_scan`] a never-taken branch
-    /// rather than a select on every sample's power.
-    #[cold]
-    #[inline(never)]
-    fn nonfinite_cold(zeroed: &mut usize) -> f64 {
-        *zeroed += 1;
-        0.0
+    /// The per-sample EWMA step over `p`: an active sample leaves the
+    /// floor, an idle one moves it by `alpha` toward its power, clamped
+    /// at `floor_eps`.
+    #[inline(always)]
+    pub(super) fn gate_step(
+        p: &[f64],
+        flags: &mut [u8],
+        st: &GateScanState,
+        floor: &mut f64,
+        gate: &mut f64,
+    ) {
+        for (&v, a) in p.iter().zip(flags) {
+            if v > *gate {
+                *a = 1;
+            } else {
+                *a = 0;
+                *floor += (v - *floor) * st.alpha;
+                // The negated comparison is load-bearing: NaN lands in the
+                // clamp as `f64::max` would put it.
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                if !(*floor >= st.floor_eps) {
+                    *floor = st.floor_eps;
+                }
+                *gate = *floor * st.threshold;
+            }
+        }
+    }
+
+    /// The idle trajectory's decay factors `(1 − α)^(j+1)`, `j <
+    /// GATE_BLOCK`, each the previous one times `1 − α`.
+    #[inline(always)]
+    pub(super) fn decay(alpha: f64) -> [f64; GATE_BLOCK] {
+        let beta = 1.0 - alpha;
+        let mut decay = [beta; GATE_BLOCK];
+        for j in 1..GATE_BLOCK {
+            decay[j] = decay[j - 1] * beta;
+        }
+        decay
+    }
+
+    /// The idle trajectory of a block from its base `floor`: lane `j` is
+    /// the floor after power `j` if every power up to it is idle,
+    /// β^(j+1)·floor + Σ_{i≤j} β^(j−i)·α·p[i], the decayed prefix sum
+    /// taken in three doubling steps. Lane `j` reads `pb[..=j]` alone;
+    /// lanes past `pb.len()` see zero power.
+    #[inline(always)]
+    pub(super) fn trajectory(
+        pb: &[f64],
+        floor: f64,
+        alpha: f64,
+        decay: &[f64; GATE_BLOCK],
+    ) -> [f64; GATE_BLOCK] {
+        let mut c = [0.0; GATE_BLOCK];
+        for (c, &v) in c.iter_mut().zip(pb) {
+            *c = alpha * v;
+        }
+        for lag in [1, 2, 4] {
+            for j in (lag..GATE_BLOCK).rev() {
+                c[j] += decay[lag - 1] * c[j - lag];
+            }
+        }
+        for (c, &d) in c.iter_mut().zip(decay) {
+            *c += d * floor;
+        }
+        c
+    }
+
+    /// Whether every power of `pb` is idle along the trajectory `traj`
+    /// (the first against the base `gate`, each later one against the
+    /// previous lane's floor times the threshold) with every floor at
+    /// least `floor_eps`; and the gate after the last lane.
+    #[inline(always)]
+    pub(super) fn idle_along(
+        pb: &[f64],
+        traj: &[f64; GATE_BLOCK],
+        mut gate: f64,
+        st: &GateScanState,
+    ) -> (bool, f64) {
+        let mut quiet = true;
+        // `!(p > g)`, as the step judges idle: a NaN gate idles.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        for (&v, &t) in pb.iter().zip(traj) {
+            quiet &= !(v > gate) & (t >= st.floor_eps);
+            gate = t * st.threshold;
+        }
+        (quiet, gate)
+    }
+
+    /// Judges window powers `p` against the noise floor, block by block
+    /// from `p[0]` (see [`gated_scan`](super::gated_scan)): a block that
+    /// is loud against its base gate throughout keeps the floor, one that
+    /// stays under the gate along its closed-form idle trajectory commits
+    /// the trajectory's end, and any other block, like a trailing partial
+    /// one, steps one power at a time.
+    #[inline(always)]
+    pub(super) fn gate_blocks(p: &[f64], flags: &mut [u8], st: &mut GateScanState) {
+        let decay = decay(st.alpha);
+        let (mut floor, mut gate) = (st.floor, st.gate);
+        let mut blocks = p.chunks_exact(GATE_BLOCK);
+        let mut outs = flags.chunks_exact_mut(GATE_BLOCK);
+        for (pb, fb) in (&mut blocks).zip(&mut outs) {
+            let mut loud = true;
+            for &v in pb {
+                loud &= v > gate;
+            }
+            if loud {
+                fb.fill(1);
+                continue;
+            }
+            let traj = trajectory(pb, floor, st.alpha, &decay);
+            let (quiet, g) = idle_along(pb, &traj, gate, st);
+            if quiet {
+                fb.fill(0);
+                floor = traj[GATE_BLOCK - 1];
+                gate = g;
+                continue;
+            }
+            gate_step(pb, fb, st, &mut floor, &mut gate);
+        }
+        gate_step(
+            blocks.remainder(),
+            outs.into_remainder(),
+            st,
+            &mut floor,
+            &mut gate,
+        );
+        st.floor = floor;
+        st.gate = gate;
+    }
+
+    /// Sum of the 16 powers `pow[i..i + 16]` in [`window_sum`]'s order.
+    #[inline(always)]
+    pub(super) fn window16(pow: &[f64], i: usize) -> f64 {
+        let s4 = |o: usize| (pow[o] + pow[o + 1]) + (pow[o + 2] + pow[o + 3]);
+        (s4(i) + s4(i + 4)) + (s4(i + 8) + s4(i + 12))
+    }
+
+    /// The window's mean power from its sum: times `inv_w`, or divided by
+    /// the window when `inv_w` is 0.
+    #[inline(always)]
+    pub(super) fn window_mean(sum: f64, st: &GateScanState, w: usize) -> f64 {
+        if st.inv_w != 0.0 {
+            sum * st.inv_w
+        } else {
+            sum / w as f64
+        }
+    }
+
+    /// Judges one span of a window-16 scan: `flags.len()` windows over
+    /// the powers `pow` (`flags.len() + 15` of them).
+    #[inline(always)]
+    fn gate_span16(pow: &[f64], flags: &mut [u8], st: &mut GateScanState) {
+        let mut p = [0.0; GATE_SPAN];
+        let p = &mut p[..flags.len()];
+        for (i, v) in p.iter_mut().enumerate() {
+            *v = window_mean(window16(pow, i), st, 16);
+        }
+        gate_blocks(p, flags, st);
     }
 
     #[inline(always)]
@@ -1312,59 +1609,216 @@ mod body {
         st: &mut GateScanState,
         active: &mut [u8],
     ) -> usize {
+        scan(x, ring, st, active, gate_span16)
+    }
+
+    /// [`gated_scan`]'s one body; `span16` judges each span of a window-16
+    /// scan from its powers, as [`gate_span16`] does.
+    #[inline(always)]
+    pub(super) fn scan<S: IqSample>(
+        x: &[S],
+        ring: &mut [f64],
+        st: &mut GateScanState,
+        active: &mut [u8],
+        mut span16: impl FnMut(&[f64], &mut [u8], &mut GateScanState),
+    ) -> usize {
         assert!(active.len() >= x.len(), "active buffer shorter than input");
         assert!(!ring.is_empty(), "window must be positive");
-        let w = ring.len() as f64;
-        let mut slot = st.slot;
-        let mut acc = st.acc;
-        let mut floor = st.floor;
-        let mut gate = st.gate;
+        let w = ring.len();
+        ring.rotate_left(st.slot % w);
+        st.slot = 0;
+        let active = &mut active[..x.len()];
         let mut zeroed = 0;
-        for (v, a) in x.iter().zip(active[..x.len()].iter_mut()) {
-            let v = v.widen();
-            let mut n = v.re * v.re + v.im * v.im;
-            // A NaN or infinite power would stay in `acc` for good (`inf -
-            // inf` is NaN) and blind the gate; it counts as silence.
-            if !n.is_finite() {
-                n = nonfinite_cold(&mut zeroed);
-            }
-            acc += n - ring[slot];
-            ring[slot] = n;
-            slot += 1;
-            if slot == ring.len() {
-                slot = 0;
-            }
-            let p = if st.inv_w != 0.0 {
-                acc * st.inv_w
-            } else {
-                acc / w
-            };
-            if p > gate {
-                *a = 1;
-            } else {
-                *a = 0;
-                // `alpha` is a power of two, so `(p - floor) * alpha` is
-                // exact and the fused form rounds once on the same value a
-                // two-step mul-then-add would produce — bit-identical, but
-                // a single 4-cycle vfmadd in the target_feature clone.
-                floor = (p - floor).mul_add(st.alpha, floor);
-                // The floor-eps clamp via an untaken cold branch rather
-                // than a select: a `maxsd` would sit on the loop-carried
-                // EWMA chain (+4 cycles every sample) to guard a case real
-                // signals never hit. The negated comparison is load-bearing:
-                // NaN lands in the clamp like `max` would put it.
-                #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                if !(floor >= st.floor_eps) {
-                    floor = clamp_cold(st.floor_eps);
+        if w == 16 {
+            // The last 15 powers, then this span's.
+            let mut pow = [0.0; GATE_SPAN + 15];
+            pow[..15].copy_from_slice(&ring[1..]);
+            for (xs, flags) in x.chunks(GATE_SPAN).zip(active.chunks_mut(GATE_SPAN)) {
+                let m = xs.len();
+                for (n, &s) in pow[15..15 + m].iter_mut().zip(xs) {
+                    *n = gate_power(s, &mut zeroed);
                 }
-                gate = floor * st.threshold;
+                span16(&pow[..m + 15], flags, st);
+                st.acc = window16(&pow, m - 1);
+                ring.copy_from_slice(&pow[m - 1..m + 15]);
+                pow.copy_within(m..m + 15, 0);
+            }
+        } else {
+            let mut p = [0.0; GATE_SPAN];
+            for (xs, flags) in x.chunks(GATE_SPAN).zip(active.chunks_mut(GATE_SPAN)) {
+                let p = &mut p[..xs.len()];
+                for (v, &s) in p.iter_mut().zip(xs) {
+                    ring.copy_within(1.., 0);
+                    ring[w - 1] = gate_power(s, &mut zeroed);
+                    st.acc = window_sum(ring);
+                    *v = window_mean(st.acc, st, w);
+                }
+                gate_blocks(p, flags, st);
             }
         }
-        st.slot = slot;
-        st.acc = acc;
+        zeroed
+    }
+}
+
+/// [`gated_scan`]'s AVX2 build: the portable body, with each span of a
+/// window-16 scan judged by intrinsics that perform
+/// [`body::gate_blocks`]' operations in its order. Neither build fuses a
+/// multiply-add, so every lane rounds as the portable code does.
+#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+mod gate_avx2 {
+    use super::body::{decay, gate_step, scan, window16, window_mean};
+    use super::{GateScanState, IqSample, GATE_BLOCK};
+    use std::arch::x86_64::*;
+
+    /// # Safety
+    ///
+    /// Caller must ensure the CPU supports AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn gated_scan<S: IqSample>(
+        x: &[S],
+        ring: &mut [f64],
+        st: &mut GateScanState,
+        active: &mut [u8],
+    ) -> usize {
+        scan(x, ring, st, active, |pow, flags, st| span16(pow, flags, st))
+    }
+
+    /// `[fill, v0, v1, v2]` and `[v3, v4, v5, v6]`: the eight lanes
+    /// `lo ‖ hi` moved up by one, `fill` entering lane 0.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn up1(lo: __m256d, hi: __m256d, fill: __m256d) -> (__m256d, __m256d) {
+        let lo_s = _mm256_shuffle_pd::<0b0101>(_mm256_permute2f128_pd::<0x08>(lo, lo), lo);
+        let hi_s = _mm256_shuffle_pd::<0b0101>(_mm256_permute2f128_pd::<0x21>(lo, hi), hi);
+        (_mm256_blend_pd::<0b0001>(lo_s, fill), hi_s)
+    }
+
+    /// [`body::gate_blocks`](super::body::gate_blocks) over the windows
+    /// of the powers `pow`, eight at a time.
+    #[target_feature(enable = "avx2")]
+    fn span16(pow: &[f64], flags: &mut [u8], st: &mut GateScanState) {
+        let m = flags.len();
+        assert!(pow.len() >= m + 15, "powers do not cover the span");
+        // Pair sums `pow[i] + pow[i + 1]` for lanes `i` in `o..o + 4`.
+        let s2 = |o: usize| {
+            // SAFETY: the two loads read `pow[o..o + 5]`, and every call
+            // below passes `o <= whole + 10 <= m + 10` (at most `k + 18`
+            // with `k + 8 <= whole`), so `o + 5 <= m + 15 <= pow.len()`.
+            let [a, b] = [0, 1].map(|i| unsafe { _mm256_loadu_pd(pow.as_ptr().add(o + i)) });
+            _mm256_add_pd(a, b)
+        };
+        let s4 = |o: usize| _mm256_add_pd(s2(o), s2(o + 2));
+        let decay = decay(st.alpha);
+        let (d_lo, d_hi) = (
+            _mm256_set_pd(decay[3], decay[2], decay[1], decay[0]),
+            _mm256_set_pd(decay[7], decay[6], decay[5], decay[4]),
+        );
+        let (b1, b2, b4) = (
+            _mm256_set1_pd(decay[0]),
+            _mm256_set1_pd(decay[1]),
+            _mm256_set1_pd(decay[3]),
+        );
+        let alpha = _mm256_set1_pd(st.alpha);
+        let thr = _mm256_set1_pd(st.threshold);
+        let eps = _mm256_set1_pd(st.floor_eps);
+        let zero = _mm256_setzero_pd();
+        let inv_w = _mm256_set1_pd(st.inv_w);
+        let sixteen = _mm256_set1_pd(16.0);
+        let (mut floor, mut gate) = (st.floor, st.gate);
+        let whole = m - m % GATE_BLOCK;
+        // The window levels slide from block to block: at block `k` the
+        // pair sums from `k + 10`, the four-sums from `k + 8` and the
+        // eight-sums from `k` carry over, and each level adds eight lanes.
+        let (mut s2_10, mut s4_8, mut s8_0, mut s8_4) = (zero, zero, zero, zero);
+        if whole > 0 {
+            let (s4_0, s4_4) = (s4(0), s4(4));
+            s4_8 = s4(8);
+            s2_10 = s2(10);
+            s8_0 = _mm256_add_pd(s4_0, s4_4);
+            s8_4 = _mm256_add_pd(s4_4, s4_8);
+        }
+        for k in (0..whole).step_by(GATE_BLOCK) {
+            let fb = &mut flags[k..k + GATE_BLOCK];
+            let (s2_14, s2_18) = (s2(k + 14), s2(k + 18));
+            let s4_12 = _mm256_add_pd(_mm256_permute2f128_pd::<0x21>(s2_10, s2_14), s2_14);
+            let s4_16 = _mm256_add_pd(_mm256_permute2f128_pd::<0x21>(s2_14, s2_18), s2_18);
+            let s8_8 = _mm256_add_pd(s4_8, s4_12);
+            let s8_12 = _mm256_add_pd(s4_12, s4_16);
+            let sum_lo = _mm256_add_pd(s8_0, s8_8);
+            let sum_hi = _mm256_add_pd(s8_4, s8_12);
+            (s2_10, s4_8, s8_0, s8_4) = (s2_18, s4_16, s8_8, s8_12);
+            let (p_lo, p_hi) = if st.inv_w != 0.0 {
+                (_mm256_mul_pd(sum_lo, inv_w), _mm256_mul_pd(sum_hi, inv_w))
+            } else {
+                (
+                    _mm256_div_pd(sum_lo, sixteen),
+                    _mm256_div_pd(sum_hi, sixteen),
+                )
+            };
+            let g = _mm256_set1_pd(gate);
+            let loud = _mm256_and_pd(
+                _mm256_cmp_pd::<_CMP_GT_OQ>(p_lo, g),
+                _mm256_cmp_pd::<_CMP_GT_OQ>(p_hi, g),
+            );
+            if _mm256_movemask_pd(loud) == 0b1111 {
+                fb.fill(1);
+                continue;
+            }
+            // The idle trajectory's decayed prefix sum, lag 1, 2, then 4.
+            // Lanes below the lag add `β^lag · 0`, which leaves their
+            // values (never negative, never NaN) as they are.
+            let (mut c_lo, mut c_hi) = (_mm256_mul_pd(alpha, p_lo), _mm256_mul_pd(alpha, p_hi));
+            let (s_lo, s_hi) = up1(c_lo, c_hi, zero);
+            c_lo = _mm256_add_pd(c_lo, _mm256_mul_pd(b1, s_lo));
+            c_hi = _mm256_add_pd(c_hi, _mm256_mul_pd(b1, s_hi));
+            let s_lo = _mm256_permute2f128_pd::<0x08>(c_lo, c_lo);
+            let s_hi = _mm256_permute2f128_pd::<0x21>(c_lo, c_hi);
+            c_lo = _mm256_add_pd(c_lo, _mm256_mul_pd(b2, s_lo));
+            c_hi = _mm256_add_pd(c_hi, _mm256_mul_pd(b2, s_hi));
+            c_hi = _mm256_add_pd(c_hi, _mm256_mul_pd(b4, c_lo));
+            let f = _mm256_set1_pd(floor);
+            let t_lo = _mm256_add_pd(_mm256_mul_pd(d_lo, f), c_lo);
+            let t_hi = _mm256_add_pd(_mm256_mul_pd(d_hi, f), c_hi);
+            let (g_lo, g_hi) = up1(_mm256_mul_pd(t_lo, thr), _mm256_mul_pd(t_hi, thr), g);
+            let bad = _mm256_or_pd(
+                _mm256_or_pd(
+                    _mm256_cmp_pd::<_CMP_GT_OQ>(p_lo, g_lo),
+                    _mm256_cmp_pd::<_CMP_GT_OQ>(p_hi, g_hi),
+                ),
+                _mm256_or_pd(
+                    _mm256_cmp_pd::<_CMP_NGE_UQ>(t_lo, eps),
+                    _mm256_cmp_pd::<_CMP_NGE_UQ>(t_hi, eps),
+                ),
+            );
+            if _mm256_movemask_pd(bad) == 0 {
+                fb.fill(0);
+                // The trajectory's last lane, recomputed in scalar form
+                // (the same two roundings) to keep the vector extract off
+                // the floor's block-to-block chain.
+                let c7 = _mm_cvtsd_f64(_mm_unpackhi_pd(
+                    _mm256_extractf128_pd::<1>(c_hi),
+                    _mm256_extractf128_pd::<1>(c_hi),
+                ));
+                floor = decay[7] * floor + c7;
+                gate = floor * st.threshold;
+                continue;
+            }
+            let mut p = [0.0; GATE_BLOCK];
+            // SAFETY: `p` holds eight lanes.
+            unsafe {
+                _mm256_storeu_pd(p.as_mut_ptr(), p_lo);
+                _mm256_storeu_pd(p.as_mut_ptr().add(4), p_hi);
+            }
+            gate_step(&p, fb, st, &mut floor, &mut gate);
+        }
+        let mut p = [0.0; GATE_BLOCK];
+        let p = &mut p[..m - whole];
+        for (i, v) in p.iter_mut().enumerate() {
+            *v = window_mean(window16(pow, whole + i), st, 16);
+        }
+        gate_step(p, &mut flags[whole..], st, &mut floor, &mut gate);
         st.floor = floor;
         st.gate = gate;
-        zeroed
     }
 }
 
@@ -1374,7 +1828,7 @@ mod body {
 #[doc(hidden)]
 #[allow(missing_docs)]
 pub mod reference {
-    use super::{ChipTaps, Complex, CumulantSums, GateScanState};
+    use super::{window_sum, ChipTaps, Complex, CumulantSums, GateScanState, GATE_BLOCK};
 
     pub fn cdot_conj(a: &[Complex], b: &[Complex]) -> Complex {
         a.iter().zip(b).map(|(x, y)| *x * y.conj()).sum()
@@ -1564,35 +2018,82 @@ pub mod reference {
         }
     }
 
-    /// Textbook per-sample form of the gated scan: window mean by division,
-    /// EWMA as separate multiply-then-add, clamp via `f64::max`, and a
-    /// non-finite power replaced by zero. Equal to the kernel whenever
-    /// `alpha` is a power of two and `inv_w` is the exact reciprocal of the
-    /// window (or 0.0).
+    /// Textbook form of the gated scan's definition: every power kept in
+    /// one history, each window summed alone by [`window_sum`], the floor
+    /// judged per block of [`GATE_BLOCK`] from `x[0]` with the idle
+    /// trajectory's prefix sum written out level by level, and the
+    /// per-window step as multiply-then-add with its clamp via
+    /// `f64::max`.
     pub fn gated_power_scan(
         x: &[Complex],
         ring: &mut [f64],
         st: &mut GateScanState,
         active: &mut [u8],
     ) -> usize {
-        let w = ring.len() as f64;
+        let w = ring.len();
+        let mut hist: Vec<f64> = ring[st.slot..]
+            .iter()
+            .chain(&ring[..st.slot])
+            .copied()
+            .collect();
         let mut zeroed = 0;
-        for (v, a) in x.iter().zip(active.iter_mut()) {
+        let mut p = Vec::with_capacity(x.len());
+        for v in x {
             let mut n = v.norm_sqr();
             if !n.is_finite() {
                 n = 0.0;
                 zeroed += 1;
             }
-            st.acc += n - ring[st.slot];
-            ring[st.slot] = n;
-            st.slot = (st.slot + 1) % ring.len();
-            let p = st.acc / w;
-            if p > st.floor * st.threshold {
-                *a = 1;
+            hist.push(n);
+            st.acc = window_sum(&hist[hist.len() - w..]);
+            p.push(if st.inv_w != 0.0 {
+                st.acc * st.inv_w
             } else {
-                *a = 0;
-                st.floor = (st.floor + st.alpha * (p - st.floor)).max(st.floor_eps);
-                st.gate = st.floor * st.threshold;
+                st.acc / w as f64
+            });
+        }
+        ring.copy_from_slice(&hist[hist.len() - w..]);
+        st.slot = 0;
+
+        let beta = 1.0 - st.alpha;
+        let mut decay = vec![beta];
+        while decay.len() < GATE_BLOCK {
+            decay.push(decay[decay.len() - 1] * beta);
+        }
+        for (pb, fb) in p.chunks(GATE_BLOCK).zip(active.chunks_mut(GATE_BLOCK)) {
+            if pb.len() == GATE_BLOCK {
+                if pb.iter().all(|&v| v > st.gate) {
+                    fb.fill(1);
+                    continue;
+                }
+                let mut c: Vec<f64> = pb.iter().map(|&v| st.alpha * v).collect();
+                for lag in [1, 2, 4] {
+                    let prev = c.clone();
+                    for j in lag..GATE_BLOCK {
+                        c[j] = prev[j] + decay[lag - 1] * prev[j - lag];
+                    }
+                }
+                let traj: Vec<f64> = (0..GATE_BLOCK)
+                    .map(|j| decay[j] * st.floor + c[j])
+                    .collect();
+                let gates = std::iter::once(st.gate).chain(traj.iter().map(|f| f * st.threshold));
+                #[allow(clippy::neg_cmp_op_on_partial_ord)]
+                let idle = pb.iter().zip(gates).all(|(&v, g)| !(v > g));
+                if idle && traj.iter().all(|&f| f >= st.floor_eps) {
+                    fb.fill(0);
+                    st.floor = traj[GATE_BLOCK - 1];
+                    st.gate = st.floor * st.threshold;
+                    continue;
+                }
+            }
+            for (&v, a) in pb.iter().zip(fb.iter_mut()) {
+                if v > st.gate {
+                    *a = 1;
+                } else {
+                    *a = 0;
+                    st.floor = (st.floor + st.alpha * (v - st.floor)).max(st.floor_eps);
+                    st.gate = st.floor * st.threshold;
+                }
             }
         }
         zeroed
@@ -1820,45 +2321,118 @@ mod tests {
         }
     }
 
-    /// The fused-EWMA kernel must be *bit-identical* to the textbook
-    /// mul-then-add / divide formulation when `alpha` is a power of two and
-    /// the window reciprocal is exact — the property that lets the gateway
-    /// splitter move onto the kernel without perturbing golden-vector event
-    /// boundaries.
+    /// A gate-shaped stream: quiet stretches at noise powers from below
+    /// the floor clamp to 1, loud bursts and slow ramps over them (so the
+    /// scan meets loud, quiet, mixed and partial blocks), and, with
+    /// `special`, NaN, ±inf, ±0, subnormal, huge finite and overflowing
+    /// components sprinkled through.
+    fn gate_stream(n: usize, seed: u64, special: bool) -> Vec<Complex> {
+        const ODD: [f64; 10] = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1e-310,
+            1e8,
+            -1e8,
+            1e150,
+            1e300,
+        ];
+        let mut u = wave(3 * n + 64, seed).into_iter().map(|v| v.re);
+        let mut next = move || u.next().unwrap_or(0.5);
+        let mut x = Vec::with_capacity(n);
+        let mut noise: f64 = 1e-3;
+        while x.len() < n {
+            let kind = ((next() + 1.0) * 2.0) as usize;
+            // Quiet stretches long enough for the floor to fall from 1 to
+            // the clamp.
+            let len = 8 + ((next() + 1.0) * [1500.0, 300.0, 200.0, 200.0][kind]) as usize;
+            if kind == 0 {
+                noise = [1e-16, 1e-6, 1e-3, 1.0][((next() + 1.0) * 2.0) as usize % 4];
+            }
+            for i in 0..len.min(n - x.len()) {
+                let amp = match kind {
+                    0 => noise.sqrt(),
+                    1 => (30.0 * noise).sqrt(),
+                    _ => (noise * (1.0 + 20.0 * i as f64 / len as f64)).sqrt(),
+                };
+                let mut v = Complex::new(amp * next(), amp * next());
+                if special && next() > 0.993 {
+                    v.re = ODD[((next() + 1.0) * 5.0) as usize % ODD.len()];
+                }
+                x.push(v);
+            }
+        }
+        x
+    }
+
+    /// Noise at about 6e-4, then, after `shift % 8` more samples of it,
+    /// noise far below the floor's 1e-12 clamp (even `shift`) or just
+    /// below it (odd) until the floor has fallen onto the clamp: the
+    /// shifts put the block where it does at every phase.
+    fn clamp_stream(shift: usize) -> Vec<Complex> {
+        let mut x: Vec<Complex> = wave(300 + shift % 8, 77)
+            .iter()
+            .map(|v| v.scale(0.03))
+            .collect();
+        let low = [1e-8, 1.1e-6][shift % 2];
+        x.extend(wave(2500, 78).iter().map(|v| v.scale(low)));
+        x
+    }
+
+    /// The scan's definition: the kernel must equal the textbook model
+    /// ([`reference::gated_power_scan`]) bit for bit, flags, state and
+    /// ring after every call, on loud random samples and on gate-shaped
+    /// streams, for the fused window of 16 and for windows summed alone.
     #[test]
     fn gated_power_scan_matches_reference_bitwise() {
-        for window in [8usize, 16, 24, 64] {
-            let x = wave(4099, window as u64);
-            let mut st_k = gate_state(window);
-            let mut st_r = st_k;
-            let mut ring_k = vec![0.0; window];
-            let mut ring_r = ring_k.clone();
-            let mut act_k = vec![0u8; x.len()];
-            let mut act_r = vec![0u8; x.len()];
-            gated_power_scan(&x, &mut ring_k, &mut st_k, &mut act_k);
-            reference::gated_power_scan(&x, &mut ring_r, &mut st_r, &mut act_r);
-            assert_eq!(act_k, act_r, "window {window}");
-            assert_eq!(
-                st_k.floor.to_bits(),
-                st_r.floor.to_bits(),
-                "window {window}"
-            );
-            assert_eq!(st_k.acc.to_bits(), st_r.acc.to_bits(), "window {window}");
+        for window in [1usize, 5, 8, 16, 24, 64] {
+            let streams = [
+                wave(4099, window as u64),
+                gate_stream(6000, window as u64, true),
+            ]
+            .into_iter()
+            .chain((0..2 * GATE_BLOCK).map(clamp_stream));
+            for (seed, x) in streams.enumerate() {
+                let calls = [GATE_BLOCK, 64, x.len()][seed % 3];
+                let mut st_k = gate_state(window);
+                if seed % 2 == 1 {
+                    // A caller's gate need not be `floor * threshold`.
+                    st_k.gate = 5e-4;
+                }
+                let mut st_r = st_k;
+                let mut ring_k = vec![0.0; window];
+                let mut ring_r = ring_k.clone();
+                for (i, xs) in x.chunks(calls).enumerate() {
+                    let mut act_k = vec![0u8; xs.len()];
+                    let mut act_r = vec![0u8; xs.len()];
+                    let z_k = gated_power_scan(xs, &mut ring_k, &mut st_k, &mut act_k);
+                    let z_r = reference::gated_power_scan(xs, &mut ring_r, &mut st_r, &mut act_r);
+                    let case = format!("window {window} stream {seed} call {i}");
+                    assert_eq!(z_k, z_r, "{case}");
+                    assert_eq!(act_k, act_r, "{case}");
+                    assert_eq!(st_k, st_r, "{case}");
+                    assert_eq!(ring_k, ring_r, "{case}");
+                }
+            }
         }
     }
 
-    /// Splitting one long scan into arbitrary sub-calls must produce the
-    /// same flags and final state: all scan state lives in `GateScanState`
-    /// and the ring, carried exactly across invocations.
+    /// Splitting a scan into calls of whole blocks (the last call
+    /// excepted) must produce the same flags and final state: all scan
+    /// state lives in `GateScanState` and the ring, carried exactly across
+    /// invocations. Only a call that ends inside a block steps that block
+    /// where a longer call would judge it whole.
     #[test]
     fn gated_power_scan_chunk_invariant() {
-        let x = wave(2000, 9);
+        let x = gate_stream(5000, 9, true);
         let mut st_whole = gate_state(16);
         let mut ring_whole = vec![0.0; 16];
         let mut act_whole = vec![0u8; x.len()];
         gated_power_scan(&x, &mut ring_whole, &mut st_whole, &mut act_whole);
 
-        for chunk in [1usize, 7, 16, 333] {
+        for chunk in [GATE_BLOCK, 16, 42 * GATE_BLOCK, 2048] {
             let mut st = gate_state(16);
             let mut ring = vec![0.0; 16];
             let mut act = vec![0u8; x.len()];
@@ -1870,6 +2444,137 @@ mod tests {
             }
             assert_eq!(act, act_whole, "chunk {chunk}");
             assert_eq!(st, st_whole, "chunk {chunk}");
+            assert_eq!(ring, ring_whole, "chunk {chunk}");
+        }
+    }
+
+    /// The AVX2 build of the gate (hand-written intrinsics) and the
+    /// portable body give the same flags, state, ring and zeroed count,
+    /// parsed or as cf32 pairs, on streams with ±0, NaN, ±inf, subnormal,
+    /// huge finite and overflowing samples, whatever the call lengths.
+    #[test]
+    fn gate_builds_agree_bit_for_bit() {
+        for seed in 0..12u64 {
+            let mut x = gate_stream(3000 + 97 * seed as usize, seed, seed % 3 != 0);
+            x.extend(clamp_stream(seed as usize));
+            let raw: Vec<crate::io::Cf32> = x
+                .iter()
+                .map(|v| {
+                    let (re, im) = ((v.re as f32).to_le_bytes(), (v.im as f32).to_le_bytes());
+                    [re[0], re[1], re[2], re[3], im[0], im[1], im[2], im[3]]
+                })
+                .collect();
+            let calls = [1usize, 7, 8, 333, 2048, 5000][seed as usize % 6];
+            let mut st = [gate_state(16); 4];
+            let mut ring = [[0.0; 16]; 4];
+            let mut act = [
+                vec![0u8; x.len()],
+                vec![0u8; x.len()],
+                vec![0u8; x.len()],
+                vec![0u8; x.len()],
+            ];
+            let mut zeroed = [0usize; 4];
+            let mut done = 0;
+            while done < x.len() {
+                let end = (done + calls).min(x.len());
+                let (xs, rs) = (&x[done..end], &raw[done..end]);
+                let [a0, a1, a2, a3] = &mut act;
+                zeroed[0] += gated_scan(xs, &mut ring[0], &mut st[0], &mut a0[done..end]);
+                zeroed[1] += body::gated_scan(xs, &mut ring[1], &mut st[1], &mut a1[done..end]);
+                zeroed[2] += gated_scan(rs, &mut ring[2], &mut st[2], &mut a2[done..end]);
+                zeroed[3] += body::gated_scan(rs, &mut ring[3], &mut st[3], &mut a3[done..end]);
+                done = end;
+            }
+            for k in [1, 3] {
+                assert_eq!(act[k - 1], act[k], "seed {seed} flags");
+                assert_eq!(st[k - 1], st[k], "seed {seed} state");
+                assert_eq!(ring[k - 1], ring[k], "seed {seed} ring");
+                assert_eq!(zeroed[k - 1], zeroed[k], "seed {seed} zeroed");
+            }
+        }
+    }
+
+    /// Where [`gated_prefix`] settles the first windows of a block, the
+    /// scan gives them the same flags, whatever the window and wherever
+    /// the block sits; on these streams it settles all but a handful.
+    #[test]
+    fn a_settled_block_prefix_keeps_its_flags() {
+        let (mut prefixes, mut unsettled) = (0, 0);
+        for window in [1usize, 5, 16, 24] {
+            for seed in 0..4u64 {
+                let mut x = gate_stream(3001, seed, seed % 2 == 1);
+                x.extend(clamp_stream(seed as usize));
+                let mut st = gate_state(window);
+                let mut ring = vec![0.0; window];
+                for xs in x.chunks(GATE_BLOCK) {
+                    let mut prefix = [[0u8; GATE_BLOCK]; GATE_BLOCK];
+                    let settled = prefix
+                        .iter_mut()
+                        .enumerate()
+                        .take(xs.len())
+                        .map(|(k, flags)| gated_prefix(&xs[..k], &ring, &st, flags))
+                        .collect::<Vec<_>>();
+                    let mut flags = [0u8; GATE_BLOCK];
+                    gated_power_scan(xs, &mut ring, &mut st, &mut flags[..xs.len()]);
+                    for (k, ok) in settled.into_iter().enumerate() {
+                        prefixes += 1;
+                        unsettled += usize::from(!ok);
+                        if ok {
+                            assert_eq!(prefix[k][..k], flags[..k], "window {window} seed {seed}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            unsettled * 1000 < prefixes,
+            "{unsettled} of {prefixes} unsettled"
+        );
+    }
+
+    /// At a tie with the gate within rounding, the rest of the block
+    /// decides a window's flag: a window the one-window step calls loud
+    /// but the idle trajectory calls idle is idle in a block that stays
+    /// idle and loud in one that a loud window makes stepped, so its
+    /// prefix does not settle.
+    #[test]
+    fn a_tie_at_the_gate_waits_for_its_block() {
+        let decay = body::decay(1.0 / 64.0);
+        let (mut ring, mut flags) = ([0.0], [0u8; GATE_BLOCK]);
+        // A floor, an idle first window whose trajectory gate ends above
+        // its step gate, and a second window's power between the two.
+        let tie = (1..100_000).find_map(|i| {
+            let mut st = gate_state(1);
+            st.floor = 1e-3 + 1e-9 * i as f64;
+            st.gate = st.floor * st.threshold;
+            let x0 = Complex::new((0.8 * st.floor).sqrt(), 0.0);
+            let p0 = x0.norm_sqr();
+            let (mut floor, mut step_gate) = (st.floor, st.gate);
+            body::gate_step(&[p0], &mut flags, &st, &mut floor, &mut step_gate);
+            let traj = body::trajectory(&[p0], st.floor, st.alpha, &decay);
+            let traj_gate = traj[0] * st.threshold;
+            // `re² + im²` lands on the trajectory gate: `re²` just under
+            // it, `im²` the small rest.
+            let re = f64::from_bits(traj_gate.sqrt().to_bits() - 2);
+            let x1 = Complex::new(re, (traj_gate - re * re).sqrt());
+            let p1 = x1.norm_sqr();
+            (step_gate < p1 && p1 <= traj_gate).then_some((st, x0, x1))
+        });
+        let (st, x0, x1) = tie.expect("a tie within the search");
+        assert!(!gated_prefix(&[x0, x1], &ring, &st, &mut flags));
+        assert!(
+            gated_prefix(&[x0], &ring, &st, &mut flags),
+            "one window settles"
+        );
+
+        let quiet = [x0, x1, x0, x0, x0, x0, x0, x0];
+        let mut stepped = quiet;
+        stepped[7] = Complex::ONE;
+        for (block, flag) in [(quiet, 0), (stepped, 1)] {
+            let mut s = st;
+            ring[0] = 0.0;
+            gated_power_scan(&block, &mut ring, &mut s, &mut flags);
+            assert_eq!(flags[1], flag, "the second window of {block:?}");
         }
     }
 

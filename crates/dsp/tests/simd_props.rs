@@ -766,9 +766,9 @@ proptest! {
             let zeroed = simd::gated_power_scan(&x, &mut ring_got, &mut st_got, &mut act_got);
             reference::gated_power_scan(&x, &mut ring_want, &mut st_want, &mut act_want);
             prop_assert_eq!(zeroed, 0, "finite input len={}", len);
-            // alpha is a power of two, so the kernel's fused `mul_add`
-            // EWMA rounds exactly like the textbook two-step form: the
-            // whole scan must agree bit for bit.
+            // The reference is the scan's definition (fresh window sums,
+            // the floor judged block by block): the whole scan must agree
+            // bit for bit.
             prop_assert_eq!(&act_got, &act_want, "flags len={} w={}", len, window);
             prop_assert_eq!(st_got, st_want, "state len={} w={}", len, window);
             prop_assert_eq!(&ring_got, &ring_want, "ring len={} w={}", len, window);

@@ -17,7 +17,11 @@
 //! which gates and splits each read's cf32 bytes as they arrive, in
 //! blocks of [`INGEST_BLOCK_SAMPLES`]: every burst is handed on as soon as
 //! the block that completes its capture has been scanned, not after the
-//! rest of the read. While nothing is queued and fewer than `workers`
+//! rest of the read. A read may end inside one of the gate's 8-sample
+//! floor blocks; its bursts still leave with it, except where a window
+//! ties with the gate within rounding, which waits for at most 7 more
+//! samples or the hang-up
+//! ([`EnergyStream`](ctc_core::defense::EnergyStream)). While nothing is queued and fewer than `workers`
 //! bursts are being processed, the thread decodes, classifies and writes
 //! each burst it cuts itself, with no hand-off, wake-up or cross-core
 //! copy; it scans its next block only once it has, so a lone recording

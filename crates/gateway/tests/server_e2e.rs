@@ -11,7 +11,8 @@
 //! sequence order over the interleaved JSONL stream, the bursts a read
 //! error must not drop, two streams at two workers starting no worker,
 //! isolation of a stalled stream, verdicts on a stream its client holds
-//! open behind a buffered writer, concurrent floods shedding their own
+//! open behind a buffered writer (one that stops inside a block of the
+//! gate's noise floor included), concurrent floods shedding their own
 //! bursts (through the one worker they start) while a later session runs
 //! inline, a panicking session failing the run instead of hanging it,
 //! session churn against the shared buffer pool, concurrent TCP fan-in,
@@ -22,6 +23,7 @@ use ctc_channel::noise::complex_gaussian;
 use ctc_core::attack::Emulator;
 use ctc_core::defense::{ChannelAssumption, DetectionPipeline, Detector, MonitorFactory};
 use ctc_dsp::io::{write_cf32, Cf32Reader};
+use ctc_dsp::simd::GATE_BLOCK;
 use ctc_dsp::Complex;
 use ctc_gateway::{
     FlightOptions, GatewayConfig, GatewayError, GatewayServer, Input, Listener, MetricsSnapshot,
@@ -948,7 +950,9 @@ fn stalled_stream_does_not_block_another() {
 
 /// A client that sends less than one default chunk and holds its
 /// connection open still gets its verdicts: ingest hands each read to the
-/// splitter instead of waiting for a full chunk or for the hang-up.
+/// splitter instead of waiting for a full chunk or for the hang-up. (Its
+/// stream ends 700 noise samples past the last frame; the next test ends
+/// one inside the gate's block that closes the frame.)
 #[test]
 fn held_open_stream_is_classified_before_hang_up() {
     let (bytes, total) = synthetic_capture(27);
@@ -988,6 +992,63 @@ fn held_open_stream_is_classified_before_hang_up() {
     let report = handle.join().unwrap().unwrap();
     assert_eq!(report.server.sessions_closed, 1);
     assert_eq!(report.metrics.samples_in as usize, total);
+    assert_eq!(report.metrics.frames_decoded, 2);
+    check_session_order(&events.contents());
+}
+
+/// A client holding its connection open may stop inside a block of
+/// [`GATE_BLOCK`] samples, whose noise floor the gate commits only once
+/// the block is complete. When the sample that closes the last frame (the
+/// end of its hang, with the capture's margin in) is among those, the
+/// frame is still classified before the client hangs up: the gate settles
+/// the windows of a partial block as they arrive.
+#[test]
+fn held_open_stream_ending_inside_a_block_is_classified_before_hang_up() {
+    let cfg = config();
+    let factory = MonitorFactory::new(cfg.energy, cfg.receiver.clone(), cfg.pipeline.clone())
+        .with_max_burst(cfg.max_burst);
+    let (capture, _) = synthetic_capture(27);
+    // Noise prepended (the capture's own first samples) moves the frames
+    // against the block boundaries; take the first shift that ends the
+    // stream inside a block.
+    let (bytes, cut) = (0..GATE_BLOCK)
+        .find_map(|pad| {
+            let bytes = [&capture[..8 * pad], &capture[..]].concat();
+            let mut splitter = factory.cf32_splitter();
+            let mut captures = splitter.push(bytes.as_chunks::<8>().0);
+            captures.extend(splitter.finish());
+            let last = captures.last().unwrap();
+            let margin = last.burst.start - last.capture_start;
+            let cut = (last.burst.end + cfg.energy.hang + 1).max(last.burst.end + margin);
+            (captures.len() == 2 && !cut.is_multiple_of(GATE_BLOCK)).then_some((bytes, cut))
+        })
+        .expect("a shift that ends the stream inside a block");
+
+    let mut server_config = ServerConfig::from(cfg);
+    server_config.stop_after = Some(1);
+    let (addr, events, handle) = serve_tcp(GatewayServer::new(server_config));
+    let mut client = TcpStream::connect(&addr).unwrap();
+    client.write_all(&bytes[..8 * cut]).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let text = events.contents();
+        if text.matches("\"type\":\"frame\"").count() == 2 {
+            assert!(
+                !text.contains("\"event\":\"close\""),
+                "the session must still be open:\n{text}"
+            );
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the last frame waited for the rest of its block:\n{text}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    drop(client);
+    let report = handle.join().unwrap().unwrap();
+    assert_eq!(report.metrics.samples_in as usize, cut);
     assert_eq!(report.metrics.frames_decoded, 2);
     check_session_order(&events.contents());
 }
