@@ -155,7 +155,11 @@ COMMANDS
             so port 0 works in scripts (`sed -n 's/^listening //p'`).
             --metrics-addr serves Prometheus text at /metrics for the run
             (port 0 picks a free port; the bound address prints on stderr);
-            --trace-out writes one JSONL span record per pipeline stage.
+            --trace-out FILE writes the run's journal as JSON lines, one
+            event per line as it is recorded: each burst, its stages
+            (ingest, queue, decode, classify, emit), its verdict with
+            per-feature scores, drops, queue depths and session opens and
+            closes, in the shape of a snapshot's `events`.
             --flight-out FILE runs the flight recorder, which journals
             every burst, stage, verdict and drop of a run into a bounded
             in-memory ring of its own (--flight-capacity N events, 1 to
@@ -816,8 +820,10 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
     };
 
     let mut server = GatewayServer::new(server_config).with_registry(registry);
-    if let Some(sink) = &trace {
-        server = server.with_trace_sink(Arc::clone(sink));
+    // The run flushes the trace log before it returns, so the forgery
+    // exit (code 3) never races its buffer.
+    if let Some(sink) = trace {
+        server = server.with_trace_sink(sink);
     }
     if let Some(options) = flight {
         server = server.with_flight(options);
@@ -849,15 +855,6 @@ fn cmd_monitor(args: &Args) -> Result<ExitCode, String> {
         Err(e) => return Ok(gateway_exit(&context, &e)),
     };
 
-    // Exit-code path audit: the forgery exit (code 3) must never race the
-    // telemetry buffers. The run has joined every pipeline thread by now,
-    // and the span log is flushed *here*, before the ExitCode is even
-    // constructed — not left to drop order on the way out of `main` (and
-    // never skipped the way a `process::exit` would skip it). The sink
-    // also flushes on drop, so the non-forgery path is covered twice.
-    if let Some(trace) = &trace {
-        trace.flush();
-    }
     if args.get("listen").is_some() {
         eprintln!(
             "gateway: {} session(s) served, {} refused, {} errored",

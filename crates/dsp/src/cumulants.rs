@@ -126,11 +126,6 @@ impl Cumulants {
         self.c40 / (self.c21 * self.c21)
     }
 
-    /// Scale-invariant `C41 / C21^2`.
-    pub fn c41_normalized(&self) -> Complex {
-        self.c41 / (self.c21 * self.c21)
-    }
-
     /// Scale-invariant `C42 / C21^2`.
     pub fn c42_normalized(&self) -> f64 {
         self.c42 / (self.c21 * self.c21)

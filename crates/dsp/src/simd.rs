@@ -519,15 +519,13 @@ kernels! {
     /// correction, reading only the chip instants. Chip pair `n` reads
     /// `x[4n+2].re` (I), `x[4n+3]` (midpoint) and `x[4n+4].im` (Q), for
     /// `n < raw.i.len()`. `raw` receives them as they are; `out` receives
-    /// them after `x[k]·e^{j·omega·k}` when `omega` is set, with
-    /// [`rotate_in_place`]'s lane phasors over all of `x`, and then `·r`
-    /// when `r` is set. Bit-identical to rotating a copy of `x` in place
-    /// with those kernels and sampling it; an unset correction is skipped,
-    /// not applied as a unit phasor.
+    /// them after `x[k]·e^{j·omega·k}`, with [`rotate_in_place`]'s lane
+    /// phasors over all of `x`, and then `·r`. Bit-identical to rotating a
+    /// copy of `x` in place with those kernels and sampling it.
     fn sample_chips(
         x: &[Complex],
-        omega: Option<f64>,
-        r: Option<Complex>,
+        omega: f64,
+        r: Complex,
         raw: ChipTaps<'_>,
         out: ChipTaps<'_>,
     );
@@ -1094,24 +1092,6 @@ mod body {
         }
     }
 
-    #[inline(always)]
-    pub fn sample_chips(
-        x: &[Complex],
-        omega: Option<f64>,
-        r: Option<Complex>,
-        raw: ChipTaps<'_>,
-        out: ChipTaps<'_>,
-    ) {
-        // One monomorphized pass per correction set, so a correction that
-        // is off costs no branch per sample.
-        match (omega, r) {
-            (Some(w), Some(r)) => chip_pass::<true, true>(x, w, r, raw, out),
-            (Some(w), None) => chip_pass::<true, false>(x, w, Complex::ONE, raw, out),
-            (None, Some(r)) => chip_pass::<false, true>(x, 0.0, r, raw, out),
-            (None, None) => chip_pass::<false, false>(x, 0.0, Complex::ONE, raw, out),
-        }
-    }
-
     /// Writes sample `idx` to the taps if it is a chip instant of a pair
     /// in range: `4n+2` → I, `4n+3` → midpoint, `4n+4` → Q. `phase` is
     /// `idx % 4`, passed apart so an unrolled lane loop sees a constant.
@@ -1152,7 +1132,7 @@ mod body {
     }
 
     #[inline(always)]
-    fn chip_pass<const CFO: bool, const PHASE: bool>(
+    pub fn sample_chips(
         x: &[Complex],
         omega: f64,
         r: Complex,
@@ -1182,26 +1162,18 @@ mod body {
         while base <= last {
             let block = (n - base).min(RESYNC);
             let whole = block - block % LANES;
-            let mut ph = [[1.0; LANES], [0.0; LANES]];
-            if CFO {
-                let seed: [Complex; LANES] =
-                    std::array::from_fn(|k| Complex::cis(omega * (base + k) as f64));
-                ph = [seed.map(|p| p.re), seed.map(|p| p.im)];
-            }
+            let seed: [Complex; LANES] =
+                std::array::from_fn(|k| Complex::cis(omega * (base + k) as f64));
+            let mut ph = [seed.map(|p| p.re), seed.map(|p| p.im)];
             let mut c0 = base;
             while c0 < base + whole && c0 <= last {
                 let xs: &[Complex; LANES] = x[c0..c0 + LANES].try_into().expect("one lane block");
-                let mut y = [
+                let y = [
                     std::array::from_fn(|k| xs[k].re),
                     std::array::from_fn(|k| xs[k].im),
                 ];
-                if CFO {
-                    y = cmul_lanes(y, ph);
-                    ph = cmul_lanes(ph, step);
-                }
-                if PHASE {
-                    y = cmul_lanes(y, rot);
-                }
+                let y = cmul_lanes(cmul_lanes(y, ph), rot);
+                ph = cmul_lanes(ph, step);
                 // `c0` is a multiple of `LANES`, so lane `k` is at phase `k % 4`.
                 for (k, &v) in xs.iter().enumerate() {
                     let yk = Complex::new(y[0][k], y[1][k]);
@@ -1212,13 +1184,7 @@ mod body {
             let end = (base + block).min(last + 1);
             let tail = (base + whole).min(end)..end;
             for (idx, &v) in (tail.start..).zip(&x[tail]) {
-                let mut y = v;
-                if CFO {
-                    y *= Complex::cis(omega * idx as f64);
-                }
-                if PHASE {
-                    y *= r;
-                }
+                let y = v * Complex::cis(omega * idx as f64) * r;
                 tap(idx % 4, idx, v, y, &mut raw, &mut out);
             }
             base += block;
@@ -1961,21 +1927,12 @@ pub mod reference {
     /// phasors.
     pub fn sample_chips(
         x: &[Complex],
-        omega: Option<f64>,
-        r: Option<Complex>,
+        omega: f64,
+        r: Complex,
         raw: ChipTaps<'_>,
         out: ChipTaps<'_>,
     ) {
-        let correct = |k: usize| {
-            let mut y = x[k];
-            if let Some(w) = omega {
-                y *= Complex::cis(w * k as f64);
-            }
-            if let Some(r) = r {
-                y *= r;
-            }
-            y
-        };
+        let correct = |k: usize| x[k] * Complex::cis(omega * k as f64) * r;
         for n in 0..raw.i.len() {
             let (i, m, q) = (4 * n + 2, 4 * n + 3, 4 * n + 4);
             raw.i[n] = x[i].re;
@@ -2232,8 +2189,8 @@ mod tests {
             let [g0, g1, g2, g3] = &mut got;
             sample_chips(
                 &a,
-                Some(-0.031),
-                Some(Complex::cis(0.4)),
+                -0.031,
+                Complex::cis(0.4),
                 ChipTaps {
                     i: g0,
                     q: g1,
@@ -2248,8 +2205,8 @@ mod tests {
             let [w0, w1, w2, w3] = &mut want;
             body::sample_chips(
                 &a,
-                Some(-0.031),
-                Some(Complex::cis(0.4)),
+                -0.031,
+                Complex::cis(0.4),
                 ChipTaps {
                     i: w0,
                     q: w1,

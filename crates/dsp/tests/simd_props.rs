@@ -331,10 +331,10 @@ fn taps(pairs: usize) -> (Vec<f64>, Vec<f64>, Vec<Complex>) {
 }
 
 /// `sample_chips` against a rotated copy sampled at the chip instants —
-/// `rotate_in_place` then `phase_rotate_in_place` over all of `x`, each
-/// only when set — bit for bit, and against the exact-`cis` model within
-/// the phasor drift band.
-fn check_sample_chips(x: &[Complex], omega: Option<f64>, r: Option<Complex>) {
+/// `rotate_in_place` then `phase_rotate_in_place` over all of `x` — bit
+/// for bit, and against the exact-`cis` model within the phasor drift
+/// band.
+fn check_sample_chips(x: &[Complex], omega: f64, r: Complex) {
     let pairs = x.len().saturating_sub(1) / 4;
     let (mut ri, mut rq, mut rm) = taps(pairs);
     let (mut oi, mut oq, mut om) = taps(pairs);
@@ -354,12 +354,8 @@ fn check_sample_chips(x: &[Complex], omega: Option<f64>, r: Option<Complex>) {
         },
     );
     let mut y = x.to_vec();
-    if let Some(w) = omega {
-        simd::rotate_in_place(&mut y, w);
-    }
-    if let Some(r) = r {
-        simd::phase_rotate_in_place(&mut y, r);
-    }
+    simd::rotate_in_place(&mut y, omega);
+    simd::phase_rotate_in_place(&mut y, r);
     let pick = |w: &[Complex]| -> (Vec<f64>, Vec<f64>, Vec<Complex>) {
         (
             (0..pairs).map(|n| w[4 * n + 2].re).collect(),
@@ -435,8 +431,8 @@ fn check_dot_rows(a: &[f64], rows: usize, seed: u64) {
 fn chip_sampling_keeps_the_rotated_copys_bits_around_every_reseed() {
     for n in (0..40).chain(1000..1050).chain(2040..2060) {
         for x in [wave(n, n as u64), special_wave(n, n as u64)] {
-            for omega in [None, Some(0.0), Some(-0.0), Some(0.0123), Some(-2.9)] {
-                for r in [None, Some(Complex::cis(0.7)), Some(Complex::ONE)] {
+            for omega in [0.0, -0.0, 0.0123, -2.9] {
+                for r in [Complex::cis(0.7), Complex::ONE] {
                     check_sample_chips(&x, omega, r);
                 }
             }
@@ -652,11 +648,8 @@ proptest! {
         seed in 0u64..1000,
         omega in -0.05f64..0.05,
         th in -3.2f64..3.2,
-        which in 0u32..4,
     ) {
-        let omega = (which & 1 == 1).then_some(omega);
-        let r = (which & 2 == 2).then(|| Complex::cis(th));
-        check_sample_chips(&wave(n, seed), omega, r);
+        check_sample_chips(&wave(n, seed), omega, Complex::cis(th));
     }
 
     #[test]

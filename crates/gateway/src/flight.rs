@@ -18,6 +18,7 @@ use ctc_obs::json::{array, JsonObject};
 use ctc_obs::{FlightRecorder, Registry, SnapshotBuilder};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::time::Instant;
 
 /// Flight-recorder configuration for a [`GatewayServer`](
 /// crate::server::GatewayServer).
@@ -69,17 +70,19 @@ pub(crate) struct FlightRun<'a> {
 }
 
 impl<'a> FlightRun<'a> {
-    /// Allocates the run's ring and captures its baseline (registry
-    /// exposition at start).
+    /// Allocates the run's ring, on a clock counted from `epoch` (the
+    /// run's start), and captures its baseline (registry exposition at
+    /// start).
     pub(crate) fn new(
         out: &'a Path,
         options: &'a FlightOptions,
         registry: Option<&'a Registry>,
         config: &'a ServerConfig,
         sessions: &'a SessionTable,
+        epoch: Instant,
     ) -> FlightRun<'a> {
         FlightRun {
-            recorder: FlightRecorder::with_capacity(options.capacity),
+            recorder: FlightRecorder::with_capacity(options.capacity).with_epoch(epoch),
             out,
             options,
             registry,
@@ -205,7 +208,7 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let (options, config) = (FlightOptions::default(), ServerConfig::default());
         let sessions = SessionTable::new();
-        let run = FlightRun::new(&path, &options, None, &config, &sessions);
+        let run = FlightRun::new(&path, &options, None, &config, &sessions, Instant::now());
         run.auto_trigger("forgery", None);
         let first = std::fs::read_to_string(&path).unwrap();
         assert!(first.contains("\"trigger\":\"forgery\""));
@@ -227,7 +230,7 @@ mod tests {
         };
         let (config, sessions) = (ServerConfig::default(), SessionTable::new());
         sessions.open(Some("s1".into()));
-        let run = FlightRun::new(&path, &options, None, &config, &sessions);
+        let run = FlightRun::new(&path, &options, None, &config, &sessions, Instant::now());
         run.auto_trigger("forgery", None);
         let json = std::fs::read_to_string(&path).unwrap();
         assert!(json.contains("\"config\":{"), "{json}");

@@ -33,20 +33,22 @@
 //! - [`error::GatewayError`] — typed failures with distinct process
 //!   exit codes for the CLI.
 //! - [`obs`] — publishes a run's counters into a [`ctc_obs::Registry`]
-//!   under canonical `ctc_*` names (run-wide and per-stream) and records
-//!   per-stage trace spans into a [`ctc_obs::TraceSink`]; see
-//!   [`GatewayServer::with_registry`] and
-//!   [`GatewayServer::with_trace_sink`]. Attaching them is the only
-//!   switch: a server with neither records nothing.
+//!   under canonical `ctc_*` names (run-wide and per-stream), and builds
+//!   each run's journal: its bursts, their stages, verdicts with
+//!   per-feature scores, drops and session lifecycle, each event built
+//!   once on the run's clock and handed to whichever destinations are
+//!   attached. See [`GatewayServer::with_registry`].
 //! - [`json`] — the workspace's JSON encoder and parser, re-exported
 //!   from [`ctc_obs::json`].
-//! - [`flight`] — a bounded-memory flight recorder
-//!   ([`ctc_obs::flight`]), attached only with a snapshot path,
-//!   journaling each run's bursts, stage boundaries, verdicts with
-//!   per-feature scores, drops and session lifecycle into a ring of its
-//!   own; on a trigger (a run's first accepted forgery, per-session
-//!   drop-budget exhaustion, `SIGUSR1`) it dumps a self-contained JSON
-//!   incident snapshot; see [`GatewayServer::with_flight`].
+//! - The journal's two destinations: a [`ctc_obs::TraceSink`] writes
+//!   every event as a JSON line as it is recorded
+//!   ([`GatewayServer::with_trace_sink`]), and [`flight`] runs a
+//!   bounded-memory flight recorder ([`ctc_obs::flight`]), attached only
+//!   with a snapshot path, whose ring holds each run's last events; on a
+//!   trigger (a run's first accepted forgery, per-session drop-budget
+//!   exhaustion, `SIGUSR1`) it dumps a self-contained JSON incident
+//!   snapshot ([`GatewayServer::with_flight`]). Attaching them is the
+//!   only switch: a server with neither builds no event.
 //!
 //! Monitor two labelled streams through one engine:
 //!

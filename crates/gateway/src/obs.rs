@@ -13,80 +13,105 @@
 //!   `{stream="..."}` label per session, plus `ctc_sessions_*`
 //!   lifecycle counters folded from the run's session table.
 //! * `RunObs` — the per-run observation handle threaded through ingest,
-//!   workers and sink. It records each stage interval once, fanned out
-//!   to the trace sink and the flight journal when they are attached;
-//!   with neither attached it records nothing. Attaching them to the
-//!   server at run time is the only switch.
+//!   workers and sink. It builds each journal event once, on the run's
+//!   clock, and hands it to whichever destinations are attached: the
+//!   flight recorder's ring and the trace sink's JSON lines. With neither
+//!   attached it builds nothing. Attaching them to the server at run time
+//!   is the only switch.
 
 use crate::flight::FlightRun;
 use crate::metrics::MetricsSnapshot;
 use crate::session::{Session, SessionId, SessionTable};
 use ctc_dsp::BufferPool;
-use ctc_obs::flight::{EventKind, FlightEvent, FlightRecorder};
+use ctc_obs::flight::{EventKind, FlightEvent};
 use ctc_obs::{Registry, ScopedRegistry, SpanStage, TraceSink};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-run observation handle: allocates span IDs, records stage
-/// intervals when a trace sink is attached, and journals flight-recorder
-/// events when a recorder is attached; does nothing otherwise.
+/// Per-run observation handle: journals events into the flight
+/// recorder's ring and the trace sink, when attached, and does nothing
+/// otherwise. A burst is named by its `(session, seq)` in both.
 #[derive(Clone, Copy)]
 pub(crate) struct RunObs<'a> {
+    /// The run's start: every event's `t_us` counts from it.
+    epoch: Instant,
     trace: Option<&'a TraceSink>,
     flight: Option<&'a FlightRun<'a>>,
+    /// Names of the verdict events' per-feature scores, in score order.
+    feature_names: &'a [&'static str],
 }
 
 impl<'a> RunObs<'a> {
-    /// A handle recording into `trace` and/or `flight` (when given).
-    pub(crate) fn new(trace: Option<&'a TraceSink>, flight: Option<&'a FlightRun<'a>>) -> Self {
-        RunObs { trace, flight }
-    }
-
-    /// A fresh span ID for one burst, or `0` (the disabled sentinel) when
-    /// no sink is attached — recording a `0` span is a no-op everywhere.
-    pub(crate) fn next_span(&self) -> u64 {
-        match self.trace {
-            Some(_) => ctc_obs::next_span_id(),
-            None => 0,
+    /// A handle journaling into `trace` and/or `flight` (when given) on a
+    /// clock counted from `epoch`. A `flight` ring must count from the
+    /// same `epoch`.
+    pub(crate) fn new(
+        epoch: Instant,
+        trace: Option<&'a TraceSink>,
+        flight: Option<&'a FlightRun<'a>>,
+        feature_names: &'a [&'static str],
+    ) -> Self {
+        RunObs {
+            epoch,
+            trace,
+            flight,
+            feature_names,
         }
     }
 
-    /// Records one stage interval for `span` — into the trace sink as a
-    /// span record, and into the flight journal as a compact stage event
-    /// (the drop stage is journaled by the shed path instead, as a
-    /// [`EventKind::Drop`] event with richer fields) — and returns its
-    /// length in µs.
+    fn attached(&self) -> bool {
+        self.trace.is_some() || self.flight.is_some()
+    }
+
+    /// µs from the run's start to `t`.
+    fn us(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_micros() as u64
+    }
+
+    /// Journals one stage of burst `seq` that ran from `start` to `end`,
+    /// as a stage event stamped at its end and timed on the run's clock,
+    /// so consecutive stages that share an `Instant` tile exactly. Returns
+    /// the stage's length in µs, as the frame line's `latency` reports it.
     pub(crate) fn record(
         &self,
         session: SessionId,
-        span: u64,
         seq: u64,
         stage: SpanStage,
         start: Instant,
         end: Instant,
     ) -> u64 {
-        let us = end.saturating_duration_since(start).as_micros() as u64;
-        if let Some(trace) = self.trace {
-            trace.record(span, seq, stage, start, end);
+        if self.attached() {
+            let (start_us, end_us) = (self.us(start), self.us(end));
+            let event = FlightEvent::new(EventKind::Stage, session, seq, end_us)
+                .with_args(stage as u64, end_us.saturating_sub(start_us));
+            self.emit(event);
         }
-        if stage != SpanStage::Drop {
-            self.flight_record(|rec| {
-                FlightEvent::new(EventKind::Stage, session, seq, rec.now_us())
-                    .with_args(stage as u64, us)
-            });
-        }
-        us
+        end.saturating_duration_since(start).as_micros() as u64
     }
 
-    /// Journals one flight event built by `make` (only invoked when a
-    /// recorder is attached, so the cost of constructing the event is
-    /// paid only then). Returns the event's ring ticket.
-    pub(crate) fn flight_record(
+    /// Journals one event of `kind`, stamped now, whose payload `fill`
+    /// adds. Nothing is built unless a destination is attached. Returns
+    /// the event's ring ticket when a recorder is.
+    pub(crate) fn journal(
         &self,
-        make: impl FnOnce(&FlightRecorder) -> FlightEvent,
+        kind: EventKind,
+        session: SessionId,
+        seq: u64,
+        fill: impl FnOnce(FlightEvent) -> FlightEvent,
     ) -> Option<u64> {
-        let rec = self.flight?.recorder();
-        Some(rec.record(make(rec)))
+        if !self.attached() {
+            return None;
+        }
+        let t_us = self.us(Instant::now());
+        self.emit(fill(FlightEvent::new(kind, session, seq, t_us)))
+    }
+
+    /// Hands one event to every attached destination.
+    fn emit(&self, event: FlightEvent) -> Option<u64> {
+        if let Some(trace) = self.trace {
+            trace.record(&event, self.feature_names);
+        }
+        self.flight.map(|flight| flight.recorder().record(event))
     }
 
     /// Auto trigger for an accepted forgery: dump one incident snapshot

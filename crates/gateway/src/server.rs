@@ -218,11 +218,6 @@ impl ShutdownHandle {
     pub fn shutdown(&self) {
         self.0.store(true, Relaxed);
     }
-
-    /// True once shutdown has been requested.
-    pub fn is_shutdown(&self) -> bool {
-        self.0.load(Relaxed)
-    }
 }
 
 /// One burst on its way to decode and classify: run inline by its
@@ -237,34 +232,22 @@ struct WorkItem {
     arrived: Instant,
     /// When ingest handed the burst on: its `queue` stage starts here.
     enqueued: Instant,
-    /// Trace span for this burst (`0` = tracing disabled).
-    span: u64,
 }
 
-/// One entry of a session's sequence order: a rendered event line (its
-/// span's `emit` stage ends when it is written; span `0`: untraced), or
-/// the session's close marker, rendered with its final counters.
+/// One entry of a session's sequence order: a rendered event line, or
+/// the session's close marker, rendered with its final counters. A frame
+/// line carries when its burst was classified: its `emit` stage ends
+/// when the line is written. A session marker or a `dropped` filler
+/// carries `None`: it is no burst's stage.
 enum Slot {
     Line {
         line: String,
-        span: u64,
-        classified: Instant,
+        classified: Option<Instant>,
     },
     Close {
         session: Arc<Session>,
         error: Option<String>,
     },
-}
-
-impl Slot {
-    /// An untraced line: a session marker or a `dropped` filler.
-    fn untraced(line: String) -> Self {
-        Slot::Line {
-            line,
-            span: 0,
-            classified: Instant::now(),
-        }
-    }
 }
 
 /// The run's event writer and every session's reorder state, behind one
@@ -427,14 +410,18 @@ impl GatewayServer {
         self
     }
 
-    /// Records per-stage span intervals into `trace`.
+    /// Writes each run's journal to `trace` as it is recorded, one JSON
+    /// line per event: bursts, their stages, verdicts (with per-feature
+    /// scores), drops, queue depths and session lifecycle, in the schema
+    /// of an incident snapshot's `events`. A run that succeeds flushes
+    /// `trace` before it returns its report.
     pub fn with_trace_sink(mut self, trace: Arc<TraceSink>) -> Self {
         self.trace = Some(trace);
         self
     }
 
     /// Attaches a flight recorder when [`FlightOptions::out`] names a
-    /// snapshot path, and nothing otherwise: the journal has no other
+    /// snapshot path, and nothing otherwise: the ring has no other
     /// reader. Each run then journals bursts, stage boundaries, verdicts
     /// (with per-feature scores), drops and session lifecycle wait-free
     /// into a ring of its own, and a trigger — the run's first accepted
@@ -530,6 +517,7 @@ impl GatewayServer {
             .with_max_burst(gw.max_burst);
         let feature_names = gw.pipeline.feature_names();
         let scores = (!feature_names.is_empty()).then(|| ScoreBoard::new(feature_names));
+        let feature_names = scores.as_ref().map_or(&[][..], ScoreBoard::names);
         let output = Output::new(events);
         let started = Instant::now();
         let fatal_in_streams = matches!(feed, Feed::Streams(_));
@@ -546,9 +534,21 @@ impl GatewayServer {
             }
         }
         let flight = self.flight.as_ref().map(|(out, options)| {
-            FlightRun::new(out, options, self.registry.as_deref(), cfg, &sessions)
+            FlightRun::new(
+                out,
+                options,
+                self.registry.as_deref(),
+                cfg,
+                &sessions,
+                started,
+            )
         });
-        let obs = RunObs::new(self.trace.as_deref(), flight.as_ref());
+        let obs = RunObs::new(
+            started,
+            self.trace.as_deref(),
+            flight.as_ref(),
+            feature_names,
+        );
         let engine = Engine {
             factory: &factory,
             scores: scores.as_ref(),
@@ -709,7 +709,7 @@ impl GatewayServer {
         }
         output_result.map_err(GatewayError::sink)?;
 
-        // Span records buffer in the sink; push them out while the run's
+        // Journal lines buffer in the sink; push them out while the run's
         // counters are still being finalised so nothing is lost if the
         // caller exits right after reading the report.
         if let Some(trace) = &self.trace {
@@ -778,19 +778,22 @@ impl<W: Write + Send> Engine<'_, '_, W> {
         peer: Option<&str>,
     ) -> io::Result<()> {
         let (id, obs) = (session.id(), self.obs);
-        obs.flight_record(|rec| FlightEvent::new(EventKind::SessionOpen, id, 0, rec.now_us()));
+        obs.journal(EventKind::SessionOpen, id, 0, |ev| ev);
         if session.label().is_some() {
             let seq = session.next_seq();
             let line = session_open_line(session, seq, peer);
-            self.output.deliver(id, seq, Slot::untraced(line), obs);
+            let slot = Slot::Line {
+                line,
+                classified: None,
+            };
+            self.output.deliver(id, seq, slot, obs);
             // The first read may wait on a silent client.
             self.output.flush();
         }
         let result = self.ingest(scope, reader, session);
         session.end(result.is_err());
-        obs.flight_record(|rec| {
-            FlightEvent::new(EventKind::SessionClose, id, 0, rec.now_us())
-                .with_args(result.is_err() as u64, 0)
+        obs.journal(EventKind::SessionClose, id, 0, |ev| {
+            ev.with_args(result.is_err() as u64, 0)
         });
         if session.label().is_some() {
             let seq = session.next_seq();
@@ -828,7 +831,7 @@ impl<W: Write + Send> Engine<'_, '_, W> {
                 Err(e) => break Err(e),
             };
             // `arrived` is when the read returned (a silent client's wait is
-            // not counted): the start of every span this read completes.
+            // not counted): the start of every burst this read completes.
             let arrived = Instant::now();
             own.chunks_in.fetch_add(1, Relaxed);
             own.samples_in.fetch_add(raw.len() as u64, Relaxed);
@@ -855,11 +858,11 @@ impl<W: Write + Send> Engine<'_, '_, W> {
     /// `workers` bursts are being processed; otherwise the burst goes onto
     /// the work queue, whose drop budget arbitrates overload, and the push
     /// starts a worker in `scope` while fewer than `workers` have started.
-    /// Each burst's `ingest` span runs from `arrived` (when its read
+    /// Each burst's `ingest` stage runs from `arrived` (when its read
     /// returned) to the hand-off, where its `queue` stage starts; an
-    /// inline burst's queue stage ends where it starts. The output is flushed once at the end,
-    /// so the lines of one block leave together, and a block that
-    /// completed no burst flushes nothing.
+    /// inline burst's queue stage ends where it starts. The output is
+    /// flushed once at the end, so the lines of one block leave together,
+    /// and a block that completed no burst flushes nothing.
     fn dispatch<'s>(
         &'s self,
         scope: &'s Scope<'s, '_>,
@@ -874,12 +877,10 @@ impl<W: Write + Send> Engine<'_, '_, W> {
         for capture in captures.drain(..) {
             session.metrics().bursts.fetch_add(1, Relaxed);
             let seq = session.next_seq();
-            let span = obs.next_span();
             let enqueued = Instant::now();
-            obs.record(id, span, seq, SpanStage::Ingest, arrived, enqueued);
-            obs.flight_record(|rec| {
-                FlightEvent::new(EventKind::Burst, id, seq, rec.now_us())
-                    .with_args(capture.burst.start as u64, capture.samples.len() as u64)
+            obs.record(id, seq, SpanStage::Ingest, arrived, enqueued);
+            obs.journal(EventKind::Burst, id, seq, |ev| {
+                ev.with_args(capture.burst.start as u64, capture.samples.len() as u64)
             });
             let item = WorkItem {
                 session: session.clone(),
@@ -887,7 +888,6 @@ impl<W: Write + Send> Engine<'_, '_, W> {
                 capture,
                 arrived,
                 enqueued,
-                span,
             };
             if self.queue.run_inline(self.workers) {
                 let slot = self.process(item, enqueued);
@@ -906,9 +906,8 @@ impl<W: Write + Send> Engine<'_, '_, W> {
                 if let Evicted::Item { item: evicted, .. } = evicted {
                     self.shed(evicted);
                 }
-                obs.flight_record(|rec| {
-                    FlightEvent::new(EventKind::QueueDepth, id, seq, rec.now_us())
-                        .with_args(self.queue.len() as u64, 0)
+                obs.journal(EventKind::QueueDepth, id, seq, |ev| {
+                    ev.with_args(self.queue.len() as u64, 0)
                 });
             }
         }
@@ -933,19 +932,23 @@ impl<W: Write + Send> Engine<'_, '_, W> {
     /// sequence slot with a `dropped` line, so the session's order never
     /// waits on work that will not arrive.
     fn shed(&self, evicted: WorkItem) {
-        let (obs, now) = (self.obs, Instant::now());
+        let obs = self.obs;
         let samples = evicted.capture.samples.len() as u64;
         let own = evicted.session.metrics();
         own.bursts_dropped.fetch_add(1, Relaxed);
         own.samples_dropped.fetch_add(samples, Relaxed);
-        let (id, seq, span) = (evicted.session.id(), evicted.seq, evicted.span);
-        let queued_us = obs.record(id, span, seq, SpanStage::Drop, evicted.enqueued, now);
-        let ticket = obs.flight_record(|rec| {
-            FlightEvent::new(EventKind::Drop, id, seq, rec.now_us()).with_args(samples, queued_us)
+        let (id, seq) = (evicted.session.id(), evicted.seq);
+        let ticket = obs.journal(EventKind::Drop, id, seq, |ev| {
+            let queued = evicted.enqueued.elapsed().as_micros() as u64;
+            ev.with_args(samples, queued)
         });
         obs.flight_drop_check(&evicted.session, ticket);
         let line = dropped_line(evicted.session.label(), seq, &evicted.capture);
-        self.output.deliver(id, seq, Slot::untraced(line), obs);
+        let slot = Slot::Line {
+            line,
+            classified: None,
+        };
+        self.output.deliver(id, seq, slot, obs);
     }
 
     /// Decode, classify and render one burst whose queue stage ended at
@@ -959,7 +962,6 @@ impl<W: Write + Send> Engine<'_, '_, W> {
             capture,
             arrived,
             enqueued,
-            span,
         } = item;
         let (processor, obs) = (self.factory.processor(), self.obs);
         let reception = processor.decode(&capture);
@@ -970,9 +972,9 @@ impl<W: Write + Send> Engine<'_, '_, W> {
             board.record(s);
         }
         let id = session.id();
-        let queue_us = obs.record(id, span, seq, SpanStage::Queue, enqueued, dequeued);
-        let decode_us = obs.record(id, span, seq, SpanStage::Decode, dequeued, decoded);
-        let classify_us = obs.record(id, span, seq, SpanStage::Classify, decoded, done);
+        let queue_us = obs.record(id, seq, SpanStage::Queue, enqueued, dequeued);
+        let decode_us = obs.record(id, seq, SpanStage::Decode, dequeued, decoded);
+        let classify_us = obs.record(id, seq, SpanStage::Classify, decoded, done);
         let ingest_us = enqueued.saturating_duration_since(arrived).as_micros() as u64;
         let total_us = done.saturating_duration_since(enqueued).as_micros() as u64;
         let own = session.metrics();
@@ -987,7 +989,7 @@ impl<W: Write + Send> Engine<'_, '_, W> {
         // The verdict journal entry carries everything the incident report
         // needs to explain the call: flags, the DE² statistic, the fused
         // score and the per-feature scores already computed for this burst.
-        let verdict_ticket = obs.flight_record(|rec| {
+        let verdict_ticket = obs.journal(EventKind::Verdict, id, seq, |ev| {
             let mut flags = 0u64;
             if event.payload.is_some() {
                 flags |= FlightEvent::VERDICT_DECODED;
@@ -999,8 +1001,7 @@ impl<W: Write + Send> Engine<'_, '_, W> {
                 flags |= FlightEvent::VERDICT_ACCEPTED;
             }
             let de2 = event.verdict.map(|v| v.de_squared).unwrap_or(f64::NAN);
-            let ev = FlightEvent::new(EventKind::Verdict, id, seq, rec.now_us())
-                .with_args(flags, de2.to_bits());
+            let ev = ev.with_args(flags, de2.to_bits());
             match &event.scores {
                 Some(s) => ev.with_scores(s.fused, s.features.entries().iter().map(|(_, v)| *v)),
                 None => ev,
@@ -1024,8 +1025,7 @@ impl<W: Write + Send> Engine<'_, '_, W> {
         });
         Slot::Line {
             line,
-            span,
-            classified: done,
+            classified: Some(done),
         }
     }
 }
@@ -1042,14 +1042,12 @@ fn drain_session<W: Write>(
     let mut closed = false;
     while let Some(slot) = sink.pending.remove(&sink.next) {
         match slot {
-            Slot::Line {
-                line,
-                span,
-                classified,
-            } => {
+            Slot::Line { line, classified } => {
                 write_line(events, &line)?;
-                let (seq, now) = (sink.next, Instant::now());
-                obs.record(session, span, seq, SpanStage::Emit, classified, now);
+                if let Some(classified) = classified {
+                    let (seq, now) = (sink.next, Instant::now());
+                    obs.record(session, seq, SpanStage::Emit, classified, now);
+                }
             }
             Slot::Close { session, error } => {
                 let line = session_close_line(&session, sink.next, error.as_deref());

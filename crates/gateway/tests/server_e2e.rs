@@ -5,16 +5,18 @@
 //! One unlabelled stream (how `ctc monitor --input` runs a recording)
 //! pins the single-stream event and stats shape, chunking,
 //! short-read and worker-count invariance, a recording that is never
-//! shed and starts no worker, the trace span chains, an `ingest` stage that starts when the
-//! data arrives, one flush for the frames of one read, and the canonical
-//! metric names. Labelled streams pin session labelling and per-session
-//! sequence order over the interleaved JSONL stream, the bursts a read
-//! error must not drop, two streams at two workers starting no worker,
-//! isolation of a stalled stream, verdicts on a stream its client holds
-//! open behind a buffered writer (one that stops inside a block of the
-//! gate's noise floor included), concurrent floods shedding their own
-//! bursts (through the one worker they start) while a later session runs
-//! inline, a panicking session failing the run instead of hanging it,
+//! shed and starts no worker, the trace log's journal and its stage
+//! chains, an `ingest` stage that starts when the data arrives, one
+//! flush for the frames of one read, and the canonical metric names.
+//! Labelled streams pin session labelling and per-session sequence order
+//! over the interleaved JSONL stream, the bursts a read error must not
+//! drop, two streams at two workers starting no worker, isolation of a
+//! stalled stream, verdicts on a stream its client holds open behind a
+//! buffered writer (one that stops inside a block of the gate's noise
+//! floor included), concurrent floods shedding their own bursts (through
+//! the one worker they start, each shed burst journaled) while a later
+//! session runs inline, a panicking session failing the run instead of
+//! hanging it,
 //! session churn against the shared buffer pool, concurrent TCP fan-in,
 //! and run-wide totals that equal the sum over sessions.
 
@@ -29,6 +31,7 @@ use ctc_gateway::{
     FlightOptions, GatewayConfig, GatewayError, GatewayServer, Input, Listener, MetricsSnapshot,
     NamedStream, ServerConfig, ServerReport, INGEST_BLOCK_SAMPLES,
 };
+use ctc_obs::flight::MAX_EVENT_SCORES;
 use ctc_obs::json::{self, JsonValue};
 use ctc_zigbee::Transmitter;
 use rand::rngs::StdRng;
@@ -621,36 +624,92 @@ fn a_read_error_still_processes_the_bursts_already_read() {
     );
 }
 
-/// One parsed span record from the JSONL trace log.
-#[derive(Debug, Clone)]
-struct SpanRecord {
-    span: u64,
-    seq: u64,
-    stage: String,
-    start_us: u64,
-    end_us: u64,
+/// The stages of a decoded burst, in the order they run.
+const CHAIN: [&str; 5] = ["ingest", "queue", "decode", "classify", "emit"];
+
+/// An integer field of a parsed line.
+fn num(v: &JsonValue, key: &str) -> u64 {
+    let n = v.get(key).and_then(JsonValue::as_f64);
+    n.unwrap_or_else(|| panic!("{key} in {v:?}")) as u64
 }
 
-fn parse_trace(text: &str) -> Vec<SpanRecord> {
-    text.lines()
-        .map(|l| SpanRecord {
-            span: field(l, "span").parse().unwrap(),
-            seq: field(l, "seq").parse().unwrap(),
-            stage: field(l, "stage").trim_matches('"').to_string(),
-            start_us: field(l, "start_us").parse().unwrap(),
-            end_us: field(l, "end_us").parse().unwrap(),
-        })
-        .collect()
+/// A string field of a parsed line (`""` when absent).
+fn text<'a>(v: &'a JsonValue, key: &str) -> &'a str {
+    v.get(key).and_then(JsonValue::as_str).unwrap_or("")
 }
 
-/// The span log must reconstruct, for every emitted frame, a contiguous
-/// stage chain ingest → queue → decode → classify → emit: each stage's
-/// `end_us` is the next stage's `start_us` (the pipeline hands the same
-/// `Instant` across every boundary), timestamps are monotonic, and the
-/// chain is invariant under worker-pool size — only the numbers may vary.
+/// Checks a run's trace log against its event lines, and returns it.
+/// Every line is one journal event. Every decoded burst has one `burst`
+/// event, one `verdict` whose scores are the frame's features (the first
+/// [`MAX_EVENT_SCORES`]), and the stages of [`CHAIN`] in order, each
+/// starting (`t_us − dur_us`) where the one before it ended. Every shed
+/// burst has its `burst`, `ingest` and `drop` events and no more.
+fn check_journal(report: &ServerReport, events: &str, trace: &str) -> Vec<JsonValue> {
+    let kinds = "session_open session_close burst stage verdict drop queue_depth";
+    let journal: Vec<JsonValue> = trace.lines().map(|l| json::parse(l).unwrap()).collect();
+    for e in &journal {
+        assert!(kinds.split(' ').any(|k| k == text(e, "kind")), "{e:?}");
+        let _ = (num(e, "t_us"), num(e, "session"), num(e, "seq"));
+    }
+    let kinds = |kind: &str| journal.iter().filter(|e| text(e, "kind") == kind).count();
+    assert_eq!(kinds("burst") as u64, report.metrics.bursts, "{trace}");
+    assert_eq!(kinds("drop") as u64, report.metrics.bursts_dropped);
+    assert_eq!(kinds("session_open"), report.sessions.len());
+    for line in events.lines() {
+        let frame = json::parse(line).unwrap();
+        let decoded = match text(&frame, "type") {
+            "frame" => true,
+            "dropped" => false,
+            _ => continue,
+        };
+        let label = frame.get("stream").and_then(JsonValue::as_str);
+        let session = report.sessions.iter().find(|s| s.label.as_deref() == label);
+        let (session, seq) = (session.unwrap().id, num(&frame, "seq"));
+        let burst: Vec<&JsonValue> = journal
+            .iter()
+            .filter(|e| num(e, "session") == session && num(e, "seq") == seq)
+            .filter(|e| !text(e, "kind").starts_with("session"))
+            .collect();
+        let count = |kind: &str| burst.iter().filter(|e| text(e, "kind") == kind).count();
+        let stages: Vec<&JsonValue> = burst
+            .iter()
+            .copied()
+            .filter(|e| text(e, "kind") == "stage")
+            .collect();
+        let names: Vec<&str> = stages.iter().map(|e| text(e, "stage")).collect();
+        assert_eq!(count("burst"), 1, "{line}");
+        if !decoded {
+            assert_eq!((count("drop"), count("verdict")), (1, 0), "{line}");
+            assert_eq!(names, ["ingest"], "{line}");
+            continue;
+        }
+        assert_eq!((count("drop"), count("verdict")), (0, 1), "{line}");
+        // Trace lines leave in the order they are recorded, and a burst's
+        // stages are recorded one after another.
+        assert_eq!(names, CHAIN, "{line}");
+        for pair in stages.windows(2) {
+            let start = num(pair[1], "t_us").checked_sub(num(pair[1], "dur_us"));
+            let gap = format!("a gap or an overlap before {:?}", pair[1]);
+            assert_eq!(start, Some(num(pair[0], "t_us")), "{gap}");
+        }
+        let keys = |v: Option<&JsonValue>| -> Vec<String> {
+            let fields = v.and_then(JsonValue::as_object).unwrap_or_default();
+            fields.iter().map(|(k, _)| k.clone()).collect()
+        };
+        let mut features = keys(frame.get("features"));
+        features.truncate(MAX_EVENT_SCORES);
+        let verdict = burst.iter().find(|e| text(e, "kind") == "verdict");
+        assert_eq!(keys(verdict.unwrap().get("scores")), features, "{line}");
+    }
+    journal
+}
+
+/// The trace log is the run's journal: for every emitted frame it holds
+/// a stage chain ingest → queue → decode → classify → emit that tiles the
+/// run's clock, beside the burst's `burst` and `verdict` events, and it
+/// is invariant under worker-pool size — only the numbers may vary.
 #[test]
 fn trace_log_reconstructs_contiguous_stage_chains() {
-    const CHAIN: [&str; 5] = ["ingest", "queue", "decode", "classify", "emit"];
     let (bytes, _) = synthetic_capture(11);
     for workers in [1usize, 2, 4] {
         let buf = SharedBuf::default();
@@ -659,39 +718,17 @@ fn trace_log_reconstructs_contiguous_stage_chains() {
             workers,
             ..config()
         };
-        let (report, _, _) = run_single(&single_stream(cfg).with_trace_sink(sink), &bytes[..]);
+        let (report, events, _) = run_single(&single_stream(cfg).with_trace_sink(sink), &bytes[..]);
         assert_eq!(report.metrics.frames_decoded, 2, "workers {workers}");
         assert_eq!(report.metrics.bursts_dropped, 0, "workers {workers}");
 
-        let text = buf.contents();
-        let records = parse_trace(&text);
-        // Exactly one full chain per burst, nothing else in the log.
-        assert_eq!(records.len(), 2 * CHAIN.len(), "workers {workers}:\n{text}");
-        for seq in [0u64, 1] {
-            let mut chain: Vec<&SpanRecord> = records.iter().filter(|r| r.seq == seq).collect();
-            // Workers race, so records may be out of order in the file;
-            // the timestamps, not file order, define the chain.
-            chain.sort_by_key(|r| (r.start_us, r.end_us));
-            let stages: Vec<&str> = chain.iter().map(|r| r.stage.as_str()).collect();
-            assert_eq!(stages, CHAIN, "workers {workers}, seq {seq}");
-            // One span per burst, never the disabled sentinel.
-            assert_ne!(chain[0].span, 0);
-            assert!(chain.iter().all(|r| r.span == chain[0].span));
-            for r in &chain {
-                assert!(r.start_us <= r.end_us, "workers {workers}: {r:?}");
-            }
-            // Contiguity: stage N ends exactly where stage N+1 starts.
-            for pair in chain.windows(2) {
-                assert_eq!(
-                    pair[0].end_us, pair[1].start_us,
-                    "workers {workers}, seq {seq}: gap between {} and {}",
-                    pair[0].stage, pair[1].stage
-                );
-            }
-        }
-        // The two bursts carry distinct spans.
-        let span_of = |seq| records.iter().find(|r| r.seq == seq).unwrap().span;
-        assert_ne!(span_of(0), span_of(1), "workers {workers}");
+        let log = buf.contents();
+        let journal = check_journal(&report, &events, &log);
+        // The session's open and close, and per burst its `burst`, five
+        // stages and `verdict`: nothing else.
+        assert_eq!(journal.len(), 2 + 2 * 7, "workers {workers}:\n{log}");
+        assert_eq!(text(&journal[0], "kind"), "session_open");
+        assert_eq!(text(journal.last().unwrap(), "kind"), "session_close");
     }
 }
 
@@ -712,10 +749,12 @@ impl Read for LateReader<'_> {
 
 /// The `ingest` stage starts when a read returns with the data, not when
 /// the gateway starts waiting for it: a client's silence before it sends
-/// is not gateway work, in the span log or in the incident digest the
-/// flight recorder builds from the same stage events.
+/// is not gateway work, in the trace log or in the incident digest the
+/// flight recorder builds from the same stage events. The two
+/// destinations hold one journal on one clock: every event the snapshot
+/// embeds is, byte for byte, a line of the trace log.
 #[test]
-fn ingest_span_starts_when_the_data_arrives() {
+fn ingest_stage_starts_when_the_data_arrives() {
     const SILENCE: Duration = Duration::from_millis(300);
     let limit_us = SILENCE.as_micros() as u64;
     let (bytes, _) = synthetic_capture(16);
@@ -734,23 +773,23 @@ fn ingest_span_starts_when_the_data_arrives() {
         wait: Some(SILENCE),
         bytes: &bytes,
     };
-    let (report, _, _) = run_single(&server, late);
+    let (report, events, _) = run_single(&server, late);
     assert_eq!(report.metrics.frames_decoded, 2);
     assert!(report.forgery_detected());
 
-    let text = trace.contents();
-    let ingest: Vec<SpanRecord> = parse_trace(&text)
-        .into_iter()
-        .filter(|r| r.stage == "ingest")
+    let log = trace.contents();
+    let journal = check_journal(&report, &events, &log);
+    let ingest: Vec<&JsonValue> = journal
+        .iter()
+        .filter(|e| text(e, "stage") == "ingest")
         .collect();
-    assert_eq!(ingest.len(), 2, "{text}");
-    for r in &ingest {
-        assert!(
-            r.end_us - r.start_us < limit_us,
-            "ingest span counts the client's silence: {r:?}"
-        );
+    assert_eq!(ingest.len(), 2, "{log}");
+    for e in ingest {
+        let silence = format!("ingest stage counts the client's silence: {e:?}");
+        assert!(num(e, "dur_us") < limit_us, "{silence}");
     }
-    let doc = json::parse(&std::fs::read_to_string(&incident).unwrap()).unwrap();
+    let snapshot = std::fs::read_to_string(&incident).unwrap();
+    let doc = json::parse(&snapshot).unwrap();
     let max_us = doc
         .get("stages")
         .and_then(|s| s.get("ingest"))
@@ -761,6 +800,10 @@ fn ingest_span_starts_when_the_data_arrives() {
         max_us < limit_us as f64,
         "incident digest counts the client's silence: {max_us} µs"
     );
+    let embedded = doc.get("events").and_then(JsonValue::as_array).unwrap();
+    let shared = log.lines().filter(|l| snapshot.contains(l)).count();
+    assert!(!embedded.is_empty());
+    assert_eq!(shared, embedded.len(), "{snapshot}\n{log}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -1087,7 +1130,9 @@ impl Read for AfterClose<'_> {
 /// both decode slots until every other flood has read to its end, so
 /// those floods queue all their bursts and the drop budget must shed:
 /// every shed burst is a `dropped` line at its own `seq` in its own
-/// session's order. A session that starts once they have all closed
+/// session's order, and a `drop` event in the trace log, where every
+/// decoded one has its whole stage chain. A session that starts once
+/// they have all closed
 /// finds nothing queued and no slot taken, and runs every burst on its
 /// own thread: none is dropped, and each frame's queue stage is empty.
 /// The first queued burst starts the run's one worker, and no later push
@@ -1122,11 +1167,14 @@ fn concurrent_floods_shed_their_own_bursts_and_a_later_session_runs_inline() {
         .map(|label| NamedStream::new(*label, hold.flood(&flood)))
         .collect();
     streams.push(NamedStream::new("late", late));
+    let trace = SharedBuf::default();
     let report = GatewayServer::new(ServerConfig::from(cfg))
+        .with_trace_sink(Arc::new(ctc_obs::TraceSink::new(Box::new(trace.clone()))))
         .run_streams(streams, &mut events.clone(), &mut Vec::new())
         .unwrap();
 
     let text = events.contents();
+    check_journal(&report, &text, &trace.contents());
     let lines_of = |stream: &str| -> Vec<&str> {
         let tag = format!("\"stream\":\"{stream}\"");
         text.lines().filter(|l| l.contains(&tag)).collect()

@@ -6,7 +6,7 @@
 //! Aggregate counters answer "how much"; they cannot answer "what was
 //! the system doing in the seconds before the detector fired?". The
 //! [`FlightRecorder`] keeps the last `capacity` events — burst arrivals,
-//! per-stage span boundaries, detector verdicts with per-feature scores,
+//! per-stage boundaries, detector verdicts with per-feature scores,
 //! queue-depth samples, drops, session opens/closes — in a fixed block
 //! of atomics, overwriting the oldest. Recording is wait-free and
 //! allocation-free: a writer claims a ticket with one `fetch_add`, then
@@ -70,8 +70,9 @@ pub enum EventKind {
     /// A burst capture closed at ingest (`a` = start sample offset,
     /// `b` = samples in the capture).
     Burst = 3,
-    /// One pipeline stage boundary (`a` = the
-    /// [`SpanStage`](crate::SpanStage) id, `b` = duration in µs).
+    /// One pipeline stage, stamped at its end (`a` = the
+    /// [`SpanStage`](crate::SpanStage) id, `b` = duration in µs, so
+    /// `t_us − b` is its start).
     Stage = 4,
     /// A detector verdict (`a` = flag bits, see [`FlightEvent::
     /// VERDICT_DECODED`] and friends; `b` = DE² statistic bits; fused
@@ -122,7 +123,8 @@ impl EventKind {
 /// on the stack and stored wordwise, never boxed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlightEvent {
-    /// Microseconds since the recorder's epoch (its construction).
+    /// Microseconds since the journal's epoch (see
+    /// [`FlightRecorder::with_epoch`]).
     pub t_us: u64,
     /// What happened.
     pub kind: EventKind,
@@ -280,8 +282,17 @@ impl FlightRecorder {
         self.head.load(Ordering::Relaxed)
     }
 
-    /// Microseconds since this recorder was constructed — the timestamp
-    /// base every event uses.
+    /// Counts this recorder's clock from `epoch` instead of its
+    /// construction, so its events and snapshots share a clock with
+    /// whatever else counts from `epoch` (a gateway run's start).
+    pub fn with_epoch(mut self, epoch: Instant) -> FlightRecorder {
+        self.epoch = epoch;
+        self
+    }
+
+    /// Microseconds since the recorder's epoch (its construction, unless
+    /// [`with_epoch`](Self::with_epoch) set it) — the timestamp base
+    /// every event uses.
     pub fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }

@@ -5,13 +5,24 @@
 //! request per connection, `GET /metrics` (and `/`) answered with the
 //! registry rendered as Prometheus text, anything else a 404. That is all
 //! a scraper needs, and it keeps the dependency count at zero.
+//!
+//! Connections are served one at a time, so each gets one deadline for
+//! its whole request head (one second) and a cap on its length (4 KiB):
+//! a client that trickles its request, or never ends it, is dropped, and
+//! the next scrape is served.
 
 use crate::registry::Registry;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a connection has to send its whole request head.
+const HEAD_DEADLINE: Duration = Duration::from_secs(1);
+
+/// The longest request head served; a longer one is dropped unanswered.
+const MAX_HEAD_BYTES: usize = 4096;
 
 /// A running metrics endpoint. The listener thread is detached and serves
 /// until the process exits or [`shutdown`](MetricsServer::shutdown) is
@@ -54,7 +65,6 @@ pub fn serve(addr: &str, registry: Arc<Registry>) -> std::io::Result<MetricsServ
                 }
                 let Ok(stream) = conn else { continue };
                 // One slow scraper must not wedge the endpoint forever.
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
                 let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
                 let _ = handle(stream, &registry);
             }
@@ -63,19 +73,10 @@ pub fn serve(addr: &str, registry: Arc<Registry>) -> std::io::Result<MetricsServ
     Ok(MetricsServer { addr: bound, stop })
 }
 
-fn handle(stream: TcpStream, registry: &Registry) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers so the client sees a clean close.
-    let mut header = String::new();
-    loop {
-        header.clear();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
-            break;
-        }
-    }
-    let mut stream = reader.into_inner();
+fn handle(mut stream: TcpStream, registry: &Registry) -> io::Result<()> {
+    let head = read_head(&mut stream)?;
+    let head = String::from_utf8_lossy(&head);
+    let request_line = head.lines().next().unwrap_or("");
     let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
@@ -94,7 +95,32 @@ fn handle(stream: TcpStream, registry: &Registry) -> std::io::Result<()> {
     }
 }
 
-fn respond(stream: &mut TcpStream, status: &str, body: &str) -> std::io::Result<()> {
+/// Reads a request head up to its blank line (or the client's EOF), so
+/// the client sees a clean close. Fails once [`HEAD_DEADLINE`] has passed
+/// since the first read, or once more than [`MAX_HEAD_BYTES`] arrived.
+fn read_head(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
+    let deadline = Instant::now() + HEAD_DEADLINE;
+    let mut head = Vec::new();
+    let mut buf = [0u8; 512];
+    while !(head.windows(4).any(|w| w == b"\r\n\r\n") || head.windows(2).any(|w| w == b"\n\n")) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::other("request head too slow"));
+        }
+        stream.set_read_timeout(Some(left))?;
+        let n = stream.read(&mut buf)?;
+        if n == 0 {
+            break;
+        }
+        head.extend_from_slice(&buf[..n]);
+        if head.len() > MAX_HEAD_BYTES {
+            return Err(io::Error::other("request head too long"));
+        }
+    }
+    Ok(head)
+}
+
+fn respond(stream: &mut TcpStream, status: &str, body: &str) -> io::Result<()> {
     write!(
         stream,
         "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
@@ -165,6 +191,41 @@ mod tests {
         stream.read_to_string(&mut response).unwrap();
         assert!(response.starts_with("HTTP/1.1 404"), "{response}");
 
+        server.shutdown();
+    }
+
+    /// A client that sends its request a byte at a time, never ending it,
+    /// holds the endpoint for one head deadline at most: a scrape behind
+    /// it is served within two seconds. An over-long head is dropped
+    /// unanswered.
+    #[test]
+    fn a_trickling_client_does_not_stall_a_scrape() {
+        let server = serve("127.0.0.1:0", Arc::new(Registry::new())).expect("bind");
+        let addr = server.addr();
+        let stop = Arc::new(AtomicBool::new(false));
+        let trickle = {
+            let stop = Arc::clone(&stop);
+            let mut slow = TcpStream::connect(addr).unwrap();
+            std::thread::spawn(move || {
+                while !stop.load(Relaxed) && slow.write_all(b"G").is_ok() {
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            })
+        };
+        let started = Instant::now();
+        let scraped = fetch_text(&addr.to_string());
+        let took = started.elapsed();
+        stop.store(true, Relaxed);
+        trickle.join().unwrap();
+        scraped.expect("a scrape behind a trickling client");
+        assert!(took < Duration::from_secs(2), "the scrape took {took:?}");
+
+        let mut long = TcpStream::connect(addr).unwrap();
+        long.write_all(&[b'A'; 2 * MAX_HEAD_BYTES]).unwrap();
+        let mut response = Vec::new();
+        let _ = long.read_to_end(&mut response);
+        assert!(response.is_empty(), "{response:?}");
+        assert!(fetch_text(&addr.to_string()).is_ok());
         server.shutdown();
     }
 }

@@ -24,10 +24,11 @@
 //!   against a live endpoint numerically.
 //! - [`process`] — process-level collectors (resident memory), so memory
 //!   stability is checkable from the same scrape.
-//! - [`flight`] — a bounded-memory flight recorder: a
-//!   lock-free ring journal ([`FlightRecorder`]) of compact structured
-//!   events (bursts, stage boundaries, verdicts with per-feature
-//!   scores, drops), recorded wait-free and allocation-free.
+//! - [`flight`] — the journal: compact structured events (bursts,
+//!   stage boundaries, verdicts with per-feature scores, drops) and
+//!   the bounded-memory flight recorder, a lock-free ring
+//!   ([`FlightRecorder`]) that holds them, recorded wait-free and
+//!   allocation-free.
 //! - [`snapshot`] — the incident-snapshot format: journal tail +
 //!   per-stage latency breakdown + registry snapshot/delta rendered as
 //!   one self-contained JSON document ([`SnapshotBuilder`]), shared by
@@ -37,9 +38,10 @@
 //!   [`JsonObject`](json::JsonObject) encoder behind gateway events,
 //!   snapshots and reports, and the [`parse`](json::parse) decoder that
 //!   reads them back as [`JsonValue`](json::JsonValue) trees.
-//! - [`trace`] — lightweight structured tracing: span IDs allocated per
-//!   burst at ingest, per-stage durations recorded as JSONL records, so a
-//!   single frame's end-to-end path is reconstructable offline.
+//! - [`trace`] — the pipeline's stage names ([`SpanStage`]) and the
+//!   journal's second destination, a [`TraceSink`] that writes every
+//!   event as it is recorded, one [`snapshot::event_json`] line each, so
+//!   a single frame's end-to-end path is reconstructable offline.
 //!
 //! ```
 //! use ctc_obs::Registry;
@@ -81,4 +83,4 @@ pub use process::register_process_metrics;
 pub use registry::{Registry, ScopedRegistry};
 pub use scrape::{Scrape, ScrapeError, ScrapeSample, ScrapedHistogram};
 pub use snapshot::SnapshotBuilder;
-pub use trace::{next_span_id, SpanStage, TraceSink};
+pub use trace::{SpanStage, TraceSink};

@@ -156,7 +156,8 @@ impl Scrape {
     }
 
     /// Reassembles the histogram family `name` with the given non-`le`
-    /// label set; `None` when no buckets match.
+    /// label set; `None` when no buckets match, or when a bucket's `le`
+    /// bound is NaN, which no order of buckets can place.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<ScrapedHistogram> {
         let bucket_name = format!("{name}_bucket");
         let mut buckets: Vec<(f64, u64)> = self
@@ -173,10 +174,10 @@ impl Scrape {
                 Some((bound, s.value as u64))
             })
             .collect();
-        if buckets.is_empty() {
+        if buckets.is_empty() || buckets.iter().any(|(bound, _)| bound.is_nan()) {
             return None;
         }
-        buckets.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("le bounds are ordered"));
+        buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
         let sum = self
             .value(&format!("{name}_sum"), labels)
             .unwrap_or_default();
@@ -408,6 +409,17 @@ mod tests {
                 "q={q}: in-process {in_process} vs scraped {scraped}"
             );
         }
+    }
+
+    /// `le="NaN"` parses as a bound that no order places: the family is
+    /// rejected instead of panicking the scraper of an endpoint it does
+    /// not control.
+    #[test]
+    fn a_nan_bucket_bound_rejects_the_family() {
+        let text = "x_bucket{le=\"1\"} 1\nx_bucket{le=\"NaN\"} 2\nx_bucket{le=\"+Inf\"} 3\n";
+        let scrape = Scrape::parse(text).unwrap();
+        assert_eq!(scrape.samples().len(), 3);
+        assert_eq!(scrape.histogram("x", &[]), None);
     }
 
     #[test]

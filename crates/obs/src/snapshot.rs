@@ -85,7 +85,9 @@ pub fn registry_delta_json(baseline: &Scrape, now: &Scrape) -> String {
 
 /// Serializes one journal event with kind-specific field names (stage
 /// ids become names, verdict flag bits become booleans, per-feature
-/// scores are keyed by `feature_names` where available).
+/// scores are keyed by `feature_names` where available). It is an
+/// event's one rendering: a snapshot's `events` array and a
+/// [`TraceSink`](crate::TraceSink)'s lines both hold it.
 pub fn event_json(ev: &FlightEvent, feature_names: &[&str]) -> String {
     let o = JsonObject::new()
         .uint("t_us", ev.t_us)

@@ -1,33 +1,31 @@
-//! Lightweight structured tracing for the sample path.
+//! The gateway's stage names, and the journal's second destination.
 //!
-//! A *span* is one burst's journey through the pipeline. The ingest thread
-//! allocates a span ID ([`next_span_id`]) when a burst closes, and every
-//! downstream stage records a `(span, stage, start, end)` interval into a
-//! shared [`TraceSink`]. Each record becomes one JSONL line:
+//! A burst's path through the pipeline is a closed set of stages,
+//! [`SpanStage`]: flight-recorder `stage` events carry its ids, and
+//! journal lines and incident snapshots print its names.
+//!
+//! The journal ([`flight`](crate::flight)) is the one per-burst record.
+//! Its ring is what incident snapshots read; a [`TraceSink`] is the
+//! other destination, a JSON-lines log that gets every event as it is
+//! recorded, one [`event_json`] object per line, the same object a
+//! snapshot's `events` array holds:
 //!
 //! ```json
-//! {"span":7,"seq":3,"stage":"decode","start_us":1042,"end_us":1981}
+//! {"t_us":1981,"kind":"stage","session":1,"seq":3,"stage":"decode","dur_us":939}
 //! ```
 //!
-//! `start_us`/`end_us` are microseconds since the sink's construction, so
-//! offline tools can rebuild a per-frame stage chain and check contiguity
-//! (stage N's `end_us` is stage N+1's `start_us` when the pipeline hands
-//! the same `Instant` across the boundary — which the gateway does).
-//!
-//! Span ID `0` is reserved as the "tracing disabled" sentinel; sinks ignore
-//! records carrying it, so instrumented code can record unconditionally.
-//!
-//! The stages are a closed set, [`SpanStage`]: trace lines print its
-//! names, and flight-recorder `stage` events carry its ids.
+//! A burst is named by `(session, seq)` in both. A `stage` event is
+//! stamped at the stage's end, so `t_us − dur_us` is its start, and each
+//! stage of a burst starts where the previous one ended.
 
+use crate::flight::FlightEvent;
+use crate::snapshot::event_json;
 use std::io::Write;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
-/// One pipeline stage of a span. The discriminant is the stage's id in
+/// One pipeline stage of a burst. The discriminant is the stage's id in
 /// flight-recorder [`EventKind::Stage`](crate::flight::EventKind::Stage)
-/// events; [`name`](SpanStage::name) is what trace lines and incident
+/// events; [`name`](SpanStage::name) is what journal lines and incident
 /// snapshots print.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -42,24 +40,21 @@ pub enum SpanStage {
     Classify = 3,
     /// Verdict to the event line's write.
     Emit = 4,
-    /// Enqueue to being shed by the drop budget.
-    Drop = 5,
 }
 
 impl SpanStage {
     /// Every stage, in id order.
-    pub const ALL: [SpanStage; 6] = [
+    pub const ALL: [SpanStage; 5] = [
         SpanStage::Ingest,
         SpanStage::Queue,
         SpanStage::Decode,
         SpanStage::Classify,
         SpanStage::Emit,
-        SpanStage::Drop,
     ];
 
     /// The stage's lowercase name.
     pub fn name(self) -> &'static str {
-        ["ingest", "queue", "decode", "classify", "emit", "drop"][self as usize]
+        ["ingest", "queue", "decode", "classify", "emit"][self as usize]
     }
 
     /// The stage whose id is `id`, if any.
@@ -68,102 +63,62 @@ impl SpanStage {
     }
 }
 
-/// Allocates a fresh process-unique span ID (never `0`).
-pub fn next_span_id() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
-}
-
-struct SinkInner {
-    out: Box<dyn Write + Send>,
-    /// Reused line buffer: formatting a record makes no steady-state
-    /// allocations once the buffer has grown to a typical line length.
-    line: String,
-}
-
-/// A shared, append-only span log writing JSONL records.
+/// A JSON-lines log of journal events: each [`record`](TraceSink::record)
+/// writes one [`event_json`] line.
 ///
-/// Thread-safe: pipeline workers call [`record`](TraceSink::record)
-/// concurrently; a mutex serialises line formatting and the write. Tracing
-/// is off the hot path by construction — the gateway only creates a sink
-/// when `--trace-out` is given.
+/// Thread-safe: pipeline threads record concurrently. A line is rendered
+/// before the lock is taken, and written whole under it, so lines never
+/// interleave. A write error is ignored: tracing never stops the run.
 pub struct TraceSink {
-    epoch: Instant,
-    inner: Mutex<SinkInner>,
+    out: Mutex<Box<dyn Write + Send>>,
 }
 
 impl std::fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceSink")
-            .field("epoch", &self.epoch)
-            .finish()
+        f.debug_struct("TraceSink").finish_non_exhaustive()
     }
 }
 
 impl TraceSink {
-    /// A sink writing JSONL records to `out`. Timestamps are relative to
-    /// this call.
+    /// A sink writing journal lines to `out`.
     pub fn new(out: Box<dyn Write + Send>) -> Self {
         TraceSink {
-            epoch: Instant::now(),
-            inner: Mutex::new(SinkInner {
-                out,
-                line: String::with_capacity(128),
-            }),
+            out: Mutex::new(out),
         }
     }
 
-    /// The sink's epoch: the `Instant` that `start_us`/`end_us` are
-    /// measured from.
-    pub fn epoch(&self) -> Instant {
-        self.epoch
+    /// Writes `event` as one line, its verdict scores keyed by
+    /// `feature_names` (see [`event_json`]).
+    pub fn record(&self, event: &FlightEvent, feature_names: &[&str]) {
+        let mut line = event_json(event, feature_names);
+        line.push('\n');
+        let _ = self.lock().write_all(line.as_bytes());
     }
 
-    /// Records one stage interval for `span` (sequence number `seq` ties
-    /// the span to the emitted frame line). Records with `span == 0` are
-    /// dropped — that is the "tracing disabled" sentinel.
-    pub fn record(&self, span: u64, seq: u64, stage: SpanStage, start: Instant, end: Instant) {
-        if span == 0 {
-            return;
-        }
-        let stage = stage.name();
-        let start_us = end_us_since(self.epoch, start);
-        let end_us = end_us_since(self.epoch, end);
-        let mut inner = self.inner.lock().expect("trace sink poisoned");
-        let inner = &mut *inner;
-        inner.line.clear();
-        use std::fmt::Write as _;
-        let _ = writeln!(
-            inner.line,
-            "{{\"span\":{span},\"seq\":{seq},\"stage\":\"{stage}\",\"start_us\":{start_us},\"end_us\":{end_us}}}",
-        );
-        let _ = inner.out.write_all(inner.line.as_bytes());
-    }
-
-    /// Flushes the underlying writer. Call before process exit so no span
-    /// records are lost (also done on drop).
+    /// Flushes the underlying writer. Call before process exit so no
+    /// lines are lost (also done on drop).
     pub fn flush(&self) {
-        let _ = self.inner.lock().expect("trace sink poisoned").out.flush();
+        let _ = self.lock().flush();
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Box<dyn Write + Send>> {
+        self.out.lock().expect("trace sink poisoned")
     }
 }
 
 impl Drop for TraceSink {
     fn drop(&mut self) {
-        if let Ok(inner) = self.inner.get_mut() {
-            let _ = inner.out.flush();
+        if let Ok(out) = self.out.get_mut() {
+            let _ = out.flush();
         }
     }
-}
-
-fn end_us_since(epoch: Instant, t: Instant) -> u64 {
-    t.saturating_duration_since(epoch).as_micros() as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::EventKind;
     use std::sync::Arc;
-    use std::time::Duration;
 
     /// A write target the test can inspect after the sink flushes.
     #[derive(Clone, Default)]
@@ -179,15 +134,18 @@ mod tests {
         }
     }
 
-    /// Trace lines, flight `stage` events and snapshot digests all key
+    impl SharedBuf {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    /// Journal lines, flight `stage` events and snapshot digests all key
     /// on these ids and names; they are a wire format.
     #[test]
     fn stage_ids_and_names_are_stable() {
         let names: Vec<&str> = SpanStage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(
-            names,
-            ["ingest", "queue", "decode", "classify", "emit", "drop"]
-        );
+        assert_eq!(names, ["ingest", "queue", "decode", "classify", "emit"]);
         for (id, stage) in SpanStage::ALL.iter().enumerate() {
             assert_eq!(*stage as u64, id as u64);
             assert_eq!(SpanStage::from_id(id as u64), Some(*stage));
@@ -195,39 +153,26 @@ mod tests {
         assert_eq!(SpanStage::from_id(99), None);
     }
 
+    /// A line is the event's snapshot rendering: the ring and the log
+    /// hold one schema.
     #[test]
-    fn span_ids_are_unique_and_nonzero() {
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..100 {
-            let id = next_span_id();
-            assert_ne!(id, 0);
-            assert!(seen.insert(id));
-        }
-    }
-
-    #[test]
-    fn records_become_jsonl_lines_relative_to_epoch() {
+    fn records_become_event_json_lines() {
         let buf = SharedBuf::default();
         let sink = TraceSink::new(Box::new(buf.clone()));
-        let t0 = sink.epoch() + Duration::from_micros(10);
-        let t1 = sink.epoch() + Duration::from_micros(25);
-        sink.record(7, 3, SpanStage::Decode, t0, t1);
+        let stage =
+            FlightEvent::new(EventKind::Stage, 1, 3, 25).with_args(SpanStage::Decode as u64, 15);
+        let verdict = FlightEvent::new(EventKind::Verdict, 1, 3, 26).with_scores(0.5, [0.25]);
+        sink.record(&stage, &[]);
+        sink.record(&verdict, &["de2_ideal"]);
         sink.flush();
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
         assert_eq!(
-            text,
-            "{\"span\":7,\"seq\":3,\"stage\":\"decode\",\"start_us\":10,\"end_us\":25}\n"
+            buf.text(),
+            format!(
+                "{}\n{}\n",
+                event_json(&stage, &[]),
+                event_json(&verdict, &["de2_ideal"])
+            )
         );
-    }
-
-    #[test]
-    fn span_zero_is_dropped() {
-        let buf = SharedBuf::default();
-        let sink = TraceSink::new(Box::new(buf.clone()));
-        let now = Instant::now();
-        sink.record(0, 0, SpanStage::Ingest, now, now);
-        sink.flush();
-        assert!(buf.0.lock().unwrap().is_empty());
     }
 
     #[test]
@@ -238,9 +183,8 @@ mod tests {
             .map(|t| {
                 let sink = Arc::clone(&sink);
                 std::thread::spawn(move || {
-                    let now = Instant::now();
                     for i in 0..200 {
-                        sink.record(t + 1, i, SpanStage::Queue, now, now);
+                        sink.record(&FlightEvent::new(EventKind::Burst, t + 1, i, i), &[]);
                     }
                 })
             })
@@ -249,11 +193,11 @@ mod tests {
             h.join().unwrap();
         }
         sink.flush();
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let text = buf.text();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 800);
         for line in lines {
-            assert!(line.starts_with("{\"span\":"), "mangled line: {line}");
+            assert!(line.starts_with("{\"t_us\":"), "mangled line: {line}");
             assert!(line.ends_with('}'), "mangled line: {line}");
         }
     }

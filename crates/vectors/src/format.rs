@@ -19,7 +19,7 @@
 //! ```
 
 use ctc_dsp::Complex;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// File magic.
 pub const MAGIC: [u8; 4] = *b"CTCV";
@@ -289,15 +289,6 @@ impl Vector {
             tolerance,
             payload,
         })
-    }
-
-    /// Writes the encoded vector to `writer`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn write_to<W: Write>(&self, mut writer: W) -> io::Result<()> {
-        writer.write_all(&self.encode())
     }
 
     /// Reads and decodes one vector from `reader`.

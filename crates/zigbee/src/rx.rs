@@ -168,8 +168,6 @@ fn soft_chips(i_chips: &[f64], q_chips: &[f64]) -> [f64; CHIPS_PER_SYMBOL] {
 pub struct Receiver {
     decision: Decision,
     sync_search: usize,
-    correct_phase: bool,
-    correct_cfo: bool,
     fractional_timing: bool,
 }
 
@@ -181,14 +179,13 @@ impl Default for Receiver {
 
 impl Receiver {
     /// Hard-decision receiver (threshold 10), no timing search (the waveform
-    /// is assumed frame-aligned, as in the paper's simulations), with
-    /// preamble phase correction enabled.
+    /// is assumed frame-aligned, as in the paper's simulations). Every
+    /// receiver corrects CFO and phase from the preamble before it
+    /// despreads.
     pub fn new() -> Self {
         Receiver {
             decision: Decision::default(),
             sync_search: 0,
-            correct_phase: true,
-            correct_cfo: true,
             fractional_timing: false,
         }
     }
@@ -212,18 +209,6 @@ impl Receiver {
     /// Enables a timing search over `0..=max_offset` samples.
     pub fn with_sync_search(mut self, max_offset: usize) -> Self {
         self.sync_search = max_offset;
-        self
-    }
-
-    /// Enables/disables preamble-based phase correction.
-    pub fn with_phase_correction(mut self, enabled: bool) -> Self {
-        self.correct_phase = enabled;
-        self
-    }
-
-    /// Enables/disables preamble-based CFO correction.
-    pub fn with_cfo_correction(mut self, enabled: bool) -> Self {
-        self.correct_cfo = enabled;
         self
     }
 
@@ -330,29 +315,23 @@ impl Receiver {
         // fs/128 ≈ 31 kHz — far above any residual CFO after front-end
         // correction).
         let mut cfo = 0.0;
-        if self.correct_cfo {
-            let span = (6 * SAMPLES_PER_SYMBOL).min(wave.len().saturating_sub(best_off));
-            if span > SAMPLES_PER_SYMBOL + 32 {
-                let seg = &wave[best_off..best_off + span];
-                let acc = simd::cdot_conj(
-                    &seg[SAMPLES_PER_SYMBOL..],
-                    &seg[..span - SAMPLES_PER_SYMBOL],
-                );
-                if acc.norm() > 0.0 {
-                    cfo = acc.arg() / SAMPLES_PER_SYMBOL as f64;
-                }
+        let span = (6 * SAMPLES_PER_SYMBOL).min(wave.len().saturating_sub(best_off));
+        if span > SAMPLES_PER_SYMBOL + 32 {
+            let seg = &wave[best_off..best_off + span];
+            let acc = simd::cdot_conj(
+                &seg[SAMPLES_PER_SYMBOL..],
+                &seg[..span - SAMPLES_PER_SYMBOL],
+            );
+            if acc.norm() > 0.0 {
+                cfo = acc.arg() / SAMPLES_PER_SYMBOL as f64;
             }
         }
 
         // Phase from the template correlation of the CFO-derotated preamble.
-        let phase = if self.correct_phase {
-            let seg_end = (best_off + template.len()).min(wave.len());
-            let corr = simd::cdot_conj_rotated(&wave[best_off..seg_end], template, -cfo);
-            if corr.norm() > 0.0 {
-                corr.arg()
-            } else {
-                best_corr.arg()
-            }
+        let seg_end = (best_off + template.len()).min(wave.len());
+        let corr = simd::cdot_conj_rotated(&wave[best_off..seg_end], template, -cfo);
+        let phase = if corr.norm() > 0.0 {
+            corr.arg()
         } else {
             best_corr.arg()
         };
@@ -413,15 +392,14 @@ impl Receiver {
 
         // One pass over the chip instants: the raw samples, and the same
         // samples after CFO correction (clock recovery) then phase
-        // correction. A correction that is off is skipped, not applied as
-        // a unit phasor.
+        // correction.
         let pairs = chip_pairs(aligned.len());
         let mut raw_chip_samples = ChipSamples::zeroed(pairs);
         let mut chip_samples = ChipSamples::zeroed(pairs);
         simd::sample_chips(
             aligned,
-            self.correct_cfo.then_some(-sync.cfo_per_sample),
-            self.correct_phase.then(|| Complex::cis(-sync.phase)),
+            -sync.cfo_per_sample,
+            Complex::cis(-sync.phase),
             raw_chip_samples.taps(),
             chip_samples.taps(),
         );

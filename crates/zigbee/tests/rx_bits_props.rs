@@ -33,8 +33,6 @@ struct Config {
     decision: Decision,
     sync_search: usize,
     fractional_timing: bool,
-    correct_cfo: bool,
-    correct_phase: bool,
 }
 
 impl Config {
@@ -43,8 +41,6 @@ impl Config {
             .with_decision(self.decision)
             .with_sync_search(self.sync_search)
             .with_fractional_timing(self.fractional_timing)
-            .with_cfo_correction(self.correct_cfo)
-            .with_phase_correction(self.correct_phase)
     }
 }
 
@@ -52,23 +48,17 @@ const USRP: Decision = Decision::Hard { threshold: 10 };
 const COMMODITY: Decision = Decision::Soft { min_score: 0.25 };
 
 /// Every configuration the suite covers: both decisions, sync search 0,
-/// 96 and 300, fractional timing, CFO and phase correction each on/off.
+/// 96 and 300, and fractional timing.
 fn configs(fractional: &[bool]) -> Vec<Config> {
     let mut out = Vec::new();
     for decision in [USRP, COMMODITY] {
         for sync_search in [0, 96, 300] {
             for &fractional_timing in fractional {
-                for correct_cfo in [true, false] {
-                    for correct_phase in [true, false] {
-                        out.push(Config {
-                            decision,
-                            sync_search,
-                            fractional_timing,
-                            correct_cfo,
-                            correct_phase,
-                        });
-                    }
-                }
+                out.push(Config {
+                    decision,
+                    sync_search,
+                    fractional_timing,
+                });
             }
         }
     }
@@ -126,24 +116,18 @@ fn oracle_synchronize(cfg: &Config, wave: &[Complex]) -> SyncResult {
         }
     }
     let mut cfo = 0.0;
-    if cfg.correct_cfo {
-        let span = (6 * sym_len).min(wave.len().saturating_sub(best_off));
-        if span > sym_len + 32 {
-            let seg = &wave[best_off..best_off + span];
-            let acc = simd::cdot_conj(&seg[sym_len..], &seg[..span - sym_len]);
-            if acc.norm() > 0.0 {
-                cfo = acc.arg() / sym_len as f64;
-            }
+    let span = (6 * sym_len).min(wave.len().saturating_sub(best_off));
+    if span > sym_len + 32 {
+        let seg = &wave[best_off..best_off + span];
+        let acc = simd::cdot_conj(&seg[sym_len..], &seg[..span - sym_len]);
+        if acc.norm() > 0.0 {
+            cfo = acc.arg() / sym_len as f64;
         }
     }
-    let phase = if cfg.correct_phase {
-        let seg_end = (best_off + template.len()).min(wave.len());
-        let corr = simd::cdot_conj_rotated(&wave[best_off..seg_end], &template, -cfo);
-        if corr.norm() > 0.0 {
-            corr.arg()
-        } else {
-            best_corr.arg()
-        }
+    let seg_end = (best_off + template.len()).min(wave.len());
+    let corr = simd::cdot_conj_rotated(&wave[best_off..seg_end], &template, -cfo);
+    let phase = if corr.norm() > 0.0 {
+        corr.arg()
     } else {
         best_corr.arg()
     };
@@ -226,14 +210,9 @@ fn oracle_receive(cfg: &Config, wave: &[Complex]) -> (Reception, Vec<f64>) {
         aligned_slice
     };
 
-    let mut cfo_corrected = aligned.to_vec();
-    if cfg.correct_cfo {
-        simd::rotate_in_place(&mut cfo_corrected, -sync.cfo_per_sample);
-    }
-    let mut corrected = cfo_corrected;
-    if cfg.correct_phase {
-        ctc_dsp::filter::phase_rotate_in_place(&mut corrected, -sync.phase);
-    }
+    let mut corrected = aligned.to_vec();
+    simd::rotate_in_place(&mut corrected, -sync.cfo_per_sample);
+    ctc_dsp::filter::phase_rotate_in_place(&mut corrected, -sync.phase);
 
     let num_chips = (aligned.len() / SAMPLES_PER_CHIP) & !1usize;
     let raw_chip_samples = demodulate_chips(aligned, num_chips);

@@ -12,7 +12,7 @@
 #
 #   - `--metrics-addr 127.0.0.1:0` binds, and `ctc obs dump --addr` scrapes
 #     the canonical `ctc_*` metric names live, mid-run;
-#   - `--trace-out` produces a span log covering every pipeline stage;
+#   - `--trace-out` writes a journal covering every pipeline stage;
 #   - the telemetry run still exits 3.
 #
 # A third pass serves the same capture to `ctc monitor --listen` over
@@ -152,13 +152,13 @@ grep -q 'ctc_queue_dropped_total 0' <<< "$metrics" \
 
 [ "$mstatus" -eq 3 ] || fail "telemetry run: expected exit code 3, got $mstatus"
 
-# The span log must cover the full stage chain for the 3 frames.
+# The trace log must hold the full stage chain for the 3 frames.
 for stage in ingest queue decode classify emit; do
     n=$(grep -c "\"stage\":\"$stage\"" "$workdir/trace.jsonl" || true)
-    [ "$n" -eq 3 ] || fail "expected 3 '$stage' span records, got $n"
+    [ "$n" -eq 3 ] || fail "expected 3 '$stage' stage events, got $n"
 done
 
-echo "metrics smoke OK: live scrape at $addr, span log complete, exit 3"
+echo "metrics smoke OK: live scrape at $addr, trace log complete, exit 3"
 
 # --- multi-stream smoke: three concurrent TCP sessions, one engine ------
 #

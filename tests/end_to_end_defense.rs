@@ -81,10 +81,10 @@ fn real_channel_detector_survives_phase_and_cfo() {
 fn ideal_detector_fails_under_rotation_but_real_does_not() {
     // The motivating asymmetry of Sec. VI-C.
     let s = setup();
+    // The detector reads the raw chip samples, which keep the rotation
+    // the receiver corrects before despreading.
     let rotated = hide_and_seek::channel::impairments::apply_phase(&s.authentic, 0.6);
-    let r = Receiver::usrp()
-        .with_phase_correction(false)
-        .receive(&rotated);
+    let r = Receiver::usrp().receive(&rotated);
     let ideal = Detector::new(ChannelAssumption::Ideal).with_threshold(0.25);
     let real = Detector::new(ChannelAssumption::Real).with_threshold(0.25);
     assert!(
